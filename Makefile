@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench bench-msa bench-msa-smoke swar-smoke serve-bench serve-smoke cluster-bench bench-batch batch-smoke
+.PHONY: all build test check fmt vet race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench bench-msa bench-msa-smoke swar-smoke serve-bench serve-smoke cluster-bench bench-batch batch-smoke bench-smoke
 
 all: build
 
@@ -87,7 +87,7 @@ cluster-smoke:
 fairness:
 	$(GO) run -race ./cmd/afload -fairness -seed 7 -threads 2 -msa-workers 4 -gpu-workers 2
 
-check: fmt vet test race faults chaos chaos-disk chaos-cluster cluster-smoke fairness swar-smoke bench-msa-smoke serve-smoke batch-smoke
+check: fmt vet test race faults chaos chaos-disk chaos-cluster cluster-smoke fairness swar-smoke bench-msa-smoke serve-smoke batch-smoke bench-smoke
 
 # Cluster scaling benchmark: the full shards × replicas sweep merged into
 # BENCH_serve.json as the cluster_scaling section (run serve-bench first so
@@ -151,3 +151,12 @@ bench-batch:
 # Smoke variant for the check gate: same sweep and gate, no artifact.
 batch-smoke:
 	$(GO) run ./cmd/afload -batch-sweep -n 16
+
+# Smoke run of the repo benchmark (BENCHMARK.json, bench/) for the check
+# gate: all six workloads shrunk to about two seconds each, with the
+# harness's verifiers on — every result digest against a direct
+# RunPipeline, the QoS replay oracle on tenant_storm, every figure/table
+# cell against bench/golden. Numbers from a smoke run are not comparable;
+# bench/README.md has the measuring procedure.
+bench-smoke:
+	$(GO) run ./bench -smoke

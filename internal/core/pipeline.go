@@ -235,9 +235,12 @@ func (p *MSAPhase) SizeBytes() int64 {
 
 // RunMSAPhase executes only the MSA phase for one sample on one machine:
 // the Section VI memory gate, database opening under the retry policy, and
-// the degradation-ladder planning loop. The returned value is immutable
-// once computed and safe to share between requests (the serving cache
-// hands one *MSAPhase to every hit).
+// the degradation-ladder planning loop. Every call builds its own
+// *MSAPhase — the serving cache works a level down, on chains
+// (opts.ChainCache) — but the phase's Data.Workers link the metering
+// events of whatever chain deltas were replayed into it, cached ones
+// included, so the returned value is read-only: several requests' phases
+// may share one chain's events.
 func (s *Suite) RunMSAPhase(ctx context.Context, in *inputs.Input, mach platform.Machine, opts PipelineOptions) (*MSAPhase, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -2,6 +2,7 @@ package inputs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -86,8 +87,17 @@ func TestSamplesDeterministic(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	if _, err := ByName("2PV7"); err != nil {
-		t.Error(err)
+	// Every Table II name resolves to exactly its Samples() entry, built
+	// on its own.
+	for _, want := range Samples() {
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Errorf("ByName(%s): %v", want.Name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%s) differs from its Samples() entry", want.Name)
+		}
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Error("unknown sample accepted")

@@ -96,60 +96,166 @@ func (Nop) Record(Event) {}
 
 // Accumulator collects events verbatim, summing per-function totals. It is
 // the standard sink for one worker thread's activity.
+//
+// An accumulator is an ordered list of read-only runs of events. Events is
+// the head run: a recorder that only ever calls Record — every chain-level
+// accumulator, every gob-encoded chain delta — has nothing else, and is the
+// flat accumulator it always was. Link splices another accumulator's events
+// in by reference, so a request-level accumulator assembled from cached
+// chains costs a few slice headers, not a copy of every event. A linked
+// accumulator is sealed: its events belong to whoever recorded them, so it
+// must be read through Totals/ByFunc/Len/Flat and never recorded into.
+// Events alone is the whole stream only while Linked() is false.
 type Accumulator struct {
 	Events []Event
+	// tail holds the runs linked after the head, in order. Unexported, so
+	// gob carries the head run only; msa refuses to encode a linked
+	// accumulator rather than drop these.
+	tail   [][]Event
+	linked bool
 }
 
-// Record implements Meter.
-func (a *Accumulator) Record(ev Event) { a.Events = append(a.Events, ev) }
+// Record implements Meter. Recording into a linked accumulator would
+// either write after borrowed events out of order or into memory another
+// accumulator owns; it is a programming error and panics.
+func (a *Accumulator) Record(ev Event) {
+	if a.linked {
+		panic("metering: Record on a linked Accumulator")
+	}
+	a.Events = append(a.Events, ev)
+}
+
+// Link appends src's events to a by reference, in src's order. Each run is
+// capacity-clipped, so an append to a.Events (or to any run) reallocates
+// instead of writing into src's backing array. The link is to the events
+// src holds now; a later Record into src is not seen. The first non-empty
+// run linked into an empty accumulator becomes its head run, so a
+// single-contributor accumulator still has everything in Events.
+func (a *Accumulator) Link(src *Accumulator) {
+	a.linked = true
+	a.linkRun(src.Events)
+	for _, run := range src.tail {
+		a.linkRun(run)
+	}
+}
+
+func (a *Accumulator) linkRun(run []Event) {
+	if len(run) == 0 {
+		return
+	}
+	run = run[:len(run):len(run)]
+	if len(a.Events) == 0 && len(a.tail) == 0 {
+		a.Events = run
+		return
+	}
+	a.tail = append(a.tail, run)
+}
+
+// Linked reports whether Link has been called on a: its events may be
+// shared with other accumulators and it can no longer Record.
+func (a *Accumulator) Linked() bool { return a.linked }
+
+// Len returns the number of accumulated events across all runs.
+func (a *Accumulator) Len() int {
+	n := len(a.Events)
+	for _, run := range a.tail {
+		n += len(run)
+	}
+	return n
+}
+
+// Flat returns all accumulated events in order as one slice: Events itself
+// when there is only the head run, a fresh copy otherwise. The result is
+// read-only either way.
+func (a *Accumulator) Flat() []Event {
+	if len(a.tail) == 0 {
+		return a.Events
+	}
+	out := make([]Event, 0, a.Len())
+	out = append(out, a.Events...)
+	for _, run := range a.tail {
+		out = append(out, run...)
+	}
+	return out
+}
+
+// run returns the r-th run: the head for r == 0, then the linked ones.
+// Totals and ByFunc walk for r := 0; r <= len(a.tail); r++ with a plain
+// inner loop — they sit on the serving hot path, and a per-event callback
+// costs more than the arithmetic it wraps.
+func (a *Accumulator) run(r int) []Event {
+	if r == 0 {
+		return a.Events
+	}
+	return a.tail[r-1]
+}
 
 // Totals sums the accumulated events.
 func (a *Accumulator) Totals() Event {
 	var t Event
 	t.Func = "total"
-	for _, ev := range a.Events {
-		t.Instructions += ev.Instructions
-		t.Bytes += ev.Bytes
-		t.Branches += ev.Branches
-		t.PageTouches += ev.PageTouches
-		t.Allocated += ev.Allocated
-		t.Pruned += ev.Pruned
-		t.LanesRejected += ev.LanesRejected
-		if ev.WorkingSet > t.WorkingSet {
-			t.WorkingSet = ev.WorkingSet
+	for r := 0; r <= len(a.tail); r++ {
+		run := a.run(r)
+		for i := range run {
+			ev := &run[i]
+			t.Instructions += ev.Instructions
+			t.Bytes += ev.Bytes
+			t.Branches += ev.Branches
+			t.PageTouches += ev.PageTouches
+			t.Allocated += ev.Allocated
+			t.Pruned += ev.Pruned
+			t.LanesRejected += ev.LanesRejected
+			if ev.WorkingSet > t.WorkingSet {
+				t.WorkingSet = ev.WorkingSet
+			}
 		}
 	}
 	return t
 }
 
 // ByFunc groups the accumulated events per function symbol, summing counts
-// and keeping the maximum working set.
+// and keeping the maximum working set. Runs are walked in link order with
+// the same per-event operations a flat accumulator would see, so the float
+// blend of BranchMissRate is bitwise independent of how the events were
+// cut into runs.
 func (a *Accumulator) ByFunc() map[string]Event {
-	out := make(map[string]Event)
-	for _, ev := range a.Events {
-		cur := out[ev.Func]
-		cur.Func = ev.Func
-		cur.Instructions += ev.Instructions
-		cur.Bytes += ev.Bytes
-		cur.Branches += ev.Branches
-		cur.PageTouches += ev.PageTouches
-		cur.Allocated += ev.Allocated
-		cur.Pruned += ev.Pruned
-		cur.LanesRejected += ev.LanesRejected
-		if ev.WorkingSet > cur.WorkingSet {
-			cur.WorkingSet = ev.WorkingSet
+	// One map lookup per event: groups are updated through pointers and
+	// copied into the value map at the end.
+	groups := make(map[string]*Event)
+	for r := 0; r <= len(a.tail); r++ {
+		run := a.run(r)
+		for i := range run {
+			ev := &run[i]
+			cur := groups[ev.Func]
+			if cur == nil {
+				cur = &Event{Func: ev.Func}
+				groups[ev.Func] = cur
+			}
+			cur.Instructions += ev.Instructions
+			cur.Bytes += ev.Bytes
+			cur.Branches += ev.Branches
+			cur.PageTouches += ev.PageTouches
+			cur.Allocated += ev.Allocated
+			cur.Pruned += ev.Pruned
+			cur.LanesRejected += ev.LanesRejected
+			if ev.WorkingSet > cur.WorkingSet {
+				cur.WorkingSet = ev.WorkingSet
+			}
+			if ev.Pattern > cur.Pattern {
+				// Keep the "worst" (least cache friendly) pattern seen.
+				cur.Pattern = ev.Pattern
+			}
+			// Weighted blend of branch miss rates by branch count.
+			if ev.Branches > 0 {
+				tot := float64(cur.Branches)
+				cur.BranchMissRate = (cur.BranchMissRate*(tot-float64(ev.Branches)) +
+					ev.BranchMissRate*float64(ev.Branches)) / tot
+			}
 		}
-		if ev.Pattern > cur.Pattern {
-			// Keep the "worst" (least cache friendly) pattern seen.
-			cur.Pattern = ev.Pattern
-		}
-		// Weighted blend of branch miss rates by branch count.
-		if ev.Branches > 0 {
-			tot := float64(cur.Branches)
-			cur.BranchMissRate = (cur.BranchMissRate*(tot-float64(ev.Branches)) +
-				ev.BranchMissRate*float64(ev.Branches)) / tot
-		}
-		out[ev.Func] = cur
+	}
+	out := make(map[string]Event, len(groups))
+	for name, ev := range groups {
+		out[name] = *ev
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package metering
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -71,5 +73,113 @@ func TestPatternString(t *testing.T) {
 	}
 	if Pattern(42).String() != "unknown" {
 		t.Error("unknown pattern name wrong")
+	}
+}
+
+// randomEvents draws n events over a handful of function symbols, with
+// branch counts and miss rates that make ByFunc's float blend sensitive to
+// any change in evaluation order.
+func randomEvents(r *rand.Rand, n int) []Event {
+	funcs := []string{"calc_band_9", "calc_band_10", "msv_filter", "addbuf", "copy_to_iter"}
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = Event{
+			Func:           funcs[r.Intn(len(funcs))],
+			Instructions:   uint64(r.Intn(1 << 20)),
+			Bytes:          uint64(r.Intn(1 << 16)),
+			WorkingSet:     uint64(r.Intn(1 << 24)),
+			Pattern:        Pattern(r.Intn(3)),
+			Branches:       uint64(r.Intn(4)) * uint64(r.Intn(1<<12)),
+			BranchMissRate: r.Float64(),
+			PageTouches:    uint64(r.Intn(64)),
+			Allocated:      uint64(r.Intn(1 << 12)),
+			Pruned:         uint64(r.Intn(100)),
+			LanesRejected:  uint64(r.Intn(100)),
+		}
+	}
+	return evs
+}
+
+// TestLinkedReadsAsFlat cuts random event lists into random runs (empty
+// ones included), links them, and requires every reader to agree bitwise
+// with the flat accumulator holding the same events.
+func TestLinkedReadsAsFlat(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 200; trial++ {
+		evs := randomEvents(r, r.Intn(300))
+		flat := &Accumulator{Events: evs}
+		linked := &Accumulator{}
+		for lo, done := 0, false; !done; {
+			hi := lo + r.Intn(len(evs)-lo+1)
+			src := &Accumulator{}
+			for _, ev := range evs[lo:hi] {
+				src.Record(ev)
+			}
+			linked.Link(src)
+			lo, done = hi, hi == len(evs)
+		}
+		if !linked.Linked() || flat.Linked() {
+			t.Fatal("Linked() wrong")
+		}
+		if linked.Len() != len(evs) {
+			t.Fatalf("trial %d: Len = %d, want %d", trial, linked.Len(), len(evs))
+		}
+		if len(evs) > 0 && !reflect.DeepEqual(linked.Flat(), evs) {
+			t.Fatalf("trial %d: Flat differs", trial)
+		}
+		if !reflect.DeepEqual(linked.Totals(), flat.Totals()) {
+			t.Fatalf("trial %d: Totals differ", trial)
+		}
+		if !reflect.DeepEqual(linked.ByFunc(), flat.ByFunc()) {
+			t.Fatalf("trial %d: ByFunc differs", trial)
+		}
+		if len(evs) > 0 && len(linked.Events) == 0 {
+			t.Fatalf("trial %d: head run empty though events were linked", trial)
+		}
+		// Linking a linked accumulator carries all of its runs.
+		outer := &Accumulator{}
+		outer.Link(linked)
+		if len(evs) > 0 && !reflect.DeepEqual(outer.Flat(), evs) {
+			t.Fatalf("trial %d: relinked Flat differs", trial)
+		}
+	}
+}
+
+func TestRecordAfterLinkPanics(t *testing.T) {
+	src := &Accumulator{}
+	src.Record(Event{Func: "f", Instructions: 1})
+	a := &Accumulator{}
+	a.Link(src)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Record on a linked accumulator did not panic")
+		}
+		if a.Len() != 1 || src.Len() != 1 {
+			t.Fatal("rejected Record still changed an accumulator")
+		}
+	}()
+	a.Record(Event{Func: "g"})
+}
+
+// TestLinkNeverWritesSource appends to a linked head run — the one write
+// an exported field cannot forbid — and requires the source's backing
+// array, spare capacity included, to be untouched.
+func TestLinkNeverWritesSource(t *testing.T) {
+	src := &Accumulator{Events: make([]Event, 0, 8)}
+	src.Record(Event{Func: "f", Instructions: 1})
+	src.Record(Event{Func: "f", Instructions: 2})
+	a := &Accumulator{}
+	a.Link(src)
+	second := &Accumulator{Events: []Event{{Func: "g", Instructions: 3}}}
+	a.Link(second)
+	if &a.Events[0] != &src.Events[0] || &a.tail[0][0] != &second.Events[0] {
+		t.Fatal("linked runs do not alias their sources")
+	}
+	a.Events = append(a.Events, Event{Func: "intruder"})
+	if got := src.Events[:3][2]; got.Func != "" {
+		t.Fatalf("append through the link wrote into the source's spare capacity: %+v", got)
+	}
+	if len(src.Events) != 2 || src.Events[1].Instructions != 2 {
+		t.Fatal("source events changed")
 	}
 }

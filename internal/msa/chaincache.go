@@ -59,8 +59,16 @@ func (cc *CachedChain) Work() uint64 { return cc.work }
 // truth).
 func (cc *CachedChain) SizeBytes() int64 { return cc.size }
 
-// Encode serializes the snapshot for the persistent tier.
+// Encode serializes the snapshot for the persistent tier. gob carries only
+// an accumulator's head run, so a delta whose workers were assembled with
+// Link is refused rather than written short: chain-level accumulators are
+// flat by construction (recorders and the cluster scatter only append).
 func (cc *CachedChain) Encode() ([]byte, error) {
+	for i, acc := range cc.d.workers {
+		if acc.Linked() {
+			return nil, fmt.Errorf("msa: encode cached chain: worker accumulator %d is linked", i)
+		}
+	}
 	var buf bytes.Buffer
 	w := chainDeltaWire{
 		CR:       cc.d.cr,
@@ -111,7 +119,9 @@ func DecodeCachedChain(b []byte) (*CachedChain, error) {
 // snapshot is keyed by sequence content, so the same CachedChain may serve
 // chain "A" of one complex and chain "B" of another; everything in the
 // delta except the label is content-determined. The summary row is copied
-// by value; hits, events and streamed bytes are shared read-only.
+// by value; hits, events and streamed bytes are shared read-only — with
+// every Result the delta is merged into as well, since merge links the
+// worker events instead of copying them.
 func (cc *CachedChain) deltaFor(cid string) *chainDelta {
 	d := &chainDelta{
 		cr:       cc.d.cr,
@@ -129,9 +139,7 @@ func (cc *CachedChain) deltaFor(cid string) *chainDelta {
 func deltaWork(d *chainDelta) uint64 {
 	w := d.serial
 	for _, acc := range d.workers {
-		for _, ev := range acc.Events {
-			w += ev.Instructions
-		}
+		w += acc.Totals().Instructions
 	}
 	if w == 0 {
 		w = 1
@@ -153,7 +161,7 @@ func deltaSize(d *chainDelta) int64 {
 	}
 	for _, acc := range d.workers {
 		sz += 24
-		for _, ev := range acc.Events {
+		for _, ev := range acc.Flat() {
 			sz += 96 + int64(len(ev.Func))
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"afsysbench/internal/inputs"
+	"afsysbench/internal/metering"
 )
 
 // mapChainCache is a ChainFetch over a plain map, optionally round-tripping
@@ -105,7 +106,7 @@ func TestChainCacheReplayIsByteIdentical(t *testing.T) {
 				t.Fatalf("codec=%v worker counts diverged", viaCodec)
 			}
 			for w := range a.Workers {
-				if !reflect.DeepEqual(a.Workers[w].Events, b.Workers[w].Events) {
+				if !reflect.DeepEqual(a.Workers[w].Flat(), b.Workers[w].Flat()) {
 					t.Fatalf("codec=%v worker %d events diverged", viaCodec, w)
 				}
 			}
@@ -178,5 +179,51 @@ func TestChainFingerprintContentIdentity(t *testing.T) {
 	}
 	if ChainFingerprint(chains[0]) != ChainFingerprint(chains[0]) {
 		t.Fatal("fingerprint not stable")
+	}
+}
+
+// TestEncodeRefusesLinkedAccumulator: gob carries only an accumulator's head
+// run, so a chain delta whose worker events were assembled with Link must
+// fail to encode — never reach the disk tier short — while its work and
+// size accounting still cover every event; the flat delta holding the same
+// events round-trips intact.
+func TestEncodeRefusesLinkedAccumulator(t *testing.T) {
+	in, _ := inputs.ByName("2PV7")
+	store := &mapChainCache{entries: make(map[string]*CachedChain)}
+	if _, err := Run(in, Options{Threads: 2, DBs: dbs(t), ChainCache: store.fetch}); err != nil {
+		t.Fatal(err)
+	}
+	for _, flat := range store.entries {
+		payload, err := flat.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeCachedChain(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Work() != flat.Work() || back.SizeBytes() != flat.SizeBytes() {
+			t.Fatalf("round trip changed accounting: work %d→%d size %d→%d", flat.Work(), back.Work(), flat.SizeBytes(), back.SizeBytes())
+		}
+
+		// The same events, cut in two and linked.
+		d := *flat.d
+		d.workers = make([]*metering.Accumulator, len(flat.d.workers))
+		for w, acc := range flat.d.workers {
+			half := len(acc.Events) / 2
+			d.workers[w] = &metering.Accumulator{}
+			d.workers[w].Link(&metering.Accumulator{Events: acc.Events[:half]})
+			d.workers[w].Link(&metering.Accumulator{Events: acc.Events[half:]})
+			if !reflect.DeepEqual(back.d.workers[w].Events, acc.Events) {
+				t.Fatalf("worker %d events changed across the codec", w)
+			}
+		}
+		linked := newCachedChain(&d)
+		if linked.Work() != flat.Work() || linked.SizeBytes() != flat.SizeBytes() {
+			t.Fatalf("linked delta accounts work %d size %d, flat %d / %d", linked.Work(), linked.SizeBytes(), flat.Work(), flat.SizeBytes())
+		}
+		if _, err := linked.Encode(); err == nil {
+			t.Fatal("a linked chain delta encoded")
+		}
 	}
 }

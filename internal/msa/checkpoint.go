@@ -27,14 +27,18 @@ type chainDelta struct {
 	serial   uint64
 }
 
-// merge replays a delta into the result. Worker events append in chain
-// order, so a Result assembled from deltas is byte-identical to one the
-// pre-delta serial code built.
+// merge replays a delta into the result. Worker events are linked in chain
+// order — by reference, never copied: the delta may belong to a checkpoint
+// or to the serving cache and be replayed into many results at once, so it
+// is read-only from here on — and a Result assembled from deltas reads
+// (Totals, ByFunc, Flat) exactly as the flat one the pre-delta serial code
+// built. The cost is one slice header per worker, whatever the chain's
+// event count.
 func (res *Result) merge(d *chainDelta) {
 	res.PerChain = append(res.PerChain, d.cr)
 	res.TotalHitResidues += d.cr.HitResidues
 	for w, acc := range d.workers {
-		res.Workers[w].Events = append(res.Workers[w].Events, acc.Events...)
+		res.Workers[w].Link(acc)
 	}
 	for name, b := range d.streamed {
 		res.Streamed[name] += b

@@ -32,9 +32,9 @@ func assertSameResult(t *testing.T, a, b *Result) {
 		t.Fatalf("worker counts differ: %d vs %d", len(a.Workers), len(b.Workers))
 	}
 	for w := range a.Workers {
-		if !reflect.DeepEqual(a.Workers[w].Events, b.Workers[w].Events) {
+		if !reflect.DeepEqual(a.Workers[w].Flat(), b.Workers[w].Flat()) {
 			t.Errorf("worker %d event stream differs (%d vs %d events)",
-				w, len(a.Workers[w].Events), len(b.Workers[w].Events))
+				w, a.Workers[w].Len(), b.Workers[w].Len())
 		}
 	}
 	if !reflect.DeepEqual(a.Features, b.Features) {

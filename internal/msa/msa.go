@@ -149,7 +149,11 @@ type Result struct {
 	PerChain []ChainResult
 	Features *Features
 	// Workers holds per-thread metering accumulators (scaled to paper
-	// volume); index = worker id.
+	// volume); index = worker id. Each is linked from the chains' deltas
+	// in chain order and shares their events — with the checkpoint, the
+	// serving cache and every other result the same chains were replayed
+	// into — so it is read-only: consume it through Totals, ByFunc, Len
+	// or Flat. Events alone is only the first contributing chain's run.
 	Workers []*metering.Accumulator
 	// SerialInstructions is the modeled non-parallel work (profile
 	// rebuilds, hit merging, feature assembly) at paper scale.

@@ -72,7 +72,7 @@ func TestRunBasics(t *testing.T) {
 		t.Fatalf("workers = %d", len(res.Workers))
 	}
 	for i, w := range res.Workers {
-		if len(w.Events) == 0 {
+		if w.Len() == 0 {
 			t.Errorf("worker %d recorded no events", i)
 		}
 	}

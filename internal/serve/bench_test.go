@@ -42,6 +42,7 @@ func BenchmarkCacheHit(b *testing.B) {
 	if err := s.WaitIdle(ctx); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Submit(Request{Sample: "1YY9"}); err != nil {
@@ -64,6 +65,7 @@ func BenchmarkCacheHit(b *testing.B) {
 // paid each time. The hit/miss ratio of these two benchmarks is the
 // per-request value of the cache.
 func BenchmarkCacheMiss(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := benchTrace(b, Config{Threads: 4, MSAWorkers: 1, Cache: cache.New(0)}, []string{"1YY9"})
 		if st := s.Config().Cache.Stats(); st.Misses != 3 {

@@ -369,6 +369,12 @@ type Server struct {
 	suite *core.Suite
 	cfg   Config
 
+	// keySearch is the chain-key part for the scan-engine options,
+	// formatted once at construction. The database-set part is not kept
+	// here: it is a hash over every record, taken once per request (see
+	// chainFetcher).
+	keySearch string
+
 	mu      sync.Mutex
 	idle    sync.Cond // signaled when pending reaches 0
 	jobs    map[string]*Job
@@ -440,11 +446,12 @@ func New(cfg Config) (*Server, error) {
 func NewWithSuite(suite *core.Suite, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		suite: suite,
-		cfg:   cfg,
-		jobs:  make(map[string]*Job),
-		msaQ:  make(chan *Job, cfg.QueueDepth),
-		infQ:  make(chan *Job, cfg.QueueDepth),
+		suite:     suite,
+		cfg:       cfg,
+		keySearch: fmt.Sprintf("search=%+v", suite.Search),
+		jobs:      make(map[string]*Job),
+		msaQ:      make(chan *Job, cfg.QueueDepth),
+		infQ:      make(chan *Job, cfg.QueueDepth),
 	}
 	s.killCtx, s.killCancel = context.WithCancel(context.Background())
 	s.idle.L = &s.mu
@@ -805,14 +812,14 @@ const chainCodecGob uint16 = 1
 // delta is platform-independent (the machine models replay it later) and
 // the search itself is deterministic. With RequestScopedKeys the whole
 // request fingerprint is folded in, confining reuse to identical requests.
-func (s *Server) chainKey(job *Job, scope string, chain inputs.Chain) string {
+func (s *Server) chainKey(job *Job, dbs, scope string, chain inputs.Chain) string {
 	parts := []string{
 		"msa-chain/v2",
 		msa.ChainFingerprint(chain),
-		s.suite.DBs.Fingerprint(),
+		dbs,
 		"scope=" + scope,
 		strconv.Itoa(job.threads),
-		fmt.Sprintf("search=%+v", s.suite.Search),
+		s.keySearch,
 	}
 	if s.cfg.RequestScopedKeys {
 		parts = append(parts, "req="+inputFingerprint(job.in))
@@ -825,8 +832,14 @@ func (s *Server) chainKey(job *Job, scope string, chain inputs.Chain) string {
 // tier, then the real search. Tier accounting lands on the job and the
 // metrics registry.
 func (s *Server) chainFetcher(job *Job) msa.ChainFetch {
+	// Every chain of the request scans the same database set, so its
+	// identity is hashed here, once per request, not once per chain key. It
+	// is not held across requests: the suite is shared by reference, and a
+	// key that named a set other than the one scanned would serve that
+	// set's alignments from cache.
+	dbs := s.suite.DBs.Fingerprint()
 	return func(scope string, chain inputs.Chain, compute func() (*msa.CachedChain, error)) (*msa.CachedChain, bool, error) {
-		key := s.chainKey(job, scope, chain)
+		key := s.chainKey(job, dbs, scope, chain)
 		fromDisk := false
 		v, hit, err := s.cfg.Cache.GetOrCompute(key, func() (any, int64, error) {
 			if cc := s.diskLookup(key); cc != nil {

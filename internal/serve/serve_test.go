@@ -280,31 +280,36 @@ func TestCacheKeyComposition(t *testing.T) {
 	}
 	s := NewWithSuite(sharedSuite, Config{})
 	defer s.Stop()
+	// keyOf derives a key the way chainFetcher does: the database-set
+	// identity is taken from the server's suite when the key is built.
+	keyOf := func(s *Server, job *Job, scope string, chain inputs.Chain) string {
+		return s.chainKey(job, s.suite.DBs.Fingerprint(), scope, chain)
+	}
 
 	chainA, chainB := in.Chains[0], in.Chains[1]
-	if s.chainKey(jobAt(4), "full", chainA) != s.chainKey(jobAt(4), "full", chainA) {
+	if keyOf(s, jobAt(4), "full", chainA) != keyOf(s, jobAt(4), "full", chainA) {
 		t.Fatal("key not stable")
 	}
-	if s.chainKey(jobAt(4), "full", chainA) == s.chainKey(jobAt(8), "full", chainA) {
+	if keyOf(s, jobAt(4), "full", chainA) == keyOf(s, jobAt(8), "full", chainA) {
 		t.Fatal("key ignores thread count")
 	}
-	if s.chainKey(jobAt(4), "full", chainA) == s.chainKey(jobAt(4), "full", chainB) {
+	if keyOf(s, jobAt(4), "full", chainA) == keyOf(s, jobAt(4), "full", chainB) {
 		t.Fatal("key ignores chain content")
 	}
-	if s.chainKey(jobAt(4), "full", chainA) == s.chainKey(jobAt(4), "uniref_s", chainA) {
+	if keyOf(s, jobAt(4), "full", chainA) == keyOf(s, jobAt(4), "uniref_s", chainA) {
 		t.Fatal("key ignores the database profile scope")
 	}
 	// The same chain content under a different label must share the key —
 	// that is the cross-complex reuse the chain tier exists for.
 	relabeled := chainA
 	relabeled.IDs = []string{"Z"}
-	if s.chainKey(jobAt(4), "full", chainA) != s.chainKey(jobAt(4), "full", relabeled) {
+	if keyOf(s, jobAt(4), "full", chainA) != keyOf(s, jobAt(4), "full", relabeled) {
 		t.Fatal("key depends on the per-complex chain label")
 	}
 	// Request-scoped keys (the baseline mode) fold the complex in.
 	sScoped := NewWithSuite(sharedSuite, Config{RequestScopedKeys: true})
 	defer sScoped.Stop()
-	if s.chainKey(jobAt(4), "full", chainA) == sScoped.chainKey(jobAt(4), "full", chainA) {
+	if keyOf(s, jobAt(4), "full", chainA) == keyOf(sScoped, jobAt(4), "full", chainA) {
 		t.Fatal("RequestScopedKeys did not change the key")
 	}
 
@@ -317,7 +322,7 @@ func TestCacheKeyComposition(t *testing.T) {
 	suite2.DBs.Protein = suite2.DBs.Protein[1:] // drop one database
 	s2 := NewWithSuite(suite2, Config{})
 	defer s2.Stop()
-	if s.chainKey(jobAt(4), "full", chainA) == s2.chainKey(jobAt(4), "full", chainA) {
+	if keyOf(s, jobAt(4), "full", chainA) == keyOf(s2, jobAt(4), "full", chainA) {
 		t.Fatal("key ignores database-set identity")
 	}
 
