@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench bench-msa bench-msa-smoke swar-smoke serve-bench serve-smoke cluster-bench bench-batch batch-smoke bench-smoke
+.PHONY: all build test check fmt vet loc race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench bench-msa bench-msa-smoke swar-smoke serve-bench serve-smoke cluster-bench bench-batch batch-smoke bench-smoke
 
 all: build
 
@@ -23,15 +23,28 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# The three size numbers ROADMAP aim 2 reports, by the rule every diet PR
+# uses: Go lines outside _test.go files that are neither blank nor a //
+# comment line (whole repo, and outside bench/, which the benchmark owns);
+# flags defined by the three serving CLIs; fields of serve.Config.
+GOSRC = find . -name '*.go' ! -name '*_test.go'
+CODE_LINES = xargs -0 cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
+loc:
+	@echo "non-test code lines:              $$($(GOSRC) -print0 | $(CODE_LINES))"
+	@echo "  outside bench/:                 $$($(GOSRC) ! -path './bench/*' -print0 | $(CODE_LINES))"
+	@echo "flags (afserve+afload+afcluster): $$(cat cmd/afserve/main.go cmd/afload/main.go cmd/afcluster/main.go | grep -c 'fs\.[A-Za-z0-9]*Var(')"
+	@echo "serve.Config fields:              $$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z][A-Za-z]* /{n++} END{print n}' internal/serve/serve.go)"
+
 # Race-check the concurrent hot path: the parallel engine itself, the
 # packages whose kernels shard over it (including the hmmer scan-workspace
 # pool that msa workers draw from concurrently), and the serving subsystem
-# (cache singleflight, scheduler pools). The hmmer run names the Fuzz seed
+# (cache singleflight, scheduler pools) with the modeled clock its report
+# paths call from worker goroutines (vtime). The hmmer run names the Fuzz seed
 # corpora explicitly so the SWAR soundness fuzz targets (lane-op models,
 # MSV/band reject-only proofs, plus testdata regression entries) replay
 # under the race detector on every gate.
 race:
-	$(GO) test -race ./internal/parallel ./internal/tensor ./internal/pairformer ./internal/diffusion ./internal/cache ./internal/batch ./internal/serve ./internal/msa ./internal/cluster
+	$(GO) test -race ./internal/parallel ./internal/tensor ./internal/pairformer ./internal/diffusion ./internal/cache ./internal/batch ./internal/serve ./internal/msa ./internal/cluster ./internal/vtime
 	$(GO) test -race -run 'Test|Fuzz' ./internal/hmmer ./internal/cachedisk ./internal/qos
 
 # Fault-injection and degradation suite under the race detector: the

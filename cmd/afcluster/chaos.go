@@ -23,6 +23,8 @@ import (
 	"time"
 
 	"afsysbench/internal/core"
+	"afsysbench/internal/inputs"
+	"afsysbench/internal/resilience"
 	"afsysbench/internal/serve"
 )
 
@@ -47,12 +49,12 @@ func runChaos(o options) int {
 	var violations []string
 	baseline := runtime.NumGoroutine()
 
-	samples, weights, err := parseMix(o.mix)
+	samples, weights, err := inputs.ParseMix(o.mix)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "afcluster -chaos: %v\n", err)
 		return 2
 	}
-	trace := buildTrace(samples, weights, o.n, o.seed)
+	trace := inputs.WeightedTrace(samples, weights, o.n, o.seed)
 	suite, err := core.NewSuite()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "afcluster -chaos: %v\n", err)
@@ -67,7 +69,7 @@ func runChaos(o options) int {
 
 	fmt.Fprintf(os.Stderr, "chaos-cluster: storm — %d requests over %d shards × %d replicas, killing nodes %d,%d and replica %d\n",
 		o.n, o.shards, o.replicas, killNodeA, killNodeB, victimReplica)
-	rig := buildRig(suite, o, serve.HedgeConfig{})
+	rig := buildRig(suite, o, resilience.HedgeConfig{})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 
 	// Kill triggers: node A after a third of the trace completes, node B
@@ -121,7 +123,7 @@ func runChaos(o options) int {
 			lost++
 			continue
 		}
-		if resultDigest(results[i].Result) != digests[trace[i]] {
+		if results[i].Result.Digest() != digests[trace[i]] {
 			wrong++
 			if wrong <= 3 {
 				violations = append(violations, fmt.Sprintf("request %d (%s): WRONG RESULT after kill storm", i, trace[i]))

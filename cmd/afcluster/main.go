@@ -27,7 +27,7 @@ import (
 	"afsysbench/internal/core"
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/platform"
-	"afsysbench/internal/rng"
+	"afsysbench/internal/resilience"
 	"afsysbench/internal/serve"
 )
 
@@ -96,67 +96,6 @@ func parseCounts(spec string) ([]int, error) {
 	return out, nil
 }
 
-func parseMix(spec string) ([]string, []int, error) {
-	var samples []string
-	var weights []int
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, wstr, ok := strings.Cut(part, ":")
-		w := 1
-		if ok {
-			var err error
-			w, err = strconv.Atoi(wstr)
-			if err != nil || w <= 0 {
-				return nil, nil, fmt.Errorf("bad mix weight in %q", part)
-			}
-		}
-		samples = append(samples, name)
-		weights = append(weights, w)
-	}
-	if len(samples) == 0 {
-		return nil, nil, fmt.Errorf("empty -mix")
-	}
-	return samples, weights, nil
-}
-
-// buildTrace mirrors afload's deterministic weighted trace (same split
-// constant, so the same seed+mix yields the same request sequence across
-// the two drivers).
-func buildTrace(samples []string, weights []int, n int, seed uint64) []string {
-	total := 0
-	for _, w := range weights {
-		total += w
-	}
-	src := rng.New(seed).Split(0x10AD)
-	trace := make([]string, n)
-	for i := range trace {
-		pick := src.Split(uint64(i)).Intn(total)
-		for j, w := range weights {
-			if pick < w {
-				trace[i] = samples[j]
-				break
-			}
-			pick -= w
-		}
-	}
-	return trace
-}
-
-// resultDigest captures everything about a request's outcome that the
-// cluster tier must never change — the same fields the cache chaos gate
-// pins.
-func resultDigest(res *core.PipelineResult) string {
-	return fmt.Sprintf("%s|%x|%x|%x|%x|%x|%d|%d|%d",
-		res.Sample,
-		res.MSASeconds, res.MSACPUSeconds, res.MSADiskSeconds,
-		res.Inference.ComputeSeconds, res.Inference.Total(),
-		res.MSAData.Features.Bytes(),
-		res.MSAData.TotalHitResidues, res.MSAData.SerialInstructions)
-}
-
 // reference runs each distinct trace sample once through the single-node
 // pipeline with the exact per-request options the serving tier uses
 // (canonical run index, fresh MSA, warm model) and returns the per-sample
@@ -185,7 +124,7 @@ func reference(suite *core.Suite, trace []string, threads int) (map[string]strin
 			return nil, nil, fmt.Errorf("reference inference %s: %w", sample, err)
 		}
 		res := core.ComposeResult(in, mach, threads, mp, pb)
-		digests[sample] = resultDigest(res)
+		digests[sample] = res.Digest()
 		pt := cluster.PointFromResult(res)
 		bySample[sample] = pt
 		points = append(points, pt)
@@ -201,7 +140,7 @@ type clusterRig struct {
 	router   *cluster.Router
 }
 
-func buildRig(suite *core.Suite, o options, hedge serve.HedgeConfig) *clusterRig {
+func buildRig(suite *core.Suite, o options, hedge resilience.HedgeConfig) *clusterRig {
 	queue := o.queue
 	if queue <= 0 {
 		queue = o.n + 1
@@ -299,7 +238,7 @@ func routingBreakdown(cl cluster.Stats, rt cluster.RouterStats) *serve.RoutingBr
 }
 
 func run(o options) (*scalingSection, []string, error) {
-	samples, weights, err := parseMix(o.mix)
+	samples, weights, err := inputs.ParseMix(o.mix)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -311,7 +250,7 @@ func run(o options) (*scalingSection, []string, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("-sweep-replicas: %w", err)
 	}
-	trace := buildTrace(samples, weights, o.n, o.seed)
+	trace := inputs.WeightedTrace(samples, weights, o.n, o.seed)
 	suite, err := core.NewSuite()
 	if err != nil {
 		return nil, nil, err
@@ -324,7 +263,7 @@ func run(o options) (*scalingSection, []string, error) {
 	}
 
 	fmt.Fprintf(os.Stderr, "afcluster: cluster pass (%d shards × %d replicas, %d requests)\n", o.shards, o.replicas, o.n)
-	rig := buildRig(suite, o, serve.HedgeConfig{})
+	rig := buildRig(suite, o, resilience.HedgeConfig{})
 	defer rig.stop()
 	workers := o.concurrency
 	if workers <= 0 {
@@ -347,7 +286,7 @@ func run(o options) (*scalingSection, []string, error) {
 			match = false
 			continue
 		}
-		if got, want := resultDigest(res.Result), digests[trace[i]]; got != want {
+		if got, want := res.Result.Digest(), digests[trace[i]]; got != want {
 			violations = append(violations, fmt.Sprintf("request %d (%s): digest mismatch\n  got  %s\n  want %s", i, trace[i], got, want))
 			match = false
 		}
@@ -384,23 +323,6 @@ func run(o options) (*scalingSection, []string, error) {
 	return section, violations, nil
 }
 
-// mergeJSON folds the cluster_scaling section into an existing
-// BENCH_serve.json (or creates the file holding just the section).
-func mergeJSON(path string, section *scalingSection) error {
-	doc := map[string]any{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("existing %s is not a JSON object: %w", path, err)
-		}
-	}
-	doc["cluster_scaling"] = section
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
 func main() {
 	o, err := parseFlags(os.Args[1:])
 	if err != nil {
@@ -415,7 +337,7 @@ func main() {
 		os.Exit(1)
 	}
 	if o.jsonPath != "" {
-		if err := mergeJSON(o.jsonPath, section); err != nil {
+		if err := serve.MergeSection(o.jsonPath, "cluster_scaling", section); err != nil {
 			fmt.Fprintf(os.Stderr, "afcluster: %v\n", err)
 			os.Exit(1)
 		}

@@ -26,13 +26,13 @@ package main
 // overhead within the memory-footprint batch cap.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 
 	"afsysbench/internal/batch"
 	"afsysbench/internal/core"
 	"afsysbench/internal/inputs"
+	"afsysbench/internal/platform"
 	"afsysbench/internal/serve"
 	"afsysbench/internal/simgpu"
 )
@@ -111,7 +111,7 @@ func sweepBucketSets() [][]int {
 // modelCurve prices the crossover curve for tokens padded to bucket on
 // mach, up to the memory-footprint cap (clamped to 16 points).
 func modelCurve(suite *core.Suite, o options, bucket, cap int) ([]curvePoint, error) {
-	mach, err := machineByName(o.machine)
+	mach, err := platform.ByName(o.machine)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ func modelCurve(suite *core.Suite, o options, bucket, cap int) ([]curvePoint, er
 // measuredPass drives one live cold-model batching server and returns its
 // batch report plus throughput.
 func measuredPass(o options, suite *core.Suite, trace []string, concurrency int, buckets []int) (serve.LoadStats, error) {
-	mach, err := machineByName(o.machine)
+	mach, err := platform.ByName(o.machine)
 	if err != nil {
 		return serve.LoadStats{}, err
 	}
@@ -171,7 +171,7 @@ func runBatchSweep(o options, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	mach, err := machineByName(o.machine)
+	mach, err := platform.ByName(o.machine)
 	if err != nil {
 		return err
 	}
@@ -185,7 +185,7 @@ func runBatchSweep(o options, out *os.File) error {
 	if !o.mixSet {
 		mix = "2PV7:3,7RCE:2,1YY9:1"
 	}
-	samples, weights, err := parseMix(mix)
+	samples, weights, err := inputs.ParseMix(mix)
 	if err != nil {
 		return err
 	}
@@ -240,7 +240,7 @@ func runBatchSweep(o options, out *os.File) error {
 
 	// Measured offered-load sweep: one live server per closed-loop client
 	// count, stock buckets.
-	trace := buildTrace(samples, weights, o.n, o.seed)
+	trace := inputs.WeightedTrace(samples, weights, o.n, o.seed)
 	for _, conc := range []int{1, 2, 4, 8} {
 		st, err := measuredPass(o, suite, trace, conc, nil)
 		if err != nil {
@@ -286,7 +286,7 @@ func runBatchSweep(o options, out *os.File) error {
 	}
 
 	if o.jsonPath != "" {
-		if err := mergeBatchJSON(o.jsonPath, section); err != nil {
+		if err := serve.MergeSection(o.jsonPath, "batch_crossover", section); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "merged batch_crossover into %s\n", o.jsonPath)
@@ -305,21 +305,4 @@ func runBatchSweep(o options, out *os.File) error {
 	fmt.Fprintf(out, "batch-sweep gate: PASS (unbatched %.1f%% > 75%%, crossover at batch %d < cap %d)\n",
 		100*section.UnbatchedOverhead, section.CrossoverFirst, cap)
 	return nil
-}
-
-// mergeBatchJSON folds the batch_crossover section into an existing
-// BENCH_serve.json (or creates the file holding just the section).
-func mergeBatchJSON(path string, section *crossoverSection) error {
-	doc := map[string]any{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("existing %s is not a JSON object: %w", path, err)
-		}
-	}
-	doc["batch_crossover"] = section
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -30,6 +30,8 @@ import (
 	"time"
 
 	"afsysbench/internal/core"
+	"afsysbench/internal/inputs"
+	"afsysbench/internal/platform"
 	"afsysbench/internal/resilience"
 	"afsysbench/internal/rng"
 	"afsysbench/internal/serve"
@@ -92,16 +94,16 @@ func chaosPanicPlan(n int, seed uint64) map[int]string {
 // runChaos executes the storm and returns an error (after printing the
 // report and the reproduction line) if any invariant broke.
 func runChaos(o options, out *os.File) error {
-	samples, weights, err := parseMix(o.mix)
+	samples, weights, err := inputs.ParseMix(o.mix)
 	if err != nil {
 		return err
 	}
-	trace := buildTrace(samples, weights, o.n, o.seed)
+	trace := inputs.WeightedTrace(samples, weights, o.n, o.seed)
 	faults, err := resilience.ParseFaults(chaosFaultSpec)
 	if err != nil {
 		return err
 	}
-	mach, err := machineByName(o.machine)
+	mach, err := platform.ByName(o.machine)
 	if err != nil {
 		return err
 	}
@@ -136,7 +138,7 @@ func runChaos(o options, out *os.File) error {
 		MSAAttempts:      4, // chainfault:*:1 needs one retry per distinct chain
 		BreakerThreshold: 3,
 		BreakerCooldown:  100 * time.Millisecond,
-		Hedge:            serve.HedgeConfig{Enabled: true, Percentile: 50, Factor: 0.5, MinSamples: 4},
+		Hedge:            resilience.HedgeConfig{Enabled: true, Percentile: 50, Factor: 0.5, MinSamples: 4},
 		PanicHook: func(point string, ordinal int) {
 			if plan[ordinal] == point {
 				panic(fmt.Sprintf("chaos: injected %s panic (ordinal %d)", point, ordinal))

@@ -35,6 +35,7 @@ import (
 	"afsysbench/internal/cache"
 	"afsysbench/internal/cachedisk"
 	"afsysbench/internal/core"
+	"afsysbench/internal/inputs"
 	"afsysbench/internal/platform"
 	"afsysbench/internal/resilience"
 	"afsysbench/internal/rng"
@@ -75,17 +76,6 @@ type ChaosDiskReport struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// resultDigest captures everything about a request's outcome that the
-// cache tiers must never change.
-func resultDigest(res *core.PipelineResult) string {
-	return fmt.Sprintf("%s|%x|%x|%x|%x|%x|%d|%d|%d",
-		res.Sample,
-		res.MSASeconds, res.MSACPUSeconds, res.MSADiskSeconds,
-		res.Inference.ComputeSeconds, res.Inference.Total(),
-		res.MSAData.Features.Bytes(),
-		res.MSAData.TotalHitResidues, res.MSAData.SerialInstructions)
-}
-
 // chaosDiskPass runs the trace through one server configuration and
 // returns the per-sample digests plus the statuses. A sample whose
 // repeats disagree with each other is itself a violation, recorded by the
@@ -112,7 +102,7 @@ func chaosDiskPass(o options, suite *core.Suite, mach platform.Machine, trace []
 		if !ok {
 			return s, statuses, digests, fmt.Errorf("no result for done job %s", st.ID)
 		}
-		d := resultDigest(res)
+		d := res.Digest()
 		if prev, dup := digests[st.Sample]; dup && prev != d {
 			return s, statuses, digests, fmt.Errorf("sample %s nondeterministic within one pass", st.Sample)
 		}
@@ -180,15 +170,15 @@ func runChaosDisk(o options, out *os.File) error {
 	} else {
 		var samples []string
 		var weights []int
-		samples, weights, err = parseMix(o.mix)
+		samples, weights, err = inputs.ParseMix(o.mix)
 		if err == nil {
-			trace = buildTrace(samples, weights, o.n, o.seed)
+			trace = inputs.WeightedTrace(samples, weights, o.n, o.seed)
 		}
 	}
 	if err != nil {
 		return err
 	}
-	mach, err := machineByName(o.machine)
+	mach, err := platform.ByName(o.machine)
 	if err != nil {
 		return err
 	}

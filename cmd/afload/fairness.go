@@ -22,6 +22,7 @@ import (
 	"os"
 	"time"
 
+	"afsysbench/internal/batch"
 	"afsysbench/internal/core"
 	"afsysbench/internal/platform"
 	"afsysbench/internal/qos"
@@ -181,7 +182,7 @@ func runQoS(o options, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	mach, err := machineByName(o.machine)
+	mach, err := platform.ByName(o.machine)
 	if err != nil {
 		return err
 	}
@@ -191,7 +192,7 @@ func runQoS(o options, out *os.File) error {
 	}
 	var bcfg serve.BatchConfig
 	if o.batch {
-		buckets, err := parseBuckets(o.batchBuckets)
+		buckets, err := batch.ParseBuckets(o.batchBuckets)
 		if err != nil {
 			return err
 		}
@@ -300,7 +301,7 @@ func runFairness(o options, out *os.File) error {
 		return err
 	}
 	victimName, stormName := victims[0].name, both[1].name
-	mach, err := machineByName(o.machine)
+	mach, err := platform.ByName(o.machine)
 	if err != nil {
 		return err
 	}

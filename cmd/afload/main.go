@@ -44,11 +44,11 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"afsysbench/internal/batch"
 	"afsysbench/internal/cache"
 	"afsysbench/internal/cachedisk"
 	"afsysbench/internal/core"
@@ -176,7 +176,7 @@ func parseFlags(args []string) (options, error) {
 	if !o.batch && !o.batchSweep && (o.batchBuckets != "" || o.maxBatch > 0) {
 		return o, fmt.Errorf("-batch-buckets and -max-batch need -batch")
 	}
-	if _, err := parseBuckets(o.batchBuckets); err != nil {
+	if _, err := batch.ParseBuckets(o.batchBuckets); err != nil {
 		return o, err
 	}
 	if o.ppi < 0 || o.ppi > inputs.PPIPoolSize {
@@ -207,55 +207,6 @@ func parseFlags(args []string) (options, error) {
 		return o, err
 	}
 	return o, nil
-}
-
-// parseMix parses "promo:1,1YY9:9" into ordered (sample, weight) pairs.
-func parseMix(spec string) ([]string, []int, error) {
-	var samples []string
-	var weights []int
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, wstr, ok := strings.Cut(part, ":")
-		w := 1
-		if ok {
-			var err error
-			w, err = strconv.Atoi(wstr)
-			if err != nil || w <= 0 {
-				return nil, nil, fmt.Errorf("bad mix weight in %q", part)
-			}
-		}
-		samples = append(samples, name)
-		weights = append(weights, w)
-	}
-	if len(samples) == 0 {
-		return nil, nil, fmt.Errorf("empty -mix")
-	}
-	return samples, weights, nil
-}
-
-// buildTrace derives the deterministic request trace: n weighted draws
-// from the mix using the suite's splittable RNG.
-func buildTrace(samples []string, weights []int, n int, seed uint64) []string {
-	total := 0
-	for _, w := range weights {
-		total += w
-	}
-	src := rng.New(seed).Split(0x10AD)
-	trace := make([]string, n)
-	for i := range trace {
-		pick := src.Split(uint64(i)).Intn(total)
-		for j, w := range weights {
-			if pick < w {
-				trace[i] = samples[j]
-				break
-			}
-			pick -= w
-		}
-	}
-	return trace
 }
 
 // buildPPITrace derives the all-vs-all screening trace: every unordered
@@ -433,27 +384,6 @@ type passConfig struct {
 	batch         serve.BatchConfig
 }
 
-// parseBuckets parses the -batch-buckets list ("512,1024,2048"); empty
-// means the stock bucket set (nil).
-func parseBuckets(spec string) ([]int, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		b, err := strconv.Atoi(part)
-		if err != nil || b <= 0 {
-			return nil, fmt.Errorf("bad -batch-buckets entry %q", part)
-		}
-		out = append(out, b)
-	}
-	return out, nil
-}
-
 // runInprocPass builds a scheduler from the flags, drives the trace, and
 // fills in the server-side accounting (cache stats, chain-tier breakdown,
 // modeled makespans).
@@ -566,11 +496,11 @@ func run(args []string, out *os.File) error {
 		}
 		mixLabel = fmt.Sprintf("ppi all-vs-all over %d pool proteins", o.ppi)
 	} else {
-		samples, weights, err := parseMix(o.mix)
+		samples, weights, err := inputs.ParseMix(o.mix)
 		if err != nil {
 			return err
 		}
-		trace = buildTrace(samples, weights, o.n, o.seed)
+		trace = inputs.WeightedTrace(samples, weights, o.n, o.seed)
 	}
 
 	report := serve.LoadReport{
@@ -593,7 +523,7 @@ func run(args []string, out *os.File) error {
 		printStats(out, stats)
 		report.WithCache = &stats
 	} else {
-		mach, err := machineByName(o.machine)
+		mach, err := platform.ByName(o.machine)
 		if err != nil {
 			return err
 		}
@@ -611,7 +541,7 @@ func run(args []string, out *os.File) error {
 		}
 		var bcfg serve.BatchConfig
 		if o.batch {
-			buckets, err := parseBuckets(o.batchBuckets)
+			buckets, err := batch.ParseBuckets(o.batchBuckets)
 			if err != nil {
 				return err
 			}
@@ -676,20 +606,4 @@ func run(args []string, out *os.File) error {
 		fmt.Fprintf(out, "wrote %s\n", o.jsonPath)
 	}
 	return nil
-}
-
-// machineByName resolves the -machine flag.
-func machineByName(name string) (platform.Machine, error) {
-	switch name {
-	case "server":
-		return platform.Server(), nil
-	case "desktop":
-		return platform.Desktop(), nil
-	case "desktop-upgraded":
-		return platform.DesktopUpgraded(), nil
-	case "server-cxl":
-		return platform.ServerWithCXL(), nil
-	default:
-		return platform.Machine{}, fmt.Errorf("unknown -machine %q (want server, desktop, desktop-upgraded or server-cxl)", name)
-	}
 }

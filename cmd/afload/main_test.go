@@ -6,11 +6,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"afsysbench/internal/inputs"
 	"afsysbench/internal/serve"
 )
 
 func TestParseMix(t *testing.T) {
-	samples, weights, err := parseMix("promo:1,1YY9:9")
+	samples, weights, err := inputs.ParseMix("promo:1,1YY9:9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,24 +19,24 @@ func TestParseMix(t *testing.T) {
 		t.Fatalf("mix = %v %v", samples, weights)
 	}
 	// Bare names default to weight 1.
-	samples, weights, err = parseMix("2PV7")
+	samples, weights, err = inputs.ParseMix("2PV7")
 	if err != nil || weights[0] != 1 || samples[0] != "2PV7" {
 		t.Fatalf("bare mix = %v %v (%v)", samples, weights, err)
 	}
 	for _, bad := range []string{"", "a:0", "a:-1", "a:x"} {
-		if _, _, err := parseMix(bad); err == nil {
+		if _, _, err := inputs.ParseMix(bad); err == nil {
 			t.Errorf("mix %q accepted", bad)
 		}
 	}
 }
 
 func TestBuildTraceDeterministic(t *testing.T) {
-	samples, weights, err := parseMix("promo:1,1YY9:9")
+	samples, weights, err := inputs.ParseMix("promo:1,1YY9:9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := buildTrace(samples, weights, 50, 7)
-	b := buildTrace(samples, weights, 50, 7)
+	a := inputs.WeightedTrace(samples, weights, 50, 7)
+	b := inputs.WeightedTrace(samples, weights, 50, 7)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("trace not deterministic at %d: %s vs %s", i, a[i], b[i])
@@ -50,7 +51,7 @@ func TestBuildTraceDeterministic(t *testing.T) {
 		t.Fatalf("mix weights ignored: %v", counts)
 	}
 	// A different seed reshuffles.
-	c := buildTrace(samples, weights, 50, 8)
+	c := inputs.WeightedTrace(samples, weights, 50, 8)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {

@@ -103,7 +103,7 @@ func parseTenants(spec, defShape, defMix string) ([]tenantSpec, error) {
 		if err := validShape(t.shape); err != nil {
 			return nil, fmt.Errorf("tenant %q: %v", name, err)
 		}
-		samples, _, err := parseMix(t.mix)
+		samples, _, err := inputs.ParseMix(t.mix)
 		if err != nil {
 			return nil, fmt.Errorf("tenant %q: %v", name, err)
 		}
@@ -165,12 +165,12 @@ func tenantSubSeed(name string) uint64 {
 func buildTenantEvents(tenants []tenantSpec, seed uint64) ([]qosEvent, error) {
 	var events []qosEvent
 	for _, t := range tenants {
-		samples, weights, err := parseMix(t.mix)
+		samples, weights, err := inputs.ParseMix(t.mix)
 		if err != nil {
 			return nil, fmt.Errorf("tenant %s: %v", t.name, err)
 		}
 		sub := tenantSubSeed(t.name)
-		trace := buildTrace(samples, weights, t.n, seed^sub)
+		trace := inputs.WeightedTrace(samples, weights, t.n, seed^sub)
 		arrivals, err := qos.Arrivals(t.shape, t.n, t.rps, rng.New(seed).Split(sub))
 		if err != nil {
 			return nil, fmt.Errorf("tenant %s: %v", t.name, err)

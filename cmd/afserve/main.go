@@ -36,10 +36,9 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
+	"afsysbench/internal/batch"
 	"afsysbench/internal/cache"
 	"afsysbench/internal/cachedisk"
 	"afsysbench/internal/parallel"
@@ -125,37 +124,16 @@ func parseFlags(args []string) (options, error) {
 			return o, err
 		}
 	}
-	if _, err := parseBuckets(o.batchBuckets); err != nil {
+	if _, err := batch.ParseBuckets(o.batchBuckets); err != nil {
 		return o, err
 	}
 	return o, nil
 }
 
-// parseBuckets parses a comma-separated ascending bucket list ("" = nil,
-// meaning the stock policy).
-func parseBuckets(spec string) ([]int, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var buckets []int
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -batch-buckets entry %q (want positive token counts)", part)
-		}
-		buckets = append(buckets, n)
-	}
-	return buckets, nil
-}
-
 // buildServer turns the flags into a configured scheduler. Split from run
 // so tests can build without binding a socket.
 func buildServer(o options) (*serve.Server, error) {
-	mach, err := machineByName(o.machine)
+	mach, err := platform.ByName(o.machine)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +158,7 @@ func buildServer(o options) (*serve.Server, error) {
 			return nil, err
 		}
 	}
-	buckets, err := parseBuckets(o.batchBuckets)
+	buckets, err := batch.ParseBuckets(o.batchBuckets)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +191,7 @@ func buildServer(o options) (*serve.Server, error) {
 		MSAAttempts:      o.msaAttempts,
 		BreakerThreshold: o.breakerThreshold,
 		BreakerCooldown:  o.breakerCooldown,
-		Hedge:            serve.HedgeConfig{Enabled: o.hedge},
+		Hedge:            resilience.HedgeConfig{Enabled: o.hedge},
 		Batch:            serve.BatchConfig{Enabled: o.batch, Buckets: buckets, MaxBatch: o.maxBatch},
 		QoS:              ctrl,
 	})
@@ -242,20 +220,4 @@ func run(args []string) error {
 		cfg.Machine.Name, o.addr, cfg.MSAWorkers, parallel.DefaultWorkers(),
 		cfg.GPUWorkers, simgpu.Devices(cfg.Machine), cfg.QueueDepth, cacheDesc)
 	return http.ListenAndServe(o.addr, serve.NewHandler(s))
-}
-
-// machineByName resolves the -machine flag.
-func machineByName(name string) (platform.Machine, error) {
-	switch name {
-	case "server":
-		return platform.Server(), nil
-	case "desktop":
-		return platform.Desktop(), nil
-	case "desktop-upgraded":
-		return platform.DesktopUpgraded(), nil
-	case "server-cxl":
-		return platform.ServerWithCXL(), nil
-	default:
-		return platform.Machine{}, fmt.Errorf("unknown -machine %q (want server, desktop, desktop-upgraded or server-cxl)", name)
-	}
 }

@@ -206,7 +206,7 @@ func runSingle(suite *core.Suite, cfg singleRunConfig) (int, error) {
 	if err != nil {
 		return exitError, err
 	}
-	mach, err := machineByName(cfg.machine)
+	mach, err := platform.ByName(cfg.machine)
 	if err != nil {
 		return exitError, err
 	}
@@ -263,22 +263,6 @@ func exitCodeFor(err error) int {
 		return exitTimeout
 	}
 	return exitError
-}
-
-// machineByName resolves the -machine flag.
-func machineByName(name string) (platform.Machine, error) {
-	switch name {
-	case "server":
-		return platform.Server(), nil
-	case "desktop":
-		return platform.Desktop(), nil
-	case "desktop-upgraded":
-		return platform.DesktopUpgraded(), nil
-	case "server-cxl":
-		return platform.ServerWithCXL(), nil
-	default:
-		return platform.Machine{}, fmt.Errorf("unknown -machine %q (want server, desktop, desktop-upgraded or server-cxl)", name)
-	}
 }
 
 // parseStageBudget parses the -stage-budget grammar: comma-separated

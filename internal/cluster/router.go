@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -16,33 +15,17 @@ import (
 
 // RouterConfig tunes the replica router.
 type RouterConfig struct {
-	// MaxAttempts bounds submissions per logical request across replicas
-	// (default: replica count, minimum 2) — each attempt after the first
-	// is a failover or a shed reroute.
-	MaxAttempts int
 	// Hedge enables request-level latency hedging: once MinSamples
 	// request latencies are observed, a request still running after
 	// Factor × the Percentile-th latency gets a backup submission on a
-	// different replica, and the first finisher wins. Same estimator
-	// shape as the server's chain-level serve.HedgeConfig, one level up.
-	Hedge serve.HedgeConfig
-	// PollInterval is the job-status polling period (default 200µs —
-	// modeled stages finish in milliseconds).
-	PollInterval time.Duration
+	// different replica, and the first finisher wins — the estimator
+	// behind the server's chain-level Config.Hedge, one level up.
+	Hedge resilience.HedgeConfig
 }
 
-func (c RouterConfig) withDefaults(replicas int) RouterConfig {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = replicas
-		if c.MaxAttempts < 2 {
-			c.MaxAttempts = 2
-		}
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 200 * time.Microsecond
-	}
-	return c
-}
+// pollInterval is the job-status polling period — modeled stages finish in
+// milliseconds.
+const pollInterval = 200 * time.Microsecond
 
 // Router spreads requests across R serve.Server replicas with
 // health-aware load balancing: it prefers replicas whose readiness probe
@@ -51,14 +34,18 @@ func (c RouterConfig) withDefaults(replicas int) RouterConfig {
 // chain checkpoint — when a replica sheds, fails, or dies mid-request.
 type Router struct {
 	replicas []*serve.Server
-	cfg      RouterConfig
+	// maxAttempts bounds submissions per logical request across replicas —
+	// each attempt after the first is a failover or a shed reroute.
+	maxAttempts int
 
 	mu          sync.Mutex
 	outstanding []int
 	dispatches  []int64
 	killed      []bool
 	stats       RouterStats
-	samples     []time.Duration
+	// hedge estimates the request-hedging delay from completed requests'
+	// latencies (nil unless enabled).
+	hedge *resilience.HedgeEstimator
 }
 
 // RouterStats is the router's counter snapshot.
@@ -104,10 +91,11 @@ type RouteResult struct {
 func NewRouter(replicas []*serve.Server, cfg RouterConfig) *Router {
 	return &Router{
 		replicas:    replicas,
-		cfg:         cfg.withDefaults(len(replicas)),
+		maxAttempts: max(2, len(replicas)),
 		outstanding: make([]int, len(replicas)),
 		dispatches:  make([]int64, len(replicas)),
 		killed:      make([]bool, len(replicas)),
+		hedge:       resilience.NewHedgeEstimator(cfg.Hedge),
 	}
 }
 
@@ -205,7 +193,7 @@ func (r *Router) Do(ctx context.Context, req serve.Request) (RouteResult, error)
 	var lastErr error
 	exclude := make(map[int]bool)
 	out := RouteResult{}
-	for attempt := 1; attempt <= r.cfg.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= r.maxAttempts; attempt++ {
 		out.Attempts = attempt
 		replica := r.pick(exclude)
 		if replica < 0 {
@@ -259,7 +247,7 @@ func (r *Router) Do(ctx context.Context, req serve.Request) (RouteResult, error)
 		}
 		lastErr = errors.New(out.Status.Error)
 		exclude[replica] = true
-		if attempt < r.cfg.MaxAttempts {
+		if attempt < r.maxAttempts {
 			r.mu.Lock()
 			r.stats.Failovers++
 			r.mu.Unlock()
@@ -274,7 +262,7 @@ func (r *Router) Do(ctx context.Context, req serve.Request) (RouteResult, error)
 // returns the primary's terminal status, plus a non-nil RouteResult when
 // the backup reached StateDone first.
 func (r *Router) await(ctx context.Context, out *RouteResult, primary int, srv *serve.Server, id string, req serve.Request, start time.Time) (serve.JobStatus, *RouteResult) {
-	budget := r.hedgeBudget()
+	budget := r.hedge.Budget()
 	var backupSrv *serve.Server
 	var backupID string
 	backupReplica := -1
@@ -283,7 +271,7 @@ func (r *Router) await(ctx context.Context, out *RouteResult, primary int, srv *
 			r.noteSubmit(backupReplica, -1)
 		}
 	}()
-	tick := time.NewTicker(r.cfg.PollInterval)
+	tick := time.NewTicker(pollInterval)
 	defer tick.Stop()
 	for {
 		st, ok := srv.Status(id)
@@ -347,45 +335,8 @@ func (r *Router) finish(wall time.Duration, done bool) {
 	defer r.mu.Unlock()
 	if done {
 		r.stats.Completed++
-		r.samples = append(r.samples, wall)
-		if len(r.samples) > 4096 {
-			r.samples = append([]time.Duration(nil), r.samples[len(r.samples)-2048:]...)
-		}
+		r.hedge.Observe(wall)
 	} else {
 		r.stats.Failed++
 	}
-}
-
-// hedgeBudget derives the request-level hedge delay from observed
-// latencies, or 0 while disarmed.
-func (r *Router) hedgeBudget() time.Duration {
-	if !r.cfg.Hedge.Enabled {
-		return 0
-	}
-	cfg := r.cfg.Hedge
-	if cfg.Percentile <= 0 || cfg.Percentile > 100 {
-		cfg.Percentile = 95
-	}
-	if cfg.Factor <= 0 {
-		cfg.Factor = 2
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 8
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.samples)
-	if n < cfg.MinSamples {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), r.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(math.Ceil(cfg.Percentile/100*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return time.Duration(cfg.Factor * float64(sorted[idx]))
 }

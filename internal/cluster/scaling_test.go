@@ -80,3 +80,33 @@ func TestNetProfileFromStats(t *testing.T) {
 		t.Errorf("zero stats: %+v", zero)
 	}
 }
+
+// TestScalingCurvePinned pins the modeled makespan of every cell of one
+// sweep bit for bit to the values the pre-vtime list scheduler produced.
+// The trace repeats the synthetic points out of size order so lanes fill
+// unevenly and the GPU stage (placed in submit order here, not in
+// MSA-completion order as serve.ModeledSchedule does) queues.
+func TestScalingCurvePinned(t *testing.T) {
+	pts := syntheticPoints()
+	var trace []RequestPoint
+	for _, i := range []int{2, 0, 1, 1, 0, 2, 0, 0, 1, 2, 2, 1, 0} {
+		trace = append(trace, pts[i])
+	}
+	np := NetProfile{ScansPerRequest: 10, BytesPerScan: 64 << 10}
+	curve := BuildScalingCurve(trace, []int{1, 2, 4, 8, 16}, []int{1, 2, 4}, 120, "fp", np, DefaultNet(), 2, 1)
+	want := []float64{
+		0x1.30601fd596ae3p+13, 0x1.3c402461d0c72p+12, 0x1.97802461d0c72p+11,
+		0x1.31a06a5406bd5p+12, 0x1.4c8078c1ddb08p+11, 0x1.b8008b30753dcp+10,
+		0x1.4140e23264ac2p+11, 0x1.6f80e23264ac2p+10, 0x1.f90159036e104p+09,
+		0x1.bda07ef18d209p+10, 0x1.f540fde31a412p+09, 0x1.3d817ac00fa51p+09,
+		0x1.9f00853e8a71p+10, 0x1.b30080dced8fap+09, 0x1.0aab1f4bd8ffcp+09,
+	}
+	if len(curve.Points) != len(want) {
+		t.Fatalf("points = %d, want %d", len(curve.Points), len(want))
+	}
+	for i, p := range curve.Points {
+		if p.ModeledMakespan != want[i] {
+			t.Errorf("shards=%d replicas=%d makespan = %x, want %x", p.Shards, p.Replicas, p.ModeledMakespan, want[i])
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"afsysbench/internal/batch"
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/platform"
+	"afsysbench/internal/vtime"
 )
 
 // Batch scheduling — the orchestration direction the paper's Related Work
@@ -89,8 +90,7 @@ func (s *Suite) RunBatch(names []string, mach platform.Machine, opts BatchOption
 	// the sequence length — and thus the compiled graph — changed).
 	pol := batch.NewPolicy(opts.Buckets)
 	compiled := make(map[int]bool)
-	type phases struct{ msa, inf float64 }
-	reqs := make([]phases, 0, len(names))
+	jobs := make([]vtime.Job, 0, len(names))
 	for i, name := range names {
 		in, err := inputs.ByName(name)
 		if err != nil {
@@ -109,43 +109,38 @@ func (s *Suite) RunBatch(names []string, mach platform.Machine, opts BatchOption
 			return nil, err
 		}
 		compiled[shape] = true
-		reqs = append(reqs, phases{msa: pr.MSASeconds, inf: pr.Inference.Total()})
+		jobs = append(jobs, vtime.Job{CPU: pr.MSASeconds, GPU: pr.Inference.Total()})
 	}
 
-	// Schedule.
-	var cpuFree, gpuFree float64
-	for i, r := range reqs {
-		msaStart := cpuFree
-		msaEnd := msaStart + r.msa
-		cpuFree = msaEnd
-
-		infStart := msaEnd
-		if opts.Pipelined {
-			// GPU picks the request up as soon as both its MSA is done
-			// and the device is free.
-			if gpuFree > infStart {
-				infStart = gpuFree
-			}
-		} else {
-			// Sequential: nothing else runs during inference; the CPU
-			// stage of the next request waits too.
-			cpuFree = msaEnd + r.inf
-			infStart = msaEnd
+	// Schedule on the modeled clock: one CPU lane, one GPU lane. Pipelined,
+	// every request is released at zero and the GPU picks each one up as
+	// soon as both its MSA is done and the device is free. Sequential is
+	// the same schedule with each request released at its predecessor's
+	// finish — nothing else runs during inference; the CPU stage of the
+	// next request waits too. That finish is (start+msa)+inf, so the
+	// release clock advances in two steps: t += msa+inf differs in the
+	// last bit.
+	if !opts.Pipelined {
+		var t float64
+		for i := range jobs {
+			jobs[i].Release = t
+			t += jobs[i].CPU
+			t += jobs[i].GPU
 		}
-		infEnd := infStart + r.inf
-		gpuFree = infEnd
-
+	}
+	placed, _ := vtime.TwoStage(jobs, 1, 1)
+	for i, p := range placed {
 		res.Items = append(res.Items, BatchItem{
 			Sample:           names[i],
-			MSASeconds:       r.msa,
-			InferenceSeconds: r.inf,
-			Start:            msaStart,
-			Finish:           infEnd,
+			MSASeconds:       jobs[i].CPU,
+			InferenceSeconds: jobs[i].GPU,
+			Start:            p.CPUStart,
+			Finish:           p.GPUEnd,
 		})
-		res.CPUBusy += r.msa
-		res.GPUBusy += r.inf
-		if infEnd > res.Makespan {
-			res.Makespan = infEnd
+		res.CPUBusy += jobs[i].CPU
+		res.GPUBusy += jobs[i].GPU
+		if p.GPUEnd > res.Makespan {
+			res.Makespan = p.GPUEnd
 		}
 	}
 	return res, nil

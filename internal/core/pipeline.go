@@ -137,6 +137,19 @@ func (p *PipelineResult) MSAFraction() float64 {
 	return p.MSASeconds / t
 }
 
+// Digest captures everything about a request's outcome that no serving
+// tier — cache, disk, shards, replicas — may ever change: the modeled
+// phase times bit for bit, the feature bytes and the hit and merge
+// counts. The chaos gates compare it against a single-node reference.
+func (p *PipelineResult) Digest() string {
+	return fmt.Sprintf("%s|%x|%x|%x|%x|%x|%d|%d|%d",
+		p.Sample,
+		p.MSASeconds, p.MSACPUSeconds, p.MSADiskSeconds,
+		p.Inference.ComputeSeconds, p.Inference.Total(),
+		p.MSAData.Features.Bytes(),
+		p.MSAData.TotalHitResidues, p.MSAData.SerialInstructions)
+}
+
 // ErrProjectedOOM is returned when the memory estimator predicts the run
 // cannot fit the machine (the failure the paper hit at RNA length 1335).
 type ErrProjectedOOM struct {

@@ -9,9 +9,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
+	"afsysbench/internal/cache"
 	"afsysbench/internal/hmmer"
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/memest"
@@ -41,21 +43,12 @@ type Suite struct {
 	// artifacts reproduce. Clear DisableSWAR to study the optimized engine.
 	Search hmmer.SearchOptions
 
-	// XLACacheCap bounds the compiled-artifact memo (xlaCache) to this many
-	// distinct token counts, LRU-evicted beyond it. A long-lived server
-	// under a diverse trace would otherwise grow the memo without limit —
-	// with shape bucketing (internal/batch) in front, the working set is
-	// the bucket set, so a small cap loses nothing. NewSuite sets
-	// DefaultXLACacheCap; values < 1 fall back to it. Set before first use.
-	XLACacheCap int
-
 	mu       sync.Mutex
 	msaCache map[string]*msa.Result
-	xlaCache map[int]xlaArtifacts
-	// xlaLRU orders xlaCache keys least-recently-used first; xlaEvictions
-	// counts entries pushed out by the cap.
-	xlaLRU       []int
-	xlaEvictions int64
+	// xla memoizes compiled artifacts per token count, LRU-bounded to
+	// xlaCacheEntries entries of size 1 (nil = no memo: every call
+	// compiles).
+	xla *cache.Cache
 }
 
 type xlaArtifacts struct {
@@ -63,11 +56,12 @@ type xlaArtifacts struct {
 	events []metering.Event
 }
 
-// DefaultXLACacheCap is the stock bound on the compiled-artifact memo:
-// comfortably above the default bucket set (internal/batch) plus the
-// Table II exact sizes, small enough that a diverse long-lived trace
-// cannot grow the memo without limit.
-const DefaultXLACacheCap = 24
+// xlaCacheEntries bounds the compiled-artifact memo: comfortably above the
+// default bucket set (internal/batch) plus the Table II exact sizes —
+// with shape bucketing in front, the working set is the bucket set — and
+// small enough that a diverse long-lived trace cannot grow the memo
+// without limit.
+const xlaCacheEntries = 24
 
 // NewSuite builds the standard suite: synthetic databases covering the
 // Table II samples and the AF3-scale inference model.
@@ -77,14 +71,13 @@ func NewSuite() (*Suite, error) {
 		return nil, err
 	}
 	return &Suite{
-		DBs:         dbs,
-		Model:       simgpu.DefaultModel(),
-		Runs:        5,
-		Seed:        0xAF5B,
-		Search:      hmmer.SearchOptions{DisableSWAR: true},
-		XLACacheCap: DefaultXLACacheCap,
-		msaCache:    make(map[string]*msa.Result),
-		xlaCache:    make(map[int]xlaArtifacts),
+		DBs:      dbs,
+		Model:    simgpu.DefaultModel(),
+		Runs:     5,
+		Seed:     0xAF5B,
+		Search:   hmmer.SearchOptions{DisableSWAR: true},
+		msaCache: make(map[string]*msa.Result),
+		xla:      cache.New(xlaCacheEntries),
 	}, nil
 }
 
@@ -151,62 +144,22 @@ func (s *Suite) msaResultFor(ctx context.Context, in *inputs.Input, threads int,
 }
 
 // XLAArtifacts builds and compiles the inference graph for n tokens,
-// caching the stats and host-side metering events. The memo is a bounded
-// LRU (XLACacheCap): an evicted token count recompiles on its next use —
-// the compile is deterministic, so eviction costs time, never correctness.
+// memoizing the stats and host-side metering events. The memo is a bounded
+// LRU with singleflight (concurrent first requests for a token count
+// compile once): an evicted token count recompiles on its next use — the
+// compile is deterministic, so eviction costs time, never correctness.
 func (s *Suite) XLAArtifacts(n int) (xla.CompileStats, []metering.Event, error) {
-	s.mu.Lock()
-	cached, ok := s.xlaCache[n]
-	if ok {
-		s.xlaTouchLocked(n)
-	}
-	s.mu.Unlock()
-	if ok {
-		return cached.stats, cached.events, nil
-	}
-	g := xla.BuildInferenceGraph(s.Model.PF, s.Model.DF, n, s.Model.Recycles)
-	var acc metering.Accumulator
-	st, err := xla.Compile(g, &acc)
+	v, _, err := s.xla.GetOrCompute(strconv.Itoa(n), func() (any, int64, error) {
+		g := xla.BuildInferenceGraph(s.Model.PF, s.Model.DF, n, s.Model.Recycles)
+		var acc metering.Accumulator
+		st, err := xla.Compile(g, &acc)
+		return xlaArtifacts{stats: st, events: acc.Events}, 1, err
+	})
 	if err != nil {
 		return xla.CompileStats{}, nil, err
 	}
-	s.mu.Lock()
-	if _, exists := s.xlaCache[n]; !exists {
-		s.xlaCache[n] = xlaArtifacts{stats: st, events: acc.Events}
-		s.xlaLRU = append(s.xlaLRU, n)
-	}
-	s.xlaTouchLocked(n)
-	cap := s.XLACacheCap
-	if cap < 1 {
-		cap = DefaultXLACacheCap
-	}
-	for len(s.xlaLRU) > cap {
-		victim := s.xlaLRU[0]
-		s.xlaLRU = s.xlaLRU[1:]
-		delete(s.xlaCache, victim)
-		s.xlaEvictions++
-	}
-	s.mu.Unlock()
-	return st, acc.Events, nil
-}
-
-// xlaTouchLocked moves n to the most-recently-used end of the LRU order.
-// Callers hold s.mu.
-func (s *Suite) xlaTouchLocked(n int) {
-	for i, k := range s.xlaLRU {
-		if k == n {
-			s.xlaLRU = append(append(s.xlaLRU[:i:i], s.xlaLRU[i+1:]...), n)
-			return
-		}
-	}
-}
-
-// XLACacheStats reports the compiled-artifact memo's occupancy and how
-// many entries the XLACacheCap bound has evicted.
-func (s *Suite) XLACacheStats() (entries int, evictions int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.xlaCache), s.xlaEvictions
+	art := v.(xlaArtifacts)
+	return art.stats, art.events, nil
 }
 
 // HostProfile is the simulated host-side inference startup profile: the

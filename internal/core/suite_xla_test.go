@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"afsysbench/internal/cache"
 	"afsysbench/internal/msa"
 	"afsysbench/internal/simgpu"
 )
@@ -14,10 +15,13 @@ import (
 // test suite's memo and counters untouched.
 func TestXLACacheBoundedLRU(t *testing.T) {
 	s := &Suite{
-		Model:       simgpu.DefaultModel(),
-		XLACacheCap: 2,
-		msaCache:    make(map[string]*msa.Result),
-		xlaCache:    make(map[int]xlaArtifacts),
+		Model:    simgpu.DefaultModel(),
+		msaCache: make(map[string]*msa.Result),
+		xla:      cache.New(2),
+	}
+	stats := func() (entries int, evictions uint64) {
+		st := s.xla.Stats()
+		return st.Entries, st.Evictions
 	}
 
 	first, _, err := s.XLAArtifacts(100)
@@ -29,7 +33,7 @@ func TestXLACacheBoundedLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, evictions := s.XLACacheStats()
+	entries, evictions := stats()
 	if entries != 2 {
 		t.Errorf("entries = %d, want cap 2", entries)
 	}
@@ -45,7 +49,7 @@ func TestXLACacheBoundedLRU(t *testing.T) {
 	if again != first {
 		t.Error("recomputed artifacts differ from the evicted originals")
 	}
-	if _, evictions = s.XLACacheStats(); evictions != 2 {
+	if _, evictions = stats(); evictions != 2 {
 		t.Errorf("evictions after refetch = %d, want 2", evictions)
 	}
 	// A hit refreshes recency: touching 140 then inserting 160 must evict
@@ -59,7 +63,7 @@ func TestXLACacheBoundedLRU(t *testing.T) {
 	if _, _, err := s.XLAArtifacts(140); err != nil {
 		t.Fatal(err)
 	}
-	entries, evictions = s.XLACacheStats()
+	entries, evictions = stats()
 	if entries != 2 || evictions != 3 {
 		t.Errorf("after touch+insert: entries=%d evictions=%d, want 2,3", entries, evictions)
 	}

@@ -269,14 +269,25 @@ func DesktopUpgraded() Machine {
 	return m
 }
 
-// ByName returns a platform by its Name field.
+// ByName returns a platform by its Name field or by its -machine flag
+// spelling (server, desktop, desktop-upgraded, server-cxl).
 func ByName(name string) (Machine, error) {
+	switch name {
+	case "server":
+		return Server(), nil
+	case "desktop":
+		return Desktop(), nil
+	case "desktop-upgraded":
+		return DesktopUpgraded(), nil
+	case "server-cxl":
+		return ServerWithCXL(), nil
+	}
 	for _, m := range All() {
 		if m.Name == name {
 			return m, nil
 		}
 	}
-	return Machine{}, fmt.Errorf("platform: unknown machine %q", name)
+	return Machine{}, fmt.Errorf("platform: unknown machine %q (want server, desktop, desktop-upgraded or server-cxl)", name)
 }
 
 // All returns every defined platform.

@@ -1,6 +1,9 @@
 package platform
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestTable1Facts(t *testing.T) {
 	s, d := Server(), Desktop()
@@ -96,7 +99,20 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q) returned %q", m.Name, got.Name)
 		}
 	}
-	if _, err := ByName("Mainframe"); err == nil {
-		t.Error("unknown platform accepted")
+	// The CLIs' -machine spellings resolve to the same platforms.
+	for flag, want := range map[string]string{
+		"server": Server().Name, "server-cxl": ServerWithCXL().Name,
+		"desktop": Desktop().Name, "desktop-upgraded": DesktopUpgraded().Name,
+	} {
+		if got, err := ByName(flag); err != nil || got.Name != want {
+			t.Errorf("ByName(%q) = %q, %v; want %q", flag, got.Name, err, want)
+		}
+	}
+	_, err := ByName("Mainframe")
+	if err == nil {
+		t.Fatal("unknown platform accepted")
+	}
+	if !strings.Contains(err.Error(), "desktop-upgraded") {
+		t.Errorf("error %q does not list the accepted names", err)
 	}
 }

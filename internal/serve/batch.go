@@ -51,9 +51,6 @@ type BatchConfig struct {
 	// cap (0 = memory cap only). The memory cap always applies: a batch
 	// never spills when its members individually fit.
 	MaxBatch int
-	// CompileCacheEntries bounds the compiled-graph cache
-	// (0 = bucket count + 4).
-	CompileCacheEntries int
 }
 
 // inferenceBatch is one sealed batched dispatch: same-bucket jobs on the
@@ -84,13 +81,11 @@ func (s *Server) initBatching() {
 	}
 	s.batchQ = make(chan *inferenceBatch, s.cfg.QueueDepth)
 	s.batchKick = make(chan struct{}, 1)
-	entries := s.cfg.Batch.CompileCacheEntries
-	if entries <= 0 {
-		entries = len(s.policy.Buckets()) + 4
-	}
-	// Entries are stored with size 1, so the byte capacity is the entry
-	// cap; evictions show up in the cache's own counters.
-	s.compileCache = cache.New(int64(entries))
+	// The compiled-graph cache holds the bucket set plus four entries of
+	// headroom for exact-size shapes past the largest bucket. Entries are
+	// stored with size 1, so the byte capacity is the entry cap; evictions
+	// show up in the cache's own counters.
+	s.compileCache = cache.New(int64(len(s.policy.Buckets()) + 4))
 	s.meter = batch.NewMeter()
 }
 

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"os"
 
 	"afsysbench/internal/cache"
 	"afsysbench/internal/cachedisk"
@@ -141,4 +143,22 @@ func (r *LoadReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
+}
+
+// MergeSection folds one named section into the JSON object at path
+// (BENCH_serve.json), keeping every other section, or creates the file
+// holding just that section.
+func MergeSection(path, name string, section any) error {
+	doc := map[string]any{}
+	if raw, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			return fmt.Errorf("existing %s is not a JSON object: %w", path, err)
+		}
+	}
+	doc[name] = section
+	out, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

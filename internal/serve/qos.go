@@ -3,12 +3,13 @@ package serve
 // Multi-tenant QoS (DESIGN §15). With Config.QoS set, admission and MSA
 // scheduling become tenant-aware: every request carries a tenant ID and a
 // modeled arrival time, the qos.Controller decides admit/shed/degrade on
-// its virtual clock, and the single FIFO MSA queue is replaced by a
-// deficit-round-robin weighted-fair queue over chain-token costs. The
-// brownout ladder threads into the existing degradation machinery: an
-// over-quota request first loses chain-level hedging, then batches alone
-// (no shared-batch inflation), then runs with a tightened MSA budget that
-// engages the PR 2 drop-DB ladder, and finally is shed outright.
+// its virtual clock, and the MSA queue's single shared sub-queue gives way
+// to per-tenant sub-queues drained by deficit round-robin over chain-token
+// costs. The brownout ladder threads into the existing degradation
+// machinery: an over-quota request first loses chain-level hedging, then
+// batches alone (no shared-batch inflation), then runs with a tightened MSA
+// budget that engages the PR 2 drop-DB ladder, and finally is shed
+// outright.
 //
 // Determinism: the controller never reads live pool state, the WFQ
 // allocates dispatch sequence numbers under its own lock, and an
@@ -22,10 +23,10 @@ import (
 	"strings"
 
 	"afsysbench/internal/qos"
+	"afsysbench/internal/vtime"
 )
 
-// qosEnabled reports whether the server runs the tenant-aware admission
-// and WFQ dispatch path.
+// qosEnabled reports whether the server runs tenant-aware admission.
 func (s *Server) qosEnabled() bool { return s.cfg.QoS != nil }
 
 // qosReasonCounter turns a shed-reason class into its metrics-counter
@@ -125,67 +126,33 @@ func (s *Server) FairnessReport(cpuLanes, gpuLanes int) *FairnessReport {
 	return rep
 }
 
-// modeledTenantLatencies replays the completed QoS trace on a virtual
-// clock: WFQ dispatch order fills cpuLanes MSA lanes (a request's MSA
-// cannot start before its modeled arrival), MSA-completion order fills
-// gpuLanes inference lanes, and a request's modeled latency is its
-// inference end minus its arrival — queueing delay included, wall clock
-// excluded. Milliseconds, grouped by tenant.
+// modeledTenantLatencies replays the completed QoS trace on the modeled
+// clock (vtime.TwoStage): WFQ dispatch order fills cpuLanes MSA lanes (a
+// request's MSA cannot start before its modeled arrival), MSA-completion
+// order fills gpuLanes inference lanes, and a request's modeled latency is
+// its inference end minus its arrival — queueing delay included, wall
+// clock excluded. Milliseconds, grouped by tenant, each tenant's list in
+// GPU-dispatch order (its mean is a sum in that order).
 func (s *Server) modeledTenantLatencies(cpuLanes, gpuLanes int) map[string][]float64 {
-	type item struct {
-		tenant   string
-		seq      int
-		arrival  float64
-		msa, inf float64
-		msaEnd   float64
-	}
 	s.mu.Lock()
-	var done []*item
+	var done []*Job
 	for _, job := range s.order {
-		if job.state != StateDone || job.result == nil {
-			continue
+		if job.state == StateDone && job.result != nil {
+			done = append(done, job)
 		}
-		done = append(done, &item{
-			tenant:  job.tenant,
-			seq:     job.dispatchSeq,
-			arrival: job.arrival,
-			msa:     job.chargedMSASeconds,
-			inf:     job.chargedInfSeconds,
-		})
+	}
+	sort.Slice(done, func(a, b int) bool { return done[a].dispatchSeq < done[b].dispatchSeq })
+	jobs := make([]vtime.Job, len(done))
+	tenants := make([]string, len(done))
+	for i, job := range done {
+		jobs[i] = vtime.Job{Release: job.arrival, CPU: job.chargedMSASeconds, GPU: job.chargedInfSeconds}
+		tenants[i] = job.tenant
 	}
 	s.mu.Unlock()
-	// MSA lanes in WFQ dispatch order.
-	sort.Slice(done, func(a, b int) bool { return done[a].seq < done[b].seq })
-	cpuFree := make([]float64, cpuLanes)
-	for _, it := range done {
-		w := argminLane(cpuFree)
-		start := cpuFree[w]
-		if it.arrival > start {
-			start = it.arrival
-		}
-		it.msaEnd = start + it.msa
-		cpuFree[w] = it.msaEnd
-	}
-	// GPU lanes in MSA-completion order (dispatch seq breaks ties).
-	order := make([]*item, len(done))
-	copy(order, done)
-	sort.SliceStable(order, func(a, b int) bool {
-		if order[a].msaEnd != order[b].msaEnd {
-			return order[a].msaEnd < order[b].msaEnd
-		}
-		return order[a].seq < order[b].seq
-	})
-	gpuFree := make([]float64, gpuLanes)
+	placed, gpuOrder := vtime.TwoStage(jobs, cpuLanes, gpuLanes)
 	out := make(map[string][]float64)
-	for _, it := range order {
-		g := argminLane(gpuFree)
-		start := gpuFree[g]
-		if it.msaEnd > start {
-			start = it.msaEnd
-		}
-		end := start + it.inf
-		gpuFree[g] = end
-		out[it.tenant] = append(out[it.tenant], (end-it.arrival)*1000)
+	for _, i := range gpuOrder {
+		out[tenants[i]] = append(out[tenants[i]], (placed[i].GPUEnd-jobs[i].Release)*1000)
 	}
 	return out
 }

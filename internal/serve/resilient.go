@@ -1,5 +1,6 @@
-// Serving-side fault tolerance: per-database circuit breakers, the hedge
-// budget estimator, pool health accounting and the readiness probe. The
+// Serving-side fault tolerance: per-database circuit breakers, pool health
+// accounting and the readiness probe (the hedge budget estimator is
+// resilience.HedgeEstimator). The
 // scheduler in serve.go consults these around every MSA stage; everything
 // here is advisory control-plane state — it decides *whether and how* a
 // stage runs, while the deterministic pipeline decides *what* it computes.
@@ -7,96 +8,11 @@ package serve
 
 import (
 	"errors"
-	"math"
 	"sort"
-	"sync"
-	"time"
 
 	"afsysbench/internal/core"
 	"afsysbench/internal/resilience"
 )
-
-// HedgeConfig tunes chain-level hedged retries for the MSA stage. When
-// enabled, the server tracks the wall-clock latency of every completed
-// chain search; once MinSamples are in, a chain still running after
-// Factor × the Percentile-th latency gets a concurrent backup attempt, and
-// the first finisher wins. Hedging is latency-only: both attempts compute
-// the same deterministic result.
-type HedgeConfig struct {
-	Enabled bool
-	// Percentile of observed chain latencies that anchors the budget
-	// (default 95).
-	Percentile float64
-	// Factor multiplies the percentile latency into the hedge delay
-	// (default 2).
-	Factor float64
-	// MinSamples is how many chain latencies must be observed before
-	// hedging arms (default 8) — with no history, there is no straggler
-	// definition.
-	MinSamples int
-}
-
-func (h HedgeConfig) withDefaults() HedgeConfig {
-	if h.Percentile <= 0 || h.Percentile > 100 {
-		h.Percentile = 95
-	}
-	if h.Factor <= 0 {
-		h.Factor = 2
-	}
-	if h.MinSamples <= 0 {
-		h.MinSamples = 8
-	}
-	return h
-}
-
-// hedgeEstimator accumulates chain-search latencies and derives the hedge
-// delay. Sample history is bounded so long-lived servers track current
-// behavior rather than averaging over their whole lifetime.
-type hedgeEstimator struct {
-	cfg HedgeConfig
-
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-func newHedgeEstimator(cfg HedgeConfig) *hedgeEstimator {
-	return &hedgeEstimator{cfg: cfg.withDefaults()}
-}
-
-// observe records one completed chain search (the msa.Options.ChainDone
-// hook). Checkpoint replays never reach here — they cost no search time.
-func (h *hedgeEstimator) observe(chainID string, wall time.Duration) {
-	h.mu.Lock()
-	h.samples = append(h.samples, wall)
-	if len(h.samples) > 4096 {
-		h.samples = append([]time.Duration(nil), h.samples[len(h.samples)-2048:]...)
-	}
-	h.mu.Unlock()
-}
-
-// budget returns the hedge delay for the next stage, or 0 while unarmed.
-func (h *hedgeEstimator) budget() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n < h.cfg.MinSamples {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), h.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(math.Ceil(h.cfg.Percentile/100*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	d := time.Duration(h.cfg.Factor * float64(sorted[idx]))
-	if d <= 0 {
-		return 0
-	}
-	return d
-}
 
 // initBreakers builds one circuit breaker per database in the suite's
 // catalog. Breakers are created once and the map is read-only afterwards;
@@ -269,14 +185,12 @@ type Readiness struct {
 // queue has room.
 func (s *Server) Ready() Readiness {
 	r := Readiness{
-		QueueDepth:    len(s.msaQ),
-		QueueCapacity: cap(s.msaQ),
+		QueueDepth:    s.wfq.Len(),
+		QueueCapacity: s.cfg.QueueDepth,
 	}
-	if s.wfq != nil {
-		// QoS mode: the WFQ holds the MSA backlog; saturation is judged by
-		// the controller's modeled occupancy, the same signal admission
-		// sheds on.
-		r.QueueDepth = s.wfq.Len()
+	if s.qosEnabled() {
+		// Saturation is judged by the controller's modeled occupancy, the
+		// same signal admission sheds on.
 		r.QueueSaturated = s.cfg.QoS.Occupancy() >= 1
 	} else {
 		r.QueueSaturated = r.QueueDepth >= r.QueueCapacity

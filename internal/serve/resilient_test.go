@@ -292,7 +292,7 @@ func TestHedgedServingKeepsResultsIdentical(t *testing.T) {
 
 	hedged := newTestServer(t, Config{
 		Threads: 2, MSAWorkers: 1, GPUWorkers: 1,
-		Hedge: HedgeConfig{Enabled: true, Percentile: 50, Factor: 0.05, MinSamples: 3},
+		Hedge: resilience.HedgeConfig{Enabled: true, Percentile: 50, Factor: 0.05, MinSamples: 3},
 	})
 	hedgedStatuses := runTrace(t, hedged, trace)
 
@@ -375,7 +375,7 @@ func TestNoGoroutineLeakUnderFaultLoad(t *testing.T) {
 		// checkpoint while still exercising the retry machinery hard.
 		Faults:      mustFaults(t, "chainfault:*:1"),
 		MSAAttempts: 4,
-		Hedge:       HedgeConfig{Enabled: true, Percentile: 50, Factor: 0.05, MinSamples: 3},
+		Hedge:       resilience.HedgeConfig{Enabled: true, Percentile: 50, Factor: 0.05, MinSamples: 3},
 		PanicHook: func(point string, ordinal int) {
 			if point == "inference" && ordinal == 1 {
 				panic("chaos: injected inference panic")

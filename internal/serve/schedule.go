@@ -1,6 +1,6 @@
 package serve
 
-import "sort"
+import "afsysbench/internal/vtime"
 
 // The modeled schedule replays the completed request trace on a virtual
 // clock: W CPU workers execute the charged MSA seconds of each request
@@ -68,9 +68,10 @@ func (s Schedule) GPUUtilPct() float64 {
 // Stage durations are the modeled seconds each request was charged — a
 // cache hit charges zero MSA seconds, which is exactly how a hit buys
 // throughput. Failed or in-flight jobs are excluded. The replay is
-// list scheduling: each MSA goes to the earliest-free CPU lane in submit
-// order; each inference goes to the earliest-free GPU lane in order of
-// MSA completion (ordinal breaks ties), never before its own MSA ends.
+// vtime.TwoStage with every job released at zero: each MSA goes to the
+// earliest-free CPU lane in submit order; each inference goes to the
+// earliest-free GPU lane in order of MSA completion (submit order breaks
+// ties), never before its own MSA ends.
 func (s *Server) ModeledSchedule(cpuWorkers, gpuWorkers int) Schedule {
 	if cpuWorkers < 1 {
 		cpuWorkers = 1
@@ -78,82 +79,37 @@ func (s *Server) ModeledSchedule(cpuWorkers, gpuWorkers int) Schedule {
 	if gpuWorkers < 1 {
 		gpuWorkers = 1
 	}
+	sched := Schedule{CPUWorkers: cpuWorkers, GPUWorkers: gpuWorkers}
+	var jobs []vtime.Job
 	s.mu.Lock()
-	type stage struct {
-		id       string
-		sample   string
-		hit      bool
-		ordinal  int
-		msa, inf float64
-	}
-	var done []stage
 	for _, job := range s.order {
 		if job.state != StateDone || job.result == nil {
 			continue
 		}
-		done = append(done, stage{
-			id:      job.id,
-			sample:  job.in.Name,
-			hit:     job.cacheHit,
-			ordinal: job.ordinal,
-			// Charged inference seconds: the canonical total unbatched,
-			// the amortized batch share when the request rode a batched
-			// dispatch — so batching's fixed-cost amortization shows up
-			// in the modeled makespan exactly once per batch.
-			msa: job.chargedMSASeconds,
-			inf: job.chargedInfSeconds,
-		})
+		sched.Items = append(sched.Items, ScheduleItem{ID: job.id, Sample: job.in.Name, CacheHit: job.cacheHit})
+		// Charged inference seconds: the canonical total unbatched, the
+		// amortized batch share when the request rode a batched dispatch —
+		// so batching's fixed-cost amortization shows up in the modeled
+		// makespan exactly once per batch.
+		jobs = append(jobs, vtime.Job{CPU: job.chargedMSASeconds, GPU: job.chargedInfSeconds})
+		sched.CPUBusy += job.chargedMSASeconds
 	}
 	s.mu.Unlock()
 
-	sched := Schedule{CPUWorkers: cpuWorkers, GPUWorkers: gpuWorkers}
-	if len(done) == 0 {
-		return sched
+	placed, gpuOrder := vtime.TwoStage(jobs, cpuWorkers, gpuWorkers)
+	for i, p := range placed {
+		it := &sched.Items[i]
+		it.CPUWorker, it.MSAStart, it.MSAEnd = p.CPULane, p.CPUStart, p.CPUEnd
+		it.GPUWorker, it.InfStart, it.InfEnd = p.GPULane, p.GPUStart, p.GPUEnd
 	}
-	items := make([]ScheduleItem, len(done))
-	cpuFree := make([]float64, cpuWorkers)
-	for i, st := range done {
-		w := argminLane(cpuFree)
-		start := cpuFree[w]
-		end := start + st.msa
-		cpuFree[w] = end
-		items[i] = ScheduleItem{
-			ID: st.id, Sample: st.sample, CacheHit: st.hit,
-			CPUWorker: w, MSAStart: start, MSAEnd: end,
-		}
-		sched.CPUBusy += st.msa
-	}
-	// Inference dispatch order: MSA completion time, ordinal tie-break —
-	// the deterministic analogue of "whoever's features are ready first".
-	order := make([]int, len(items))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if items[ia].MSAEnd != items[ib].MSAEnd {
-			return items[ia].MSAEnd < items[ib].MSAEnd
-		}
-		return done[ia].ordinal < done[ib].ordinal
-	})
-	gpuFree := make([]float64, gpuWorkers)
-	for _, i := range order {
-		g := argminLane(gpuFree)
-		start := gpuFree[g]
-		if items[i].MSAEnd > start {
-			start = items[i].MSAEnd
-		}
-		end := start + done[i].inf
-		gpuFree[g] = end
-		items[i].GPUWorker = g
-		items[i].InfStart = start
-		items[i].InfEnd = end
-		sched.GPUBusy += done[i].inf
-		if end > sched.Makespan {
+	// GPUBusy is summed in GPU-dispatch order (CPUBusy above in submit
+	// order): the bitwise contract on both predates the shared scheduler.
+	for _, i := range gpuOrder {
+		sched.GPUBusy += jobs[i].GPU
+		if end := placed[i].GPUEnd; end > sched.Makespan {
 			sched.Makespan = end
 		}
 	}
-	sched.Items = items
 	return sched
 }
 
@@ -172,16 +128,4 @@ func (s *Server) SerialMakespan() float64 {
 		total += job.chargedMSASeconds + job.result.Inference.Total()
 	}
 	return total
-}
-
-// argminLane returns the index of the smallest value (lowest index wins
-// ties), keeping lane assignment deterministic.
-func argminLane(xs []float64) int {
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -17,10 +17,14 @@
 //
 // Admission control is a bounded queue with deterministic load shedding
 // (resilience.ErrOverloaded): a request is rejected at the door, never
-// half-executed. Per-request deadlines thread through the same context
-// machinery the resilience layer added to the pipeline, so an expired
-// request surfaces as resilience.ErrStageTimeout and sheds cleanly at the
-// next stage boundary.
+// half-executed. There is one dispatch queue, a qos.WFQ: a plain server
+// pushes every job under one key at cost 1 — a FIFO bounded by
+// Config.QueueDepth — and Config.QoS adds the tenant-aware controller in
+// front of it and per-tenant weighted sub-queues inside it (qos.go).
+// Per-request deadlines thread through the same context machinery the
+// resilience layer added to the pipeline, so an expired request surfaces
+// as resilience.ErrStageTimeout and sheds cleanly at the next stage
+// boundary.
 //
 // Determinism contract: per-request results are computed with a canonical
 // run index (no repeat-run jitter) and the deterministic kernels below, so
@@ -154,9 +158,6 @@ type Config struct {
 	// DefaultTimeout is the per-request wall deadline when the request
 	// does not set one (0 = none).
 	DefaultTimeout time.Duration
-	// Budget caps modeled per-stage time per request (the resilience
-	// degradation ladder applies, exactly as in single-run mode).
-	Budget resilience.StageBudget
 	// ColdModel disables the §VI persistent-model optimization: every
 	// request pays GPU init + XLA compile (stock one-container-per-request
 	// deployment). The default keeps the model resident.
@@ -170,9 +171,6 @@ type Config struct {
 	// across MSA stage retries — so a transient budget consumed by attempt
 	// one stays consumed for attempt two.
 	Faults resilience.Faults
-	// Retry tunes transient-fault backoff inside the pipeline (zero value:
-	// the standard capped-exponential policy).
-	Retry resilience.RetryPolicy
 	// MSAAttempts bounds MSA stage attempts per request (default 1 — no
 	// retry). With more than one attempt each job carries a chain
 	// checkpoint, so a retry re-runs only the chains that had not finished
@@ -186,8 +184,9 @@ type Config struct {
 	// shard on every request — and the result is annotated partial_msa.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Hedge tunes chain-level hedged retries for straggling MSA chains.
-	Hedge HedgeConfig
+	// Hedge tunes chain-level hedged retries for straggling MSA chains:
+	// the latencies observed are those of completed chain searches.
+	Hedge resilience.HedgeConfig
 	// PanicHook, when set, is called at the worker guard points — "msa"
 	// (stage start), "handoff" (after MSA success, before the GPU queue
 	// send) and "inference" (stage start) — with the job's ordinal. Chaos
@@ -207,18 +206,19 @@ type Config struct {
 	// QoS enables multi-tenant admission and weighted-fair MSA dispatch
 	// (see qos.go): requests carry a tenant ID and modeled arrival, the
 	// controller decides admit/shed/degrade on its virtual clock, and the
-	// FIFO MSA queue becomes a deficit-round-robin WFQ over chain-token
-	// costs. The controller is deliberately shareable across replicas (one
-	// quota cluster-wide). nil keeps the legacy channel-based admission.
+	// MSA queue drains per-tenant sub-queues by deficit round-robin over
+	// chain-token costs. The controller is deliberately shareable across
+	// replicas (one quota cluster-wide). nil means no controller: the same
+	// queue with one shared sub-queue, shedding only when QueueDepth jobs
+	// wait.
 	QoS *qos.Controller
-	// BrownoutMSABudget is the modeled MSA budget (seconds) imposed on
-	// requests degraded to qos.LevelDropDB, engaging the database-drop
-	// degradation ladder for over-quota tenants under brownout (default
-	// 300s — under the full-profile cost of the large Table II samples,
-	// above the small ones; an explicit Budget.MSASeconds tighter than
-	// this wins).
-	BrownoutMSABudget float64
 }
+
+// brownoutMSABudget is the modeled MSA budget (seconds) imposed on
+// requests degraded to qos.LevelDropDB, engaging the database-drop
+// degradation ladder for over-quota tenants under brownout: under the
+// full-profile cost of the large Table II samples, above the small ones.
+const brownoutMSABudget = 300
 
 func (c Config) withDefaults() Config {
 	if c.Machine.Name == "" {
@@ -247,9 +247,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 10 * time.Second
-	}
-	if c.BrownoutMSABudget <= 0 {
-		c.BrownoutMSABudget = 300
 	}
 	return c
 }
@@ -307,10 +304,10 @@ type Job struct {
 	batchID      string
 	batchSize    int
 	bucketTokens int
-	// tenant/arrival/qosLevel/dispatchSeq are the QoS coordinates (QoS
-	// mode only): the owning tenant, the modeled arrival the admission
-	// decision ran at, the brownout rung the request runs under, and the
-	// WFQ dispatch sequence number assigned at pop time.
+	// tenant/arrival/qosLevel are the QoS coordinates (QoS mode only): the
+	// owning tenant, the modeled arrival the admission decision ran at and
+	// the brownout rung the request runs under. dispatchSeq is the WFQ
+	// dispatch sequence number assigned at pop time (every mode).
 	tenant      string
 	arrival     float64
 	qosLevel    qos.Level
@@ -390,17 +387,16 @@ type Server struct {
 	killCtx    context.Context
 	killCancel context.CancelFunc
 
-	msaQ chan *Job
-	infQ chan *Job
-	wgA  sync.WaitGroup // MSA workers
-	wgB  sync.WaitGroup // GPU workers
-
-	// wfq replaces msaQ as the MSA dispatch queue in QoS mode: per-tenant
-	// FIFO sub-queues drained by deficit round-robin over chain-token
-	// costs (nil without Config.QoS). epoch anchors wall-clock arrival
-	// stamps for live HTTP traffic.
+	// wfq is the MSA dispatch queue of every server: FIFO sub-queues
+	// drained by deficit round-robin. With Config.QoS there is one
+	// sub-queue per tenant, weighted, at chain-token cost; without it every
+	// job shares one sub-queue at cost 1, which pops in submit order.
+	// epoch anchors wall-clock arrival stamps for live HTTP traffic.
 	wfq   *qos.WFQ[*Job]
 	epoch time.Time
+	infQ  chan *Job
+	wgA   sync.WaitGroup // MSA workers
+	wgB   sync.WaitGroup // GPU workers
 
 	// Batching tier (nil/zero unless cfg.Batch.Enabled; see batch.go).
 	// policy pads token counts into shape buckets; the dispatcher
@@ -427,7 +423,7 @@ type Server struct {
 	// and read-only afterwards (each breaker has its own lock).
 	breakers map[string]*resilience.Breaker
 	// hedge estimates the chain-hedging delay (nil unless enabled).
-	hedge *hedgeEstimator
+	hedge *resilience.HedgeEstimator
 }
 
 // New builds a server with its own suite instance (synthetic databases,
@@ -450,15 +446,16 @@ func NewWithSuite(suite *core.Suite, cfg Config) *Server {
 		cfg:       cfg,
 		keySearch: fmt.Sprintf("search=%+v", suite.Search),
 		jobs:      make(map[string]*Job),
-		msaQ:      make(chan *Job, cfg.QueueDepth),
 		infQ:      make(chan *Job, cfg.QueueDepth),
+		epoch:     time.Now(),
 	}
 	s.killCtx, s.killCancel = context.WithCancel(context.Background())
 	s.idle.L = &s.mu
+	var weightOf func(tenant string) float64
 	if cfg.QoS != nil {
-		s.wfq = qos.NewWFQ[*Job](0, cfg.QoS.Weight)
-		s.epoch = time.Now()
+		weightOf = cfg.QoS.Weight
 	}
+	s.wfq = qos.NewWFQ[*Job](0, weightOf)
 	s.initBreakers()
 	s.initBatching()
 	if cfg.Cache != nil && cfg.DiskCache != nil {
@@ -466,9 +463,7 @@ func NewWithSuite(suite *core.Suite, cfg Config) *Server {
 		// written through to the persistent tier instead of being lost.
 		cfg.Cache.SetOnEvict(s.spillChain)
 	}
-	if cfg.Hedge.Enabled {
-		s.hedge = newHedgeEstimator(cfg.Hedge)
-	}
+	s.hedge = resilience.NewHedgeEstimator(cfg.Hedge)
 	return s
 }
 
@@ -522,12 +517,8 @@ func (s *Server) Stop() {
 	s.stopped = true
 	started := s.started
 	s.mu.Unlock()
-	if s.wfq != nil {
-		// QoS mode: the WFQ is the MSA dispatch queue — closing it drains
-		// the backlog and releases the pool.
-		s.wfq.Close()
-	}
-	close(s.msaQ)
+	// Closing the dispatch queue drains the backlog and releases the pool.
+	s.wfq.Close()
 	if started {
 		s.wgA.Wait()
 	}
@@ -595,11 +586,15 @@ func (s *Server) Submit(req Request) (string, error) {
 	} else if s.cfg.MSAAttempts > 1 {
 		job.checkpoint = msa.NewCheckpoint()
 	}
+	// Without QoS every job shares one sub-queue at cost 1 — pops come out
+	// in global submission order, true FIFO — and the only shed is a full
+	// queue.
+	key, cost := fifoKey, 1.0
 	if s.qosEnabled() {
 		// Tenant-aware admission: the controller decides on its modeled
 		// clock — rate limit, modeled queue bound, brownout ladder — and an
-		// admitted job enters the weighted-fair queue at its chain-token
-		// cost instead of the FIFO channel.
+		// admitted job enters the weighted-fair queue under its tenant at
+		// its chain-token cost.
 		tenant := req.Tenant
 		if tenant == "" {
 			tenant = "default"
@@ -608,7 +603,7 @@ func (s *Server) Submit(req Request) (string, error) {
 		if arrival < 0 {
 			arrival = time.Since(s.epoch).Seconds()
 		}
-		cost := float64(in.TotalResidues())
+		cost = float64(in.TotalResidues())
 		d := s.cfg.QoS.Admit(tenant, arrival, cost)
 		if !d.Admit {
 			s.cfg.Metrics.Add("requests_shed", 1)
@@ -626,23 +621,17 @@ func (s *Server) Submit(req Request) (string, error) {
 		if d.Level > qos.LevelNone {
 			s.cfg.Metrics.Add("requests_brownout", 1)
 		}
-		key := tenant
-		if s.cfg.QoS.Config().FIFO {
-			// The unprotected comparator: one shared sub-queue, so pops
-			// come out in global submission order — true FIFO, not
+		if !s.cfg.QoS.Config().FIFO {
+			// The unprotected comparator keeps the shared sub-queue, not
 			// per-tenant round-robin.
-			key = "\x00fifo"
+			key = tenant
 		}
-		s.wfq.Push(key, cost, job)
-	} else {
-		select {
-		case s.msaQ <- job:
-		default:
-			s.cfg.Metrics.Add("requests_shed", 1)
-			s.cfg.Metrics.Add(qosReasonCounter(resilience.ShedQueueFull.String()), 1)
-			return "", resilience.ErrOverloaded{Queued: len(s.msaQ), Capacity: cap(s.msaQ)}
-		}
+	} else if queued := s.wfq.Len(); queued >= s.cfg.QueueDepth {
+		s.cfg.Metrics.Add("requests_shed", 1)
+		s.cfg.Metrics.Add(qosReasonCounter(resilience.ShedQueueFull.String()), 1)
+		return "", resilience.ErrOverloaded{Queued: queued, Capacity: s.cfg.QueueDepth}
 	}
+	s.wfq.Push(key, cost, job)
 	s.jobs[job.id] = job
 	s.order = append(s.order, job)
 	s.pending++
@@ -683,9 +672,10 @@ func (s *Server) Killed() bool {
 // forever.
 func (s *Server) WaitIdle(ctx context.Context) error {
 	done := make(chan struct{})
+	cancelled := false // guarded by s.mu
 	go func() {
 		s.mu.Lock()
-		for s.pending > 0 {
+		for s.pending > 0 && !cancelled {
 			s.idle.Wait()
 		}
 		s.mu.Unlock()
@@ -695,11 +685,13 @@ func (s *Server) WaitIdle(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		// Wake the waiter goroutine so it can observe and exit; pending
-		// jobs keep running.
+		// Release the waiter goroutine — pending jobs keep running — and
+		// see it out, so a timed-out call leaves nothing behind.
 		s.mu.Lock()
+		cancelled = true
 		s.idle.Broadcast()
 		s.mu.Unlock()
+		<-done
 		return ctx.Err()
 	}
 }
@@ -788,13 +780,16 @@ func (s *Server) pipelineOpts(job *Job) core.PipelineOptions {
 		Threads:   job.threads,
 		RunIndex:  0,
 		WarmStart: !s.cfg.ColdModel,
-		Budget:    s.cfg.Budget,
-		Retry:     s.cfg.Retry,
 		FreshMSA:  true,
 		Injector:  job.inj,
 		Scatter:   s.cfg.Scatter,
 	}
 }
+
+// fifoKey is the one WFQ sub-queue every job shares when no per-tenant
+// fairness applies (no Config.QoS, or the controller's FIFO comparator).
+// The NUL keeps it clear of any tenant ID.
+const fifoKey = "\x00fifo"
 
 // chainCodecGob identifies the gob-encoded msa.CachedChain payload format
 // in the persistent tier's entry headers. Bump when the wire struct
@@ -959,24 +954,20 @@ func (s *Server) msaWorker() {
 	defer s.wgA.Done()
 	s.adjustLive(&s.msaLive, 1)
 	defer s.adjustLive(&s.msaLive, -1)
-	if s.wfq != nil {
-		// QoS mode: pop the weighted-fair queue. The sequence number is
-		// allocated under the WFQ lock, so the (job, seq) pairing — and
-		// therefore the dispatch digest — is identical no matter how many
-		// workers race here.
-		for {
-			job, seq, ok := s.wfq.Pop()
-			if !ok {
-				return
-			}
-			s.mu.Lock()
-			job.dispatchSeq = seq
-			s.mu.Unlock()
-			s.cfg.QoS.RecordDispatch(job.tenant, seq)
-			s.runMSAGuarded(job)
+	// The sequence number is allocated under the WFQ lock, so the (job,
+	// seq) pairing — and therefore the dispatch digest — is identical no
+	// matter how many workers race here.
+	for {
+		job, seq, ok := s.wfq.Pop()
+		if !ok {
+			return
 		}
-	}
-	for job := range s.msaQ {
+		s.mu.Lock()
+		job.dispatchSeq = seq
+		s.mu.Unlock()
+		if s.qosEnabled() {
+			s.cfg.QoS.RecordDispatch(job.tenant, seq)
+		}
 		s.runMSAGuarded(job)
 	}
 }
@@ -1068,17 +1059,16 @@ func (s *Server) runMSA(job *Job, stage *string) {
 	if s.hedge != nil && job.qosLevel < qos.LevelHedgeOff {
 		// The first brownout rung: an over-quota request under load runs
 		// without chain-level hedged retries — no backup searches burning
-		// CPU the fair-share tenants need.
-		opts.ChainDone = s.hedge.observe
-		opts.HedgeAfter = s.hedge.budget()
+		// CPU the fair-share tenants need. (Checkpoint replays never reach
+		// ChainDone: they cost no search time.)
+		opts.ChainDone = func(_ string, wall time.Duration) { s.hedge.Observe(wall) }
+		opts.HedgeAfter = s.hedge.Budget()
 	}
 	if job.qosLevel >= qos.LevelDropDB {
 		// The deepest non-shed rung: tighten the modeled MSA budget onto
 		// the database-drop degradation ladder (PR 2) — the over-quota
 		// request trades MSA depth for shared-pool time.
-		if b := s.cfg.Budget.MSASeconds; b <= 0 || b > s.cfg.BrownoutMSABudget {
-			opts.Budget.MSASeconds = s.cfg.BrownoutMSABudget
-		}
+		opts.Budget.MSASeconds = brownoutMSABudget
 	}
 	if s.cfg.Cache != nil {
 		opts.ChainCache = s.chainFetcher(job)

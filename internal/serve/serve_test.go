@@ -190,6 +190,75 @@ func TestDeterministicShed(t *testing.T) {
 	if got := s.Metrics().Get("requests_shed"); got != 1 {
 		t.Fatalf("requests_shed = %d", got)
 	}
+
+	// The admission queue is the single-key WFQ: depth+k submits before
+	// Start shed exactly the last k, each naming the full queue, readiness
+	// reports the saturation, and the pool pops in submit order whatever
+	// its size.
+	const depth, extra = 5, 3
+	for _, workers := range []int{1, 4} {
+		s := NewWithSuite(sharedSuite, Config{Threads: 4, MSAWorkers: workers, QueueDepth: depth})
+		if s.Ready().QueueSaturated {
+			t.Fatal("empty queue reports saturation")
+		}
+		for i := 0; i < depth+extra; i++ {
+			_, err := s.Submit(Request{Sample: "2PV7"})
+			if i < depth {
+				if err != nil {
+					t.Fatalf("submit %d: %v", i, err)
+				}
+				continue
+			}
+			var eo resilience.ErrOverloaded
+			if !errors.As(err, &eo) {
+				t.Fatalf("submit %d: expected overload, got %v", i, err)
+			}
+			if eo.Queued != depth || eo.Capacity != depth || eo.Reason != resilience.ShedQueueFull {
+				t.Fatalf("submit %d shed with %+v, want queue-full at %d/%d", i, eo, depth, depth)
+			}
+		}
+		if got := s.Metrics().Get("requests_shed_queue_full"); got != extra {
+			t.Fatalf("requests_shed_queue_full = %d, want %d", got, extra)
+		}
+		if r := s.Ready(); !r.QueueSaturated || r.QueueDepth != depth || r.QueueCapacity != depth {
+			t.Fatalf("readiness of a full queue = %+v", r)
+		}
+		s.Start()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		if err := s.WaitIdle(ctx); err != nil {
+			t.Fatalf("WaitIdle: %v", err)
+		}
+		cancel()
+		s.Stop()
+		for i, job := range s.order {
+			if job.dispatchSeq != i {
+				t.Errorf("%d workers: job %d dispatched at seq %d, want submit order", workers, i, job.dispatchSeq)
+			}
+		}
+	}
+}
+
+// TestWaitIdleTimeoutLeaksNothing: a WaitIdle that gives up must take its
+// waiter goroutine with it. On a never-started server the one admitted job
+// stays pending forever, so a leaked waiter would never be released.
+func TestWaitIdleTimeoutLeaksNothing(t *testing.T) {
+	s := NewWithSuite(sharedSuite, Config{Threads: 4})
+	defer s.Stop()
+	if _, err := s.Submit(Request{Sample: "2PV7"}); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		err := s.WaitIdle(ctx)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("call %d: WaitIdle = %v, want deadline exceeded", i, err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d -> %d after 50 timed-out WaitIdle calls", before, after)
+	}
 }
 
 // TestDeadlineShedsCleanly: an expired per-request deadline fails that
