@@ -22,9 +22,7 @@ import (
 	"runtime"
 	"time"
 
-	"afsysbench/internal/core"
-	"afsysbench/internal/inputs"
-	"afsysbench/internal/resilience"
+	"afsysbench/internal/scenario"
 	"afsysbench/internal/serve"
 )
 
@@ -37,39 +35,16 @@ const (
 	victimReplica = 1
 )
 
-func runChaos(o options) int {
-	if o.shards < 3 {
-		fmt.Fprintln(os.Stderr, "afcluster -chaos: need -shards ≥ 3 (two nodes die)")
-		return 2
-	}
-	if o.replicas < 2 {
-		fmt.Fprintln(os.Stderr, "afcluster -chaos: need -replicas ≥ 2 (one replica dies)")
-		return 2
-	}
-	var violations []string
+func runChaos(o options) error {
+	var verdict scenario.Verdict
 	baseline := runtime.NumGoroutine()
 
-	samples, weights, err := inputs.ParseMix(o.mix)
+	rig, err := buildRig(o, "chaos-cluster")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "afcluster -chaos: %v\n", err)
-		return 2
+		return err
 	}
-	trace := inputs.WeightedTrace(samples, weights, o.n, o.seed)
-	suite, err := core.NewSuite()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "afcluster -chaos: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(os.Stderr, "chaos-cluster: reference pass (%d distinct samples)\n", len(samples))
-	digests, _, err := reference(suite, trace, o.threads)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "afcluster -chaos: reference: %v\n", err)
-		return 2
-	}
-
-	fmt.Fprintf(os.Stderr, "chaos-cluster: storm — %d requests over %d shards × %d replicas, killing nodes %d,%d and replica %d\n",
-		o.n, o.shards, o.replicas, killNodeA, killNodeB, victimReplica)
-	rig := buildRig(suite, o, resilience.HedgeConfig{})
+	trace, digests := rig.trace, rig.digests
+	fmt.Fprintf(os.Stderr, "chaos-cluster: killing nodes %d,%d and replica %d mid-storm\n", killNodeA, killNodeB, victimReplica)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 
 	// Kill triggers: node A after a third of the trace completes, node B
@@ -100,11 +75,7 @@ func runChaos(o options) int {
 			}
 		}
 	}()
-	workers := o.concurrency
-	if workers <= 0 {
-		workers = 2 * o.replicas * o.msaWorkers
-	}
-	results, errs := rig.drive(ctx, trace, o.threads, workers, func(int) { progress <- 1 })
+	results, errs := rig.drive(ctx, o, func(int) { progress <- 1 })
 	close(progress)
 	<-killsDone
 	cancel()
@@ -115,7 +86,7 @@ func runChaos(o options) int {
 		if errs[i] != nil {
 			lost++
 			if lost <= 3 {
-				violations = append(violations, fmt.Sprintf("request %d (%s) lost: %v", i, trace[i], errs[i]))
+				verdict.Failf("request %d (%s) lost: %v", i, trace[i], errs[i])
 			}
 			continue
 		}
@@ -126,67 +97,53 @@ func runChaos(o options) int {
 		if results[i].Result.Digest() != digests[trace[i]] {
 			wrong++
 			if wrong <= 3 {
-				violations = append(violations, fmt.Sprintf("request %d (%s): WRONG RESULT after kill storm", i, trace[i]))
+				verdict.Failf("request %d (%s): WRONG RESULT after kill storm", i, trace[i])
 			}
 		}
 	}
 	if lost > 3 {
-		violations = append(violations, fmt.Sprintf("… and %d more lost requests", lost-3))
+		verdict.Failf("… and %d more lost requests", lost-3)
 	}
 
 	// Invariant: the degradation was counted, node by node.
 	clStats := rig.cl.Stats()
 	rtStats := rig.router.Stats()
 	if clStats.Failovers == 0 {
-		violations = append(violations, "two shard nodes died but cluster stats count zero failovers")
+		verdict.Failf("two shard nodes died but cluster stats count zero failovers")
 	}
 	if rtStats.Failovers == 0 && rtStats.ShedReroutes == 0 {
-		violations = append(violations, "a replica died mid-storm but router stats count zero failovers/reroutes")
+		verdict.Failf("a replica died mid-storm but router stats count zero failovers/reroutes")
 	}
 	if !clStats.PerNode[killNodeA].Killed || !clStats.PerNode[killNodeB].Killed {
-		violations = append(violations, "killed shard nodes not marked in per-node stats")
+		verdict.Failf("killed shard nodes not marked in per-node stats")
 	}
 	if rig.cl.AliveNodes() != o.shards-2 {
-		violations = append(violations, fmt.Sprintf("alive nodes = %d, want %d", rig.cl.AliveNodes(), o.shards-2))
+		verdict.Failf("alive nodes = %d, want %d", rig.cl.AliveNodes(), o.shards-2)
 	}
 
 	// Invariant: survivors at full strength, the victim rejecting.
 	for i, srv := range rig.replicas {
 		if i == victimReplica {
 			if !srv.Killed() {
-				violations = append(violations, "victim replica not marked killed")
+				verdict.Failf("victim replica not marked killed")
 			}
 			if _, err := srv.Submit(serve.Request{Sample: trace[0]}); err == nil {
-				violations = append(violations, "killed replica accepted a submission after the storm")
+				verdict.Failf("killed replica accepted a submission after the storm")
 			}
 			continue
 		}
 		if ph := srv.PoolHealth(); !ph.FullStrength() {
-			violations = append(violations, fmt.Sprintf("surviving replica %d pool degraded: %+v", i, ph))
+			verdict.Failf("surviving replica %d pool degraded: %+v", i, ph)
 		}
 	}
 
 	rig.stop()
 
 	// Invariant: no goroutine leaks once the storm drains.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if now := runtime.NumGoroutine(); now > baseline {
-		violations = append(violations, fmt.Sprintf("goroutine leak: %d before storm, %d after drain", baseline, now))
-	}
+	verdict.AwaitGoroutines(baseline)
 
 	fmt.Fprintf(os.Stderr, "chaos-cluster: %d requests, %d wrong, %d lost; shard failovers=%d, router failovers=%d, shed reroutes=%d\n",
 		o.n, wrong, lost, clStats.Failovers, rtStats.Failovers, rtStats.ShedReroutes)
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "VIOLATION: %s\n", v)
-		}
-		fmt.Fprintf(os.Stderr, "reproduce: go run ./cmd/afcluster -chaos -shards %d -replicas %d -n %d -mix %s -seed %d -threads %d -msa-workers %d -gpu-workers %d\n",
-			o.shards, o.replicas, o.n, o.mix, o.seed, o.threads, o.msaWorkers, o.gpuWorkers)
-		return 1
-	}
-	fmt.Fprintln(os.Stderr, "chaos-cluster: all invariants held")
-	return 0
+	return verdict.Finish(os.Stderr, "chaos-cluster", nil, "", fmt.Sprintf("go run ./cmd/afcluster -chaos -shards %d -replicas %d -n %d -mix %s -seed %d -threads %d -msa-workers %d -gpu-workers %d",
+		o.shards, o.replicas, o.n, o.mix, o.seed, o.Threads, o.MSAWorkers, o.GPUWorkers))
 }

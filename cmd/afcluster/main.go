@@ -20,18 +20,19 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"afsysbench/internal/cluster"
 	"afsysbench/internal/core"
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/platform"
-	"afsysbench/internal/resilience"
+	"afsysbench/internal/scenario"
 	"afsysbench/internal/serve"
 )
 
 type options struct {
+	// Flags carries the four pool flags, which configure every replica.
+	serve.Flags
 	shards        int
 	replicas      int
 	sweepShards   string
@@ -39,10 +40,6 @@ type options struct {
 	n             int
 	mix           string
 	seed          uint64
-	threads       int
-	msaWorkers    int
-	gpuWorkers    int
-	queue         int
 	concurrency   int
 	jsonPath      string
 	chaos         bool
@@ -51,6 +48,8 @@ type options struct {
 func parseFlags(args []string) (options, error) {
 	o := options{}
 	fs := flag.NewFlagSet("afcluster", flag.ContinueOnError)
+	o.RegisterPools(fs, 2, 2, 1, 0)
+	fs.Lookup("queue").Usage = "admission queue depth per replica (0 = fit the trace)"
 	fs.IntVar(&o.shards, "shards", 8, "shard node count N for the live cluster pass")
 	fs.IntVar(&o.replicas, "replicas", 3, "serve replica count R")
 	fs.StringVar(&o.sweepShards, "sweep-shards", "1,2,4,8,16", "comma-separated shard counts for the scaling curve")
@@ -58,10 +57,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.n, "n", 24, "request count")
 	fs.StringVar(&o.mix, "mix", "2PV7:3,1YY9:2,6QNR:1", "request mix name:weight,...")
 	fs.Uint64Var(&o.seed, "seed", 7, "trace seed")
-	fs.IntVar(&o.threads, "threads", 2, "per-request MSA threads")
-	fs.IntVar(&o.msaWorkers, "msa-workers", 2, "MSA workers per replica")
-	fs.IntVar(&o.gpuWorkers, "gpu-workers", 1, "GPU workers per replica")
-	fs.IntVar(&o.queue, "queue", 0, "admission queue depth per replica (0 = fit the trace)")
 	fs.IntVar(&o.concurrency, "concurrency", 0, "request driver concurrency (0 = 2×replicas×msa-workers)")
 	fs.StringVar(&o.jsonPath, "json", "", "merge the cluster_scaling section into this BENCH_serve.json")
 	fs.BoolVar(&o.chaos, "chaos", false, "run the seeded kill-storm gate instead of the scaling sweep")
@@ -73,6 +68,15 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.n <= 0 {
 		return o, fmt.Errorf("-n must be positive")
+	}
+	if o.chaos && (o.shards < 3 || o.replicas < 2) {
+		return o, fmt.Errorf("-chaos needs -shards ≥ 3 (two nodes die) and -replicas ≥ 2 (one replica dies)")
+	}
+	if o.Queue <= 0 {
+		o.Queue = o.n + 1
+	}
+	if o.concurrency <= 0 {
+		o.concurrency = 2 * o.replicas * o.MSAWorkers
 	}
 	return o, nil
 }
@@ -132,32 +136,49 @@ func reference(suite *core.Suite, trace []string, threads int) (map[string]strin
 	return digests, points, nil
 }
 
-// clusterRig is one assembled scale-out stack: N-shard scatter cluster,
-// R replicas scanning through it, and the router in front.
+// clusterRig is what both modes start from: the trace, the single-node
+// reference it must reproduce, and one assembled scale-out stack — N-shard
+// scatter cluster, R started replicas scanning through it, and the router
+// in front.
 type clusterRig struct {
+	suite   *core.Suite
+	trace   []string
+	digests map[string]string
+	points  []cluster.RequestPoint
+
 	cl       *cluster.Cluster
 	replicas []*serve.Server
 	router   *cluster.Router
 }
 
-func buildRig(suite *core.Suite, o options, hedge resilience.HedgeConfig) *clusterRig {
-	queue := o.queue
-	if queue <= 0 {
-		queue = o.n + 1
+// buildRig synthesizes the trace, runs the reference pass and starts R
+// replicas wired from the pool flags over one shared N-shard cluster.
+func buildRig(o options, tag string) (*clusterRig, error) {
+	cfg, err := o.Config()
+	if err != nil {
+		return nil, err
 	}
-	cl := cluster.New(cluster.Config{Shards: o.shards, Fingerprint: suite.DBs.Fingerprint()})
-	reps := make([]*serve.Server, o.replicas)
-	for i := range reps {
-		reps[i] = serve.NewWithSuite(suite, serve.Config{
-			Threads:    o.threads,
-			MSAWorkers: o.msaWorkers,
-			GPUWorkers: o.gpuWorkers,
-			QueueDepth: queue,
-			Scatter:    cl.Scatter,
-		})
-		reps[i].Start()
+	r := &clusterRig{}
+	if r.trace, err = scenario.Trace(o.mix, 0, o.n, o.seed); err != nil {
+		return nil, err
 	}
-	return &clusterRig{cl: cl, replicas: reps, router: cluster.NewRouter(reps, cluster.RouterConfig{Hedge: hedge})}
+	if r.suite, err = core.NewSuite(); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "%s: reference pass (mix %s)\n", tag, o.mix)
+	if r.digests, r.points, err = reference(r.suite, r.trace, o.Threads); err != nil {
+		return nil, fmt.Errorf("reference: %w", err)
+	}
+	fmt.Fprintf(os.Stderr, "%s: cluster pass (%d shards × %d replicas, %d requests)\n", tag, o.shards, o.replicas, o.n)
+	r.cl = cluster.New(cluster.Config{Shards: o.shards, Fingerprint: r.suite.DBs.Fingerprint()})
+	cfg.Scatter = r.cl.Scatter
+	r.replicas = make([]*serve.Server, o.replicas)
+	for i := range r.replicas {
+		r.replicas[i] = serve.NewWithSuite(r.suite, cfg)
+		r.replicas[i].Start()
+	}
+	r.router = cluster.NewRouter(r.replicas, cluster.RouterConfig{})
+	return r, nil
 }
 
 func (r *clusterRig) stop() {
@@ -166,38 +187,18 @@ func (r *clusterRig) stop() {
 	}
 }
 
-// drive pushes the trace through the router with bounded concurrency,
-// preserving submit order per worker cursor. onDone (optional) observes
-// each completed ordinal for the chaos kill triggers.
-func (r *clusterRig) drive(ctx context.Context, trace []string, threads, workers int, onDone func(i int)) ([]cluster.RouteResult, []error) {
-	if workers <= 0 {
-		workers = 1
-	}
-	results := make([]cluster.RouteResult, len(trace))
-	errs := make([]error, len(trace))
-	var cursor int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := cursor
-				cursor++
-				mu.Unlock()
-				if i >= len(trace) {
-					return
-				}
-				results[i], errs[i] = r.router.Do(ctx, serve.Request{Sample: trace[i], Threads: threads})
-				if onDone != nil {
-					onDone(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+// drive pushes the trace through the router from o.concurrency closed-loop
+// workers. onDone (optional) observes each completed ordinal for the chaos
+// kill triggers.
+func (r *clusterRig) drive(ctx context.Context, o options, onDone func(i int)) ([]cluster.RouteResult, []error) {
+	results := make([]cluster.RouteResult, len(r.trace))
+	errs := make([]error, len(r.trace))
+	scenario.Each(len(r.trace), o.concurrency, func(i int) {
+		results[i], errs[i] = r.router.Do(ctx, serve.Request{Sample: r.trace[i], Threads: o.Threads})
+		if onDone != nil {
+			onDone(i)
+		}
+	})
 	return results, errs
 }
 
@@ -216,13 +217,11 @@ type scalingSection struct {
 }
 
 // routingBreakdown folds the scatter layer's per-node counters and the
-// router's failover/hedge counters into the same one-stop block afload
-// embeds in its per-pass stats, with one per-shard row per node.
+// router's failover counters into the same one-stop block afload embeds in
+// its per-pass stats, with one per-shard row per node.
 func routingBreakdown(cl cluster.Stats, rt cluster.RouterStats) *serve.RoutingBreakdown {
 	rb := &serve.RoutingBreakdown{
 		ShedReroutes:     rt.ShedReroutes,
-		Hedges:           rt.Hedges,
-		HedgeBackupWins:  rt.HedgeBackupWins,
 		ReplicaFailovers: rt.Failovers,
 		ShardFailovers:   cl.Failovers,
 	}
@@ -237,60 +236,40 @@ func routingBreakdown(cl cluster.Stats, rt cluster.RouterStats) *serve.RoutingBr
 	return rb
 }
 
-func run(o options) (*scalingSection, []string, error) {
-	samples, weights, err := inputs.ParseMix(o.mix)
-	if err != nil {
-		return nil, nil, err
-	}
+// run is the scaling sweep: the trace through the live cluster, every
+// result checked against the single-node reference, and the modeled
+// shards × replicas curve with its 0.8 efficiency gate at 16 shards.
+func run(o options) (*scalingSection, scenario.Verdict, error) {
+	var verdict scenario.Verdict
 	sweepN, err := parseCounts(o.sweepShards)
 	if err != nil {
-		return nil, nil, fmt.Errorf("-sweep-shards: %w", err)
+		return nil, verdict, fmt.Errorf("-sweep-shards: %w", err)
 	}
 	sweepR, err := parseCounts(o.sweepReplicas)
 	if err != nil {
-		return nil, nil, fmt.Errorf("-sweep-replicas: %w", err)
+		return nil, verdict, fmt.Errorf("-sweep-replicas: %w", err)
 	}
-	trace := inputs.WeightedTrace(samples, weights, o.n, o.seed)
-	suite, err := core.NewSuite()
+	rig, err := buildRig(o, "afcluster")
 	if err != nil {
-		return nil, nil, err
+		return nil, verdict, err
 	}
-
-	fmt.Fprintf(os.Stderr, "afcluster: reference pass (%d distinct samples)\n", len(samples))
-	digests, points, err := reference(suite, trace, o.threads)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	fmt.Fprintf(os.Stderr, "afcluster: cluster pass (%d shards × %d replicas, %d requests)\n", o.shards, o.replicas, o.n)
-	rig := buildRig(suite, o, resilience.HedgeConfig{})
+	trace, suite, digests := rig.trace, rig.suite, rig.digests
 	defer rig.stop()
-	workers := o.concurrency
-	if workers <= 0 {
-		workers = 2 * o.replicas * o.msaWorkers
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
-	results, errs := rig.drive(ctx, trace, o.threads, workers, nil)
+	results, errs := rig.drive(ctx, o, nil)
 
-	var violations []string
-	match := true
 	for i, res := range results {
-		if errs[i] != nil {
-			violations = append(violations, fmt.Sprintf("request %d (%s): %v", i, trace[i], errs[i]))
-			match = false
-			continue
-		}
-		if res.Result == nil {
-			violations = append(violations, fmt.Sprintf("request %d (%s): no result", i, trace[i]))
-			match = false
-			continue
-		}
-		if got, want := res.Result.Digest(), digests[trace[i]]; got != want {
-			violations = append(violations, fmt.Sprintf("request %d (%s): digest mismatch\n  got  %s\n  want %s", i, trace[i], got, want))
-			match = false
+		switch {
+		case errs[i] != nil:
+			verdict.Failf("request %d (%s): %v", i, trace[i], errs[i])
+		case res.Result == nil:
+			verdict.Failf("request %d (%s): no result", i, trace[i])
+		case res.Result.Digest() != digests[trace[i]]:
+			verdict.Failf("request %d (%s): digest mismatch\n  got  %s\n  want %s", i, trace[i], res.Result.Digest(), digests[trace[i]])
 		}
 	}
+	match := len(verdict.Violations) == 0
 
 	clStats := rig.cl.Stats()
 	np := cluster.NetProfileFromStats(clStats, o.n)
@@ -298,11 +277,11 @@ func run(o options) (*scalingSection, []string, error) {
 	if len(suite.DBs.Protein) > 0 {
 		records = suite.DBs.Protein[0].NumSeqs()
 	}
-	curve := cluster.BuildScalingCurve(points, sweepN, sweepR, records, suite.DBs.Fingerprint(), np, cluster.DefaultNet(), o.msaWorkers, o.gpuWorkers)
+	curve := cluster.BuildScalingCurve(rig.points, sweepN, sweepR, records, suite.DBs.Fingerprint(), np, cluster.DefaultNet(), o.MSAWorkers, o.GPUWorkers)
 	for _, n := range sweepN {
 		if n >= 16 {
 			if eff := curve.ShardEfficiencyAt(n); eff < 0.8 {
-				violations = append(violations, fmt.Sprintf("shard efficiency at %d shards = %.3f, below the 0.8 gate", n, eff))
+				verdict.Failf("shard efficiency at %d shards = %.3f, below the 0.8 gate", n, eff)
 			}
 		}
 	}
@@ -320,41 +299,44 @@ func run(o options) (*scalingSection, []string, error) {
 		Routing:     routingBreakdown(clStats, rtStats),
 		Curve:       curve,
 	}
-	return section, violations, nil
+	return section, verdict, nil
 }
 
-func main() {
-	o, err := parseFlags(os.Args[1:])
+// runScaling runs the sweep and emits its section: merged into -json, or
+// printed.
+func runScaling(o options) error {
+	section, verdict, err := run(o)
 	if err != nil {
-		os.Exit(2)
-	}
-	if o.chaos {
-		os.Exit(runChaos(o))
-	}
-	section, violations, err := run(o)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "afcluster: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	if o.jsonPath != "" {
 		if err := serve.MergeSection(o.jsonPath, "cluster_scaling", section); err != nil {
-			fmt.Fprintf(os.Stderr, "afcluster: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "afcluster: merged cluster_scaling into %s\n", o.jsonPath)
 	} else {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(section)
+		_ = enc.Encode(section) // stdout; nothing to do about a closed pipe
 	}
 	fmt.Fprintf(os.Stderr, "afcluster: %d requests, digest_match=%v, shard_eff@16=%.3f, shard failovers=%d, router failovers=%d\n",
 		o.n, section.DigestMatch, section.Curve.ShardEfficiencyAt(16), section.Cluster.Failovers, section.Router.Failovers)
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "VIOLATION: %s\n", v)
-		}
-		fmt.Fprintf(os.Stderr, "reproduce: go run ./cmd/afcluster -shards %d -replicas %d -n %d -mix %s -seed %d\n",
-			o.shards, o.replicas, o.n, o.mix, o.seed)
+	return verdict.Finish(os.Stderr, "afcluster", nil, "", fmt.Sprintf("go run ./cmd/afcluster -shards %d -replicas %d -n %d -mix %s -seed %d",
+		o.shards, o.replicas, o.n, o.mix, o.seed))
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "afcluster:", err)
+		os.Exit(2)
+	}
+	mode := runScaling
+	if o.chaos {
+		mode = runChaos
+	}
+	if err := mode(o); err != nil {
+		fmt.Fprintln(os.Stderr, "afcluster:", err)
 		os.Exit(1)
 	}
 }

@@ -41,23 +41,23 @@ func TestParseCounts(t *testing.T) {
 // verification, scaling curve — asserting the determinism contract and
 // the efficiency gate hold, and that the routing block is populated.
 func TestScalingRunSmoke(t *testing.T) {
-	o := options{
-		shards:        4,
-		replicas:      2,
-		sweepShards:   "1,2,16",
-		sweepReplicas: "1,2",
-		n:             6,
-		mix:           "2PV7:2,promo:1",
-		seed:          7,
-		threads:       2,
-		msaWorkers:    2,
-		gpuWorkers:    1,
-	}
-	section, violations, err := run(o)
+	// Through parseFlags, which resolves -queue 0 and -concurrency 0.
+	o, err := parseFlags([]string{
+		"-shards", "4", "-replicas", "2", "-sweep-shards", "1,2,16", "-sweep-replicas", "1,2",
+		"-n", "6", "-mix", "2PV7:2,promo:1", "-seed", "7",
+		"-threads", "2", "-msa-workers", "2", "-gpu-workers", "1",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range violations {
+	if o.Queue != 7 || o.concurrency != 8 {
+		t.Fatalf("-queue/-concurrency resolved to %d/%d, want 7/8", o.Queue, o.concurrency)
+	}
+	section, verdict, err := run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range verdict.Violations {
 		t.Errorf("violation: %s", v)
 	}
 	if !section.DigestMatch {
@@ -81,5 +81,24 @@ func TestScalingRunSmoke(t *testing.T) {
 	}
 	if dispatches != section.Cluster.Dispatches {
 		t.Errorf("per-shard dispatches sum to %d, cluster counted %d", dispatches, section.Cluster.Dispatches)
+	}
+}
+
+// TestChaosClusterSmoke runs the kill-storm gate at the shape of the `make
+// chaos-cluster` target, just smaller: two shard nodes and one replica die
+// mid-storm and every invariant must hold.
+func TestChaosClusterSmoke(t *testing.T) {
+	o, err := parseFlags([]string{
+		"-chaos", "-seed", "13", "-shards", "8", "-replicas", "3", "-n", "12", "-mix", "2PV7:3,1YY9:2",
+		"-threads", "2", "-msa-workers", "2", "-gpu-workers", "1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runChaos(o); err != nil {
+		t.Fatalf("chaos-cluster gate failed: %v", err)
+	}
+	if _, err := parseFlags([]string{"-chaos", "-shards", "2"}); err == nil {
+		t.Fatal("-chaos with two shards accepted (two nodes die)")
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"afsysbench/internal/core"
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/platform"
+	"afsysbench/internal/scenario"
 	"afsysbench/internal/serve"
 	"afsysbench/internal/simgpu"
 )
@@ -110,11 +111,7 @@ func sweepBucketSets() [][]int {
 
 // modelCurve prices the crossover curve for tokens padded to bucket on
 // mach, up to the memory-footprint cap (clamped to 16 points).
-func modelCurve(suite *core.Suite, o options, bucket, cap int) ([]curvePoint, error) {
-	mach, err := platform.ByName(o.machine)
-	if err != nil {
-		return nil, err
-	}
+func modelCurve(suite *core.Suite, mach platform.Machine, threads, bucket, cap int) ([]curvePoint, error) {
 	hp, err := suite.CompileSim(mach, bucket)
 	if err != nil {
 		return nil, err
@@ -126,13 +123,13 @@ func modelCurve(suite *core.Suite, o options, bucket, cap int) ([]curvePoint, er
 	curve := make([]curvePoint, 0, points)
 	for b := 1; b <= points; b++ {
 		first, err := simgpu.BatchedInference(mach, suite.Model, bucket, b, simgpu.InferenceOptions{
-			Threads: o.threads, CompileSeconds: hp.CompileSeconds,
+			Threads: threads, CompileSeconds: hp.CompileSeconds,
 		})
 		if err != nil {
 			return nil, err
 		}
 		steady, err := simgpu.BatchedInference(mach, suite.Model, bucket, b, simgpu.InferenceOptions{
-			Threads: o.threads,
+			Threads: threads,
 		})
 		if err != nil {
 			return nil, err
@@ -150,19 +147,19 @@ func modelCurve(suite *core.Suite, o options, bucket, cap int) ([]curvePoint, er
 }
 
 // measuredPass drives one live cold-model batching server and returns its
-// batch report plus throughput.
+// batch report plus throughput. The sweep owns the whole BatchConfig: the
+// pass's bucket set, and -max-batch read without -batch.
 func measuredPass(o options, suite *core.Suite, trace []string, concurrency int, buckets []int) (serve.LoadStats, error) {
-	mach, err := platform.ByName(o.machine)
-	if err != nil {
-		return serve.LoadStats{}, err
+	f := o.Flags
+	f.BatchBuckets, f.MaxBatch = "", 0
+	st, err := closedPass(suite, f, func(c *serve.Config) {
+		c.ColdModel = true
+		c.Batch = serve.BatchConfig{Enabled: true, Buckets: buckets, MaxBatch: o.MaxBatch}
+	}, trace, concurrency, fmt.Sprintf("batch-c%d", concurrency), false)
+	if err == nil && st.Batch == nil {
+		err = fmt.Errorf("batch report missing from the measured pass at concurrency %d", concurrency)
 	}
-	po := o
-	po.concurrency = concurrency
-	return runInprocPass(po, suite, mach, trace, fmt.Sprintf("batch-c%d", concurrency), passConfig{
-		withCache: true,
-		coldModel: true,
-		batch:     serve.BatchConfig{Enabled: true, Buckets: buckets, MaxBatch: o.maxBatch},
-	})
+	return st, err
 }
 
 // runBatchSweep is the -batch-sweep entry point.
@@ -171,7 +168,7 @@ func runBatchSweep(o options, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	mach, err := platform.ByName(o.machine)
+	mach, err := platform.ByName(o.Machine)
 	if err != nil {
 		return err
 	}
@@ -185,7 +182,7 @@ func runBatchSweep(o options, out *os.File) error {
 	if !o.mixSet {
 		mix = "2PV7:3,7RCE:2,1YY9:1"
 	}
-	samples, weights, err := inputs.ParseMix(mix)
+	samples, _, err := inputs.ParseMix(mix)
 	if err != nil {
 		return err
 	}
@@ -208,12 +205,12 @@ func runBatchSweep(o options, out *os.File) error {
 	bucket := batch.Default().PadTo(tokens)
 	cap := suite.Model.MaxBatch(mach, bucket)
 
-	curve, err := modelCurve(suite, o, bucket, cap)
+	curve, err := modelCurve(suite, mach, o.Threads, bucket, cap)
 	if err != nil {
 		return err
 	}
 	section := &crossoverSection{
-		Machine:           o.machine,
+		Machine:           o.Machine,
 		Sample:            in.Name,
 		Tokens:            tokens,
 		Bucket:            bucket,
@@ -230,7 +227,7 @@ func runBatchSweep(o options, out *os.File) error {
 		}
 	}
 	fmt.Fprintf(out, "batch-sweep %s: %s (%d tokens -> bucket %d), memory cap %d\n",
-		o.machine, in.Name, tokens, bucket, cap)
+		o.Machine, in.Name, tokens, bucket, cap)
 	fmt.Fprintf(out, "  modeled: unbatched overhead %.1f%%; <50%% at batch %d (first dispatch), %d (steady)\n",
 		100*section.UnbatchedOverhead, section.CrossoverFirst, section.CrossoverSteady)
 	for _, p := range curve {
@@ -240,16 +237,16 @@ func runBatchSweep(o options, out *os.File) error {
 
 	// Measured offered-load sweep: one live server per closed-loop client
 	// count, stock buckets.
-	trace := inputs.WeightedTrace(samples, weights, o.n, o.seed)
+	trace, err := scenario.Trace(mix, 0, o.n, o.seed)
+	if err != nil {
+		return err
+	}
 	for _, conc := range []int{1, 2, 4, 8} {
 		st, err := measuredPass(o, suite, trace, conc, nil)
 		if err != nil {
 			return err
 		}
 		b := st.Batch
-		if b == nil {
-			return fmt.Errorf("batch report missing from measured pass")
-		}
 		section.OfferedLoad = append(section.OfferedLoad, loadPoint{
 			Concurrency:    conc,
 			MeanBatchSize:  b.MeanBatchSize,
@@ -270,9 +267,6 @@ func runBatchSweep(o options, out *os.File) error {
 			return err
 		}
 		b := st.Batch
-		if b == nil {
-			return fmt.Errorf("batch report missing from bucket-sweep pass")
-		}
 		section.BucketSweep = append(section.BucketSweep, bucketPoint{
 			Buckets:       b.Buckets,
 			BucketCount:   len(b.Buckets),

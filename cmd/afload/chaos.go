@@ -22,7 +22,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -30,10 +29,9 @@ import (
 	"time"
 
 	"afsysbench/internal/core"
-	"afsysbench/internal/inputs"
-	"afsysbench/internal/platform"
 	"afsysbench/internal/resilience"
 	"afsysbench/internal/rng"
+	"afsysbench/internal/scenario"
 	"afsysbench/internal/serve"
 )
 
@@ -68,9 +66,7 @@ type ChaosReport struct {
 	PoolHealth     serve.PoolHealth `json:"pool_health"`
 	WallSeconds    float64          `json:"wall_seconds"`
 
-	// Violations lists every broken invariant; empty means the storm
-	// passed.
-	Violations []string `json:"violations,omitempty"`
+	scenario.Verdict
 }
 
 // chaosPanicPlan deterministically picks the ordinals that panic and the
@@ -94,16 +90,11 @@ func chaosPanicPlan(n int, seed uint64) map[int]string {
 // runChaos executes the storm and returns an error (after printing the
 // report and the reproduction line) if any invariant broke.
 func runChaos(o options, out *os.File) error {
-	samples, weights, err := inputs.ParseMix(o.mix)
+	trace, err := scenario.Trace(o.mix, 0, o.n, o.seed)
 	if err != nil {
 		return err
 	}
-	trace := inputs.WeightedTrace(samples, weights, o.n, o.seed)
 	faults, err := resilience.ParseFaults(chaosFaultSpec)
-	if err != nil {
-		return err
-	}
-	mach, err := platform.ByName(o.machine)
 	if err != nil {
 		return err
 	}
@@ -115,39 +106,39 @@ func runChaos(o options, out *os.File) error {
 
 	// Warm the process-wide compute pools so the goroutine baseline below
 	// measures only the chaos server's goroutines.
-	warm := serve.NewWithSuite(suite, serve.Config{Threads: o.threads, MSAWorkers: 2, GPUWorkers: 1})
+	warm := serve.NewWithSuite(suite, serve.Config{Threads: o.Threads, MSAWorkers: 2, GPUWorkers: 1})
 	warm.Start()
 	warmID, err := warm.Submit(serve.Request{Sample: trace[0]})
 	if err != nil {
 		return err
 	}
-	if _, err := (inprocTarget{s: warm}).wait(warmID); err != nil {
+	if _, err := (scenario.InProc{S: warm}).Wait(warmID); err != nil {
 		return err
 	}
 	warm.Stop()
 	baseline := runtime.NumGoroutine()
 
-	s := serve.NewWithSuite(suite, serve.Config{
-		Machine:          mach,
-		Threads:          o.threads,
-		MSAWorkers:       o.msaWorkers,
-		GPUWorkers:       o.gpuWorkers,
-		QueueDepth:       o.queue,
-		Cache:            nil, // every request pays its search: maximum fault surface
-		Faults:           faults,
-		MSAAttempts:      4, // chainfault:*:1 needs one retry per distinct chain
-		BreakerThreshold: 3,
-		BreakerCooldown:  100 * time.Millisecond,
-		Hedge:            resilience.HedgeConfig{Enabled: true, Percentile: 50, Factor: 0.5, MinSamples: 4},
-		PanicHook: func(point string, ordinal int) {
-			if plan[ordinal] == point {
-				panic(fmt.Sprintf("chaos: injected %s panic (ordinal %d)", point, ordinal))
-			}
-		},
-	})
+	// No cache: every request pays its search — maximum fault surface.
+	f := o.Flags
+	f.CacheMB = 0
+	cfg, err := f.Config()
+	if err != nil {
+		return err
+	}
+	cfg.Faults = faults
+	cfg.MSAAttempts = 4 // chainfault:*:1 needs one retry per distinct chain
+	cfg.BreakerThreshold = 3
+	cfg.BreakerCooldown = 100 * time.Millisecond
+	cfg.Hedge = resilience.HedgeConfig{Enabled: true, Percentile: 50, Factor: 0.5, MinSamples: 4}
+	cfg.PanicHook = func(point string, ordinal int) {
+		if plan[ordinal] == point {
+			panic(fmt.Sprintf("chaos: injected %s panic (ordinal %d)", point, ordinal))
+		}
+	}
+	s := serve.NewWithSuite(suite, cfg)
 	s.Start()
 	start := time.Now()
-	drive(inprocTarget{s: s}, trace, o.concurrency, o.threads)
+	scenario.ClosedLoop(scenario.InProc{S: s}, trace, o.concurrency, o.Threads)
 
 	rep := ChaosReport{
 		Seed:          o.seed,
@@ -168,8 +159,7 @@ func runChaos(o options, out *os.File) error {
 			rep.Failed++
 			rep.FailedByClass[st.ErrorClass]++
 		default:
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("job %s stuck in state %q", st.ID, st.State))
+			rep.Failf("job %s stuck in state %q", st.ID, st.State)
 		}
 	}
 	m := s.Metrics()
@@ -181,65 +171,38 @@ func runChaos(o options, out *os.File) error {
 	rep.PoolHealth = s.PoolHealth()
 
 	if len(statuses) != o.n {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("admitted %d of %d requests (chaos storms must not shed; raise -queue or lower -concurrency)", len(statuses), o.n))
+		rep.Failf("admitted %d of %d requests (chaos storms must not shed; raise -queue or lower -concurrency)", len(statuses), o.n)
 	}
 	if !rep.PoolHealth.FullStrength() {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("worker pool lost goroutines: %+v", rep.PoolHealth))
+		rep.Failf("worker pool lost goroutines: %+v", rep.PoolHealth)
 	}
 	if rep.WorkerPanics < 1 {
-		rep.Violations = append(rep.Violations, "no worker panic fired (panic plan missed)")
+		rep.Failf("no worker panic fired (panic plan missed)")
 	}
 	if rep.FailedByClass["panic"] < 1 {
-		rep.Violations = append(rep.Violations, "no job failed with class \"panic\"")
+		rep.Failf("no job failed with class \"panic\"")
 	}
 	for class := range rep.FailedByClass {
 		switch class {
 		case "panic", "timeout", "oom", "overloaded-queue-full",
 			"overloaded-rate-limited", "overloaded-brownout", "fault", "error":
 		default:
-			rep.Violations = append(rep.Violations, fmt.Sprintf("unknown error class %q", class))
+			rep.Failf("unknown error class %q", class)
 		}
 	}
 	if rep.BreakerTrips < 1 {
-		rep.Violations = append(rep.Violations, "dark database never tripped its breaker")
+		rep.Failf("dark database never tripped its breaker")
 	}
 	if rep.ChainsRestored < 1 {
-		rep.Violations = append(rep.Violations, "no chain was replayed from a checkpoint")
+		rep.Failf("no chain was replayed from a checkpoint")
 	}
 
 	s.Stop()
-	leakDeadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(leakDeadline) {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("goroutine leak: baseline %d, after Stop %d", baseline, runtime.NumGoroutine()))
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	rep.AwaitGoroutines(baseline)
 
 	printChaos(out, rep)
-	if o.jsonPath != "" {
-		f, err := os.Create(o.jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", o.jsonPath)
-	}
-	if len(rep.Violations) > 0 {
-		return fmt.Errorf("chaos storm FAILED (%d violations); reproduce with: afload -chaos -seed %d -n %d -concurrency %d -mix %s",
-			len(rep.Violations), o.seed, o.n, o.concurrency, o.mix)
-	}
-	fmt.Fprintf(out, "chaos: all invariants held (seed %d)\n", o.seed)
-	return nil
+	return rep.Finish(out, "chaos", rep, o.jsonPath,
+		fmt.Sprintf("afload -chaos -seed %d -n %d -concurrency %d -mix %s", o.seed, o.n, o.concurrency, o.mix))
 }
 
 func printChaos(w *os.File, rep ChaosReport) {
@@ -257,8 +220,5 @@ func printChaos(w *os.File, rep ChaosReport) {
 			fmt.Fprintf(w, " %s=%d", c, rep.FailedByClass[c])
 		}
 		fmt.Fprintln(w)
-	}
-	for _, v := range rep.Violations {
-		fmt.Fprintf(w, "chaos VIOLATION: %s\n", v)
 	}
 }

@@ -25,7 +25,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,10 +34,9 @@ import (
 	"afsysbench/internal/cache"
 	"afsysbench/internal/cachedisk"
 	"afsysbench/internal/core"
-	"afsysbench/internal/inputs"
-	"afsysbench/internal/platform"
 	"afsysbench/internal/resilience"
 	"afsysbench/internal/rng"
+	"afsysbench/internal/scenario"
 	"afsysbench/internal/serve"
 )
 
@@ -71,61 +69,53 @@ type ChaosDiskReport struct {
 
 	WallSeconds float64 `json:"wall_seconds"`
 
-	// Violations lists every broken invariant; empty means the storm
-	// passed.
-	Violations []string `json:"violations,omitempty"`
+	scenario.Verdict
 }
 
-// chaosDiskPass runs the trace through one server configuration and
-// returns the per-sample digests plus the statuses. A sample whose
-// repeats disagree with each other is itself a violation, recorded by the
-// caller via the digest comparison.
-func chaosDiskPass(o options, suite *core.Suite, mach platform.Machine, trace []string, mem *cache.Cache, disk *cachedisk.Store) (*serve.Server, []serve.JobStatus, map[string]string, error) {
-	s := serve.NewWithSuite(suite, serve.Config{
-		Machine:    mach,
-		Threads:    o.threads,
-		MSAWorkers: o.msaWorkers,
-		GPUWorkers: o.gpuWorkers,
-		QueueDepth: o.queue,
-		Cache:      mem,
-		DiskCache:  disk,
-	})
+// chaosDiskPass runs the trace through cfg over the given cache tiers and
+// returns the still-running server (the caller spills and stops it), the
+// client-side outcome counts and the per-sample result digests. A sample
+// whose repeats disagree with each other is an error; one that disagrees
+// with the reference is a violation, recorded by the caller via the digest
+// comparison.
+func chaosDiskPass(o options, suite *core.Suite, cfg serve.Config, trace []string, mem *cache.Cache, disk *cachedisk.Store) (*serve.Server, serve.LoadStats, map[string]string, error) {
+	cfg.Cache, cfg.DiskCache = mem, disk
+	s := serve.NewWithSuite(suite, cfg)
 	s.Start()
-	drive(inprocTarget{s: s}, trace, o.concurrency, o.threads)
-	statuses := s.Statuses()
+	load := scenario.ClosedLoop(scenario.InProc{S: s}, trace, o.concurrency, o.Threads)
 	digests := make(map[string]string)
-	for _, st := range statuses {
+	for _, st := range s.Statuses() {
 		if st.State != "done" {
 			continue
 		}
 		res, ok := s.Result(st.ID)
 		if !ok {
-			return s, statuses, digests, fmt.Errorf("no result for done job %s", st.ID)
+			s.Stop()
+			return nil, load, nil, fmt.Errorf("no result for done job %s", st.ID)
 		}
 		d := res.Digest()
 		if prev, dup := digests[st.Sample]; dup && prev != d {
-			return s, statuses, digests, fmt.Errorf("sample %s nondeterministic within one pass", st.Sample)
+			s.Stop()
+			return nil, load, nil, fmt.Errorf("sample %s nondeterministic within one pass", st.Sample)
 		}
 		digests[st.Sample] = d
 	}
-	return s, statuses, digests, nil
+	return s, load, digests, nil
 }
 
-// compareDigests appends a violation for every sample whose digest
-// differs from the reference and every reference sample the pass never
-// completed.
-func compareDigests(phase string, ref, got map[string]string, violations []string) []string {
+// compareDigests records a violation for every sample whose digest differs
+// from the reference and every reference sample the pass never completed.
+func compareDigests(v *scenario.Verdict, phase string, ref, got map[string]string) {
 	for sample, want := range ref {
 		d, ok := got[sample]
 		if !ok {
-			violations = append(violations, fmt.Sprintf("%s: sample %s never completed", phase, sample))
+			v.Failf("%s: sample %s never completed", phase, sample)
 			continue
 		}
 		if d != want {
-			violations = append(violations, fmt.Sprintf("%s: sample %s diverged from reference:\n  want %s\n  got  %s", phase, sample, want, d))
+			v.Failf("%s: sample %s diverged from reference:\n  want %s\n  got  %s", phase, sample, want, d)
 		}
 	}
-	return violations
 }
 
 // vandalizeStore corrupts the closed store's directory in place: the
@@ -163,22 +153,7 @@ func vandalizeStore(dir string) error {
 // runChaosDisk executes the disk storm and returns an error (after
 // printing the report and the reproduction line) if any invariant broke.
 func runChaosDisk(o options, out *os.File) error {
-	var trace []string
-	var err error
-	if o.ppi > 0 {
-		trace, err = buildPPITrace(o.ppi, o.seed)
-	} else {
-		var samples []string
-		var weights []int
-		samples, weights, err = inputs.ParseMix(o.mix)
-		if err == nil {
-			trace = inputs.WeightedTrace(samples, weights, o.n, o.seed)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	mach, err := platform.ByName(o.machine)
+	trace, err := scenario.Trace(o.mix, o.ppi, o.n, o.seed)
 	if err != nil {
 		return err
 	}
@@ -186,7 +161,15 @@ func runChaosDisk(o options, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	dir := o.cacheDir
+	// The gate owns both cache tiers — it opens, closes and vandalizes the
+	// disk itself — so the flags wire everything but them.
+	f := o.Flags
+	f.CacheMB, f.CacheDir = 0, ""
+	cfg, err := f.Config()
+	if err != nil {
+		return err
+	}
+	dir := o.CacheDir
 	if dir == "" {
 		dir, err = os.MkdirTemp("", "afload-chaos-disk-")
 		if err != nil {
@@ -199,11 +182,11 @@ func runChaosDisk(o options, out *os.File) error {
 	start := time.Now()
 
 	// Ground truth: no cache anywhere.
-	sRef, _, refDigests, err := chaosDiskPass(o, suite, mach, trace, nil, nil)
-	sRef.Stop()
+	sRef, _, refDigests, err := chaosDiskPass(o, suite, cfg, trace, nil, nil)
 	if err != nil {
 		return err
 	}
+	sRef.Stop()
 
 	// Phase A: the faulty life.
 	faults, err := resilience.ParseFaults(chaosDiskFaultSpec)
@@ -217,17 +200,12 @@ func runChaosDisk(o options, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	sA, stA, digA, err := chaosDiskPass(o, suite, mach, trace, cache.New(0), store)
+	sA, stA, digA, err := chaosDiskPass(o, suite, cfg, trace, cache.New(0), store)
 	if err != nil {
-		sA.Stop()
 		return err
 	}
-	for _, st := range stA {
-		if st.State == "done" {
-			rep.FaultyDone++
-		}
-	}
-	rep.Violations = compareDigests("phase A (faulty disk)", refDigests, digA, rep.Violations)
+	rep.FaultyDone = stA.Completed
+	compareDigests(&rep.Verdict, "phase A (faulty disk)", refDigests, digA)
 	rep.FaultySpilled = sA.SpillCache()
 	sA.Stop()
 	dsA := store.Stats()
@@ -236,7 +214,7 @@ func runChaosDisk(o options, out *os.File) error {
 		return err
 	}
 	if rep.FaultySpilled == 0 {
-		rep.Violations = append(rep.Violations, "phase A: nothing spilled to disk; later phases prove nothing")
+		rep.Failf("phase A: nothing spilled to disk; later phases prove nothing")
 	}
 
 	// Refill: a clean reopen recomputes whatever the storm destroyed and
@@ -247,12 +225,11 @@ func runChaosDisk(o options, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	sR, _, digR, err := chaosDiskPass(o, suite, mach, trace, cache.New(0), store)
+	sR, _, digR, err := chaosDiskPass(o, suite, cfg, trace, cache.New(0), store)
 	if err != nil {
-		sR.Stop()
 		return err
 	}
-	rep.Violations = compareDigests("refill (post-storm reopen)", refDigests, digR, rep.Violations)
+	compareDigests(&rep.Verdict, "refill (post-storm reopen)", refDigests, digR)
 	sR.SpillCache()
 	sR.Stop()
 	if err := store.Close(); err != nil {
@@ -267,17 +244,12 @@ func runChaosDisk(o options, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	sB, stB, digB, err := chaosDiskPass(o, suite, mach, trace, cache.New(0), store)
+	sB, stB, digB, err := chaosDiskPass(o, suite, cfg, trace, cache.New(0), store)
 	if err != nil {
-		sB.Stop()
 		return err
 	}
-	for _, st := range stB {
-		if st.State == "done" {
-			rep.RestartDone++
-		}
-	}
-	rep.Violations = compareDigests("phase B (restart)", refDigests, digB, rep.Violations)
+	rep.RestartDone = stB.Completed
+	compareDigests(&rep.Verdict, "phase B (restart)", refDigests, digB)
 	rep.RestartDiskHits = sB.Metrics().Get("msa_chain_disk_hits")
 	sB.Stop()
 	dsB := store.Stats()
@@ -286,17 +258,16 @@ func runChaosDisk(o options, out *os.File) error {
 		return err
 	}
 	if rep.RestartDone != len(trace) {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("phase B: %d of %d requests done over the vandalized tier", rep.RestartDone, len(trace)))
+		rep.Failf("phase B: %d of %d requests done over the vandalized tier", rep.RestartDone, len(trace))
 	}
 	if rep.RestartDiskHits == 0 {
-		rep.Violations = append(rep.Violations, "phase B: no chain served from disk after restart")
+		rep.Failf("phase B: no chain served from disk after restart")
 	}
 	if rep.RestartDisk.CorruptDropped+rep.RestartDisk.JournalTailDropped == 0 {
-		rep.Violations = append(rep.Violations, "phase B: vandalized entries were not detected and dropped")
+		rep.Failf("phase B: vandalized entries were not detected and dropped")
 	}
 	if rep.RestartDisk.OrphansDropped == 0 {
-		rep.Violations = append(rep.Violations, "phase B: the planted mid-write orphan was not swept")
+		rep.Failf("phase B: the planted mid-write orphan was not swept")
 	}
 
 	// Phase C: every disk operation fails; the tier must get out of the
@@ -318,20 +289,12 @@ func runChaosDisk(o options, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	sC, stC, digC, err := chaosDiskPass(o, suite, mach, trace, cache.New(0), store)
+	sC, stC, digC, err := chaosDiskPass(o, suite, cfg, trace, cache.New(0), store)
 	if err != nil {
-		sC.Stop()
 		return err
 	}
-	for _, st := range stC {
-		switch st.State {
-		case "done":
-			rep.DarkDone++
-		case "failed":
-			rep.DarkFailed++
-		}
-	}
-	rep.Violations = compareDigests("phase C (dark disk)", refDigests, digC, rep.Violations)
+	rep.DarkDone, rep.DarkFailed = stC.Completed, stC.Failed
+	compareDigests(&rep.Verdict, "phase C (dark disk)", refDigests, digC)
 	// The first spill's write failures trip the breaker; the second must
 	// be skipped outright while it is open.
 	sC.SpillCache()
@@ -342,42 +305,24 @@ func runChaosDisk(o options, out *os.File) error {
 	rep.DarkDegraded = store.Degraded()
 	store.Close()
 	if rep.DarkFailed > 0 {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("phase C: %d requests failed under a dark disk (must degrade, never fail)", rep.DarkFailed))
+		rep.Failf("phase C: %d requests failed under a dark disk (must degrade, never fail)", rep.DarkFailed)
 	}
 	if !rep.DarkDegraded {
-		rep.Violations = append(rep.Violations, "phase C: breaker never opened into memory-only mode")
+		rep.Failf("phase C: breaker never opened into memory-only mode")
 	}
 	if rep.DarkDisk.DegradedOps == 0 {
-		rep.Violations = append(rep.Violations, "phase C: degraded operations were not counted")
+		rep.Failf("phase C: degraded operations were not counted")
 	}
 
 	rep.WallSeconds = time.Since(start).Seconds()
 	printChaosDisk(out, rep)
-	if o.jsonPath != "" {
-		f, err := os.Create(o.jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", o.jsonPath)
+	repro := fmt.Sprintf("afload -chaos-disk -seed %d -concurrency %d -threads %d", o.seed, o.concurrency, o.Threads)
+	if o.ppi > 0 {
+		repro += fmt.Sprintf(" -ppi %d", o.ppi)
+	} else {
+		repro += fmt.Sprintf(" -n %d -mix %s", o.n, o.mix)
 	}
-	if len(rep.Violations) > 0 {
-		repro := fmt.Sprintf("afload -chaos-disk -seed %d -concurrency %d -threads %d", o.seed, o.concurrency, o.threads)
-		if o.ppi > 0 {
-			repro += fmt.Sprintf(" -ppi %d", o.ppi)
-		} else {
-			repro += fmt.Sprintf(" -n %d -mix %s", o.n, o.mix)
-		}
-		return fmt.Errorf("disk chaos FAILED (%d violations); reproduce with: %s", len(rep.Violations), repro)
-	}
-	fmt.Fprintf(out, "chaos-disk: all invariants held (seed %d)\n", o.seed)
-	return nil
+	return rep.Finish(out, "chaos-disk", rep, o.jsonPath, repro)
 }
 
 func printChaosDisk(w *os.File, rep ChaosDiskReport) {
@@ -387,7 +332,4 @@ func printChaosDisk(w *os.File, rep ChaosDiskReport) {
 		rep.RestartDone, rep.RestartDiskHits,
 		rep.RestartDisk.CorruptDropped, rep.RestartDisk.OrphansDropped,
 		rep.DarkDone, rep.DarkFailed, rep.DarkDegraded)
-	for _, v := range rep.Violations {
-		fmt.Fprintf(w, "chaos-disk VIOLATION: %s\n", v)
-	}
 }

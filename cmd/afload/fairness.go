@@ -16,17 +16,13 @@ package main
 // reproduce bit-for-bit across a rerun and across pool sizes.
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
 
-	"afsysbench/internal/batch"
 	"afsysbench/internal/core"
-	"afsysbench/internal/platform"
 	"afsysbench/internal/qos"
-	"afsysbench/internal/resilience"
+	"afsysbench/internal/scenario"
 	"afsysbench/internal/serve"
 )
 
@@ -62,127 +58,46 @@ const (
 	fairModeledGPU = 2
 )
 
-// qosPassConfig tunes one open-loop QoS pass.
-type qosPassConfig struct {
-	fifo       bool
-	drainTPS   float64
-	capacityTK float64
-	ladder     qos.Ladder
-	msaWorkers int
-	batch      serve.BatchConfig
-}
-
-// runQoSPass builds a tenant-aware scheduler, submits the merged event
-// trace open-loop (all submissions precede Start), drains it, and
-// returns the stats with the fairness block attached.
-func runQoSPass(o options, suite *core.Suite, mach platform.Machine, tenants []tenantSpec, label string, pc qosPassConfig) (serve.LoadStats, error) {
-	events, err := buildTenantEvents(tenants, o.seed)
+// qosPass is one open-loop server lifetime: a cache-less tenant-aware
+// scheduler wired from the flags under a controller built from qcfg and
+// the tenants' quotas — tune, when non-nil, then sets the Config fields
+// the caller's pass owns — fed the merged event trace before Start,
+// drained, and scraped with the fairness block attached.
+func qosPass(o options, suite *core.Suite, tenants []scenario.Tenant, label string, qcfg qos.Config, tune func(*serve.Config)) (serve.LoadStats, error) {
+	events, err := scenario.Events(tenants, o.seed)
 	if err != nil {
 		return serve.LoadStats{}, err
 	}
-	ctrl := qos.NewController(qos.Config{
-		Tenants:           quotaMap(tenants),
-		DrainTokensPerSec: pc.drainTPS,
-		CapacityTokens:    pc.capacityTK,
-		Ladder:            pc.ladder,
-		FIFO:              pc.fifo,
-	})
-	s := serve.NewWithSuite(suite, serve.Config{
-		Machine:    mach,
-		Threads:    o.threads,
-		MSAWorkers: pc.msaWorkers,
-		GPUWorkers: o.gpuWorkers,
-		QueueDepth: o.queue,
-		QoS:        ctrl,
-		Batch:      pc.batch,
-	})
-	var stats serve.LoadStats
-	stats.Label = label
-	stats.Requests = len(events)
-	start := time.Now()
-	for _, ev := range events {
-		_, err := s.Submit(serve.Request{
-			Sample:  ev.sample,
-			Threads: o.threads,
-			Tenant:  ev.tenant,
-			Arrival: ev.arrival,
-		})
-		switch {
-		case resilience.IsOverloaded(err):
-			stats.Shed++
-		case err != nil:
-			return stats, fmt.Errorf("submit %s for %s: %v", ev.sample, ev.tenant, err)
-		}
+	f := o.Flags
+	f.CacheMB = 0
+	cfg, err := f.Config()
+	if err != nil {
+		return serve.LoadStats{}, err
 	}
-	s.Start()
-	if err := s.WaitIdle(context.Background()); err != nil {
+	qcfg.Tenants = scenario.Quotas(tenants)
+	cfg.QoS = qos.NewController(qcfg)
+	if tune != nil {
+		tune(&cfg)
+	}
+	s := serve.NewWithSuite(suite, cfg)
+	stats, err := scenario.OpenLoop(s, events, o.Threads)
+	if err != nil {
 		return stats, err
 	}
-	s.Stop()
-	stats.WallSeconds = time.Since(start).Seconds()
-	for _, st := range s.Statuses() {
-		if st.State == "done" {
-			stats.Completed++
-		} else {
-			stats.Failed++
-		}
-	}
-	if stats.WallSeconds > 0 {
-		stats.Throughput = float64(stats.Completed) / stats.WallSeconds
-	}
-	if stats.Requests > 0 {
-		stats.ShedRate = float64(stats.Shed) / float64(stats.Requests)
-	}
-	m := s.Metrics()
-	stats.Routing = &serve.RoutingBreakdown{
-		Shed:            m.Get("requests_shed"),
-		ShedQueueFull:   m.Get("requests_shed_queue_full"),
-		ShedRateLimited: m.Get("requests_shed_rate_limited"),
-		ShedBrownout:    m.Get("requests_shed_brownout"),
-		Hedges:          m.Get("msa_hedges"),
-		StageRetries:    m.Get("msa_stage_retries"),
-		PartialMSA:      m.Get("requests_partial_msa"),
-	}
-	stats.Fairness = s.FairnessReport(fairModeledCPU, fairModeledGPU)
-	// Open-loop latency is the modeled per-tenant distribution; the
-	// headline Latency block aggregates all tenants on the same replay.
-	stats.Latency = serve.Summarize(allModeledLatencies(stats.Fairness))
-	cfg := s.Config()
-	sched := s.ModeledSchedule(cfg.MSAWorkers, cfg.GPUWorkers)
-	stats.ModeledMakespan = sched.Makespan
-	stats.ModeledSerial = s.SerialMakespan()
-	if sched.Makespan > 0 {
-		stats.ModeledSpeedup = stats.ModeledSerial / sched.Makespan
-	}
-	stats.Batch = s.BatchReport()
+	stats.Label = label
+	scenario.Collect(s, &stats, fairModeledCPU, fairModeledGPU)
 	return stats, nil
-}
-
-// allModeledLatencies flattens the per-tenant modeled latency rows into
-// one series for the headline percentiles. Percentile interpolation
-// needs raw samples, which the rows no longer carry, so this rebuilds an
-// approximate series by repeating each tenant's p50 — good enough for a
-// label-level summary. (Per-tenant numbers, the ones the gate asserts
-// on, are exact.)
-func allModeledLatencies(rep *serve.FairnessReport) []float64 {
-	var out []float64
-	for _, row := range rep.Latencies {
-		for i := 0; i < row.Completed; i++ {
-			out = append(out, row.Latency.P50Ms)
-		}
-	}
-	return out
 }
 
 // runQoS is the -qos mode: one tenant-aware open-loop pass over the
 // -tenants spec (or a single default tenant over -mix), reported with
 // the per-tenant fairness block.
 func runQoS(o options, out *os.File) error {
-	tenants, err := qosTenants(o)
-	if err != nil {
-		return err
+	spec := o.tenants
+	if spec == "" {
+		spec = fmt.Sprintf("default:n=%d", o.n)
 	}
-	mach, err := platform.ByName(o.machine)
+	tenants, err := scenario.ParseTenants(spec, o.traceShape, o.mix)
 	if err != nil {
 		return err
 	}
@@ -190,56 +105,18 @@ func runQoS(o options, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	var bcfg serve.BatchConfig
-	if o.batch {
-		buckets, err := batch.ParseBuckets(o.batchBuckets)
-		if err != nil {
-			return err
-		}
-		bcfg = serve.BatchConfig{Enabled: true, Buckets: buckets, MaxBatch: o.maxBatch}
-	}
-	stats, err := runQoSPass(o, suite, mach, tenants, "qos", qosPassConfig{
-		msaWorkers: o.msaWorkers,
-		batch:      bcfg,
-	})
+	stats, err := qosPass(o, suite, tenants, "qos", qos.Config{}, nil)
 	if err != nil {
 		return err
 	}
 	printStats(out, stats)
 	printFairness(out, stats.Fairness)
-	report := serve.LoadReport{
-		Mix:         "qos:" + o.tenants,
-		Requests:    stats.Requests,
-		Concurrency: o.concurrency,
-		Threads:     o.threads,
-		MSAWorkers:  o.msaWorkers,
-		GPUWorkers:  o.gpuWorkers,
-		QueueDepth:  o.queue,
-		Seed:        o.seed,
-		QoS:         &stats,
-	}
 	if o.jsonPath != "" {
-		f, err := os.Create(o.jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := report.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", o.jsonPath)
+		report := o.report("qos:"+o.tenants, stats.Requests)
+		report.QoS = &stats
+		return scenario.WriteJSON(out, o.jsonPath, report)
 	}
 	return nil
-}
-
-// qosTenants resolves the -qos tenant set: the -tenants spec, or a
-// single default tenant offering the stock -mix at the -trace-shape.
-func qosTenants(o options) ([]tenantSpec, error) {
-	spec := o.tenants
-	if spec == "" {
-		spec = fmt.Sprintf("default:n=%d", o.n)
-	}
-	return parseTenants(spec, o.traceShape, o.mix)
 }
 
 func printFairness(w *os.File, rep *serve.FairnessReport) {
@@ -284,43 +161,39 @@ type FairnessGateReport struct {
 	Passes      []serve.LoadStats `json:"passes"`
 	WallSeconds float64           `json:"wall_seconds"`
 
-	// Violations lists every broken invariant; empty means the gate
-	// passed.
-	Violations []string `json:"violations,omitempty"`
+	scenario.Verdict
 }
 
 // runFairness executes the gate and returns an error (after printing the
 // report and the reproduction line) if any invariant broke.
 func runFairness(o options, out *os.File) error {
-	victims, err := parseTenants(fairVictim, "", o.mix)
+	victims, err := scenario.ParseTenants(fairVictim, "", o.mix)
 	if err != nil {
 		return err
 	}
-	both, err := parseTenants(fairVictim+";"+fairStorm, "", o.mix)
+	both, err := scenario.ParseTenants(fairVictim+";"+fairStorm, "", o.mix)
 	if err != nil {
 		return err
 	}
-	victimName, stormName := victims[0].name, both[1].name
-	mach, err := platform.ByName(o.machine)
-	if err != nil {
-		return err
-	}
+	victimName, stormName := victims[0].Name, both[1].Name
 	suite, err := core.NewSuite()
 	if err != nil {
 		return err
 	}
 	rep := FairnessGateReport{Seed: o.seed, Victim: victimName, Storm: stormName}
 	start := time.Now()
-	gatePass := func(label string, tenants []tenantSpec, pc qosPassConfig) (serve.LoadStats, error) {
-		pc.drainTPS = fairDrainTPS
-		pc.capacityTK = fairCapacityTK
-		// Lowered ladder: the shed rung at 0.7 leaves 1800 tokens of
-		// headroom above it — more than the largest storm admission
-		// (~857) plus the largest victim request (~881) — so an in-quota
-		// victim can never be queue-full shed while brownout holds the
-		// storm at the rung.
-		pc.ladder = qos.Ladder{HedgeOffAt: 0.3, BatchCapAt: 0.45, DropDBAt: 0.6, ShedAt: 0.7}
-		st, err := runQoSPass(o, suite, mach, tenants, label, pc)
+	gatePass := func(label string, tenants []scenario.Tenant, fifo bool, tune func(*serve.Config)) (serve.LoadStats, error) {
+		st, err := qosPass(o, suite, tenants, label, qos.Config{
+			DrainTokensPerSec: fairDrainTPS,
+			CapacityTokens:    fairCapacityTK,
+			// Lowered ladder: the shed rung at 0.7 leaves 1800 tokens of
+			// headroom above it — more than the largest storm admission
+			// (~857) plus the largest victim request (~881) — so an in-quota
+			// victim can never be queue-full shed while brownout holds the
+			// storm at the rung.
+			Ladder: qos.Ladder{HedgeOffAt: 0.3, BatchCapAt: 0.45, DropDBAt: 0.6, ShedAt: 0.7},
+			FIFO:   fifo,
+		}, tune)
 		if err != nil {
 			return st, err
 		}
@@ -330,26 +203,29 @@ func runFairness(o options, out *os.File) error {
 		return st, nil
 	}
 
-	solo, err := gatePass("solo", victims, qosPassConfig{msaWorkers: o.msaWorkers})
+	solo, err := gatePass("solo", victims, false, nil)
 	if err != nil {
 		return err
 	}
-	prot, err := gatePass("protected", both, qosPassConfig{msaWorkers: o.msaWorkers})
+	prot, err := gatePass("protected", both, false, nil)
 	if err != nil {
 		return err
 	}
-	rerun, err := gatePass("rerun", both, qosPassConfig{msaWorkers: o.msaWorkers})
+	rerun, err := gatePass("rerun", both, false, nil)
 	if err != nil {
 		return err
 	}
 	// The pool-size pass shrinks the MSA pool to one worker and turns on
 	// cross-request batching: neither may move a single admission or
 	// dispatch decision.
-	pools, err := gatePass("pools", both, qosPassConfig{msaWorkers: 1, batch: serve.BatchConfig{Enabled: true}})
+	pools, err := gatePass("pools", both, false, func(c *serve.Config) {
+		c.MSAWorkers = 1
+		c.Batch = serve.BatchConfig{Enabled: true}
+	})
 	if err != nil {
 		return err
 	}
-	fifo, err := gatePass("fifo", both, qosPassConfig{fifo: true, msaWorkers: o.msaWorkers})
+	fifo, err := gatePass("fifo", both, true, nil)
 	if err != nil {
 		return err
 	}
@@ -371,67 +247,43 @@ func runFairness(o options, out *os.File) error {
 	rep.DigestsRerun = [2]string{rerun.Fairness.DecisionDigest, rerun.Fairness.DispatchDigest}
 	rep.DigestsPools = [2]string{pools.Fairness.DecisionDigest, pools.Fairness.DispatchDigest}
 
-	violate := func(format string, args ...any) {
-		rep.Violations = append(rep.Violations, fmt.Sprintf(format, args...))
-	}
 	p95Bound := fairP95Slack * rep.VictimP95Solo
 	if rep.VictimP95Solo <= 0 {
-		violate("victim solo baseline produced no completed requests")
+		rep.Failf("victim solo baseline produced no completed requests")
 	}
 	if rep.VictimP95Protected > p95Bound {
-		violate("protected victim p95 %.0fms exceeds %.1fx solo baseline %.0fms",
+		rep.Failf("protected victim p95 %.0fms exceeds %.1fx solo baseline %.0fms",
 			rep.VictimP95Protected, fairP95Slack, rep.VictimP95Solo)
 	}
 	if rep.VictimShedProtected >= fairShedMax {
-		violate("protected victim shed rate %.1f%% >= %.0f%%",
+		rep.Failf("protected victim shed rate %.1f%% >= %.0f%%",
 			100*rep.VictimShedProtected, 100*fairShedMax)
 	}
 	if sts := prot.Fairness.Stats(stormName); sts.Shed()+sts.Degraded() == 0 {
-		violate("storm tenant was never shed or degraded under 10x offered load (QoS idle)")
+		rep.Failf("storm tenant was never shed or degraded under 10x offered load (QoS idle)")
 	}
 	// The comparator must demonstrably violate BOTH bounds — otherwise
 	// the gate is not proving protection, just measuring noise.
 	if rep.VictimP95Unprotected <= p95Bound {
-		violate("FIFO comparator victim p95 %.0fms within the protected bound %.0fms (storm too weak)",
+		rep.Failf("FIFO comparator victim p95 %.0fms within the protected bound %.0fms (storm too weak)",
 			rep.VictimP95Unprotected, p95Bound)
 	}
 	if rep.VictimShedFIFO < fairShedMax {
-		violate("FIFO comparator victim shed rate %.1f%% under %.0f%% (storm too weak)",
+		rep.Failf("FIFO comparator victim shed rate %.1f%% under %.0f%% (storm too weak)",
 			100*rep.VictimShedFIFO, 100*fairShedMax)
 	}
 	if rep.DigestsRerun != rep.DigestsProtected {
-		violate("rerun digests diverged: %v vs %v", rep.DigestsRerun, rep.DigestsProtected)
+		rep.Failf("rerun digests diverged: %v vs %v", rep.DigestsRerun, rep.DigestsProtected)
 	}
 	if rep.DigestsPools != rep.DigestsProtected {
-		violate("pool-size/batching digests diverged: %v vs %v", rep.DigestsPools, rep.DigestsProtected)
+		rep.Failf("pool-size/batching digests diverged: %v vs %v", rep.DigestsPools, rep.DigestsProtected)
 	}
 
 	fmt.Fprintf(out, "fairness seed %d: victim p95 solo %.0fms, protected %.0fms (%.2fx), fifo %.0fms (%.2fx) | victim shed protected %.1f%%, fifo %.1f%% | %.1fs wall\n",
 		o.seed, rep.VictimP95Solo, rep.VictimP95Protected, ratio(rep.VictimP95Protected, rep.VictimP95Solo),
 		rep.VictimP95Unprotected, ratio(rep.VictimP95Unprotected, rep.VictimP95Solo),
 		100*rep.VictimShedProtected, 100*rep.VictimShedFIFO, rep.WallSeconds)
-	for _, v := range rep.Violations {
-		fmt.Fprintf(out, "fairness VIOLATION: %s\n", v)
-	}
-	if o.jsonPath != "" {
-		f, err := os.Create(o.jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", o.jsonPath)
-	}
-	if len(rep.Violations) > 0 {
-		return fmt.Errorf("fairness gate FAILED (%d violations); reproduce with: afload -fairness -seed %d",
-			len(rep.Violations), o.seed)
-	}
-	fmt.Fprintf(out, "fairness: all invariants held (seed %d)\n", o.seed)
-	return nil
+	return rep.Finish(out, "fairness", rep, o.jsonPath, fmt.Sprintf("afload -fairness -seed %d", o.seed))
 }
 
 func ratio(a, b float64) float64 {

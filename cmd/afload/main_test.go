@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -119,44 +120,6 @@ func TestParseFlagsValidation(t *testing.T) {
 	}
 	if _, err := parseFlags([]string{"-ppi", "4"}); err != nil {
 		t.Fatalf("-ppi with default -mix/-n rejected: %v", err)
-	}
-}
-
-func TestBuildPPITrace(t *testing.T) {
-	a, err := buildPPITrace(4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 10 { // all unordered pairs over 4 proteins, homodimers included
-		t.Fatalf("trace length = %d, want 10", len(a))
-	}
-	b, err := buildPPITrace(4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("ppi trace not deterministic at %d", i)
-		}
-		if seen[a[i]] {
-			t.Fatalf("duplicate pair %s", a[i])
-		}
-		seen[a[i]] = true
-	}
-	c, err := buildPPITrace(4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("seed does not shuffle the ppi trace")
 	}
 }
 
@@ -278,5 +241,70 @@ func TestChaosDiskGate(t *testing.T) {
 	}, devnull)
 	if err != nil {
 		t.Fatalf("chaos-disk gate failed: %v", err)
+	}
+}
+
+// TestChaosGateSmoke runs the fault-storm gate at the shape of the `make
+// chaos` target, just smaller: every invariant must hold and the JSON
+// report must carry no violations.
+func TestChaosGateSmoke(t *testing.T) {
+	jsonPath := filepath.Join(t.TempDir(), "chaos.json")
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	err = run([]string{
+		"-chaos", "-seed", "7", "-n", "24", "-concurrency", "4", "-mix", "2PV7:4,1YY9:1",
+		"-threads", "2", "-msa-workers", "4", "-gpu-workers", "2", "-json", jsonPath,
+	}, devnull)
+	if err != nil {
+		t.Fatalf("chaos gate failed: %v", err)
+	}
+	raw, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep ChaosReport
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requests != 24 || rep.Done+rep.Failed != 24 || len(rep.Violations) != 0 {
+		t.Fatalf("chaos report: %+v", rep)
+	}
+	if rep.WorkerPanics < 1 || rep.BreakerTrips < 1 || rep.ChainsRestored < 1 {
+		t.Fatalf("storm did not exercise the fault paths: %+v", rep)
+	}
+}
+
+// TestBatchSweepGate runs the `make batch-smoke` sweep and pins its modeled
+// headline: 81.6% unbatched overhead for the small input, under 50% from
+// batch 6 on (first dispatch).
+func TestBatchSweepGate(t *testing.T) {
+	jsonPath := filepath.Join(t.TempDir(), "bench.json")
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	if err := run([]string{"-batch-sweep", "-n", "16", "-json", jsonPath}, devnull); err != nil {
+		t.Fatalf("batch-sweep gate failed: %v", err)
+	}
+	raw, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Section crossoverSection `json:"batch_crossover"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	sec := doc.Section
+	if math.Round(1000*sec.UnbatchedOverhead) != 816 || sec.CrossoverFirst != 6 || sec.CrossoverFirst >= sec.MaxBatch {
+		t.Fatalf("crossover moved: unbatched %.4f, first crossover %d, cap %d", sec.UnbatchedOverhead, sec.CrossoverFirst, sec.MaxBatch)
+	}
+	if len(sec.OfferedLoad) != 4 || len(sec.BucketSweep) != len(sweepBucketSets()) {
+		t.Fatalf("measured sweeps incomplete: %d load points, %d bucket points", len(sec.OfferedLoad), len(sec.BucketSweep))
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"sort"
 	"strings"
 	"testing"
 )
@@ -57,85 +56,5 @@ func TestQoSFlagValidation(t *testing.T) {
 				t.Fatalf("args %v: error %q does not mention %q", tc.args, err, tc.wantErr)
 			}
 		})
-	}
-}
-
-// TestParseTenantsSpec pins the -tenants grammar: quota and trace keys,
-// defaults, '|' mix separators, and every rejection class.
-func TestParseTenantsSpec(t *testing.T) {
-	ts, err := parseTenants("inter:w=8,rps=0.25,n=16,shape=uniform,mix=2PV7:3|7RCE:2;storm:w=1,r=250,b=500", "bursty", "promo:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts) != 2 {
-		t.Fatalf("got %d tenants", len(ts))
-	}
-	inter := ts[0]
-	if inter.qos.Weight != 8 || inter.rps != 0.25 || inter.n != 16 || inter.shape != "uniform" || inter.mix != "2PV7:3,7RCE:2" {
-		t.Fatalf("inter parsed wrong: %+v", inter)
-	}
-	storm := ts[1]
-	if storm.qos.Rate != 250 || storm.qos.Burst != 500 {
-		t.Fatalf("storm quota parsed wrong: %+v", storm)
-	}
-	// Omitted trace keys inherit the caller's defaults.
-	if storm.shape != "bursty" || storm.mix != "promo:1" || storm.n != 20 {
-		t.Fatalf("storm defaults wrong: %+v", storm)
-	}
-
-	for _, bad := range []string{
-		"",                     // empty spec
-		":w=2",                 // missing name
-		"a:w=2;a:w=3",          // duplicate tenant
-		"a:w",                  // not k=v
-		"a:w=-1",               // negative quota
-		"a:rps=0",              // non-positive rate
-		"a:n=0",                // non-positive count
-		"a:shape=sawtooth",     // unknown shape
-		"a:mix=nosuchsample:1", // unresolvable mix
-		"a:color=blue",         // unknown key
-		"a:mix=2PV7:0",         // bad mix weight
-	} {
-		if _, err := parseTenants(bad, "", "promo:1"); err == nil {
-			t.Errorf("spec %q accepted", bad)
-		}
-	}
-}
-
-// TestBuildTenantEventsDeterministic pins the merged trace: a pure
-// function of (seed, spec), sorted by arrival, covering every tenant's
-// full request count.
-func TestBuildTenantEventsDeterministic(t *testing.T) {
-	spec := "a:n=10,rps=1,shape=bursty;b:n=5,rps=0.5,shape=heavytail"
-	ts, err := parseTenants(spec, "", "promo:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev1, err := buildTenantEvents(ts, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev2, _ := buildTenantEvents(ts, 7)
-	if len(ev1) != 15 {
-		t.Fatalf("got %d events, want 15", len(ev1))
-	}
-	for i := range ev1 {
-		if ev1[i] != ev2[i] {
-			t.Fatalf("event %d differs across identical builds: %+v vs %+v", i, ev1[i], ev2[i])
-		}
-	}
-	if !sort.SliceIsSorted(ev1, func(i, j int) bool { return ev1[i].arrival < ev1[j].arrival }) {
-		t.Fatal("events not sorted by arrival")
-	}
-	ev3, _ := buildTenantEvents(ts, 8)
-	same := true
-	for i := range ev1 {
-		if ev1[i] != ev3[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("seed does not influence the tenant trace")
 	}
 }

@@ -38,11 +38,7 @@ import (
 	"os"
 	"time"
 
-	"afsysbench/internal/batch"
-	"afsysbench/internal/cache"
-	"afsysbench/internal/cachedisk"
 	"afsysbench/internal/parallel"
-	"afsysbench/internal/platform"
 	"afsysbench/internal/qos"
 	"afsysbench/internal/resilience"
 	"afsysbench/internal/serve"
@@ -58,26 +54,18 @@ func main() {
 
 // options holds the parsed flag set.
 type options struct {
-	addr       string
-	machine    string
-	threads    int
-	msaWorkers int
-	gpuWorkers int
-	queue      int
-	cacheMB    int
-	cacheDir   string
-	deadline   time.Duration
-	cold       bool
+	// Flags are the flags shared with afload: platform, pools, cache tiers,
+	// batching.
+	serve.Flags
+	addr     string
+	deadline time.Duration
+	cold     bool
 
 	faults           string
 	msaAttempts      int
 	breakerThreshold int
 	breakerCooldown  time.Duration
 	hedge            bool
-
-	batch        bool
-	batchBuckets string
-	maxBatch     int
 
 	qos         bool
 	tenants     string
@@ -88,14 +76,8 @@ type options struct {
 func parseFlags(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("afserve", flag.ContinueOnError)
+	o.Register(fs, 8)
 	fs.StringVar(&o.addr, "addr", ":8642", "listen address")
-	fs.StringVar(&o.machine, "machine", "server", "platform: server, desktop, desktop-upgraded, server-cxl")
-	fs.IntVar(&o.threads, "threads", 8, "default per-request thread count")
-	fs.IntVar(&o.msaWorkers, "msa-workers", 0, "MSA (CPU) pool size; 0 = one per core")
-	fs.IntVar(&o.gpuWorkers, "gpu-workers", 0, "inference (GPU) pool size; 0 = one per modeled device")
-	fs.IntVar(&o.queue, "queue", 64, "admission queue depth; a full queue sheds (503)")
-	fs.IntVar(&o.cacheMB, "cache-mb", 512, "MSA cache capacity in MiB; 0 disables caching")
-	fs.StringVar(&o.cacheDir, "cache-dir", "", "crash-safe persistent chain-cache tier rooted at this directory (needs -cache-mb > 0); survives restarts")
 	fs.DurationVar(&o.deadline, "deadline", 0, "default per-request wall deadline (0 = none)")
 	fs.BoolVar(&o.cold, "cold", false, "cold model per request (pay GPU init + XLA compile each time)")
 	fs.StringVar(&o.faults, "faults", "", "fault spec injected into every request, e.g. transient:uniref_s:1,chainfault:B:1")
@@ -103,9 +85,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.breakerThreshold, "breaker-threshold", 0, "consecutive failures that open a database's circuit breaker (0 = default 5)")
 	fs.DurationVar(&o.breakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default 10s)")
 	fs.BoolVar(&o.hedge, "hedge", false, "hedge straggling MSA chain searches with a concurrent backup attempt")
-	fs.BoolVar(&o.batch, "batch", false, "enable cross-request GPU batching with the shape-bucketed compile cache")
-	fs.StringVar(&o.batchBuckets, "batch-buckets", "", "comma-separated shape-bucket boundaries for -batch (empty = stock bucket set)")
-	fs.IntVar(&o.maxBatch, "max-batch", 0, "cap members per batched dispatch on top of the memory-footprint cap (0 = memory cap only)")
 	fs.BoolVar(&o.qos, "qos", false, "tenant-aware admission: per-tenant token buckets, weighted-fair MSA queueing and the brownout ladder (tenant from the X-AF-Tenant header)")
 	fs.StringVar(&o.tenants, "tenants", "", "per-tenant quotas for -qos, e.g. 'inter:w=8;storm:w=1,r=400,b=800' (w= weight, r= chain-tokens/s, b= burst)")
 	fs.Float64Var(&o.qosDrain, "qos-drain", 0, "-qos modeled drain rate in chain-tokens per second (0 = stock)")
@@ -113,8 +92,8 @@ func parseFlags(args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	if !o.batch && (o.batchBuckets != "" || o.maxBatch > 0) {
-		return o, fmt.Errorf("-batch-buckets and -max-batch need -batch")
+	if err := o.Validate(); err != nil {
+		return o, err
 	}
 	if !o.qos && (o.tenants != "" || o.qosDrain > 0 || o.qosCapacity > 0) {
 		return o, fmt.Errorf("-tenants, -qos-drain and -qos-capacity need -qos")
@@ -124,77 +103,41 @@ func parseFlags(args []string) (options, error) {
 			return o, err
 		}
 	}
-	if _, err := batch.ParseBuckets(o.batchBuckets); err != nil {
-		return o, err
-	}
 	return o, nil
 }
 
 // buildServer turns the flags into a configured scheduler. Split from run
 // so tests can build without binding a socket.
 func buildServer(o options) (*serve.Server, error) {
-	mach, err := platform.ByName(o.machine)
+	cfg, err := o.Config()
 	if err != nil {
 		return nil, err
 	}
-	var c *cache.Cache
-	if o.cacheMB > 0 {
-		c = cache.New(int64(o.cacheMB) << 20)
-	}
-	var disk *cachedisk.Store
-	if o.cacheDir != "" {
-		if c == nil {
-			return nil, fmt.Errorf("-cache-dir needs the memory tier (-cache-mb > 0)")
-		}
-		disk, err = cachedisk.Open(cachedisk.Config{Dir: o.cacheDir})
-		if err != nil {
-			return nil, err
-		}
-	}
-	var faults resilience.Faults
+	cfg.DefaultTimeout = o.deadline
+	cfg.ColdModel = o.cold
 	if o.faults != "" {
-		faults, err = resilience.ParseFaults(o.faults)
-		if err != nil {
+		if cfg.Faults, err = resilience.ParseFaults(o.faults); err != nil {
 			return nil, err
 		}
 	}
-	buckets, err := batch.ParseBuckets(o.batchBuckets)
-	if err != nil {
-		return nil, err
-	}
-	var ctrl *qos.Controller
+	cfg.MSAAttempts = o.msaAttempts
+	cfg.BreakerThreshold = o.breakerThreshold
+	cfg.BreakerCooldown = o.breakerCooldown
+	cfg.Hedge = resilience.HedgeConfig{Enabled: o.hedge}
 	if o.qos {
 		var tenants map[string]qos.TenantConfig
 		if o.tenants != "" {
-			tenants, err = qos.ParseTenantSpec(o.tenants)
-			if err != nil {
+			if tenants, err = qos.ParseTenantSpec(o.tenants); err != nil {
 				return nil, err
 			}
 		}
-		ctrl = qos.NewController(qos.Config{
+		cfg.QoS = qos.NewController(qos.Config{
 			Tenants:           tenants,
 			DrainTokensPerSec: o.qosDrain,
 			CapacityTokens:    o.qosCapacity,
 		})
 	}
-	return serve.New(serve.Config{
-		Machine:          mach,
-		Threads:          o.threads,
-		MSAWorkers:       o.msaWorkers,
-		GPUWorkers:       o.gpuWorkers,
-		QueueDepth:       o.queue,
-		Cache:            c,
-		DiskCache:        disk,
-		DefaultTimeout:   o.deadline,
-		ColdModel:        o.cold,
-		Faults:           faults,
-		MSAAttempts:      o.msaAttempts,
-		BreakerThreshold: o.breakerThreshold,
-		BreakerCooldown:  o.breakerCooldown,
-		Hedge:            resilience.HedgeConfig{Enabled: o.hedge},
-		Batch:            serve.BatchConfig{Enabled: o.batch, Buckets: buckets, MaxBatch: o.maxBatch},
-		QoS:              ctrl,
-	})
+	return serve.New(cfg)
 }
 
 func run(args []string) error {
@@ -211,7 +154,7 @@ func run(args []string) error {
 	cfg := s.Config()
 	cacheDesc := "disabled"
 	if cfg.Cache != nil {
-		cacheDesc = fmt.Sprintf("%d MiB", o.cacheMB)
+		cacheDesc = fmt.Sprintf("%d MiB", o.CacheMB)
 		if cfg.DiskCache != nil {
 			cacheDesc += fmt.Sprintf(" + disk tier %s (%d entries)", cfg.DiskCache.Dir(), cfg.DiskCache.Len())
 		}

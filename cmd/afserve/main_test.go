@@ -9,7 +9,7 @@ func TestParseFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.addr != ":9000" || o.machine != "desktop" || o.cacheMB != 64 || o.queue != 8 || o.deadline.Seconds() != 30 {
+	if o.addr != ":9000" || o.Machine != "desktop" || o.CacheMB != 64 || o.Queue != 8 || o.deadline.Seconds() != 30 {
 		t.Fatalf("options = %+v", o)
 	}
 	if _, err := parseFlags([]string{"-nope"}); err == nil {
@@ -39,7 +39,7 @@ func TestBuildServer(t *testing.T) {
 	}
 
 	// cache-mb 0 disables the cache entirely.
-	o.cacheMB = 0
+	o.CacheMB = 0
 	s2, err := buildServer(o)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestBuildServer(t *testing.T) {
 		t.Fatal("cache-mb 0 still built a cache")
 	}
 
-	o.machine = "laptop"
+	o.Machine = "laptop"
 	if _, err := buildServer(o); err == nil {
 		t.Fatal("unknown machine accepted")
 	}

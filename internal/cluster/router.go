@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"time"
 
 	"afsysbench/internal/core"
 	"afsysbench/internal/msa"
@@ -13,19 +12,11 @@ import (
 	"afsysbench/internal/serve"
 )
 
-// RouterConfig tunes the replica router.
-type RouterConfig struct {
-	// Hedge enables request-level latency hedging: once MinSamples
-	// request latencies are observed, a request still running after
-	// Factor × the Percentile-th latency gets a backup submission on a
-	// different replica, and the first finisher wins — the estimator
-	// behind the server's chain-level Config.Hedge, one level up.
-	Hedge resilience.HedgeConfig
-}
-
-// pollInterval is the job-status polling period — modeled stages finish in
-// milliseconds.
-const pollInterval = 200 * time.Microsecond
+// RouterConfig is empty: the router has nothing to tune. The type and
+// NewRouter's second parameter exist because the repo benchmark (bench/,
+// which only a benchmark-only PR may edit) builds its router as
+// NewRouter(replicas, RouterConfig{}).
+type RouterConfig struct{}
 
 // Router spreads requests across R serve.Server replicas with
 // health-aware load balancing: it prefers replicas whose readiness probe
@@ -43,9 +34,6 @@ type Router struct {
 	dispatches  []int64
 	killed      []bool
 	stats       RouterStats
-	// hedge estimates the request-hedging delay from completed requests'
-	// latencies (nil unless enabled).
-	hedge *resilience.HedgeEstimator
 }
 
 // RouterStats is the router's counter snapshot.
@@ -58,10 +46,6 @@ type RouterStats struct {
 	// an admission shed.
 	Failovers    int64 `json:"failovers"`
 	ShedReroutes int64 `json:"shed_reroutes"`
-	// Hedges counts backup submissions; HedgeBackupWins how often the
-	// backup finished first.
-	Hedges          int64 `json:"hedges"`
-	HedgeBackupWins int64 `json:"hedge_backup_wins"`
 	// PerReplica is one row per replica, in replica order.
 	PerReplica []ReplicaStats `json:"per_replica"`
 }
@@ -79,23 +63,18 @@ type RouteResult struct {
 	// submissions it took (1 = first try).
 	Replica  int
 	Attempts int
-	// Hedged marks a request that got a backup submission; BackupWon that
-	// the backup finished first.
-	Hedged    bool
-	BackupWon bool
-	Status    serve.JobStatus
-	Result    *core.PipelineResult
+	Status   serve.JobStatus
+	Result   *core.PipelineResult
 }
 
 // NewRouter builds a router over started (or to-be-started) replicas.
-func NewRouter(replicas []*serve.Server, cfg RouterConfig) *Router {
+func NewRouter(replicas []*serve.Server, _ RouterConfig) *Router {
 	return &Router{
 		replicas:    replicas,
 		maxAttempts: max(2, len(replicas)),
 		outstanding: make([]int, len(replicas)),
 		dispatches:  make([]int64, len(replicas)),
 		killed:      make([]bool, len(replicas)),
-		hedge:       resilience.NewHedgeEstimator(cfg.Hedge),
 	}
 }
 
@@ -172,23 +151,20 @@ func (r *Router) pick(exclude map[int]bool) int {
 	return cands[0].i
 }
 
-// Do routes one request to completion: submit to the best replica, wait,
-// and on a shed, failure, or replica death retry on another replica with
-// the same chain checkpoint — so chains the failed attempt completed are
-// replayed, not recomputed. With hedging enabled a straggling request
-// gets a concurrent backup on a different replica and the first terminal
-// result wins (both compute the same deterministic result).
+// Do routes one request to completion: submit to the best replica, wait
+// for the job's Done channel (or ctx), and on a shed, failure, or replica
+// death retry on another replica with the same chain checkpoint — so
+// chains the failed attempt completed are replayed, not recomputed.
 func (r *Router) Do(ctx context.Context, req serve.Request) (RouteResult, error) {
 	if req.Checkpoint == nil {
-		// One checkpoint per logical request, shared by every attempt and
-		// hedge backup across replicas. Replicas share one suite, so the
-		// checkpoint scopes (database-profile signatures) line up.
+		// One checkpoint per logical request, shared by every attempt across
+		// replicas. Replicas share one suite, so the checkpoint scopes
+		// (database-profile signatures) line up.
 		req.Checkpoint = msa.NewCheckpoint()
 	}
 	r.mu.Lock()
 	r.stats.Requests++
 	r.mu.Unlock()
-	start := time.Now()
 
 	var lastErr error
 	exclude := make(map[int]bool)
@@ -219,7 +195,7 @@ func (r *Router) Do(ctx context.Context, req serve.Request) (RouteResult, error)
 				// rejected request and burn attempts laundering the quota.
 				// Only a queue-full shed is worth trying elsewhere.
 				if reason := resilience.ShedReasonOf(err); reason != resilience.ShedQueueFull {
-					r.finish(time.Since(start), false)
+					r.finish(false)
 					return out, err
 				}
 				r.mu.Lock()
@@ -230,19 +206,19 @@ func (r *Router) Do(ctx context.Context, req serve.Request) (RouteResult, error)
 			continue
 		}
 		r.noteSubmit(replica, 1)
-		st, won := r.await(ctx, &out, replica, srv, id, req, start)
-		r.noteSubmit(replica, -1)
-		if won != nil {
-			out = *won
-		} else {
-			out.Replica = replica
-			out.Status = st
+		out.Replica = replica
+		select {
+		case <-srv.Done(id):
+			out.Status, _ = srv.Status(id)
+		case <-ctx.Done():
+			out.Status = serve.JobStatus{ID: id, State: serve.StateFailed.String(), Error: ctx.Err().Error()}
 		}
+		r.noteSubmit(replica, -1)
 		if out.Status.State == serve.StateDone.String() {
-			if res, ok := r.replicas[out.Replica].Result(out.Status.ID); ok {
+			if res, ok := srv.Result(id); ok {
 				out.Result = res
 			}
-			r.finish(time.Since(start), true)
+			r.finish(true)
 			return out, nil
 		}
 		lastErr = errors.New(out.Status.Error)
@@ -253,72 +229,8 @@ func (r *Router) Do(ctx context.Context, req serve.Request) (RouteResult, error)
 			r.mu.Unlock()
 		}
 	}
-	r.finish(time.Since(start), false)
+	r.finish(false)
 	return out, lastErr
-}
-
-// await polls the primary job until terminal, arming at most one hedge
-// backup on a different replica once the latency budget passes. It
-// returns the primary's terminal status, plus a non-nil RouteResult when
-// the backup reached StateDone first.
-func (r *Router) await(ctx context.Context, out *RouteResult, primary int, srv *serve.Server, id string, req serve.Request, start time.Time) (serve.JobStatus, *RouteResult) {
-	budget := r.hedge.Budget()
-	var backupSrv *serve.Server
-	var backupID string
-	backupReplica := -1
-	defer func() {
-		if backupReplica >= 0 {
-			r.noteSubmit(backupReplica, -1)
-		}
-	}()
-	tick := time.NewTicker(pollInterval)
-	defer tick.Stop()
-	for {
-		st, ok := srv.Status(id)
-		if ok && terminal(st.State) {
-			return st, nil
-		}
-		if backupSrv != nil {
-			if bst, ok := backupSrv.Status(backupID); ok && terminal(bst.State) {
-				if bst.State == serve.StateDone.String() {
-					r.mu.Lock()
-					r.stats.HedgeBackupWins++
-					r.mu.Unlock()
-					return st, &RouteResult{
-						Replica:   backupReplica,
-						Attempts:  out.Attempts,
-						Hedged:    true,
-						BackupWon: true,
-						Status:    bst,
-					}
-				}
-				// Failed backup: forget it, keep waiting on the primary.
-				backupSrv, backupID, backupReplica = nil, "", -1
-			}
-		}
-		if backupSrv == nil && budget > 0 && time.Since(start) > budget {
-			if i := r.pick(map[int]bool{primary: true}); i >= 0 {
-				if bid, err := r.replicas[i].Submit(req); err == nil {
-					backupSrv, backupID, backupReplica = r.replicas[i], bid, i
-					out.Hedged = true
-					r.noteSubmit(i, 1)
-					r.mu.Lock()
-					r.stats.Hedges++
-					r.mu.Unlock()
-				}
-			}
-			budget = 0 // one backup per request
-		}
-		select {
-		case <-ctx.Done():
-			return serve.JobStatus{ID: id, State: serve.StateFailed.String(), Error: ctx.Err().Error()}, nil
-		case <-tick.C:
-		}
-	}
-}
-
-func terminal(state string) bool {
-	return state == serve.StateDone.String() || state == serve.StateFailed.String()
 }
 
 func (r *Router) noteSubmit(replica, delta int) {
@@ -330,12 +242,11 @@ func (r *Router) noteSubmit(replica, delta int) {
 	r.mu.Unlock()
 }
 
-func (r *Router) finish(wall time.Duration, done bool) {
+func (r *Router) finish(done bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if done {
 		r.stats.Completed++
-		r.hedge.Observe(wall)
 	} else {
 		r.stats.Failed++
 	}

@@ -212,4 +212,14 @@ func TestRouterKillMidFlight(t *testing.T) {
 	if ph := b.PoolHealth(); !ph.FullStrength() {
 		t.Errorf("survivor pool degraded: %+v", ph)
 	}
+	// Every wait — finished, failed over, or stranded on the dead replica —
+	// handed its outstanding slot back.
+	for i := range r.Replicas() {
+		if out := r.Outstanding(i); out != 0 {
+			t.Errorf("replica %d still has %d outstanding requests after the storm", i, out)
+		}
+	}
+	if st := r.Stats(); st.Requests != n || st.Completed != n || st.Failed != 0 {
+		t.Errorf("router stats after the storm: %+v", st)
+	}
 }

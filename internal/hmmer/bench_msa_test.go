@@ -15,9 +15,12 @@ import (
 // original per-call allocation behavior; the optimized arm uses the float32
 // cascade (transposed profile layout, pooled workspaces, pruning floors)
 // with the SWAR pre-passes disabled; the swar arm is the full default path
-// with the saturating 8-bit reject filters armed. `make bench-msa` runs
-// these with -benchmem into BENCH_msa.json (VARIANT=reference|optimized|swar
-// narrows to one arm).
+// with the saturating 8-bit reject filters armed. `make bench` runs these
+// with -benchmem, for looking at one arm while working on it; the numbers
+// of record are the repo benchmark's, on the suite's own databases:
+// `sh bench/run.sh --trace 1` → hmmer.protein_ns_per_cell,
+// hmmer.nucleotide_ns_per_cell, hmmer.protein_swar_ns_per_cell and
+// hmmer.allocs_per_scan.
 
 func benchDB(b *testing.B, mt seq.MoleculeType, n, meanLen int) (*Profile, *seq.Sequence, *seqdb.DB) {
 	b.Helper()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"time"
 
@@ -11,6 +12,10 @@ import (
 	"afsysbench/internal/resilience"
 	"afsysbench/internal/stats"
 )
+
+// maxSubmitBytes bounds a POST /v1/submit body; a well-formed submission
+// is a few dozen bytes.
+const maxSubmitBytes = 64 << 10
 
 func msToDuration(ms int) time.Duration {
 	return time.Duration(ms) * time.Millisecond
@@ -118,16 +123,22 @@ func Summarize(ms []float64) Percentiles {
 //	GET  /v1/readyz                             -> Readiness (503 not ready)
 //
 // Submit maps admission shedding to 503 (the load generator counts these
-// against its shed rate) and an unknown sample to 400. healthz is
-// liveness — the process answers; readyz is readiness — 503 with the
-// open breakers and/or the saturated admission queue named in the body,
-// so a load balancer can drain a degraded instance before requests fail.
+// against its shed rate), an unknown sample to 400 and a body over 64 KiB
+// to 413. healthz is liveness — the process answers; readyz is readiness —
+// 503 with the open breakers and/or the saturated admission queue named in
+// the body, so a load balancer can drain a degraded instance before
+// requests fail.
 func NewHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/submit", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, "bad request body: "+err.Error())
 			return
 		}
 		tenant := req.Tenant

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,6 +114,36 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 	if m.Latency.Count != 1 || m.Latency.P99Ms <= 0 {
 		t.Fatalf("latency summary = %+v", m.Latency)
+	}
+}
+
+// TestHTTPSubmitBodyBound: a submit body over the 64 KiB bound answers 413
+// and admits nothing; a malformed small one is still a 400.
+func TestHTTPSubmitBodyBound(t *testing.T) {
+	s := newTestServer(t, Config{Threads: 4, MSAWorkers: 1})
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	admitted := s.Metrics().Get("requests_admitted")
+
+	big := `{"sample":"1YY9","tenant":"` + strings.Repeat("a", 1<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/submit", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("1 MiB body: status %d, want 413", resp.StatusCode)
+	}
+	resp, err = http.Post(ts.URL+"/v1/submit", "application/json", strings.NewReader(`{"sample":`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("truncated body: status %d, want 400", resp.StatusCode)
+	}
+	if got := s.Metrics().Get("requests_admitted"); got != admitted {
+		t.Fatalf("requests_admitted moved %d -> %d on rejected bodies", admitted, got)
 	}
 }
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 
 	"afsysbench/internal/cache"
@@ -136,13 +135,6 @@ type LoadReport struct {
 	// complexes on an all-vs-all screening mix.
 	ThroughputSpeedup   float64 `json:"throughput_speedup,omitempty"`
 	MakespanImprovement float64 `json:"modeled_makespan_improvement,omitempty"`
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *LoadReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // MergeSection folds one named section into the JSON object at path

@@ -56,6 +56,9 @@ type FairnessReport struct {
 	Tenants []qos.TenantStats `json:"tenants"`
 	// Latencies is the modeled per-tenant latency table (same order).
 	Latencies []TenantLatency `json:"latencies"`
+	// Overall summarizes the same modeled latencies over every completed
+	// request, all tenants pooled — the headline row of an open-loop pass.
+	Overall Percentiles `json:"overall_modeled_ms"`
 	// DecisionDigest hashes the admission sequence (tenant, cost, admit,
 	// reason, level); DispatchDigest the WFQ pop sequence. Identical
 	// traces and seeds must reproduce both at any pool size.
@@ -115,6 +118,7 @@ func (s *Server) FairnessReport(cpuLanes, gpuLanes int) *FairnessReport {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var all []float64
 	for _, name := range names {
 		ms := byTenant[name]
 		rep.Latencies = append(rep.Latencies, TenantLatency{
@@ -122,7 +126,9 @@ func (s *Server) FairnessReport(cpuLanes, gpuLanes int) *FairnessReport {
 			Completed: len(ms),
 			Latency:   Summarize(ms),
 		})
+		all = append(all, ms...)
 	}
+	rep.Overall = Summarize(all)
 	return rep
 }
 

@@ -26,6 +26,11 @@
 // as resilience.ErrStageTimeout and sheds cleanly at the next stage
 // boundary.
 //
+// A job turns terminal in exactly one place (terminalLocked), which closes
+// the channel Server.Done hands out: in-process clients — the scenario
+// library, the cluster router — wait on it instead of polling Status; only
+// the HTTP API, being remote, is polled.
+//
 // Determinism contract: per-request results are computed with a canonical
 // run index (no repeat-run jitter) and the deterministic kernels below, so
 // a given request trace produces bitwise-identical per-request results at
@@ -262,6 +267,9 @@ type Job struct {
 	threads   int
 	deadline  time.Time
 	submitted time.Time
+	// done is closed when the job turns terminal (terminalLocked); Done
+	// hands it to waiters.
+	done chan struct{}
 
 	state    State
 	cacheHit bool
@@ -572,6 +580,7 @@ func (s *Server) Submit(req Request) (string, error) {
 		threads:   threads,
 		deadline:  deadline,
 		submitted: now,
+		done:      make(chan struct{}),
 		state:     StateQueued,
 	}
 	job.id = fmt.Sprintf("j%04d-%s", job.ordinal, in.Name)
@@ -694,6 +703,19 @@ func (s *Server) WaitIdle(ctx context.Context) error {
 		<-done
 		return ctx.Err()
 	}
+}
+
+// Done returns a channel that is closed the moment job id turns terminal
+// (done or failed) — after which Status and Result are final — or nil for
+// an unknown id. In-process clients wait on it instead of polling Status.
+func (s *Server) Done(id string) <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	job, ok := s.jobs[id]
+	if !ok {
+		return nil
+	}
+	return job.done
 }
 
 // Status returns a snapshot of one job.
@@ -1198,7 +1220,7 @@ func (s *Server) runInferenceJob(job *Job, b *inferenceBatch, share float64) {
 	}
 	job.state = StateDone
 	job.wallSeconds = time.Since(job.submitted).Seconds()
-	s.terminalLocked()
+	s.terminalLocked(job)
 	s.mu.Unlock()
 	s.cfg.Metrics.Add("requests_completed", 1)
 	if res.Resilience.Degraded {
@@ -1254,7 +1276,7 @@ func (s *Server) fail(job *Job, err error) {
 	job.errClass = class
 	job.state = StateFailed
 	job.wallSeconds = time.Since(job.submitted).Seconds()
-	s.terminalLocked()
+	s.terminalLocked(job)
 	s.mu.Unlock()
 	s.cfg.Metrics.Add("requests_failed", 1)
 	s.cfg.Metrics.Add("requests_failed_"+class, 1)
@@ -1268,7 +1290,11 @@ func (s *Server) setState(job *Job, st State) {
 	s.mu.Unlock()
 }
 
-func (s *Server) terminalLocked() {
+// terminalLocked is the one place a job turns terminal: its state is
+// already StateDone or StateFailed, and from here on its done channel is
+// closed — the stamp every waiter (Done, WaitIdle) hangs off.
+func (s *Server) terminalLocked(job *Job) {
+	close(job.done)
 	s.pending--
 	if s.pending == 0 {
 		s.idle.Broadcast()
