@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet loc race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench swar-smoke serve-bench serve-smoke cluster-bench bench-batch batch-smoke bench-smoke
+.PHONY: all build test check fmt vet loc race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench serve-bench serve-smoke cluster-bench bench-batch batch-smoke bench-smoke
 
 all: build
 
@@ -43,10 +43,9 @@ loc:
 # pool that msa workers draw from concurrently), and the serving subsystem
 # (cache singleflight, scheduler pools) with the modeled clock its report
 # paths call from worker goroutines (vtime) and the scenario library's
-# client pools. The hmmer run names the Fuzz seed corpora explicitly so the
-# SWAR soundness fuzz targets (lane-op models, MSV/band reject-only proofs,
-# plus testdata regression entries) replay under the race detector on every
-# gate.
+# client pools. The second line's -run 'Test|Fuzz' keeps fuzz seed corpora
+# replaying under the race detector wherever a package has a fuzz target
+# (cachedisk and qos do; hmmer has none left and runs its tests).
 race:
 	$(GO) test -race ./internal/parallel ./internal/tensor ./internal/pairformer ./internal/diffusion ./internal/cache ./internal/batch ./internal/serve ./internal/msa ./internal/cluster ./internal/vtime ./internal/scenario
 	$(GO) test -race -run 'Test|Fuzz' ./internal/hmmer ./internal/cachedisk ./internal/qos
@@ -104,7 +103,7 @@ cluster-smoke:
 fairness:
 	$(GO) run -race ./cmd/afload -fairness -seed 7 -threads 2 -msa-workers 4 -gpu-workers 2
 
-check: fmt vet test race faults chaos chaos-disk chaos-cluster cluster-smoke fairness swar-smoke serve-smoke batch-smoke bench-smoke
+check: fmt vet test race faults chaos chaos-disk chaos-cluster cluster-smoke fairness serve-smoke batch-smoke bench-smoke
 
 # Cluster scaling benchmark: the full shards × replicas sweep merged into
 # BENCH_serve.json as the cluster_scaling section (run serve-bench first so
@@ -113,20 +112,14 @@ cluster-bench:
 	$(GO) run ./cmd/afcluster -shards 8 -replicas 3 -n 24 -mix 2PV7:3,1YY9:2,6QNR:1 -json BENCH_serve.json
 
 # Kernel microbenchmarks with allocation tracking: the tensor kernels serial
-# vs parallel, and the MSA scan hot path's three arms on identical inputs
-# (reference float, optimized float cascade, SWAR pre-passes armed) plus the
-# 0-alloc steady-state path. The numbers of record for the scan are the repo
-# benchmark's hmmer.*_ns_per_cell (sh bench/run.sh --trace 1).
+# vs parallel, and the MSA scan hot path's two arms on identical inputs
+# (reference kernels, optimized cascade — both on the seeded path requests
+# take) plus the 0-alloc steady-state path. The numbers of record for the
+# scan are the repo benchmark's hmmer.*_ns_per_cell (sh bench/run.sh
+# --trace 1).
 bench:
 	$(GO) test -run xxx -bench 'MatMul|TriangleAttention|BlockApply|DiffusionDenoise' -benchmem ./internal/tensor ./internal/pairformer ./internal/diffusion
 	$(GO) test -run xxx -bench 'Scan' -benchmem ./internal/hmmer
-
-# SWAR equivalence smoke for the check gate: scans a small DB with the 8-bit
-# pre-passes on, off, and through the stripped reference kernels, asserting
-# bitwise-identical hit lists, a nonzero swar-rejected lane counter, and
-# per-shard determinism at several worker counts.
-swar-smoke:
-	$(GO) test -run 'TestSWARScanSmoke|TestSWARKillSwitch' -count 1 ./internal/hmmer
 
 # Serving benchmark: the all-vs-all PPI screening mix through the two-tier
 # chain cache — a warm pass precomputes the disk tier, the measured pass

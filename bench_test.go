@@ -339,15 +339,6 @@ func BenchmarkKernelFullViterbi(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMSVFilter measures the ungapped prefilter.
-func BenchmarkKernelMSVFilter(b *testing.B) {
-	p, t := benchQueryTarget(484, 400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hmmer.MSVFilter(p, t, metering.Nop{})
-	}
-}
-
 // BenchmarkKernelForward measures banded Forward scoring.
 func BenchmarkKernelForward(b *testing.B) {
 	p, t := benchQueryTarget(484, 400)
@@ -504,35 +495,6 @@ func bandName(hw int) string {
 	default:
 		return "halfWidth81"
 	}
-}
-
-// BenchmarkAblationSeedFilter compares the seed prefilter against the
-// MSV-filter path (DisableSeedFilter) on the same search.
-func BenchmarkAblationSeedFilter(b *testing.B) {
-	g := seq.NewGenerator(rng.New(11))
-	query := g.Random("q", seq.Protein, 242)
-	db, err := seqdb.Generate(seqdb.Spec{
-		Name: "abl", Type: seq.Protein, NumSeqs: 80, MeanLen: 200,
-		Homologs: []*seq.Sequence{query}, HomologsPerQuery: 4, Seed: 13,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, disable bool) {
-		var cells uint64
-		for i := 0; i < b.N; i++ {
-			res, err := hmmer.SearchProtein(query, func() hmmer.RecordSource {
-				return &hmmer.SliceSource{Seqs: db.Seqs}
-			}, db.TotalResidues(), hmmer.SearchOptions{Iterations: 1, DisableSeedFilter: disable}, metering.Nop{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cells = res.CellsDP
-		}
-		b.ReportMetric(float64(cells), "dpCells")
-	}
-	b.Run("seedFilter", func(b *testing.B) { run(b, false) })
-	b.Run("msvFilter", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkAblationWarmStart compares cold per-request inference against

@@ -17,6 +17,7 @@ import (
 	"os"
 	"strings"
 
+	"afsysbench/internal/core"
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/msa"
 	"afsysbench/internal/platform"
@@ -41,20 +42,22 @@ func run(args []string, w io.Writer) error {
 }
 
 // sweep prints the calibration matrix for the given samples and thread
-// counts.
+// counts. Every MSA run comes from the suite — the engine options, databases
+// and memo behind every figure and served request — so the matrix cannot
+// calibrate a different engine from the one the artifacts run.
 func sweep(w io.Writer, names []string, threads []int) error {
-	dbs, err := msa.BuildDBSet(inputs.Samples(), msa.DefaultDBConfig())
+	suite, err := core.NewSuite()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "DB modeled total: %.1f GiB\n", float64(dbs.ModeledBytes())/(1<<30))
+	fmt.Fprintf(w, "DB modeled total: %.1f GiB\n", float64(suite.DBs.ModeledBytes())/(1<<30))
 
 	for _, name := range names {
 		in, err := inputs.ByName(name)
 		if err != nil {
 			return err
 		}
-		r1, err := msa.Run(in, msa.Options{Threads: 1, DBs: dbs})
+		r1, err := suite.MSAResult(in, 1)
 		if err != nil {
 			return err
 		}
@@ -68,7 +71,7 @@ func sweep(w io.Writer, names []string, threads []int) error {
 			fmt.Fprintf(w, "%-8s:", mach.Name)
 			var t1 float64
 			for _, t := range threads {
-				res, err := msa.Run(in, msa.Options{Threads: t, DBs: dbs})
+				res, err := suite.MSAResult(in, t)
 				if err != nil {
 					return err
 				}
@@ -80,7 +83,7 @@ func sweep(w io.Writer, names []string, threads []int) error {
 			}
 			fmt.Fprintln(w)
 			for _, t := range []int{1, 4, 6} {
-				res, err := msa.Run(in, msa.Options{Threads: t, DBs: dbs})
+				res, err := suite.MSAResult(in, t)
 				if err != nil {
 					return err
 				}

@@ -50,7 +50,9 @@ func runChaos(o options) error {
 	// Kill triggers: node A after a third of the trace completes, node B
 	// plus the victim replica after half. The replica kill waits (briefly)
 	// for in-flight work on the victim so the death actually strands
-	// requests mid-stage instead of hitting an idle server.
+	// requests mid-stage instead of hitting an idle server; stranded records
+	// whether it found any (read after killsDone closes).
+	stranded := false
 	killsDone := make(chan struct{})
 	progress := make(chan int, o.n)
 	go func() {
@@ -69,6 +71,7 @@ func runChaos(o options) error {
 				for rig.router.Outstanding(victimReplica) == 0 && time.Now().Before(deadline) {
 					time.Sleep(200 * time.Microsecond)
 				}
+				stranded = rig.router.Outstanding(victimReplica) > 0
 				rig.cl.KillNode(killNodeB)
 				rig.router.Kill(victimReplica)
 				killedB = true
@@ -111,7 +114,10 @@ func runChaos(o options) error {
 	if clStats.Failovers == 0 {
 		verdict.Failf("two shard nodes died but cluster stats count zero failovers")
 	}
-	if rtStats.Failovers == 0 && rtStats.ShedReroutes == 0 {
+	switch {
+	case !stranded:
+		verdict.Failf("storm too short to strand a request on replica %d: it was idle for 2 s after half the trace completed", victimReplica)
+	case rtStats.Failovers == 0 && rtStats.ShedReroutes == 0:
 		verdict.Failf("a replica died mid-storm but router stats count zero failovers/reroutes")
 	}
 	if !clStats.PerNode[killNodeA].Killed || !clStats.PerNode[killNodeB].Killed {
@@ -144,6 +150,6 @@ func runChaos(o options) error {
 
 	fmt.Fprintf(os.Stderr, "chaos-cluster: %d requests, %d wrong, %d lost; shard failovers=%d, router failovers=%d, shed reroutes=%d\n",
 		o.n, wrong, lost, clStats.Failovers, rtStats.Failovers, rtStats.ShedReroutes)
-	return verdict.Finish(os.Stderr, "chaos-cluster", nil, "", fmt.Sprintf("go run ./cmd/afcluster -chaos -shards %d -replicas %d -n %d -mix %s -seed %d -threads %d -msa-workers %d -gpu-workers %d",
-		o.shards, o.replicas, o.n, o.mix, o.seed, o.Threads, o.MSAWorkers, o.GPUWorkers))
+	return verdict.Finish(os.Stderr, "chaos-cluster", nil, "", fmt.Sprintf("go run ./cmd/afcluster -chaos -shards %d -replicas %d -n %d -concurrency %d -mix %s -seed %d -threads %d -msa-workers %d -gpu-workers %d",
+		o.shards, o.replicas, o.n, o.concurrency, o.mix, o.seed, o.Threads, o.MSAWorkers, o.GPUWorkers))
 }

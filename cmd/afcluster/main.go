@@ -78,6 +78,12 @@ func parseFlags(args []string) (options, error) {
 	if o.concurrency <= 0 {
 		o.concurrency = 2 * o.replicas * o.MSAWorkers
 	}
+	// With the whole trace in flight from t = 0, the victim replica's share
+	// can be done before the half-way kill trigger fires, and the kill hits
+	// an idle server.
+	if o.chaos && o.n < 2*o.concurrency {
+		return o, fmt.Errorf("-chaos needs -n ≥ 2×concurrency (got %d < %d): requests must still be arriving when the replica dies", o.n, 2*o.concurrency)
+	}
 	return o, nil
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -89,7 +90,7 @@ func TestScalingRunSmoke(t *testing.T) {
 // mid-storm and every invariant must hold.
 func TestChaosClusterSmoke(t *testing.T) {
 	o, err := parseFlags([]string{
-		"-chaos", "-seed", "13", "-shards", "8", "-replicas", "3", "-n", "12", "-mix", "2PV7:3,1YY9:2",
+		"-chaos", "-seed", "13", "-shards", "8", "-replicas", "3", "-n", "12", "-concurrency", "4", "-mix", "2PV7:3,1YY9:2",
 		"-threads", "2", "-msa-workers", "2", "-gpu-workers", "1",
 	})
 	if err != nil {
@@ -100,5 +101,10 @@ func TestChaosClusterSmoke(t *testing.T) {
 	}
 	if _, err := parseFlags([]string{"-chaos", "-shards", "2"}); err == nil {
 		t.Fatal("-chaos with two shards accepted (two nodes die)")
+	}
+	// -n 12 at the default concurrency (2·3·2 = 12) puts the whole trace in
+	// flight at once: the victim replica can be idle by the kill trigger.
+	if _, err := parseFlags([]string{"-chaos", "-n", "12"}); err == nil || !strings.Contains(err.Error(), "still be arriving") {
+		t.Fatalf("-chaos with n < 2×concurrency: err = %v", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/memest"
+	"afsysbench/internal/msa"
 	"afsysbench/internal/platform"
 	"afsysbench/internal/seq"
 )
@@ -27,6 +28,27 @@ func suite(t *testing.T) *Suite {
 		t.Fatal(suiteErr)
 	}
 	return suiteInst
+}
+
+// TestSuiteRunsTheDefaultEngine pins "one engine": a hand-built msa.Options
+// with nothing but threads and databases meters exactly what the suite's
+// MSA run does, worker for worker.
+func TestSuiteRunsTheDefaultEngine(t *testing.T) {
+	s := suite(t)
+	in, _ := inputs.ByName("2PV7")
+	direct, err := msa.Run(in, msa.Options{Threads: 4, DBs: s.DBs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaSuite, err := s.MSAResult(in, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range direct.Workers {
+		if got, want := viaSuite.Workers[w].Totals(), direct.Workers[w].Totals(); got != want {
+			t.Errorf("worker %d: suite metered %+v, direct run %+v", w, got, want)
+		}
+	}
 }
 
 func TestRunPipelineBasics(t *testing.T) {

@@ -36,11 +36,7 @@ type Suite struct {
 	// Seed drives the run-to-run jitter model.
 	Seed uint64
 	// Search carries the scan-engine options for every MSA run the suite
-	// performs. NewSuite pins the paper-faithful configuration — SWAR
-	// pre-passes off — because the paper's profiles (Table IV shares,
-	// Figure 5 saturation) measure stock jackhmmer/nhmmer; arming the
-	// quantized cascade reshapes the modeled profile away from what the
-	// artifacts reproduce. Clear DisableSWAR to study the optimized engine.
+	// performs (the zero value: engine defaults).
 	Search hmmer.SearchOptions
 
 	mu       sync.Mutex
@@ -75,7 +71,6 @@ func NewSuite() (*Suite, error) {
 		Model:    simgpu.DefaultModel(),
 		Runs:     5,
 		Seed:     0xAF5B,
-		Search:   hmmer.SearchOptions{DisableSWAR: true},
 		msaCache: make(map[string]*msa.Result),
 		xla:      cache.New(xlaCacheEntries),
 	}, nil

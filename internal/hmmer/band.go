@@ -7,7 +7,7 @@ import (
 
 // Banded Viterbi alignment.
 //
-// After the seed (or MSV) filter identifies a promising diagonal, the full
+// After the seed filter identifies a promising diagonal, the full
 // affine-gap Viterbi recurrence runs inside a band of half-width
 // BandHalfWidth around that diagonal. The row kernels are split into two
 // specialized functions, calcBand9 and calcBand10 — mirroring the
@@ -81,6 +81,15 @@ func BandedViterbi(p *Profile, target *seq.Sequence, diagonal, halfWidth int, m 
 	res, _ := bandedViterbi(p, target, diagonal, halfWidth, ws, negInf, m)
 	releaseScanWorkspace(ws)
 	return res
+}
+
+// pruneMargin is the slack subtracted from a pruning floor to absorb
+// float32 accumulation error: rem sequential adds of values bounded by a
+// few hundred drift by well under rem*1e-4, and the constant term covers
+// the float32 conversion of the threshold itself. Overshooting the margin
+// only costs missed pruning, never a wrong result.
+func pruneMargin(rem int) float32 {
+	return 1 + float32(rem)*1e-4
 }
 
 // bandedViterbi is the workspace-backed banded kernel. With floor = negInf
@@ -248,8 +257,7 @@ func recordBandEvents(p *Profile, L, w int, cellsEven, cellsOdd uint64, m meteri
 // recordBandPrune charges the row-max cutoff's real residual work — one
 // bound check per executed row and one band-overlap count per skipped row —
 // and records the skipped cells as pruned volume. The skipped cells are NOT
-// charged at kernel cost: unlike MSV's dead lanes (which still pay a
-// sentinel visit per row), a cut-off band never touches them at all.
+// charged at kernel cost: a cut-off band never touches them at all.
 func recordBandPrune(rowsDone, L, w int, pruned uint64, m metering.Meter) {
 	m.Record(metering.Event{
 		Func:         "band_prune",

@@ -9,27 +9,25 @@ import (
 	"afsysbench/internal/seqdb"
 )
 
-// MSA search hot-path benchmarks: three arms per scan shape on identical
-// inputs. The reference arm runs through a MatchT-stripped profile copy,
-// which routes every kernel to the reference implementations with their
-// original per-call allocation behavior; the optimized arm uses the float32
-// cascade (transposed profile layout, pooled workspaces, pruning floors)
-// with the SWAR pre-passes disabled; the swar arm is the full default path
-// with the saturating 8-bit reject filters armed. `make bench` runs these
-// with -benchmem, for looking at one arm while working on it; the numbers
-// of record are the repo benchmark's, on the suite's own databases:
+// MSA search hot-path benchmarks: two arms per scan shape on identical
+// inputs, both through the cascade every request takes (seed filter →
+// banded Viterbi → banded Forward → traceback). The reference arm runs
+// through a MatchT-stripped profile copy, which routes every kernel to the
+// reference implementations with their original per-call allocation
+// behavior; the optimized arm uses the transposed profile layout, pooled
+// workspaces and the band row-max cutoff. `make bench` runs these with
+// -benchmem, for looking at one arm while working on it; the numbers of
+// record are the repo benchmark's, on the suite's own databases:
 // `sh bench/run.sh --trace 1` → hmmer.protein_ns_per_cell,
-// hmmer.nucleotide_ns_per_cell, hmmer.protein_swar_ns_per_cell and
-// hmmer.allocs_per_scan.
+// hmmer.nucleotide_ns_per_cell and hmmer.allocs_per_scan.
 
 func benchDB(b *testing.B, mt seq.MoleculeType, n, meanLen int) (*Profile, *seq.Sequence, *seqdb.DB) {
 	b.Helper()
 	g := seq.NewGenerator(rng.New(61))
 	query := g.Random("query", mt, 150)
-	// ~1% of records are true homologs. Filter cascades are designed around
-	// scans where >98% of records never survive the first filter (HMMER tunes
-	// MSV for a 2% pass rate); a homolog-heavy DB would hide filter gains
-	// behind the irreducible Forward cost of the hits themselves.
+	// ~1% of records are true homologs: a homolog-heavy DB would hide the
+	// per-record scan cost behind the Forward and traceback cost of the hits
+	// themselves.
 	db, err := seqdb.Generate(seqdb.Spec{
 		Name: "bench", Type: mt, NumSeqs: n, MeanLen: meanLen,
 		Homologs: []*seq.Sequence{query}, HomologsPerQuery: n / 100, Seed: 62,
@@ -44,16 +42,11 @@ func benchDB(b *testing.B, mt seq.MoleculeType, n, meanLen int) (*Profile, *seq.
 	return p, query, db
 }
 
-func runScanBench(b *testing.B, p *Profile, query *seq.Sequence, db *seqdb.DB, opts SearchOptions) {
+func runScanBench(b *testing.B, p *Profile, query *seq.Sequence, db *seqdb.DB) {
 	b.Helper()
-	// DisableSeedFilter routes every record through the MSV → banded-Viterbi
-	// → Forward kernel cascade — the code these PRs optimize. (The seeded path
-	// spends its time hashing k-mers, which the layout change doesn't touch;
-	// it is covered by BenchmarkScanRecordSteadyState.)
-	opts.DisableSeedFilter = true
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := ScanRecords(p, query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), opts, metering.Nop{})
+		res, err := ScanRecords(p, query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{}, metering.Nop{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,9 +60,8 @@ func benchScanVariants(b *testing.B, mt seq.MoleculeType, n, meanLen int) {
 	p, query, db := benchDB(b, mt, n, meanLen)
 	stripped := *p
 	stripped.MatchT = nil
-	b.Run("reference", func(b *testing.B) { runScanBench(b, &stripped, query, db, SearchOptions{}) })
-	b.Run("optimized", func(b *testing.B) { runScanBench(b, p, query, db, SearchOptions{DisableSWAR: true}) })
-	b.Run("swar", func(b *testing.B) { runScanBench(b, p, query, db, SearchOptions{}) })
+	b.Run("reference", func(b *testing.B) { runScanBench(b, &stripped, query, db) })
+	b.Run("optimized", func(b *testing.B) { runScanBench(b, p, query, db) })
 }
 
 func BenchmarkScanProtein(b *testing.B) {

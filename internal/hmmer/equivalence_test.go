@@ -57,15 +57,7 @@ func TestTransposedKernelsMatchReferenceBitwise(t *testing.T) {
 			}
 			for ti := 0; ti < 12; ti++ {
 				target := g.Random("t", mt, 20+17*ti)
-				refHit := referenceMSVFilter(p, target, metering.Nop{})
-				optHit, pruned := msvFilter(p, target, ws, negInf, metering.Nop{})
-				if pruned != 0 {
-					t.Fatalf("unarmed msvFilter pruned %d lanes", pruned)
-				}
-				if f32bits(refHit.Score) != f32bits(optHit.Score) || refHit.Diagonal != optHit.Diagonal {
-					t.Fatalf("%v profile %d target %d: MSV mismatch ref=%+v opt=%+v", mt, pi, ti, refHit, optHit)
-				}
-				for _, d := range []int{optHit.Diagonal, 0, -5, p.M / 2} {
+				for _, d := range []int{11, 0, -5, p.M / 2} {
 					refAli := referenceBandedViterbi(p, target, d, BandHalfWidth, metering.Nop{})
 					optAli, bp := bandedViterbi(p, target, d, BandHalfWidth, ws, negInf, metering.Nop{})
 					if bp != 0 {
@@ -98,9 +90,6 @@ func TestPublicKernelsUseFallbackWithoutTransposedLayout(t *testing.T) {
 	stripped := *p
 	stripped.MatchT = nil
 	target := g.Random("t", seq.Protein, 90)
-	if f32bits(MSVFilter(p, target, nil).Score) != f32bits(MSVFilter(&stripped, target, nil).Score) {
-		t.Error("MSV fallback diverges from transposed path")
-	}
 	if BandedViterbi(p, target, 0, BandHalfWidth, nil) != BandedViterbi(&stripped, target, 0, BandHalfWidth, nil) {
 		t.Error("banded Viterbi fallback diverges from transposed path")
 	}
@@ -136,11 +125,9 @@ func TestPruningPreservesScanResults(t *testing.T) {
 	cases := []struct {
 		name string
 		mt   seq.MoleculeType
-		opts SearchOptions
 	}{
-		{"protein-seeded", seq.Protein, SearchOptions{}},
-		{"protein-msv", seq.Protein, SearchOptions{DisableSeedFilter: true}},
-		{"rna-windowed", seq.RNA, SearchOptions{}},
+		{"protein-seeded", seq.Protein},
+		{"rna-windowed", seq.RNA},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,11 +143,11 @@ func TestPruningPreservesScanResults(t *testing.T) {
 			}
 			stripped := *p
 			stripped.MatchT = nil
-			opt, err := ScanRecords(p, query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), tc.opts, metering.Nop{})
+			opt, err := ScanRecords(p, query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{}, metering.Nop{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := ScanRecords(&stripped, query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), tc.opts, metering.Nop{})
+			ref, err := ScanRecords(&stripped, query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{}, metering.Nop{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,14 +158,11 @@ func TestPruningPreservesScanResults(t *testing.T) {
 				t.Fatalf("scan stats diverge: opt cand=%d scanned=%d, ref cand=%d scanned=%d",
 					opt.Candidates, opt.Scanned, ref.Candidates, ref.Scanned)
 			}
-			if !tc.opts.DisableSeedFilter {
-				// On the seeded path CellsPruned is exactly the band cells
-				// skipped, so executed + pruned must equal the reference's
-				// full DP volume.
-				if opt.CellsDP+opt.CellsPruned != ref.CellsDP {
-					t.Errorf("cell accounting: opt %d + pruned %d != ref %d",
-						opt.CellsDP, opt.CellsPruned, ref.CellsDP)
-				}
+			// CellsPruned is exactly the band cells skipped, so executed +
+			// pruned must equal the reference's full DP volume.
+			if opt.CellsDP+opt.CellsPruned != ref.CellsDP {
+				t.Errorf("cell accounting: opt %d + pruned %d != ref %d",
+					opt.CellsDP, opt.CellsPruned, ref.CellsDP)
 			}
 		})
 	}

@@ -120,44 +120,6 @@ func TestEValueMonotonicity(t *testing.T) {
 	}
 }
 
-func TestMSVFindsPlantedSegment(t *testing.T) {
-	g := protGen(4)
-	q := g.Random("q", seq.Protein, 120)
-	target := g.Random("t", seq.Protein, 300)
-	// Plant q[20:60] at target position 100: diagonal = 20 - 100 = -80.
-	copy(target.Residues[100:140], q.Residues[20:60])
-	var m metering.Accumulator
-	p, _ := BuildFromQuery(q)
-	hit := MSVFilter(p, target, &m)
-	if hit.Diagonal != -80 {
-		t.Errorf("diagonal = %d, want -80", hit.Diagonal)
-	}
-	// 40 identities at >= +4 each.
-	if hit.Score < 100 {
-		t.Errorf("planted segment score = %v, want >= 100", hit.Score)
-	}
-	if len(m.Events) != 1 || m.Events[0].Func != "msv_filter" {
-		t.Error("msv_filter event not recorded")
-	}
-}
-
-func TestMSVRandomScoresLow(t *testing.T) {
-	g := protGen(5)
-	q := g.Random("q", seq.Protein, 120)
-	p, _ := BuildFromQuery(q)
-	thr := MSVThreshold(p)
-	passes := 0
-	for i := 0; i < 50; i++ {
-		target := g.Random("t", seq.Protein, 300)
-		if MSVFilter(p, target, metering.Nop{}).Score >= thr {
-			passes++
-		}
-	}
-	if passes > 10 {
-		t.Errorf("%d/50 random targets passed MSV threshold", passes)
-	}
-}
-
 func TestBandedMatchesFullWhenBandCoversAll(t *testing.T) {
 	g := protGen(6)
 	q := g.Random("q", seq.Protein, 30)

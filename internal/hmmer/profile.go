@@ -20,7 +20,7 @@ type Profile struct {
 	K    int // alphabet size
 
 	// Match holds emission scores indexed [col*K + residue]. It is the
-	// authoritative table: serialization and profile construction write it.
+	// authoritative table: profile construction writes it.
 	Match []float32
 	// MatchT is the residue-major transpose of Match, indexed
 	// [residue*M + col]. The scan kernels iterate profile columns for one
@@ -39,13 +39,8 @@ type Profile struct {
 
 	// maxMatch is max(0, max emission score), set by BuildTransposed. It
 	// bounds the per-row score gain of any alignment path and anchors the
-	// filter cascade's provably-safe pruning ceilings.
+	// band cutoff's provably-safe pruning ceiling.
 	maxMatch float32
-
-	// quant is the packed 8-bit emission table the SWAR pre-filters run on,
-	// derived by BuildTransposed alongside MatchT (nil when the score range
-	// cannot be quantized soundly; the scan then stays on the float path).
-	quant *quantProfile
 }
 
 // BuildTransposed (re)derives MatchT and the pruning bound from Match. The
@@ -70,7 +65,6 @@ func (p *Profile) BuildTransposed() {
 			}
 		}
 	}
-	p.quant = buildQuant(p)
 }
 
 // transposed reports whether the residue-major layout is available.

@@ -18,48 +18,9 @@ import (
 //   - baseline — BenchmarkScan* measures the optimized cascade against
 //     these on identical inputs.
 //
-// They intentionally preserve the original allocation behavior (fresh run
-// buffer and DP rows per call) so the benchmark comparison reflects the
-// real before/after cost, not just the layout change.
-
-// referenceMSVFilter is the pre-optimization MSV scan: column-major
-// emission lookups striding by K, a freshly allocated diagonal buffer per
-// target, and no pruning.
-func referenceMSVFilter(p *Profile, target *seq.Sequence, m metering.Meter) MSVHit {
-	L := target.Len()
-	best := MSVHit{Score: 0, Diagonal: 0}
-	diags := L + p.M - 1
-	run := make([]float32, diags)
-	for i := 0; i < L; i++ {
-		r := int(target.Residues[i])
-		rowScores := p.Match // indexed [col*K + r]
-		for j := 0; j < p.M; j++ {
-			d := j - i + (L - 1)
-			s := run[d] + rowScores[j*p.K+r]
-			if s < 0 {
-				s = 0
-			}
-			run[d] = s
-			if s > best.Score {
-				best.Score = s
-				best.Diagonal = j - i
-			}
-		}
-	}
-	cells := uint64(L) * uint64(p.M)
-	m.Record(metering.Event{
-		Func:         "msv_filter",
-		Instructions: cells * 4,
-		Bytes:        cells * 8, // score read + running-diagonal read/write
-		WorkingSet:   uint64(diags)*4 + p.MemoryBytes(),
-		Pattern:      metering.Sequential,
-		Branches:     cells,
-		// Max/reset branches on random sequence are near-coinflips that
-		// predictors only partially learn.
-		BranchMissRate: 0.005,
-	})
-	return best
-}
+// They intentionally preserve the original allocation behavior (fresh DP
+// rows per call) so the benchmark comparison reflects the real before/after
+// cost, not just the layout change.
 
 // referenceBandedViterbi is the pre-optimization banded kernel: DP rows
 // allocated per call, column-major emission lookups, no early exit.

@@ -1,5 +1,5 @@
 // Package hmmer implements the profile hidden Markov model search engine
-// behind the MSA phase: profile construction, the MSV ungapped prefilter,
+// behind the MSA phase: profile construction, the k-mer seed prefilter,
 // banded Viterbi alignment kernels (calc_band_9 / calc_band_10, named after
 // the hot symbols in the paper's function-level profile), Forward scoring
 // with Gumbel E-values, a jackhmmer-style iterative protein search, and an

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"sort"
-	"sync"
 
 	"afsysbench/internal/metering"
 	"afsysbench/internal/seq"
@@ -33,18 +31,10 @@ type SearchOptions struct {
 	// capped diagonal still costs a full banded DP, which is the promo
 	// sample's slowdown mechanism.
 	MaxDiagonals int
-	// DisableSeedFilter forces banded DP on every target's best MSV
-	// diagonal instead of seed candidates (the "no prefilter" ablation arm).
-	DisableSeedFilter bool
-	// DisableSWAR turns off the packed 8-bit reject-only pre-filters
-	// (msvFilterSWAR, bandSSVSWAR) and runs the PR-4 float32 cascade alone.
-	// The zero value keeps SWAR on; the AFSYSBENCH_NO_SWAR environment
-	// variable forces it off process-wide (the kill switch).
+	// Inert: the 8-bit filter tier this switched is gone (DESIGN §11). The
+	// name stays only because bench/layers.go, which belongs to the
+	// benchmark, still assigns it.
 	DisableSWAR bool
-	// ReportAllDomains keeps every significant band of a target as its own
-	// hit (HMMER's per-domain envelopes) instead of deduplicating to the
-	// best band per target.
-	ReportAllDomains bool
 	// DBFootprint is the modeled byte size of the database (for the
 	// buffering layer's working-set accounting).
 	DBFootprint uint64
@@ -85,18 +75,8 @@ func (o SearchOptions) withDefaults(t seq.MoleculeType) SearchOptions {
 	if o.MaxDiagonals == 0 {
 		o.MaxDiagonals = 64
 	}
-	if noSWAREnv() {
-		o.DisableSWAR = true
-	}
 	return o
 }
-
-// noSWAREnv reads the process-wide SWAR kill switch once: setting
-// AFSYSBENCH_NO_SWAR (to anything non-empty) pins every search in the
-// process to the float32 cascade, no matter what options callers build.
-var noSWAREnv = sync.OnceValue(func() bool {
-	return os.Getenv("AFSYSBENCH_NO_SWAR") != ""
-})
 
 // Hit is one reported database match.
 type Hit struct {
@@ -118,14 +98,12 @@ type Result struct {
 	Scanned    int   // records examined
 	Candidates int   // candidate diagonals DP'd
 	CellsDP    uint64
-	// CellsPruned counts filter-lane visits and DP cells the pruning cascade
-	// provably skipped (MSV dead diagonals, cut-off band rows). CellsDP +
-	// CellsPruned is not the unpruned volume — MSV lanes are not DP cells —
-	// but the split shows how much scan work the cascade avoided.
+	// CellsPruned counts the band DP cells the row-max cutoff provably
+	// skipped; CellsDP + CellsPruned is the unpruned band volume.
 	CellsPruned uint64
-	// LanesRejected counts float-path work units (MSV filter lanes, band DP
-	// cells) the SWAR 8-bit pre-passes proved below threshold and disposed
-	// of without running the exact kernels. Zero when SWAR is disabled.
+	// Always 0: it counted the work the deleted 8-bit filter tier rejected
+	// (DESIGN §11). The name stays only because bench/layers.go, which
+	// belongs to the benchmark, still reads it.
 	LanesRejected uint64
 	Rounds        int
 	// Windows counts long-target windows scanned (nucleotide searches).
@@ -384,7 +362,6 @@ func MergeResults(query string, parts []*Result) *Result {
 		merged.Candidates += p.Candidates
 		merged.CellsDP += p.CellsDP
 		merged.CellsPruned += p.CellsPruned
-		merged.LanesRejected += p.LanesRejected
 		merged.Windows += p.Windows
 		if p.PeakWindowStateBytes > merged.PeakWindowStateBytes {
 			merged.PeakWindowStateBytes = p.PeakWindowStateBytes
@@ -413,8 +390,8 @@ func MergeResults(query string, parts []*Result) *Result {
 }
 
 // scanState carries everything one scan pass shares across records: the
-// profile, the seed index, the pooled workspace, precomputed filter
-// thresholds, and the accumulating Result. One scanState serves one worker
+// profile, the seed index, the pooled workspace, the precomputed band
+// floor, and the accumulating Result. One scanState serves one worker
 // shard; it is not safe for concurrent use (each msa worker builds its own,
 // drawing a workspace from the shared pool).
 type scanState struct {
@@ -428,12 +405,7 @@ type scanState struct {
 	res        *Result
 	// bandFloor is the Viterbi score below which the E-value gate provably
 	// skips Forward (negInf disarms the band cutoff; see bandScoreFloor).
-	bandFloor    float32
-	msvThreshold float32
-	// swarQ is the profile's packed 8-bit table when the SWAR pre-filters
-	// are armed (transposed layout present, quantization sound, kill switch
-	// off); nil routes everything straight to the float32 cascade.
-	swarQ *quantProfile
+	bandFloor float32
 	// recycling marks that record pointers from the buffer are only valid
 	// until the next record; retain() then clones before a Hit keeps one.
 	recycling bool
@@ -441,22 +413,16 @@ type scanState struct {
 }
 
 func newScanState(p *Profile, query *seq.Sequence, dbResidues int, opts SearchOptions, m metering.Meter) *scanState {
-	var swarQ *quantProfile
-	if !opts.DisableSWAR && p.transposed() {
-		swarQ = p.quant
-	}
 	return &scanState{
-		p:            p,
-		query:        query,
-		idx:          buildSeedIndex(query, opts.SeedK),
-		opts:         opts,
-		dbResidues:   dbResidues,
-		m:            m,
-		ws:           takeScanWorkspace(),
-		res:          &Result{Query: query.ID},
-		bandFloor:    bandScoreFloor(p, dbResidues, opts.MaxEValue*10),
-		msvThreshold: MSVThreshold(p),
-		swarQ:        swarQ,
+		p:          p,
+		query:      query,
+		idx:        buildSeedIndex(query, opts.SeedK),
+		opts:       opts,
+		dbResidues: dbResidues,
+		m:          m,
+		ws:         takeScanWorkspace(),
+		res:        &Result{Query: query.ID},
+		bandFloor:  bandScoreFloor(p, dbResidues, opts.MaxEValue*10),
 	}
 }
 
@@ -513,9 +479,9 @@ func bandScoreFloor(p *Profile, dbResidues int, evGate float64) float32 {
 	return floor
 }
 
-// scanRecord pushes one database record through the filter cascade:
-// seed (or MSV) filter, banded Viterbi with the E-value-derived floor,
-// Forward on survivors, traceback on reported hits.
+// scanRecord pushes one database record through the filter cascade: seed
+// filter, banded Viterbi with the E-value-derived floor, Forward on
+// survivors, traceback on reported hits.
 func (s *scanState) scanRecord(target *seq.Sequence) {
 	s.retained = nil
 	res := s.res
@@ -526,41 +492,15 @@ func (s *scanState) scanRecord(target *seq.Sequence) {
 		res.Candidates += wres.Candidates
 		res.CellsDP += wres.CellsDP
 		res.CellsPruned += wres.CellsPruned
-		res.LanesRejected += wres.LanesRejected
 		res.Hits = append(res.Hits, wres.Hits...)
 		if wres.PeakStateBytes > res.PeakWindowStateBytes {
 			res.PeakWindowStateBytes = wres.PeakStateBytes
 		}
 		return
 	}
-	var diags []int
-	if s.opts.DisableSeedFilter {
-		// Quantized pre-reject: when every 8-bit lane provably stays below
-		// the MSV threshold, the record is done for the cost of the packed
-		// scan and the float filter never runs.
-		if s.msvReject(target) {
-			res.LanesRejected += uint64(target.Len()) * uint64(s.p.M)
-			return
-		}
-		hit, pruned := msvFilter(s.p, target, s.ws, s.msvThreshold, s.m)
-		res.CellsPruned += pruned
-		if hit.Score >= s.msvThreshold {
-			s.ws.diags = append(s.ws.diags[:0], hit.Diagonal)
-			diags = s.ws.diags
-		}
-	} else {
-		diags = s.idx.candidates(target, s.opts.MinSeeds, s.opts.MaxDiagonals, 2*s.opts.HalfWidth, s.ws, s.m)
-	}
+	diags := s.idx.candidates(target, s.opts.MinSeeds, s.opts.MaxDiagonals, 2*s.opts.HalfWidth, s.ws, s.m)
 	for _, d := range diags {
 		res.Candidates++
-		// Quantized band pre-pass: a rejected band's score provably stays
-		// below the E-value gate's floor, so its full DP volume is skipped
-		// (counted as pruned, exactly like the float row-max cutoff).
-		if cells, rejected := s.ssvReject(target, d); rejected {
-			res.CellsPruned += cells
-			res.LanesRejected += cells
-			continue
-		}
 		ali, pruned := bandedViterbi(s.p, target, d, s.opts.HalfWidth, s.ws, s.bandFloor, s.m)
 		res.CellsDP += ali.Cells
 		res.CellsPruned += pruned
@@ -588,36 +528,6 @@ func (s *scanState) scanRecord(target *seq.Sequence) {
 			Alignment:    traced,
 		})
 	}
-}
-
-// msvReject runs the SWAR MSV pre-filter when it is armed and its threshold
-// can actually fire; true means the record provably has no passing diagonal.
-func (s *scanState) msvReject(target *seq.Sequence) bool {
-	if s.swarQ == nil {
-		return false
-	}
-	tq, ok := s.swarQ.thresholdByte(s.msvThreshold, target.Len())
-	if !ok {
-		return false
-	}
-	return msvFilterSWAR(s.swarQ, target, s.ws, tq, s.m)
-}
-
-// ssvReject runs the quantized band pre-pass for one candidate diagonal;
-// when it rejects, cells is the skipped float DP volume (the whole band).
-func (s *scanState) ssvReject(target *seq.Sequence, d int) (cells uint64, rejected bool) {
-	if s.swarQ == nil || s.bandFloor <= negInf/2 {
-		return 0, false
-	}
-	tq, ok := s.swarQ.thresholdByte(s.bandFloor, target.Len())
-	if !ok {
-		return 0, false
-	}
-	rej, cells := bandSSVSWAR(s.swarQ, target, d, s.opts.HalfWidth, tq, s.m)
-	if !rej {
-		return 0, false
-	}
-	return cells, true
 }
 
 // scanDB is the shared inner loop: stream records through the buffering
@@ -650,7 +560,7 @@ func scanDB(ctx context.Context, p *Profile, query *seq.Sequence, src RecordSour
 		}
 		return res.Hits[i].TargetID < res.Hits[j].TargetID
 	})
-	if !opts.ReportAllDomains && len(res.Hits) > 1 {
+	if len(res.Hits) > 1 {
 		// Deduplicate by target: keep the best band only. 0- and 1-hit
 		// results (the overwhelmingly common case across worker shards)
 		// need no map at all; larger ones reuse the workspace's set.

@@ -266,30 +266,6 @@ func TestSearchNucleotideFindsHomolog(t *testing.T) {
 	}
 }
 
-func TestDisableSeedFilterStillFindsClosestHomolog(t *testing.T) {
-	g := seq.NewGenerator(rng.New(17))
-	query := g.Random("query", seq.Protein, 150)
-	spec := seqdb.Spec{
-		Name: "msv", Type: seq.Protein, NumSeqs: 30, MeanLen: 150,
-		Homologs: []*seq.Sequence{query}, HomologsPerQuery: 3, Seed: 18,
-	}
-	db := makeDB(t, spec)
-	res, err := SearchProtein(query, sliceSrc(db), db.TotalResidues(),
-		SearchOptions{Iterations: 1, DisableSeedFilter: true}, metering.Nop{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, h := range res.Hits {
-		if strings.Contains(h.TargetID, "|hom") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("MSV-path search found no homolog")
-	}
-}
-
 func TestSearchDeduplicatesTargets(t *testing.T) {
 	g := seq.NewGenerator(rng.New(19))
 	query := g.Random("query", seq.Protein, 120)
@@ -333,43 +309,6 @@ func TestSearchMeteringCoversKernels(t *testing.T) {
 	bufWork := by["addbuf"].Instructions + by["seebuf"].Instructions
 	if dp <= bufWork {
 		t.Errorf("DP kernels (%d) do not dominate buffering (%d)", dp, bufWork)
-	}
-}
-
-func TestReportAllDomainsFindsBothSegments(t *testing.T) {
-	g := seq.NewGenerator(rng.New(23))
-	query := g.Random("q", seq.Protein, 100)
-	// A target with two homologous segments far apart: two domains.
-	target := g.Random("t", seq.Protein, 600)
-	copy(target.Residues[50:150], query.Residues)
-	copy(target.Residues[420:520], query.Residues)
-
-	src := func() RecordSource { return &SliceSource{Seqs: []*seq.Sequence{target}} }
-	dedup, err := SearchProtein(query, src, target.Len(), SearchOptions{Iterations: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dedup.Hits) != 1 {
-		t.Fatalf("deduplicated search reported %d hits, want 1", len(dedup.Hits))
-	}
-	all, err := SearchProtein(query, src, target.Len(), SearchOptions{Iterations: 1, ReportAllDomains: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all.Hits) < 2 {
-		t.Fatalf("per-domain search reported %d hits, want both segments", len(all.Hits))
-	}
-	// The two domains sit on well-separated diagonals.
-	d0, d1 := all.Hits[0].Diagonal, all.Hits[1].Diagonal
-	if d0 == d1 {
-		t.Error("domains collapsed to one diagonal")
-	}
-	gap := d0 - d1
-	if gap < 0 {
-		gap = -gap
-	}
-	if gap < 200 {
-		t.Errorf("domain diagonals %d and %d too close", d0, d1)
 	}
 }
 

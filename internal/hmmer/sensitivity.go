@@ -38,10 +38,6 @@ type SensitivityReport struct {
 	// reported as significant.
 	Decoys         int
 	FalsePositives int
-	// LanesRejected counts the full-precision work units the quantized SWAR
-	// pre-passes disposed of during the scan — evidence the filter cascade,
-	// not luck, is carrying the specificity (zero when SWAR is disabled).
-	LanesRejected uint64
 }
 
 // FalsePositiveRate returns false positives per decoy.
@@ -126,7 +122,7 @@ func EvaluateSensitivity(rates []float64, opts SensitivityOptions) (*Sensitivity
 		return nil, err
 	}
 
-	report := &SensitivityReport{Decoys: opts.Decoys, LanesRejected: res.LanesRejected}
+	report := &SensitivityReport{Decoys: opts.Decoys}
 	report.Points = make([]SensitivityPoint, len(rates))
 	for ri, rate := range rates {
 		report.Points[ri] = SensitivityPoint{Divergence: rate, Planted: opts.PerRate}

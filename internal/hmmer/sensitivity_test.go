@@ -29,12 +29,6 @@ func TestSensitivityCurveShape(t *testing.T) {
 	if drops < 2 {
 		t.Errorf("recovery curve not declining: %+v", rep.Points)
 	}
-	// The default scan arms the SWAR pre-passes; a decoy-heavy DB must show
-	// quantized rejections, or the specificity above is not coming from the
-	// filter cascade this suite models.
-	if rep.LanesRejected == 0 {
-		t.Error("sensitivity scan recorded no SWAR lane rejections")
-	}
 }
 
 func TestSensitivitySpecificity(t *testing.T) {
@@ -63,9 +57,6 @@ func TestSensitivityDeterministic(t *testing.T) {
 	}
 	if a.FalsePositives != b.FalsePositives {
 		t.Fatal("false positives not deterministic")
-	}
-	if a.LanesRejected != b.LanesRejected {
-		t.Fatal("SWAR rejection counter not deterministic")
 	}
 }
 

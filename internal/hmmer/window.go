@@ -46,7 +46,6 @@ type WindowScanResult struct {
 	Candidates     int
 	CellsDP        uint64
 	CellsPruned    uint64
-	LanesRejected  uint64
 }
 
 // scanLongTarget runs the windowed nucleotide scan of a single target. Each
@@ -79,11 +78,6 @@ func (s *scanState) scanLongTarget(target *seq.Sequence) WindowScanResult {
 
 		for _, d := range diags {
 			out.Candidates++
-			if cells, rejected := s.ssvReject(window, d); rejected {
-				out.CellsPruned += cells
-				out.LanesRejected += cells
-				continue
-			}
 			ali, pruned := bandedViterbi(s.p, window, d, s.opts.HalfWidth, s.ws, s.bandFloor, s.m)
 			out.CellsDP += ali.Cells
 			out.CellsPruned += pruned

@@ -7,16 +7,14 @@ import (
 )
 
 // scanWorkspace owns every piece of reusable scratch the per-record scan
-// cascade needs: the MSV diagonal run buffer, the two banded-Viterbi DP
-// rows, the Forward rows, the seed-vote map and candidate-diagonal slice,
-// the hit-dedup set, and the long-target window header. One workspace
-// serves one scan at a time; scanDB takes one from a sync.Pool per pass
-// (so each msa worker shard reuses the buffers of earlier shards instead
-// of reallocating them per database record), and every buffer grows
+// cascade needs: the two banded-Viterbi DP rows, the Forward rows, the
+// traceback planes, the seed-vote map and candidate-diagonal slice, the
+// hit-dedup set, and the long-target window header. One workspace serves
+// one scan at a time; scanDB takes one from a sync.Pool per pass (so each
+// msa worker shard reuses the buffers of earlier shards instead of
+// reallocating them per database record), and every buffer grows
 // monotonically to the largest record seen.
 type scanWorkspace struct {
-	run        []float32 // MSV Kadane state, one slot per diagonal
-	swar       []uint64  // packed 8-bit MSV state, one lane per profile column
 	rowA, rowB dpRows    // banded Viterbi row pair
 	fwdA, fwdB []float64 // Forward row pair
 	tbSc       []float32 // traceback score planes (M/I/D), flattened L×w
@@ -37,35 +35,6 @@ var scanWSPool = sync.Pool{New: func() any {
 func takeScanWorkspace() *scanWorkspace { return scanWSPool.Get().(*scanWorkspace) }
 
 func releaseScanWorkspace(ws *scanWorkspace) { scanWSPool.Put(ws) }
-
-// msvRun returns the diagonal run buffer sized for n diagonals, zeroed.
-// Only the touched prefix is cleared: a fresh allocation arrives zeroed,
-// and a recycled buffer is re-zeroed over exactly the n slots the previous
-// target may have dirtied beyond wherever this target will write.
-func (ws *scanWorkspace) msvRun(n int) []float32 {
-	if cap(ws.run) < n {
-		ws.run = make([]float32, n)
-		return ws.run
-	}
-	run := ws.run[:n]
-	for i := range run {
-		run[i] = 0
-	}
-	return run
-}
-
-// swarRun returns the packed SWAR lane buffer sized for n words, zeroed.
-func (ws *scanWorkspace) swarRun(n int) []uint64 {
-	if cap(ws.swar) < n {
-		ws.swar = make([]uint64, n)
-		return ws.swar
-	}
-	run := ws.swar[:n]
-	for i := range run {
-		run[i] = 0
-	}
-	return run
-}
 
 // tracebackBufs returns the flattened traceback planes sized for n cells
 // each (three score planes, three pointer planes, sharing one allocation

@@ -71,13 +71,6 @@ type Event struct {
 	// attribution can distinguish executed volume from skipped volume
 	// instead of silently under-reporting the kernel's logical extent.
 	Pruned uint64
-	// LanesRejected counts full-precision work units (float filter lanes, DP
-	// cells) a quantized SWAR pre-pass proved below threshold and disposed of
-	// wholesale. Kept separate from Pruned so attribution distinguishes the
-	// 8-bit pre-pass rejections (whose residual cost is the packed-lane scan
-	// itself) from float-path pruning (whose residual cost is sentinel visits
-	// and bound checks inside the exact kernels).
-	LanesRejected uint64
 }
 
 // Meter receives events. Implementations must be safe for use from the
@@ -204,7 +197,6 @@ func (a *Accumulator) Totals() Event {
 			t.PageTouches += ev.PageTouches
 			t.Allocated += ev.Allocated
 			t.Pruned += ev.Pruned
-			t.LanesRejected += ev.LanesRejected
 			if ev.WorkingSet > t.WorkingSet {
 				t.WorkingSet = ev.WorkingSet
 			}
@@ -237,7 +229,6 @@ func (a *Accumulator) ByFunc() map[string]Event {
 			cur.PageTouches += ev.PageTouches
 			cur.Allocated += ev.Allocated
 			cur.Pruned += ev.Pruned
-			cur.LanesRejected += ev.LanesRejected
 			if ev.WorkingSet > cur.WorkingSet {
 				cur.WorkingSet = ev.WorkingSet
 			}
@@ -280,6 +271,5 @@ func (m *scaledMeter) Record(ev Event) {
 	ev.PageTouches = uint64(float64(ev.PageTouches) * m.factor)
 	ev.Allocated = uint64(float64(ev.Allocated) * m.factor)
 	ev.Pruned = uint64(float64(ev.Pruned) * m.factor)
-	ev.LanesRejected = uint64(float64(ev.LanesRejected) * m.factor)
 	m.next.Record(ev)
 }

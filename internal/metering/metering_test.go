@@ -80,7 +80,7 @@ func TestPatternString(t *testing.T) {
 // branch counts and miss rates that make ByFunc's float blend sensitive to
 // any change in evaluation order.
 func randomEvents(r *rand.Rand, n int) []Event {
-	funcs := []string{"calc_band_9", "calc_band_10", "msv_filter", "addbuf", "copy_to_iter"}
+	funcs := []string{"calc_band_9", "calc_band_10", "seed_filter", "addbuf", "copy_to_iter"}
 	evs := make([]Event, n)
 	for i := range evs {
 		evs[i] = Event{
@@ -94,7 +94,6 @@ func randomEvents(r *rand.Rand, n int) []Event {
 			PageTouches:    uint64(r.Intn(64)),
 			Allocated:      uint64(r.Intn(1 << 12)),
 			Pruned:         uint64(r.Intn(100)),
-			LanesRejected:  uint64(r.Intn(100)),
 		}
 	}
 	return evs

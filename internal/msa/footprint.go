@@ -88,10 +88,7 @@ func BuildRunSpec(mach platform.Machine, res *Result) simhw.RunSpec {
 			switch {
 			case strings.HasPrefix(ev.Func, "calc_band"),
 				ev.Func == "viterbi_full",
-				ev.Func == "forward_band",
-				ev.Func == "msv_filter",
-				ev.Func == "msv_swar",
-				ev.Func == "ssv_band":
+				ev.Func == "forward_band":
 				fw.HotBytes = sharedHot + privateHot
 				fw.SharedHotBytes = sharedHot
 				fw.Regularity = regularity

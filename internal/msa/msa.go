@@ -128,14 +128,10 @@ type ChainResult struct {
 	Candidates int
 	Scanned    int
 	// CellsDP counts banded-Viterbi DP cells actually evaluated across all
-	// rounds and shards; CellsPruned counts filter lanes and band cells the
-	// kernels' pruning cascade provably skipped (see hmmer.Result).
+	// rounds and shards; CellsPruned counts the band cells the row-max
+	// cutoff provably skipped (see hmmer.Result).
 	CellsDP     uint64
 	CellsPruned uint64
-	// LanesRejected counts the full-precision work units the quantized SWAR
-	// pre-passes disposed of (a subset of CellsPruned plus whole MSV scans);
-	// zero when SWAR is disabled.
-	LanesRejected uint64
 	// Rows is the recruited alignment depth (including the query row).
 	Rows int
 	// HitResidues is the summed length of recruited hits, which feeds the
@@ -362,7 +358,6 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options, attempt int
 			cr.Scanned += merged.Scanned
 			cr.CellsDP += merged.CellsDP
 			cr.CellsPruned += merged.CellsPruned
-			cr.LanesRejected += merged.LanesRejected
 		}
 		lastHits = allHits
 		if round == rounds-1 {
@@ -409,8 +404,8 @@ func inclusionE(opts Options) float64 {
 // machine's core count.
 //
 // Scratch reuse: each shard's scan draws a scanWorkspace from the hmmer
-// package's sync.Pool for the duration of its pass, so the MSV run buffer,
-// DP rows, and seed scratch are allocated once per worker per database —
+// package's sync.Pool for the duration of its pass, so the DP rows,
+// Forward rows and seed scratch are allocated once per worker per database —
 // not once per record — and successive databases reuse the buffers the
 // previous pass grew.
 func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequence, db *seqdb.DB, opts Options, res *Result) (*hmmer.Result, error) {

@@ -322,11 +322,7 @@ func TestSimulatedDesktopBeatsServer(t *testing.T) {
 
 func TestTableIVFunctionShares(t *testing.T) {
 	// Table IV: the banded DP kernels dominate cycles, with calc_band_9 >=
-	// calc_band_10, and addbuf/seebuf visible but smaller. With the SWAR
-	// cascade armed (the default), the band recurrence runs at two
-	// precisions — the 8-bit ssv_band pre-pass on every candidate plus the
-	// float calc_band kernels on survivors — so the dominance claim spans
-	// both.
+	// calc_band_10, and addbuf/seebuf visible but smaller.
 	in, _ := inputs.ByName("2PV7")
 	res, err := Run(in, Options{Threads: 4, DBs: dbs(t)})
 	if err != nil {
@@ -338,7 +334,7 @@ func TestTableIVFunctionShares(t *testing.T) {
 	for _, c := range sim.PerFunc {
 		total += float64(c.Cycles)
 	}
-	band := cyc("calc_band_9") + cyc("calc_band_10") + cyc("ssv_band")
+	band := cyc("calc_band_9") + cyc("calc_band_10")
 	if band/total < 0.35 {
 		t.Errorf("band kernels = %.0f%% of cycles, want dominant", 100*band/total)
 	}
