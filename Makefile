@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet loc race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench serve-bench serve-smoke cluster-bench bench-batch batch-smoke bench-smoke
+.PHONY: all build test check fmt vet loc race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench profile-cold serve-bench serve-smoke cluster-bench bench-batch batch-smoke bench-smoke
 
 all: build
 
@@ -114,12 +114,23 @@ cluster-bench:
 # Kernel microbenchmarks with allocation tracking: the tensor kernels serial
 # vs parallel, and the MSA scan hot path's two arms on identical inputs
 # (reference kernels, optimized cascade — both on the seeded path requests
-# take) plus the 0-alloc steady-state path. The numbers of record for the
+# take) plus the 0-alloc steady-state path and the Forward kernel alone
+# against its log-space oracle (ns/cell). The numbers of record for the
 # scan are the repo benchmark's hmmer.*_ns_per_cell (sh bench/run.sh
 # --trace 1).
 bench:
 	$(GO) test -run xxx -bench 'MatMul|TriangleAttention|BlockApply|DiffusionDenoise' -benchmem ./internal/tensor ./internal/pairformer ./internal/diffusion
-	$(GO) test -run xxx -bench 'Scan' -benchmem ./internal/hmmer
+	$(GO) test -run xxx -bench 'Scan|Forward' -benchmem ./internal/hmmer
+
+# Where a cold request's CPU goes: three one-thread passes of the cold_msa
+# request mix through Suite.RunPipeline with FreshMSA (BenchmarkColdMix)
+# under the CPU profiler, then the 15 hottest functions. The test binary and
+# the profile stay out of the tree.
+PROFILE_DIR ?= /tmp/afsysbench-profile
+profile-cold:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run xxx -bench ColdMix -benchtime 3x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/cold.pprof ./internal/core
+	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/cold.pprof
 
 # Serving benchmark: the all-vs-all PPI screening mix through the two-tier
 # chain cache — a warm pass precomputes the disk tier, the measured pass

@@ -74,6 +74,40 @@ func BenchmarkScanNucleotide(b *testing.B) {
 	benchScanVariants(b, seq.RNA, 120, 400)
 }
 
+// BenchmarkForward times the two Forward implementations alone on one
+// 400-residue homolog of a 484-column profile: the log-space oracle
+// (reference) and the scaled odds-space kernel the scan runs (optimized).
+func BenchmarkForward(b *testing.B) {
+	g := seq.NewGenerator(rng.New(65))
+	query := g.Random("query", seq.Protein, 484)
+	target := g.Mutate(query, "target", 0.2)
+	target.Residues = target.Residues[:400]
+	p, err := BuildFromQuery(query)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := countBandCells(0, target.Len(), 0, BandHalfWidth, p.M)
+	perCell := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+	}
+	b.Run("reference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = referenceForward(p, target, 0, BandHalfWidth, metering.Nop{})
+		}
+		perCell(b)
+	})
+	b.Run("optimized", func(b *testing.B) {
+		ws := takeScanWorkspace()
+		defer releaseScanWorkspace(ws)
+		for i := 0; i < b.N; i++ {
+			benchSink = forward(p, target, 0, BandHalfWidth, ws, metering.Nop{})
+		}
+		perCell(b)
+	})
+}
+
+var benchSink float64
+
 // BenchmarkScanRecordSteadyState isolates the per-record path a database
 // pass spends nearly all its time in: one warm scanState, no-hit records
 // streamed through it (a realistic pass reports hits on a tiny fraction of

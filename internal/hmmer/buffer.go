@@ -47,7 +47,9 @@ type Buffer struct {
 	// streamed (paper-scale bytes); it is the working set reported for
 	// copy_to_iter.
 	dbFootprint uint64
-	staging     []byte
+	// staging starts empty and grows to the largest record; scanDB lends
+	// it, and out, the pooled workspace's bytes for the length of a scan.
+	staging []byte
 	// recycle hands out the same Sequence header and byte buffer on every
 	// Next call instead of fresh allocations. Callers that keep a record
 	// beyond the following Next (e.g. inside a Hit) must clone it first;
@@ -59,8 +61,9 @@ type Buffer struct {
 	rec     seq.Sequence
 }
 
-// stagingSize is the user-space lookahead buffer size (matches HMMER's
-// default 256 KiB input window).
+// stagingSize is the modeled user-space lookahead buffer size (HMMER's
+// default 256 KiB input window): the working set addbuf and seebuf report,
+// whatever this process's staging slice has grown to.
 const stagingSize = 256 * 1024
 
 // NewBuffer wraps src. dbFootprint is the modeled byte size of the backing
@@ -69,12 +72,7 @@ func NewBuffer(src RecordSource, dbFootprint uint64, m metering.Meter) *Buffer {
 	if m == nil {
 		m = metering.Nop{}
 	}
-	return &Buffer{
-		src:         src,
-		meter:       m,
-		dbFootprint: dbFootprint,
-		staging:     make([]byte, 0, stagingSize),
-	}
+	return &Buffer{src: src, meter: m, dbFootprint: dbFootprint}
 }
 
 // NewRecyclingBuffer is NewBuffer with record recycling: the returned record
@@ -97,11 +95,7 @@ func (b *Buffer) Next() (*seq.Sequence, bool) {
 	n := uint64(len(rec.Residues))
 
 	// copy_to_iter: page-cache -> user copy. One real pass over the bytes.
-	if cap(b.staging) < len(rec.Residues) {
-		b.staging = make([]byte, 0, len(rec.Residues))
-	}
-	b.staging = b.staging[:len(rec.Residues)]
-	copy(b.staging, rec.Residues)
+	b.staging = append(b.staging[:0], rec.Residues...)
 	b.meter.Record(metering.Event{
 		Func:         "copy_to_iter",
 		Instructions: n / 2, // wide vectorized copy loop
@@ -114,16 +108,11 @@ func (b *Buffer) Next() (*seq.Sequence, bool) {
 	})
 
 	// addbuf: append into the lookahead window (second real pass).
-	var out []byte
+	var out []byte // a fresh copy per record unless recycling
 	if b.recycle {
-		if cap(b.out) < len(b.staging) {
-			b.out = make([]byte, len(b.staging))
-		}
-		out = b.out[:len(b.staging)]
-	} else {
-		out = make([]byte, len(b.staging))
+		out = b.out[:0]
 	}
-	copy(out, b.staging)
+	out = append(out, b.staging...)
 	b.meter.Record(metering.Event{
 		Func:           "addbuf",
 		Instructions:   12 * n, // parsing, validation, digital translation

@@ -41,12 +41,18 @@ type Profile struct {
 	// bounds the per-row score gain of any alignment path and anchors the
 	// band cutoff's provably-safe pruning ceiling.
 	maxMatch float32
+	// oddsT is exp(MatchT) and openOdds exp(Open), set by BuildTransposed:
+	// the tables the Forward kernel multiplies where the log-space
+	// definition adds. float64 keeps it within 1e-9 of that definition at
+	// scores in the tens of thousands.
+	oddsT    []float64
+	openOdds float64
 }
 
-// BuildTransposed (re)derives MatchT and the pruning bound from Match. The
-// standard constructors call it; callers that assemble a Profile by hand can
-// invoke it to opt in to the transposed kernels, or skip it to stay on the
-// column-major reference path.
+// BuildTransposed (re)derives MatchT, the pruning bound and the Forward
+// odds tables from Match, Open included. The standard constructors call it;
+// callers that assemble a Profile by hand can invoke it to opt in to the
+// transposed kernels, or skip it to stay on the column-major reference path.
 func (p *Profile) BuildTransposed() {
 	if len(p.Match) != p.M*p.K {
 		return
@@ -55,11 +61,17 @@ func (p *Profile) BuildTransposed() {
 		p.MatchT = make([]float32, len(p.Match))
 	}
 	p.MatchT = p.MatchT[:len(p.Match)]
+	if cap(p.oddsT) < len(p.Match) {
+		p.oddsT = make([]float64, len(p.Match))
+	}
+	p.oddsT = p.oddsT[:len(p.Match)]
+	p.openOdds = math.Exp(float64(p.Open))
 	p.maxMatch = 0
 	for col := 0; col < p.M; col++ {
 		for r := 0; r < p.K; r++ {
 			s := p.Match[col*p.K+r]
 			p.MatchT[r*p.M+col] = s
+			p.oddsT[r*p.M+col] = math.Exp(float64(s))
 			if s > p.maxMatch {
 				p.maxMatch = s
 			}
@@ -67,9 +79,11 @@ func (p *Profile) BuildTransposed() {
 	}
 }
 
-// transposed reports whether the residue-major layout is available.
+// transposed reports whether the residue-major layout BuildTransposed
+// derives is available. A MatchT filled by hand does not count: the odds
+// table and the pruning bound would be missing.
 func (p *Profile) transposed() bool {
-	return len(p.MatchT) == len(p.Match) && len(p.Match) == p.M*p.K
+	return len(p.MatchT) == len(p.Match) && len(p.oddsT) == len(p.Match) && len(p.Match) == p.M*p.K
 }
 
 // BuildFromQuery constructs a profile directly from one query sequence using

@@ -11,8 +11,10 @@ import (
 // per-call scratch allocation. These are the pre-optimization kernels, kept
 // for three jobs:
 //
-//   - correctness oracle — the layout-equivalence tests assert the
-//     transposed kernels reproduce these bitwise;
+//   - correctness oracle — the equivalence tests assert the transposed
+//     Viterbi kernels reproduce these bitwise, and hold the odds-space
+//     Forward kernel, a different algorithm, to a stated tolerance against
+//     the log-space definition kept here;
 //   - fallback — a hand-assembled Profile without MatchT (BuildTransposed
 //     never called) still searches correctly through this path;
 //   - baseline — BenchmarkScan* measures the optimized cascade against
@@ -108,8 +110,9 @@ func referenceCalcBandRow(p *Profile, r, row, lo, w int, prev, cur *dpRows, res 
 	return cells
 }
 
-// referenceForward is the pre-optimization banded Forward pass: rows
-// allocated per call, column-major emission lookups.
+// referenceForward is the banded Forward pass as defined in log space:
+// log-sum-exp per cell, rows allocated per call, column-major emission
+// lookups.
 func referenceForward(p *Profile, target *seq.Sequence, diagonal, halfWidth int, m metering.Meter) float64 {
 	L := target.Len()
 	w := 2*halfWidth + 1
@@ -154,4 +157,18 @@ func referenceForward(p *Profile, target *seq.Sequence, diagonal, halfWidth int,
 		return 0
 	}
 	return total
+}
+
+func logSumExp2(a, b float64) float64 {
+	if a < b {
+		a, b = b, a
+	}
+	if math.IsInf(a, -1) {
+		return a
+	}
+	return a + math.Log1p(math.Exp(b-a))
+}
+
+func logSumExp4(a, b, c, d float64) float64 {
+	return logSumExp2(logSumExp2(a, b), logSumExp2(c, d))
 }

@@ -539,7 +539,13 @@ func scanDB(ctx context.Context, p *Profile, query *seq.Sequence, src RecordSour
 	buf := NewRecyclingBuffer(src, opts.DBFootprint, m)
 	s := newScanState(p, query, dbResidues, opts, m)
 	s.recycling = true
-	defer s.release()
+	// The buffer's bytes live in the pooled workspace between scans; hits
+	// hold clones (retain), so nothing outlives the hand-back.
+	buf.staging, buf.out = s.ws.staging, s.ws.record
+	defer func() {
+		s.ws.staging, s.ws.record = buf.staging, buf.out
+		s.release()
+	}()
 	res := s.res
 	for {
 		target, ok := buf.Next()

@@ -9,7 +9,8 @@ import (
 // scanWorkspace owns every piece of reusable scratch the per-record scan
 // cascade needs: the two banded-Viterbi DP rows, the Forward rows, the
 // traceback planes, the seed-vote map and candidate-diagonal slice, the
-// hit-dedup set, and the long-target window header. One workspace serves
+// hit-dedup set, the long-target window header, and the record buffer's
+// staging and recycled-record bytes. One workspace serves
 // one scan at a time; scanDB takes one from a sync.Pool per pass (so each
 // msa worker shard reuses the buffers of earlier shards instead of
 // reallocating them per database record), and every buffer grows
@@ -23,6 +24,8 @@ type scanWorkspace struct {
 	diags      []int
 	seen       map[string]bool
 	window     seq.Sequence // reusable long-target window header
+	staging    []byte       // Buffer.staging between scans
+	record     []byte       // Buffer.out (the recycled record) between scans
 }
 
 var scanWSPool = sync.Pool{New: func() any {
@@ -57,14 +60,18 @@ func (ws *scanWorkspace) bandRows(w int) (prev, cur *dpRows) {
 	return &ws.rowA, &ws.rowB
 }
 
-// forwardRows returns the two Forward rows sized for band width w. The
-// kernel initializes them itself, so no clearing happens here.
+// forwardRows returns the two Forward rows for band width w, zeroed. Each
+// is w+1 long: the kernel reads slot b+1 of the previous row, and the pad
+// slot, which nothing writes, lets it do so without a test at the band edge.
 func (ws *scanWorkspace) forwardRows(w int) (prev, cur []float64) {
-	if cap(ws.fwdA) < w {
-		ws.fwdA = make([]float64, w)
-		ws.fwdB = make([]float64, w)
+	if cap(ws.fwdA) < w+1 {
+		ws.fwdA = make([]float64, w+1)
+		ws.fwdB = make([]float64, w+1)
 	}
-	return ws.fwdA[:w], ws.fwdB[:w]
+	prev, cur = ws.fwdA[:w+1], ws.fwdB[:w+1]
+	clear(prev)
+	clear(cur)
+	return prev, cur
 }
 
 // seedScratch returns the cleared vote map and the empty candidate slice.
