@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet loc race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench profile-cold serve-bench serve-smoke cluster-bench bench-batch batch-smoke bench-smoke
+.PHONY: all build test check fmt vet doccheck loc race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench profile-cold serve-bench serve-smoke cluster-bench bench-batch batch-smoke bench-smoke
 
 all: build
 
@@ -23,12 +23,18 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# Docs as a checked artifact: every repo path, make target and
+# Test*/Benchmark* name a code span of these files mentions must exist in the
+# tree. bench/README.md belongs to the benchmark, so its misses only warn.
+doccheck:
+	@sh scripts/doccheck.sh README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md warn:bench/README.md
+
 # The size numbers ROADMAP aim 2 reports, by the rule every diet PR uses: Go
 # lines outside _test.go files that are neither blank nor a // comment line
 # (whole repo, and outside bench/, which the benchmark owns); flags the
 # three serving CLIs register, counted from their -h output so it does not
 # matter which file the registration call sits in; fields of serve.Config;
-# binaries under cmd/.
+# directories under cmd/, internal/ and examples/.
 GOSRC = find . -name '*.go' ! -name '*_test.go'
 CODE_LINES = xargs -0 cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
 loc:
@@ -37,6 +43,8 @@ loc:
 	@echo "flags (afserve+afload+afcluster): $$(for b in afserve afload afcluster; do $(GO) run ./cmd/$$b -h 2>&1; done | grep -c '^  -')"
 	@echo "serve.Config fields:              $$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z][A-Za-z]* /{n++} END{print n}' internal/serve/serve.go)"
 	@echo "binaries:                         $$(ls cmd | wc -l)"
+	@echo "internal packages:                $$(ls internal | wc -l)"
+	@echo "examples:                         $$(ls examples | wc -l)"
 
 # Race-check the concurrent hot path: the parallel engine itself, the
 # packages whose kernels shard over it (including the hmmer scan-workspace
@@ -103,7 +111,7 @@ cluster-smoke:
 fairness:
 	$(GO) run -race ./cmd/afload -fairness -seed 7 -threads 2 -msa-workers 4 -gpu-workers 2
 
-check: fmt vet test race faults chaos chaos-disk chaos-cluster cluster-smoke fairness serve-smoke batch-smoke bench-smoke
+check: fmt vet doccheck test race faults chaos chaos-disk chaos-cluster cluster-smoke fairness serve-smoke batch-smoke bench-smoke
 
 # Cluster scaling benchmark: the full shards × replicas sweep merged into
 # BENCH_serve.json as the cluster_scaling section (run serve-bench first so

@@ -635,29 +635,6 @@ func BenchmarkBatchDeployments(b *testing.B) {
 	b.ReportMetric(seq.Makespan/pipe.Makespan, "pipelineSpeedup")
 }
 
-// BenchmarkAblationRecommendedThreads compares the feature-based adaptive
-// policy against the exhaustive sweep it replaces.
-func BenchmarkAblationRecommendedThreads(b *testing.B) {
-	s := suite(b)
-	in, _ := inputs.ByName("promo")
-	mach := platform.Server()
-	var rec, swept float64
-	for i := 0; i < b.N; i++ {
-		pr, err := s.RunPipeline(in, mach, core.PipelineOptions{Threads: core.RecommendThreads(in, mach)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec = pr.TotalSeconds()
-		best, err := s.OptimalThreads(in, mach)
-		if err != nil {
-			b.Fatal(err)
-		}
-		swept = best.TotalSeconds()
-	}
-	b.ReportMetric(rec, "recommendedSec")
-	b.ReportMetric(swept, "sweptOptimalSec")
-}
-
 // BenchmarkModelValidation runs the analytic-vs-trace cache cross-check.
 func BenchmarkModelValidation(b *testing.B) {
 	var worst float64

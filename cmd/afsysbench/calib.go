@@ -1,20 +1,9 @@
-// Command afcalib prints the raw simulated numbers behind every paper
-// artifact — the calibration matrix maintainers check after touching any
-// machine-model constant. It sweeps the Table II samples across both
-// platforms and 1–8 threads, printing simulated MSA seconds, speedups and
-// the Table III counters per cell.
-//
-// Usage:
-//
-//	afcalib                      # full matrix
-//	afcalib -samples 2PV7,promo  # subset
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"afsysbench/internal/core"
@@ -24,35 +13,31 @@ import (
 	"afsysbench/internal/simhw"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "afcalib:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("afcalib", flag.ContinueOnError)
+// runCalib is the calib mode: the raw simulated numbers behind every paper
+// artifact — the calibration matrix maintainers check after touching any
+// machine-model constant. It sweeps the Table II samples across both
+// platforms and 1–8 threads, printing simulated MSA seconds, speedups and
+// the Table III counters per cell. Every MSA run comes from the suite — the
+// engine options, databases and memo behind every figure and served request
+// — so the matrix cannot calibrate a different engine from the one the
+// artifacts run.
+//
+//	afsysbench calib                      # full matrix
+//	afsysbench calib -samples 2PV7,promo  # subset
+func runCalib(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("afsysbench calib", flag.ContinueOnError)
 	samplesFlag := fs.String("samples", "2PV7,1YY9,promo,6QNR", "samples to sweep")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	names := strings.Split(*samplesFlag, ",")
-	return sweep(w, names, []int{1, 2, 4, 6, 8})
-}
-
-// sweep prints the calibration matrix for the given samples and thread
-// counts. Every MSA run comes from the suite — the engine options, databases
-// and memo behind every figure and served request — so the matrix cannot
-// calibrate a different engine from the one the artifacts run.
-func sweep(w io.Writer, names []string, threads []int) error {
+	threads := core.MSAThreadSweep
 	suite, err := core.NewSuite()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "DB modeled total: %.1f GiB\n", float64(suite.DBs.ModeledBytes())/(1<<30))
 
-	for _, name := range names {
+	for _, name := range strings.Split(*samplesFlag, ",") {
 		in, err := inputs.ByName(name)
 		if err != nil {
 			return err

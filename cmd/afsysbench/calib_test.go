@@ -15,7 +15,7 @@ import (
 
 func TestSweepOneSample(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-samples", "2PV7"}, &buf); err != nil {
+	if err := runCalib([]string{"-samples", "2PV7"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -31,7 +31,7 @@ func TestSweepOneSample(t *testing.T) {
 // suite's own MSA result replayed on the Server model, to the printed digit.
 func TestSweepPrintsTheSuiteEngine(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-samples", "2PV7"}, &buf); err != nil {
+	if err := runCalib([]string{"-samples", "2PV7"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	suite, err := core.NewSuite()
@@ -52,7 +52,7 @@ func TestSweepPrintsTheSuiteEngine(t *testing.T) {
 
 func TestSweepUnknownSample(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-samples", "nope"}, &buf); err == nil {
+	if err := runCalib([]string{"-samples", "nope"}, &buf); err == nil {
 		t.Error("unknown sample accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -168,5 +169,70 @@ func TestGoldenRunExitCodes(t *testing.T) {
 	_, code, err = captureRun(t, []string{"-run", "nosuchsample"})
 	if code != exitError || err == nil {
 		t.Fatalf("bad sample: code=%d err=%v", code, err)
+	}
+}
+
+// TestGoldenModes holds the prof, memest and calib modes to the stdout of
+// the three binaries they replaced: each golden was captured from the
+// parent commit's binary run with the same flags.
+func TestGoldenModes(t *testing.T) {
+	input := filepath.Join(t.TempDir(), "in.json")
+	if err := os.WriteFile(input, []byte(miniAF3JSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"prof_msa", []string{"prof", "-sample", "2PV7", "-machine", "Server", "-threads", "2"}},
+		{"prof_compare", []string{"prof", "-sample", "2PV7", "-machine", "Server", "-compare"}},
+		{"prof_timeline", []string{"prof", "-sample", "2PV7", "-machine", "Desktop", "-phase", "timeline"}},
+		{"prof_inference", []string{"prof", "-sample", "2PV7", "-machine", "Server", "-phase", "inference"}},
+		{"prof_layers", []string{"prof", "-sample", "2PV7", "-machine", "Server", "-phase", "layers"}},
+		{"prof_hits", []string{"prof", "-sample", "2PV7", "-phase", "hits"}},
+		{"memest_sample", []string{"memest", "-sample", "6QNR"}},
+		{"memest_max_rna", []string{"memest", "-max-rna"}},
+		{"memest_input", []string{"memest", "-input", input}},
+		{"calib_2PV7", []string{"calib", "-samples", "2PV7"}},
+	}
+	for _, c := range cases {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, code, err := captureRun(t, c.args)
+		if err != nil || code != exitOK {
+			t.Errorf("%v: code=%d err=%v", c.args, code, err)
+		}
+		if out != string(want) {
+			t.Errorf("%v drifted from testdata/%s.golden:\n--- got ---\n%s\n--- want ---\n%s", c.args, c.golden, out, want)
+		}
+	}
+}
+
+// TestModeWordOnlyFirst: a word that is not a mode falls through to the
+// suite's flag set, which has nothing to do without -list, -exp or -run.
+func TestModeWordOnlyFirst(t *testing.T) {
+	for _, args := range [][]string{{"profile"}, {"-runs", "1", "prof"}} {
+		_, code, err := captureRun(t, args)
+		if code != exitError || err == nil || !strings.Contains(err.Error(), "nothing to do") {
+			t.Errorf("%v: code=%d err=%v, want the nothing-to-do usage error", args, code, err)
+		}
+	}
+}
+
+// TestRunDefaultsToEightThreads: -threads defaults to the Figure 3 sweep
+// for experiments only; a -run without it uses AF3's default of 8.
+func TestRunDefaultsToEightThreads(t *testing.T) {
+	out, code, err := captureRun(t, []string{"-run", "2PV7"})
+	if err != nil || code != exitOK {
+		t.Fatalf("code=%d err=%v", code, err)
+	}
+	if want := "2PV7 on Server (8 threads)\n"; !strings.HasPrefix(out, want) {
+		t.Errorf("-run without -threads starts %q, want %q", strings.SplitN(out, "\n", 2)[0], want)
+	}
+	out, _, _ = captureRun(t, []string{"-run", "2PV7", "-threads", "2,4"})
+	if want := "2PV7 on Server (2 threads)\n"; !strings.HasPrefix(out, want) {
+		t.Errorf("-run -threads 2,4 starts %q, want %q", strings.SplitN(out, "\n", 2)[0], want)
 	}
 }

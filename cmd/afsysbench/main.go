@@ -13,6 +13,9 @@
 //	afsysbench -run 2PV7 -machine desktop               # one pipeline run
 //	afsysbench -run 2PV7 -faults permanent:uniref_s     # fault injection
 //	afsysbench -run 2PV7 -stage-budget msa=3000 -timeout 2m
+//	afsysbench prof -sample 2PV7 -machine Server -compare   # function-level profiles (prof.go)
+//	afsysbench memest -sample 6QNR                      # static memory pre-check (memest.go)
+//	afsysbench calib -samples 2PV7                      # calibration matrix (calib.go)
 //
 // Exit codes for -run: 0 success, 1 generic error, 2 projected-OOM gate,
 // 3 stage timeout (modeled budget or wall-clock -timeout), 4 the run
@@ -24,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -65,12 +69,33 @@ func run(args []string) error {
 	return err
 }
 
+// modes are the first-argument words that select a tool with its own flag
+// set; any other first argument is the suite's flag set below.
+var modes = map[string]func(args []string, w io.Writer) error{
+	"prof":   runProf,
+	"memest": runMemest,
+	"calib":  runCalib,
+}
+
 func runCLI(args []string) (int, error) {
+	if len(args) > 0 {
+		if mode, ok := modes[args[0]]; ok {
+			return exitIf(mode(args[1:], os.Stdout))
+		}
+	}
 	fs := flag.NewFlagSet("afsysbench", flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "Usage of afsysbench:\n"+
+			"  afsysbench prof -h     function-level profiles of a sample on a platform\n"+
+			"  afsysbench memest -h   static memory pre-check of a sample or AF3 JSON input\n"+
+			"  afsysbench calib -h    calibration matrix behind every figure\n"+
+			"  afsysbench [flags]     tables, figures and single runs:\n")
+		fs.PrintDefaults()
+	}
 	list := fs.String("list", "", "list 'platforms' (Table I) or 'samples' (Table II)")
 	exp := fs.String("exp", "", "experiment id: fig2..fig9, tab3..tab6, or 'all'")
 	samplesFlag := fs.String("samples", "", "comma-separated sample subset (default: all five)")
-	threadsFlag := fs.String("threads", "", "comma-separated thread counts for fig3 (default 1,2,4,6,8)")
+	threadsFlag := fs.String("threads", "", "comma-separated thread counts for fig3 (default 1,2,4,6,8); -run uses the first (default 8)")
 	runs := fs.Int("runs", 3, "repetitions for mean/CV experiments")
 	csvDir := fs.String("csv", "", "also write <dir>/<exp>.csv for each experiment")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file (compare Go hotspots against metering attribution)")
@@ -136,9 +161,8 @@ func runCLI(args []string) (int, error) {
 	if *samplesFlag != "" {
 		samples = strings.Split(*samplesFlag, ",")
 	}
-	threads := core.MSAThreadSweep
+	var threads []int
 	if *threadsFlag != "" {
-		threads = nil
 		for _, part := range strings.Split(*threadsFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil {
@@ -166,6 +190,9 @@ func runCLI(args []string) (int, error) {
 		})
 	}
 
+	if threads == nil {
+		threads = core.MSAThreadSweep
+	}
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = []string{"tab1", "tab2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "tab3", "tab4", "tab5", "tab6", "batch", "sens"}
@@ -202,11 +229,7 @@ type singleRunConfig struct {
 
 // runSingle executes one end-to-end pipeline run and classifies the exit.
 func runSingle(suite *core.Suite, cfg singleRunConfig) (int, error) {
-	in, err := inputs.ByName(cfg.sample)
-	if err != nil {
-		return exitError, err
-	}
-	mach, err := platform.ByName(cfg.machine)
+	in, mach, err := sampleOnMachine(cfg.sample, cfg.machine)
 	if err != nil {
 		return exitError, err
 	}
@@ -244,6 +267,16 @@ func runSingle(suite *core.Suite, cfg singleRunConfig) (int, error) {
 		return exitDegraded, nil
 	}
 	return exitOK, nil
+}
+
+// sampleOnMachine resolves a Table II sample name and a platform name.
+func sampleOnMachine(sample, machine string) (*inputs.Input, platform.Machine, error) {
+	in, err := inputs.ByName(sample)
+	if err != nil {
+		return nil, platform.Machine{}, err
+	}
+	mach, err := platform.ByName(machine)
+	return in, mach, err
 }
 
 // exitCodeFor maps a pipeline error to its failure class.

@@ -1,19 +1,9 @@
-// Command afmemest is the static memory pre-check the paper proposes in
-// Section VI: it projects the MSA stage's peak memory from input features
-// (longest RNA chain, protein length, thread count) and reports whether the
-// run fits each platform — before any compute is spent. Stock AlphaFold3
-// performs no such check and dies in the OOM killer.
-//
-// Usage:
-//
-//	afmemest -sample 6QNR
-//	afmemest -input my_assembly.json -threads 8
-//	afmemest -max-rna          # longest safe RNA chain per platform
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"afsysbench/internal/inputs"
@@ -22,15 +12,17 @@ import (
 	"afsysbench/internal/report"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "afmemest:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("afmemest", flag.ContinueOnError)
+// runMemest is the memest mode: the static memory pre-check the paper
+// proposes in Section VI. It projects the MSA stage's peak memory from input
+// features (longest RNA chain, protein length, thread count) and reports
+// whether the run fits each platform — before any compute is spent. Stock
+// AlphaFold3 performs no such check and dies in the OOM killer.
+//
+//	afsysbench memest -sample 6QNR
+//	afsysbench memest -input my_assembly.json -threads 8
+//	afsysbench memest -max-rna          # longest safe RNA chain per platform
+func runMemest(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("afsysbench memest", flag.ContinueOnError)
 	sample := fs.String("sample", "", "Table II sample name")
 	inputPath := fs.String("input", "", "AF3 JSON input file")
 	threads := fs.Int("threads", 8, "MSA thread count (protein memory scales with it)")
@@ -38,7 +30,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w := os.Stdout
 
 	if *maxRNA {
 		var rows [][]string

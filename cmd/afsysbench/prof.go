@@ -1,20 +1,9 @@
-// Command afprof prints perf-report-style function-level profiles from the
-// simulated pipeline — the suite's analog of the paper's perf/uProf/nsys
-// workflow.
-//
-// Usage:
-//
-//	afprof -sample 2PV7 -machine Server -threads 4            # MSA profile
-//	afprof -sample 2PV7 -machine Server -compare              # 1T vs 4T (Table IV)
-//	afprof -sample promo -machine Server -phase inference     # host init/compile (Table V)
-//	afprof -sample 2PV7 -machine Desktop -phase timeline      # nsys-style timeline (Fig. 8)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"afsysbench/internal/core"
 	"afsysbench/internal/hmmer"
@@ -27,30 +16,27 @@ import (
 	"afsysbench/internal/trace"
 )
 
-func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "afprof:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string) error {
-	fs := flag.NewFlagSet("afprof", flag.ContinueOnError)
+// runProf is the prof mode: perf-report-style function-level profiles from
+// the simulated pipeline — the suite's analog of the paper's perf/uProf/nsys
+// workflow.
+//
+//	afsysbench prof -sample 2PV7 -machine Server -threads 4            # MSA profile
+//	afsysbench prof -sample 2PV7 -machine Server -compare              # 1T vs 4T (Table IV)
+//	afsysbench prof -sample promo -machine Server -phase inference     # host init/compile (Table V)
+//	afsysbench prof -sample 2PV7 -machine Desktop -phase timeline      # nsys-style timeline (Fig. 8)
+func runProf(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("afsysbench prof", flag.ContinueOnError)
 	sample := fs.String("sample", "2PV7", "Table II sample name")
 	machineName := fs.String("machine", "Server", "platform name (Server, Desktop, ...)")
 	threads := fs.Int("threads", 4, "thread count")
 	phase := fs.String("phase", "msa", "msa | inference | timeline | layers | hits")
 	compare := fs.Bool("compare", false, "compare 1T vs 4T side by side (Table IV layout)")
-	metricName := fs.String("metric", "cycles", "cycles | cache-misses | dTLB | page-faults | branches")
+	metricName := fs.String("metric", "cycles", "cycles | instructions | cache-misses | dTLB | page-faults | branches")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	in, err := inputs.ByName(*sample)
-	if err != nil {
-		return err
-	}
-	mach, err := platform.ByName(*machineName)
+	in, mach, err := sampleOnMachine(*sample, *machineName)
 	if err != nil {
 		return err
 	}
@@ -62,7 +48,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	w := os.Stdout
 
 	switch *phase {
 	case "msa":

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -27,7 +28,13 @@ func main() {
 	if len(os.Args) > 1 {
 		out = os.Args[1]
 	}
+	if err := run(os.Stdout, out); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run predicts the demo assembly and writes the structure to the file out.
+func run(w io.Writer, out string) error {
 	// A small two-chain assembly so the real O(N³) trunk stays fast.
 	g := seq.NewGenerator(rng.New(99))
 	in := &inputs.Input{
@@ -38,10 +45,10 @@ func main() {
 		},
 	}
 	if err := in.Validate(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	n := in.TotalResidues()
-	fmt.Printf("input %s: %d chains, %d residues\n", in.Name, in.ChainCount(), n)
+	fmt.Fprintf(w, "input %s: %d chains, %d residues\n", in.Name, in.ChainCount(), n)
 
 	// One Threads knob governs both parallel stages: the MSA scan shards
 	// databases across this many workers, and the compute kernels below run
@@ -54,17 +61,17 @@ func main() {
 	// databases with planted homologs.
 	dbs, err := msa.BuildDBSet([]*inputs.Input{in}, msa.DBConfig{Seed: 5, SeqsPerDB: 60, HomologsPerQuery: 4})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	msaRes, err := msa.Run(in, msa.Options{Threads: threads, DBs: dbs})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	hits := 0
 	for _, c := range msaRes.PerChain {
 		hits += c.Hits
 	}
-	fmt.Printf("MSA: %d hits, alignment depth %d, %d paired rows\n",
+	fmt.Fprintf(w, "MSA: %d hits, alignment depth %d, %d paired rows\n",
 		hits, msaRes.Features.Rows, msaRes.Features.PairedRows)
 
 	// 2. Pairformer trunk at reduced dimensions (real triangle updates and
@@ -76,9 +83,9 @@ func main() {
 	src := rng.New(7)
 	state := pairformer.RandomState(cfg, n, src.Split(1))
 	if err := pairformer.Stack(cfg, state, src.Split(2), pool); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("Pairformer: %d blocks over %d tokens (pair tensor %d elements)\n",
+	fmt.Fprintf(w, "Pairformer: %d blocks over %d tokens (pair tensor %d elements)\n",
 		cfg.Blocks, n, state.Pair.Len())
 
 	// 3. Diffusion sampling: iterative denoising of atom coordinates with
@@ -90,30 +97,31 @@ func main() {
 	}
 	den, err := diffusion.NewDenoiser(dcfg, src.Split(3))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	coords, conf, err := den.SampleWithConfidence(n, src.Split(4), pool)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 4. Emit the structure.
 	atoms, err := structout.FromCoords(coords, in, dcfg.AtomsPerToken, conf)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	f, err := os.Create(out)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := structout.WritePDB(f, atoms); err != nil {
 		f.Close()
-		log.Fatal(err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("Diffusion: %d steps over %d atoms\n", dcfg.Steps, coords.Shape[0])
-	fmt.Printf("wrote %s (%d atoms, mean confidence %.1f)\n",
+	fmt.Fprintf(w, "Diffusion: %d steps over %d atoms\n", dcfg.Steps, coords.Shape[0])
+	fmt.Fprintf(w, "wrote %s (%d atoms, mean confidence %.1f)\n",
 		out, len(atoms), structout.MeanConfidence(atoms))
+	return nil
 }

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -16,19 +17,25 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// A suite bundles the synthetic reference databases and the AF3-scale
 	// inference model. Construction generates everything deterministically.
 	suite, err := core.NewSuite()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Pick a Table II sample. 2PV7 is the small symmetric protein dimer.
 	in, err := inputs.ByName("2PV7")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("sample %s: %d chains, %d residues\n\n", in.Name, in.ChainCount(), in.TotalResidues())
+	fmt.Fprintf(w, "sample %s: %d chains, %d residues\n\n", in.Name, in.ChainCount(), in.TotalResidues())
 
 	// Run the full pipeline (MSA phase + inference phase) on each platform
 	// at AF3's default 8 threads.
@@ -36,9 +43,9 @@ func main() {
 	for _, mach := range core.TwoPlatforms() {
 		pr, err := suite.RunPipeline(in, mach, core.PipelineOptions{Threads: 8})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%s: MSA %.0fs (%.0f%% of total), inference %.0fs, disk util %.0f%%\n",
+		fmt.Fprintf(w, "%s: MSA %.0fs (%.0f%% of total), inference %.0fs, disk util %.0f%%\n",
 			mach.Name, pr.MSASeconds, 100*pr.MSAFraction(), pr.Inference.Total(), pr.DiskUtilPct)
 		bars = append(bars, report.Bar{
 			Label: mach.Name,
@@ -50,14 +57,12 @@ func main() {
 
 		// An Nsight-style timeline of the inference phase.
 		tl := trace.FromInference(fmt.Sprintf("%s inference on %s", in.Name, mach.Name), pr.Inference)
-		fmt.Println()
-		if err := tl.Render(os.Stdout, 50); err != nil {
-			log.Fatal(err)
+		fmt.Fprintln(w)
+		if err := tl.Render(w, 50); err != nil {
+			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	if err := report.StackedBars(os.Stdout, "end-to-end comparison", bars, 50); err != nil {
-		log.Fatal(err)
-	}
+	return report.StackedBars(w, "end-to-end comparison", bars, 50)
 }

@@ -11,7 +11,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"afsysbench/internal/cache"
 	"afsysbench/internal/core"
@@ -49,9 +51,15 @@ func inferenceSeconds(suite *core.Suite, trace []string, coldModel bool) (float6
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	suite, err := core.NewSuite()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	mach := platform.Server()
 
@@ -66,21 +74,22 @@ func main() {
 	// inference request incurs repeated model initialization").
 	coldTotal, err := inferenceSeconds(suite, trace, true)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Warm server: the persistent process pays init and compile once,
 	// outside the request path; requests see only compute.
 	warmTotal, err := inferenceSeconds(suite, trace, false)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	n := float64(len(trace))
-	fmt.Printf("served %d inference requests on %s\n\n", len(trace), mach.Name)
-	fmt.Printf("cold per-request deployment: %7.0fs total (%.1fs/request)\n", coldTotal, coldTotal/n)
-	fmt.Printf("persistent model server:     %7.0fs total (%.1fs/request)\n", warmTotal, warmTotal/n)
-	fmt.Printf("throughput improvement:      %.2fx\n", coldTotal/warmTotal)
-	fmt.Println("\n(Section VI: avoiding redundant initialization substantially improves")
-	fmt.Println(" throughput and responsiveness, especially on the server where init and")
-	fmt.Println(" XLA compilation dominate small-input inference.)")
+	fmt.Fprintf(w, "served %d inference requests on %s\n\n", len(trace), mach.Name)
+	fmt.Fprintf(w, "cold per-request deployment: %7.0fs total (%.1fs/request)\n", coldTotal, coldTotal/n)
+	fmt.Fprintf(w, "persistent model server:     %7.0fs total (%.1fs/request)\n", warmTotal, warmTotal/n)
+	fmt.Fprintf(w, "throughput improvement:      %.2fx\n", coldTotal/warmTotal)
+	fmt.Fprintln(w, "\n(Section VI: avoiding redundant initialization substantially improves")
+	fmt.Fprintln(w, " throughput and responsiveness, especially on the server where init and")
+	fmt.Fprintln(w, " XLA compilation dominate small-input inference.)")
+	return nil
 }

@@ -384,18 +384,6 @@ func (s *Store) Put(key string, codec uint16, payload []byte) error {
 	return nil
 }
 
-// Contains reports whether key is indexed, without touching disk,
-// counters, or the breaker.
-func (s *Store) Contains(key string) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[key]
-	return ok
-}
-
 // Drop removes an entry whose payload verified but failed the caller's
 // decode — semantic corruption the checksum cannot see (e.g. a payload
 // written by a buggy encoder). Counted separately from checksum drops.

@@ -90,9 +90,6 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// Plan returns the cluster's shard plan.
-func (c *Cluster) Plan() ShardPlan { return c.plan }
-
 // KillNode marks node i dead: its shards fail over to the next alive node
 // in rotation, and a scan in flight on it is discarded and re-dispatched.
 func (c *Cluster) KillNode(i int) {

@@ -47,9 +47,6 @@ type BatchItem struct {
 	Start, Finish float64
 }
 
-// Latency returns the request's end-to-end latency.
-func (b BatchItem) Latency() float64 { return b.Finish - b.Start }
-
 // BatchResult summarizes a batch run.
 type BatchResult struct {
 	Machine   string

@@ -548,32 +548,3 @@ func TestOptimalThreadsAPI(t *testing.T) {
 		}
 	}
 }
-
-func TestRecommendThreadsNearOptimal(t *testing.T) {
-	// The feature-based prediction must land within 12% of the sweep's
-	// optimum for every sample on both machines — otherwise the adaptive
-	// policy would be worse than just sweeping.
-	s := suite(t)
-	for _, name := range SampleNames() {
-		in, _ := inputs.ByName(name)
-		for _, mach := range TwoPlatforms() {
-			m := MachineFor(in, mach)
-			rec := RecommendThreads(in, m)
-			if rec < 1 || rec > m.CPU.Cores {
-				t.Fatalf("%s on %s: recommended %d threads", name, m.Name, rec)
-			}
-			recRun, err := s.RunPipeline(in, m, PipelineOptions{Threads: rec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			best, err := s.OptimalThreads(in, mach)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if recRun.TotalSeconds() > best.TotalSeconds()*1.12 {
-				t.Errorf("%s on %s: recommended %dT = %.0fs vs optimal %dT = %.0fs",
-					name, m.Name, rec, recRun.TotalSeconds(), best.Threads, best.TotalSeconds())
-			}
-		}
-	}
-}

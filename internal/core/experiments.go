@@ -232,28 +232,6 @@ func (s *Suite) OptimalThreads(in *inputs.Input, mach platform.Machine) (*Pipeli
 	return best, nil
 }
 
-// RecommendThreads predicts a good MSA thread setting from input features
-// alone — the "adaptive thread allocation based on input complexity and
-// hardware configuration" the paper recommends over AF3's fixed default
-// (Observation 3). The rules encode the paper's findings: small inputs stop
-// benefiting around 4–6 threads; repeat-heavy and RNA-bearing inputs hit
-// the memory-contention wall earlier; everything else can use more workers.
-func RecommendThreads(in *inputs.Input, mach platform.Machine) int {
-	rec := 8
-	switch {
-	case in.TotalResidues() < 400:
-		rec = 6 // small inputs saturate early
-	case in.MaxLowComplexity() > 0.15:
-		rec = 6 // repeat-driven candidate floods contend on the LLC
-	case in.HasRNA():
-		rec = 6 // nhmmer stages are reader-bound sooner
-	}
-	if rec > mach.CPU.Cores {
-		rec = mach.CPU.Cores
-	}
-	return rec
-}
-
 // Figure7 finds, per sample and machine, the thread count minimizing total
 // time, then reports the phase split there.
 func (s *Suite) Figure7(sampleNames []string, machines []platform.Machine) ([]ShareRow, error) {

@@ -9,7 +9,6 @@ import (
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/memest"
 	"afsysbench/internal/msa"
-	"afsysbench/internal/parallel"
 	"afsysbench/internal/platform"
 	"afsysbench/internal/resilience"
 	"afsysbench/internal/rng"
@@ -21,10 +20,8 @@ import (
 
 // PipelineOptions configure one end-to-end run.
 type PipelineOptions struct {
-	// Threads is the worker count for both parallel stages: the MSA scan
-	// shards every database across Threads workers, and the real compute
-	// kernels (pairformer.Stack, diffusion sampling) run on the worker
-	// pool ComputePool returns for the same setting.
+	// Threads is the MSA worker count: the scan shards every database
+	// across Threads workers.
 	Threads int
 	// RunIndex selects the jitter draw for repeat runs.
 	RunIndex int
@@ -161,20 +158,6 @@ func (e ErrProjectedOOM) Error() string {
 	return fmt.Sprintf("core: %s on %s projected to need %.0f GiB (verdict %s)",
 		e.Estimate.Input, e.Estimate.Machine,
 		float64(e.Estimate.PeakBytes)/(1<<30), e.Estimate.Verdict)
-}
-
-// ComputePool returns the shared worker pool for this run's thread
-// setting — the compute-engine side of the Threads knob. Anything that
-// executes the real kernels (pairformer.Stack, diffusion sampling) on
-// behalf of a pipeline run should use this pool so MSA scanning and
-// inference compute are governed by the same option. Pools are cached per
-// worker count and shared across runs; results are bitwise identical at
-// any worker count.
-func (o PipelineOptions) ComputePool() *parallel.Pool {
-	if o.Threads <= 0 {
-		return parallel.Default()
-	}
-	return parallel.ForWorkers(o.Threads)
 }
 
 // RunPipeline executes the full AF3 pipeline for one sample on one machine

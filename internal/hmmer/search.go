@@ -484,43 +484,51 @@ func bandScoreFloor(p *Profile, dbResidues int, evGate float64) float32 {
 // survivors, traceback on reported hits.
 func (s *scanState) scanRecord(target *seq.Sequence) {
 	s.retained = nil
-	res := s.res
 	// Long nucleotide targets go through the windowed nhmmer path.
 	if s.query.Type != seq.Protein && target.Len() > longTargetThreshold(s.query.Len()) {
-		wres := s.scanLongTarget(target)
-		res.Windows += wres.Windows
-		res.Candidates += wres.Candidates
-		res.CellsDP += wres.CellsDP
-		res.CellsPruned += wres.CellsPruned
-		res.Hits = append(res.Hits, wres.Hits...)
-		if wres.PeakStateBytes > res.PeakWindowStateBytes {
-			res.PeakWindowStateBytes = wres.PeakStateBytes
-		}
+		s.scanLongTarget(target)
 		return
 	}
 	diags := s.idx.candidates(target, s.opts.MinSeeds, s.opts.MaxDiagonals, 2*s.opts.HalfWidth, s.ws, s.m)
+	s.cascade(target, target, 0, diags)
+}
+
+// cascade runs the DP tiers over one view's candidate diagonals — banded
+// Viterbi, the E-value gate, Forward, its gate, the traced alignment — and
+// appends the reported hits to the result. view is what the kernels score:
+// the whole target, or a window into it starting at residue offset (0 for
+// the whole target); hit coordinates are reported against the whole target.
+func (s *scanState) cascade(view, target *seq.Sequence, offset int, diags []int) {
+	res := s.res
 	for _, d := range diags {
 		res.Candidates++
-		ali, pruned := bandedViterbi(s.p, target, d, s.opts.HalfWidth, s.ws, s.bandFloor, s.m)
+		ali, pruned := bandedViterbi(s.p, view, d, s.opts.HalfWidth, s.ws, s.bandFloor, s.m)
 		res.CellsDP += ali.Cells
 		res.CellsPruned += pruned
 		ev := s.p.EValue(float64(ali.Score), s.dbResidues)
 		if ev > s.opts.MaxEValue*10 {
 			continue // not even close; skip Forward
 		}
-		fwd := forward(s.p, target, d, s.opts.HalfWidth, s.ws, s.m)
+		fwd := forward(s.p, view, d, s.opts.HalfWidth, s.ws, s.m)
 		fev := s.p.EValue(fwd, s.dbResidues)
 		if fev > s.opts.MaxEValue {
 			continue
 		}
 		// Reported hits get a traced alignment for stacking and
 		// display (the extra DP is charged by the traceback kernel).
-		_, traced := bandedViterbiAlign(s.p, target, d, s.opts.HalfWidth, s.ws, s.m)
+		_, traced := bandedViterbiAlign(s.p, view, d, s.opts.HalfWidth, s.ws, s.m)
+		if offset != 0 && traced != nil {
+			for pi := range traced.Pairs {
+				if traced.Pairs[pi].Pos >= 0 {
+					traced.Pairs[pi].Pos += offset
+				}
+			}
+		}
 		kept := s.retain(target)
 		res.Hits = append(res.Hits, Hit{
 			TargetID:     kept.ID,
 			Target:       kept,
-			Diagonal:     d,
+			Diagonal:     d + offset,
 			ViterbiScore: float64(ali.Score),
 			ForwardScore: fwd,
 			Bits:         s.p.BitScore(fwd),

@@ -35,28 +35,19 @@ func planWindows(qLen, targetLen int) windowPlan {
 	return windowPlan{winLen: winLen, stride: stride, targets: n}
 }
 
-// WindowScanResult aggregates a windowed scan of one long target.
-type WindowScanResult struct {
-	Windows int
-	// PeakStateBytes models the per-target candidate state nhmmer holds:
-	// every seeded window keeps its DP band and hit context alive until
-	// target postprocessing (the Figure 2 memory driver).
-	PeakStateBytes int64
-	Hits           []Hit
-	Candidates     int
-	CellsDP        uint64
-	CellsPruned    uint64
-}
-
 // scanLongTarget runs the windowed nucleotide scan of a single target. Each
 // window goes through the usual seed → banded-Viterbi → Forward cascade;
 // hit coordinates are mapped back to the whole target. The window header is
 // the workspace's reusable Sequence — windows are views into the target's
 // residues, so no bytes are copied per window.
-func (s *scanState) scanLongTarget(target *seq.Sequence) WindowScanResult {
+func (s *scanState) scanLongTarget(target *seq.Sequence) {
 	plan := planWindows(s.query.Len(), target.Len())
-	out := WindowScanResult{Windows: plan.targets}
+	s.res.Windows += plan.targets
 	bandBytes := int64(2*s.opts.HalfWidth+1) * 3 * 4 // one band row set
+	// peak models the per-target candidate state nhmmer holds: every seeded
+	// window keeps its DP band and hit context alive until target
+	// postprocessing (the Figure 2 memory driver).
+	var peak int64
 
 	window := &s.ws.window
 	window.ID = target.ID
@@ -74,46 +65,13 @@ func (s *scanState) scanLongTarget(target *seq.Sequence) WindowScanResult {
 		}
 		// Seeded windows retain their DP state and window copy until the
 		// target finishes — the superlinear accumulation.
-		out.PeakStateBytes += int64(end-start) + bandBytes*int64(end-start) + int64(len(diags))*64
-
-		for _, d := range diags {
-			out.Candidates++
-			ali, pruned := bandedViterbi(s.p, window, d, s.opts.HalfWidth, s.ws, s.bandFloor, s.m)
-			out.CellsDP += ali.Cells
-			out.CellsPruned += pruned
-			ev := s.p.EValue(float64(ali.Score), s.dbResidues)
-			if ev > s.opts.MaxEValue*10 {
-				continue
-			}
-			fwd := forward(s.p, window, d, s.opts.HalfWidth, s.ws, s.m)
-			fev := s.p.EValue(fwd, s.dbResidues)
-			if fev > s.opts.MaxEValue {
-				continue
-			}
-			_, traced := bandedViterbiAlign(s.p, window, d, s.opts.HalfWidth, s.ws, s.m)
-			// Map window-relative positions back to the whole target.
-			if traced != nil {
-				for pi := range traced.Pairs {
-					if traced.Pairs[pi].Pos >= 0 {
-						traced.Pairs[pi].Pos += start
-					}
-				}
-			}
-			kept := s.retain(target)
-			out.Hits = append(out.Hits, Hit{
-				TargetID:     kept.ID,
-				Target:       kept,
-				Diagonal:     d + start, // whole-target diagonal
-				ViterbiScore: float64(ali.Score),
-				ForwardScore: fwd,
-				Bits:         s.p.BitScore(fwd),
-				EValue:       fev,
-				Alignment:    traced,
-			})
-		}
+		peak += int64(end-start) + bandBytes*int64(end-start) + int64(len(diags))*64
+		s.cascade(window, target, start, diags)
 	}
 	window.Residues = nil // don't pin the target's bytes in the pool
-	return out
+	if peak > s.res.PeakWindowStateBytes {
+		s.res.PeakWindowStateBytes = peak
+	}
 }
 
 // longTargetThreshold is the length above which nucleotide targets switch

@@ -148,38 +148,14 @@ type jsonInput struct {
 }
 
 type jsonChainWrap struct {
-	Protein *jsonChain `json:"protein,omitempty"`
-	DNA     *jsonChain `json:"dna,omitempty"`
-	RNA     *jsonChain `json:"rna,omitempty"`
+	Protein *jsonChain `json:"protein"`
+	DNA     *jsonChain `json:"dna"`
+	RNA     *jsonChain `json:"rna"`
 }
 
 type jsonChain struct {
 	ID       []string `json:"id"`
 	Sequence string   `json:"sequence"`
-}
-
-// MarshalJSON renders the AF3 input format.
-func (in *Input) MarshalJSON() ([]byte, error) {
-	out := jsonInput{Name: in.Name, ModelSeeds: in.Seeds}
-	if out.ModelSeeds == nil {
-		out.ModelSeeds = []int{1}
-	}
-	for _, c := range in.Chains {
-		jc := &jsonChain{ID: c.IDs, Sequence: c.Sequence.Letters()}
-		var wrap jsonChainWrap
-		switch c.Sequence.Type {
-		case seq.Protein:
-			wrap.Protein = jc
-		case seq.DNA:
-			wrap.DNA = jc
-		case seq.RNA:
-			wrap.RNA = jc
-		default:
-			return nil, fmt.Errorf("inputs: unsupported chain type %v", c.Sequence.Type)
-		}
-		out.Sequences = append(out.Sequences, wrap)
-	}
-	return json.Marshal(out)
 }
 
 // Read parses an AF3-format JSON input.
@@ -217,14 +193,4 @@ func Read(r io.Reader) (*Input, error) {
 		return nil, err
 	}
 	return in, nil
-}
-
-// Write emits the AF3 JSON format.
-func (in *Input) Write(w io.Writer) error {
-	b, err := json.MarshalIndent(in, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(b, '\n'))
-	return err
 }

@@ -1,7 +1,6 @@
 package inputs
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -137,40 +136,26 @@ func TestRNASweepLengths(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	for _, in := range Samples() {
-		var buf bytes.Buffer
-		if err := in.Write(&buf); err != nil {
-			t.Fatalf("%s: %v", in.Name, err)
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", in.Name, err)
-		}
-		if got.Name != in.Name || got.TotalResidues() != in.TotalResidues() || got.ChainCount() != in.ChainCount() {
-			t.Errorf("%s round trip mismatch", in.Name)
-		}
-		for i := range in.Chains {
-			if got.Chains[i].Sequence.Type != in.Chains[i].Sequence.Type {
-				t.Errorf("%s chain %d type changed", in.Name, i)
-			}
-			if got.Chains[i].Sequence.Letters() != in.Chains[i].Sequence.Letters() {
-				t.Errorf("%s chain %d sequence changed", in.Name, i)
-			}
-		}
-	}
-}
-
-func TestJSONFormatIsAF3Style(t *testing.T) {
-	in, _ := ByName("7RCE")
-	var buf bytes.Buffer
-	if err := in.Write(&buf); err != nil {
+func TestReadAF3JSON(t *testing.T) {
+	const doc = `{"name":"mini","modelSeeds":[7,8],"sequences":[
+		{"protein":{"id":["A","B"],"sequence":"ACDEFGHIKLMNPQRSTVWY"}},
+		{"dna":{"id":["C"],"sequence":"ACGTACGT"}},
+		{"rna":{"id":["D"],"sequence":"ACGUACGUAC"}}]}`
+	in, err := Read(strings.NewReader(doc))
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := buf.String()
-	for _, want := range []string{`"name"`, `"modelSeeds"`, `"sequences"`, `"protein"`, `"dna"`, `"id"`, `"sequence"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("AF3 JSON missing %s", want)
+	if in.Name != "mini" || !reflect.DeepEqual(in.Seeds, []int{7, 8}) {
+		t.Errorf("name/seeds = %q %v", in.Name, in.Seeds)
+	}
+	if in.ChainCount() != 4 || in.TotalResidues() != 2*20+8+10 || in.MaxRNALength() != 10 {
+		t.Errorf("chains=%d residues=%d maxRNA=%d", in.ChainCount(), in.TotalResidues(), in.MaxRNALength())
+	}
+	wantTypes := []seq.MoleculeType{seq.Protein, seq.DNA, seq.RNA}
+	wantLetters := []string{"ACDEFGHIKLMNPQRSTVWY", "ACGTACGT", "ACGUACGUAC"}
+	for i, c := range in.Chains {
+		if c.Sequence.Type != wantTypes[i] || c.Sequence.Letters() != wantLetters[i] {
+			t.Errorf("chain %d = %v %q", i, c.Sequence.Type, c.Sequence.Letters())
 		}
 	}
 }

@@ -208,6 +208,26 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 		res.Workers[i] = &metering.Accumulator{}
 	}
 
+	// runFresh is a chain's real search, whichever arm below asks for it:
+	// the hedge counters and ChainDone observe it and nothing else.
+	runFresh := func(chain inputs.Chain) (*chainDelta, error) {
+		start := time.Now()
+		d, hedged, backupWon, err := runChainHedged(ctx, chain, opts)
+		if err != nil {
+			return nil, err
+		}
+		if hedged {
+			res.Hedges++
+			if backupWon {
+				res.HedgeBackupWins++
+			}
+		}
+		if opts.ChainDone != nil {
+			opts.ChainDone(chain.IDs[0], time.Since(start))
+		}
+		return d, nil
+	}
+
 	var perChainHits [][]hmmer.Hit
 	for _, chain := range in.MSAChains() {
 		if err := ctx.Err(); err != nil {
@@ -223,19 +243,9 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 		}
 		if opts.ChainCache != nil {
 			cc, hit, err := opts.ChainCache(opts.CheckpointScope, chain, func() (*CachedChain, error) {
-				start := time.Now()
-				d, hedged, backupWon, err := runChainHedged(ctx, chain, opts)
+				d, err := runFresh(chain)
 				if err != nil {
 					return nil, err
-				}
-				if hedged {
-					res.Hedges++
-					if backupWon {
-						res.HedgeBackupWins++
-					}
-				}
-				if opts.ChainDone != nil {
-					opts.ChainDone(cid, time.Since(start))
 				}
 				return newCachedChain(d), nil
 			})
@@ -254,19 +264,9 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 			perChainHits = append(perChainHits, d.hits)
 			continue
 		}
-		start := time.Now()
-		d, hedged, backupWon, err := runChainHedged(ctx, chain, opts)
+		d, err := runFresh(chain)
 		if err != nil {
 			return nil, fmt.Errorf("msa %s chain %s: %w", in.Name, cid, err)
-		}
-		if hedged {
-			res.Hedges++
-			if backupWon {
-				res.HedgeBackupWins++
-			}
-		}
-		if opts.ChainDone != nil {
-			opts.ChainDone(cid, time.Since(start))
 		}
 		opts.Checkpoint.store(opts.CheckpointScope, cid, d)
 		res.FreshWork += deltaWork(d)

@@ -248,7 +248,6 @@ type Controller struct {
 	sumWeights  float64 // over tenants seen
 	tenants     map[string]*tenantState
 
-	decisions  int
 	decDigest  uint64
 	dispDigest uint64
 	// dispNext/dispPending reorder concurrent RecordDispatch calls into
@@ -431,7 +430,6 @@ func (c *Controller) RecordDispatch(tenant string, seq int) {
 
 // recordDecision folds one admission decision into the decision digest.
 func (c *Controller) recordDecision(d Decision) {
-	c.decisions++
 	h := c.decDigest
 	h = fnvFoldString(h, d.Tenant)
 	h = fnvFold(h, math.Float64bits(d.Cost))
@@ -459,13 +457,6 @@ func (c *Controller) DispatchDigest() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return fmt.Sprintf("%016x", c.dispDigest)
-}
-
-// Decisions returns how many admission decisions the controller has made.
-func (c *Controller) Decisions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.decisions
 }
 
 // Snapshot returns per-tenant accounting rows sorted by tenant name.

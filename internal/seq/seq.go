@@ -41,22 +41,6 @@ func (m MoleculeType) String() string {
 	}
 }
 
-// ParseMoleculeType converts an AF3 JSON chain-type string.
-func ParseMoleculeType(s string) (MoleculeType, error) {
-	switch strings.ToLower(s) {
-	case "protein":
-		return Protein, nil
-	case "dna":
-		return DNA, nil
-	case "rna":
-		return RNA, nil
-	case "ligand":
-		return Ligand, nil
-	default:
-		return 0, fmt.Errorf("seq: unknown molecule type %q", s)
-	}
-}
-
 // SearchesMSA reports whether chains of this type go through the MSA phase.
 // DNA chains are excluded from MSA in AF3 (Observation 2 in the paper);
 // ligands never align.

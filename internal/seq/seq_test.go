@@ -3,27 +3,11 @@ package seq
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"afsysbench/internal/rng"
 )
-
-func TestMoleculeTypeRoundTrip(t *testing.T) {
-	for _, m := range []MoleculeType{Protein, DNA, RNA, Ligand} {
-		got, err := ParseMoleculeType(m.String())
-		if err != nil {
-			t.Fatalf("ParseMoleculeType(%q): %v", m.String(), err)
-		}
-		if got != m {
-			t.Errorf("round trip %v -> %v", m, got)
-		}
-	}
-	if _, err := ParseMoleculeType("lipid"); err == nil {
-		t.Error("ParseMoleculeType accepted unknown type")
-	}
-}
 
 func TestSearchesMSA(t *testing.T) {
 	if !Protein.SearchesMSA() || !RNA.SearchesMSA() {
@@ -205,67 +189,6 @@ func TestFragmentBounds(t *testing.T) {
 	}
 }
 
-func TestFASTARoundTrip(t *testing.T) {
-	g := NewGenerator(rng.New(11))
-	in := []*Sequence{
-		g.Random("chainA", Protein, 137),
-		g.Random("chainB", Protein, 61),
-		g.Random("chainC", Protein, 1),
-	}
-	var buf bytes.Buffer
-	if err := WriteFASTA(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadFASTA(&buf, Protein)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("round trip count %d, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i].ID != in[i].ID || !bytes.Equal(out[i].Residues, in[i].Residues) {
-			t.Errorf("sequence %d mismatched after round trip", i)
-		}
-	}
-}
-
-func TestFASTAErrors(t *testing.T) {
-	if _, err := ReadFASTA(strings.NewReader("ACGT\n"), DNA); err == nil {
-		t.Error("body before header accepted")
-	}
-	if _, err := ReadFASTA(strings.NewReader(">\nACGT\n"), DNA); err == nil {
-		t.Error("empty header accepted")
-	}
-}
-
-func TestFASTAEmptyInput(t *testing.T) {
-	out, err := ReadFASTA(strings.NewReader(""), DNA)
-	if err != nil || len(out) != 0 {
-		t.Errorf("empty input: got %d seqs, err %v", len(out), err)
-	}
-}
-
-func TestQuickFASTARoundTrip(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		g := NewGenerator(rng.New(seed))
-		length := int(n)%500 + 1
-		in := []*Sequence{g.Random("q", Protein, length)}
-		var buf bytes.Buffer
-		if err := WriteFASTA(&buf, in); err != nil {
-			return false
-		}
-		out, err := ReadFASTA(&buf, Protein)
-		if err != nil || len(out) != 1 {
-			return false
-		}
-		return bytes.Equal(out[0].Residues, in[0].Residues)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickEntropyBounds(t *testing.T) {
 	f := func(seed uint64, n uint16) bool {
 		g := NewGenerator(rng.New(seed))
@@ -275,32 +198,5 @@ func TestQuickEntropyBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFASTARobustToGarbage(t *testing.T) {
-	// Arbitrary byte soup must never panic: either parse or error.
-	r := rng.New(77)
-	for trial := 0; trial < 200; trial++ {
-		n := r.Intn(200)
-		junk := make([]byte, n)
-		for i := range junk {
-			junk[i] = byte(r.Intn(256))
-		}
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					t.Fatalf("ReadFASTA panicked on %q: %v", junk, p)
-				}
-			}()
-			seqs, err := ReadFASTA(bytes.NewReader(junk), Protein)
-			if err == nil {
-				for _, s := range seqs {
-					if verr := s.Validate(); verr != nil {
-						t.Fatalf("parsed invalid sequence from garbage: %v", verr)
-					}
-				}
-			}
-		}()
 	}
 }

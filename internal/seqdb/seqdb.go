@@ -1,5 +1,5 @@
-// Package seqdb synthesizes and stores the reference sequence databases the
-// MSA phase searches. The real AlphaFold3 pipeline scans UniRef/MGnify-scale
+// Package seqdb synthesizes the reference sequence databases the MSA phase
+// searches. The real AlphaFold3 pipeline scans UniRef/MGnify-scale
 // protein corpora (tens of GiB) and Rfam/RNACentral-scale nucleotide corpora
 // (the paper cites an 89 GiB RNA database); here each corpus is generated
 // deterministically at MiB scale and carries a ScaleFactor that maps its
@@ -178,8 +178,19 @@ func (db *DB) TotalResidues() int {
 	return n
 }
 
-// SyntheticBytes returns the approximate on-disk size of the database in its
-// binary encoding (header + per-record overhead + residues).
+// The modeled on-disk layout the storage model prices — no file is ever
+// written in it: a header (magic, uint16 version, uint8 molecule type,
+// uint32 record count, float64 scale factor, uint16 name length) followed by
+// the name, then per record a uint16 id length, the id, a uint32 residue
+// count and one byte per residue. Both values feed every modeled disk second
+// and golden through SyntheticBytes and must not change.
+const (
+	headerSize     = 4 + 2 + 1 + 4 + 8 + 2
+	recordOverhead = 2 + 4
+)
+
+// SyntheticBytes returns the size of the database in the modeled on-disk
+// layout (header + per-record overhead + residues).
 func (db *DB) SyntheticBytes() int64 {
 	n := int64(headerSize + len(db.Name))
 	for _, s := range db.Seqs {

@@ -1,12 +1,10 @@
 // Package stats provides the small statistical helpers the benchmark suite
 // uses when aggregating repeated runs: mean, standard deviation, coefficient
 // of variation (the paper reports CV ≤ 5% for MSA and ≤ 1% for inference),
-// speedup curves, and least-squares power-law fits (used by the memory
-// estimator to model nhmmer's superlinear RNA footprint).
+// median and interpolated percentiles.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -45,20 +43,6 @@ func CV(xs []float64) float64 {
 		return 0
 	}
 	return StdDev(xs) / m
-}
-
-// Min returns the minimum of xs; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Max returns the maximum of xs; it panics on an empty slice.
@@ -113,101 +97,4 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
-// Speedup converts a time-vs-threads series into speedup relative to the
-// first entry: speedup[i] = times[0]/times[i]. A zero or negative time
-// yields a 0 entry.
-func Speedup(times []float64) []float64 {
-	out := make([]float64, len(times))
-	if len(times) == 0 || times[0] <= 0 {
-		return out
-	}
-	for i, t := range times {
-		if t > 0 {
-			out[i] = times[0] / t
-		}
-	}
-	return out
-}
-
-// Efficiency returns parallel efficiency speedup[i]/threads[i].
-func Efficiency(threads []int, times []float64) ([]float64, error) {
-	if len(threads) != len(times) {
-		return nil, fmt.Errorf("stats: threads/times length mismatch %d vs %d", len(threads), len(times))
-	}
-	sp := Speedup(times)
-	out := make([]float64, len(sp))
-	for i := range sp {
-		if threads[i] > 0 {
-			out[i] = sp[i] / float64(threads[i])
-		}
-	}
-	return out, nil
-}
-
-// PowerFit fits y = a * x^b by least squares in log space and returns
-// (a, b). All inputs must be positive; it returns an error otherwise or when
-// fewer than two points are supplied.
-func PowerFit(xs, ys []float64) (a, b float64, err error) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0, 0, fmt.Errorf("stats: PowerFit needs >=2 paired points, got %d/%d", len(xs), len(ys))
-	}
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			return 0, 0, fmt.Errorf("stats: PowerFit requires positive values (point %d)", i)
-		}
-		lx, ly := math.Log(xs[i]), math.Log(ys[i])
-		sx += lx
-		sy += ly
-		sxx += lx * lx
-		sxy += lx * ly
-	}
-	n := float64(len(xs))
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, 0, fmt.Errorf("stats: PowerFit degenerate x values")
-	}
-	b = (n*sxy - sx*sy) / den
-	a = math.Exp((sy - b*sx) / n)
-	return a, b, nil
-}
-
-// LinearFit fits y = a + b*x by ordinary least squares.
-func LinearFit(xs, ys []float64) (a, b float64, err error) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0, 0, fmt.Errorf("stats: LinearFit needs >=2 paired points, got %d/%d", len(xs), len(ys))
-	}
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	n := float64(len(xs))
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, 0, fmt.Errorf("stats: LinearFit degenerate x values")
-	}
-	b = (n*sxy - sx*sy) / den
-	a = (sy - b*sx) / n
-	return a, b, nil
-}
-
-// GeoMean returns the geometric mean of positive xs; entries <= 0 are
-// rejected with an error.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: GeoMean of empty slice")
-	}
-	var sum float64
-	for i, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: GeoMean requires positive values (index %d)", i)
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
 }

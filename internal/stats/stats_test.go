@@ -35,8 +35,8 @@ func TestStdDevAndCV(t *testing.T) {
 
 func TestMinMaxMedian(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
-	if Min(xs) != 1 || Max(xs) != 5 {
-		t.Error("Min/Max wrong")
+	if Max(xs) != 5 {
+		t.Error("Max wrong")
 	}
 	if got := Median(xs); got != 3 {
 		t.Errorf("Median odd = %v, want 3", got)
@@ -46,114 +46,6 @@ func TestMinMaxMedian(t *testing.T) {
 	}
 	if Median(nil) != 0 {
 		t.Error("Median(nil) != 0")
-	}
-}
-
-func TestMinPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Min(nil) did not panic")
-		}
-	}()
-	Min(nil)
-}
-
-func TestSpeedup(t *testing.T) {
-	sp := Speedup([]float64{100, 50, 25, 30})
-	want := []float64{1, 2, 4, 100.0 / 30}
-	for i := range want {
-		if !approx(sp[i], want[i], 1e-12) {
-			t.Errorf("Speedup[%d] = %v, want %v", i, sp[i], want[i])
-		}
-	}
-	if got := Speedup([]float64{0, 1}); got[0] != 0 || got[1] != 0 {
-		t.Error("Speedup with zero baseline should be all zero")
-	}
-}
-
-func TestEfficiency(t *testing.T) {
-	eff, err := Efficiency([]int{1, 2, 4}, []float64{100, 50, 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 1, 100.0 / 40 / 4}
-	for i := range want {
-		if !approx(eff[i], want[i], 1e-12) {
-			t.Errorf("Efficiency[%d] = %v, want %v", i, eff[i], want[i])
-		}
-	}
-	if _, err := Efficiency([]int{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestPowerFitRecoversExponent(t *testing.T) {
-	xs := []float64{100, 200, 400, 800}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3.5 * math.Pow(x, 2.7)
-	}
-	a, b, err := PowerFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(a, 3.5, 1e-6) || !approx(b, 2.7, 1e-9) {
-		t.Errorf("PowerFit = (%v, %v), want (3.5, 2.7)", a, b)
-	}
-}
-
-func TestPowerFitErrors(t *testing.T) {
-	if _, _, err := PowerFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point accepted")
-	}
-	if _, _, err := PowerFit([]float64{1, -2}, []float64{1, 2}); err == nil {
-		t.Error("negative x accepted")
-	}
-	if _, _, err := PowerFit([]float64{2, 2}, []float64{1, 2}); err == nil {
-		t.Error("degenerate x accepted")
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7}
-	a, b, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(a, 1, 1e-12) || !approx(b, 2, 1e-12) {
-		t.Errorf("LinearFit = (%v, %v), want (1, 2)", a, b)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(g, 4, 1e-12) {
-		t.Errorf("GeoMean = %v, want 4", g)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("zero value accepted")
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("empty slice accepted")
-	}
-}
-
-func TestQuickSpeedupFirstEntryIsOne(t *testing.T) {
-	f := func(raw []float64) bool {
-		times := make([]float64, 0, len(raw)+1)
-		times = append(times, 10) // positive baseline
-		for _, r := range raw {
-			times = append(times, math.Abs(r)+0.1)
-		}
-		sp := Speedup(times)
-		return approx(sp[0], 1, 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

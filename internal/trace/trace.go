@@ -111,89 +111,6 @@ func (t *Timeline) Render(w io.Writer, width int) error {
 	return nil
 }
 
-// Lanes is a multi-lane timeline (e.g. the batch scheduler's CPU and GPU
-// stages) rendered as a two-row gantt chart over a common time axis.
-type Lanes struct {
-	Title string
-	Lane  map[string][]Span
-	Order []string
-}
-
-// AddSpan appends a span to a lane, creating the lane on first use.
-func (l *Lanes) AddSpan(lane, name string, start, end float64) {
-	if l.Lane == nil {
-		l.Lane = make(map[string][]Span)
-	}
-	if _, ok := l.Lane[lane]; !ok {
-		l.Order = append(l.Order, lane)
-	}
-	l.Lane[lane] = append(l.Lane[lane], Span{Name: name, Start: start, End: end})
-}
-
-// Total returns the latest end time across lanes.
-func (l *Lanes) Total() float64 {
-	var total float64
-	for _, spans := range l.Lane {
-		for _, s := range spans {
-			if s.End > total {
-				total = s.End
-			}
-		}
-	}
-	return total
-}
-
-// Render prints each lane as one row; span names mark their start columns.
-func (l *Lanes) Render(w io.Writer, width int) error {
-	if width <= 0 {
-		width = 70
-	}
-	total := l.Total()
-	if total == 0 {
-		return fmt.Errorf("trace: empty lanes")
-	}
-	if _, err := fmt.Fprintf(w, "%s (total %.1fs)\n", l.Title, total); err != nil {
-		return err
-	}
-	laneW := 0
-	for _, name := range l.Order {
-		if len(name) > laneW {
-			laneW = len(name)
-		}
-	}
-	for _, name := range l.Order {
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = ' '
-		}
-		for _, s := range l.Lane[name] {
-			startCol := int(s.Start / total * float64(width))
-			endCol := int(s.End / total * float64(width))
-			if endCol <= startCol {
-				endCol = startCol + 1
-			}
-			if endCol > width {
-				endCol = width
-			}
-			for i := startCol; i < endCol; i++ {
-				row[i] = '#'
-			}
-			// Label the span start where it fits.
-			for i, c := range []byte(s.Name) {
-				if startCol+i < endCol-0 && startCol+i < width {
-					row[startCol+i] = c
-				} else {
-					break
-				}
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%-*s |%s|\n", laneW, name, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Validate checks span ordering invariants (monotone, non-negative).
 func (t *Timeline) Validate() error {
 	prevEnd := 0.0

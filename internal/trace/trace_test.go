@@ -112,45 +112,6 @@ func TestRenderProportions(t *testing.T) {
 	}
 }
 
-func TestLanesRender(t *testing.T) {
-	var l Lanes
-	l.Title = "batch"
-	l.AddSpan("CPU", "m1", 0, 10)
-	l.AddSpan("CPU", "m2", 10, 25)
-	l.AddSpan("GPU", "i1", 10, 14)
-	l.AddSpan("GPU", "i2", 25, 30)
-	if l.Total() != 30 {
-		t.Errorf("total = %v", l.Total())
-	}
-	var buf bytes.Buffer
-	if err := l.Render(&buf, 60); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "batch (total 30.0s)") {
-		t.Errorf("header wrong:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[1], "CPU") || !strings.HasPrefix(lines[2], "GPU") {
-		t.Error("lane order wrong")
-	}
-	// GPU lane has an idle gap between its spans.
-	gpuRow := lines[2]
-	if !strings.Contains(gpuRow, " ") {
-		t.Error("GPU idle gap missing")
-	}
-}
-
-func TestLanesEmpty(t *testing.T) {
-	var l Lanes
-	if err := l.Render(&bytes.Buffer{}, 40); err == nil {
-		t.Error("empty lanes rendered")
-	}
-}
-
 func TestFromLayers(t *testing.T) {
 	layers := []simgpu.LayerTime{
 		{Module: "Pairformer", Layer: "triangle attention", Seconds: 2},
