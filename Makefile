@@ -25,9 +25,11 @@ vet:
 
 # Docs as a checked artifact: every repo path, make target and
 # Test*/Benchmark* name a code span of these files mentions must exist in the
-# tree. bench/README.md belongs to the benchmark, so its misses only warn.
+# tree, and README's flag tables must agree with the serving binaries' -h in
+# both directions. bench/README.md belongs to the benchmark, so its misses
+# only warn.
 doccheck:
-	@sh scripts/doccheck.sh README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md warn:bench/README.md
+	@GO="$(GO)" sh scripts/doccheck.sh README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md warn:bench/README.md
 
 # The size numbers ROADMAP aim 2 reports, by the rule every diet PR uses: Go
 # lines outside _test.go files that are neither blank nor a // comment line
@@ -67,11 +69,10 @@ faults:
 
 # Chaos storm under the race detector: a seeded 120-request fault storm
 # (worker panics at every guard point, once-per-chain faults forcing
-# checkpointed retries, a dark database tripping its breaker, aggressive
-# hedging) against a live scheduler, asserting the serving fault-model
-# invariants — every job terminal, pools at full strength, no goroutine
-# leak. The seed is in the output; a failure reproduces with the printed
-# flag line.
+# checkpointed retries, a dark database tripping its breaker) against a
+# live scheduler, asserting the serving fault-model invariants — every job
+# terminal, pools at full strength, no goroutine leak. The seed is in the
+# output; a failure reproduces with the printed flag line.
 chaos:
 	$(GO) run -race ./cmd/afload -chaos -seed 7 -n 120 -concurrency 8 -mix 2PV7:4,1YY9:1 -threads 2 -msa-workers 4 -gpu-workers 2
 

@@ -90,8 +90,6 @@ type ErrProjectedOOM = core.ErrProjectedOOM
 type (
 	// StageBudget caps modeled per-stage time (PipelineOptions.Budget).
 	StageBudget = resilience.StageBudget
-	// RetryPolicy is the capped-exponential transient-fault retry policy.
-	RetryPolicy = resilience.RetryPolicy
 	// Faults is a parsed fault-injection specification.
 	Faults = resilience.Faults
 	// ResilienceReport is a run's retry/degradation accounting

@@ -147,14 +147,12 @@ func modelCurve(suite *core.Suite, mach platform.Machine, threads, bucket, cap i
 }
 
 // measuredPass drives one live cold-model batching server and returns its
-// batch report plus throughput. The sweep owns the whole BatchConfig: the
-// pass's bucket set, and -max-batch read without -batch.
+// batch report plus throughput. The sweep owns the whole BatchConfig,
+// bucket set included.
 func measuredPass(o options, suite *core.Suite, trace []string, concurrency int, buckets []int) (serve.LoadStats, error) {
-	f := o.Flags
-	f.BatchBuckets, f.MaxBatch = "", 0
-	st, err := closedPass(suite, f, func(c *serve.Config) {
+	st, err := closedPass(suite, o.Flags, func(c *serve.Config) {
 		c.ColdModel = true
-		c.Batch = serve.BatchConfig{Enabled: true, Buckets: buckets, MaxBatch: o.MaxBatch}
+		c.Batch = serve.BatchConfig{Enabled: true, Buckets: buckets}
 	}, trace, concurrency, fmt.Sprintf("batch-c%d", concurrency), false)
 	if err == nil && st.Batch == nil {
 		err = fmt.Errorf("batch report missing from the measured pass at concurrency %d", concurrency)

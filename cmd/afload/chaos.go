@@ -2,10 +2,10 @@
 // in-process scheduler and asserts the serving layer's fault-tolerance
 // invariants instead of measuring throughput. The storm combines injected
 // worker panics (via serve.Config.PanicHook) at all three guard points,
-// once-per-chain search faults that force checkpointed stage retries, a
-// permanently dark database that must trip its circuit breaker, and
-// aggressive chain hedging — all derived deterministically from -seed so a
-// failure reproduces with the same flag line.
+// once-per-chain search faults that force checkpointed stage retries, and
+// a permanently dark database that must trip its circuit breaker — all
+// derived deterministically from -seed so a failure reproduces with the
+// same flag line.
 //
 // Invariants checked after the storm:
 //
@@ -62,7 +62,6 @@ type ChaosReport struct {
 	BreakerTrips   int64            `json:"breaker_trips"`
 	StageRetries   int64            `json:"msa_stage_retries"`
 	ChainsRestored int64            `json:"msa_chains_restored"`
-	Hedges         int64            `json:"msa_hedges"`
 	PoolHealth     serve.PoolHealth `json:"pool_health"`
 	WallSeconds    float64          `json:"wall_seconds"`
 
@@ -129,7 +128,6 @@ func runChaos(o options, out *os.File) error {
 	cfg.MSAAttempts = 4 // chainfault:*:1 needs one retry per distinct chain
 	cfg.BreakerThreshold = 3
 	cfg.BreakerCooldown = 100 * time.Millisecond
-	cfg.Hedge = resilience.HedgeConfig{Enabled: true, Percentile: 50, Factor: 0.5, MinSamples: 4}
 	cfg.PanicHook = func(point string, ordinal int) {
 		if plan[ordinal] == point {
 			panic(fmt.Sprintf("chaos: injected %s panic (ordinal %d)", point, ordinal))
@@ -167,7 +165,6 @@ func runChaos(o options, out *os.File) error {
 	rep.BreakerTrips = m.Get("breaker_to_open")
 	rep.StageRetries = m.Get("msa_stage_retries")
 	rep.ChainsRestored = m.Get("msa_chains_restored")
-	rep.Hedges = m.Get("msa_hedges")
 	rep.PoolHealth = s.PoolHealth()
 
 	if len(statuses) != o.n {
@@ -206,9 +203,9 @@ func runChaos(o options, out *os.File) error {
 }
 
 func printChaos(w *os.File, rep ChaosReport) {
-	fmt.Fprintf(w, "chaos seed %d: %d req in %.1fs | %d done (%d partial_msa), %d failed | %d/%d planned panics fired | breaker trips %d, stage retries %d, chains restored %d, hedges %d\n",
+	fmt.Fprintf(w, "chaos seed %d: %d req in %.1fs | %d done (%d partial_msa), %d failed | %d/%d planned panics fired | breaker trips %d, stage retries %d, chains restored %d\n",
 		rep.Seed, rep.Requests, rep.WallSeconds, rep.Done, rep.PartialMSA, rep.Failed,
-		rep.WorkerPanics, rep.PanicsPlanned, rep.BreakerTrips, rep.StageRetries, rep.ChainsRestored, rep.Hedges)
+		rep.WorkerPanics, rep.PanicsPlanned, rep.BreakerTrips, rep.StageRetries, rep.ChainsRestored)
 	if len(rep.FailedByClass) > 0 {
 		classes := make([]string, 0, len(rep.FailedByClass))
 		for c := range rep.FailedByClass {

@@ -93,19 +93,11 @@ func qosPass(o options, suite *core.Suite, tenants []scenario.Tenant, label stri
 // -tenants spec (or a single default tenant over -mix), reported with
 // the per-tenant fairness block.
 func runQoS(o options, out *os.File) error {
-	spec := o.tenants
-	if spec == "" {
-		spec = fmt.Sprintf("default:n=%d", o.n)
-	}
-	tenants, err := scenario.ParseTenants(spec, o.traceShape, o.mix)
-	if err != nil {
-		return err
-	}
 	suite, err := core.NewSuite()
 	if err != nil {
 		return err
 	}
-	stats, err := qosPass(o, suite, tenants, "qos", qos.Config{}, nil)
+	stats, err := qosPass(o, suite, o.qosTenants, "qos", qos.Config{}, nil)
 	if err != nil {
 		return err
 	}
@@ -167,11 +159,11 @@ type FairnessGateReport struct {
 // runFairness executes the gate and returns an error (after printing the
 // report and the reproduction line) if any invariant broke.
 func runFairness(o options, out *os.File) error {
-	victims, err := scenario.ParseTenants(fairVictim, "", o.mix)
+	victims, err := scenario.ParseTenants(fairVictim, o.mix)
 	if err != nil {
 		return err
 	}
-	both, err := scenario.ParseTenants(fairVictim+";"+fairStorm, "", o.mix)
+	both, err := scenario.ParseTenants(fairVictim+";"+fairStorm, o.mix)
 	if err != nil {
 		return err
 	}

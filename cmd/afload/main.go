@@ -73,8 +73,10 @@ type options struct {
 	warm         bool
 	compareCache bool
 	tenants      string
-	traceShape   string
-	jsonPath     string
+	// qosTenants is the -qos mode's parsed tenant list: -tenants, or a single
+	// default tenant over -mix and -n.
+	qosTenants []scenario.Tenant
+	jsonPath   string
 	// mode is the selected entry of modes; nil is the plain closed-loop
 	// measurement.
 	mode *mode
@@ -117,7 +119,7 @@ var modes = []mode{
 
 // inprocOnly are the flags (besides the modes) that mean nothing to a
 // remote afserve.
-var inprocOnly = []string{"compare-cache", "cache-dir", "warm", "batch", "batch-buckets", "max-batch"}
+var inprocOnly = []string{"compare-cache", "cache-dir", "warm", "batch"}
 
 func parseFlags(args []string) (options, error) {
 	var o options
@@ -132,7 +134,6 @@ func parseFlags(args []string) (options, error) {
 	fs.BoolVar(&o.warm, "warm", false, "in-process only: precompute the trace into the disk tier, then measure with a cold memory tier (needs -cache-dir)")
 	fs.BoolVar(&o.compareCache, "compare-cache", false, "in-process only: rerun the trace cache-disabled and request-keyed and report the speedups")
 	fs.StringVar(&o.tenants, "tenants", "", "-qos tenant spec: 'name:w=8,rps=0.5,n=20,shape=bursty,mix=2PV7:3|7RCE:2;...' (keys w/r/b set the quota, rps/n/shape/mix the offered trace)")
-	fs.StringVar(&o.traceShape, "trace-shape", "", "-qos default arrival shape for tenants without shape= (uniform, bursty, diurnal, heavytail)")
 	fs.StringVar(&o.jsonPath, "json", "", "write the report JSON to this path")
 	selected := make([]bool, len(modes))
 	for i, m := range modes {
@@ -179,13 +180,12 @@ func parseFlags(args []string) (options, error) {
 		}
 	}
 	qosMode := o.mode != nil && o.mode.name == "qos"
-	if (o.tenants != "" || o.traceShape != "") && !qosMode {
-		return o, fmt.Errorf("-tenants and -trace-shape need -qos (the fairness gate fixes its own scenario)")
+	if o.tenants != "" && !qosMode {
+		return o, fmt.Errorf("per-tenant traces (-tenants) need -qos (the fairness gate fixes its own scenario)")
 	}
-	// Two modes take shared flags on their own terms: the sweep reads
-	// -batch-buckets/-max-batch without -batch (it builds a BatchConfig per
-	// pass), the disk gate reads -cache-dir at any -cache-mb (it opens,
-	// closes and vandalizes the tier itself). Validate what is left.
+	// One mode takes a shared flag on its own terms: the disk gate reads
+	// -cache-dir at any -cache-mb (it opens, closes and vandalizes the tier
+	// itself). Validate what is left.
 	shared := o.Flags
 	if o.mode != nil {
 		for _, name := range o.mode.ignores {
@@ -193,10 +193,7 @@ func parseFlags(args []string) (options, error) {
 				return o, fmt.Errorf("-%s %s; drop -%s", o.mode.name, o.mode.why, name)
 			}
 		}
-		switch o.mode.name {
-		case "batch-sweep":
-			shared.Batch = true
-		case "chaos-disk":
+		if o.mode.name == "chaos-disk" {
 			shared.CacheDir = ""
 		}
 	}
@@ -218,8 +215,15 @@ func parseFlags(args []string) (options, error) {
 	if qosMode && o.tenants != "" && explicit["n"] {
 		return o, fmt.Errorf("-tenants carries per-tenant request counts (n=); a global -n would be ignored, drop it")
 	}
-	if err := scenario.ValidShape(o.traceShape); err != nil {
-		return o, err
+	if qosMode {
+		spec := o.tenants
+		if spec == "" {
+			spec = fmt.Sprintf("default:n=%d", o.n)
+		}
+		var err error
+		if o.qosTenants, err = scenario.ParseTenants(spec, o.mix); err != nil {
+			return o, err
+		}
 	}
 	return o, nil
 }
@@ -266,9 +270,9 @@ func printStats(w *os.File, st serve.LoadStats) {
 		fmt.Fprintf(w, "%-10s modeled: phase-split makespan %.0fs vs serial %.0fs -> %.2fx\n",
 			"", st.ModeledMakespan, st.ModeledSerial, st.ModeledSpeedup)
 	}
-	if r := st.Routing; r != nil && r.Shed+r.Hedges+r.StageRetries+r.ChainsRestored+r.PartialMSA > 0 {
-		fmt.Fprintf(w, "%-10s routing: %d shed, %d hedges (%d backup wins), %d stage retries, %d chains restored, %d partial-msa\n",
-			"", r.Shed, r.Hedges, r.HedgeBackupWins, r.StageRetries, r.ChainsRestored, r.PartialMSA)
+	if r := st.Routing; r != nil && r.Shed+r.StageRetries+r.ChainsRestored+r.PartialMSA > 0 {
+		fmt.Fprintf(w, "%-10s routing: %d shed, %d stage retries, %d chains restored, %d partial-msa\n",
+			"", r.Shed, r.StageRetries, r.ChainsRestored, r.PartialMSA)
 	}
 }
 

@@ -16,13 +16,13 @@ func TestQoSFlagValidation(t *testing.T) {
 	}{
 		{"qos alone", []string{"-qos"}, ""},
 		{"qos with tenants", []string{"-qos", "-tenants", "a:w=2;b:r=100"}, ""},
-		{"qos with shape", []string{"-qos", "-trace-shape", "bursty"}, ""},
+		{"qos with shape", []string{"-qos", "-tenants", "a:shape=bursty"}, ""},
 		{"qos with batch", []string{"-qos", "-batch"}, ""},
 		{"fairness alone", []string{"-fairness"}, ""},
 		{"fairness with seed", []string{"-fairness", "-seed", "11"}, ""},
 
 		{"tenants without qos", []string{"-tenants", "a:w=2"}, "need -qos"},
-		{"shape without qos", []string{"-trace-shape", "bursty"}, "need -qos"},
+		{"shape without qos", []string{"-tenants", "a:shape=bursty"}, "need -qos"},
 		{"tenants with fairness", []string{"-fairness", "-tenants", "a:w=2"}, "need -qos"},
 		{"qos and fairness", []string{"-qos", "-fairness"}, "mutually exclusive"},
 		{"qos over http", []string{"-qos", "-addr", "http://x"}, "in-process"},
@@ -38,7 +38,7 @@ func TestQoSFlagValidation(t *testing.T) {
 		{"fairness with n", []string{"-fairness", "-n", "50"}, "fixes its own"},
 		{"fairness with batch", []string{"-fairness", "-batch"}, "fixes its own"},
 		{"tenants with global n", []string{"-qos", "-tenants", "a:w=2", "-n", "50"}, "drop it"},
-		{"bad shape", []string{"-qos", "-trace-shape", "sawtooth"}, "unknown arrival shape"},
+		{"bad shape", []string{"-qos", "-tenants", "a:shape=sawtooth"}, "unknown arrival shape"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,12 +12,11 @@
 //	afserve -cache-mb 0                      # disable the cache
 //	afserve -cache-dir /var/cache/af         # persistent chain-cache tier
 //	afserve -deadline 30s -cold              # per-request deadline, cold model
-//	afserve -msa-attempts 3 -hedge           # checkpointed retries + hedging
-//	afserve -batch -max-batch 8              # cross-request GPU batching
+//	afserve -msa-attempts 3                  # checkpointed stage retries
+//	afserve -batch                           # cross-request GPU batching
 //	afserve -qos -tenants 'inter:w=8;storm:w=1,r=400,b=800'
 //	                                         # multi-tenant QoS (X-AF-Tenant)
 //	afserve -faults transient:uniref_s:1     # inject faults (robustness demos)
-//	afserve -breaker-threshold 3 -breaker-cooldown 5s
 //
 // Endpoints:
 //
@@ -28,14 +27,20 @@
 //	GET  /v1/readyz     readiness: 503 names open breakers / saturated queue
 //
 // A full admission queue answers 503 (deterministic load shedding); an
-// unknown sample answers 400.
+// unknown sample answers 400. SIGINT or SIGTERM stops the listener, lets the
+// queued jobs finish and closes the disk tier before the process exits.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"afsysbench/internal/parallel"
@@ -46,7 +51,9 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "afserve:", err)
 		os.Exit(1)
 	}
@@ -61,11 +68,8 @@ type options struct {
 	deadline time.Duration
 	cold     bool
 
-	faults           string
-	msaAttempts      int
-	breakerThreshold int
-	breakerCooldown  time.Duration
-	hedge            bool
+	faults      string
+	msaAttempts int
 
 	qos         bool
 	tenants     string
@@ -82,9 +86,6 @@ func parseFlags(args []string) (options, error) {
 	fs.BoolVar(&o.cold, "cold", false, "cold model per request (pay GPU init + XLA compile each time)")
 	fs.StringVar(&o.faults, "faults", "", "fault spec injected into every request, e.g. transient:uniref_s:1,chainfault:B:1")
 	fs.IntVar(&o.msaAttempts, "msa-attempts", 1, "MSA stage attempts per request; >1 enables chain checkpoints, so a retry re-runs only failed chains")
-	fs.IntVar(&o.breakerThreshold, "breaker-threshold", 0, "consecutive failures that open a database's circuit breaker (0 = default 5)")
-	fs.DurationVar(&o.breakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default 10s)")
-	fs.BoolVar(&o.hedge, "hedge", false, "hedge straggling MSA chain searches with a concurrent backup attempt")
 	fs.BoolVar(&o.qos, "qos", false, "tenant-aware admission: per-tenant token buckets, weighted-fair MSA queueing and the brownout ladder (tenant from the X-AF-Tenant header)")
 	fs.StringVar(&o.tenants, "tenants", "", "per-tenant quotas for -qos, e.g. 'inter:w=8;storm:w=1,r=400,b=800' (w= weight, r= chain-tokens/s, b= burst)")
 	fs.Float64Var(&o.qosDrain, "qos-drain", 0, "-qos modeled drain rate in chain-tokens per second (0 = stock)")
@@ -121,9 +122,6 @@ func buildServer(o options) (*serve.Server, error) {
 		}
 	}
 	cfg.MSAAttempts = o.msaAttempts
-	cfg.BreakerThreshold = o.breakerThreshold
-	cfg.BreakerCooldown = o.breakerCooldown
-	cfg.Hedge = resilience.HedgeConfig{Enabled: o.hedge}
 	if o.qos {
 		var tenants map[string]qos.TenantConfig
 		if o.tenants != "" {
@@ -140,17 +138,20 @@ func buildServer(o options) (*serve.Server, error) {
 	return serve.New(cfg)
 }
 
-func run(args []string) error {
+func run(ctx context.Context, args []string) error {
 	o, err := parseFlags(args)
+	if err != nil {
+		return err
+	}
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
 	s, err := buildServer(o)
 	if err != nil {
+		ln.Close()
 		return err
 	}
-	s.Start()
-	defer s.Stop()
 	cfg := s.Config()
 	cacheDesc := "disabled"
 	if cfg.Cache != nil {
@@ -160,7 +161,39 @@ func run(args []string) error {
 		}
 	}
 	fmt.Printf("afserve: %s on %s | %d msa workers (cores %d), %d gpu workers (devices %d), queue %d, cache %s\n",
-		cfg.Machine.Name, o.addr, cfg.MSAWorkers, parallel.DefaultWorkers(),
+		cfg.Machine.Name, ln.Addr(), cfg.MSAWorkers, parallel.DefaultWorkers(),
 		cfg.GPUWorkers, simgpu.Devices(cfg.Machine), cfg.QueueDepth, cacheDesc)
-	return http.ListenAndServe(o.addr, serve.NewHandler(s))
+	return serveUntil(ctx, s, ln)
+}
+
+// shutdownGrace bounds how long in-flight HTTP exchanges may take to finish
+// once the listener is closed. No handler blocks on a job, so they are short.
+const shutdownGrace = 5 * time.Second
+
+// serveUntil starts s and serves its API on ln until ctx is cancelled (main
+// cancels it on SIGINT/SIGTERM) or the listener fails, then shuts down in
+// order: stop accepting and finish the in-flight exchanges, drain the
+// scheduler — queued jobs still execute — and close the disk tier.
+func serveUntil(ctx context.Context, s *serve.Server, ln net.Listener) error {
+	s.Start()
+	srv := &http.Server{Handler: serve.NewHandler(s), ReadHeaderTimeout: 10 * time.Second}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	var err error
+	select {
+	case err = <-served:
+	case <-ctx.Done():
+		grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		err = srv.Shutdown(grace)
+		cancel()
+		<-served // Serve returns as soon as Shutdown closes the listener
+	}
+	if errors.Is(err, http.ErrServerClosed) {
+		err = nil
+	}
+	s.Stop()
+	if cerr := s.Config().DiskCache.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

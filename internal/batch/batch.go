@@ -12,12 +12,7 @@
 // never of worker timing.
 package batch
 
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "sort"
 
 // DefaultBuckets is the stock pad-boundary set: fine steps where the
 // Table II samples live (128–1024 tokens, where compile overhead dominates
@@ -26,28 +21,6 @@ import (
 // size (their own implicit bucket).
 func DefaultBuckets() []int {
 	return []int{128, 256, 384, 512, 768, 1024, 1536, 2048}
-}
-
-// ParseBuckets parses a comma-separated pad-boundary list
-// ("512,1024,2048", the CLIs' -batch-buckets flag); empty means the stock
-// bucket set (nil).
-func ParseBuckets(spec string) ([]int, error) {
-	if strings.TrimSpace(spec) == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		b, err := strconv.Atoi(part)
-		if err != nil || b <= 0 {
-			return nil, fmt.Errorf("bad -batch-buckets entry %q (want positive token counts)", part)
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }
 
 // Policy maps token counts to pad buckets. The zero value has no buckets:

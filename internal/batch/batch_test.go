@@ -135,19 +135,3 @@ func TestMeterAccounting(t *testing.T) {
 		t.Error("zero-row derived stats must be 0")
 	}
 }
-
-func TestParseBuckets(t *testing.T) {
-	got, err := ParseBuckets(" 512, 1024,,2048 ")
-	if err != nil || !reflect.DeepEqual(got, []int{512, 1024, 2048}) {
-		t.Fatalf("ParseBuckets = %v, %v", got, err)
-	}
-	// Empty means the stock set.
-	if got, err := ParseBuckets("  "); got != nil || err != nil {
-		t.Fatalf("empty spec = %v, %v; want nil, nil", got, err)
-	}
-	for _, bad := range []string{"512,x", "0", "-4,8"} {
-		if _, err := ParseBuckets(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
-		}
-	}
-}

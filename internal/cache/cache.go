@@ -78,6 +78,12 @@ type Cache struct {
 	entries  map[string]*list.Element
 	flights  map[string]*flight
 	onEvict  func(key string, val any, size int64)
+	// leaving holds entries evicted from the LRU whose OnEvict hook has not
+	// returned yet. Lookups still find them, so the window between an
+	// eviction and the end of its spill never reads as a miss — without it
+	// a request arriving in that window finds the value in neither tier
+	// and recomputes it, and how often depends on the disk's latency.
+	leaving map[string]*entry
 
 	hits, misses, shared, evictions uint64
 }
@@ -104,14 +110,16 @@ func New(capacityBytes int64) *Cache {
 		ll:       list.New(),
 		entries:  make(map[string]*list.Element),
 		flights:  make(map[string]*flight),
+		leaving:  make(map[string]*entry),
 	}
 }
 
 // SetOnEvict installs a callback invoked for every entry removed by LRU
 // pressure (not for replacements of the same key). The callback runs after
 // the cache lock is released — it may do I/O or call back into the cache —
-// but eviction order is preserved. Used by the serving layer to spill
-// evicted MSA chains to the persistent disk tier.
+// but eviction order is preserved, and until it returns Get and
+// GetOrCompute still serve the evicted entry as a hit. Used by the serving
+// layer to spill evicted MSA chains to the persistent disk tier.
 func (c *Cache) SetOnEvict(fn func(key string, val any, size int64)) {
 	if c == nil {
 		return
@@ -129,14 +137,26 @@ func (c *Cache) Get(key string) (any, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	v, ok := c.lookupLocked(key)
 	if !ok {
 		c.misses++
-		return nil, false
 	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*entry).val, true
+	return v, ok
+}
+
+// lookupLocked serves key from the LRU (marking it most recently used) or
+// from the entries still on their way out, and counts the hit.
+func (c *Cache) lookupLocked(key string) (any, bool) {
+	if el, ok := c.entries[key]; ok {
+		c.hits++
+		c.ll.MoveToFront(el)
+		return el.Value.(*entry).val, true
+	}
+	if e, ok := c.leaving[key]; ok {
+		c.hits++
+		return e.val, true
+	}
+	return nil, false
 }
 
 // Contains reports whether key is stored, without touching recency or
@@ -163,10 +183,7 @@ func (c *Cache) GetOrCompute(key string, compute func() (any, int64, error)) (va
 		return v, false, err
 	}
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.hits++
-		c.ll.MoveToFront(el)
-		v := el.Value.(*entry).val
+	if v, ok := c.lookupLocked(key); ok {
 		c.mu.Unlock()
 		return v, true, nil
 	}
@@ -248,18 +265,26 @@ func (c *Cache) insertLocked(key string, val any, size int64) []*entry {
 		c.bytes -= e.size
 		c.evictions++
 		evicted = append(evicted, e)
+		if c.onEvict != nil {
+			c.leaving[e.key] = e
+		}
 	}
 	return evicted
 }
 
 // notifyEvicted runs the eviction hook for each removed entry, in eviction
-// order, with no cache lock held.
+// order, with no cache lock held, and lets go of each once its hook is done.
 func (c *Cache) notifyEvicted(hook func(string, any, int64), evicted []*entry) {
 	if hook == nil {
 		return
 	}
 	for _, e := range evicted {
 		hook(e.key, e.val, e.size)
+		c.mu.Lock()
+		if c.leaving[e.key] == e {
+			delete(c.leaving, e.key)
+		}
+		c.mu.Unlock()
 	}
 }
 

@@ -344,6 +344,43 @@ func TestOnEvictFromGetOrCompute(t *testing.T) {
 	}
 }
 
+// An entry whose eviction hook is still running (the serving layer's disk
+// spill) is in neither tier yet: a lookup in that window must be served
+// the evicted value, not recompute it.
+func TestEvictedEntryServedUntilHookReturns(t *testing.T) {
+	c := New(10)
+	inHook, release := make(chan struct{}), make(chan struct{})
+	c.SetOnEvict(func(string, any, int64) {
+		close(inHook)
+		<-release
+	})
+	c.Add("a", "A", 10)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Add("b", "B", 10) // evicts a; the hook blocks
+	}()
+	<-inHook
+	compute := func() (any, int64, error) {
+		t.Error("recomputed an entry whose spill was in flight")
+		return "A", 10, nil
+	}
+	if v, hit, err := c.GetOrCompute("a", compute); err != nil || !hit || v.(string) != "A" {
+		t.Fatalf("GetOrCompute during the hook: v=%v hit=%v err=%v, want A from the evicted entry", v, hit, err)
+	}
+	if v, ok := c.Get("a"); !ok || v.(string) != "A" {
+		t.Fatalf("Get during the hook: v=%v ok=%v", v, ok)
+	}
+	if c.Contains("a") || c.Len() != 1 || c.Bytes() != 10 {
+		t.Fatalf("evicted entry still counted as stored: len=%d bytes=%d", c.Len(), c.Bytes())
+	}
+	close(release)
+	<-done
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("evicted entry outlived its hook")
+	}
+}
+
 func TestEntrySize(t *testing.T) {
 	c := New(0)
 	c.Add("k", "v", 37)

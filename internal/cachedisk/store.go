@@ -71,16 +71,12 @@ type Config struct {
 	Dir string
 	// Injector supplies seeded disk-op faults (nil injects nothing).
 	Injector *resilience.Injector
-	// Retry tunes transient I/O retries; zero value = standard policy.
-	Retry resilience.RetryPolicy
 	// BreakerThreshold / BreakerCooldown tune the memory-only degradation
 	// breaker (defaults 5 failures / 10s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// Now supplies the breaker clock (tests); nil means time.Now.
 	Now func() time.Time
-	// OnDegrade observes breaker transitions (serve stats annotation).
-	OnDegrade func(from, to resilience.BreakerState)
 }
 
 // Stats is a point-in-time snapshot of the store's counters.
@@ -137,7 +133,6 @@ type Store struct {
 	dir     string
 	objects string
 	inj     *resilience.Injector
-	retry   resilience.RetryPolicy
 	breaker *resilience.Breaker
 
 	mu      sync.Mutex
@@ -173,14 +168,12 @@ func Open(cfg Config) (*Store, error) {
 		dir:     cfg.Dir,
 		objects: objects,
 		inj:     cfg.Injector,
-		retry:   cfg.Retry.WithDefaults(),
 		index:   make(map[string]entryMeta),
 	}
 	s.breaker = resilience.NewBreaker(resilience.BreakerConfig{
-		Threshold:    cfg.BreakerThreshold,
-		Cooldown:     cfg.BreakerCooldown,
-		Now:          cfg.Now,
-		OnTransition: cfg.OnDegrade,
+		Threshold: cfg.BreakerThreshold,
+		Cooldown:  cfg.BreakerCooldown,
+		Now:       cfg.Now,
 	})
 	s.reload()
 	if err := s.compactJournal(); err != nil {
@@ -303,10 +296,10 @@ func (s *Store) Get(key string) (payload []byte, codec uint16, ok bool) {
 	}
 	_ = meta
 	var lastErr error
-	for attempt := 1; attempt <= s.retry.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= resilience.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			s.retries++
-			s.retryWaitSeconds += s.retry.Backoff(attempt-1, s.inj.BackoffSource("cachedisk/read"))
+			s.retryWaitSeconds += resilience.Backoff(attempt-1, s.inj.BackoffSource("cachedisk/read"))
 		}
 		if err := s.inj.DiskFault("read"); err != nil {
 			lastErr = err
@@ -358,10 +351,10 @@ func (s *Store) Put(key string, codec uint16, payload []byte) error {
 		return nil
 	}
 	var lastErr error
-	for attempt := 1; attempt <= s.retry.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= resilience.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			s.retries++
-			s.retryWaitSeconds += s.retry.Backoff(attempt-1, s.inj.BackoffSource("cachedisk/write"))
+			s.retryWaitSeconds += resilience.Backoff(attempt-1, s.inj.BackoffSource("cachedisk/write"))
 		}
 		if err := s.writeEntry(key, codec, payload); err != nil {
 			lastErr = err

@@ -25,7 +25,7 @@
 //     so finished chains are never recomputed.
 //
 // Network cost is modeled, not real: scatter RPCs charge latency plus
-// payload bytes over a configured link (NetModel), and the accounting
+// payload bytes over a modeled link (DefaultNet), and the accounting
 // feeds the scaling curve (scaling.go) rather than the request results —
 // which is exactly what keeps the results shard-count-independent while
 // the throughput model stays honest about coordination overhead.
@@ -37,8 +37,8 @@ import (
 )
 
 // NetModel prices one simulated scatter RPC: a fixed per-operation latency
-// plus payload bytes over a bandwidth-limited link. The zero value is
-// DefaultNet via withDefaults.
+// plus payload bytes over a bandwidth-limited link. DefaultNet is the only
+// model ever priced.
 type NetModel struct {
 	// LatencySeconds is the per-RPC round-trip latency floor.
 	LatencySeconds float64
@@ -50,16 +50,6 @@ type NetModel struct {
 // round-trip, ~3 GB/s effective payload bandwidth.
 func DefaultNet() NetModel {
 	return NetModel{LatencySeconds: 200e-6, GBps: 3}
-}
-
-func (n NetModel) withDefaults() NetModel {
-	if n.LatencySeconds <= 0 {
-		n.LatencySeconds = DefaultNet().LatencySeconds
-	}
-	if n.GBps <= 0 {
-		n.GBps = DefaultNet().GBps
-	}
-	return n
 }
 
 // Cost returns the modeled seconds to move payload bytes in one RPC.

@@ -121,7 +121,6 @@ type ScalingCurve struct {
 // trace. fingerprint seeds the shard plans (ownership does not affect the
 // times, but keeps the plans identical to the live cluster's).
 func BuildScalingCurve(points []RequestPoint, shardCounts, replicaCounts []int, records int, fingerprint string, np NetProfile, net NetModel, msaWorkers, gpuWorkers int) ScalingCurve {
-	net = net.withDefaults()
 	curve := ScalingCurve{
 		Records:    records,
 		Net:        net,

@@ -15,8 +15,6 @@ import (
 type Config struct {
 	// Shards is the simulated node count N (default 1).
 	Shards int
-	// Net prices the scatter RPCs (zero value = DefaultNet).
-	Net NetModel
 	// Fingerprint is the database-set identity (msa.DBSet.Fingerprint())
 	// the shard plan derives ownership from.
 	Fingerprint string
@@ -32,7 +30,6 @@ type Config struct {
 // N, node deaths, or failovers.
 type Cluster struct {
 	plan ShardPlan
-	net  NetModel
 
 	mu    sync.Mutex
 	nodes []nodeState
@@ -81,7 +78,6 @@ func New(cfg Config) *Cluster {
 	}
 	c := &Cluster{
 		plan:  NewShardPlan(cfg.Fingerprint, cfg.Shards),
-		net:   cfg.Net.withDefaults(),
 		nodes: make([]nodeState, cfg.Shards),
 	}
 	for i := range c.nodes {
@@ -298,7 +294,7 @@ func (c *Cluster) noteDispatch(node int, req msa.ScatterRequest, segs []*segment
 	c.nodes[node].dispatches++
 	c.stats.NetOps++
 	c.stats.NetBytes += reqBytes + respBytes
-	c.stats.NetSeconds += c.net.Cost(reqBytes + respBytes)
+	c.stats.NetSeconds += DefaultNet().Cost(reqBytes + respBytes)
 	c.mu.Unlock()
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/memest"
@@ -37,9 +36,6 @@ type PipelineOptions struct {
 	// PreloadDBs explicitly loads the run's databases into the page cache
 	// before the MSA phase (Section VI storage optimization).
 	PreloadDBs bool
-	// Storage carries page-cache state across runs (warm caches); nil
-	// builds a fresh cold-cache system.
-	Storage *simio.System
 	// SkipMemCheck disables the Section VI estimator gate, reproducing
 	// stock AF3's behavior of running into the OOM killer.
 	SkipMemCheck bool
@@ -49,9 +45,6 @@ type PipelineOptions struct {
 	// Faults is the injected fault specification for this run (see
 	// resilience.ParseFaults). Empty injects nothing.
 	Faults resilience.Faults
-	// Retry tunes transient-fault handling; the zero value means the
-	// standard capped-exponential policy.
-	Retry resilience.RetryPolicy
 	// FreshMSA forces the MSA search to recompute instead of consulting the
 	// suite's per-profile memo. The serving layer sets it so that
 	// internal/cache is the only reuse path between requests — a
@@ -73,13 +66,6 @@ type PipelineOptions struct {
 	// retries of the MSA phase (scoped by database-profile signature); a
 	// retried phase re-runs only the chains that had not finished.
 	MSACheckpoint *msa.Checkpoint
-	// ChainDone observes every really-searched chain's wall time — the
-	// serving layer's hedge-budget estimator feeds on it.
-	ChainDone func(chainID string, wall time.Duration)
-	// HedgeAfter launches a backup attempt for an MSA chain still running
-	// after this wall-clock delay (0 disables). Latency-only: results are
-	// identical with or without hedging.
-	HedgeAfter time.Duration
 	// ChainCache is the serving layer's cross-request per-chain MSA cache
 	// hook, threaded down to msa.Options.ChainCache. The scope it receives
 	// is the database-profile signature of the plan being run, so a chain
@@ -170,7 +156,7 @@ func (s *Suite) RunPipeline(in *inputs.Input, mach platform.Machine, opts Pipeli
 // context is the wall-clock deadline: it is observed between stages and
 // deep inside the MSA scan, and an expiry surfaces as ErrStageTimeout
 // wrapping the context error. Injected faults (opts.Faults) are absorbed
-// where possible: transient read failures retry under opts.Retry with
+// where possible: transient read failures retry (resilience.MaxAttempts) with
 // deterministic jittered backoff, and a database that stays dark — or an
 // MSA plan that cannot fit opts.Budget — degrades the run down the ladder
 // (drop the database, then single-sequence inference) instead of failing
@@ -252,16 +238,12 @@ func (s *Suite) RunMSAPhase(ctx context.Context, in *inputs.Input, mach platform
 		return nil, ErrProjectedOOM{Estimate: mp.Memory}
 	}
 
-	pol := opts.Retry.WithDefaults()
 	inj := opts.Injector
 	if inj == nil {
 		inj = resilience.NewInjector(opts.Faults, s.resilienceSource(in.Name, opts.RunIndex))
 	}
 
-	storage := opts.Storage
-	if storage == nil {
-		storage = newStorage(in, mach, opts.Threads)
-	}
+	storage := newStorage(in, mach, opts.Threads)
 	if inj != nil {
 		storage.SetFaultFunc(func(name string, attempt int, _ int64) error {
 			return inj.ReadFault(name, attempt)
@@ -272,8 +254,8 @@ func (s *Suite) RunMSAPhase(ctx context.Context, in *inputs.Input, mach platform
 	// Open the databases under the retry policy, then plan the stage down
 	// the degradation ladder until it fits.
 	needed := s.neededDBs(in)
-	active := s.openDatabases(needed, opts.SkipDBs, inj, pol, &mp.Resilience)
-	if err := s.runMSAStage(ctx, in, mach, opts, storage, active, needed, inj, pol, mp); err != nil {
+	active := s.openDatabases(needed, opts.SkipDBs, inj, &mp.Resilience)
+	if err := s.runMSAStage(ctx, in, mach, opts, storage, active, needed, inj, mp); err != nil {
 		return nil, err
 	}
 	return mp, nil
@@ -347,10 +329,16 @@ func ComposeResult(in *inputs.Input, mach platform.Machine, threads int, mp *MSA
 // the machine-model replay, and a streaming trial on a page-cache clone —
 // and either accepts it or sheds a database and re-plans. Rejected plans
 // leave the live storage untouched; the accepted plan is replayed on it.
-func (s *Suite) runMSAStage(ctx context.Context, in *inputs.Input, mach platform.Machine, opts PipelineOptions, storage *simio.System, active []*seqdb.DB, needed map[string]bool, inj *resilience.Injector, pol resilience.RetryPolicy, mp *MSAPhase) error {
+func (s *Suite) runMSAStage(ctx context.Context, in *inputs.Input, mach platform.Machine, opts PipelineOptions, storage *simio.System, active []*seqdb.DB, needed map[string]bool, inj *resilience.Injector, mp *MSAPhase) error {
 	rep := &mp.Resilience
 	if opts.PreloadDBs {
 		s.preload(storage, active)
+	}
+	hooks := msa.Options{
+		Checkpoint: opts.MSACheckpoint,
+		ChainFault: inj.ChainFault,
+		ChainCache: opts.ChainCache,
+		Scatter:    opts.Scatter,
 	}
 	for {
 		if err := ctx.Err(); err != nil {
@@ -359,14 +347,7 @@ func (s *Suite) runMSAStage(ctx context.Context, in *inputs.Input, mach platform
 		// Chain faults and checkpoints make the search attempt-dependent:
 		// the memo must not absorb (or replay around) either.
 		fresh := opts.FreshMSA || opts.MSACheckpoint != nil || inj.HasChainFaults() || opts.ChainCache != nil || opts.Scatter != nil
-		msaRes, err := s.msaResultFor(ctx, in, opts.Threads, s.reducedDBSet(active), s.dbSignature(active), fresh, msaExtras{
-			checkpoint: opts.MSACheckpoint,
-			chainFault: inj.ChainFault,
-			chainDone:  opts.ChainDone,
-			hedgeAfter: opts.HedgeAfter,
-			chainCache: opts.ChainCache,
-			scatter:    opts.Scatter,
-		})
+		msaRes, err := s.msaResultFor(ctx, in, opts.Threads, s.reducedDBSet(active), s.dbSignature(active), fresh, hooks)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return resilience.ErrStageTimeout{Stage: "msa", Cause: ctxErr}
@@ -381,7 +362,7 @@ func (s *Suite) runMSAStage(ctx context.Context, in *inputs.Input, mach platform
 		// the live page cache; trial-side events are discarded (the accepted
 		// plan's replay records them once, identically).
 		scratch := &resilience.Report{}
-		disk, ceiling, err := s.streamDatabases(ctx, storage.Clone(), msaRes, active, mach, inj, pol, scratch)
+		disk, ceiling, err := s.streamDatabases(ctx, storage.Clone(), msaRes, active, mach, inj, scratch)
 		if err != nil {
 			return err
 		}
@@ -423,7 +404,7 @@ func (s *Suite) runMSAStage(ctx context.Context, in *inputs.Input, mach platform
 				Detail: "worker shard stalled; scan critical path extended",
 			})
 		}
-		disk, _, err = s.streamDatabases(ctx, storage, msaRes, active, mach, inj, pol, rep)
+		disk, _, err = s.streamDatabases(ctx, storage, msaRes, active, mach, inj, rep)
 		if err != nil {
 			return err
 		}
@@ -478,7 +459,7 @@ func (s *Suite) neededDBs(in *inputs.Input) map[string]bool {
 // fully available to the scan or dropped before it starts. Databases the
 // input never searches pass through unprobed; databases in skip (the
 // serving layer's open circuit breakers) are dropped without probing.
-func (s *Suite) openDatabases(needed, skip map[string]bool, inj *resilience.Injector, pol resilience.RetryPolicy, rep *resilience.Report) []*seqdb.DB {
+func (s *Suite) openDatabases(needed, skip map[string]bool, inj *resilience.Injector, rep *resilience.Report) []*seqdb.DB {
 	if inj == nil && len(skip) == 0 {
 		return s.allDBs()
 	}
@@ -500,7 +481,7 @@ func (s *Suite) openDatabases(needed, skip map[string]bool, inj *resilience.Inje
 		var bo *rng.Source
 		var lastErr error
 		attempts := 0
-		for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
+		for attempt := 1; attempt <= resilience.MaxAttempts; attempt++ {
 			attempts = attempt
 			err := inj.ReadFault(db.Name, attempt)
 			if err == nil {
@@ -508,13 +489,13 @@ func (s *Suite) openDatabases(needed, skip map[string]bool, inj *resilience.Inje
 				break
 			}
 			lastErr = err
-			if resilience.IsPermanent(err) || attempt == pol.MaxAttempts {
+			if resilience.IsPermanent(err) || attempt == resilience.MaxAttempts {
 				break
 			}
 			if bo == nil {
 				bo = inj.BackoffSource(db.Name)
 			}
-			d := pol.Backoff(attempt, bo)
+			d := resilience.Backoff(attempt, bo)
 			rep.Retries++
 			rep.RetrySeconds += d
 			rep.Record(resilience.Event{
@@ -544,7 +525,7 @@ func (s *Suite) openDatabases(needed, skip map[string]bool, inj *resilience.Inje
 // dropped. Mid-stream faults retry under the policy; memory spikes fire
 // between databases, and a spike past the machine's capacity reports
 // ceiling=true with the stream abandoned.
-func (s *Suite) streamDatabases(ctx context.Context, storage *simio.System, msaRes *msa.Result, active []*seqdb.DB, mach platform.Machine, inj *resilience.Injector, pol resilience.RetryPolicy, rep *resilience.Report) (float64, bool, error) {
+func (s *Suite) streamDatabases(ctx context.Context, storage *simio.System, msaRes *msa.Result, active []*seqdb.DB, mach platform.Machine, inj *resilience.Injector, rep *resilience.Report) (float64, bool, error) {
 	var disk float64
 	streamed := 0
 	for _, db := range active {
@@ -561,7 +542,7 @@ func (s *Suite) streamDatabases(ctx context.Context, storage *simio.System, msaR
 			if rem := total - off; rem < per {
 				size = rem // the final partial pass
 			}
-			sec, dead := s.streamPass(storage, db.Name, size, inj, pol, rep)
+			sec, dead := s.streamPass(storage, db.Name, size, inj, rep)
 			disk += sec
 			if dead {
 				break
@@ -587,7 +568,7 @@ func (s *Suite) streamDatabases(ctx context.Context, storage *simio.System, msaR
 // the injected budgets — but a database can still go dark here; the pass
 // then records the drop and returns dead=true so the caller stops replaying
 // it (its hits are already recruited; only the remaining re-reads vanish).
-func (s *Suite) streamPass(storage *simio.System, name string, bytes int64, inj *resilience.Injector, pol resilience.RetryPolicy, rep *resilience.Report) (float64, bool) {
+func (s *Suite) streamPass(storage *simio.System, name string, bytes int64, inj *resilience.Injector, rep *resilience.Report) (float64, bool) {
 	var sec float64
 	var bo *rng.Source
 	for attempt := 1; ; attempt++ {
@@ -596,7 +577,7 @@ func (s *Suite) streamPass(storage *simio.System, name string, bytes int64, inj 
 		if err == nil {
 			return sec, false
 		}
-		if resilience.IsPermanent(err) || attempt >= pol.MaxAttempts {
+		if resilience.IsPermanent(err) || attempt >= resilience.MaxAttempts {
 			rep.DroppedDBs = append(rep.DroppedDBs, name)
 			rep.Degraded = true
 			cause := resilience.ErrDBUnavailable{DB: name, Attempts: attempt, Cause: err}
@@ -609,7 +590,7 @@ func (s *Suite) streamPass(storage *simio.System, name string, bytes int64, inj 
 		if bo == nil {
 			bo = inj.BackoffSource(name)
 		}
-		d := pol.Backoff(attempt, bo)
+		d := resilience.Backoff(attempt, bo)
 		rep.Retries++
 		rep.RetrySeconds += d
 		rep.Record(resilience.Event{

@@ -372,14 +372,13 @@ func TestStreamDatabasesReplaysPartialPass(t *testing.T) {
 	// zero disk seconds for any remainder below one modeled database size.
 	s := suite(t)
 	db := s.DBs.Protein[0]
-	pol := resilience.RetryPolicy{}.WithDefaults()
 	mach := platform.Desktop()
 	stream := func(total int64) float64 {
 		// Reserve most of DRAM so re-read passes cannot hide in the cache.
 		storage := simio.New(mach, 60<<30)
 		msaRes := newStreamedResult(db.Name, total)
 		var rep resilience.Report
-		disk, ceiling, err := s.streamDatabases(context.Background(), storage, msaRes, []*seqdb.DB{db}, mach, nil, pol, &rep)
+		disk, ceiling, err := s.streamDatabases(context.Background(), storage, msaRes, []*seqdb.DB{db}, mach, nil, &rep)
 		if err != nil || ceiling {
 			t.Fatalf("stream: disk=%v ceiling=%v err=%v", disk, ceiling, err)
 		}
@@ -410,15 +409,14 @@ func TestStreamPassMidStreamDropIsDefensive(t *testing.T) {
 	})
 	var rep resilience.Report
 	msaRes := newStreamedResult(db.Name, db.ModeledBytes())
-	pol := resilience.RetryPolicy{}.WithDefaults()
-	disk, ceiling, err := s.streamDatabases(context.Background(), storage, msaRes, []*seqdb.DB{db}, mach, inj, pol, &rep)
+	disk, ceiling, err := s.streamDatabases(context.Background(), storage, msaRes, []*seqdb.DB{db}, mach, inj, &rep)
 	if err != nil || ceiling {
 		t.Fatal(err)
 	}
 	if disk != 0 {
 		t.Errorf("failed stream charged %.2fs of disk", disk)
 	}
-	if len(rep.DroppedDBs) != 1 || rep.Retries != pol.MaxAttempts-1 {
+	if len(rep.DroppedDBs) != 1 || rep.Retries != resilience.MaxAttempts-1 {
 		t.Errorf("defensive drop accounting wrong: %s", rep.String())
 	}
 	if countKind(rep, resilience.KindDropDB) != 1 {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"afsysbench/internal/cache"
 	"afsysbench/internal/hmmer"
@@ -79,20 +78,7 @@ func NewSuite() (*Suite, error) {
 // MSAResult runs (or returns the cached) MSA phase for a sample at a thread
 // count. The result is platform-independent: the machine models replay it.
 func (s *Suite) MSAResult(in *inputs.Input, threads int) (*msa.Result, error) {
-	return s.msaResultFor(context.Background(), in, threads, s.DBs, "full", false, msaExtras{})
-}
-
-// msaExtras carries the resumability and hedging hooks from PipelineOptions
-// into the MSA search — checkpoint replay, chain-granular fault injection,
-// the chain-latency observer and the hedge budget. The zero value means a
-// plain search.
-type msaExtras struct {
-	checkpoint *msa.Checkpoint
-	chainFault func(chainID string, attempt int) error
-	chainDone  func(chainID string, wall time.Duration)
-	hedgeAfter time.Duration
-	chainCache msa.ChainFetch
-	scatter    msa.ScatterFunc
+	return s.msaResultFor(context.Background(), in, threads, s.DBs, "full", false, msa.Options{})
 }
 
 // msaResultFor runs (or returns the cached) MSA phase against a specific
@@ -103,8 +89,10 @@ type msaExtras struct {
 // callers that manage reuse themselves (PipelineOptions.FreshMSA) and for
 // any run carrying attempt-dependent hooks (chain faults, checkpoints).
 // sig doubles as the checkpoint scope, so a delta recorded against one
-// profile never replays under another.
-func (s *Suite) msaResultFor(ctx context.Context, in *inputs.Input, threads int, dbs *msa.DBSet, sig string, fresh bool, ex msaExtras) (*msa.Result, error) {
+// profile never replays under another. hooks carries the per-run hooks
+// (Checkpoint, ChainFault, ChainCache, Scatter; the zero value means a plain
+// search); everything else in it is filled in here.
+func (s *Suite) msaResultFor(ctx context.Context, in *inputs.Input, threads int, dbs *msa.DBSet, sig string, fresh bool, hooks msa.Options) (*msa.Result, error) {
 	key := fmt.Sprintf("%s/%d/%s", in.Name, threads, sig)
 	if !fresh {
 		s.mu.Lock()
@@ -114,19 +102,12 @@ func (s *Suite) msaResultFor(ctx context.Context, in *inputs.Input, threads int,
 			return cached, nil
 		}
 	}
-	res, err := msa.RunCtx(ctx, in, msa.Options{
-		Threads:         threads,
-		Search:          s.Search,
-		DBs:             dbs,
-		AllowMissingDB:  true,
-		Checkpoint:      ex.checkpoint,
-		CheckpointScope: sig,
-		ChainFault:      ex.chainFault,
-		ChainDone:       ex.chainDone,
-		HedgeAfter:      ex.hedgeAfter,
-		ChainCache:      ex.chainCache,
-		Scatter:         ex.scatter,
-	})
+	hooks.Threads = threads
+	hooks.Search = s.Search
+	hooks.DBs = dbs
+	hooks.AllowMissingDB = true
+	hooks.CheckpointScope = sig
+	res, err := msa.RunCtx(ctx, in, hooks)
 	if err != nil {
 		return nil, err
 	}

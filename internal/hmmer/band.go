@@ -16,7 +16,7 @@ import (
 // 9-variant, odd rows the 10-variant, so the 9-variant retires slightly
 // more work, as in the paper).
 
-// BandHalfWidth is the default half-width of the Viterbi band. The full
+// BandHalfWidth is the half-width of the Viterbi band every scan uses. The full
 // band width is 2*BandHalfWidth+1 columns per target row.
 const BandHalfWidth = 9
 

@@ -124,8 +124,7 @@ func BenchmarkScanRecordSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := SearchOptions{}.withDefaults(query.Type)
-	s := newScanState(p, query, db.TotalResidues(), opts, metering.Nop{})
+	s := newScanState(p, query, db.TotalResidues(), metering.Nop{})
 	s.recycling = true
 	defer s.release()
 	for _, tg := range db.Seqs { // warm the workspace to its high-water marks
@@ -154,8 +153,7 @@ func TestScanSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := SearchOptions{}.withDefaults(query.Type)
-	s := newScanState(p, query, db.TotalResidues(), opts, metering.Nop{})
+	s := newScanState(p, query, db.TotalResidues(), metering.Nop{})
 	s.recycling = true
 	defer s.release()
 	for _, tg := range db.Seqs {

@@ -10,27 +10,12 @@ import (
 	"afsysbench/internal/seq"
 )
 
-// SearchOptions configures a database search.
+// SearchOptions configures a database search. Everything else about a
+// search is a constant below: the paper characterises AF3 at HMMER's stock
+// settings and sweeps input, platform and thread count only.
 type SearchOptions struct {
-	// MaxEValue is the reporting threshold (default 10).
-	MaxEValue float64
-	// InclusionEValue is the profile-recruitment threshold for iterative
-	// search rounds (default 1e-3).
-	InclusionEValue float64
-	// HalfWidth is the Viterbi band half-width (default BandHalfWidth).
-	HalfWidth int
 	// Iterations is the number of jackhmmer rounds (default 2).
 	Iterations int
-	// SeedK is the k-mer seed length (default 3 for protein, 5 for
-	// nucleotide).
-	SeedK int
-	// MinSeeds is the votes a diagonal needs before it is DP'd (default 2).
-	MinSeeds int
-	// MaxDiagonals caps candidate diagonals per target (default 64). The
-	// cap is what keeps poly-Q queries from unbounded blowup — but each
-	// capped diagonal still costs a full banded DP, which is the promo
-	// sample's slowdown mechanism.
-	MaxDiagonals int
 	// Inert: the 8-bit filter tier this switched is gone (DESIGN §11). The
 	// name stays only because bench/layers.go, which belongs to the
 	// benchmark, still assigns it.
@@ -40,42 +25,45 @@ type SearchOptions struct {
 	DBFootprint uint64
 }
 
-func (o SearchOptions) withDefaults(t seq.MoleculeType) SearchOptions {
-	if o.MaxEValue == 0 {
-		o.MaxEValue = 10
-	}
-	if o.InclusionEValue == 0 {
-		o.InclusionEValue = 1e-3
-	}
-	if o.HalfWidth == 0 {
-		o.HalfWidth = BandHalfWidth
-	}
+func (o SearchOptions) withDefaults() SearchOptions {
 	if o.Iterations == 0 {
 		o.Iterations = 2
 	}
-	if o.SeedK == 0 {
-		// Chosen so the expected random k-mer collision rate is similar
-		// across alphabets: 20^3 for protein, 4^8 for nucleotides.
-		if t == seq.Protein {
-			o.SeedK = 3
-		} else {
-			o.SeedK = 8
-		}
-	}
-	if o.MinSeeds == 0 {
-		// Protein seeds need corroboration; nucleotide search keeps
-		// nhmmer's sensitivity by aligning every seeded window, which is
-		// exactly why RNA search is so expensive (paper Section VII).
-		if t == seq.Protein {
-			o.MinSeeds = 2
-		} else {
-			o.MinSeeds = 1
-		}
-	}
-	if o.MaxDiagonals == 0 {
-		o.MaxDiagonals = 64
-	}
 	return o
+}
+
+const (
+	// maxEValue is the reporting threshold.
+	maxEValue = 10
+	// InclusionE is the profile-recruitment threshold for iterative search
+	// rounds.
+	InclusionE = 1e-3
+	// maxDiagonals caps candidate diagonals per target. The cap is what
+	// keeps poly-Q queries from unbounded blowup — but each capped diagonal
+	// still costs a full banded DP, which is the promo sample's slowdown
+	// mechanism.
+	maxDiagonals = 64
+)
+
+// seedK is the k-mer seed length, chosen so the expected random k-mer
+// collision rate is similar across alphabets: 20^3 for protein, 4^8 for
+// nucleotides.
+func seedK(t seq.MoleculeType) int {
+	if t == seq.Protein {
+		return 3
+	}
+	return 8
+}
+
+// minSeeds is the votes a diagonal needs before it is DP'd. Protein seeds
+// need corroboration; nucleotide search keeps nhmmer's sensitivity by
+// aligning every seeded window, which is exactly why RNA search is so
+// expensive (paper Section VII).
+func minSeeds(t seq.MoleculeType) int {
+	if t == seq.Protein {
+		return 2
+	}
+	return 1
 }
 
 // Hit is one reported database match.
@@ -257,7 +245,7 @@ func SearchProteinCtx(ctx context.Context, query *seq.Sequence, src func() Recor
 	if query.Type != seq.Protein {
 		return nil, fmt.Errorf("hmmer: SearchProtein requires a protein query, got %v", query.Type)
 	}
-	opts = opts.withDefaults(query.Type)
+	opts = opts.withDefaults()
 	if m == nil {
 		m = metering.Nop{}
 	}
@@ -278,7 +266,7 @@ func SearchProteinCtx(ctx context.Context, query *seq.Sequence, src func() Recor
 		if round == opts.Iterations-1 {
 			break
 		}
-		rows := BuildGappedAlignment(query, res.Hits, opts.InclusionEValue)
+		rows := BuildGappedAlignment(query, res.Hits, InclusionE)
 		if len(rows) <= 1 {
 			break // nothing recruited; further rounds are identical
 		}
@@ -304,7 +292,6 @@ func SearchNucleotideCtx(ctx context.Context, query *seq.Sequence, src func() Re
 	if query.Type != seq.RNA && query.Type != seq.DNA {
 		return nil, fmt.Errorf("hmmer: SearchNucleotide requires RNA or DNA, got %v", query.Type)
 	}
-	opts = opts.withDefaults(query.Type)
 	if m == nil {
 		m = metering.Nop{}
 	}
@@ -333,7 +320,6 @@ func ScanRecords(p *Profile, query *seq.Sequence, src RecordSource, dbResidues i
 // few records, so a worker shard of a cancelled MSA scan abandons its
 // remaining records instead of finishing the pass.
 func ScanRecordsCtx(ctx context.Context, p *Profile, query *seq.Sequence, src RecordSource, dbResidues int, opts SearchOptions, m metering.Meter) (*Result, error) {
-	opts = opts.withDefaults(query.Type)
 	if m == nil {
 		m = metering.Nop{}
 	}
@@ -398,7 +384,6 @@ type scanState struct {
 	p          *Profile
 	query      *seq.Sequence
 	idx        *seedIndex
-	opts       SearchOptions
 	dbResidues int
 	m          metering.Meter
 	ws         *scanWorkspace
@@ -412,17 +397,16 @@ type scanState struct {
 	retained  *seq.Sequence
 }
 
-func newScanState(p *Profile, query *seq.Sequence, dbResidues int, opts SearchOptions, m metering.Meter) *scanState {
+func newScanState(p *Profile, query *seq.Sequence, dbResidues int, m metering.Meter) *scanState {
 	return &scanState{
 		p:          p,
 		query:      query,
-		idx:        buildSeedIndex(query, opts.SeedK),
-		opts:       opts,
+		idx:        buildSeedIndex(query, seedK(query.Type)),
 		dbResidues: dbResidues,
 		m:          m,
 		ws:         takeScanWorkspace(),
 		res:        &Result{Query: query.ID},
-		bandFloor:  bandScoreFloor(p, dbResidues, opts.MaxEValue*10),
+		bandFloor:  bandScoreFloor(p, dbResidues, maxEValue*10),
 	}
 }
 
@@ -489,7 +473,7 @@ func (s *scanState) scanRecord(target *seq.Sequence) {
 		s.scanLongTarget(target)
 		return
 	}
-	diags := s.idx.candidates(target, s.opts.MinSeeds, s.opts.MaxDiagonals, 2*s.opts.HalfWidth, s.ws, s.m)
+	diags := s.idx.candidates(target, minSeeds(s.query.Type), maxDiagonals, 2*BandHalfWidth, s.ws, s.m)
 	s.cascade(target, target, 0, diags)
 }
 
@@ -502,21 +486,21 @@ func (s *scanState) cascade(view, target *seq.Sequence, offset int, diags []int)
 	res := s.res
 	for _, d := range diags {
 		res.Candidates++
-		ali, pruned := bandedViterbi(s.p, view, d, s.opts.HalfWidth, s.ws, s.bandFloor, s.m)
+		ali, pruned := bandedViterbi(s.p, view, d, BandHalfWidth, s.ws, s.bandFloor, s.m)
 		res.CellsDP += ali.Cells
 		res.CellsPruned += pruned
 		ev := s.p.EValue(float64(ali.Score), s.dbResidues)
-		if ev > s.opts.MaxEValue*10 {
+		if ev > maxEValue*10 {
 			continue // not even close; skip Forward
 		}
-		fwd := forward(s.p, view, d, s.opts.HalfWidth, s.ws, s.m)
+		fwd := forward(s.p, view, d, BandHalfWidth, s.ws, s.m)
 		fev := s.p.EValue(fwd, s.dbResidues)
-		if fev > s.opts.MaxEValue {
+		if fev > maxEValue {
 			continue
 		}
 		// Reported hits get a traced alignment for stacking and
 		// display (the extra DP is charged by the traceback kernel).
-		_, traced := bandedViterbiAlign(s.p, view, d, s.opts.HalfWidth, s.ws, s.m)
+		_, traced := bandedViterbiAlign(s.p, view, d, BandHalfWidth, s.ws, s.m)
 		if offset != 0 && traced != nil {
 			for pi := range traced.Pairs {
 				if traced.Pairs[pi].Pos >= 0 {
@@ -545,7 +529,7 @@ func (s *scanState) cascade(view, target *seq.Sequence, offset int, diags []int)
 func scanDB(ctx context.Context, p *Profile, query *seq.Sequence, src RecordSource, dbResidues int, opts SearchOptions, m metering.Meter) (*Result, error) {
 	const ctxCheckStride = 32
 	buf := NewRecyclingBuffer(src, opts.DBFootprint, m)
-	s := newScanState(p, query, dbResidues, opts, m)
+	s := newScanState(p, query, dbResidues, m)
 	s.recycling = true
 	// The buffer's bytes live in the pooled workspace between scans; hits
 	// hold clones (retain), so nothing outlives the hand-back.

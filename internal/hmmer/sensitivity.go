@@ -50,29 +50,22 @@ func (r *SensitivityReport) FalsePositiveRate() float64 {
 
 // SensitivityOptions configure an evaluation.
 type SensitivityOptions struct {
-	// QueryLen is the probe chain length (default 200).
-	QueryLen int
 	// PerRate is how many homologs to plant at each divergence (default 8).
 	PerRate int
 	// Decoys is the number of unrelated records (default 200).
 	Decoys int
-	// SignificanceE is the recovery threshold (default 1e-3).
-	SignificanceE float64
-	Seed          uint64
+	Seed   uint64
 }
 
+// sensitivityQueryLen is the probe chain length.
+const sensitivityQueryLen = 200
+
 func (o SensitivityOptions) withDefaults() SensitivityOptions {
-	if o.QueryLen <= 0 {
-		o.QueryLen = 200
-	}
 	if o.PerRate <= 0 {
 		o.PerRate = 8
 	}
 	if o.Decoys <= 0 {
 		o.Decoys = 200
-	}
-	if o.SignificanceE == 0 {
-		o.SignificanceE = 1e-3
 	}
 	return o
 }
@@ -87,7 +80,7 @@ func EvaluateSensitivity(rates []float64, opts SensitivityOptions) (*Sensitivity
 	opts = opts.withDefaults()
 	src := rng.New(opts.Seed)
 	gen := seq.NewGenerator(src.Split(1))
-	query := gen.Random("probe", seq.Protein, opts.QueryLen)
+	query := gen.Random("probe", seq.Protein, sensitivityQueryLen)
 
 	var records []*seq.Sequence
 	planted := make(map[string]int) // id -> rate index
@@ -102,7 +95,7 @@ func EvaluateSensitivity(rates []float64, opts SensitivityOptions) (*Sensitivity
 		}
 	}
 	for d := 0; d < opts.Decoys; d++ {
-		records = append(records, gen.Random(fmt.Sprintf("decoy_%04d", d), seq.Protein, opts.QueryLen))
+		records = append(records, gen.Random(fmt.Sprintf("decoy_%04d", d), seq.Protein, sensitivityQueryLen))
 	}
 	// Deterministic shuffle so planted records are not clustered.
 	perm := src.Split(2).Perm(len(records))
@@ -117,7 +110,7 @@ func EvaluateSensitivity(rates []float64, opts SensitivityOptions) (*Sensitivity
 	}
 	res, err := SearchProtein(query, func() RecordSource {
 		return &SliceSource{Seqs: shuffled}
-	}, dbResidues, SearchOptions{Iterations: 1, MaxEValue: 10}, metering.Nop{})
+	}, dbResidues, SearchOptions{Iterations: 1}, metering.Nop{})
 	if err != nil {
 		return nil, err
 	}
@@ -128,8 +121,8 @@ func EvaluateSensitivity(rates []float64, opts SensitivityOptions) (*Sensitivity
 		report.Points[ri] = SensitivityPoint{Divergence: rate, Planted: opts.PerRate}
 	}
 	for _, h := range res.Hits {
-		if h.EValue > opts.SignificanceE {
-			continue
+		if h.EValue > InclusionE {
+			continue // recovered means the next round would recruit it
 		}
 		if ri, ok := planted[h.TargetID]; ok {
 			report.Points[ri].Recovered++

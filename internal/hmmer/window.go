@@ -43,7 +43,7 @@ func planWindows(qLen, targetLen int) windowPlan {
 func (s *scanState) scanLongTarget(target *seq.Sequence) {
 	plan := planWindows(s.query.Len(), target.Len())
 	s.res.Windows += plan.targets
-	bandBytes := int64(2*s.opts.HalfWidth+1) * 3 * 4 // one band row set
+	bandBytes := int64(2*BandHalfWidth+1) * 3 * 4 // one band row set
 	// peak models the per-target candidate state nhmmer holds: every seeded
 	// window keeps its DP band and hit context alive until target
 	// postprocessing (the Figure 2 memory driver).
@@ -59,7 +59,7 @@ func (s *scanState) scanLongTarget(target *seq.Sequence) {
 			end = target.Len()
 		}
 		window.Residues = target.Residues[start:end]
-		diags := s.idx.candidates(window, s.opts.MinSeeds, s.opts.MaxDiagonals, 2*s.opts.HalfWidth, s.ws, s.m)
+		diags := s.idx.candidates(window, minSeeds(s.query.Type), maxDiagonals, 2*BandHalfWidth, s.ws, s.m)
 		if len(diags) == 0 {
 			continue
 		}

@@ -46,11 +46,11 @@ func (m *mapChainCache) fetch(scope string, chain inputs.Chain, compute func() (
 	return cc, false, nil
 }
 
-// deterministicView strips the operational counters (cache split, hedges)
+// deterministicView strips the operational counters (cache split, restores)
 // that legitimately differ between a fresh and a cache-served run.
 func deterministicView(res *Result) *Result {
 	v := *res
-	v.RestoredChains, v.Hedges, v.HedgeBackupWins = 0, 0, 0
+	v.RestoredChains = 0
 	v.CachedChains, v.FreshWork, v.CachedWork = 0, 0, 0
 	return &v
 }

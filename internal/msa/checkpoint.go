@@ -1,12 +1,9 @@
 package msa
 
 import (
-	"context"
 	"sync"
-	"time"
 
 	"afsysbench/internal/hmmer"
-	"afsysbench/internal/inputs"
 	"afsysbench/internal/metering"
 )
 
@@ -14,11 +11,10 @@ import (
 // Result: the summary row, the final-round hit list (pairing input), the
 // per-worker metering events, the streamed byte totals and the serial
 // work. Chains compute their delta privately — against a scratch carrier,
-// never the shared Result — which is what makes three things possible
+// never the shared Result — which is what makes two things possible
 // without disturbing determinism: a checkpoint can replay a completed
-// chain verbatim on a stage retry, a hedged backup attempt can race its
-// primary without the two writing the same accumulators, and the merge
-// into the Result happens in chain order exactly as the serial code did.
+// chain verbatim on a stage retry, and the merge into the Result happens
+// in chain order exactly as the serial code did.
 type chainDelta struct {
 	cr       ChainResult
 	hits     []hmmer.Hit
@@ -90,63 +86,4 @@ func (c *Checkpoint) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.chains)
-}
-
-// runChainHedged executes one chain, optionally racing a backup attempt
-// against a straggling primary. With HedgeAfter unset this is a plain
-// call. Otherwise: the primary launches immediately; if it has not
-// finished within HedgeAfter, a backup attempt starts and the first
-// finisher wins, the loser's context is cancelled and its goroutine
-// drained before returning (no leaks). Both attempts compute the same
-// deterministic delta, so hedging changes wall latency and operational
-// counters only — never results. A primary that *fails* before the hedge
-// timer fires returns immediately: hedging is for stragglers; failures
-// belong to the stage-retry path.
-func runChainHedged(ctx context.Context, chain inputs.Chain, opts Options) (d *chainDelta, hedged, backupWon bool, err error) {
-	if opts.HedgeAfter <= 0 {
-		d, err = runChain(ctx, chain, opts, 1)
-		return d, false, false, err
-	}
-	type outcome struct {
-		d       *chainDelta
-		err     error
-		attempt int
-	}
-	pctx, cancelPrimary := context.WithCancel(ctx)
-	defer cancelPrimary()
-	done := make(chan outcome, 2)
-	go func() {
-		d, err := runChain(pctx, chain, opts, 1)
-		done <- outcome{d, err, 1}
-	}()
-	timer := time.NewTimer(opts.HedgeAfter)
-	select {
-	case first := <-done:
-		timer.Stop()
-		return first.d, false, false, first.err
-	case <-timer.C:
-	}
-	bctx, cancelBackup := context.WithCancel(ctx)
-	defer cancelBackup()
-	go func() {
-		d, err := runChain(bctx, chain, opts, 2)
-		done <- outcome{d, err, 2}
-	}()
-
-	first := <-done
-	if first.err == nil {
-		// Winner: cancel the loser and drain it so no goroutine outlives
-		// the call.
-		cancelPrimary()
-		cancelBackup()
-		<-done
-		return first.d, true, first.attempt == 2, nil
-	}
-	// The first finisher failed (injected fault, cancellation): give the
-	// other attempt its chance before reporting failure.
-	second := <-done
-	if second.err == nil {
-		return second.d, true, second.attempt == 2, nil
-	}
-	return nil, true, false, first.err
 }

@@ -13,7 +13,7 @@ import (
 // assertSameResult checks the full determinism contract between two MSA
 // results: per-chain summaries, worker metering event streams, streamed
 // bytes, serial work and features must be bitwise identical. Operational
-// counters (RestoredChains, Hedges) are deliberately excluded.
+// counters (RestoredChains) are deliberately excluded.
 func assertSameResult(t *testing.T, a, b *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(a.PerChain, b.PerChain) {
@@ -133,88 +133,6 @@ func TestCheckpointScopeIsolation(t *testing.T) {
 	}
 	if res.RestoredChains != 1 {
 		t.Errorf("same-scope retry restored %d chains, want 1", res.RestoredChains)
-	}
-}
-
-// TestHedgedRunDeterministic: with an aggressive hedge budget every chain
-// races a backup attempt, and the result must still be bitwise identical
-// to an unhedged run — hedging trades CPU for latency, never output.
-func TestHedgedRunDeterministic(t *testing.T) {
-	in, _ := inputs.ByName("2PV7")
-	base := Options{Threads: 2, DBs: dbs(t)}
-	clean, err := Run(in, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hedged := base
-	hedged.HedgeAfter = time.Nanosecond // backup launches essentially immediately
-	res, err := Run(in, hedged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Hedges != 1 {
-		t.Errorf("Hedges = %d, want 1", res.Hedges)
-	}
-	assertSameResult(t, clean, res)
-}
-
-// TestHedgeBackupRescuesFailingPrimary: the primary attempt stalls past
-// the hedge budget and then fails; the backup attempt (attempt 2, whose
-// fault budget is clear) completes the chain and the run succeeds with an
-// unchanged result.
-func TestHedgeBackupRescuesFailingPrimary(t *testing.T) {
-	in, _ := inputs.ByName("2PV7")
-	base := Options{Threads: 2, DBs: dbs(t)}
-	clean, err := Run(in, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("primary died")
-	opts := base
-	opts.HedgeAfter = time.Millisecond
-	opts.ChainFault = func(chainID string, attempt int) error {
-		if attempt == 1 {
-			// Fail only after the hedge timer has fired, so the backup
-			// is already racing when the primary dies.
-			time.Sleep(10 * time.Millisecond)
-			return boom
-		}
-		return nil
-	}
-	res, err := Run(in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Hedges != 1 || res.HedgeBackupWins != 1 {
-		t.Errorf("Hedges = %d, HedgeBackupWins = %d, want 1/1", res.Hedges, res.HedgeBackupWins)
-	}
-	assertSameResult(t, clean, res)
-}
-
-// TestHedgePrimaryFailureBeforeTimer: a primary that fails before the
-// hedge budget elapses reports immediately — no backup is launched; the
-// failure belongs to the stage-retry path, not the hedge path.
-func TestHedgePrimaryFailureBeforeTimer(t *testing.T) {
-	in, _ := inputs.ByName("2PV7")
-	boom := errors.New("fast failure")
-	opts := Options{
-		Threads:    1,
-		DBs:        dbs(t),
-		HedgeAfter: time.Hour,
-		ChainFault: func(chainID string, attempt int) error {
-			if attempt == 1 {
-				return boom
-			}
-			return nil
-		},
-	}
-	start := time.Now()
-	_, err := Run(in, opts)
-	if !errors.Is(err, boom) {
-		t.Fatalf("error = %v, want fast failure", err)
-	}
-	if time.Since(start) > 30*time.Second {
-		t.Error("fast-failing primary waited on the hedge timer")
 	}
 }
 

@@ -25,11 +25,6 @@ type Options struct {
 	Search hmmer.SearchOptions
 	// DBs are the reference databases.
 	DBs *DBSet
-	// WorkCalibration scales the synthetic-to-paper work mapping. It is
-	// the one free constant of the MSA volume model, set so the simulated
-	// 2PV7 MSA phase lands at the paper's Figure 3 scale. Zero means the
-	// calibrated default.
-	WorkCalibration float64
 	// AllowMissingDB lets a chain whose molecule type has no databases
 	// left proceed as a single-sequence alignment (depth 1, no hits)
 	// instead of failing the run — the degradation ladder's contract when
@@ -51,26 +46,20 @@ type Options struct {
 	// with the CheckpointScope and a compute closure running the real
 	// search. A hit merges the cached delta (byte-identical to a fresh
 	// search, with the chain label rewritten for this complex) and counts
-	// into CachedChains/CachedWork instead of FreshWork. ChainDone and the
-	// hedge counters observe only real searches, mirroring Checkpoint
-	// replay semantics.
+	// into CachedChains/CachedWork instead of FreshWork. ChainDone observes
+	// only real searches, mirroring Checkpoint replay semantics.
 	ChainCache ChainFetch
 	// ChainFault, when set, is consulted at the start of every chain
-	// search attempt with the chain id and the 1-based attempt ordinal
-	// (a hedge backup is a further attempt); a non-nil error fails that
-	// chain. It is the chain-granular fault-injection hook for the
-	// serving layer's chaos and robustness tests.
+	// search with the chain id and the attempt ordinal (always 1: a stage
+	// retry is a new run, and completed chains replay from the
+	// checkpoint); a non-nil error fails that chain. It is the
+	// chain-granular fault-injection hook for the serving layer's chaos
+	// and robustness tests.
 	ChainFault func(chainID string, attempt int) error
 	// ChainDone, when set, observes every chain completed by a real
-	// search (not a checkpoint replay) with its wall-clock duration — the
-	// serving layer's hedge-budget estimator feeds on it.
+	// search (not a checkpoint replay) with its wall-clock duration. Only
+	// the repo benchmark sets it (bench/layers.go, msa.chain_ms_p50/p90).
 	ChainDone func(chainID string, wall time.Duration)
-	// HedgeAfter launches a backup attempt for a chain still running
-	// after this wall-clock delay; the first finished attempt wins and
-	// the loser is cancelled. Zero disables hedging. Both attempts
-	// compute the same deterministic result, so hedging affects latency
-	// only, never output.
-	HedgeAfter time.Duration
 	// Scatter, when set, replaces the in-process per-thread sharded scan
 	// of each database — the cluster layer's scatter-gather hook. The
 	// implementation must honor the determinism contract: the merged
@@ -97,7 +86,7 @@ type ScatterRequest struct {
 	// Threads is the global worker count the scan is attributed across.
 	Threads int
 	// ScaleFactor is the synthetic-to-paper metering scale for this
-	// database (DB.ScaleFactor × WorkCalibration); every shard's events
+	// database (DB.ScaleFactor × workCalibration); every shard's events
 	// must be scaled by it before accumulation.
 	ScaleFactor float64
 	// Workers are the per-thread accumulators (len == Threads).
@@ -114,11 +103,13 @@ func (o Options) withDefaults() Options {
 	if o.Rounds <= 0 {
 		o.Rounds = 2
 	}
-	if o.WorkCalibration <= 0 {
-		o.WorkCalibration = 0.4
-	}
 	return o
 }
+
+// workCalibration scales the synthetic-to-paper work mapping. It is the one
+// free constant of the MSA volume model, set so the simulated 2PV7 MSA phase
+// lands at the paper's Figure 3 scale.
+const workCalibration = 0.4
 
 // ChainResult summarizes one chain's searches.
 type ChainResult struct {
@@ -163,13 +154,9 @@ type Result struct {
 	// single-chain inputs).
 	Pairing *PairingResult
 	// RestoredChains counts chains replayed from the checkpoint instead
-	// of re-searched; Hedges counts backup attempts launched for
-	// straggling chains and HedgeBackupWins those where the backup
-	// finished first. Operational counters — wall-clock dependent where
-	// hedging is concerned — excluded from determinism comparisons.
-	RestoredChains  int
-	Hedges          int
-	HedgeBackupWins int
+	// of re-searched — an operational counter, excluded from determinism
+	// comparisons.
+	RestoredChains int
 	// CachedChains counts chains served by the ChainCache hook; FreshWork
 	// and CachedWork split the modeled instructions between really-searched
 	// and cache-served chains (their sum is cache-independent; the split is
@@ -209,18 +196,12 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 	}
 
 	// runFresh is a chain's real search, whichever arm below asks for it:
-	// the hedge counters and ChainDone observe it and nothing else.
+	// ChainDone observes it and nothing else.
 	runFresh := func(chain inputs.Chain) (*chainDelta, error) {
 		start := time.Now()
-		d, hedged, backupWon, err := runChainHedged(ctx, chain, opts)
+		d, err := runChain(ctx, chain, opts)
 		if err != nil {
 			return nil, err
-		}
-		if hedged {
-			res.Hedges++
-			if backupWon {
-				res.HedgeBackupWins++
-			}
 		}
 		if opts.ChainDone != nil {
 			opts.ChainDone(chain.IDs[0], time.Since(start))
@@ -291,14 +272,13 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 // runChain searches all matching databases for one chain, computing its
 // full contribution — summary row, final-round hits, metering events,
 // streamed bytes, serial work — into a private delta. Nothing shared is
-// touched until the caller merges the delta, so concurrent attempts
-// (hedging) and replayed attempts (checkpoints) are safe by construction.
-// attempt is the 1-based attempt ordinal handed to the ChainFault hook.
-func runChain(ctx context.Context, chain inputs.Chain, opts Options, attempt int) (*chainDelta, error) {
+// touched until the caller merges the delta, so replayed attempts
+// (checkpoints) are safe by construction.
+func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelta, error) {
 	query := chain.Sequence
 	cid := chain.IDs[0]
 	if opts.ChainFault != nil {
-		if err := opts.ChainFault(cid, attempt); err != nil {
+		if err := opts.ChainFault(cid, 1); err != nil {
 			return nil, err
 		}
 	}
@@ -363,7 +343,7 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options, attempt int
 		if round == rounds-1 {
 			break
 		}
-		rows := hmmer.BuildHitAlignment(query, allHits, inclusionE(opts))
+		rows := hmmer.BuildHitAlignment(query, allHits, hmmer.InclusionE)
 		// Profile rebuild is serial work between rounds; model it at the
 		// paper-scale recruited depth.
 		res.SerialInstructions += uint64(len(rows)*query.Len()) * 600
@@ -379,20 +359,13 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options, attempt int
 	cr.Rows = 1
 	for _, h := range lastHits {
 		cr.HitResidues += h.Target.Len()
-		if h.EValue <= inclusionE(opts) {
+		if h.EValue <= hmmer.InclusionE {
 			cr.Rows++
 		}
 	}
 	// Merging and E-value sorting of the paper-scale hit list is serial.
 	res.SerialInstructions += uint64(cr.HitResidues) * 1200
 	return finish(lastHits), nil
-}
-
-func inclusionE(opts Options) float64 {
-	if opts.Search.InclusionEValue != 0 {
-		return opts.Search.InclusionEValue
-	}
-	return 1e-3
 }
 
 // scanParallel shards db across the workers, scanning concurrently — the
@@ -419,7 +392,7 @@ func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequen
 			DB:          db,
 			Search:      searchOpts,
 			Threads:     t,
-			ScaleFactor: db.ScaleFactor * opts.WorkCalibration,
+			ScaleFactor: db.ScaleFactor * workCalibration,
 			Workers:     res.Workers,
 		})
 	}
@@ -427,7 +400,7 @@ func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequen
 	parts := make([]*hmmer.Result, t)
 	errs := make([]error, t)
 	ctxErr := parallel.ShardsCtx(ctx, t, len(db.Seqs), func(w, lo, hi int) {
-		meter := metering.Scaled(res.Workers[w], db.ScaleFactor*opts.WorkCalibration)
+		meter := metering.Scaled(res.Workers[w], db.ScaleFactor*workCalibration)
 		src := &hmmer.SliceSource{Seqs: db.Seqs[lo:hi]}
 		parts[w], errs[w] = hmmer.ScanRecordsCtx(ctx, profile, query, src, db.TotalResidues(), searchOpts, meter)
 	})

@@ -38,8 +38,10 @@ type Level int
 const (
 	// LevelNone: no degradation.
 	LevelNone Level = iota
-	// LevelHedgeOff: chain-level hedged retries disabled for the request —
-	// no backup searches burning CPU while the system is hot.
+	// LevelHedgeOff: the early-warning rung. It is recorded — counter,
+	// KindBrownout event, decision digest — and takes no action of its
+	// own. The name stays because "hedge-off" is in the pinned digests and
+	// in JSON the benchmark's replay oracle compares.
 	LevelHedgeOff
 	// LevelBatchCap: the request's batch bucket is capped to a singleton
 	// dispatch, so an over-quota tenant's large shapes stop inflating
@@ -130,12 +132,9 @@ func (c TenantConfig) withDefaults() TenantConfig {
 
 // Config tunes a Controller.
 type Config struct {
-	// Tenants maps tenant IDs to their quotas; unknown tenants get
-	// Default.
+	// Tenants maps tenant IDs to their quotas; a tenant absent from it
+	// gets the zero TenantConfig: weight 1, unlimited rate.
 	Tenants map[string]TenantConfig
-	// Default is the quota for tenants absent from Tenants (zero value:
-	// weight 1, unlimited rate).
-	Default TenantConfig
 	// DrainTokensPerSec is the modeled service rate the brownout backlog
 	// drains at (default 2000 chain-tokens/s, ~4 mid-size requests). It is
 	// a config constant, not live pool state — that is what keeps
@@ -148,10 +147,6 @@ type Config struct {
 	CapacityTokens float64
 	// Ladder holds the brownout occupancy thresholds.
 	Ladder Ladder
-	// QuotaSlack is the over-quota multiplier: a tenant is over quota when
-	// its admitted-token share exceeds its weight share × QuotaSlack
-	// (default 1.25).
-	QuotaSlack float64
 	// FIFO disables the QoS machinery while keeping the modeled admission
 	// queue: no buckets, no weights, no brownout — a single arrival-order
 	// queue bounded by CapacityTokens. This is the unprotected comparator
@@ -167,12 +162,12 @@ func (c Config) withDefaults() Config {
 		c.CapacityTokens = 16000
 	}
 	c.Ladder = c.Ladder.withDefaults()
-	if c.QuotaSlack <= 0 {
-		c.QuotaSlack = 1.25
-	}
-	c.Default = c.Default.withDefaults()
 	return c
 }
+
+// quotaSlack is the over-quota multiplier: a tenant is over quota when its
+// admitted-token share exceeds its weight share × quotaSlack.
+const quotaSlack = 1.25
 
 // Decision is the outcome of one admission check.
 type Decision struct {
@@ -278,20 +273,13 @@ func (c *Controller) Weight(tenant string) float64 {
 	if c.cfg.FIFO {
 		return 1
 	}
-	if tc, ok := c.cfg.Tenants[tenant]; ok {
-		return tc.withDefaults().Weight
-	}
-	return c.cfg.Default.Weight
+	return c.cfg.Tenants[tenant].withDefaults().Weight
 }
 
 func (c *Controller) state(tenant string) *tenantState {
 	st := c.tenants[tenant]
 	if st == nil {
-		tc, ok := c.cfg.Tenants[tenant]
-		if !ok {
-			tc = c.cfg.Default
-		}
-		tc = tc.withDefaults()
+		tc := c.cfg.Tenants[tenant].withDefaults()
 		st = &tenantState{name: tenant, cfg: tc, bucket: NewTokenBucket(tc.Rate, tc.Burst)}
 		st.stats.Tenant = tenant
 		st.stats.Weight = tc.Weight
@@ -389,7 +377,7 @@ func (c *Controller) Admit(tenant string, arrival, cost float64) Decision {
 }
 
 // overQuota reports whether admitting cost more tokens would push the
-// tenant's admitted-token share past its weight share × QuotaSlack. The
+// tenant's admitted-token share past its weight share × quotaSlack. The
 // share is computed over tenants seen so far, so a tenant alone on the
 // system is never "over quota" — there is no one to be unfair to.
 func (c *Controller) overQuota(st *tenantState, cost float64) bool {
@@ -399,7 +387,7 @@ func (c *Controller) overQuota(st *tenantState, cost float64) bool {
 	}
 	share := (st.stats.AdmittedTokens + cost) / total
 	fair := st.cfg.Weight / c.sumWeights
-	return share > fair*c.cfg.QuotaSlack
+	return share > fair*quotaSlack
 }
 
 // RecordDispatch folds one WFQ pop into the dispatch digest and the

@@ -197,8 +197,9 @@ type Injector struct {
 
 	// Chain-scoped transient budgets. Unlike the database state above —
 	// consumed on the orchestrator's single-threaded control path — chain
-	// faults are consulted from chain attempts that may race (a hedged
-	// backup runs concurrently with its primary), so they carry a lock.
+	// faults are consulted from inside the MSA stage, on whichever serving
+	// worker runs the job's current attempt (a stage retry may land on a
+	// different worker than the attempt that faulted), so they carry a lock.
 	chainMu       sync.Mutex
 	chainRem      map[string]int
 	chainWildcard int
@@ -284,13 +285,11 @@ func (i *Injector) ReadFault(db string, attempt int) error {
 	return nil
 }
 
-// ChainFault decides the fate of one MSA chain search attempt (1-based;
-// the hedge backup counts as a further attempt). It returns nil for
-// success or a *FaultError with class ChainTransient. Budgets are
-// consumed per call and persist for the injector's lifetime, so a
-// checkpointed stage retry that re-runs only the faulted chain finds the
-// budget spent and succeeds. Safe for concurrent use (hedged attempts
-// race).
+// ChainFault decides the fate of one MSA chain search attempt (1-based).
+// It returns nil for success or a *FaultError with class ChainTransient.
+// Budgets are consumed per call and persist for the injector's lifetime,
+// so a checkpointed stage retry that re-runs only the faulted chain finds
+// the budget spent and succeeds. Safe for concurrent use.
 func (i *Injector) ChainFault(chain string, attempt int) error {
 	if i == nil {
 		return nil

@@ -106,7 +106,7 @@ func IsPermanent(err error) bool {
 
 // ErrDBUnavailable is recorded (and wrapped into events) when a database
 // stays unreadable after the retry budget: permanently failed, or transient
-// faults outlasting RetryPolicy.MaxAttempts.
+// faults outlasting MaxAttempts.
 type ErrDBUnavailable struct {
 	DB       string
 	Attempts int
@@ -263,52 +263,29 @@ type StageBudget struct {
 	InferenceSeconds float64
 }
 
-// RetryPolicy is capped exponential backoff with deterministic jitter.
-type RetryPolicy struct {
-	// MaxAttempts bounds read attempts per database (default 4).
-	MaxAttempts int
-	// BaseSeconds is the first backoff delay (default 0.5).
-	BaseSeconds float64
-	// MaxSeconds caps one backoff delay (default 8).
-	MaxSeconds float64
-	// JitterFrac is the ± relative jitter on each delay (default 0.2).
-	JitterFrac float64
-}
-
-// WithDefaults fills zero fields with the standard policy.
-func (p RetryPolicy) WithDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 4
-	}
-	if p.BaseSeconds <= 0 {
-		p.BaseSeconds = 0.5
-	}
-	if p.MaxSeconds <= 0 {
-		p.MaxSeconds = 8
-	}
-	if p.JitterFrac <= 0 {
-		p.JitterFrac = 0.2
-	}
-	return p
-}
+// The transient-fault retry policy: capped exponential backoff with
+// deterministic jitter. Nothing tunes it, so it is four constants.
+const (
+	// MaxAttempts bounds attempts per I/O operation: a database open, a
+	// stream pass, a disk-tier read or write.
+	MaxAttempts = 4
+	// backoffBaseSeconds is the first backoff delay.
+	backoffBaseSeconds = 0.5
+	// backoffMaxSeconds caps one backoff delay.
+	backoffMaxSeconds = 8
+	// backoffJitterFrac is the ± relative jitter on each delay.
+	backoffJitterFrac = 0.2
+)
 
 // Backoff returns the delay before retry number attempt (1-based): the
 // capped exponential base*2^(attempt-1), jittered by the deterministic
 // source so concurrent retries decorrelate without wall-clock randomness.
-func (p RetryPolicy) Backoff(attempt int, src *rng.Source) float64 {
-	p = p.WithDefaults()
-	d := p.BaseSeconds
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= p.MaxSeconds {
-			d = p.MaxSeconds
-			break
-		}
+func Backoff(attempt int, src *rng.Source) float64 {
+	d := backoffBaseSeconds
+	for i := 1; i < attempt && d < backoffMaxSeconds; i++ {
+		d = min(2*d, backoffMaxSeconds)
 	}
-	if d > p.MaxSeconds {
-		d = p.MaxSeconds
-	}
-	return d * (1 + p.JitterFrac*(2*src.Float64()-1))
+	return d * (1 + backoffJitterFrac*(2*src.Float64()-1))
 }
 
 // Kind labels one resilience event.
@@ -345,8 +322,9 @@ const (
 	KindChainRetry
 	// KindBrownout: the request ran degraded by the multi-tenant brownout
 	// ladder — its tenant was over quota while global occupancy was high,
-	// so hedging was disabled, its batch bucket capped, or its MSA budget
-	// tightened onto the DB-drop ladder. The Detail names the rung.
+	// so the early-warning rung was recorded, its batch bucket capped, or
+	// its MSA budget tightened onto the DB-drop ladder. The Detail names
+	// the rung.
 	KindBrownout
 )
 

@@ -110,19 +110,18 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 }
 
 func TestBackoffCapAndJitterDeterminism(t *testing.T) {
-	p := RetryPolicy{}.WithDefaults()
 	// The un-jittered schedule is 0.5, 1, 2, 4, 8, 8, ... — verify the cap
 	// holds through the jitter band.
 	for attempt := 1; attempt <= 10; attempt++ {
-		d := p.Backoff(attempt, rng.New(9))
-		if d <= 0 || d > p.MaxSeconds*(1+p.JitterFrac) {
+		d := Backoff(attempt, rng.New(9))
+		if d <= 0 || d > backoffMaxSeconds*(1+backoffJitterFrac) {
 			t.Errorf("attempt %d backoff %.3f out of range", attempt, d)
 		}
 	}
 	// Same source state => identical delay; split keys decorrelate.
-	a := RetryPolicy{}.Backoff(3, rng.New(42).Split(7))
-	b := RetryPolicy{}.Backoff(3, rng.New(42).Split(7))
-	c := RetryPolicy{}.Backoff(3, rng.New(42).Split(8))
+	a := Backoff(3, rng.New(42).Split(7))
+	b := Backoff(3, rng.New(42).Split(7))
+	c := Backoff(3, rng.New(42).Split(8))
 	if a != b {
 		t.Errorf("same seed gave %v and %v", a, b)
 	}

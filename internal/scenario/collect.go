@@ -18,8 +18,6 @@ func Collect(s *serve.Server, stats *serve.LoadStats, cpuLanes, gpuLanes int) {
 		ShedQueueFull:   m.Get("requests_shed_queue_full"),
 		ShedRateLimited: m.Get("requests_shed_rate_limited"),
 		ShedBrownout:    m.Get("requests_shed_brownout"),
-		Hedges:          m.Get("msa_hedges"),
-		HedgeBackupWins: m.Get("msa_hedge_backup_wins"),
 		StageRetries:    m.Get("msa_stage_retries"),
 		ChainsRestored:  m.Get("msa_chains_restored"),
 		PartialMSA:      m.Get("requests_partial_msa"),

@@ -78,7 +78,7 @@ func TestCollectTwoTier(t *testing.T) {
 // and its pooled modeled latency — real percentiles over every completed
 // request — becomes the headline block.
 func TestCollectOpenLoopLatency(t *testing.T) {
-	tenants, err := ParseTenants("a:w=2,n=6,rps=1;b:n=4,rps=2,shape=bursty", "", "2PV7:1,7RCE:1")
+	tenants, err := ParseTenants("a:w=2,n=6,rps=1;b:n=4,rps=2,shape=bursty", "2PV7:1,7RCE:1")
 	if err != nil {
 		t.Fatal(err)
 	}

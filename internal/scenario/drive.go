@@ -79,7 +79,13 @@ func (t HTTP) Wait(id string) (serve.JobStatus, error) {
 			return serve.JobStatus{}, err
 		}
 		var st serve.JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
+		if resp.StatusCode == http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&st)
+		} else {
+			// The job table is in memory: a daemon restarted since the
+			// submit answers 404 for ever, so polling on would never end.
+			err = fmt.Errorf("wait %s: HTTP %d", id, resp.StatusCode)
+		}
 		resp.Body.Close()
 		if err != nil {
 			return serve.JobStatus{}, err

@@ -36,10 +36,10 @@ type Tenant struct {
 // "name:k=v,k=v". The trace keys are parsed here — rps= (mean arrival
 // rate), n= (request count), shape= (arrival shape), mix= (sample mix,
 // '|'-separated, e.g. mix=2PV7:3|7RCE:2) — and omitted ones fall back to
-// defShape/defMix and the stock rps/n. Everything else is the quota grammar
-// (w=, r=, b=), which has one parser: the spec minus its trace keys goes to
-// qos.ParseTenantSpec, the same call afserve makes.
-func ParseTenants(spec, defShape, defMix string) ([]Tenant, error) {
+// uniform arrivals, defMix and the stock rps/n. Everything else is the
+// quota grammar (w=, r=, b=), which has one parser: the spec minus its trace
+// keys goes to qos.ParseTenantSpec, the same call afserve makes.
+func ParseTenants(spec, defMix string) ([]Tenant, error) {
 	var out []Tenant
 	var quotaSpec []string
 	for _, part := range strings.Split(spec, ";") {
@@ -49,7 +49,7 @@ func ParseTenants(spec, defShape, defMix string) ([]Tenant, error) {
 		}
 		name, rest, _ := strings.Cut(part, ":")
 		name = strings.TrimSpace(name)
-		t := Tenant{Name: name, RPS: 0.5, N: 20, Shape: defShape, Mix: defMix}
+		t := Tenant{Name: name, RPS: 0.5, N: 20, Mix: defMix}
 		var quota []string
 		for _, kv := range strings.Split(rest, ",") {
 			kv = strings.TrimSpace(kv)
@@ -81,7 +81,7 @@ func ParseTenants(spec, defShape, defMix string) ([]Tenant, error) {
 				quota = append(quota, kv)
 			}
 		}
-		if err := ValidShape(t.Shape); err != nil {
+		if err := validShape(t.Shape); err != nil {
 			return nil, fmt.Errorf("tenant %q: %v", name, err)
 		}
 		samples, _, err := inputs.ParseMix(t.Mix)
@@ -110,8 +110,8 @@ func ParseTenants(spec, defShape, defMix string) ([]Tenant, error) {
 	return out, nil
 }
 
-// ValidShape checks an arrival-shape name ("" means uniform).
-func ValidShape(shape string) error {
+// validShape checks an arrival-shape name ("" means uniform).
+func validShape(shape string) error {
 	if shape == "" {
 		return nil
 	}

@@ -8,7 +8,7 @@ import (
 // TestParseTenantsSpec pins the -tenants grammar: quota and trace keys,
 // defaults, '|' mix separators, and every rejection class.
 func TestParseTenantsSpec(t *testing.T) {
-	ts, err := ParseTenants("inter:w=8,rps=0.25,n=16,shape=uniform,mix=2PV7:3|7RCE:2;storm:w=1,r=250,b=500", "bursty", "promo:1")
+	ts, err := ParseTenants("inter:w=8,rps=0.25,n=16,shape=uniform,mix=2PV7:3|7RCE:2;storm:w=1,r=250,b=500", "promo:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestParseTenantsSpec(t *testing.T) {
 		t.Fatalf("storm quota parsed wrong: %+v", storm)
 	}
 	// Omitted trace keys inherit the caller's defaults.
-	if storm.Shape != "bursty" || storm.Mix != "promo:1" || storm.N != 20 {
+	if storm.Shape != "" || storm.Mix != "promo:1" || storm.N != 20 {
 		t.Fatalf("storm defaults wrong: %+v", storm)
 	}
 	if q := Quotas(ts); len(q) != 2 || q["inter"] != inter.QoS || q["storm"] != storm.QoS {
@@ -48,7 +48,7 @@ func TestParseTenantsSpec(t *testing.T) {
 		"a:rps=NaN",            // NaN arrival rate
 		"a:rps=Inf",            // every arrival at t=0
 	} {
-		if _, err := ParseTenants(bad, "", "promo:1"); err == nil {
+		if _, err := ParseTenants(bad, "promo:1"); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
@@ -59,7 +59,7 @@ func TestParseTenantsSpec(t *testing.T) {
 // full request count.
 func TestBuildTenantEventsDeterministic(t *testing.T) {
 	spec := "a:n=10,rps=1,shape=bursty;b:n=5,rps=0.5,shape=heavytail"
-	ts, err := ParseTenants(spec, "", "promo:1")
+	ts, err := ParseTenants(spec, "promo:1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // gateReport is shaped like the CLIs' gate reports: fields of its own plus
@@ -75,8 +76,26 @@ func TestVerdictFinish(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once it has held still for
+// 200 ms. Servers stopped by the package's earlier tests are still winding
+// down when the next test starts, and a baseline taken before they are gone
+// sits above the real one by as many goroutines as are about to exit.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for quiet := 0; quiet < 20; quiet++ {
+		time.Sleep(10 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, quiet = m, 0
+		}
+	}
+	return n
+}
+
 func TestAwaitGoroutines(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	// Not runtime.NumGoroutine() as it stands: with the machine loaded, an
+	// earlier test's goroutine exiting during the last case below cancelled
+	// out the parked one and the leak went unreported.
+	baseline := settledGoroutines()
 	var clean Verdict
 	clean.AwaitGoroutines(baseline)
 	if len(clean.Violations) != 0 {

@@ -40,9 +40,8 @@ type Spec struct {
 	Type    seq.MoleculeType
 	NumSeqs int
 	// MeanLen is the mean record length; lengths are drawn from an
-	// exponential around it with a floor of MinLen.
+	// exponential around it with a floor of minLen.
 	MeanLen int
-	MinLen  int
 	// LowComplexFrac is the fraction of records generated with strongly
 	// biased composition (repeat-rich), the bait for poly-Q queries.
 	LowComplexFrac float64
@@ -56,6 +55,9 @@ type Spec struct {
 	Seed        uint64
 }
 
+// minLen is the floor on generated record lengths.
+const minLen = 20
+
 // Generate builds a database from the spec. Generation is deterministic in
 // Spec.Seed and the spec contents.
 func Generate(spec Spec) (*DB, error) {
@@ -67,10 +69,6 @@ func Generate(spec Spec) (*DB, error) {
 	}
 	if spec.MeanLen <= 0 {
 		return nil, fmt.Errorf("seqdb: MeanLen must be positive, got %d", spec.MeanLen)
-	}
-	minLen := spec.MinLen
-	if minLen <= 0 {
-		minLen = 20
 	}
 	scale := spec.ScaleFactor
 	if scale == 0 {

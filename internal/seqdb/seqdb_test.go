@@ -32,7 +32,7 @@ func TestGenerateBasic(t *testing.T) {
 			t.Fatalf("invalid record: %v", err)
 		}
 		if s.Len() < 20 {
-			t.Fatalf("record %s shorter than MinLen floor: %d", s.ID, s.Len())
+			t.Fatalf("record %s shorter than the minLen floor: %d", s.ID, s.Len())
 		}
 	}
 	if db.ScaleFactor != 1 {

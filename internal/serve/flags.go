@@ -4,29 +4,26 @@ import (
 	"flag"
 	"fmt"
 
-	"afsysbench/internal/batch"
 	"afsysbench/internal/cache"
 	"afsysbench/internal/cachedisk"
 	"afsysbench/internal/platform"
 )
 
 // Flags is the flag → Config mapping the serving CLIs share. afserve and
-// afload Register all ten flags, afcluster only the four pool flags
+// afload Register all eight flags, afcluster only the four pool flags
 // (RegisterPools, with its own defaults); each embeds Flags in its options,
 // calls Validate from its flag parser and Config where it builds a server,
 // and then sets only the Config fields its mode owns. The zero value maps
 // to the zero Config.
 type Flags struct {
-	Machine      string
-	Threads      int
-	MSAWorkers   int
-	GPUWorkers   int
-	Queue        int
-	CacheMB      int
-	CacheDir     string
-	Batch        bool
-	BatchBuckets string
-	MaxBatch     int
+	Machine    string
+	Threads    int
+	MSAWorkers int
+	GPUWorkers int
+	Queue      int
+	CacheMB    int
+	CacheDir   string
+	Batch      bool
 }
 
 // RegisterPools registers -threads, -msa-workers, -gpu-workers and -queue
@@ -38,7 +35,7 @@ func (f *Flags) RegisterPools(fs *flag.FlagSet, threads, msaWorkers, gpuWorkers,
 	fs.IntVar(&f.Queue, "queue", queue, "admission queue depth; a full queue sheds (503)")
 }
 
-// Register registers all ten shared flags; threads is the CLI's -threads
+// Register registers all eight shared flags; threads is the CLI's -threads
 // default (the daemon serves at AF3's 8, the load generator drives at 4).
 func (f *Flags) Register(fs *flag.FlagSet, threads int) {
 	f.RegisterPools(fs, threads, 0, 0, 64)
@@ -46,8 +43,6 @@ func (f *Flags) Register(fs *flag.FlagSet, threads int) {
 	fs.IntVar(&f.CacheMB, "cache-mb", 512, "MSA cache capacity in MiB; 0 disables caching")
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "crash-safe persistent chain-cache tier rooted at this directory (needs -cache-mb > 0); survives restarts")
 	fs.BoolVar(&f.Batch, "batch", false, "enable cross-request GPU batching with the shape-bucketed compile cache")
-	fs.StringVar(&f.BatchBuckets, "batch-buckets", "", "comma-separated shape-bucket boundaries for -batch (empty = stock bucket set)")
-	fs.IntVar(&f.MaxBatch, "max-batch", 0, "cap members per batched dispatch on top of the memory-footprint cap (0 = memory cap only)")
 }
 
 // Validate checks the flag values and their combinations. It is pure — no
@@ -80,14 +75,7 @@ func (f Flags) config(tiers bool) (Config, error) {
 			return Config{}, err
 		}
 	}
-	buckets, err := batch.ParseBuckets(f.BatchBuckets)
-	if err != nil {
-		return Config{}, err
-	}
-	if !f.Batch && (f.BatchBuckets != "" || f.MaxBatch > 0) {
-		return Config{}, fmt.Errorf("-batch-buckets and -max-batch need -batch")
-	}
-	cfg.Batch = BatchConfig{Enabled: f.Batch, Buckets: buckets, MaxBatch: f.MaxBatch}
+	cfg.Batch = BatchConfig{Enabled: f.Batch}
 	if f.CacheDir != "" && f.CacheMB <= 0 {
 		return Config{}, fmt.Errorf("-cache-dir needs the memory tier (-cache-mb > 0)")
 	}

@@ -16,8 +16,8 @@ func TestFlagsRegister(t *testing.T) {
 	var f Flags
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	f.Register(fs, 8)
-	if count(fs) != 10 {
-		t.Fatalf("Register registered %d flags, want 10", count(fs))
+	if count(fs) != 8 {
+		t.Fatalf("Register registered %d flags, want 8", count(fs))
 	}
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
@@ -54,10 +54,6 @@ func TestFlagsValidate(t *testing.T) {
 		{"stock", func(*Flags) {}, ""},
 		{"desktop", func(f *Flags) { f.Machine = "desktop" }, ""},
 		{"unknown machine", func(f *Flags) { f.Machine = "laptop" }, "unknown machine"},
-		{"bad bucket", func(f *Flags) { f.Batch, f.BatchBuckets = true, "512,x" }, "-batch-buckets"},
-		{"buckets with batch", func(f *Flags) { f.Batch, f.BatchBuckets, f.MaxBatch = true, "512,1024", 4 }, ""},
-		{"buckets without batch", func(f *Flags) { f.BatchBuckets = "512" }, "need -batch"},
-		{"max-batch without batch", func(f *Flags) { f.MaxBatch = 4 }, "need -batch"},
 		{"cache-dir", func(f *Flags) { f.CacheDir = dir }, ""},
 		{"cache-dir without memory tier", func(f *Flags) { f.CacheDir, f.CacheMB = dir, 0 }, "-cache-mb > 0"},
 	}
@@ -86,7 +82,7 @@ func TestFlagsValidate(t *testing.T) {
 func TestFlagsConfig(t *testing.T) {
 	f := Flags{
 		Machine: "desktop", Threads: 3, MSAWorkers: 5, GPUWorkers: 2, Queue: 9, CacheMB: 7,
-		Batch: true, BatchBuckets: "256,512", MaxBatch: 4,
+		Batch: true,
 	}
 	cfg, err := f.Config()
 	if err != nil {
@@ -98,7 +94,7 @@ func TestFlagsConfig(t *testing.T) {
 	if cfg.Cache == nil || cfg.Cache.Stats().CapacityBytes != 7<<20 {
 		t.Fatalf("memory tier: %+v", cfg.Cache)
 	}
-	if b := cfg.Batch; !b.Enabled || len(b.Buckets) != 2 || b.Buckets[1] != 512 || b.MaxBatch != 4 {
+	if b := cfg.Batch; !b.Enabled || b.Buckets != nil || b.MaxBatch != 0 {
 		t.Fatalf("batch mapping: %+v", b)
 	}
 	if cfg.DiskCache != nil {

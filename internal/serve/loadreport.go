@@ -44,7 +44,7 @@ type LoadStats struct {
 	ModeledMakespan float64 `json:"modeled_makespan_seconds"`
 	ModeledSerial   float64 `json:"modeled_serial_seconds"`
 	ModeledSpeedup  float64 `json:"modeled_speedup"`
-	// Routing gathers the run's full routing story — sheds, hedges, stage
+	// Routing gathers the run's full routing story — sheds, stage
 	// retries, checkpoint restores and (in cluster mode) per-shard dispatch
 	// counters — in one block, so no reader has to join scattered counters.
 	Routing *RoutingBreakdown `json:"routing,omitempty"`
@@ -71,10 +71,6 @@ type RoutingBreakdown struct {
 	ShedRateLimited int64 `json:"shed_rate_limited,omitempty"`
 	ShedBrownout    int64 `json:"shed_brownout,omitempty"`
 	ShedReroutes    int64 `json:"shed_reroutes,omitempty"`
-	// Hedges/HedgeBackupWins count chain-level hedged retries and how often
-	// the backup finished first.
-	Hedges          int64 `json:"hedges"`
-	HedgeBackupWins int64 `json:"hedge_backup_wins"`
 	// StageRetries counts MSA stage re-runs after transient faults;
 	// ChainsRestored counts chains replayed from checkpoints instead of
 	// re-searched; PartialMSA counts results served with breaker-skipped

@@ -6,10 +6,10 @@ package serve
 // its virtual clock, and the MSA queue's single shared sub-queue gives way
 // to per-tenant sub-queues drained by deficit round-robin over chain-token
 // costs. The brownout ladder threads into the existing degradation
-// machinery: an over-quota request first loses chain-level hedging, then
-// batches alone (no shared-batch inflation), then runs with a tightened MSA
-// budget that engages the PR 2 drop-DB ladder, and finally is shed
-// outright.
+// machinery: an over-quota request is first only recorded as degraded (the
+// early-warning rung), then batches alone (no shared-batch inflation), then
+// runs with a tightened MSA budget that engages the PR 2 drop-DB ladder, and
+// finally is shed outright.
 //
 // Determinism: the controller never reads live pool state, the WFQ
 // allocates dispatch sequence numbers under its own lock, and an

@@ -1,7 +1,6 @@
 // Serving-side fault tolerance: per-database circuit breakers, pool health
-// accounting and the readiness probe (the hedge budget estimator is
-// resilience.HedgeEstimator). The
-// scheduler in serve.go consults these around every MSA stage; everything
+// accounting and the readiness probe. The scheduler in serve.go consults
+// these around every MSA stage; everything
 // here is advisory control-plane state — it decides *whether and how* a
 // stage runs, while the deterministic pipeline decides *what* it computes.
 package serve

@@ -282,38 +282,6 @@ func TestMSARetryRerunsOnlyFailedChains(t *testing.T) {
 	}
 }
 
-// TestHedgedServingKeepsResultsIdentical: with aggressive hedging enabled,
-// straggling chains race backup attempts — and every result stays bitwise
-// identical to the unhedged server's.
-func TestHedgedServingKeepsResultsIdentical(t *testing.T) {
-	trace := []string{"1YY9", "1YY9", "1YY9"}
-	plain := newTestServer(t, Config{Threads: 2, MSAWorkers: 1, GPUWorkers: 1})
-	plainStatuses := runTrace(t, plain, trace)
-
-	hedged := newTestServer(t, Config{
-		Threads: 2, MSAWorkers: 1, GPUWorkers: 1,
-		Hedge: resilience.HedgeConfig{Enabled: true, Percentile: 50, Factor: 0.05, MinSamples: 3},
-	})
-	hedgedStatuses := runTrace(t, hedged, trace)
-
-	for i := range trace {
-		pr, _ := plain.Result(plainStatuses[i].ID)
-		hr, _ := hedged.Result(hedgedStatuses[i].ID)
-		if hedgedStatuses[i].State != "done" {
-			t.Fatalf("hedged job %d: %s (%s)", i, hedgedStatuses[i].State, hedgedStatuses[i].Error)
-		}
-		if !reflect.DeepEqual(hr.MSAData.PerChain, pr.MSAData.PerChain) || hr.MSASeconds != pr.MSASeconds {
-			t.Errorf("request %d: hedged result differs from plain", i)
-		}
-	}
-	// The first request seeds the estimator (3 chains ≥ MinSamples), so
-	// later requests hedge with a 5%-of-median budget that every real
-	// search overruns.
-	if got := hedged.Metrics().Get("msa_hedges"); got == 0 {
-		t.Error("aggressive hedge config never hedged")
-	}
-}
-
 // TestReadyzEndpoint: readyz returns 200 on a healthy started server, 503
 // before Start, and 503 naming the breaker once one opens.
 func TestReadyzEndpoint(t *testing.T) {
@@ -360,8 +328,8 @@ func TestReadyzEndpoint(t *testing.T) {
 }
 
 // TestNoGoroutineLeakUnderFaultLoad: a lifecycle full of panics, chain
-// faults and retries must still release every goroutine — including hedge
-// attempts — by the time WaitIdle and Stop return.
+// faults and retries must still release every goroutine by the time
+// WaitIdle and Stop return.
 func TestNoGoroutineLeakUnderFaultLoad(t *testing.T) {
 	warm := newTestServer(t, Config{Threads: 2, MSAWorkers: 2})
 	runTrace(t, warm, []string{"1YY9"})
@@ -375,7 +343,6 @@ func TestNoGoroutineLeakUnderFaultLoad(t *testing.T) {
 		// checkpoint while still exercising the retry machinery hard.
 		Faults:      mustFaults(t, "chainfault:*:1"),
 		MSAAttempts: 4,
-		Hedge:       resilience.HedgeConfig{Enabled: true, Percentile: 50, Factor: 0.05, MinSamples: 3},
 		PanicHook: func(point string, ordinal int) {
 			if point == "inference" && ordinal == 1 {
 				panic("chaos: injected inference panic")

@@ -39,30 +39,6 @@ type Schedule struct {
 	GPUBusy  float64 `json:"gpu_busy_seconds"`
 }
 
-// Throughput returns modeled requests per second over the makespan.
-func (s Schedule) Throughput() float64 {
-	if s.Makespan <= 0 {
-		return 0
-	}
-	return float64(len(s.Items)) / s.Makespan
-}
-
-// CPUUtilPct returns the CPU pool's busy fraction of the makespan.
-func (s Schedule) CPUUtilPct() float64 {
-	if s.Makespan <= 0 || s.CPUWorkers <= 0 {
-		return 0
-	}
-	return 100 * s.CPUBusy / (s.Makespan * float64(s.CPUWorkers))
-}
-
-// GPUUtilPct returns the GPU pool's busy fraction of the makespan.
-func (s Schedule) GPUUtilPct() float64 {
-	if s.Makespan <= 0 || s.GPUWorkers <= 0 {
-		return 0
-	}
-	return 100 * s.GPUBusy / (s.Makespan * float64(s.GPUWorkers))
-}
-
 // ModeledSchedule replays the server's completed jobs (submit order) on a
 // virtual clock with cpuWorkers MSA lanes and gpuWorkers inference lanes.
 // Stage durations are the modeled seconds each request was charged — a

@@ -189,9 +189,6 @@ type Config struct {
 	// shard on every request — and the result is annotated partial_msa.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Hedge tunes chain-level hedged retries for straggling MSA chains:
-	// the latencies observed are those of completed chain searches.
-	Hedge resilience.HedgeConfig
 	// PanicHook, when set, is called at the worker guard points — "msa"
 	// (stage start), "handoff" (after MSA success, before the GPU queue
 	// send) and "inference" (stage start) — with the job's ordinal. Chaos
@@ -430,8 +427,6 @@ type Server struct {
 	// breakers is one circuit breaker per database, built at construction
 	// and read-only afterwards (each breaker has its own lock).
 	breakers map[string]*resilience.Breaker
-	// hedge estimates the chain-hedging delay (nil unless enabled).
-	hedge *resilience.HedgeEstimator
 }
 
 // New builds a server with its own suite instance (synthetic databases,
@@ -471,7 +466,6 @@ func NewWithSuite(suite *core.Suite, cfg Config) *Server {
 		// written through to the persistent tier instead of being lost.
 		cfg.Cache.SetOnEvict(s.spillChain)
 	}
-	s.hedge = resilience.NewHedgeEstimator(cfg.Hedge)
 	return s
 }
 
@@ -1063,8 +1057,7 @@ func (s *Server) jobCtx(job *Job) (context.Context, context.CancelFunc) {
 // The fault-tolerance envelope around the stage: the breaker plan decides
 // which databases are skipped up front; the stage retry loop re-runs a
 // transiently faulted search up to MSAAttempts times, with the job's
-// checkpoint replaying every chain the failed attempt completed; the hedge
-// estimator (when enabled) sets the straggling-chain backup delay; and the
+// checkpoint replaying every chain the failed attempt completed; and the
 // stage outcome settles every involved breaker.
 func (s *Server) runMSA(job *Job, stage *string) {
 	s.setState(job, StateMSA)
@@ -1078,14 +1071,6 @@ func (s *Server) runMSA(job *Job, stage *string) {
 	opts := s.pipelineOpts(job)
 	opts.SkipDBs = skip
 	opts.MSACheckpoint = job.checkpoint
-	if s.hedge != nil && job.qosLevel < qos.LevelHedgeOff {
-		// The first brownout rung: an over-quota request under load runs
-		// without chain-level hedged retries — no backup searches burning
-		// CPU the fair-share tenants need. (Checkpoint replays never reach
-		// ChainDone: they cost no search time.)
-		opts.ChainDone = func(_ string, wall time.Duration) { s.hedge.Observe(wall) }
-		opts.HedgeAfter = s.hedge.Budget()
-	}
 	if job.qosLevel >= qos.LevelDropDB {
 		// The deepest non-shed rung: tighten the modeled MSA budget onto
 		// the database-drop degradation ladder (PR 2) — the over-quota
@@ -1136,14 +1121,8 @@ func (s *Server) runMSA(job *Job, stage *string) {
 		s.fail(job, err)
 		return
 	}
-	if mp.Data != nil {
-		if mp.Data.Hedges > 0 {
-			s.cfg.Metrics.Add("msa_hedges", int64(mp.Data.Hedges))
-			s.cfg.Metrics.Add("msa_hedge_backup_wins", int64(mp.Data.HedgeBackupWins))
-		}
-		if mp.Data.RestoredChains > 0 {
-			s.cfg.Metrics.Add("msa_chains_restored", int64(mp.Data.RestoredChains))
-		}
+	if mp.Data != nil && mp.Data.RestoredChains > 0 {
+		s.cfg.Metrics.Add("msa_chains_restored", int64(mp.Data.RestoredChains))
 	}
 	if job.qosLevel > qos.LevelNone {
 		mp.Resilience.Record(resilience.Event{

@@ -8,8 +8,13 @@
 # Skipped: tokens with a placeholder or glob character (< > { } *), absolute
 # paths, and what follows a … . A "warn:" prefix on a file argument prints
 # its misses without failing.
+#
+# Flags, checked against the three serving binaries' -h: every `-name` in
+# the first column of the table under README's "`afserve` flags:" or
+# "`afload` flags:" line must be a flag of that binary, and every flag any of
+# the three prints must be named as `-name` somewhere in README.
 cd "$(dirname "$0")/.." || exit 2
-tree=$(mktemp) && trap 'rm -f "$tree"' EXIT
+tree=$(mktemp) && help=$(mktemp -d) && trap 'rm -rf "$tree" "$help"' EXIT
 find . \( -name .git -o -name .bench_build \) -prune -o -print | sed 's/$/|/' >"$tree"
 
 resolves() { # $1 = token, $2 = "make" when the token follows that word
@@ -48,4 +53,16 @@ for arg; do
 	if [ "$arg" = "$doc" ]; then fail=1 label=unresolved; else label="warning, unresolved"; fi
 	echo "$misses" | sed "s|^|doccheck: $doc: $label: |"
 done
+for b in afserve afload afcluster; do
+	${GO:-go} run ./cmd/$b -h 2>&1 | sed -n 's/^  \(-[a-z0-9-]*\).*/\1/p' >"$help/$b"
+done
+misses=$(awk -F'|' '/^`af[a-z]*` flags:$/{b=substr($1,2,index($1,"` ")-2);next} b&&/^\|/{n=split($2,c,"`");for(i=2;i<=n;i+=2)print b,c[i];next} b&&NF{b=""}' README.md |
+	while read -r b f; do grep -qx -- "$f" "$help/$b" || echo "the $b table names $f, which $b -h does not list"; done
+	for b in afserve afload afcluster; do
+		while read -r f; do grep -qF -- "\`$f\`" README.md || echo "$b -h lists $f, which README never names"; done <"$help/$b"
+	done)
+if [ -n "$misses" ]; then
+	fail=1
+	echo "$misses" | sed 's|^|doccheck: README.md: flags: |'
+fi
 exit $fail
