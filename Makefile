@@ -122,14 +122,16 @@ cluster-bench:
 
 # Kernel microbenchmarks with allocation tracking: the tensor kernels serial
 # vs parallel, and the MSA scan hot path's two arms on identical inputs
-# (reference kernels, optimized cascade — both on the seeded path requests
-# take) plus the 0-alloc steady-state path and the Forward kernel alone
-# against its log-space oracle (ns/cell). The numbers of record for the
-# scan are the repo benchmark's hmmer.*_ns_per_cell (sh bench/run.sh
+# (the test-only oracle kernels, the product cascade — both on the seeded
+# path requests take) plus the 0-alloc steady-state path and, in ns/cell
+# against their oracles, the Forward kernel and the band recurrence under
+# its scoring and traceback drivers (64 distinct targets per iteration set,
+# so a kernel that branches is not flattered). The numbers of record for
+# the scan are the repo benchmark's hmmer.*_ns_per_cell (sh bench/run.sh
 # --trace 1).
 bench:
 	$(GO) test -run xxx -bench 'MatMul|TriangleAttention|BlockApply|DiffusionDenoise' -benchmem ./internal/tensor ./internal/pairformer ./internal/diffusion
-	$(GO) test -run xxx -bench 'Scan|Forward' -benchmem ./internal/hmmer
+	$(GO) test -run xxx -bench 'Scan|Forward|BandedViterbi' -benchmem ./internal/hmmer
 
 # Where a cold request's CPU goes: three one-thread passes of the cold_msa
 # request mix through Suite.RunPipeline with FreshMSA (BenchmarkColdMix)

@@ -11,11 +11,12 @@ import (
 
 // MSA search hot-path benchmarks: two arms per scan shape on identical
 // inputs, both through the cascade every request takes (seed filter →
-// banded Viterbi → banded Forward → traceback). The reference arm runs
-// through a MatchT-stripped profile copy, which routes every kernel to the
-// reference implementations with their original per-call allocation
-// behavior; the optimized arm uses the transposed profile layout, pooled
-// workspaces and the band row-max cutoff. `make bench` runs these with
+// banded Viterbi → banded Forward → traceback). The reference arm is
+// referenceScanRecords — the test-only oracle kernels with their original
+// per-call allocation behavior, every Forward survivor traced at once; the
+// optimized arm is ScanRecords: the transposed profile layout, pooled
+// workspaces, the one branch-free band row function, the band row-max
+// cutoff and tracebacks for kept hits only. `make bench` runs these with
 // -benchmem, for looking at one arm while working on it; the numbers of
 // record are the repo benchmark's, on the suite's own databases:
 // `sh bench/run.sh --trace 1` → hmmer.protein_ns_per_cell,
@@ -42,26 +43,28 @@ func benchDB(b *testing.B, mt seq.MoleculeType, n, meanLen int) (*Profile, *seq.
 	return p, query, db
 }
 
-func runScanBench(b *testing.B, p *Profile, query *seq.Sequence, db *seqdb.DB) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+func benchScanVariants(b *testing.B, mt seq.MoleculeType, n, meanLen int) {
+	p, query, db := benchDB(b, mt, n, meanLen)
+	run := func(scan func() *Result) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res := scan(); res.Scanned != len(db.Seqs) {
+					b.Fatalf("scanned %d of %d", res.Scanned, len(db.Seqs))
+				}
+			}
+		}
+	}
+	b.Run("reference", run(func() *Result {
+		return referenceScanRecords(p, query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues())
+	}))
+	b.Run("optimized", run(func() *Result {
 		res, err := ScanRecords(p, query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{}, metering.Nop{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Scanned != len(db.Seqs) {
-			b.Fatalf("scanned %d of %d", res.Scanned, len(db.Seqs))
-		}
-	}
-}
-
-func benchScanVariants(b *testing.B, mt seq.MoleculeType, n, meanLen int) {
-	p, query, db := benchDB(b, mt, n, meanLen)
-	stripped := *p
-	stripped.MatchT = nil
-	b.Run("reference", func(b *testing.B) { runScanBench(b, &stripped, query, db) })
-	b.Run("optimized", func(b *testing.B) { runScanBench(b, p, query, db) })
+		return res
+	}))
 }
 
 func BenchmarkScanProtein(b *testing.B) {
@@ -86,7 +89,8 @@ func BenchmarkForward(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cells := countBandCells(0, target.Len(), 0, BandHalfWidth, p.M)
+	even, odd := bandCells(0, target.Len(), 0, BandHalfWidth, p.M)
+	cells := even + odd
 	perCell := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
 	}
@@ -107,6 +111,67 @@ func BenchmarkForward(b *testing.B) {
 }
 
 var benchSink float64
+
+// BenchmarkBandedViterbi times the band recurrence under its two drivers —
+// the scoring pass (score) and the traceback over every row (trace) — in
+// ns/cell against the oracle kernels, cycling through 64 distinct targets
+// of a 484-column profile per iteration set: half random sequence, half
+// mutated homologs at 5–45 % divergence, a third of them off the seeded
+// diagonal. One repeated target lets the branch predictor memorise the
+// data: it read 12 ns/cell for a compare-and-branch kernel that the cold
+// request mix, like this benchmark, shows at 17.
+func BenchmarkBandedViterbi(b *testing.B) {
+	g := seq.NewGenerator(rng.New(69))
+	query := g.Random("query", seq.Protein, 484)
+	p, err := BuildFromQuery(query)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type band struct {
+		target *seq.Sequence
+		diag   int
+	}
+	var bands []band
+	var cells uint64
+	for i := 0; i < 64; i++ {
+		t := g.Random("rnd", seq.Protein, 300+5*i)
+		if i%2 == 1 {
+			t = g.Mutate(query, "hom", 0.05+0.4*float64(i)/64)
+			t.Residues = t.Residues[:300+2*i]
+		}
+		d := []int{0, 0, 7}[i%3]
+		even, odd := bandCells(0, t.Len(), d, BandHalfWidth, p.M)
+		cells += even + odd
+		bands = append(bands, band{t, d})
+	}
+	run := func(kernel func(band) float32) func(*testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, bd := range bands {
+					benchSink += float64(kernel(bd))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+		}
+	}
+	ws := takeScanWorkspace()
+	defer releaseScanWorkspace(ws)
+	b.Run("score/reference", run(func(bd band) float32 {
+		return referenceBandedViterbi(p, bd.target, bd.diag, BandHalfWidth, metering.Nop{}).Score
+	}))
+	b.Run("score/optimized", run(func(bd band) float32 {
+		res, _ := bandedViterbi(p, bd.target, bd.diag, BandHalfWidth, ws, negInf, metering.Nop{})
+		return res.Score
+	}))
+	b.Run("trace/reference", run(func(bd band) float32 {
+		res, _ := referenceBandedViterbiAlign(p, bd.target, bd.diag, BandHalfWidth, metering.Nop{})
+		return res.Score
+	}))
+	b.Run("trace/optimized", run(func(bd band) float32 {
+		res, _ := traceBand(p, bd.target.Residues, bd.diag, BandHalfWidth, bd.target.Len(), ws)
+		return res.Score
+	}))
+}
 
 // BenchmarkScanRecordSteadyState isolates the per-record path a database
 // pass spends nearly all its time in: one warm scanState, no-hit records

@@ -11,12 +11,13 @@ import (
 	"afsysbench/internal/seqdb"
 )
 
-// Equivalence tests against reference.go, on both alphabets and on both
-// profile construction paths. The transposed (MatchT, workspace-backed)
-// Viterbi kernels — banded scoring, the row-max cutoff, traceback — must
-// reproduce the reference (column-major, per-call allocation) kernels
-// bitwise: same float bits, not just approximately equal; for them the
-// optimization is a pure layout/allocation change. Forward is a different
+// Equivalence tests against reference_test.go, on both alphabets and on both
+// profile construction paths. The product Viterbi kernels — one branch-free
+// row function under the scoring, traceback and unbanded drivers, the
+// row-max cutoff, a traceback that re-derives its pointers — must reproduce
+// the reference (column-major, a test per cell, per-call allocation) kernels
+// bitwise: same float bits, not just approximately equal; max-plus
+// arithmetic is exact, so no tolerance is needed or allowed. Forward is a different
 // algorithm from its oracle (scaled odds space against log-sum-exp) and is
 // held to forwardTolerance instead; everything derived from it (Bits,
 // EValue) moves by no more than that allows, and nothing else in a hit
@@ -78,20 +79,36 @@ func TestTransposedKernelsMatchReferenceBitwise(t *testing.T) {
 					if f32bits(refAli.Score) != f32bits(optAli.Score) || refAli != optAli {
 						t.Fatalf("%v profile %d target %d diag %d: Viterbi mismatch ref=%+v opt=%+v", mt, pi, ti, d, refAli, optAli)
 					}
+					// The traceback over every row, and over the rows up to
+					// the best cell only, as the scan runs it.
+					refRes, refPath := referenceBandedViterbiAlign(p, target, d, BandHalfWidth, metering.Nop{})
+					optRes, optPath := traceBand(p, target.Residues, d, BandHalfWidth, target.Len(), ws)
+					_, cutPath := traceBand(p, target.Residues, d, BandHalfWidth, refRes.EndRow+1, ws)
+					if refRes != optRes || refRes != refAli || !reflect.DeepEqual(refPath, optPath) || !reflect.DeepEqual(refPath, cutPath) {
+						t.Fatalf("%v profile %d target %d diag %d: traceback mismatch\nref=%+v %+v\nopt=%+v %+v\ncut=%+v", mt, pi, ti, d, refRes, refPath, optRes, optPath, cutPath)
+					}
 					refF := referenceForward(p, target, d, BandHalfWidth, metering.Nop{})
 					optF := forward(p, target, d, BandHalfWidth, ws, metering.Nop{})
 					if !forwardClose(optF, refF) {
 						t.Fatalf("%v profile %d target %d diag %d: Forward outside tolerance ref=%v opt=%v", mt, pi, ti, d, refF, optF)
 					}
 				}
+				// The unbanded driver against the oracle's band kernel with
+				// a band wide enough to hold every cell.
+				full, wide := FullViterbi(p, target, nil), referenceBandedViterbi(p, target, 0, p.M+target.Len(), metering.Nop{})
+				if full != wide {
+					t.Fatalf("%v profile %d: FullViterbi %+v, reference over an all-covering band %+v", mt, pi, full, wide)
+				}
 			}
 		}
 	}
 }
 
-// TestPublicKernelsUseFallbackWithoutTransposedLayout pins the fallback
-// contract: a hand-assembled profile that never called BuildTransposed still
-// searches correctly through the reference path.
+// TestPublicKernelsUseFallbackWithoutTransposedLayout pins what a Profile
+// assembled by hand, without BuildTransposed, gets from every public entry
+// point: the kernels run on a private copy with the derived tables built, so
+// results equal the constructor-built profile's bit for bit and the
+// caller's profile is not written to.
 func TestPublicKernelsUseFallbackWithoutTransposedLayout(t *testing.T) {
 	g := seq.NewGenerator(rng.New(37))
 	q := g.Random("q", seq.Protein, 60)
@@ -99,16 +116,41 @@ func TestPublicKernelsUseFallbackWithoutTransposedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stripped := *p
-	stripped.MatchT = nil
-	target := g.Random("t", seq.Protein, 90)
-	if BandedViterbi(p, target, 0, BandHalfWidth, nil) != BandedViterbi(&stripped, target, 0, BandHalfWidth, nil) {
-		t.Error("banded Viterbi fallback diverges from transposed path")
+	stripped := &Profile{
+		Name: p.Name, Type: p.Type, M: p.M, K: p.K, Match: p.Match,
+		InsertPenalty: p.InsertPenalty, Open: p.Open, Extend: p.Extend, Lambda: p.Lambda, Mu: p.Mu,
 	}
-	a := Forward(p, target, 0, BandHalfWidth, nil)
-	b := Forward(&stripped, target, 0, BandHalfWidth, nil)
-	if !forwardClose(a, b) {
-		t.Errorf("Forward fallback diverges: %v vs %v", a, b)
+	target := g.Mutate(q, "t", 0.2)
+	if a, b := BandedViterbi(p, target, 0, BandHalfWidth, nil), BandedViterbi(stripped, target, 0, BandHalfWidth, nil); a != b {
+		t.Errorf("BandedViterbi: %+v with tables, %+v without", a, b)
+	}
+	if a, b := FullViterbi(p, target, nil), FullViterbi(stripped, target, nil); a != b {
+		t.Errorf("FullViterbi: %+v with tables, %+v without", a, b)
+	}
+	if a, b := Forward(p, target, 0, BandHalfWidth, nil), Forward(stripped, target, 0, BandHalfWidth, nil); math.Float64bits(a) != math.Float64bits(b) {
+		t.Errorf("Forward: %v with tables, %v without", a, b)
+	}
+	aRes, aPath := BandedViterbiAlign(p, target, 0, BandHalfWidth, nil)
+	bRes, bPath := BandedViterbiAlign(stripped, target, 0, BandHalfWidth, nil)
+	if aRes != bRes || !reflect.DeepEqual(aPath, bPath) {
+		t.Errorf("BandedViterbiAlign: %+v %+v with tables, %+v %+v without", aRes, aPath, bRes, bPath)
+	}
+	db := makeDB(t, seqdb.Spec{
+		Name: "hand", Type: seq.Protein, NumSeqs: 20, MeanLen: 80,
+		Homologs: []*seq.Sequence{q}, HomologsPerQuery: 3, Seed: 38,
+	})
+	scan := func(p *Profile) []Hit {
+		res, err := ScanRecords(p, q, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Hits
+	}
+	if a, b := scan(p), scan(stripped); len(a) == 0 || !sameHits(a, b) {
+		t.Errorf("ScanRecords: hit lists diverge (or are empty):\nwith tables %+v\nwithout %+v", a, b)
+	}
+	if stripped.MatchT != nil || stripped.oddsT != nil || stripped.maxMatch != 0 {
+		t.Error("a public kernel wrote derived tables into the caller's profile")
 	}
 }
 
@@ -154,10 +196,12 @@ func compareHits(a, b []Hit, forwardByTolerance bool) bool {
 }
 
 // TestPruningPreservesScanResults runs full database scans through the
-// optimized cascade (pruning armed) and through the reference kernels (via a
-// MatchT-stripped profile copy) and requires identical hit lists — the
-// pruning floors are provably conservative, so no reported field may move
-// (the Forward-derived floats by more than the kernel's stated tolerance).
+// product cascade (pruning armed, tracebacks after the dedup) and through
+// referenceScanRecords (the oracle kernels, no pruning, every Forward
+// survivor traced at once) and requires identical hit lists — the pruning
+// floors are provably conservative and a traceback does not depend on when
+// it runs, so no reported field may move (the Forward-derived floats by more
+// than the kernel's stated tolerance).
 func TestPruningPreservesScanResults(t *testing.T) {
 	cases := []struct {
 		name string
@@ -178,16 +222,11 @@ func TestPruningPreservesScanResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stripped := *p
-			stripped.MatchT = nil
 			opt, err := ScanRecords(p, query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{}, metering.Nop{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := ScanRecords(&stripped, query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{}, metering.Nop{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := referenceScanRecords(p, query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues())
 			if !sameHitsAsReference(opt.Hits, ref.Hits) {
 				t.Fatalf("hit lists diverge:\nopt=%+v\nref=%+v", opt.Hits, ref.Hits)
 			}

@@ -17,11 +17,8 @@ func Forward(p *Profile, target *seq.Sequence, diagonal, halfWidth int, m meteri
 	if m == nil {
 		m = metering.Nop{}
 	}
-	if !p.transposed() {
-		return referenceForward(p, target, diagonal, halfWidth, m)
-	}
 	ws := takeScanWorkspace()
-	f := forward(p, target, diagonal, halfWidth, ws, m)
+	f := forward(p.derived(), target, diagonal, halfWidth, ws, m)
 	releaseScanWorkspace(ws)
 	return f
 }
@@ -37,8 +34,9 @@ const (
 	fwdScaleLo   = 1.0 / fwdScaleHi
 )
 
-// forward is the workspace-backed Forward kernel: referenceForward's
-// recurrence evaluated in scaled odds space, the way HMMER3 runs Forward.
+// forward is the workspace-backed Forward kernel: the log-space definition
+// (the test oracle in reference_test.go) evaluated in scaled odds space, the
+// way HMMER3 runs Forward.
 // Every quantity is exp() of its log-space counterpart divided by a power
 // of two, so a cell costs three adds and three multiplies and the only
 // logarithm is the one on the final total. It agrees with the log-space
@@ -56,9 +54,6 @@ const (
 // fuse it into an FMA: replicas of one cluster then agree bit for bit
 // whatever they run on.
 func forward(p *Profile, target *seq.Sequence, diagonal, halfWidth int, ws *scanWorkspace, m metering.Meter) float64 {
-	if !p.transposed() {
-		return referenceForward(p, target, diagonal, halfWidth, m)
-	}
 	M := p.M
 	w := 2*halfWidth + 1
 	prev, cur := ws.forwardRows(w)

@@ -14,7 +14,7 @@ import (
 // request and figure runs on, not on generated test inputs: for each
 // MSA-searched chain of 2PV7 (protein) and 6QNR (RNA plus nine proteins),
 // every database of the chain's type is scanned through the product cascade
-// and through the reference kernels (a MatchT-stripped profile copy), round
+// and through the reference kernels (ReferenceScanRecords), round
 // by round as msa searches it — the query-built profile, then for proteins
 // the profile rebuilt from the recruited hits. The lists must be the same
 // hits in the same order with only the Forward-derived floats inside their
@@ -38,8 +38,6 @@ func TestForwardHitListsOnSuiteData(t *testing.T) {
 				t.Fatal(err)
 			}
 			for round := 1; ; round++ {
-				stripped := *profile
-				stripped.MatchT = nil
 				var recruited []hmmer.Hit
 				for _, db := range dbs.For(query.Type) {
 					opts := hmmer.SearchOptions{DBFootprint: uint64(db.ModeledBytes())}
@@ -47,10 +45,7 @@ func TestForwardHitListsOnSuiteData(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref, err := hmmer.ScanRecords(&stripped, query, &hmmer.SliceSource{Seqs: db.Seqs}, db.TotalResidues(), opts, metering.Nop{})
-					if err != nil {
-						t.Fatal(err)
-					}
+					ref := hmmer.ReferenceScanRecords(profile, query, &hmmer.SliceSource{Seqs: db.Seqs}, db.TotalResidues())
 					if len(opt.Hits) == 0 {
 						t.Errorf("%s %s round %d on %s: no hits; the comparison is vacuous", name, query.ID, round, db.Name)
 					}

@@ -248,35 +248,37 @@ func TestForwardBandEdges(t *testing.T) {
 }
 
 // TestForwardHandFilledMatchTUsesReference: MatchT is an exported field, so
-// a caller can fill it without BuildTransposed. The odds table is then
-// missing and the kernels must take the reference path, not index nil.
+// a caller can fill it without BuildTransposed. The odds table and the
+// pruning bound are then missing; the public kernels must notice, run on a
+// private copy with every derived table built — scores bit-equal to the
+// constructor-built profile's — and leave the caller's slices alone.
 func TestForwardHandFilledMatchTUsesReference(t *testing.T) {
 	g := seq.NewGenerator(rng.New(79))
 	built := BuildMust(t, g.Random("q", seq.Protein, 60))
 	hand := &Profile{
 		Name: built.Name, Type: built.Type, M: built.M, K: built.K,
 		Match:         append([]float32(nil), built.Match...),
-		MatchT:        append([]float32(nil), built.MatchT...),
+		MatchT:        make([]float32, len(built.MatchT)), // right size, wrong (zero) contents
 		InsertPenalty: built.InsertPenalty, Open: built.Open, Extend: built.Extend,
 		Lambda: built.Lambda, Mu: built.Mu,
 	}
 	if hand.transposed() {
-		t.Fatal("hand-filled MatchT counts as the transposed layout")
+		t.Fatal("hand-filled MatchT counts as the derived tables")
 	}
 	target := g.Mutate(g.Random("t", seq.Protein, 90), "t", 0.1)
-	want := referenceForward(built, target, 0, BandHalfWidth, metering.Nop{})
-	ws := takeScanWorkspace()
-	defer releaseScanWorkspace(ws)
-	for name, got := range map[string]float64{
-		"Forward": Forward(hand, target, 0, BandHalfWidth, nil),
-		"forward": forward(hand, target, 0, BandHalfWidth, ws, metering.Nop{}),
-	} {
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s on a hand-filled profile = %v, want the reference's %v bit for bit", name, got, want)
-		}
+	if got, want := Forward(hand, target, 0, BandHalfWidth, nil), Forward(built, target, 0, BandHalfWidth, nil); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("Forward on a hand-filled profile = %v, want the built profile's %v bit for bit", got, want)
 	}
 	if BandedViterbi(hand, target, 0, BandHalfWidth, nil) != BandedViterbi(built, target, 0, BandHalfWidth, nil) {
 		t.Error("banded Viterbi diverges on a hand-filled profile")
+	}
+	for i, v := range hand.MatchT {
+		if v != 0 {
+			t.Fatalf("a public kernel wrote MatchT[%d] = %v in the caller's slice", i, v)
+		}
+	}
+	if hand.oddsT != nil {
+		t.Error("a public kernel attached an odds table to the caller's profile")
 	}
 }
 

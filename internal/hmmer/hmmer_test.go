@@ -159,6 +159,22 @@ func TestBandedHomologOutscoresRandom(t *testing.T) {
 	}
 }
 
+// TestPublicKernelsAcceptNilMeter: a nil meter means "do not meter" on
+// every public kernel.
+func TestPublicKernelsAcceptNilMeter(t *testing.T) {
+	g := protGen(12)
+	q := g.Random("q", seq.Protein, 30)
+	target := g.Mutate(q, "t", 0.1)
+	p, _ := BuildFromQuery(q)
+	banded := BandedViterbi(p, target, 0, BandHalfWidth, nil)
+	full := FullViterbi(p, target, nil)
+	traced, ali := BandedViterbiAlign(p, target, 0, BandHalfWidth, nil)
+	fwd := Forward(p, target, 0, BandHalfWidth, nil)
+	if banded.Score <= 0 || full.Score < banded.Score || traced != banded || ali.Score != banded.Score || fwd < float64(banded.Score)-1e-3 {
+		t.Errorf("unmetered kernels disagree: banded %+v, full %+v, traced %+v, forward %v", banded, full, traced, fwd)
+	}
+}
+
 func TestBandKernelEventSplit(t *testing.T) {
 	g := protGen(9)
 	q := g.Random("q", seq.Protein, 64)

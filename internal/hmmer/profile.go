@@ -26,8 +26,8 @@ type Profile struct {
 	// [residue*M + col]. The scan kernels iterate profile columns for one
 	// fixed target residue at a time, so this layout turns their inner-loop
 	// emission lookups from stride-K walks (one cache line per column) into
-	// contiguous reads. It is derived from Match by BuildTransposed; kernels
-	// fall back to the column-major reference path when it is absent.
+	// contiguous reads. It is derived from Match by BuildTransposed, like
+	// the unexported tables below; the kernels read only derived tables.
 	MatchT []float32
 	// InsertPenalty is charged per inserted residue at any column.
 	InsertPenalty float32
@@ -51,8 +51,8 @@ type Profile struct {
 
 // BuildTransposed (re)derives MatchT, the pruning bound and the Forward
 // odds tables from Match, Open included. The standard constructors call it;
-// callers that assemble a Profile by hand can invoke it to opt in to the
-// transposed kernels, or skip it to stay on the column-major reference path.
+// a caller that assembles a Profile by hand, or edits Match or Open, calls
+// it to bring the derived tables in step.
 func (p *Profile) BuildTransposed() {
 	if len(p.Match) != p.M*p.K {
 		return
@@ -79,11 +79,26 @@ func (p *Profile) BuildTransposed() {
 	}
 }
 
-// transposed reports whether the residue-major layout BuildTransposed
-// derives is available. A MatchT filled by hand does not count: the odds
-// table and the pruning bound would be missing.
+// transposed reports whether the tables BuildTransposed derives are
+// present. A MatchT filled by hand does not count: the odds table and the
+// pruning bound would be missing.
 func (p *Profile) transposed() bool {
 	return len(p.MatchT) == len(p.Match) && len(p.oddsT) == len(p.Match) && len(p.Match) == p.M*p.K
+}
+
+// derived returns the profile the kernels run on: p itself when its
+// derived tables are present, as they are after any constructor, and
+// otherwise — a Profile assembled by hand without BuildTransposed — a
+// shallow copy with tables of its own, so that the public entry points
+// neither index a missing table nor write to a profile the caller may share.
+func (p *Profile) derived() *Profile {
+	if p.transposed() {
+		return p
+	}
+	cp := *p
+	cp.MatchT, cp.oddsT = nil, nil
+	cp.BuildTransposed()
+	return &cp
 }
 
 // BuildFromQuery constructs a profile directly from one query sequence using
@@ -224,9 +239,8 @@ func (p *Profile) BitScore(score float64) float64 {
 
 // MemoryBytes returns the resident size of the profile's score table as the
 // DP kernels see it — part of the working set the cache model is charged
-// with. Each kernel reads exactly one layout (MatchT when present, Match
-// otherwise), so the hot working set is one table regardless of how many
-// layouts the profile keeps resident.
+// with. Each kernel reads exactly one table, so the hot working set is one
+// table regardless of how many layouts the profile keeps resident.
 func (p *Profile) MemoryBytes() uint64 {
 	return uint64(len(p.Match)) * 4
 }

@@ -105,28 +105,78 @@ type Result struct {
 // prefilter that replaces a full-matrix scan. Low-complexity queries hash
 // the same k-mer to many positions, which is exactly how repetitive
 // sequence (poly-Q) inflates candidate diagonals downstream.
+//
+// Both production seed lengths give a k-mer space small enough to address
+// directly (20³ = 8 000, 4⁸ = 65 536), so the index is a CSR table, not a
+// map: the query positions of k-mer h are pos[off[h]:off[h+1]]. Diagonal
+// votes are an array too. One index lives in each scan workspace and is
+// rebuilt in place per scan.
 type seedIndex struct {
 	k        int
 	alphaLen int
-	pos      map[uint32][]int32
+	size     uint32  // alphaLen^k, the number of k-mers
+	off      []int32 // size+2 offsets into pos (the last is build's cursor slack)
+	pos      []int32
+	distinct int // k-mers with at least one position
+
+	// candidates' scratch: votes[d+L] counts the seeds on diagonal d of an
+	// L-residue target; touched lists the non-zero entries, so the array is
+	// reset through it and never cleared whole.
+	votes   []int32
+	touched []int32
+	diags   []int
 }
 
-func buildSeedIndex(q *seq.Sequence, k int) *seedIndex {
-	idx := &seedIndex{k: k, alphaLen: len(q.Type.Alphabet()), pos: make(map[uint32][]int32)}
-	if q.Len() < k {
-		return idx
+// build indexes the k-mers of q, reusing the index's tables.
+func (idx *seedIndex) build(q *seq.Sequence, k int) {
+	idx.k, idx.alphaLen = k, len(q.Type.Alphabet())
+	idx.size = 1
+	for i := 0; i < k; i++ {
+		idx.size *= uint32(idx.alphaLen)
+	}
+	if cap(idx.off) < int(idx.size)+2 {
+		idx.off = make([]int32, idx.size+2)
+	}
+	idx.off = idx.off[:idx.size+2]
+	clear(idx.off)
+	n := max(q.Len()-k+1, 0)
+	if cap(idx.pos) < n {
+		idx.pos = make([]int32, n)
+	}
+	idx.pos = idx.pos[:n]
+	idx.distinct = 0
+	if n == 0 {
+		return
 	}
 	// Hash the first window in full, then roll: each subsequent window is
 	// O(1) instead of O(k), and the value is identical (the polynomial hash
-	// is exact under uint32 wraparound).
-	h := idx.hash(q.Residues[:k])
-	idx.pos[h] = append(idx.pos[h], 0)
+	// is exact under uint32 wraparound). Count k-mer h two slots up, so
+	// that after the prefix sum off[h+1] is where h's positions start and
+	// can serve as h's write cursor; when every position is written it has
+	// advanced to where h+1's start, which is what a reader wants there.
 	top := idx.topWeight()
-	for i := 1; i+k <= q.Len(); i++ {
-		h = idx.roll(h, q.Residues[i-1], q.Residues[i+k-1], top)
-		idx.pos[h] = append(idx.pos[h], int32(i))
+	kmers := func(visit func(i int, h uint32)) {
+		h := idx.hash(q.Residues[:k])
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				h = idx.roll(h, q.Residues[i-1], q.Residues[i+k-1], top)
+			}
+			visit(i, h)
+		}
 	}
-	return idx
+	kmers(func(_ int, h uint32) {
+		if idx.off[h+2] == 0 {
+			idx.distinct++
+		}
+		idx.off[h+2]++
+	})
+	for h := 2; h < len(idx.off); h++ {
+		idx.off[h] += idx.off[h-1]
+	}
+	kmers(func(i int, h uint32) {
+		idx.pos[idx.off[h+1]] = int32(i)
+		idx.off[h+1]++
+	})
 }
 
 func (idx *seedIndex) hash(kmer []byte) uint32 {
@@ -156,21 +206,18 @@ func (idx *seedIndex) roll(h uint32, out, in byte, top uint32) uint32 {
 
 // candidates returns the merged candidate diagonals for a target, recording
 // the seed-scan work. Diagonals closer than mergeDist collapse into one.
-// With a workspace, the vote map and diagonal slice are recycled scratch and
-// the returned slice is only valid until the workspace's next use; ws may be
-// nil for standalone calls.
-func (idx *seedIndex) candidates(target *seq.Sequence, minSeeds, maxDiag, mergeDist int, ws *scanWorkspace, m metering.Meter) []int {
+// The returned slice is the index's scratch, valid until its next use.
+func (idx *seedIndex) candidates(target *seq.Sequence, minSeeds, maxDiag, mergeDist int, m metering.Meter) []int {
 	L := target.Len()
 	if L < idx.k {
 		return nil
 	}
-	var votes map[int]int
-	var scratch []int
-	if ws != nil {
-		votes, scratch = ws.seedScratch()
-	} else {
-		votes = make(map[int]int)
+	// A seed at query position qp and target position i votes for diagonal
+	// qp-i, in (-L, len(pos)): votes[qp-i+L].
+	if need := L + len(idx.pos); len(idx.votes) < need {
+		idx.votes = make([]int32, need)
 	}
+	votes, touched := idx.votes, idx.touched[:0]
 	var probes uint64
 	h := idx.hash(target.Residues[:idx.k])
 	top := idx.topWeight()
@@ -178,10 +225,18 @@ func (idx *seedIndex) candidates(target *seq.Sequence, minSeeds, maxDiag, mergeD
 		if i > 0 {
 			h = idx.roll(h, target.Residues[i-1], target.Residues[i+idx.k-1], top)
 		}
-		for _, qp := range idx.pos[h] {
-			votes[int(qp)-i]++
-			probes++
+		if h >= idx.size {
+			continue // a residue outside the alphabet: no query k-mer has it
 		}
+		hits := idx.pos[idx.off[h]:idx.off[h+1]]
+		for _, qp := range hits {
+			v := int32(L-i) + qp
+			if votes[v] == 0 {
+				touched = append(touched, v)
+			}
+			votes[v]++
+		}
+		probes += uint64(len(hits))
 	}
 	// Probe work scales with posting-list traffic: low-complexity queries
 	// hash many positions to the same k-mer, so repetitive targets walk
@@ -190,20 +245,18 @@ func (idx *seedIndex) candidates(target *seq.Sequence, minSeeds, maxDiag, mergeD
 		Func:         "seed_filter",
 		Instructions: uint64(L)*6 + probes*8,
 		Bytes:        uint64(L)*12 + probes*16,
-		WorkingSet:   uint64(len(idx.pos))*16 + uint64(L),
+		WorkingSet:   uint64(idx.distinct)*16 + uint64(L),
 		Pattern:      metering.Random, // hash-table probes
 		Branches:     uint64(L)*2 + probes,
 		// Hash probe hit/miss is data-dependent and poorly predicted.
 		BranchMissRate: 0.010,
 	})
-	diags := scratch
-	if diags == nil {
-		diags = make([]int, 0, len(votes))
-	}
-	for d, v := range votes {
-		if v >= minSeeds {
-			diags = append(diags, d)
+	diags := idx.diags[:0]
+	for _, v := range touched {
+		if int(votes[v]) >= minSeeds {
+			diags = append(diags, int(v)-L)
 		}
+		votes[v] = 0
 	}
 	sort.Ints(diags)
 	// Merge nearby diagonals into band-sized clusters. The cluster span is
@@ -223,9 +276,7 @@ func (idx *seedIndex) candidates(target *seq.Sequence, minSeeds, maxDiag, mergeD
 	if len(merged) > maxDiag {
 		merged = merged[:maxDiag]
 	}
-	if ws != nil {
-		ws.diags = diags // keep the (possibly grown) backing array
-	}
+	idx.touched, idx.diags = touched, diags // keep the (possibly grown) backing arrays
 	return merged
 }
 
@@ -323,7 +374,7 @@ func ScanRecordsCtx(ctx context.Context, p *Profile, query *seq.Sequence, src Re
 	if m == nil {
 		m = metering.Nop{}
 	}
-	return scanDB(ctx, p, query, src, dbResidues, opts, m)
+	return scanDB(ctx, p.derived(), query, src, dbResidues, opts, m)
 }
 
 // BuildHitAlignment stacks hits below the inclusion threshold into
@@ -376,14 +427,13 @@ func MergeResults(query string, parts []*Result) *Result {
 }
 
 // scanState carries everything one scan pass shares across records: the
-// profile, the seed index, the pooled workspace, the precomputed band
-// floor, and the accumulating Result. One scanState serves one worker
-// shard; it is not safe for concurrent use (each msa worker builds its own,
-// drawing a workspace from the shared pool).
+// profile, the pooled workspace with the query's seed index in it, the
+// precomputed band floor, and the accumulating Result. One scanState serves
+// one worker shard; it is not safe for concurrent use (each msa worker builds
+// its own, drawing a workspace from the shared pool).
 type scanState struct {
 	p          *Profile
 	query      *seq.Sequence
-	idx        *seedIndex
 	dbResidues int
 	m          metering.Meter
 	ws         *scanWorkspace
@@ -398,13 +448,15 @@ type scanState struct {
 }
 
 func newScanState(p *Profile, query *seq.Sequence, dbResidues int, m metering.Meter) *scanState {
+	ws := takeScanWorkspace()
+	ws.seeds.build(query, seedK(query.Type))
+	ws.traces = ws.traces[:0]
 	return &scanState{
 		p:          p,
 		query:      query,
-		idx:        buildSeedIndex(query, seedK(query.Type)),
 		dbResidues: dbResidues,
 		m:          m,
-		ws:         takeScanWorkspace(),
+		ws:         ws,
 		res:        &Result{Query: query.ID},
 		bandFloor:  bandScoreFloor(p, dbResidues, maxEValue*10),
 	}
@@ -473,15 +525,26 @@ func (s *scanState) scanRecord(target *seq.Sequence) {
 		s.scanLongTarget(target)
 		return
 	}
-	diags := s.idx.candidates(target, minSeeds(s.query.Type), maxDiagonals, 2*BandHalfWidth, s.ws, s.m)
+	diags := s.ws.seeds.candidates(target, minSeeds(s.query.Type), maxDiagonals, 2*BandHalfWidth, s.m)
 	s.cascade(target, target, 0, diags)
 }
 
+// pendingTrace is what a reported hit's traceback needs beyond the Hit
+// itself, kept beside Result.Hits (same index) until scanDB has decided
+// which hits survive: the residues [offset, offset+viewLen) of the target
+// that the kernels scored, and the row of that view the best cell is in.
+// It is not part of Hit because cached hits are copied per request, so every
+// byte of Hit is paid on the cached-request path.
+type pendingTrace struct {
+	offset, viewLen, endRow int
+}
+
 // cascade runs the DP tiers over one view's candidate diagonals — banded
-// Viterbi, the E-value gate, Forward, its gate, the traced alignment — and
-// appends the reported hits to the result. view is what the kernels score:
-// the whole target, or a window into it starting at residue offset (0 for
-// the whole target); hit coordinates are reported against the whole target.
+// Viterbi, the E-value gate, Forward, its gate — and appends the reported
+// hits to the result, each with a pendingTrace in place of its alignment.
+// view is what the kernels score: the whole target, or a window into it
+// starting at residue offset (0 for the whole target); hit coordinates are
+// reported against the whole target.
 func (s *scanState) cascade(view, target *seq.Sequence, offset int, diags []int) {
 	res := s.res
 	for _, d := range diags {
@@ -498,16 +561,10 @@ func (s *scanState) cascade(view, target *seq.Sequence, offset int, diags []int)
 		if fev > maxEValue {
 			continue
 		}
-		// Reported hits get a traced alignment for stacking and
-		// display (the extra DP is charged by the traceback kernel).
-		_, traced := bandedViterbiAlign(s.p, view, d, BandHalfWidth, s.ws, s.m)
-		if offset != 0 && traced != nil {
-			for pi := range traced.Pairs {
-				if traced.Pairs[pi].Pos >= 0 {
-					traced.Pairs[pi].Pos += offset
-				}
-			}
-		}
+		// Reported hits get a traced alignment for stacking and display.
+		// Its DP is charged here, over the whole view, though it runs
+		// after the scan and only if the hit survives (scanDB).
+		recordTraceEvents(s.p, view.Len(), d, BandHalfWidth, s.m)
 		kept := s.retain(target)
 		res.Hits = append(res.Hits, Hit{
 			TargetID:     kept.ID,
@@ -517,15 +574,55 @@ func (s *scanState) cascade(view, target *seq.Sequence, offset int, diags []int)
 			ForwardScore: fwd,
 			Bits:         s.p.BitScore(fwd),
 			EValue:       fev,
-			Alignment:    traced,
 		})
+		s.ws.traces = append(s.ws.traces, pendingTrace{offset: offset, viewLen: view.Len(), endRow: ali.EndRow})
 	}
 }
 
+// trace runs the traceback a hit was charged for in cascade, over the rows
+// up to its best cell, and maps the path to whole-target coordinates.
+func (s *scanState) trace(h *Hit, t pendingTrace) *Alignment {
+	view := h.Target.Residues[t.offset : t.offset+t.viewLen]
+	_, traced := traceBand(s.p, view, h.Diagonal-t.offset, BandHalfWidth, t.endRow+1, s.ws)
+	if t.offset != 0 {
+		for pi := range traced.Pairs {
+			if traced.Pairs[pi].Pos >= 0 {
+				traced.Pairs[pi].Pos += t.offset
+			}
+		}
+	}
+	return traced
+}
+
+// hitOrder sorts a scan's hits by ascending E-value, then target, carrying
+// each hit's pendingTrace along. sort.Sort on it makes the comparisons and
+// swaps sort.Slice on the hits alone would: the order among equal keys —
+// which band of a target the dedup keeps — does not depend on the passenger.
+type hitOrder struct {
+	hits   []Hit
+	traces []pendingTrace
+}
+
+func (o hitOrder) Len() int { return len(o.hits) }
+
+func (o hitOrder) Less(i, j int) bool {
+	if o.hits[i].EValue != o.hits[j].EValue {
+		return o.hits[i].EValue < o.hits[j].EValue
+	}
+	return o.hits[i].TargetID < o.hits[j].TargetID
+}
+
+func (o hitOrder) Swap(i, j int) {
+	o.hits[i], o.hits[j] = o.hits[j], o.hits[i]
+	o.traces[i], o.traces[j] = o.traces[j], o.traces[i]
+}
+
 // scanDB is the shared inner loop: stream records through the buffering
-// layer, seed-filter, DP candidates, Forward-score survivors. The context
-// is polled every ctxCheckStride records — cheap enough to be invisible,
-// frequent enough that cancellation lands mid-shard, not at shard end.
+// layer, seed-filter, DP candidates, Forward-score survivors, then sort,
+// keep the best band per target and trace the alignments of those. The
+// context is polled every ctxCheckStride records — cheap enough to be
+// invisible, frequent enough that cancellation lands mid-shard, not at
+// shard end.
 func scanDB(ctx context.Context, p *Profile, query *seq.Sequence, src RecordSource, dbResidues int, opts SearchOptions, m metering.Meter) (*Result, error) {
 	const ctxCheckStride = 32
 	buf := NewRecyclingBuffer(src, opts.DBFootprint, m)
@@ -552,25 +649,21 @@ func scanDB(ctx context.Context, p *Profile, query *seq.Sequence, src RecordSour
 		}
 		s.scanRecord(target)
 	}
-	sort.Slice(res.Hits, func(i, j int) bool {
-		if res.Hits[i].EValue != res.Hits[j].EValue {
-			return res.Hits[i].EValue < res.Hits[j].EValue
+	sort.Sort(hitOrder{res.Hits, s.ws.traces})
+	// Deduplicate by target: keep the best band only, and run the
+	// traceback for it alone — on repeat-rich targets most bands that
+	// clear the Forward gate end here.
+	seen := s.ws.dedupSeen()
+	uniq := res.Hits[:0]
+	for i := range res.Hits {
+		h := &res.Hits[i]
+		if seen[h.TargetID] {
+			continue
 		}
-		return res.Hits[i].TargetID < res.Hits[j].TargetID
-	})
-	if len(res.Hits) > 1 {
-		// Deduplicate by target: keep the best band only. 0- and 1-hit
-		// results (the overwhelmingly common case across worker shards)
-		// need no map at all; larger ones reuse the workspace's set.
-		seen := s.ws.dedupSeen()
-		uniq := res.Hits[:0]
-		for _, h := range res.Hits {
-			if !seen[h.TargetID] {
-				seen[h.TargetID] = true
-				uniq = append(uniq, h)
-			}
-		}
-		res.Hits = uniq
+		seen[h.TargetID] = true
+		h.Alignment = s.trace(h, s.ws.traces[i])
+		uniq = append(uniq, *h)
 	}
+	res.Hits = uniq
 	return res, nil
 }

@@ -25,6 +25,14 @@ func sliceSrc(db *seqdb.DB) func() RecordSource {
 	return func() RecordSource { return &SliceSource{Seqs: db.Seqs} }
 }
 
+// buildSeedIndex returns a standalone index of q's k-mers; a scan rebuilds
+// its workspace's index in place instead.
+func buildSeedIndex(q *seq.Sequence, k int) *seedIndex {
+	idx := new(seedIndex)
+	idx.build(q, k)
+	return idx
+}
+
 func TestSliceSource(t *testing.T) {
 	g := seq.NewGenerator(rng.New(1))
 	s := &SliceSource{Seqs: []*seq.Sequence{g.Random("a", seq.Protein, 10), g.Random("b", seq.Protein, 10)}}
@@ -80,7 +88,7 @@ func TestSeedIndexFindsIdenticalDiagonal(t *testing.T) {
 	g := seq.NewGenerator(rng.New(3))
 	q := g.Random("q", seq.Protein, 100)
 	idx := buildSeedIndex(q, 3)
-	diags := idx.candidates(q, 2, 64, 18, nil, metering.Nop{})
+	diags := idx.candidates(q, 2, 64, 18, metering.Nop{})
 	found := false
 	for _, d := range diags {
 		if d >= -9 && d <= 9 {
@@ -92,15 +100,25 @@ func TestSeedIndexFindsIdenticalDiagonal(t *testing.T) {
 	}
 }
 
+// TestRollingHashMatchesFullHash covers the (alphabet, k) pairs a scan
+// builds — the index is direct-addressed, so alphabet^k must fit a table —
+// and k = 2.
 func TestRollingHashMatchesFullHash(t *testing.T) {
 	g := seq.NewGenerator(rng.New(11))
-	for _, k := range []int{2, 3, 5, 8} {
-		q := g.Random("q", seq.Protein, 200)
+	for _, tc := range []struct {
+		mt seq.MoleculeType
+		k  int
+	}{
+		{seq.Protein, seedK(seq.Protein)}, {seq.RNA, seedK(seq.RNA)}, {seq.DNA, seedK(seq.DNA)},
+		{seq.Protein, 2}, {seq.RNA, 2},
+	} {
+		k := tc.k
+		q := g.Random("q", tc.mt, 200)
 		idx := buildSeedIndex(q, k)
 		// Every window of an independent target must roll to exactly the
 		// value a from-scratch hash computes (wraparound arithmetic is
 		// exact, so these are equal, not just collision-free).
-		tgt := g.Random("t", seq.Protein, 150)
+		tgt := g.Random("t", tc.mt, 150)
 		h := idx.hash(tgt.Residues[:k])
 		top := idx.topWeight()
 		for i := 0; i+k <= tgt.Len(); i++ {
@@ -108,7 +126,7 @@ func TestRollingHashMatchesFullHash(t *testing.T) {
 				h = idx.roll(h, tgt.Residues[i-1], tgt.Residues[i+k-1], top)
 			}
 			if want := idx.hash(tgt.Residues[i : i+k]); h != want {
-				t.Fatalf("k=%d pos=%d rolled hash %#x != full hash %#x", k, i, h, want)
+				t.Fatalf("%v k=%d pos=%d rolled hash %#x != full hash %#x", tc.mt, k, i, h, want)
 			}
 		}
 		// And the rolled index must match one built with from-scratch
@@ -118,19 +136,47 @@ func TestRollingHashMatchesFullHash(t *testing.T) {
 			fh := idx.hash(q.Residues[i : i+k])
 			ref[fh] = append(ref[fh], int32(i))
 		}
-		if len(ref) != len(idx.pos) {
-			t.Fatalf("k=%d index has %d buckets, reference %d", k, len(idx.pos), len(ref))
+		if len(ref) != idx.distinct {
+			t.Fatalf("%v k=%d index has %d buckets, reference %d", tc.mt, k, idx.distinct, len(ref))
 		}
-		for fh, want := range ref {
-			got := idx.pos[fh]
+		filled := 0
+		for fh := uint32(0); fh < idx.size; fh++ {
+			got, want := idx.pos[idx.off[fh]:idx.off[fh+1]], ref[fh]
 			if len(got) != len(want) {
-				t.Fatalf("k=%d bucket %#x = %v, want %v", k, fh, got, want)
+				t.Fatalf("%v k=%d bucket %#x = %v, want %v", tc.mt, k, fh, got, want)
 			}
 			for j := range want {
 				if got[j] != want[j] {
-					t.Fatalf("k=%d bucket %#x = %v, want %v", k, fh, got, want)
+					t.Fatalf("%v k=%d bucket %#x = %v, want %v", tc.mt, k, fh, got, want)
 				}
 			}
+			filled += len(got)
+		}
+		if filled != q.Len()-k+1 {
+			t.Fatalf("%v k=%d buckets hold %d positions, want %d", tc.mt, k, filled, q.Len()-k+1)
+		}
+	}
+}
+
+// TestSeedIndexOutOfAlphabetTargetMisses: a target byte at or beyond the
+// alphabet length hashes outside the k-mer table (or onto some other
+// k-mer's slot, as it did in a map) and must read as a miss, not index out
+// of range.
+func TestSeedIndexOutOfAlphabetTargetMisses(t *testing.T) {
+	g := seq.NewGenerator(rng.New(12))
+	for _, mt := range []seq.MoleculeType{seq.Protein, seq.RNA} {
+		q := g.Random("q", mt, 120)
+		idx := buildSeedIndex(q, seedK(mt))
+		junk := g.Random("t", mt, 200)
+		for i := range junk.Residues {
+			junk.Residues[i] = byte(200 + i%56)
+		}
+		if got := idx.candidates(junk, 1, 64, 18, metering.Nop{}); len(got) != 0 {
+			t.Errorf("%v: out-of-alphabet target seeded diagonals %v", mt, got)
+		}
+		// The index is still good for a real target afterwards.
+		if got := idx.candidates(q, minSeeds(mt), 64, 18, metering.Nop{}); len(got) == 0 {
+			t.Errorf("%v: self-search found no diagonal after an out-of-alphabet target", mt)
 		}
 	}
 }
@@ -139,7 +185,7 @@ func TestSeedIndexShortTarget(t *testing.T) {
 	g := seq.NewGenerator(rng.New(4))
 	q := g.Random("q", seq.Protein, 50)
 	idx := buildSeedIndex(q, 3)
-	if got := idx.candidates(g.Random("t", seq.Protein, 2), 2, 64, 18, nil, metering.Nop{}); got != nil {
+	if got := idx.candidates(g.Random("t", seq.Protein, 2), 2, 64, 18, metering.Nop{}); got != nil {
 		t.Errorf("short target candidates = %v, want nil", got)
 	}
 }
@@ -155,7 +201,7 @@ func TestPolyQInflatesCandidates(t *testing.T) {
 		idx := buildSeedIndex(q, 3)
 		total := 0
 		for _, s := range db.Seqs {
-			total += len(idx.candidates(s, 2, 64, 18, nil, metering.Nop{}))
+			total += len(idx.candidates(s, 2, 64, 18, metering.Nop{}))
 		}
 		return total
 	}

@@ -10,10 +10,10 @@ import (
 // Alignment traceback. BandedViterbi returns only the best score; the
 // aligned path is needed to stack recruited hits into profile columns for
 // the next jackhmmer round (gapped, unlike the diagonal projection), and to
-// report alignments to users. The traceback kernel re-runs the banded
-// recurrence with backpointer recording — the same split into the
-// calc_band_9/calc_band_10 row variants, with the extra write traffic
-// reflected in the metering events.
+// report alignments to users. The traceback re-runs the banded recurrence
+// (band.go's bandRow) keeping every row — metered as the same split into the
+// calc_band_9/calc_band_10 row variants, with a backpointer kernel's extra
+// write traffic in the events.
 
 // OpKind is one alignment operation.
 type OpKind byte
@@ -84,181 +84,130 @@ func (a *Alignment) Matches() int {
 	return n
 }
 
-// backpointer codes for the traceback matrices.
-const (
-	ptrNone byte = iota // local start
-	ptrM
-	ptrI
-	ptrD
-)
-
-// BandedViterbiAlign runs the banded Viterbi recurrence with backpointer
-// recording and returns both the score result and the traced alignment of
-// the best-scoring cell. It costs roughly the plain kernel plus the pointer
-// writes, which the metering events include.
+// BandedViterbiAlign runs the banded Viterbi recurrence keeping every row
+// and returns both the score result and the traced alignment of the
+// best-scoring cell. Its metering events charge the plain kernel plus
+// backpointer writes.
 func BandedViterbiAlign(p *Profile, target *seq.Sequence, diagonal, halfWidth int, m metering.Meter) (AlignResult, *Alignment) {
-	ws := takeScanWorkspace()
-	res, ali := bandedViterbiAlign(p, target, diagonal, halfWidth, ws, m)
-	releaseScanWorkspace(ws)
-	return res, ali
-}
-
-// bandedViterbiAlign is the workspace-backed traceback kernel. The full
-// per-row score and pointer history lives in two flat pooled planes (one
-// float32 backing array for M/I/D scores, one byte array for the pointers)
-// instead of 6·L per-row slices — the allocation behavior that used to
-// dominate allocs/op on hit-dense nucleotide scans. Only the returned
-// Alignment (retained by the Hit) is freshly allocated.
-func bandedViterbiAlign(p *Profile, target *seq.Sequence, diagonal, halfWidth int, ws *scanWorkspace, m metering.Meter) (AlignResult, *Alignment) {
 	if m == nil {
 		m = metering.Nop{}
 	}
-	L := target.Len()
+	p = p.derived()
+	ws := takeScanWorkspace()
+	res, ali := traceBand(p, target.Residues, diagonal, halfWidth, target.Len(), ws)
+	releaseScanWorkspace(ws)
+	recordTraceEvents(p, target.Len(), diagonal, halfWidth, m)
+	return res, ali
+}
+
+// recordTraceEvents charges a traceback over all L rows of a target. The
+// scan records it where a candidate clears the Forward gate — the point at
+// which hmmsearch, which the events model, aligns it — although the Go
+// traceback runs later, for fewer hits and fewer rows (scanDB).
+func recordTraceEvents(p *Profile, L, diagonal, halfWidth int, m metering.Meter) {
 	w := 2*halfWidth + 1
+	even, odd := bandCells(0, L, diagonal, halfWidth, p.M)
+	recordCalcBand(traceCost, uint64(6*w)*4*uint64(min(L, 64))+p.MemoryBytes()+uint64(L), even, odd, m)
+}
 
-	// Flat score/pointer planes, indexed [i*w+b]; the kernel writes every
-	// cell of every row it visits, so recycled buffers need no clearing.
-	sc, ptrs := ws.tracebackBufs(L * w)
-	n := L * w
-	mSc, iSc, dSc := sc[:n], sc[n:2*n], sc[2*n:3*n]
-	mPtr, iPtr, dPtr := ptrs[:n], ptrs[n:2*n], ptrs[2*n:3*n]
-
-	res := AlignResult{Score: 0}
-	var cellsEven, cellsOdd uint64
-	bestRow, bestBand := -1, -1
-
-	for i := 0; i < L; i++ {
-		r := int(target.Residues[i])
-		lo := i + diagonal - halfWidth
-		row := i * w
-		var cells uint64
-		for b := 0; b < w; b++ {
-			j := lo + b
-			if j < 0 || j >= p.M {
-				mSc[row+b], iSc[row+b], dSc[row+b] = negInf, negInf, negInf
-				continue
-			}
-			cells++
-			// Previous row's band is shifted one column left: column j-1
-			// is slot b, column j is slot b+1 (see calcBandRow).
-			diagM, diagI, diagD := negInf, negInf, negInf
-			if i > 0 {
-				diagM, diagI, diagD = mSc[row-w+b], iSc[row-w+b], dSc[row-w+b]
-			}
-			upM, upI := negInf, negInf
-			if i > 0 && b+1 < w {
-				upM, upI = mSc[row-w+b+1], iSc[row-w+b+1]
-			}
-			leftM, leftD := negInf, negInf
-			if b > 0 {
-				leftM, leftD = mSc[row+b-1], dSc[row+b-1]
-			}
-
-			best, ptr := float32(0), ptrNone
-			if diagM > best {
-				best, ptr = diagM, ptrM
-			}
-			if diagI > best {
-				best, ptr = diagI, ptrI
-			}
-			if diagD > best {
-				best, ptr = diagD, ptrD
-			}
-			mSc[row+b] = best + p.Match[j*p.K+r]
-			mPtr[row+b] = ptr
-
-			if upM+p.Open >= upI+p.Extend {
-				iSc[row+b] = upM + p.Open + p.InsertPenalty
-				iPtr[row+b] = ptrM
-			} else {
-				iSc[row+b] = upI + p.Extend + p.InsertPenalty
-				iPtr[row+b] = ptrI
-			}
-			if leftM+p.Open >= leftD+p.Extend {
-				dSc[row+b] = leftM + p.Open
-				dPtr[row+b] = ptrM
-			} else {
-				dSc[row+b] = leftD + p.Extend
-				dPtr[row+b] = ptrD
-			}
-
-			if mSc[row+b] > res.Score {
-				res.Score = mSc[row+b]
-				res.EndCol = j
-				res.EndRow = i
-				bestRow, bestBand = i, b
-			}
-		}
-		if i%2 == 0 {
-			cellsEven += cells
-		} else {
-			cellsOdd += cells
-		}
+// traceBand is the traceback driver: bandRow over target rows [0, rows)
+// into planes that keep every row, then a walk back from the best M cell to
+// its local start. A caller that knows the row the best cell is in passes
+// rows = EndRow+1: the best cell is the first strict maximum in row-major
+// order, so later rows cannot change it. No backpointers are stored — they
+// matter only along the path, where each step is derived again from the
+// stored costs, with the comparisons and tie-breaks a per-cell pointer
+// would have recorded.
+func traceBand(p *Profile, residues []byte, diagonal, halfWidth, rows int, ws *scanWorkspace) (AlignResult, *Alignment) {
+	M := p.M
+	w := 2*halfWidth + 1
+	stride := bandStride(w)
+	rowLen := 3 * stride
+	// Only rows [first, last) have a band that meets the profile; the rest
+	// are all noPath and hold no part of any path.
+	first, last := max(0, -diagonal-halfWidth), min(rows, M-diagonal+halfWidth)
+	var res AlignResult
+	if first >= last {
+		return res, &Alignment{}
 	}
-	res.Cells = cellsEven + cellsOdd
-
-	wsBytes := uint64(6*w)*4*uint64(minInt(L, 64)) + p.MemoryBytes() + uint64(L)
-	record := func(fn string, cells uint64) {
-		if cells == 0 {
-			return
+	// Plane row 0 stands for target row first-1; target row i is plane row
+	// i-first+1.
+	planes := ws.bandRows(last-first+1, w)
+	fillNoPath(planes[:rowLen])
+	gap := p.gapCosts()
+	endSlot := 0
+	for i := first; i < last; i++ {
+		lo, bLo, bHi := bandSlots(i, diagonal, halfWidth, M)
+		prev := planes[(i-first)*rowLen : (i-first+1)*rowLen]
+		cur := planes[(i-first+1)*rowLen : (i-first+2)*rowLen]
+		clipRow(cur, stride, bLo, bHi)
+		at := int(residues[i])*M + lo
+		best, k := bandRow(p.MatchT[at+bLo:at+bHi], prev[bLo+1:], cur[bLo+1:], stride, -res.Score, gap)
+		if k >= 0 {
+			res.Score, res.EndCol, res.EndRow = -best, lo+bLo+k, i
+			endSlot = bLo + k
 		}
-		m.Record(metering.Event{
-			Func:           fn,
-			Instructions:   cells * 17, // recurrence + pointer writes
-			Bytes:          cells * 68,
-			WorkingSet:     wsBytes,
-			Pattern:        metering.Strided,
-			Branches:       cells * 5,
-			BranchMissRate: 0.004,
-		})
+		res.Cells += uint64(bHi - bLo)
 	}
-	record("calc_band_9", cellsEven)
-	record("calc_band_10", cellsOdd)
-
 	ali := &Alignment{Score: res.Score}
-	if bestRow < 0 {
-		return res, ali
+	if res.Score == 0 {
+		return res, ali // no cell scored above a restart: nothing to trace
 	}
 
-	// Trace back from the best match cell to its local start.
-	var rev []AlignedPair
-	i, b := bestRow, bestBand
-	state := ptrM
-	for i >= 0 {
-		lo := i + diagonal - halfWidth
-		j := lo + b
+	// Walk back from the best match cell to its local start. The planes
+	// hold costs: the lower one wins, and on a tie the order of the tests.
+	rev := ws.pairs[:0]
+	i, b := res.EndRow, endSlot
+	state := OpMatch
+	for i >= first && b >= 0 && b < w {
+		j := i + diagonal - halfWidth + b
+		above := planes[(i-first)*rowLen:]
+		at := b + 1 // slot b's index in a state
 		switch state {
-		case ptrM:
+		case OpMatch:
 			rev = append(rev, AlignedPair{Op: OpMatch, Col: j, Pos: i})
-			prev := mPtr[i*w+b]
-			if prev == ptrNone {
-				i = -1 // local start
+			// Diagonal move: previous row, same slot (column j-1).
+			best, from := float32(0), OpKind(0)
+			if v := above[at]; v < best {
+				best, from = v, OpMatch
+			}
+			if v := above[stride+at]; v < best {
+				best, from = v, OpInsert
+			}
+			if v := above[2*stride+at]; v < best {
+				from = OpDelete
+			}
+			if from == 0 {
+				i = first - 1 // local start
 				break
 			}
-			state = prev
-			// Diagonal move: previous row, same slot (column j-1).
+			state = from
 			i--
-		case ptrI:
+		case OpInsert:
 			rev = append(rev, AlignedPair{Op: OpInsert, Col: -1, Pos: i})
-			state = iPtr[i*w+b]
 			// Vertical move: previous row, column j = slot b+1 there.
+			if above[at+1]+gap.open <= above[stride+at+1]+gap.ext {
+				state = OpMatch
+			}
 			i--
 			b++
-		case ptrD:
+		case OpDelete:
 			rev = append(rev, AlignedPair{Op: OpDelete, Col: j, Pos: -1})
-			state = dPtr[i*w+b]
 			// Horizontal move: same row, slot b-1.
+			row := above[rowLen:]
+			if row[at-1]+gap.open <= row[2*stride+at-1]+gap.ext {
+				state = OpMatch
+			}
 			b--
 		}
-		if b < 0 || b >= w {
-			break // fell off the band edge; path ends here
-		}
 	}
-	// Reverse into ascending order.
-	for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-		rev[l], rev[r] = rev[r], rev[l]
+	ws.pairs = rev // keep the (possibly grown) backing array
+	// The alignment lives as long as the cache entry its hit ends up in:
+	// exactly sized, in ascending order.
+	ali.Pairs = make([]AlignedPair, len(rev))
+	for k, pr := range rev {
+		ali.Pairs[len(rev)-1-k] = pr
 	}
-	ali.Pairs = rev
 	return res, ali
 }
 
@@ -294,11 +243,4 @@ func BuildGappedAlignment(query *seq.Sequence, hits []Hit, inclusionE float64) [
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -59,7 +59,7 @@ func (s *scanState) scanLongTarget(target *seq.Sequence) {
 			end = target.Len()
 		}
 		window.Residues = target.Residues[start:end]
-		diags := s.idx.candidates(window, minSeeds(s.query.Type), maxDiagonals, 2*BandHalfWidth, s.ws, s.m)
+		diags := s.ws.seeds.candidates(window, minSeeds(s.query.Type), maxDiagonals, 2*BandHalfWidth, s.m)
 		if len(diags) == 0 {
 			continue
 		}

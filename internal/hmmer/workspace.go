@@ -7,21 +7,21 @@ import (
 )
 
 // scanWorkspace owns every piece of reusable scratch the per-record scan
-// cascade needs: the two banded-Viterbi DP rows, the Forward rows, the
-// traceback planes, the seed-vote map and candidate-diagonal slice, the
-// hit-dedup set, the long-target window header, and the record buffer's
-// staging and recycled-record bytes. One workspace serves
+// cascade needs: the banded-Viterbi DP rows (a pair for scoring, one per
+// target row for a traceback), the Forward rows, the seed tables, the
+// traceback path and the pending tracebacks of a scan's hits, the hit-dedup
+// set, the long-target window header, and the record buffer's staging and
+// recycled-record bytes. One workspace serves
 // one scan at a time; scanDB takes one from a sync.Pool per pass (so each
 // msa worker shard reuses the buffers of earlier shards instead of
 // reallocating them per database record), and every buffer grows
 // monotonically to the largest record seen.
 type scanWorkspace struct {
-	rowA, rowB dpRows    // banded Viterbi row pair
-	fwdA, fwdB []float64 // Forward row pair
-	tbSc       []float32 // traceback score planes (M/I/D), flattened L×w
-	tbPtr      []byte    // traceback pointer planes (M/I/D), flattened L×w
-	votes      map[int]int
-	diags      []int
+	band       []float32      // banded Viterbi rows, [M | I | D] each (band.go)
+	fwdA, fwdB []float64      // Forward row pair
+	seeds      seedIndex      // k-mer tables and diagonal votes
+	pairs      []AlignedPair  // traceback path, end to start
+	traces     []pendingTrace // parallel to the scan's Result.Hits
 	seen       map[string]bool
 	window     seq.Sequence // reusable long-target window header
 	staging    []byte       // Buffer.staging between scans
@@ -29,35 +29,21 @@ type scanWorkspace struct {
 }
 
 var scanWSPool = sync.Pool{New: func() any {
-	return &scanWorkspace{
-		votes: make(map[int]int),
-		seen:  make(map[string]bool),
-	}
+	return &scanWorkspace{seen: make(map[string]bool)}
 }}
 
 func takeScanWorkspace() *scanWorkspace { return scanWSPool.Get().(*scanWorkspace) }
 
 func releaseScanWorkspace(ws *scanWorkspace) { scanWSPool.Put(ws) }
 
-// tracebackBufs returns the flattened traceback planes sized for n cells
-// each (three score planes, three pointer planes, sharing one allocation
-// apiece). The traceback kernel overwrites every cell it later reads, so no
-// clearing happens here.
-func (ws *scanWorkspace) tracebackBufs(n int) (sc []float32, ptr []byte) {
-	if cap(ws.tbSc) < 3*n {
-		ws.tbSc = make([]float32, 3*n)
+// bandRows returns n DP rows for band width w, uninitialised: the drivers
+// write every slot of a row before anything reads it.
+func (ws *scanWorkspace) bandRows(n, w int) []float32 {
+	size := n * 3 * bandStride(w)
+	if cap(ws.band) < size {
+		ws.band = make([]float32, size)
 	}
-	if cap(ws.tbPtr) < 3*n {
-		ws.tbPtr = make([]byte, 3*n)
-	}
-	return ws.tbSc[:3*n], ws.tbPtr[:3*n]
-}
-
-// bandRows returns the two DP row sets sized for band width w.
-func (ws *scanWorkspace) bandRows(w int) (prev, cur *dpRows) {
-	ws.rowA.ensure(w)
-	ws.rowB.ensure(w)
-	return &ws.rowA, &ws.rowB
+	return ws.band[:size]
 }
 
 // forwardRows returns the two Forward rows for band width w, zeroed. Each
@@ -72,12 +58,6 @@ func (ws *scanWorkspace) forwardRows(w int) (prev, cur []float64) {
 	clear(prev)
 	clear(cur)
 	return prev, cur
-}
-
-// seedScratch returns the cleared vote map and the empty candidate slice.
-func (ws *scanWorkspace) seedScratch() (map[int]int, []int) {
-	clear(ws.votes)
-	return ws.votes, ws.diags[:0]
 }
 
 // dedupSeen returns the cleared per-scan hit-dedup set.
