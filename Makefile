@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet doccheck loc race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench profile-cold serve-bench serve-smoke cluster-bench bench-batch batch-smoke bench-smoke
+.PHONY: all build test check fmt vet doccheck loc race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench profile-cold profile-hot serve-bench serve-smoke cluster-bench bench-batch batch-smoke bench-smoke
 
 all: build
 
@@ -142,6 +142,15 @@ profile-cold:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run xxx -bench ColdMix -benchtime 3x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/cold.pprof ./internal/core
 	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/cold.pprof
+
+# Its twin for the cached path: 2 000 passes of the hot_cache request mix
+# through RunPipeline behind a chain cache that always hits (BenchmarkHotMix,
+# ~1.4 ms a pass; the suite build and the one pass of real searches that
+# fills the cache are ≈ 5 % of the samples).
+profile-hot:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run xxx -bench HotMix -benchtime 2000x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/hot.pprof ./internal/core
+	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/hot.pprof
 
 # Serving benchmark: the all-vs-all PPI screening mix through the two-tier
 # chain cache — a warm pass precomputes the disk tier, the measured pass

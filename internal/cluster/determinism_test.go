@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"afsysbench/internal/hmmer"
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/msa"
 )
@@ -101,6 +102,74 @@ func TestScatterTableAcrossSamples(t *testing.T) {
 		got := scanOnce(t, in, dbs, tc.threads, c.Scatter)
 		if !reflect.DeepEqual(ref, got) {
 			t.Errorf("%s threads=%d shards=%d: scattered result differs", tc.sample, tc.threads, tc.shards)
+		}
+	}
+}
+
+// TestScatterHonoursTraceCeiling: the per-round traceback ceiling travels to
+// every segment in ScatterRequest.Search. Across 8 shards, each scan msa
+// asks for returns the hits of the same scan with every kept hit traced —
+// all fields but Alignment — carries exactly the alignments at or below its
+// ceiling (so a recruiting round stacks the same rows, and the next profile
+// is the same), and a chain's last round carries none; the run is still the
+// single-node run.
+func TestScatterHonoursTraceCeiling(t *testing.T) {
+	dbs := testDBs(t)
+	for _, sample := range []string{"1YY9", "promo", "6QNR"} {
+		in := testInput(t, sample)
+		ref := scanOnce(t, in, dbs, 3, nil)
+		type scan struct {
+			ceiling float64
+			hits    []hmmer.Hit
+		}
+		run := func(traceAll bool) (scans []scan) {
+			c := New(Config{Shards: 8, Fingerprint: dbs.Fingerprint()})
+			got := scanOnce(t, in, dbs, 3, func(ctx context.Context, req msa.ScatterRequest) (*hmmer.Result, error) {
+				ceiling := req.Search.TraceE
+				if traceAll {
+					req.Search.TraceE = 0
+				}
+				res, err := c.Scatter(ctx, req)
+				if err == nil {
+					scans = append(scans, scan{ceiling, res.Hits})
+				}
+				return res, err
+			})
+			if !reflect.DeepEqual(ref, got) {
+				t.Errorf("%s, every hit traced %v: scattered result differs from single-node", sample, traceAll)
+			}
+			return scans
+		}
+		under, all := run(false), run(true)
+		if len(under) != len(all) {
+			t.Fatalf("%s: %d scans under the ceiling, %d with every hit traced", sample, len(under), len(all))
+		}
+		traced, untraced := 0, 0
+		for i, sc := range under {
+			if sc.ceiling != hmmer.InclusionE && sc.ceiling != hmmer.TraceNone {
+				t.Fatalf("%s scan %d: ceiling %g", sample, i, sc.ceiling)
+			}
+			if len(sc.hits) != len(all[i].hits) {
+				t.Fatalf("%s scan %d: %d hits, %d with every hit traced", sample, i, len(sc.hits), len(all[i].hits))
+			}
+			for j, h := range sc.hits {
+				want := all[i].hits[j]
+				if want.Alignment == nil {
+					t.Fatalf("%s scan %d: the all-traced arm left hit %s untraced", sample, i, want.TargetID)
+				}
+				if h.EValue > sc.ceiling {
+					want.Alignment = nil
+					untraced++
+				} else {
+					traced++
+				}
+				if !reflect.DeepEqual(h, want) {
+					t.Errorf("%s scan %d (ceiling %g): hit %s, E=%g, differs from the all-traced scan's or is traced on the wrong side of the ceiling", sample, i, sc.ceiling, h.TargetID, h.EValue)
+				}
+			}
+		}
+		if traced == 0 || untraced == 0 {
+			t.Errorf("%s: %d hits traced, %d not; the test is vacuous", sample, traced, untraced)
 		}
 	}
 }

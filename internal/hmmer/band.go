@@ -62,7 +62,7 @@ func fillNoPath(s []float32) {
 }
 
 // clipRow writes noPath to every slot of a row outside the in-profile band
-// slots [bLo, bHi) — pads included, since a row may be recycled memory.
+// slots [bLo, bHi) — pads included, since a row may be reused memory.
 // bandRow writes the rest.
 func clipRow(row []float32, stride, bLo, bHi int) {
 	for s := 0; s < 3; s++ {

@@ -176,7 +176,7 @@ func BenchmarkBandedViterbi(b *testing.B) {
 // BenchmarkScanRecordSteadyState isolates the per-record path a database
 // pass spends nearly all its time in: one warm scanState, no-hit records
 // streamed through it (a realistic pass reports hits on a tiny fraction of
-// records, and hit records legitimately allocate: target clone + traceback).
+// records, and hit records legitimately allocate: hit list growth + traceback).
 // This is the path the workspace pooling takes to 0 allocs/op.
 func BenchmarkScanRecordSteadyState(b *testing.B) {
 	g := seq.NewGenerator(rng.New(63))
@@ -190,7 +190,6 @@ func BenchmarkScanRecordSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := newScanState(p, query, db.TotalResidues(), metering.Nop{})
-	s.recycling = true
 	defer s.release()
 	for _, tg := range db.Seqs { // warm the workspace to its high-water marks
 		s.scanRecord(tg)
@@ -209,7 +208,7 @@ func TestScanSteadyStateZeroAllocs(t *testing.T) {
 	g := seq.NewGenerator(rng.New(67))
 	query := g.Random("query", seq.Protein, 150)
 	// Pure random records: realistic steady state is "no hit" for virtually
-	// every record, and hit records legitimately allocate (clone + traceback).
+	// every record, and hit records legitimately allocate (hit list growth + traceback).
 	db, err := seqdb.Generate(seqdb.Spec{Name: "za", Type: seq.Protein, NumSeqs: 32, MeanLen: 200, Seed: 68})
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +218,6 @@ func TestScanSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newScanState(p, query, db.TotalResidues(), metering.Nop{})
-	s.recycling = true
 	defer s.release()
 	for _, tg := range db.Seqs {
 		s.scanRecord(tg)

@@ -7,7 +7,8 @@ import (
 
 // RecordSource yields database records in storage order.
 type RecordSource interface {
-	// Next returns the next record, or ok=false at end of input.
+	// Next returns the next record, or ok=false at end of input. A returned
+	// record stays valid and unmodified: a scan's hits point at it.
 	Next() (s *seq.Sequence, ok bool)
 }
 
@@ -38,8 +39,9 @@ func (s *SliceSource) Next() (*seq.Sequence, bool) {
 //	               buffer;
 //	seebuf       — lookahead scanning/classification of buffered input.
 //
-// The copies are performed for real so wall-time benchmarks exercise the
-// same byte traffic the models account for.
+// The events model hmmsearch's buffer stack at paper scale, not this
+// process: every source hands out records that are already in memory, so
+// Next meters a record and passes the source's own pointer on.
 type Buffer struct {
 	src   RecordSource
 	meter metering.Meter
@@ -47,23 +49,10 @@ type Buffer struct {
 	// streamed (paper-scale bytes); it is the working set reported for
 	// copy_to_iter.
 	dbFootprint uint64
-	// staging starts empty and grows to the largest record; scanDB lends
-	// it, and out, the pooled workspace's bytes for the length of a scan.
-	staging []byte
-	// recycle hands out the same Sequence header and byte buffer on every
-	// Next call instead of fresh allocations. Callers that keep a record
-	// beyond the following Next (e.g. inside a Hit) must clone it first;
-	// scanDB does this lazily per reported record. The addbuf event still
-	// reports Allocated: n either way — it models HMMER's per-record buffer
-	// growth at paper scale, not this process's Go heap.
-	recycle bool
-	out     []byte
-	rec     seq.Sequence
 }
 
 // stagingSize is the modeled user-space lookahead buffer size (HMMER's
-// default 256 KiB input window): the working set addbuf and seebuf report,
-// whatever this process's staging slice has grown to.
+// default 256 KiB input window): the working set addbuf and seebuf report.
 const stagingSize = 256 * 1024
 
 // NewBuffer wraps src. dbFootprint is the modeled byte size of the backing
@@ -75,18 +64,8 @@ func NewBuffer(src RecordSource, dbFootprint uint64, m metering.Meter) *Buffer {
 	return &Buffer{src: src, meter: m, dbFootprint: dbFootprint}
 }
 
-// NewRecyclingBuffer is NewBuffer with record recycling: the returned record
-// (header and residue bytes) is only valid until the next Next call. This is
-// the steady-state scan configuration — a database pass touches millions of
-// records and the per-record copies are pure garbage once scanned.
-func NewRecyclingBuffer(src RecordSource, dbFootprint uint64, m metering.Meter) *Buffer {
-	b := NewBuffer(src, dbFootprint, m)
-	b.recycle = true
-	return b
-}
-
-// Next returns the next record after pushing it through the instrumented
-// buffering path.
+// Next returns the source's next record after metering the three buffering
+// steps for it.
 func (b *Buffer) Next() (*seq.Sequence, bool) {
 	rec, ok := b.src.Next()
 	if !ok {
@@ -94,8 +73,7 @@ func (b *Buffer) Next() (*seq.Sequence, bool) {
 	}
 	n := uint64(len(rec.Residues))
 
-	// copy_to_iter: page-cache -> user copy. One real pass over the bytes.
-	b.staging = append(b.staging[:0], rec.Residues...)
+	// copy_to_iter: page-cache -> user copy, one pass over the bytes.
 	b.meter.Record(metering.Event{
 		Func:         "copy_to_iter",
 		Instructions: n / 2, // wide vectorized copy loop
@@ -107,12 +85,8 @@ func (b *Buffer) Next() (*seq.Sequence, bool) {
 		BranchMissRate: 0.001,
 	})
 
-	// addbuf: append into the lookahead window (second real pass).
-	var out []byte // a fresh copy per record unless recycling
-	if b.recycle {
-		out = b.out[:0]
-	}
-	out = append(out, b.staging...)
+	// addbuf: append into the lookahead window (a second pass). Allocated
+	// is HMMER's per-record buffer growth, not this process's Go heap.
 	b.meter.Record(metering.Event{
 		Func:           "addbuf",
 		Instructions:   12 * n, // parsing, validation, digital translation
@@ -124,14 +98,8 @@ func (b *Buffer) Next() (*seq.Sequence, bool) {
 		Allocated:      n,
 	})
 
-	// seebuf: lookahead scanning — a real pass over the record computing a
-	// composition checksum (standing in for record sniffing and lookahead
-	// tokenization).
-	var sum uint32
-	for _, c := range out {
-		sum = sum*31 + uint32(c)
-	}
-	_ = sum
+	// seebuf: lookahead scanning — record sniffing and tokenization, a
+	// third pass.
 	b.meter.Record(metering.Event{
 		Func:           "seebuf",
 		Instructions:   4 * n,
@@ -141,11 +109,5 @@ func (b *Buffer) Next() (*seq.Sequence, bool) {
 		Branches:       n,
 		BranchMissRate: 0.002,
 	})
-
-	if b.recycle {
-		b.out = out
-		b.rec = seq.Sequence{ID: rec.ID, Type: rec.Type, Residues: out}
-		return &b.rec, true
-	}
-	return &seq.Sequence{ID: rec.ID, Type: rec.Type, Residues: out}, true
+	return rec, true
 }

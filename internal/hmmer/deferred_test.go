@@ -107,8 +107,8 @@ func TestScanEventStreamMatchesParent(t *testing.T) {
 
 // TestDeferredTracebackMatchesEagerOracle: the scan traces an alignment
 // after its sort and dedup, for the kept hits only, over the rows up to the
-// best cell only, against the retained clone of the target instead of the
-// view the kernels scored. On the inputs where any of that could show, every
+// best cell only, against the target's own residues instead of the view
+// the kernels scored. On the inputs where any of that could show, every
 // kept hit must carry exactly the alignment the oracle kernel traces at
 // once, over every row of the same view and diagonal (referenceScanRecords),
 // and the alignment must be a valid path through the whole target.

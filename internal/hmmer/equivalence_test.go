@@ -1,6 +1,7 @@
 package hmmer
 
 import (
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -294,38 +295,45 @@ func TestScanDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestRecycledRecordsDoNotAliasHits guards the recycling buffer contract:
-// hits must hold stable copies of their targets, not the recycled record.
-func TestRecycledRecordsDoNotAliasHits(t *testing.T) {
-	g := seq.NewGenerator(rng.New(47))
-	query := g.Random("query", seq.Protein, 100)
-	db := makeDB(t, seqdb.Spec{
-		Name: "rec", Type: seq.Protein, NumSeqs: 40, MeanLen: 120,
-		Homologs: []*seq.Sequence{query}, HomologsPerQuery: 5, Seed: 48,
-	})
-	res, err := ScanRecords(BuildMust(t, query), query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{}, metering.Nop{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) == 0 {
-		t.Fatal("no hits; aliasing test is vacuous")
-	}
-	byID := map[string]*seq.Sequence{}
-	for _, s := range db.Seqs {
-		byID[s.ID] = s
-	}
-	for _, h := range res.Hits {
-		want := byID[h.TargetID]
-		if want == nil {
-			t.Fatalf("hit for unknown target %s", h.TargetID)
+// TestHitsPointAtSourceRecords is the record contract from the scan's side:
+// the buffering layer meters a record and hands the source's own pointer on,
+// so every Hit.Target is one of the database's sequences — no copy per
+// record, none per hit — and a scan with hits leaves the database's bytes as
+// they were (RecordSource: a returned record stays valid and unmodified).
+func TestHitsPointAtSourceRecords(t *testing.T) {
+	dbSum := func(db *seqdb.DB) uint64 {
+		h := fnv.New64a()
+		for _, s := range db.Seqs {
+			h.Write([]byte(s.ID))
+			h.Write([]byte{0, byte(s.Type)})
+			h.Write(s.Residues)
 		}
-		if h.Target.Len() != want.Len() {
-			t.Fatalf("hit %s target length %d, want %d (recycled buffer leaked)", h.TargetID, h.Target.Len(), want.Len())
+		return h.Sum64()
+	}
+	for _, mt := range []seq.MoleculeType{seq.Protein, seq.RNA} {
+		query, db := repeatRichScan(t, mt) // RNA: windowed targets among the hits
+		before := dbSum(db)
+		res, err := ScanRecords(BuildMust(t, query), query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{}, metering.Nop{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want.Residues {
-			if h.Target.Residues[i] != want.Residues[i] {
-				t.Fatalf("hit %s residues corrupted at %d (recycled buffer leaked)", h.TargetID, i)
+		if len(res.Hits) == 0 {
+			t.Fatalf("%v: no hits; the test is vacuous", mt)
+		}
+		own := make(map[*seq.Sequence]bool, len(db.Seqs))
+		for _, s := range db.Seqs {
+			own[s] = true
+		}
+		for _, h := range res.Hits {
+			if !own[h.Target] {
+				t.Errorf("%v: hit %s holds a copy of its target, want the database's own record", mt, h.TargetID)
 			}
+			if h.TargetID != h.Target.ID {
+				t.Errorf("%v: hit %s points at record %s", mt, h.TargetID, h.Target.ID)
+			}
+		}
+		if after := dbSum(db); after != before {
+			t.Errorf("%v: the scan changed the database: FNV %016x -> %016x", mt, before, after)
 		}
 	}
 }

@@ -335,11 +335,17 @@ func referenceScanRecords(p *Profile, query *seq.Sequence, src RecordSource, dbR
 			cascade(window, target, start)
 		}
 	}
-	sort.Slice(res.Hits, func(i, j int) bool {
-		if res.Hits[i].EValue != res.Hits[j].EValue {
-			return res.Hits[i].EValue < res.Hits[j].EValue
+	// hitOrder's total order: its last key, the window offset, is the order
+	// the hits of one target and diagonal were appended in.
+	sort.SliceStable(res.Hits, func(i, j int) bool {
+		a, b := &res.Hits[i], &res.Hits[j]
+		if a.EValue != b.EValue {
+			return a.EValue < b.EValue
 		}
-		return res.Hits[i].TargetID < res.Hits[j].TargetID
+		if a.TargetID != b.TargetID {
+			return a.TargetID < b.TargetID
+		}
+		return a.Diagonal < b.Diagonal
 	})
 	seen := map[string]bool{}
 	uniq := res.Hits[:0]

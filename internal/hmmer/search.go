@@ -1,6 +1,7 @@
 package hmmer
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -23,7 +24,18 @@ type SearchOptions struct {
 	// DBFootprint is the modeled byte size of the database (for the
 	// buffering layer's working-set accounting).
 	DBFootprint uint64
+	// TraceE is the traceback ceiling: kept hits with EValue <= TraceE carry
+	// a traced Alignment, the rest a nil one. Zero traces every kept hit,
+	// TraceNone none. Scores, E-values and metered events do not depend on it.
+	TraceE float64
 }
+
+// TraceNone is the SearchOptions.TraceE of a scan whose alignments nothing
+// reads (no E-value is negative).
+const TraceNone = -1
+
+// traces reports whether a kept hit with E-value ev gets its alignment.
+func (o SearchOptions) traces(ev float64) bool { return o.TraceE == 0 || ev <= o.TraceE }
 
 func (o SearchOptions) withDefaults() SearchOptions {
 	if o.Iterations == 0 {
@@ -109,11 +121,14 @@ type Result struct {
 // Both production seed lengths give a k-mer space small enough to address
 // directly (20³ = 8 000, 4⁸ = 65 536), so the index is a CSR table, not a
 // map: the query positions of k-mer h are pos[off[h]:off[h+1]]. Diagonal
-// votes are an array too. One index lives in each scan workspace and is
-// rebuilt in place per scan.
+// votes are an array too. One index lives in each scan workspace; a scan
+// rebuilds it in place unless it already indexes the scan's query.
 type seedIndex struct {
 	k        int
 	alphaLen int
+	// indexed is a copy of the residues the tables were built from: a pooled
+	// workspace outlives its queries, so only content can say they still hold.
+	indexed  []byte
 	size     uint32  // alphaLen^k, the number of k-mers
 	off      []int32 // size+2 offsets into pos (the last is build's cursor slack)
 	pos      []int32
@@ -127,9 +142,16 @@ type seedIndex struct {
 	diags   []int
 }
 
-// build indexes the k-mers of q, reusing the index's tables.
+// build indexes the k-mers of q, reusing the index's tables — as they are
+// when the last build was of the same residues: one chain scans databases ×
+// rounds × threads (× shards) times with one query.
 func (idx *seedIndex) build(q *seq.Sequence, k int) {
-	idx.k, idx.alphaLen = k, len(q.Type.Alphabet())
+	alphaLen := len(q.Type.Alphabet())
+	if idx.k == k && idx.alphaLen == alphaLen && bytes.Equal(idx.indexed, q.Residues) {
+		return
+	}
+	idx.k, idx.alphaLen = k, alphaLen
+	idx.indexed = append(idx.indexed[:0], q.Residues...)
 	idx.size = 1
 	for i := 0; i < k; i++ {
 		idx.size *= uint32(idx.alphaLen)
@@ -309,12 +331,13 @@ func SearchProteinCtx(ctx context.Context, query *seq.Sequence, src func() Recor
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		res, err = scanDB(ctx, profile, query, src(), dbResidues, opts, m)
+		last := round == opts.Iterations-1
+		res, err = scanDB(ctx, profile, query, src(), dbResidues, opts, !last, m)
 		if err != nil {
 			return nil, err
 		}
 		res.Rounds = round + 1
-		if round == opts.Iterations-1 {
+		if last {
 			break
 		}
 		rows := BuildGappedAlignment(query, res.Hits, InclusionE)
@@ -350,7 +373,7 @@ func SearchNucleotideCtx(ctx context.Context, query *seq.Sequence, src func() Re
 	if err != nil {
 		return nil, err
 	}
-	res, err := scanDB(ctx, profile, query, src(), dbResidues, opts, m)
+	res, err := scanDB(ctx, profile, query, src(), dbResidues, opts, false, m)
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +397,7 @@ func ScanRecordsCtx(ctx context.Context, p *Profile, query *seq.Sequence, src Re
 	if m == nil {
 		m = metering.Nop{}
 	}
-	return scanDB(ctx, p.derived(), query, src, dbResidues, opts, m)
+	return scanDB(ctx, p.derived(), query, src, dbResidues, opts, false, m)
 }
 
 // BuildHitAlignment stacks hits below the inclusion threshold into
@@ -441,10 +464,6 @@ type scanState struct {
 	// bandFloor is the Viterbi score below which the E-value gate provably
 	// skips Forward (negInf disarms the band cutoff; see bandScoreFloor).
 	bandFloor float32
-	// recycling marks that record pointers from the buffer are only valid
-	// until the next record; retain() then clones before a Hit keeps one.
-	recycling bool
-	retained  *seq.Sequence
 }
 
 func newScanState(p *Profile, query *seq.Sequence, dbResidues int, m metering.Meter) *scanState {
@@ -465,27 +484,6 @@ func newScanState(p *Profile, query *seq.Sequence, dbResidues int, m metering.Me
 func (s *scanState) release() {
 	releaseScanWorkspace(s.ws)
 	s.ws = nil
-}
-
-// retain returns a form of target that stays valid after the buffer recycles
-// the record: the record itself when the buffer hands out stable copies, or
-// one lazily made clone per record otherwise (all hits of a record share it).
-func (s *scanState) retain(target *seq.Sequence) *seq.Sequence {
-	if !s.recycling {
-		return target
-	}
-	if s.retained == nil {
-		s.retained = cloneSeq(target)
-	}
-	return s.retained
-}
-
-func cloneSeq(t *seq.Sequence) *seq.Sequence {
-	out := &seq.Sequence{ID: t.ID, Type: t.Type}
-	if len(t.Residues) > 0 {
-		out.Residues = append([]byte(nil), t.Residues...)
-	}
-	return out
 }
 
 // bandScoreFloor inverts the post-Viterbi E-value gate (skip Forward when
@@ -519,7 +517,6 @@ func bandScoreFloor(p *Profile, dbResidues int, evGate float64) float32 {
 // filter, banded Viterbi with the E-value-derived floor, Forward on
 // survivors, traceback on reported hits.
 func (s *scanState) scanRecord(target *seq.Sequence) {
-	s.retained = nil
 	// Long nucleotide targets go through the windowed nhmmer path.
 	if s.query.Type != seq.Protein && target.Len() > longTargetThreshold(s.query.Len()) {
 		s.scanLongTarget(target)
@@ -565,10 +562,9 @@ func (s *scanState) cascade(view, target *seq.Sequence, offset int, diags []int)
 		// Its DP is charged here, over the whole view, though it runs
 		// after the scan and only if the hit survives (scanDB).
 		recordTraceEvents(s.p, view.Len(), d, BandHalfWidth, s.m)
-		kept := s.retain(target)
 		res.Hits = append(res.Hits, Hit{
-			TargetID:     kept.ID,
-			Target:       kept,
+			TargetID:     target.ID,
+			Target:       target,
 			Diagonal:     d + offset,
 			ViterbiScore: float64(ali.Score),
 			ForwardScore: fwd,
@@ -594,10 +590,13 @@ func (s *scanState) trace(h *Hit, t pendingTrace) *Alignment {
 	return traced
 }
 
-// hitOrder sorts a scan's hits by ascending E-value, then target, carrying
-// each hit's pendingTrace along. sort.Sort on it makes the comparisons and
-// swaps sort.Slice on the hits alone would: the order among equal keys —
-// which band of a target the dedup keeps — does not depend on the passenger.
+// hitOrder sorts a scan's hits by ascending E-value, then target, then
+// diagonal, carrying each hit's pendingTrace along. Two bands of one target
+// can tie on E-value exactly, and sort.Sort is not stable: without the
+// diagonal, which of them the dedup keeps would follow the pivots, i.e. what
+// else is in the slice — the shard boundaries. The window offset separates
+// the last case, one whole-target diagonal reported from two overlapping
+// windows, so the order is total.
 type hitOrder struct {
 	hits   []Hit
 	traces []pendingTrace
@@ -606,10 +605,17 @@ type hitOrder struct {
 func (o hitOrder) Len() int { return len(o.hits) }
 
 func (o hitOrder) Less(i, j int) bool {
-	if o.hits[i].EValue != o.hits[j].EValue {
-		return o.hits[i].EValue < o.hits[j].EValue
+	a, b := &o.hits[i], &o.hits[j]
+	if a.EValue != b.EValue {
+		return a.EValue < b.EValue
 	}
-	return o.hits[i].TargetID < o.hits[j].TargetID
+	if a.TargetID != b.TargetID {
+		return a.TargetID < b.TargetID
+	}
+	if a.Diagonal != b.Diagonal {
+		return a.Diagonal < b.Diagonal
+	}
+	return o.traces[i].offset < o.traces[j].offset
 }
 
 func (o hitOrder) Swap(i, j int) {
@@ -617,24 +623,46 @@ func (o hitOrder) Swap(i, j int) {
 	o.traces[i], o.traces[j] = o.traces[j], o.traces[i]
 }
 
+// keepBest ends a scan: sort the hits, keep the best band per target — on
+// repeat-rich targets most bands that clear the Forward gate end here — and
+// run the traceback for the survivors at or below the options' ceiling.
+// recruiting marks a whole-database round whose caller builds the next
+// profile from it: if the round recruits anything, the caller reads the
+// recruits' alignments and drops the rest of the Result, so InclusionE is
+// the ceiling whatever the options say; if not, the search ends on this
+// Result and the options hold.
+func (s *scanState) keepBest(opts SearchOptions, recruiting bool) {
+	res := s.res
+	sort.Sort(hitOrder{res.Hits, s.ws.traces})
+	if recruiting && len(res.Hits) > 0 && res.Hits[0].EValue <= InclusionE {
+		opts.TraceE = InclusionE
+	}
+	seen := s.ws.dedupSeen()
+	uniq := res.Hits[:0]
+	for i := range res.Hits {
+		h := &res.Hits[i]
+		if seen[h.TargetID] {
+			continue
+		}
+		seen[h.TargetID] = true
+		if opts.traces(h.EValue) {
+			h.Alignment = s.trace(h, s.ws.traces[i])
+		}
+		uniq = append(uniq, *h)
+	}
+	res.Hits = uniq
+}
+
 // scanDB is the shared inner loop: stream records through the buffering
-// layer, seed-filter, DP candidates, Forward-score survivors, then sort,
-// keep the best band per target and trace the alignments of those. The
-// context is polled every ctxCheckStride records — cheap enough to be
+// layer, seed-filter, DP candidates, Forward-score survivors, then keepBest.
+// The context is polled every ctxCheckStride records — cheap enough to be
 // invisible, frequent enough that cancellation lands mid-shard, not at
 // shard end.
-func scanDB(ctx context.Context, p *Profile, query *seq.Sequence, src RecordSource, dbResidues int, opts SearchOptions, m metering.Meter) (*Result, error) {
+func scanDB(ctx context.Context, p *Profile, query *seq.Sequence, src RecordSource, dbResidues int, opts SearchOptions, recruiting bool, m metering.Meter) (*Result, error) {
 	const ctxCheckStride = 32
-	buf := NewRecyclingBuffer(src, opts.DBFootprint, m)
+	buf := NewBuffer(src, opts.DBFootprint, m)
 	s := newScanState(p, query, dbResidues, m)
-	s.recycling = true
-	// The buffer's bytes live in the pooled workspace between scans; hits
-	// hold clones (retain), so nothing outlives the hand-back.
-	buf.staging, buf.out = s.ws.staging, s.ws.record
-	defer func() {
-		s.ws.staging, s.ws.record = buf.staging, buf.out
-		s.release()
-	}()
+	defer s.release()
 	res := s.res
 	for {
 		target, ok := buf.Next()
@@ -649,21 +677,6 @@ func scanDB(ctx context.Context, p *Profile, query *seq.Sequence, src RecordSour
 		}
 		s.scanRecord(target)
 	}
-	sort.Sort(hitOrder{res.Hits, s.ws.traces})
-	// Deduplicate by target: keep the best band only, and run the
-	// traceback for it alone — on repeat-rich targets most bands that
-	// clear the Forward gate end here.
-	seen := s.ws.dedupSeen()
-	uniq := res.Hits[:0]
-	for i := range res.Hits {
-		h := &res.Hits[i]
-		if seen[h.TargetID] {
-			continue
-		}
-		seen[h.TargetID] = true
-		h.Alignment = s.trace(h, s.ws.traces[i])
-		uniq = append(uniq, *h)
-	}
-	res.Hits = uniq
+	s.keepBest(opts, recruiting)
 	return res, nil
 }

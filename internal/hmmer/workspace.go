@@ -10,8 +10,7 @@ import (
 // cascade needs: the banded-Viterbi DP rows (a pair for scoring, one per
 // target row for a traceback), the Forward rows, the seed tables, the
 // traceback path and the pending tracebacks of a scan's hits, the hit-dedup
-// set, the long-target window header, and the record buffer's staging and
-// recycled-record bytes. One workspace serves
+// set and the long-target window header. One workspace serves
 // one scan at a time; scanDB takes one from a sync.Pool per pass (so each
 // msa worker shard reuses the buffers of earlier shards instead of
 // reallocating them per database record), and every buffer grows
@@ -24,8 +23,6 @@ type scanWorkspace struct {
 	traces     []pendingTrace // parallel to the scan's Result.Hits
 	seen       map[string]bool
 	window     seq.Sequence // reusable long-target window header
-	staging    []byte       // Buffer.staging between scans
-	record     []byte       // Buffer.out (the recycled record) between scans
 }
 
 var scanWSPool = sync.Pool{New: func() any {

@@ -103,7 +103,7 @@ func (in *Input) MaxProteinLength() int {
 func (in *Input) MaxLowComplexity() float64 {
 	var worst float64
 	for _, c := range in.MSAChains() {
-		if f := c.Sequence.Complexity().LowComplexFrac; f > worst {
+		if f := c.Sequence.LowComplexityFraction(seq.LowComplexityWindow, seq.LowComplexityBits); f > worst {
 			worst = f
 		}
 	}

@@ -1,10 +1,12 @@
 package inputs
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"afsysbench/internal/rng"
 	"afsysbench/internal/seq"
 )
 
@@ -180,5 +182,83 @@ func TestValidateDuplicateIDs(t *testing.T) {
 	in.Chains = append(in.Chains, Chain{IDs: []string{"A"}, Sequence: in.Chains[0].Sequence})
 	if err := in.Validate(); err == nil {
 		t.Error("duplicate chain id accepted")
+	}
+}
+
+// logWindowFraction is seq.LowComplexityFraction as it was written before
+// the per-call p·log2 p table: the logarithm taken in place, for every
+// non-zero count at every window position.
+func logWindowFraction(s *seq.Sequence, window int, threshold float64) float64 {
+	n := len(s.Residues)
+	if n == 0 || window <= 0 {
+		return 0
+	}
+	window = min(window, n)
+	covered := make([]bool, n)
+	total := 0
+	for start := 0; start+window <= n; start++ {
+		counts := make([]int, 32)
+		for _, r := range s.Residues[start : start+window] {
+			counts[r]++
+		}
+		var h float64
+		for _, c := range counts {
+			if c > 0 {
+				p := float64(c) / float64(window)
+				h -= float64(p * math.Log2(p)) // the conversion keeps the product unfused
+			}
+		}
+		if h < threshold {
+			for i := start; i < start+window; i++ {
+				if !covered[i] {
+					covered[i] = true
+					total++
+				}
+			}
+		}
+	}
+	return float64(total) / float64(n)
+}
+
+// TestLowComplexityFractionMatchesLogFormula: the tabulated window entropy
+// is the logarithm formula bit for bit — on every Table II chain (promo's
+// poly-Q among them), the ten PPI-pool proteins and random sequence, at the
+// MSA filter's window and others — so every model input derived from it
+// (the footprint's candidate-state term, the report column) is unchanged.
+func TestLowComplexityFractionMatchesLogFormula(t *testing.T) {
+	var seqs []*seq.Sequence
+	for _, in := range Samples() {
+		for _, c := range in.MSAChains() {
+			seqs = append(seqs, c.Sequence)
+		}
+	}
+	for i := 0; i < PPIPoolSize; i++ {
+		in, err := PPIPair(i, (i+1)%PPIPoolSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, in.MSAChains()[0].Sequence)
+	}
+	g := seq.NewGenerator(rng.New(211))
+	for _, n := range []int{1, 11, 12, 13, 300} {
+		seqs = append(seqs, g.Random("r", seq.Protein, n), g.Random("n", seq.RNA, n))
+	}
+	seqs = append(seqs, g.WithRepeat("pq", seq.Protein, 200, 60, seq.QIndex))
+	flagged := 0
+	for _, s := range seqs {
+		for _, window := range []int{1, 5, seq.LowComplexityWindow, 20, 64} {
+			for _, bits := range []float64{1.0, seq.LowComplexityBits, 3.5} {
+				got, want := s.LowComplexityFraction(window, bits), logWindowFraction(s, window, bits)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s (%d residues) window %d threshold %g: %v, the log formula gives %v", s.ID, s.Len(), window, bits, got, want)
+				}
+				if got > 0 && got < 1 {
+					flagged++
+				}
+			}
+		}
+	}
+	if flagged == 0 {
+		t.Error("no sequence is partly low-complexity; the comparison is vacuous")
 	}
 }

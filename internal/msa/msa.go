@@ -21,7 +21,8 @@ type Options struct {
 	// Rounds is the jackhmmer iteration count for protein chains
 	// (default 2). RNA chains always scan once (nhmmer).
 	Rounds int
-	// Search carries engine options shared by all searches.
+	// Search carries engine options shared by all searches. Its TraceE is
+	// not the caller's to set: the chain loop sets it per round (runChain).
 	Search hmmer.SearchOptions
 	// DBs are the reference databases.
 	DBs *DBSet
@@ -323,6 +324,14 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 	}
 	var lastHits []hmmer.Hit
 	for round := 0; round < rounds; round++ {
+		// Who reads a hit's alignment: the profile rebuild after a
+		// recruiting round, for hits at or below InclusionE; after the last
+		// round (a nucleotide chain's only one) nobody, and a cached chain
+		// would carry it into every replay.
+		opts.Search.TraceE = hmmer.TraceNone
+		if round < rounds-1 {
+			opts.Search.TraceE = hmmer.InclusionE
+		}
 		var allHits []hmmer.Hit
 		for _, db := range dbs {
 			if err := ctx.Err(); err != nil {
@@ -368,41 +377,47 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 	return finish(lastHits), nil
 }
 
-// scanParallel shards db across the workers, scanning concurrently — the
-// analog of HMMER's worker threads consuming reader blocks. Each worker's
-// metering events are scaled by the database's synthetic-to-paper factor
-// before accumulation. parallel.Shards is used (not a capped Pool.Run)
-// because the shard count is semantic here: shard w's events must land in
-// res.Workers[w] for per-thread attribution, even when Threads exceeds the
-// machine's core count.
+// scanParallel scans one database with the chain's current profile: through
+// the Scatter hook when one is set, in process (scanShards) otherwise.
+func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequence, db *seqdb.DB, opts Options, res *Result) (*hmmer.Result, error) {
+	searchOpts := opts.Search
+	searchOpts.DBFootprint = uint64(db.ModeledBytes())
+	scatter := opts.Scatter
+	if scatter == nil {
+		scatter = scanShards
+	}
+	return scatter(ctx, ScatterRequest{
+		Profile:     profile,
+		Query:       query,
+		DB:          db,
+		Search:      searchOpts,
+		Threads:     opts.Threads,
+		ScaleFactor: db.ScaleFactor * workCalibration,
+		Workers:     res.Workers,
+	})
+}
+
+// scanShards is the in-process ScatterFunc: it shards the database across
+// the workers, scanning concurrently — the analog of HMMER's worker threads
+// consuming reader blocks. Each worker's metering events are scaled by the
+// database's synthetic-to-paper factor before accumulation. parallel.Shards
+// is used (not a capped Pool.Run) because the shard count is semantic here:
+// shard w's events must land in Workers[w] for per-thread attribution, even
+// when Threads exceeds the machine's core count.
 //
 // Scratch reuse: each shard's scan draws a scanWorkspace from the hmmer
 // package's sync.Pool for the duration of its pass, so the DP rows,
 // Forward rows and seed scratch are allocated once per worker per database —
 // not once per record — and successive databases reuse the buffers the
 // previous pass grew.
-func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequence, db *seqdb.DB, opts Options, res *Result) (*hmmer.Result, error) {
-	t := opts.Threads
-	searchOpts := opts.Search
-	searchOpts.DBFootprint = uint64(db.ModeledBytes())
-	if opts.Scatter != nil {
-		return opts.Scatter(ctx, ScatterRequest{
-			Profile:     profile,
-			Query:       query,
-			DB:          db,
-			Search:      searchOpts,
-			Threads:     t,
-			ScaleFactor: db.ScaleFactor * workCalibration,
-			Workers:     res.Workers,
-		})
-	}
-
-	parts := make([]*hmmer.Result, t)
-	errs := make([]error, t)
-	ctxErr := parallel.ShardsCtx(ctx, t, len(db.Seqs), func(w, lo, hi int) {
-		meter := metering.Scaled(res.Workers[w], db.ScaleFactor*workCalibration)
+func scanShards(ctx context.Context, req ScatterRequest) (*hmmer.Result, error) {
+	db := req.DB
+	parts := make([]*hmmer.Result, req.Threads)
+	errs := make([]error, req.Threads)
+	ctxErr := parallel.ShardsCtx(ctx, req.Threads, len(db.Seqs), func(w, lo, hi int) {
+		meter := metering.Scaled(req.Workers[w], req.ScaleFactor)
 		src := &hmmer.SliceSource{Seqs: db.Seqs[lo:hi]}
-		parts[w], errs[w] = hmmer.ScanRecordsCtx(ctx, profile, query, src, db.TotalResidues(), searchOpts, meter)
+		parts[w], errs[w] = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, db.TotalResidues(), req.Search, meter)
 	})
 	if ctxErr != nil {
 		return nil, ctxErr
@@ -412,7 +427,7 @@ func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequen
 			return nil, err
 		}
 	}
-	return hmmer.MergeResults(query.ID, parts), nil
+	return hmmer.MergeResults(req.Query.ID, parts), nil
 }
 
 // Features is the stacked MSA representation of shape (M × N × d): M

@@ -182,14 +182,20 @@ func (s *Sequence) LowComplexityFraction(window int, threshold float64) float64 
 	}
 	covered := make([]bool, n)
 	counts := make([]int, 32)
+	// A window count c contributes p·log2 p with p = c/window, one of only
+	// window values: tabulated once, then summed per position in count order
+	// — the sum, bit for bit, that taking the logarithm in place gives.
+	term := make([]float64, window+1)
+	for c := 1; c <= window; c++ {
+		p := float64(c) / float64(window)
+		term[c] = p * math.Log2(p)
+	}
 	// Sliding window with incremental counts.
 	distinctEntropy := func() float64 {
 		var h float64
-		w := float64(window)
 		for _, c := range counts {
 			if c > 0 {
-				p := float64(c) / w
-				h -= p * math.Log2(p)
+				h -= term[c]
 			}
 		}
 		return h
@@ -226,14 +232,19 @@ type Complexity struct {
 	LowComplexFrac float64
 }
 
-// Complexity computes the summary with the MSA filter's default window (12)
-// and threshold (2.2 bits), values chosen so that poly-Q stretches are
-// flagged while diverse globular sequence is not.
+// The MSA filter's window and entropy threshold (bits), values chosen so
+// that poly-Q stretches are flagged while diverse globular sequence is not.
+const (
+	LowComplexityWindow = 12
+	LowComplexityBits   = 2.2
+)
+
+// Complexity computes the summary with the MSA filter's window and threshold.
 func (s *Sequence) Complexity() Complexity {
 	return Complexity{
 		Entropy:        s.ShannonEntropy(),
 		LongestRun:     s.LongestRun(),
-		LowComplexFrac: s.LowComplexityFraction(12, 2.2),
+		LowComplexFrac: s.LowComplexityFraction(LowComplexityWindow, LowComplexityBits),
 	}
 }
 

@@ -825,7 +825,7 @@ const chainCodecGob uint16 = 1
 // request fingerprint is folded in, confining reuse to identical requests.
 func (s *Server) chainKey(job *Job, dbs, scope string, chain inputs.Chain) string {
 	parts := []string{
-		"msa-chain/v3",
+		"msa-chain/v4",
 		msa.ChainFingerprint(chain),
 		dbs,
 		"scope=" + scope,
