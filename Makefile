@@ -143,13 +143,13 @@ profile-cold:
 	$(GO) test -run xxx -bench ColdMix -benchtime 3x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/cold.pprof ./internal/core
 	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/cold.pprof
 
-# Its twin for the cached path: 2 000 passes of the hot_cache request mix
+# Its twin for the cached path: 6 000 passes of the hot_cache request mix
 # through RunPipeline behind a chain cache that always hits (BenchmarkHotMix,
-# ~1.4 ms a pass; the suite build and the one pass of real searches that
-# fills the cache are ≈ 5 % of the samples).
+# ≈ 0.4 ms a pass; the suite build and the one pass of real searches that
+# fills the cache are ≈ 10 % of the samples).
 profile-hot:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run xxx -bench HotMix -benchtime 2000x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/hot.pprof ./internal/core
+	$(GO) test -run xxx -bench HotMix -benchtime 6000x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/hot.pprof ./internal/core
 	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/hot.pprof
 
 # Serving benchmark: the all-vs-all PPI screening mix through the two-tier

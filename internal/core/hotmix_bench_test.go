@@ -13,8 +13,8 @@ import (
 // chain cache that always hits — what a fully cached request still pays
 // once the daemon, HTTP and the scheduler are taken away: the memory
 // verdict, the chain merge, the machine-model replay, the inference model.
-// The hook keys a chain the way serve.chainFetcher does, the database set's
-// fingerprint taken once per request, so that cost is in the profile too.
+// The hook keys a chain the way serve.chainFetcher does, with the database
+// set's fingerprint taken once, as a server takes it at construction.
 // It exists to be profiled: `make profile-hot` answers "where does a cached
 // request's time go", as profile-cold does for a cold one.
 func BenchmarkHotMix(b *testing.B) {
@@ -31,9 +31,9 @@ func BenchmarkHotMix(b *testing.B) {
 		mix = append(mix, in)
 	}
 	chains := make(map[string]*msa.CachedChain)
+	dbs := s.DBs.Fingerprint()
 	pass := func() {
 		for _, in := range mix {
-			dbs := s.DBs.Fingerprint()
 			opts := PipelineOptions{Threads: 2, WarmStart: true, FreshMSA: true}
 			opts.ChainCache = func(scope string, chain inputs.Chain, compute func() (*msa.CachedChain, error)) (*msa.CachedChain, bool, error) {
 				key := dbs + "|" + scope + "|" + msa.ChainFingerprint(chain)

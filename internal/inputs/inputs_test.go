@@ -220,11 +220,13 @@ func logWindowFraction(s *seq.Sequence, window int, threshold float64) float64 {
 	return float64(total) / float64(n)
 }
 
-// TestLowComplexityFractionMatchesLogFormula: the tabulated window entropy
+// TestLowComplexityFractionMatchesLogFormula: the tabulated window entropy,
+// skipped for windows with too many distinct residues to be low-complexity,
 // is the logarithm formula bit for bit — on every Table II chain (promo's
-// poly-Q among them), the ten PPI-pool proteins and random sequence, at the
-// MSA filter's window and others — so every model input derived from it
-// (the footprint's candidate-state term, the report column) is unchanged.
+// poly-Q among them), the ten PPI-pool proteins, random sequence and
+// repeats, at the MSA filter's window and others — so every model input
+// derived from it (the footprint's candidate-state term, the report column)
+// is unchanged.
 func TestLowComplexityFractionMatchesLogFormula(t *testing.T) {
 	var seqs []*seq.Sequence
 	for _, in := range Samples() {
@@ -260,5 +262,55 @@ func TestLowComplexityFractionMatchesLogFormula(t *testing.T) {
 	}
 	if flagged == 0 {
 		t.Error("no sequence is partly low-complexity; the comparison is vacuous")
+	}
+
+	// Windows that are all repeats, sequences shorter than the window, and
+	// every window 1–16 at thresholds on and one ulp either side of each
+	// point where the distinct-residue skip changes: the entropy floor of d
+	// distinct residues, and that floor less the skip's 1e-6 margin.
+	repeats := []*seq.Sequence{
+		g.WithRepeat("polyq", seq.Protein, 90, 40, seq.QIndex),
+		g.Random("short", seq.Protein, 7),
+	}
+	for _, letters := range []string{
+		strings.Repeat("Q", 40),
+		strings.Repeat("QA", 25),
+		strings.Repeat("GSP", 17),
+		"MKTAYIAKQR" + strings.Repeat("QQQQQQQQAQ", 4) + "GSGSGSGSGSGSLVDNEWTHFRC",
+	} {
+		s, err := seq.FromLetters("rep", seq.Protein, letters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repeats = append(repeats, s)
+	}
+	term := func(c, w int) float64 {
+		p := float64(c) / float64(w)
+		return p * math.Log2(p)
+	}
+	for window := 1; window <= 16; window++ {
+		thresholds := []float64{1.0, seq.LowComplexityBits, 3.5}
+		for d := 1; d <= window; d++ {
+			floor := -(term(window-d+1, window) + float64(d-1)*term(1, window))
+			for _, b := range []float64{floor, floor - 1e-6} {
+				thresholds = append(thresholds, math.Nextafter(b, math.Inf(-1)), b, math.Nextafter(b, math.Inf(1)))
+			}
+		}
+		for _, s := range repeats {
+			for _, bits := range thresholds {
+				got, want := s.LowComplexityFraction(window, bits), logWindowFraction(s, window, bits)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s (%d residues) window %d threshold %v: %v, the log formula gives %v", s.ID, s.Len(), window, bits, got, want)
+				}
+			}
+		}
+	}
+
+	// The term table is the one allocation.
+	polyQ := repeats[0]
+	if allocs := testing.AllocsPerRun(20, func() {
+		polyQ.LowComplexityFraction(seq.LowComplexityWindow, seq.LowComplexityBits)
+	}); allocs > 1 {
+		t.Errorf("LowComplexityFraction allocates %v times a call, want at most 1 (the term table)", allocs)
 	}
 }

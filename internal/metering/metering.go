@@ -211,18 +211,32 @@ func (a *Accumulator) Totals() Event {
 // blend of BranchMissRate is bitwise independent of how the events were
 // cut into runs.
 func (a *Accumulator) ByFunc() map[string]Event {
-	// One map lookup per event: groups are updated through pointers and
-	// copied into the value map at the end.
-	groups := make(map[string]*Event)
+	// A stream cycles through a handful of symbols in a near-fixed order (a
+	// scan records copy_to_iter, addbuf, seebuf, seed_filter per record, then
+	// a candidate's band events), so groups live in a small slice and
+	// next[k] is the group that followed group k last time. That guess is
+	// tried first, a linear scan finds the rest, and the map is built once
+	// at the end instead of looked up per event.
+	var groupBuf [16]Event
+	var nextBuf [16]int
+	groups, next := groupBuf[:0], nextBuf[:0]
+	last, g := 0, 0
 	for r := 0; r <= len(a.tail); r++ {
 		run := a.run(r)
 		for i := range run {
 			ev := &run[i]
-			cur := groups[ev.Func]
-			if cur == nil {
-				cur = &Event{Func: ev.Func}
-				groups[ev.Func] = cur
+			if g >= len(groups) || groups[g].Func != ev.Func {
+				g = 0
+				for g < len(groups) && groups[g].Func != ev.Func {
+					g++
+				}
+				if g == len(groups) {
+					groups, next = append(groups, Event{Func: ev.Func}), append(next, 0)
+				}
+				next[last] = g
 			}
+			cur := &groups[g]
+			last, g = g, next[g]
 			cur.Instructions += ev.Instructions
 			cur.Bytes += ev.Bytes
 			cur.Branches += ev.Branches
@@ -245,8 +259,8 @@ func (a *Accumulator) ByFunc() map[string]Event {
 		}
 	}
 	out := make(map[string]Event, len(groups))
-	for name, ev := range groups {
-		out[name] = *ev
+	for _, ev := range groups {
+		out[ev.Func] = ev
 	}
 	return out
 }

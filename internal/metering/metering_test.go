@@ -1,6 +1,7 @@
 package metering
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -140,6 +141,96 @@ func TestLinkedReadsAsFlat(t *testing.T) {
 		outer.Link(linked)
 		if len(evs) > 0 && !reflect.DeepEqual(outer.Flat(), evs) {
 			t.Fatalf("trial %d: relinked Flat differs", trial)
+		}
+	}
+}
+
+// ByFuncMapWalk is ByFunc as it was written with one map lookup per event:
+// the oracle the slice walk is held to bit for bit. It is exported for the
+// sample-stream test in package metering_test.
+func ByFuncMapWalk(a *Accumulator) map[string]Event {
+	groups := make(map[string]*Event)
+	for r := 0; r <= len(a.tail); r++ {
+		run := a.run(r)
+		for i := range run {
+			ev := &run[i]
+			cur := groups[ev.Func]
+			if cur == nil {
+				cur = &Event{Func: ev.Func}
+				groups[ev.Func] = cur
+			}
+			cur.Instructions += ev.Instructions
+			cur.Bytes += ev.Bytes
+			cur.Branches += ev.Branches
+			cur.PageTouches += ev.PageTouches
+			cur.Allocated += ev.Allocated
+			cur.Pruned += ev.Pruned
+			if ev.WorkingSet > cur.WorkingSet {
+				cur.WorkingSet = ev.WorkingSet
+			}
+			if ev.Pattern > cur.Pattern {
+				cur.Pattern = ev.Pattern
+			}
+			if ev.Branches > 0 {
+				tot := float64(cur.Branches)
+				cur.BranchMissRate = (cur.BranchMissRate*(tot-float64(ev.Branches)) +
+					ev.BranchMissRate*float64(ev.Branches)) / tot
+			}
+		}
+	}
+	out := make(map[string]Event, len(groups))
+	for name, ev := range groups {
+		out[name] = *ev
+	}
+	return out
+}
+
+// DiffByFunc returns the first group in which got and want differ, floats
+// compared by their %x spelling, or "" when they agree in every field.
+func DiffByFunc(got, want map[string]Event) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d groups, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		g, ok := got[name]
+		if !ok {
+			return fmt.Sprintf("group %q missing", name)
+		}
+		if fmt.Sprintf("%x", g.BranchMissRate) != fmt.Sprintf("%x", w.BranchMissRate) {
+			return fmt.Sprintf("%s: BranchMissRate %x, want %x", name, g.BranchMissRate, w.BranchMissRate)
+		}
+		if g != w {
+			return fmt.Sprintf("%s: %+v, want %+v", name, g, w)
+		}
+	}
+	return ""
+}
+
+// TestByFuncMatchesMapWalk holds ByFunc to the map walk on random linked
+// streams — up to forty symbols, past the walk's stack buffer, and streams
+// that repeat one symbol for long stretches, as scan kernels do.
+func TestByFuncMatchesMapWalk(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		evs := randomEvents(r, r.Intn(400))
+		names := 1 + r.Intn(40)
+		for i := range evs {
+			if i > 0 && r.Intn(4) != 0 {
+				evs[i].Func = evs[i-1].Func
+			} else {
+				evs[i].Func = fmt.Sprintf("f%d", r.Intn(names))
+			}
+		}
+		linked := &Accumulator{}
+		for lo := 0; lo < len(evs); {
+			hi := lo + r.Intn(len(evs)-lo+1)
+			linked.Link(&Accumulator{Events: evs[lo:hi]})
+			lo = hi
+		}
+		for _, a := range []*Accumulator{{Events: evs}, linked} {
+			if d := DiffByFunc(a.ByFunc(), ByFuncMapWalk(a)); d != "" {
+				t.Fatalf("trial %d (%d events, %d symbols): %s", trial, len(evs), names, d)
+			}
 		}
 	}
 }

@@ -180,8 +180,7 @@ func (s *Sequence) LowComplexityFraction(window int, threshold float64) float64 
 	if window > n {
 		window = n
 	}
-	covered := make([]bool, n)
-	counts := make([]int, 32)
+	var counts [32]int
 	// A window count c contributes p·log2 p with p = c/window, one of only
 	// window values: tabulated once, then summed per position in count order
 	// — the sum, bit for bit, that taking the logarithm in place gives.
@@ -190,35 +189,46 @@ func (s *Sequence) LowComplexityFraction(window int, threshold float64) float64 
 		p := float64(c) / float64(window)
 		term[c] = p * math.Log2(p)
 	}
-	// Sliding window with incremental counts.
-	distinctEntropy := func() float64 {
-		var h float64
-		for _, c := range counts {
-			if c > 0 {
-				h -= term[c]
-			}
+	// A window of d distinct residues has entropy at least that of counts
+	// (window−d+1, 1, …, 1), which grows with d. From the first d where that
+	// floor clears the threshold by far more than rounding, no window can be
+	// low-complexity, so its sum is never taken.
+	skipFrom := 1
+	for skipFrom <= window && -(term[window-skipFrom+1]+float64(skipFrom-1)*term[1]) <= threshold+1e-6 {
+		skipFrom++
+	}
+	// Sliding window with incremental counts. Windows start in increasing
+	// order, so a flagged window newly covers only the residues past
+	// coveredTo, the end of the last flagged one.
+	distinct := 0
+	for _, r := range s.Residues[:window] {
+		if counts[r]++; counts[r] == 1 {
+			distinct++
 		}
-		return h
 	}
-	for i := 0; i < window; i++ {
-		counts[s.Residues[i]]++
-	}
+	total, coveredTo := 0, 0
 	for start := 0; ; start++ {
-		if distinctEntropy() < threshold {
-			for i := start; i < start+window; i++ {
-				covered[i] = true
+		if distinct < skipFrom {
+			var h float64
+			for _, c := range counts {
+				if c > 0 {
+					h -= term[c]
+				}
+			}
+			if h < threshold {
+				total += start + window - max(start, coveredTo)
+				coveredTo = start + window
 			}
 		}
 		if start+window >= n {
 			break
 		}
-		counts[s.Residues[start]]--
-		counts[s.Residues[start+window]]++
-	}
-	total := 0
-	for _, c := range covered {
-		if c {
-			total++
+		out, in := s.Residues[start], s.Residues[start+window]
+		if counts[out]--; counts[out] == 0 {
+			distinct--
+		}
+		if counts[in]++; counts[in] == 1 {
+			distinct++
 		}
 	}
 	return float64(total) / float64(n)

@@ -371,10 +371,11 @@ type Server struct {
 	suite *core.Suite
 	cfg   Config
 
-	// keySearch is the chain-key part for the scan-engine options,
-	// formatted once at construction. The database-set part is not kept
-	// here: it is a hash over every record, taken once per request (see
-	// chainFetcher).
+	// keyDBs and keySearch are the chain-key parts for the database-set
+	// identity (a hash over every record) and the scan-engine options, both
+	// taken once at construction: the suite's DBs are read-only from then on
+	// (see NewWithSuite).
+	keyDBs    string
 	keySearch string
 
 	mu      sync.Mutex
@@ -441,12 +442,15 @@ func New(cfg Config) (*Server, error) {
 
 // NewWithSuite builds a server over an existing suite — tests and
 // in-process load generators share one suite to avoid rebuilding the
-// synthetic databases per server.
+// synthetic databases per server. The suite's DBs must not change once a
+// server is built over it: the server fingerprints the database set here,
+// once, and every chain key it derives names that set.
 func NewWithSuite(suite *core.Suite, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		suite:     suite,
 		cfg:       cfg,
+		keyDBs:    suite.DBs.Fingerprint(),
 		keySearch: fmt.Sprintf("search=%+v", suite.Search),
 		jobs:      make(map[string]*Job),
 		infQ:      make(chan *Job, cfg.QueueDepth),
@@ -823,11 +827,11 @@ const chainCodecGob uint16 = 1
 // delta is platform-independent (the machine models replay it later) and
 // the search itself is deterministic. With RequestScopedKeys the whole
 // request fingerprint is folded in, confining reuse to identical requests.
-func (s *Server) chainKey(job *Job, dbs, scope string, chain inputs.Chain) string {
+func (s *Server) chainKey(job *Job, scope string, chain inputs.Chain) string {
 	parts := []string{
 		"msa-chain/v4",
 		msa.ChainFingerprint(chain),
-		dbs,
+		s.keyDBs,
 		"scope=" + scope,
 		strconv.Itoa(job.threads),
 		s.keySearch,
@@ -841,16 +845,11 @@ func (s *Server) chainKey(job *Job, dbs, scope string, chain inputs.Chain) strin
 // chainFetcher builds the job's msa.ChainFetch hook: memory tier first
 // (with singleflight across concurrent identical chains), then the disk
 // tier, then the real search. Tier accounting lands on the job and the
-// metrics registry.
+// metrics registry. Keys name the database set by the identity the server
+// took at construction.
 func (s *Server) chainFetcher(job *Job) msa.ChainFetch {
-	// Every chain of the request scans the same database set, so its
-	// identity is hashed here, once per request, not once per chain key. It
-	// is not held across requests: the suite is shared by reference, and a
-	// key that named a set other than the one scanned would serve that
-	// set's alignments from cache.
-	dbs := s.suite.DBs.Fingerprint()
 	return func(scope string, chain inputs.Chain, compute func() (*msa.CachedChain, error)) (*msa.CachedChain, bool, error) {
-		key := s.chainKey(job, dbs, scope, chain)
+		key := s.chainKey(job, scope, chain)
 		fromDisk := false
 		v, hit, err := s.cfg.Cache.GetOrCompute(key, func() (any, int64, error) {
 			if cc := s.diskLookup(key); cc != nil {

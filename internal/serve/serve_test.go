@@ -347,12 +347,16 @@ func TestCacheKeyComposition(t *testing.T) {
 	jobAt := func(threads int) *Job {
 		return &Job{in: in, machine: mach, threads: threads}
 	}
+	built := sharedSuite.DBs.Fingerprint()
 	s := NewWithSuite(sharedSuite, Config{})
 	defer s.Stop()
+	if s.keyDBs != built {
+		t.Fatalf("server holds database-set identity %q, the suite's is %q", s.keyDBs, built)
+	}
 	// keyOf derives a key the way chainFetcher does: the database-set
-	// identity is taken from the server's suite when the key is built.
+	// identity is the one the server took at construction.
 	keyOf := func(s *Server, job *Job, scope string, chain inputs.Chain) string {
-		return s.chainKey(job, s.suite.DBs.Fingerprint(), scope, chain)
+		return s.chainKey(job, scope, chain)
 	}
 
 	chainA, chainB := in.Chains[0], in.Chains[1]
