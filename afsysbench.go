@@ -17,8 +17,8 @@
 //	fmt.Println(res.MSASeconds, res.Inference.Total())
 //
 // Every table and figure of the paper has a data producer on Suite
-// (Figure3, Table6, ...) and a renderer in the report aliases below; the
-// afsysbench command wraps them all.
+// (Figure3, Table6, ...) returning the typed rows aliased below; the
+// afsysbench command renders each one and writes its rows as CSV.
 package afsysbench
 
 import (

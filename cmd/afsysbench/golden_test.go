@@ -173,8 +173,10 @@ func TestGoldenRunExitCodes(t *testing.T) {
 }
 
 // TestGoldenModes holds the prof, memest and calib modes to the stdout of
-// the three binaries they replaced: each golden was captured from the
-// parent commit's binary run with the same flags.
+// the three binaries they replaced, and the cheap artifacts (Tables I, II,
+// V, VI and Figure 9) to the stdout of the per-artifact switch the
+// artifact table replaced: each golden was captured from the binary before
+// the change, run with the same flags.
 func TestGoldenModes(t *testing.T) {
 	input := filepath.Join(t.TempDir(), "in.json")
 	if err := os.WriteFile(input, []byte(miniAF3JSON), 0o644); err != nil {
@@ -194,6 +196,11 @@ func TestGoldenModes(t *testing.T) {
 		{"memest_max_rna", []string{"memest", "-max-rna"}},
 		{"memest_input", []string{"memest", "-input", input}},
 		{"calib_2PV7", []string{"calib", "-samples", "2PV7"}},
+		{"exp_tab1", []string{"-exp", "tab1"}},
+		{"exp_tab2", []string{"-exp", "tab2"}},
+		{"exp_fig9", []string{"-exp", "fig9"}},
+		{"exp_tab5", []string{"-exp", "tab5"}},
+		{"exp_tab6", []string{"-exp", "tab6"}},
 	}
 	for _, c := range cases {
 		want, err := os.ReadFile(filepath.Join("testdata", c.golden+".golden"))

@@ -193,16 +193,29 @@ func runCLI(args []string) (int, error) {
 	if threads == nil {
 		threads = core.MSAThreadSweep
 	}
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = []string{"tab1", "tab2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "tab3", "tab4", "tab5", "tab6", "batch", "sens"}
+	var todo []artifact
+	for _, a := range artifacts {
+		if *exp == "all" || a.id == *exp {
+			todo = append(todo, a)
+		}
 	}
-	for i, id := range ids {
+	if len(todo) == 0 {
+		return exitError, fmt.Errorf("unknown experiment %q", *exp)
+	}
+	for i, a := range todo {
 		if i > 0 {
 			fmt.Fprintln(w)
 		}
-		if err := runExperiment(suite, id, samples, threads, *csvDir); err != nil {
-			return exitError, fmt.Errorf("%s: %w", id, err)
+		x := expArgs{suite: suite, samples: samples, threads: threads}
+		if a.samples != nil {
+			x.samples = pick(samples, a.samples...)
+		}
+		rows, err := a.run(w, x)
+		if err == nil && rows != nil && *csvDir != "" {
+			err = writeCSV(*csvDir, a.id, rows)
+		}
+		if err != nil {
+			return exitError, fmt.Errorf("%s: %w", a.id, err)
 		}
 	}
 	return exitOK, nil
@@ -327,225 +340,107 @@ func parseStageBudget(spec string) (resilience.StageBudget, error) {
 	return b, nil
 }
 
-func runExperiment(suite *core.Suite, id string, samples []string, threads []int, csvDir string) error {
-	w := os.Stdout
-	machines := core.TwoPlatforms()
-	emit := func(headers []string, rows [][]string) error {
-		if csvDir == "" {
-			return nil
-		}
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(filepath.Join(csvDir, id+".csv"))
+// expArgs is what an artifact's producer reads from the command line.
+type expArgs struct {
+	suite   *core.Suite
+	samples []string
+	threads []int // Figure 3's thread sweep
+}
+
+// artifact is one paper table or figure, or one extension experiment.
+type artifact struct {
+	id string
+	// samples are the artifact's own sample defaults, narrowed by -samples
+	// (see pick); nil takes -samples as given.
+	samples []string
+	// run prints the artifact and returns its typed rows for -csv (nil
+	// for the two tables that have none).
+	run func(w io.Writer, x expArgs) (rows any, err error)
+}
+
+// typed pairs a producer with its renderer.
+func typed[R any](produce func(x expArgs) ([]R, error), render func(io.Writer, []R) error) func(io.Writer, expArgs) (any, error) {
+	return func(w io.Writer, x expArgs) (any, error) {
+		rows, err := produce(x)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := report.CSV(f, headers, rows); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	switch id {
-	case "tab1":
-		return report.RenderPlatforms(w)
-	case "tab2":
-		return report.RenderSamples(w)
-	case "fig2":
-		rows := core.Figure2()
-		if err := report.RenderFigure2(w, rows); err != nil {
-			return err
-		}
-		h, rr := report.CSVFigure2(rows)
-		return emit(h, rr)
-	case "fig3":
-		rows, err := suite.Figure3(samples, machines, threads)
-		if err != nil {
-			return err
-		}
-		if err := report.RenderFigure3(w, rows); err != nil {
-			return err
-		}
-		h, rr := report.CSVFigure3(rows)
-		return emit(h, rr)
-	case "fig4":
-		rows, err := suite.Figure4(samples, machines)
-		if err != nil {
-			return err
-		}
-		if err := report.RenderScaling(w, "Figure 4: MSA execution time across 1-8 threads", rows); err != nil {
-			return err
-		}
-		h, rr := report.CSVScaling(rows)
-		return emit(h, rr)
-	case "fig5":
-		rows, err := suite.Figure5()
-		if err != nil {
-			return err
-		}
-		if err := report.RenderScaling(w, "Figure 5: 6QNR thread-level performance and speedup", rows); err != nil {
-			return err
-		}
-		h, rr := report.CSVScaling(rows)
-		return emit(h, rr)
-	case "fig6":
-		rows, err := suite.Figure6(samples, machines)
-		if err != nil {
-			return err
-		}
-		if err := report.RenderFigure6(w, rows); err != nil {
-			return err
-		}
-		h, rr := report.CSVFigure6(rows)
-		return emit(h, rr)
-	case "fig7":
-		rows, err := suite.Figure7(samples, machines)
-		if err != nil {
-			return err
-		}
-		if err := report.RenderFigure7(w, rows); err != nil {
-			return err
-		}
-		h, rr := report.CSVFigure7(rows)
-		return emit(h, rr)
-	case "fig8":
-		rows, err := suite.Figure8(pick(samples, "2PV7", "1YY9", "promo"), machines)
-		if err != nil {
-			return err
-		}
-		if err := report.RenderFigure8(w, rows); err != nil {
-			return err
-		}
-		h, rr := report.CSVFigure8(rows)
-		return emit(h, rr)
-	case "fig9":
-		rows, err := suite.Figure9()
-		if err != nil {
-			return err
-		}
-		if err := report.RenderFigure9(w, rows); err != nil {
-			return err
-		}
-		h, rr := report.CSVFigure9(rows)
-		return emit(h, rr)
-	case "tab3":
-		cells, err := suite.Table3(pick(samples, "2PV7", "promo"))
-		if err != nil {
-			return err
-		}
-		if err := report.RenderTable3(w, cells); err != nil {
-			return err
-		}
-		h, rr := report.CSVTable3(cells)
-		return emit(h, rr)
-	case "tab4":
-		names := pick(samples, "2PV7", "promo")
-		rows, err := suite.Table4(names)
-		if err != nil {
-			return err
-		}
-		var cols []string
-		for _, n := range names {
-			cols = append(cols, n+"/1T", n+"/4T")
-		}
-		if err := report.RenderTable4(w, rows, cols); err != nil {
-			return err
-		}
-		h, rr := report.CSVTable4(rows)
-		return emit(h, rr)
-	case "tab5":
-		rows, err := suite.Table5(pick(samples, "2PV7", "promo", "6QNR"))
-		if err != nil {
-			return err
-		}
-		if err := report.RenderTable5(w, rows); err != nil {
-			return err
-		}
-		h, rr := report.CSVTable5(rows)
-		return emit(h, rr)
-	case "tab6":
-		rows, err := suite.Table6()
-		if err != nil {
-			return err
-		}
-		if err := report.RenderTable6(w, rows); err != nil {
-			return err
-		}
-		h, rr := report.CSVTable6(rows)
-		return emit(h, rr)
-	case "batch":
-		return runBatchExperiment(suite, emit)
-	case "sens":
-		return runSensitivityExperiment(emit)
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
+		return rows, render(w, rows)
 	}
 }
 
-// runBatchExperiment prints the deployment-strategy comparison (the §VI
-// persistent-model and ParaFold-style pipelining extensions).
-// runSensitivityExperiment prints the search engine's homolog-recovery
-// curve and decoy false-positive rate (the quality the paper says keeps
-// jackhmmer/nhmmer in the pipeline despite their cost).
-func runSensitivityExperiment(emit func([]string, [][]string) error) error {
-	w := os.Stdout
-	fmt.Fprintln(w, "Search sensitivity (extension: engine quality regression)")
-	rates := []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}
-	rep, err := hmmer.EvaluateSensitivity(rates, hmmer.SensitivityOptions{Seed: 1, PerRate: 12, Decoys: 300})
+// artifacts is every -exp id, in the order -exp all prints them.
+var artifacts = []artifact{
+	{"tab1", nil, func(w io.Writer, _ expArgs) (any, error) { return nil, report.RenderPlatforms(w) }},
+	{"tab2", nil, func(w io.Writer, _ expArgs) (any, error) { return nil, report.RenderSamples(w) }},
+	{"fig2", nil, typed(func(expArgs) ([]core.MemRow, error) { return core.Figure2(), nil }, report.RenderFigure2)},
+	{"fig3", nil, typed(func(x expArgs) ([]core.PhaseRow, error) {
+		return x.suite.Figure3(x.samples, core.TwoPlatforms(), x.threads)
+	}, report.RenderFigure3)},
+	{"fig4", nil, typed(func(x expArgs) ([]core.ScalingRow, error) {
+		return x.suite.Figure4(x.samples, core.TwoPlatforms())
+	}, func(w io.Writer, rows []core.ScalingRow) error {
+		return report.RenderScaling(w, "Figure 4: MSA execution time across 1-8 threads", rows)
+	})},
+	{"fig5", nil, typed(func(x expArgs) ([]core.ScalingRow, error) { return x.suite.Figure5() },
+		func(w io.Writer, rows []core.ScalingRow) error {
+			return report.RenderScaling(w, "Figure 5: 6QNR thread-level performance and speedup", rows)
+		})},
+	{"fig6", nil, typed(func(x expArgs) ([]core.InferenceRow, error) {
+		return x.suite.Figure6(x.samples, core.TwoPlatforms())
+	}, report.RenderFigure6)},
+	{"fig7", nil, typed(func(x expArgs) ([]core.ShareRow, error) {
+		return x.suite.Figure7(x.samples, core.TwoPlatforms())
+	}, report.RenderFigure7)},
+	{"fig8", []string{"2PV7", "1YY9", "promo"}, typed(func(x expArgs) ([]core.BreakdownRow, error) {
+		return x.suite.Figure8(x.samples, core.TwoPlatforms())
+	}, report.RenderFigure8)},
+	{"fig9", nil, typed(func(x expArgs) ([]core.LayerRow, error) { return x.suite.Figure9() }, report.RenderFigure9)},
+	{"tab3", []string{"2PV7", "promo"}, typed(func(x expArgs) ([]core.Table3Cell, error) {
+		return x.suite.Table3(x.samples)
+	}, report.RenderTable3)},
+	{"tab4", []string{"2PV7", "promo"}, func(w io.Writer, x expArgs) (any, error) {
+		rows, err := x.suite.Table4(x.samples)
+		if err != nil {
+			return nil, err
+		}
+		var cols []string
+		for _, n := range x.samples {
+			cols = append(cols, n+"/1T", n+"/4T")
+		}
+		return rows, report.RenderTable4(w, rows, cols)
+	}},
+	{"tab5", []string{"2PV7", "promo", "6QNR"}, typed(func(x expArgs) ([]core.Table5Row, error) {
+		return x.suite.Table5(x.samples)
+	}, report.RenderTable5)},
+	{"tab6", nil, typed(func(x expArgs) ([]core.Table6Row, error) { return x.suite.Table6() }, report.RenderTable6)},
+	{"batch", nil, typed(func(x expArgs) ([]core.DeploymentRow, error) {
+		return x.suite.CompareDeployments()
+	}, report.RenderDeployments)},
+	{"sens", nil, func(w io.Writer, _ expArgs) (any, error) {
+		rates := []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7}
+		rep, err := hmmer.EvaluateSensitivity(rates, hmmer.SensitivityOptions{Seed: 1, PerRate: 12, Decoys: 300})
+		if err != nil {
+			return nil, err
+		}
+		return rep.Points, report.RenderSensitivity(w, rep)
+	}},
+}
+
+// writeCSV writes an artifact's rows to <dir>/<id>.csv.
+func writeCSV(dir, id string, rows any) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, id+".csv"))
 	if err != nil {
 		return err
 	}
-	headers := []string{"divergence", "planted", "recovered", "recovery_pct"}
-	var rows [][]string
-	for _, p := range rep.Points {
-		rows = append(rows, []string{
-			report.F2(p.Divergence),
-			fmt.Sprint(p.Planted),
-			fmt.Sprint(p.Recovered),
-			report.F1(100 * p.Recovery()),
-		})
-	}
-	if err := report.Table(w, headers, rows); err != nil {
+	if err := report.WriteCSV(f, rows); err != nil {
+		f.Close()
 		return err
 	}
-	fmt.Fprintf(w, "false positives: %d / %d decoys (%.2f%%) at E <= 1e-3\n",
-		rep.FalsePositives, rep.Decoys, 100*rep.FalsePositiveRate())
-	return emit(headers, rows)
-}
-
-func runBatchExperiment(suite *core.Suite, emit func([]string, [][]string) error) error {
-	w := os.Stdout
-	fmt.Fprintln(w, "Batch deployment comparison (extension: §VI persistent model + pipelining)")
-	queue := []string{"2PV7", "1YY9", "7RCE", "promo", "2PV7", "1YY9", "7RCE", "2PV7"}
-	configs := []struct {
-		label string
-		opts  core.BatchOptions
-	}{
-		{"sequential-cold", core.BatchOptions{Threads: 6}},
-		{"persistent-model", core.BatchOptions{Threads: 6, WarmModel: true}},
-		{"pipelined", core.BatchOptions{Threads: 6, Pipelined: true}},
-		{"pipelined+persistent", core.BatchOptions{Threads: 6, Pipelined: true, WarmModel: true}},
-	}
-	headers := []string{"deployment", "makespan_s", "requests_per_hour", "cpu_util_pct", "gpu_util_pct"}
-	var rows [][]string
-	for _, cfg := range configs {
-		res, err := suite.RunBatch(queue, platform.Server(), cfg.opts)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, []string{
-			cfg.label,
-			report.F0(res.Makespan),
-			report.F1(res.Throughput()),
-			report.F1(100 * res.CPUBusy / res.Makespan),
-			report.F1(100 * res.GPUBusy / res.Makespan),
-		})
-	}
-	if err := report.Table(w, headers, rows); err != nil {
-		return err
-	}
-	return emit(headers, rows)
+	return f.Close()
 }
 
 // pick intersects the user's sample list with the experiment's defaults,

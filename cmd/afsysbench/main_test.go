@@ -29,13 +29,25 @@ func TestRunRequiresWork(t *testing.T) {
 	}
 }
 
+// TestRunFig2WithCSV: -csv writes the producer's rows as they are, one
+// column per field (the verdict map one per machine), floats unrounded.
 func TestRunFig2WithCSV(t *testing.T) {
 	dir := t.TempDir()
 	if err := run([]string{"-exp", "fig2", "-csv", dir}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "fig2.csv")); err != nil {
-		t.Errorf("CSV not written: %v", err)
+	got, err := os.ReadFile(filepath.Join(dir, "fig2.csv"))
+	if err != nil {
+		t.Fatalf("CSV not written: %v", err)
+	}
+	want := `RNALen,PeakGiB,VerdictOn.Server,VerdictOn.Server+CXL,Note
+621,79.29999999981374,OK,OK,measured
+935,506,NEEDS-EXPANSION,OK,measured
+1135,644,NEEDS-EXPANSION,OK,"measured, required CXL expansion"
+1335,810,OOM,OOM,projected (run OOM-killed above 768 GiB)
+`
+	if string(got) != want {
+		t.Errorf("fig2.csv =\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -10,10 +10,9 @@ import (
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/msa"
 	"afsysbench/internal/platform"
-	"afsysbench/internal/profile"
+	"afsysbench/internal/report"
 	"afsysbench/internal/seq"
 	"afsysbench/internal/simhw"
-	"afsysbench/internal/trace"
 )
 
 // runProf is the prof mode: perf-report-style function-level profiles from
@@ -40,7 +39,7 @@ func runProf(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	metric, err := parseMetric(*metricName)
+	metric, err := report.ParseMetric(*metricName)
 	if err != nil {
 		return err
 	}
@@ -61,10 +60,10 @@ func runProf(args []string, w io.Writer) error {
 				return err
 			}
 			title := fmt.Sprintf("%s MSA phase on %s", in.Name, mach.Name)
-			if err := profile.Compare(w, title, profile.Cycles, [2]string{"1T", "4T"}, [2]map[string]simhw.Counters{p1, p4}, 1); err != nil {
+			if err := report.CompareProfiles(w, title, report.Cycles, [2]string{"1T", "4T"}, [2]map[string]simhw.Counters{p1, p4}, 1); err != nil {
 				return err
 			}
-			return profile.Compare(w, title, profile.CacheMisses, [2]string{"1T", "4T"}, [2]map[string]simhw.Counters{p1, p4}, 1)
+			return report.CompareProfiles(w, title, report.CacheMisses, [2]string{"1T", "4T"}, [2]map[string]simhw.Counters{p1, p4}, 1)
 		}
 		res, err := suite.MSAResult(in, *threads)
 		if err != nil {
@@ -72,18 +71,18 @@ func runProf(args []string, w io.Writer) error {
 		}
 		sim := simhw.Simulate(msa.BuildRunSpec(mach, res))
 		title := fmt.Sprintf("%s MSA phase on %s, %d threads", in.Name, mach.Name, *threads)
-		if err := profile.Stat(w, title, sim.Aggregate, sim.Seconds); err != nil {
+		if err := report.PerfStat(w, title, sim.Aggregate, sim.Seconds); err != nil {
 			return err
 		}
-		return profile.Write(w, title, sim.PerFunc, metric, 0.5)
+		return report.WriteProfile(w, title, sim.PerFunc, metric, 0.5)
 	case "inference":
 		host, err := suite.CompileSim(mach, in.TotalResidues())
 		if err != nil {
 			return err
 		}
 		title := fmt.Sprintf("%s inference host profile on %s", in.Name, mach.Name)
-		for _, m := range []profile.Metric{profile.Cycles, profile.PageFaults, profile.TLBMisses, profile.CacheMisses} {
-			if err := profile.Write(w, title, host.Sim.PerFunc, m, 0.5); err != nil {
+		for _, m := range []report.Metric{report.Cycles, report.PageFaults, report.TLBMisses, report.CacheMisses} {
+			if err := report.WriteProfile(w, title, host.Sim.PerFunc, m, 0.5); err != nil {
 				return err
 			}
 		}
@@ -92,8 +91,7 @@ func runProf(args []string, w io.Writer) error {
 		n := in.TotalResidues()
 		spill := suite.Model.MemoryFootprintBytes(n) > mach.GPU.MemBytes
 		layers := suite.Model.LayerTimes(mach, n, spill)
-		tl := trace.FromLayers(fmt.Sprintf("%s GPU compute layers on %s", in.Name, mach.Name), layers)
-		return tl.Render(w, 60)
+		return report.Gantt(w, fmt.Sprintf("%s GPU compute layers on %s", in.Name, mach.Name), report.LayerSegments(layers), 60)
 	case "hits":
 		return showHits(w, suite, in)
 	case "timeline":
@@ -101,8 +99,7 @@ func runProf(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		tl := trace.FromInference(fmt.Sprintf("%s inference on %s", in.Name, mach.Name), pb)
-		return tl.Render(w, 60)
+		return report.Gantt(w, fmt.Sprintf("%s inference on %s", in.Name, mach.Name), report.InferenceSegments(pb), 60)
 	default:
 		return fmt.Errorf("unknown phase %q", *phase)
 	}
@@ -162,23 +159,4 @@ func msaProfile(suite *core.Suite, in *inputs.Input, mach platform.Machine, thre
 	}
 	sim := simhw.Simulate(msa.BuildRunSpec(mach, res))
 	return sim.PerFunc, nil
-}
-
-func parseMetric(name string) (profile.Metric, error) {
-	switch name {
-	case "cycles":
-		return profile.Cycles, nil
-	case "instructions":
-		return profile.Instructions, nil
-	case "cache-misses":
-		return profile.CacheMisses, nil
-	case "dTLB":
-		return profile.TLBMisses, nil
-	case "page-faults":
-		return profile.PageFaults, nil
-	case "branches":
-		return profile.BranchMisses, nil
-	default:
-		return 0, fmt.Errorf("unknown metric %q", name)
-	}
 }

@@ -20,7 +20,6 @@ import (
 	"afsysbench/internal/parallel"
 	"afsysbench/internal/rng"
 	"afsysbench/internal/seq"
-	"afsysbench/internal/structout"
 )
 
 func main() {
@@ -105,7 +104,7 @@ func run(w io.Writer, out string) error {
 	}
 
 	// 4. Emit the structure.
-	atoms, err := structout.FromCoords(coords, in, dcfg.AtomsPerToken, conf)
+	atoms, err := FromCoords(coords, in, dcfg.AtomsPerToken, conf)
 	if err != nil {
 		return err
 	}
@@ -113,7 +112,7 @@ func run(w io.Writer, out string) error {
 	if err != nil {
 		return err
 	}
-	if err := structout.WritePDB(f, atoms); err != nil {
+	if err := WritePDB(f, atoms); err != nil {
 		f.Close()
 		return err
 	}
@@ -122,6 +121,6 @@ func run(w io.Writer, out string) error {
 	}
 	fmt.Fprintf(w, "Diffusion: %d steps over %d atoms\n", dcfg.Steps, coords.Shape[0])
 	fmt.Fprintf(w, "wrote %s (%d atoms, mean confidence %.1f)\n",
-		out, len(atoms), structout.MeanConfidence(atoms))
+		out, len(atoms), MeanConfidence(atoms))
 	return nil
 }

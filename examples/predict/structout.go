@@ -1,8 +1,9 @@
-// Package structout writes predicted structures in PDB format: the
-// user-facing artifact of the inference phase. Coordinates come from the
-// diffusion module's sampled (atoms × 3) tensor; per-token confidence lands
-// in the B-factor column, the convention AF2/AF3 use for pLDDT.
-package structout
+package main
+
+// Structure output in PDB format: the user-facing artifact of the
+// inference phase. Coordinates come from the diffusion module's sampled
+// (atoms × 3) tensor; per-token confidence lands in the B-factor column,
+// the convention AF2/AF3 use for pLDDT.
 
 import (
 	"bufio"
@@ -69,14 +70,14 @@ func atomName(t seq.MoleculeType, k int) string {
 // B-factor column scaled to 0–100.
 func FromCoords(coords *tensor.Tensor, in *inputs.Input, atomsPerToken int, confidence []float64) ([]Atom, error) {
 	if coords.Dims() != 2 || coords.Shape[1] != 3 {
-		return nil, fmt.Errorf("structout: coords must be (atoms x 3), got %v", coords.Shape)
+		return nil, fmt.Errorf("pdb: coords must be (atoms x 3), got %v", coords.Shape)
 	}
 	tokens := in.TotalResidues()
 	if coords.Shape[0] != tokens*atomsPerToken {
-		return nil, fmt.Errorf("structout: %d atoms for %d tokens x %d apt", coords.Shape[0], tokens, atomsPerToken)
+		return nil, fmt.Errorf("pdb: %d atoms for %d tokens x %d apt", coords.Shape[0], tokens, atomsPerToken)
 	}
 	if confidence != nil && len(confidence) != tokens {
-		return nil, fmt.Errorf("structout: confidence length %d != tokens %d", len(confidence), tokens)
+		return nil, fmt.Errorf("pdb: confidence length %d != tokens %d", len(confidence), tokens)
 	}
 	var atoms []Atom
 	serial := 1

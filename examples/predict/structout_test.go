@@ -1,4 +1,4 @@
-package structout
+package main
 
 import (
 	"bytes"

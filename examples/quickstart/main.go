@@ -13,7 +13,6 @@ import (
 	"afsysbench/internal/core"
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/report"
-	"afsysbench/internal/trace"
 )
 
 func main() {
@@ -56,9 +55,9 @@ func run(w io.Writer) error {
 		})
 
 		// An Nsight-style timeline of the inference phase.
-		tl := trace.FromInference(fmt.Sprintf("%s inference on %s", in.Name, mach.Name), pr.Inference)
 		fmt.Fprintln(w)
-		if err := tl.Render(w, 50); err != nil {
+		title := fmt.Sprintf("%s inference on %s", in.Name, mach.Name)
+		if err := report.Gantt(w, title, report.InferenceSegments(pr.Inference), 50); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)

@@ -182,25 +182,22 @@ func meanMSA(points []RequestPoint, plan ShardPlan, records int, np NetProfile, 
 	return sum / float64(len(points))
 }
 
-// makespan list-schedules the trace on R replicas' pools, on the modeled
-// clock's lanes (vtime): each request takes the earliest-free MSA lane
-// (R×msaWorkers lanes), then the earliest-free GPU lane (R×gpuWorkers
-// lanes) no earlier than its MSA finish. Known model difference: the GPU
-// stage is placed here in submit order, while serve.ModeledSchedule
-// (vtime.TwoStage) places it in MSA-completion order. The scaling curve's
-// bitwise contract keeps the submit-order placement; aligning the two
-// changes modeled outputs and is left to its own issue (DESIGN §5).
+// makespan list-schedules the trace, all released at 0, on R replicas'
+// pools with the modeled clock's two-stage scheduler (vtime.TwoStage):
+// R×msaWorkers MSA lanes, then R×gpuWorkers GPU lanes.
 func makespan(points []RequestPoint, plan ShardPlan, records int, np NetProfile, net NetModel, replicas, msaWorkers, gpuWorkers int) float64 {
 	if replicas <= 0 || msaWorkers <= 0 || gpuWorkers <= 0 {
 		return 0
 	}
-	msaLanes := make(vtime.Lanes, replicas*msaWorkers)
-	gpuLanes := make(vtime.Lanes, replicas*gpuWorkers)
+	jobs := make([]vtime.Job, len(points))
+	for i, p := range points {
+		jobs[i] = vtime.Job{CPU: MSASecondsAtShards(p, plan, records, np, net), GPU: p.InferenceSeconds}
+	}
+	placements, _ := vtime.TwoStage(jobs, replicas*msaWorkers, replicas*gpuWorkers)
 	var end float64
-	for _, p := range points {
-		_, _, msaEnd := msaLanes.Place(0, MSASecondsAtShards(p, plan, records, np, net))
-		if _, _, infEnd := gpuLanes.Place(msaEnd, p.InferenceSeconds); infEnd > end {
-			end = infEnd
+	for _, p := range placements {
+		if p.GPUEnd > end {
+			end = p.GPUEnd
 		}
 	}
 	return end

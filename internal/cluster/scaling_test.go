@@ -82,10 +82,8 @@ func TestNetProfileFromStats(t *testing.T) {
 }
 
 // TestScalingCurvePinned pins the modeled makespan of every cell of one
-// sweep bit for bit to the values the pre-vtime list scheduler produced.
-// The trace repeats the synthetic points out of size order so lanes fill
-// unevenly and the GPU stage (placed in submit order here, not in
-// MSA-completion order as serve.ModeledSchedule does) queues.
+// sweep bit for bit. The trace repeats the synthetic points out of size
+// order so lanes fill unevenly and the GPU stage queues.
 func TestScalingCurvePinned(t *testing.T) {
 	pts := syntheticPoints()
 	var trace []RequestPoint
@@ -97,9 +95,9 @@ func TestScalingCurvePinned(t *testing.T) {
 	want := []float64{
 		0x1.30601fd596ae3p+13, 0x1.3c402461d0c72p+12, 0x1.97802461d0c72p+11,
 		0x1.31a06a5406bd5p+12, 0x1.4c8078c1ddb08p+11, 0x1.b8008b30753dcp+10,
-		0x1.4140e23264ac2p+11, 0x1.6f80e23264ac2p+10, 0x1.f90159036e104p+09,
-		0x1.bda07ef18d209p+10, 0x1.f540fde31a412p+09, 0x1.3d817ac00fa51p+09,
-		0x1.9f00853e8a71p+10, 0x1.b30080dced8fap+09, 0x1.0aab1f4bd8ffcp+09,
+		0x1.4140e23264ac2p+11, 0x1.6d0121b7a7686p+10, 0x1.f90159036e104p+09,
+		0x1.b3a07ef18d209p+10, 0x1.f2c16f480c5e3p+09, 0x1.48c0ee41e781p+09,
+		0x1.9500853e8a71p+10, 0x1.a5ab1f4bd8ffcp+09, 0x1.0e0080dced8fap+09,
 	}
 	if len(curve.Points) != len(want) {
 		t.Fatalf("points = %d, want %d", len(curve.Points), len(want))

@@ -68,6 +68,39 @@ func (r *BatchResult) Throughput() float64 {
 	return float64(len(r.Items)) / r.Makespan * 3600
 }
 
+// DeploymentRow is one deployment strategy of the batch comparison.
+type DeploymentRow struct {
+	Deployment       string
+	Requests         int
+	Makespan         float64
+	CPUBusy, GPUBusy float64
+}
+
+// CompareDeployments runs one mixed request queue on the server under each
+// deployment strategy: stock AF3's sequential cold start, the persistent
+// model, ParaFold-style pipelining, and both.
+func (s *Suite) CompareDeployments() ([]DeploymentRow, error) {
+	queue := []string{"2PV7", "1YY9", "7RCE", "promo", "2PV7", "1YY9", "7RCE", "2PV7"}
+	strategies := []struct {
+		label string
+		opts  BatchOptions
+	}{
+		{"sequential-cold", BatchOptions{Threads: 6}},
+		{"persistent-model", BatchOptions{Threads: 6, WarmModel: true}},
+		{"pipelined", BatchOptions{Threads: 6, Pipelined: true}},
+		{"pipelined+persistent", BatchOptions{Threads: 6, Pipelined: true, WarmModel: true}},
+	}
+	var rows []DeploymentRow
+	for _, st := range strategies {
+		res, err := s.RunBatch(queue, platform.Server(), st.opts)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, DeploymentRow{st.label, len(res.Items), res.Makespan, res.CPUBusy, res.GPUBusy})
+	}
+	return rows, nil
+}
+
 // RunBatch schedules the named samples on one machine. Per-request phase
 // times come from the usual pipeline models; the scheduler composes them
 // sequentially or as a two-stage pipeline.

@@ -34,6 +34,41 @@ func TwoPlatforms() []platform.Machine {
 	return []platform.Machine{platform.Server(), platform.Desktop()}
 }
 
+// samplesByName resolves sample names (Table II or "ppi-IxJ").
+func samplesByName(names []string) ([]*inputs.Input, error) {
+	ins := make([]*inputs.Input, len(names))
+	for i, name := range names {
+		in, err := inputs.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		ins[i] = in
+	}
+	return ins, nil
+}
+
+// sweep runs the pipeline over samples × machines × threads × runs
+// repeats, in that nesting order, each sample on the machine MachineFor
+// substitutes for the one asked, and hands every result to visit with the
+// machine asked for and the thread count.
+func (s *Suite) sweep(samples []*inputs.Input, machines []platform.Machine, threads []int, runs int,
+	visit func(in *inputs.Input, mach platform.Machine, t int, pr *PipelineResult)) error {
+	for _, in := range samples {
+		for _, mach := range machines {
+			for _, t := range threads {
+				for run := 0; run < runs; run++ {
+					pr, err := s.RunPipeline(in, MachineFor(in, mach), PipelineOptions{Threads: t, RunIndex: run})
+					if err != nil {
+						return fmt.Errorf("core: %s on %s at %dT: %w", in.Name, mach.Name, t, err)
+					}
+					visit(in, mach, t, pr)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // SampleNames returns the Table II sample names in paper order.
 func SampleNames() []string {
 	names := make([]string, 0, 5)
@@ -60,34 +95,31 @@ func (r PhaseRow) Total() float64 { return r.MSASeconds + r.InferenceSeconds }
 // Figure3 produces the stacked MSA+inference execution times across the
 // sample × machine × thread matrix, averaged over s.Runs repetitions.
 func (s *Suite) Figure3(sampleNames []string, machines []platform.Machine, threads []int) ([]PhaseRow, error) {
+	samples, err := samplesByName(sampleNames)
+	if err != nil {
+		return nil, err
+	}
 	var rows []PhaseRow
-	for _, name := range sampleNames {
-		in, err := inputs.ByName(name)
-		if err != nil {
-			return nil, err
+	var msaTimes, infTimes []float64
+	err = s.sweep(samples, machines, threads, s.Runs, func(in *inputs.Input, mach platform.Machine, t int, pr *PipelineResult) {
+		msaTimes = append(msaTimes, pr.MSASeconds)
+		infTimes = append(infTimes, pr.Inference.Total())
+		if len(msaTimes) < s.Runs {
+			return
 		}
-		for _, mach := range machines {
-			for _, t := range threads {
-				var msaTimes, infTimes []float64
-				for run := 0; run < s.Runs; run++ {
-					pr, err := s.RunPipeline(in, MachineFor(in, mach), PipelineOptions{Threads: t, RunIndex: run})
-					if err != nil {
-						return nil, fmt.Errorf("core: %s on %s at %dT: %w", name, mach.Name, t, err)
-					}
-					msaTimes = append(msaTimes, pr.MSASeconds)
-					infTimes = append(infTimes, pr.Inference.Total())
-				}
-				rows = append(rows, PhaseRow{
-					Sample:           name,
-					Machine:          mach.Name,
-					Threads:          t,
-					MSASeconds:       stats.Mean(msaTimes),
-					InferenceSeconds: stats.Mean(infTimes),
-					MSACV:            stats.CV(msaTimes),
-					InferenceCV:      stats.CV(infTimes),
-				})
-			}
-		}
+		rows = append(rows, PhaseRow{
+			Sample:           in.Name,
+			Machine:          mach.Name,
+			Threads:          t,
+			MSASeconds:       stats.Mean(msaTimes),
+			InferenceSeconds: stats.Mean(infTimes),
+			MSACV:            stats.CV(msaTimes),
+			InferenceCV:      stats.CV(infTimes),
+		})
+		msaTimes, infTimes = nil, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -136,32 +168,27 @@ type ScalingRow struct {
 
 // Figure4 produces per-sample MSA scaling curves on both platforms.
 func (s *Suite) Figure4(sampleNames []string, machines []platform.Machine) ([]ScalingRow, error) {
+	samples, err := samplesByName(sampleNames)
+	if err != nil {
+		return nil, err
+	}
 	var rows []ScalingRow
-	for _, name := range sampleNames {
-		in, err := inputs.ByName(name)
-		if err != nil {
-			return nil, err
+	var base float64 // the curve's 1-thread time: MSAThreadSweep starts at 1
+	err = s.sweep(samples, machines, MSAThreadSweep, 1, func(in *inputs.Input, mach platform.Machine, t int, pr *PipelineResult) {
+		if t == 1 {
+			base = pr.MSASeconds
 		}
-		for _, mach := range machines {
-			base := 0.0
-			for _, t := range MSAThreadSweep {
-				pr, err := s.RunPipeline(in, MachineFor(in, mach), PipelineOptions{Threads: t})
-				if err != nil {
-					return nil, err
-				}
-				if t == 1 {
-					base = pr.MSASeconds
-				}
-				speedup := 0.0
-				if pr.MSASeconds > 0 {
-					speedup = base / pr.MSASeconds
-				}
-				rows = append(rows, ScalingRow{
-					Sample: name, Machine: mach.Name, Threads: t,
-					Seconds: pr.MSASeconds, Speedup: speedup,
-				})
-			}
+		speedup := 0.0
+		if pr.MSASeconds > 0 {
+			speedup = base / pr.MSASeconds
 		}
+		rows = append(rows, ScalingRow{
+			Sample: in.Name, Machine: mach.Name, Threads: t,
+			Seconds: pr.MSASeconds, Speedup: speedup,
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -182,24 +209,19 @@ type InferenceRow struct {
 
 // Figure6 produces inference time vs CPU threads (flat-to-degrading).
 func (s *Suite) Figure6(sampleNames []string, machines []platform.Machine) ([]InferenceRow, error) {
+	samples, err := samplesByName(sampleNames)
+	if err != nil {
+		return nil, err
+	}
 	var rows []InferenceRow
-	for _, name := range sampleNames {
-		in, err := inputs.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, mach := range machines {
-			for _, t := range InferenceThreadSweep {
-				pr, err := s.RunPipeline(in, MachineFor(in, mach), PipelineOptions{Threads: t})
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, InferenceRow{
-					Sample: name, Machine: mach.Name, Threads: t,
-					Seconds: pr.Inference.Total(),
-				})
-			}
-		}
+	err = s.sweep(samples, machines, InferenceThreadSweep, 1, func(in *inputs.Input, mach platform.Machine, t int, pr *PipelineResult) {
+		rows = append(rows, InferenceRow{
+			Sample: in.Name, Machine: mach.Name, Threads: t,
+			Seconds: pr.Inference.Total(),
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -220,14 +242,13 @@ type ShareRow struct {
 // AF3's fixed default of 8.
 func (s *Suite) OptimalThreads(in *inputs.Input, mach platform.Machine) (*PipelineResult, error) {
 	var best *PipelineResult
-	for _, t := range MSAThreadSweep {
-		pr, err := s.RunPipeline(in, MachineFor(in, mach), PipelineOptions{Threads: t})
-		if err != nil {
-			return nil, err
-		}
+	err := s.sweep([]*inputs.Input{in}, []platform.Machine{mach}, MSAThreadSweep, 1, func(_ *inputs.Input, _ platform.Machine, _ int, pr *PipelineResult) {
 		if best == nil || pr.TotalSeconds() < best.TotalSeconds() {
 			best = pr
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return best, nil
 }
@@ -235,19 +256,19 @@ func (s *Suite) OptimalThreads(in *inputs.Input, mach platform.Machine) (*Pipeli
 // Figure7 finds, per sample and machine, the thread count minimizing total
 // time, then reports the phase split there.
 func (s *Suite) Figure7(sampleNames []string, machines []platform.Machine) ([]ShareRow, error) {
+	samples, err := samplesByName(sampleNames)
+	if err != nil {
+		return nil, err
+	}
 	var rows []ShareRow
-	for _, name := range sampleNames {
-		in, err := inputs.ByName(name)
-		if err != nil {
-			return nil, err
-		}
+	for _, in := range samples {
 		for _, mach := range machines {
 			best, err := s.OptimalThreads(in, mach)
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, ShareRow{
-				Sample:         name,
+				Sample:         in.Name,
 				Machine:        mach.Name,
 				OptimalThreads: best.Threads,
 				MSAPct:         100 * best.MSAFraction(),
@@ -283,27 +304,24 @@ func (r BreakdownRow) OverheadPct() float64 {
 
 // Figure8 produces the Nsight-style inference phase breakdown.
 func (s *Suite) Figure8(sampleNames []string, machines []platform.Machine) ([]BreakdownRow, error) {
+	samples, err := samplesByName(sampleNames)
+	if err != nil {
+		return nil, err
+	}
 	var rows []BreakdownRow
-	for _, name := range sampleNames {
-		in, err := inputs.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, mach := range machines {
-			pr, err := s.RunPipeline(in, MachineFor(in, mach), PipelineOptions{Threads: 1})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, BreakdownRow{
-				Sample:   name,
-				Machine:  mach.Name,
-				Init:     pr.Inference.InitSeconds,
-				Compile:  pr.Inference.CompileSeconds,
-				Compute:  pr.Inference.ComputeSeconds,
-				Finalize: pr.Inference.FinalizeSeconds,
-				Spilled:  pr.Inference.Spilled,
-			})
-		}
+	err = s.sweep(samples, machines, []int{1}, 1, func(in *inputs.Input, mach platform.Machine, _ int, pr *PipelineResult) {
+		rows = append(rows, BreakdownRow{
+			Sample:   in.Name,
+			Machine:  mach.Name,
+			Init:     pr.Inference.InitSeconds,
+			Compile:  pr.Inference.CompileSeconds,
+			Compute:  pr.Inference.ComputeSeconds,
+			Finalize: pr.Inference.FinalizeSeconds,
+			Spilled:  pr.Inference.Spilled,
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -419,30 +437,25 @@ type Table3Cell struct {
 // Table3 produces the CPU performance metric comparison for the given
 // samples across both CPUs at 1, 4 and 6 threads.
 func (s *Suite) Table3(sampleNames []string) ([]Table3Cell, error) {
+	samples, err := samplesByName(sampleNames)
+	if err != nil {
+		return nil, err
+	}
 	var cells []Table3Cell
-	for _, name := range sampleNames {
-		in, err := inputs.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		for _, mach := range TwoPlatforms() {
-			for _, t := range []int{1, 4, 6} {
-				pr, err := s.RunPipeline(in, MachineFor(in, mach), PipelineOptions{Threads: t})
-				if err != nil {
-					return nil, err
-				}
-				a := pr.MSACPU.Aggregate
-				cells = append(cells, Table3Cell{
-					Sample: name, Machine: mach.Name, Threads: t,
-					IPC:       a.IPC(),
-					CacheMPKI: a.CacheMissMPKI(),
-					L1Pct:     a.L1MissPct(),
-					LLCPct:    a.LLCMissPct(),
-					DTLBPct:   a.DTLBMissPct(),
-					BranchPct: a.BranchMissPct(),
-				})
-			}
-		}
+	err = s.sweep(samples, TwoPlatforms(), []int{1, 4, 6}, 1, func(in *inputs.Input, mach platform.Machine, t int, pr *PipelineResult) {
+		a := pr.MSACPU.Aggregate
+		cells = append(cells, Table3Cell{
+			Sample: in.Name, Machine: mach.Name, Threads: t,
+			IPC:       a.IPC(),
+			CacheMPKI: a.CacheMissMPKI(),
+			L1Pct:     a.L1MissPct(),
+			LLCPct:    a.LLCMissPct(),
+			DTLBPct:   a.DTLBMissPct(),
+			BranchPct: a.BranchMissPct(),
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return cells, nil
 }
@@ -467,31 +480,28 @@ func (s *Suite) Table4(sampleNames []string) ([]Table4Row, error) {
 		}
 		shares[k][col] = v
 	}
-	for _, name := range sampleNames {
-		in, err := inputs.ByName(name)
-		if err != nil {
-			return nil, err
+	samples, err := samplesByName(sampleNames)
+	if err != nil {
+		return nil, err
+	}
+	err = s.sweep(samples, []platform.Machine{platform.Server()}, []int{1, 4}, 1, func(in *inputs.Input, _ platform.Machine, t int, pr *PipelineResult) {
+		col := fmt.Sprintf("%s/%dT", in.Name, t)
+		var totCycles, totMiss float64
+		for _, c := range pr.MSACPU.PerFunc {
+			totCycles += float64(c.Cycles)
+			totMiss += float64(c.LLCMisses)
 		}
-		for _, t := range []int{1, 4} {
-			pr, err := s.RunPipeline(in, platform.Server(), PipelineOptions{Threads: t})
-			if err != nil {
-				return nil, err
+		for fn, c := range pr.MSACPU.PerFunc {
+			if totCycles > 0 {
+				record("cycles", fn, col, 100*float64(c.Cycles)/totCycles)
 			}
-			col := fmt.Sprintf("%s/%dT", name, t)
-			var totCycles, totMiss float64
-			for _, c := range pr.MSACPU.PerFunc {
-				totCycles += float64(c.Cycles)
-				totMiss += float64(c.LLCMisses)
-			}
-			for fn, c := range pr.MSACPU.PerFunc {
-				if totCycles > 0 {
-					record("cycles", fn, col, 100*float64(c.Cycles)/totCycles)
-				}
-				if totMiss > 0 {
-					record("cache-misses", fn, col, 100*float64(c.LLCMisses)/totMiss)
-				}
+			if totMiss > 0 {
+				record("cache-misses", fn, col, 100*float64(c.LLCMisses)/totMiss)
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	var rows []Table4Row
 	for k, cols := range shares {

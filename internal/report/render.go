@@ -5,12 +5,32 @@ import (
 	"io"
 
 	"afsysbench/internal/core"
+	"afsysbench/internal/hmmer"
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/platform"
+	"afsysbench/internal/simgpu"
 )
 
 // Renderers: one per paper artifact, consuming the typed rows produced by
 // the core experiment functions.
+
+// groupBy splits rows by key, keeping rows in order within a group and
+// groups in the order their keys first appear.
+func groupBy[R any, K comparable](rows []R, key func(R) K) [][]R {
+	index := map[K]int{}
+	var groups [][]R
+	for _, r := range rows {
+		k := key(r)
+		i, ok := index[k]
+		if !ok {
+			i = len(groups)
+			index[k] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], r)
+	}
+	return groups
+}
 
 // RenderFigure2 prints the RNA memory curve with the capacity lines.
 func RenderFigure2(w io.Writer, rows []core.MemRow) error {
@@ -34,17 +54,9 @@ func RenderFigure2(w io.Writer, rows []core.MemRow) error {
 // RenderFigure3 prints the stacked phase bars grouped by sample.
 func RenderFigure3(w io.Writer, rows []core.PhaseRow) error {
 	fmt.Fprintln(w, "Figure 3: total execution time (MSA + inference) by sample, platform, threads")
-	grouped := map[string][]core.PhaseRow{}
-	var order []string
-	for _, r := range rows {
-		if _, ok := grouped[r.Sample]; !ok {
-			order = append(order, r.Sample)
-		}
-		grouped[r.Sample] = append(grouped[r.Sample], r)
-	}
-	for _, sample := range order {
+	for _, group := range groupBy(rows, func(r core.PhaseRow) string { return r.Sample }) {
 		var bars []Bar
-		for _, r := range grouped[sample] {
+		for _, r := range group {
 			bars = append(bars, Bar{
 				Label: fmt.Sprintf("%s %dT", r.Machine, r.Threads),
 				Segments: []Segment{
@@ -53,7 +65,7 @@ func RenderFigure3(w io.Writer, rows []core.PhaseRow) error {
 				},
 			})
 		}
-		if err := StackedBars(w, "sample "+sample, bars, 50); err != nil {
+		if err := StackedBars(w, "sample "+group[0].Sample, bars, 50); err != nil {
 			return err
 		}
 	}
@@ -63,24 +75,14 @@ func RenderFigure3(w io.Writer, rows []core.PhaseRow) error {
 // RenderScaling prints Figure 4/5 style time+speedup curves.
 func RenderScaling(w io.Writer, title string, rows []core.ScalingRow) error {
 	fmt.Fprintln(w, title)
-	type curveKey struct{ sample, machine string }
-	grouped := map[curveKey][]core.ScalingRow{}
-	var order []curveKey
-	for _, r := range rows {
-		k := curveKey{r.Sample, r.Machine}
-		if _, ok := grouped[k]; !ok {
-			order = append(order, k)
-		}
-		grouped[k] = append(grouped[k], r)
-	}
 	var timeSeries, speedupSeries []Series
-	for _, k := range order {
+	for _, curve := range groupBy(rows, func(r core.ScalingRow) [2]string { return [2]string{r.Sample, r.Machine} }) {
 		var tp, sp []Point
-		for _, r := range grouped[k] {
+		for _, r := range curve {
 			tp = append(tp, Point{X: float64(r.Threads), Y: r.Seconds})
 			sp = append(sp, Point{X: float64(r.Threads), Y: r.Speedup})
 		}
-		name := k.sample + "@" + k.machine
+		name := curve[0].Sample + "@" + curve[0].Machine
 		timeSeries = append(timeSeries, Series{Name: name + " (s)", Points: tp})
 		speedupSeries = append(speedupSeries, Series{Name: name + " (x)", Points: sp})
 	}
@@ -93,23 +95,13 @@ func RenderScaling(w io.Writer, title string, rows []core.ScalingRow) error {
 // RenderFigure6 prints inference time vs threads.
 func RenderFigure6(w io.Writer, rows []core.InferenceRow) error {
 	fmt.Fprintln(w, "Figure 6: inference time vs CPU threads")
-	type curveKey struct{ sample, machine string }
-	grouped := map[curveKey][]core.InferenceRow{}
-	var order []curveKey
-	for _, r := range rows {
-		k := curveKey{r.Sample, r.Machine}
-		if _, ok := grouped[k]; !ok {
-			order = append(order, k)
-		}
-		grouped[k] = append(grouped[k], r)
-	}
 	var series []Series
-	for _, k := range order {
+	for _, curve := range groupBy(rows, func(r core.InferenceRow) [2]string { return [2]string{r.Sample, r.Machine} }) {
 		var pts []Point
-		for _, r := range grouped[k] {
+		for _, r := range curve {
 			pts = append(pts, Point{X: float64(r.Threads), Y: r.Seconds})
 		}
-		series = append(series, Series{Name: k.sample + "@" + k.machine, Points: pts})
+		series = append(series, Series{Name: curve[0].Sample + "@" + curve[0].Machine, Points: pts})
 	}
 	return LineChart(w, "inference seconds", "threads", series)
 }
@@ -161,20 +153,12 @@ func RenderFigure8(w io.Writer, rows []core.BreakdownRow) error {
 // RenderFigure9 prints the layer pies per sample.
 func RenderFigure9(w io.Writer, rows []core.LayerRow) error {
 	fmt.Fprintln(w, "Figure 9: Pairformer and Diffusion layer execution breakdown")
-	grouped := map[string][]core.LayerRow{}
-	var order []string
-	for _, r := range rows {
-		if _, ok := grouped[r.Sample]; !ok {
-			order = append(order, r.Sample)
-		}
-		grouped[r.Sample] = append(grouped[r.Sample], r)
-	}
-	for _, sample := range order {
+	for _, group := range groupBy(rows, func(r core.LayerRow) string { return r.Sample }) {
 		var slices []Segment
-		for _, r := range grouped[sample] {
+		for _, r := range group {
 			slices = append(slices, Segment{Name: r.Module + ": " + r.Layer, Value: r.Seconds})
 		}
-		if err := Pie(w, "sample "+sample, slices); err != nil {
+		if err := Pie(w, "sample "+group[0].Sample, slices); err != nil {
 			return err
 		}
 	}
@@ -202,13 +186,11 @@ func RenderTable4(w io.Writer, rows []core.Table4Row, cols []string) error {
 	for _, r := range rows {
 		// Skip functions that never reach 2% in any column to keep the
 		// report at perf-report size.
-		max := 0.0
+		top := 0.0
 		for _, c := range cols {
-			if r.SharePct[c] > max {
-				max = r.SharePct[c]
-			}
+			top = max(top, r.SharePct[c])
 		}
-		if max < 2 {
+		if top < 2 {
 			continue
 		}
 		row := []string{r.Metric, r.Function}
@@ -240,6 +222,42 @@ func RenderTable6(w io.Writer, rows []core.Table6Row) error {
 	return Table(w, []string{"layer", "2PV7 (s)", "promo (s)"}, trows)
 }
 
+// RenderDeployments prints the deployment-strategy comparison (the §VI
+// persistent-model and ParaFold-style pipelining extensions).
+func RenderDeployments(w io.Writer, rows []core.DeploymentRow) error {
+	fmt.Fprintln(w, "Batch deployment comparison (extension: §VI persistent model + pipelining)")
+	var trows [][]string
+	for _, r := range rows {
+		trows = append(trows, []string{
+			r.Deployment,
+			F0(r.Makespan),
+			F1(float64(r.Requests) / r.Makespan * 3600),
+			F1(100 * r.CPUBusy / r.Makespan),
+			F1(100 * r.GPUBusy / r.Makespan),
+		})
+	}
+	return Table(w, []string{"deployment", "makespan_s", "requests_per_hour", "cpu_util_pct", "gpu_util_pct"}, trows)
+}
+
+// RenderSensitivity prints the search engine's homolog-recovery curve and
+// decoy false-positive rate (the quality the paper says keeps
+// jackhmmer/nhmmer in the pipeline despite their cost).
+func RenderSensitivity(w io.Writer, rep *hmmer.SensitivityReport) error {
+	fmt.Fprintln(w, "Search sensitivity (extension: engine quality regression)")
+	var trows [][]string
+	for _, p := range rep.Points {
+		trows = append(trows, []string{
+			F2(p.Divergence), fmt.Sprint(p.Planted), fmt.Sprint(p.Recovered), F1(100 * p.Recovery()),
+		})
+	}
+	if err := Table(w, []string{"divergence", "planted", "recovered", "recovery_pct"}, trows); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, "false positives: %d / %d decoys (%.2f%%) at E <= 1e-3\n",
+		rep.FalsePositives, rep.Decoys, 100*rep.FalsePositiveRate())
+	return err
+}
+
 // RenderPlatforms prints Table I.
 func RenderPlatforms(w io.Writer) error {
 	fmt.Fprintln(w, "Table I: system hardware configurations")
@@ -261,32 +279,20 @@ func RenderPlatforms(w io.Writer) error {
 func RenderSamples(w io.Writer) error {
 	fmt.Fprintln(w, "Table II: input samples")
 	var trows [][]string
-	for _, name := range core.SampleNames() {
-		in, err := sampleByName(name)
-		if err != nil {
-			return err
+	for _, in := range inputs.Samples() {
+		rna := "-"
+		if in.HasRNA() {
+			rna = fmt.Sprint(in.MaxRNALength())
 		}
-		trows = append(trows, in)
+		trows = append(trows, []string{
+			in.Name,
+			fmt.Sprint(in.ChainCount()),
+			fmt.Sprint(in.TotalResidues()),
+			rna,
+			fmt.Sprintf("%.2f", in.MaxLowComplexity()),
+		})
 	}
 	return Table(w, []string{"sample", "chains", "residues", "RNA", "max low-complexity"}, trows)
-}
-
-func sampleByName(name string) ([]string, error) {
-	in, err := inputs.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	rna := "-"
-	if in.HasRNA() {
-		rna = fmt.Sprint(in.MaxRNALength())
-	}
-	return []string{
-		in.Name,
-		fmt.Sprint(in.ChainCount()),
-		fmt.Sprint(in.TotalResidues()),
-		rna,
-		fmt.Sprintf("%.2f", in.MaxLowComplexity()),
-	}, nil
 }
 
 // RenderPipelineRun prints one end-to-end pipeline run — phase times, disk
@@ -315,4 +321,31 @@ func RenderPipelineRun(w io.Writer, pr *core.PipelineResult) error {
 		fmt.Fprintf(w, "  %s\n", e.String())
 	}
 	return nil
+}
+
+// InferenceSegments lays out the inference phase as the GPU runs it: init
+// and XLA compile (absent on a warm start), compute, finalize (Figure 8).
+func InferenceSegments(pb simgpu.PhaseBreakdown) []Segment {
+	var segs []Segment
+	if pb.InitSeconds > 0 {
+		segs = append(segs, Segment{"gpu init", pb.InitSeconds})
+	}
+	if pb.CompileSeconds > 0 {
+		segs = append(segs, Segment{"xla compile", pb.CompileSeconds})
+	}
+	compute := "gpu compute"
+	if pb.Spilled {
+		compute = "gpu compute (unified mem)"
+	}
+	return append(segs, Segment{compute, pb.ComputeSeconds}, Segment{"finalize", pb.FinalizeSeconds})
+}
+
+// LayerSegments lays out the compute phase layer by layer, in the order
+// given (the JAX-profiler view behind Figure 9 / Table VI).
+func LayerSegments(layers []simgpu.LayerTime) []Segment {
+	segs := make([]Segment, len(layers))
+	for i, l := range layers {
+		segs[i] = Segment{l.Module + ": " + l.Layer, l.Seconds}
+	}
+	return segs
 }

@@ -2,10 +2,17 @@ package report
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"afsysbench/internal/core"
+	"afsysbench/internal/hmmer"
+	"afsysbench/internal/simgpu"
 )
 
 func TestRenderFigure2(t *testing.T) {
@@ -151,49 +158,152 @@ func TestRenderFigure9AndTables(t *testing.T) {
 	}
 }
 
-func TestCSVMarshalers(t *testing.T) {
-	h, rows := CSVFigure2([]core.MemRow{{RNALen: 621, PeakGiB: 79.3, VerdictOn: map[string]string{"Server": "OK"}}})
-	if len(h) != 5 || len(rows) != 1 || rows[0][0] != "621" {
-		t.Errorf("fig2 csv wrong: %v %v", h, rows)
+// TestWriteCSVRowTypes holds the CSV writer to its contract over every
+// producer row type: the header is the field names in declaration order,
+// a map field one column per key over all rows in sorted order; there is
+// one line per row; and the file parses back to the rows, every float to
+// the bit.
+func TestWriteCSVRowTypes(t *testing.T) {
+	third, tiny, big := 1.0/3, math.SmallestNonzeroFloat64, 0x1.fffffffffffffp+1023
+	checkCSV(t, []core.MemRow{
+		{RNALen: 1135, PeakGiB: 79.29999999981374, VerdictOn: map[string]string{"Server+CXL": "OK", "Server": "NEEDS-EXPANSION"}, Note: "measured, required \"CXL\""},
+	}, "RNALen,PeakGiB,VerdictOn.Server,VerdictOn.Server+CXL,Note")
+	checkCSV(t, []core.PhaseRow{
+		{Sample: "2PV7", Machine: "Server", Threads: 4, MSASeconds: 316.828992269172, InferenceSeconds: 0.1 + 0.2, MSACV: third, InferenceCV: tiny},
+	}, "Sample,Machine,Threads,MSASeconds,InferenceSeconds,MSACV,InferenceCV")
+	checkCSV(t, []core.ScalingRow{
+		{Sample: "6QNR", Machine: "Server", Threads: 1, Seconds: 5534, Speedup: 1},
+		{Sample: "6QNR", Machine: "Server", Threads: 2, Seconds: big, Speedup: third},
+	}, "Sample,Machine,Threads,Seconds,Speedup")
+	checkCSV(t, []core.InferenceRow{{Sample: "2PV7", Machine: "Desktop", Threads: 6, Seconds: math.Copysign(0, -1)}}, "Sample,Machine,Threads,Seconds")
+	checkCSV(t, []core.ShareRow{{Sample: "promo", Machine: "Server", OptimalThreads: 6, MSAPct: 94.1, InferencePct: 100 - 94.1}},
+		"Sample,Machine,OptimalThreads,MSAPct,InferencePct")
+	checkCSV(t, []core.BreakdownRow{{Sample: "6QNR", Machine: "Desktop", Init: 12, Compile: third, Compute: 700.25, Finalize: 6, Spilled: true}},
+		"Sample,Machine,Init,Compile,Compute,Finalize,Spilled")
+	checkCSV(t, []core.LayerRow{{Sample: "2PV7", Module: "Diffusion", Layer: "global attention", Seconds: 13, SharePct: 62.5}},
+		"Sample,Module,Layer,Seconds,SharePct")
+	checkCSV(t, []core.Table3Cell{{Sample: "promo", Machine: "Desktop", Threads: 6, IPC: 3.74, CacheMPKI: third, L1Pct: 1e-7, LLCPct: 51.8, DTLBPct: 0.02, BranchPct: tiny}},
+		"Sample,Machine,Threads,IPC,CacheMPKI,L1Pct,LLCPct,DTLBPct,BranchPct")
+	checkCSV(t, []core.Table4Row{
+		{Metric: "cycles", Function: "calc_band_9", SharePct: map[string]float64{"promo/1T": 26, "2PV7/1T": third}},
+		{Metric: "cache-misses", Function: "copy_to_iter", SharePct: map[string]float64{"2PV7/4T": 0.1 + 0.2}},
+	}, "Metric,Function,SharePct.2PV7/1T,SharePct.2PV7/4T,SharePct.promo/1T")
+	checkCSV(t, []core.Table5Row{{EventType: "Page Faults", Symbol: "std::vector::_M_fill_insert", Sample: "2PV7", OverheadPct: third}},
+		"EventType,Symbol,Sample,OverheadPct")
+	checkCSV(t, []core.Table6Row{{Label: "  triangle attention", Per2PV7Seconds: 3.63, PromoSeconds: 15.06, IsModuleTotal: false}},
+		"Label,Per2PV7Seconds,PromoSeconds,IsModuleTotal")
+	checkCSV(t, []core.DeploymentRow{{Deployment: "pipelined+persistent", Requests: 8, Makespan: 1e5 / 3, CPUBusy: third, GPUBusy: 2}},
+		"Deployment,Requests,Makespan,CPUBusy,GPUBusy")
+	checkCSV(t, []hmmer.SensitivityPoint{{Divergence: 0.05, Planted: 12, Recovered: 11}}, "Divergence,Planted,Recovered")
+}
+
+// checkCSV writes rows, checks the header and the line count, and parses
+// the file back into rows of the same type.
+func checkCSV[R any](t *testing.T, rows []R, header string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, rows); err != nil {
+		t.Fatal(err)
 	}
-	h, rows = CSVFigure3([]core.PhaseRow{{Sample: "x", Machine: "m", Threads: 4, MSASeconds: 1, InferenceSeconds: 2}})
-	if len(h) != 7 || rows[0][2] != "4" {
-		t.Errorf("fig3 csv wrong")
+	out := buf.String()
+	if got := strings.SplitN(out, "\n", 2)[0]; got != header {
+		t.Errorf("%T header = %q, want %q", rows, got, header)
 	}
-	h, rows = CSVScaling([]core.ScalingRow{{Sample: "x", Machine: "m", Threads: 2, Seconds: 10, Speedup: 2}})
-	if len(h) != 5 || rows[0][4] != "2.00" {
-		t.Error("scaling csv wrong")
+	if n := strings.Count(out, "\n"); n != len(rows)+1 {
+		t.Errorf("%T: %d lines for %d rows:\n%s", rows, n, len(rows), out)
 	}
-	h, rows = CSVFigure6([]core.InferenceRow{{Sample: "x", Machine: "m", Threads: 1, Seconds: 9}})
-	if len(h) != 4 || len(rows) != 1 {
-		t.Error("fig6 csv wrong")
+	recs, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	h, rows = CSVFigure7([]core.ShareRow{{Sample: "x", Machine: "m", OptimalThreads: 6, MSAPct: 94.1}})
-	if len(h) != 5 || rows[0][3] != "94.1" {
-		t.Error("fig7 csv wrong")
+	var back []R
+	for _, rec := range recs[1:] {
+		var row R
+		v := reflect.ValueOf(&row).Elem()
+		for j, name := range recs[0] {
+			field, key, isMap := strings.Cut(name, ".")
+			cell := v.FieldByName(field)
+			if isMap {
+				if rec[j] == "" {
+					continue
+				}
+				if cell.IsNil() {
+					cell.Set(reflect.MakeMap(cell.Type()))
+				}
+				val := reflect.New(cell.Type().Elem()).Elem()
+				parseCell(t, val, rec[j])
+				cell.SetMapIndex(reflect.ValueOf(key), val)
+				continue
+			}
+			parseCell(t, cell, rec[j])
+		}
+		back = append(back, row)
 	}
-	h, rows = CSVFigure8([]core.BreakdownRow{{Sample: "x", Machine: "m", Init: 1, Compile: 2, Compute: 3, Finalize: 4, Spilled: true}})
-	if len(h) != 8 || rows[0][7] != "true" {
-		t.Error("fig8 csv wrong")
+	if !reflect.DeepEqual(back, rows) {
+		t.Errorf("%T did not parse back:\n got %+v\nwant %+v\n%s", rows, back, rows, out)
 	}
-	h, rows = CSVFigure9([]core.LayerRow{{Sample: "x", Module: "Diffusion", Layer: "global attention", Seconds: 1, SharePct: 50}})
-	if len(h) != 5 || rows[0][2] != "global attention" {
-		t.Error("fig9 csv wrong")
+	for i := range rows {
+		if a, b := fmt.Sprintf("%x", any(rows[i])), fmt.Sprintf("%x", any(back[i])); a != b {
+			t.Errorf("%T row %d floats moved: %s -> %s", rows, i, a, b)
+		}
 	}
-	h, rows = CSVTable3([]core.Table3Cell{{Sample: "x", Machine: "m", Threads: 1, IPC: 3.7}})
-	if len(h) != 9 || rows[0][3] != "3.70" {
-		t.Error("tab3 csv wrong")
+}
+
+func parseCell(t *testing.T, v reflect.Value, s string) {
+	t.Helper()
+	var err error
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(s)
+	case reflect.Bool:
+		var b bool
+		b, err = strconv.ParseBool(s)
+		v.SetBool(b)
+	case reflect.Int:
+		var n int64
+		n, err = strconv.ParseInt(s, 10, 64)
+		v.SetInt(n)
+	case reflect.Float64:
+		var f float64
+		f, err = strconv.ParseFloat(s, 64)
+		v.SetFloat(f)
+	default:
+		t.Fatalf("no parser for %s", v.Kind())
 	}
-	h, rows = CSVTable4([]core.Table4Row{{Metric: "cycles", Function: "f", SharePct: map[string]float64{"b": 2, "a": 1}}})
-	if len(h) != 4 || len(rows) != 2 || rows[0][2] != "a" {
-		t.Errorf("tab4 csv not sorted: %v", rows)
+	if err != nil {
+		t.Fatalf("cell %q: %v", s, err)
 	}
-	h, rows = CSVTable5([]core.Table5Row{{EventType: "e", Symbol: "s", Sample: "x", OverheadPct: 1}})
-	if len(h) != 4 || len(rows) != 1 {
-		t.Error("tab5 csv wrong")
+}
+
+func TestInferenceSegments(t *testing.T) {
+	segs := InferenceSegments(simgpu.PhaseBreakdown{InitSeconds: 10, CompileSeconds: 20, ComputeSeconds: 30, FinalizeSeconds: 5})
+	want := []Segment{{"gpu init", 10}, {"xla compile", 20}, {"gpu compute", 30}, {"finalize", 5}}
+	if !reflect.DeepEqual(segs, want) {
+		t.Errorf("segments = %v, want %v", segs, want)
 	}
-	h, rows = CSVTable6([]core.Table6Row{{Label: "l", Per2PV7Seconds: 1, PromoSeconds: 2, IsModuleTotal: true}})
-	if len(h) != 4 || rows[0][1] != "true" {
-		t.Error("tab6 csv wrong")
+}
+
+func TestInferenceSegmentsWarmStart(t *testing.T) {
+	segs := InferenceSegments(simgpu.PhaseBreakdown{ComputeSeconds: 30, FinalizeSeconds: 5})
+	if len(segs) != 2 {
+		t.Errorf("warm-start timeline has %d segments, want 2", len(segs))
+	}
+}
+
+func TestInferenceSegmentsSpill(t *testing.T) {
+	segs := InferenceSegments(simgpu.PhaseBreakdown{ComputeSeconds: 30, FinalizeSeconds: 5, Spilled: true})
+	if segs[0].Name != "gpu compute (unified mem)" {
+		t.Errorf("spill not annotated: %v", segs)
+	}
+}
+
+func TestLayerSegments(t *testing.T) {
+	segs := LayerSegments([]simgpu.LayerTime{
+		{Module: "Pairformer", Layer: "triangle attention", Seconds: 2},
+		{Module: "Diffusion", Layer: "global attention", Seconds: 13},
+	})
+	want := []Segment{{"Pairformer: triangle attention", 2}, {"Diffusion: global attention", 13}}
+	if !reflect.DeepEqual(segs, want) {
+		t.Errorf("segments = %v, want %v", segs, want)
 	}
 }

@@ -1,11 +1,17 @@
-// Package report renders the benchmark suite's experiment data as terminal
-// tables and ASCII figures — the equivalent of the paper's plots, printable
-// from any shell. It also emits CSV for external plotting.
+// Package report is the suite's one rendering package: the paper's tables
+// and figures as terminal tables and ASCII charts, printable from any
+// shell; perf-style function profiles and Nsight-style gantt timelines of
+// a run (the paper's perf/uProf/nsys workflow); and the typed rows behind
+// any of them as CSV for external plotting.
 package report
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 )
@@ -122,7 +128,7 @@ func StackedBars(w io.Writer, title string, bars []Bar, width int) error {
 		}
 		for _, s := range b.Segments {
 			n := int(s.Value / max * float64(width))
-			sb.Write(bytesRepeat(glyphFor(s.Name), n))
+			sb.WriteString(strings.Repeat(string(glyphFor(s.Name)), n))
 		}
 		if _, err := fmt.Fprintf(w, "%s |%s %s\n", pad(b.Label, labelW), pad(sb.String(), width), formatSeconds(total)); err != nil {
 			return err
@@ -134,17 +140,6 @@ func StackedBars(w io.Writer, title string, bars []Bar, width int) error {
 	}
 	_, err := fmt.Fprintf(w, "legend: %s\n", strings.Join(parts, " "))
 	return err
-}
-
-func bytesRepeat(b byte, n int) []byte {
-	if n < 0 {
-		n = 0
-	}
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = b
-	}
-	return out
 }
 
 // Series is one line of a line chart.
@@ -205,7 +200,7 @@ func Pie(w io.Writer, title string, slices []Segment) error {
 	}
 	for _, s := range slices {
 		pct := 100 * s.Value / total
-		bar := bytesRepeat('#', int(pct/2))
+		bar := strings.Repeat("#", int(pct/2))
 		if _, err := fmt.Fprintf(w, "  %s %6.1f%% %s\n", pad(s.Name, labelW), pct, bar); err != nil {
 			return err
 		}
@@ -213,25 +208,100 @@ func Pie(w io.Writer, title string, slices []Segment) error {
 	return nil
 }
 
-// CSV writes rows as comma-separated values with a header.
-func CSV(w io.Writer, headers []string, rows [][]string) error {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
+// Gantt prints segments laid end to end as a text gantt chart of the
+// given width: one line per segment with its bar, duration and share of
+// the total — the Nsight Systems view of a phase.
+func Gantt(w io.Writer, title string, segs []Segment, width int) error {
+	var total float64
+	nameW := 0
+	for _, s := range segs {
+		total += s.Value
+		nameW = max(nameW, len(s.Name))
 	}
-	all := append([][]string{headers}, rows...)
-	for _, row := range all {
-		cells := make([]string, len(row))
-		for i, c := range row {
-			cells[i] = esc(c)
+	if total == 0 {
+		return fmt.Errorf("report: empty gantt chart")
+	}
+	if _, err := fmt.Fprintf(w, "%s (total %.1fs)\n", title, total); err != nil {
+		return err
+	}
+	start := 0.0
+	for _, s := range segs {
+		end := start + s.Value
+		dur := end - start // not s.Value: the printed span is the drawn one
+		startCol := int(start / total * float64(width))
+		lenCols := max(int(dur/total*float64(width)), 1)
+		lenCols = min(lenCols, width-startCol)
+		bar := strings.Repeat(" ", startCol) + strings.Repeat("█", lenCols)
+		if _, err := fmt.Fprintf(w, "%-*s |%-*s| %7.1fs (%4.1f%%)\n",
+			nameW, s.Name, width, bar, dur, 100*dur/total); err != nil {
+			return err
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
+		start = end
+	}
+	return nil
+}
+
+// WriteCSV writes rows, a slice of structs, as CSV: a header naming each
+// exported field in declaration order, then one line per row. A map field
+// becomes one column per key, named Field.key, over the keys of every row
+// in sorted order (empty where a row lacks the key). Floats are written in
+// the shortest form that parses back to the same bits.
+func WriteCSV(w io.Writer, rows any) error {
+	v := reflect.ValueOf(rows)
+	type column struct {
+		field int
+		key   string // set for a map field's column
+	}
+	var header []string
+	var cols []column
+	t := v.Type().Elem()
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		if f.Type.Kind() != reflect.Map {
+			header = append(header, f.Name)
+			cols = append(cols, column{field: i})
+			continue
+		}
+		var keys []string
+		for r := 0; r < v.Len(); r++ {
+			for _, k := range v.Index(r).Field(i).MapKeys() {
+				keys = append(keys, k.String())
+			}
+		}
+		slices.Sort(keys)
+		for _, k := range slices.Compact(keys) {
+			header = append(header, f.Name+"."+k)
+			cols = append(cols, column{field: i, key: k})
+		}
+	}
+	cw := csv.NewWriter(w)
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	for r := 0; r < v.Len(); r++ {
+		record := make([]string, len(cols))
+		for j, c := range cols {
+			cell := v.Index(r).Field(c.field)
+			if cell.Kind() == reflect.Map {
+				if cell = cell.MapIndex(reflect.ValueOf(c.key)); !cell.IsValid() {
+					continue
+				}
+			}
+			if cell.Kind() == reflect.Float64 {
+				record[j] = strconv.FormatFloat(cell.Float(), 'g', -1, 64)
+			} else {
+				record[j] = fmt.Sprint(cell.Interface())
+			}
+		}
+		if err := cw.Write(record); err != nil {
 			return err
 		}
 	}
-	return nil
+	cw.Flush()
+	return cw.Error()
 }
 
 func formatSeconds(v float64) string {

@@ -116,15 +116,56 @@ func TestPieSharesSum(t *testing.T) {
 	}
 }
 
-func TestCSVEscaping(t *testing.T) {
+func TestWriteCSVQuoting(t *testing.T) {
 	var buf bytes.Buffer
-	err := CSV(&buf, []string{"a", "b"}, [][]string{{`has,comma`, `has"quote`}})
-	if err != nil {
+	rows := []struct{ A, B string }{{`has,comma`, `has"quote`}}
+	if err := WriteCSV(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	if want := "A,B\n\"has,comma\",\"has\"\"quote\"\n"; buf.String() != want {
+		t.Errorf("quoting wrong: %q, want %q", buf.String(), want)
+	}
+}
+
+// TestGanttLaysSegmentsEndToEnd: each segment's bar starts where the
+// previous one ends, and the header carries the chained total.
+func TestGanttLaysSegmentsEndToEnd(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Gantt(&buf, "x", []Segment{{"a", 2}, {"b", 3}}, 50); err != nil {
+		t.Fatal(err)
+	}
+	want := "x (total 5.0s)\n" +
+		"a |" + strings.Repeat("█", 20) + strings.Repeat(" ", 30) + "|     2.0s (40.0%)\n" +
+		"b |" + strings.Repeat(" ", 20) + strings.Repeat("█", 30) + "|     3.0s (60.0%)\n"
+	if buf.String() != want {
+		t.Errorf("gantt =\n%s\nwant\n%s", buf.String(), want)
+	}
+}
+
+func TestGanttEmpty(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Gantt(&buf, "x", nil, 40); err == nil {
+		t.Error("rendering an empty gantt chart should error")
+	}
+}
+
+func TestGanttProportions(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Gantt(&buf, "x", []Segment{{"short", 1}, {"long", 9}}, 50); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, `"has,comma"`) || !strings.Contains(out, `"has""quote"`) {
-		t.Errorf("escaping wrong: %s", out)
+	if !strings.Contains(out, "x (total 10.0s)") {
+		t.Errorf("header wrong:\n%s", out)
+	}
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	shortBar := strings.Count(lines[1], "█")
+	longBar := strings.Count(lines[2], "█")
+	if longBar <= shortBar*4 {
+		t.Errorf("bar proportions wrong: short=%d long=%d", shortBar, longBar)
+	}
+	if !strings.Contains(lines[1], "10.0%") || !strings.Contains(lines[2], "90.0%") {
+		t.Errorf("percentages wrong:\n%s", out)
 	}
 }
 

@@ -1200,10 +1200,6 @@ func (s *Server) runInferenceJob(job *Job, b *inferenceBatch, share float64) {
 	job.wallSeconds = time.Since(job.submitted).Seconds()
 	s.terminalLocked(job)
 	s.mu.Unlock()
-	s.cfg.Metrics.Add("requests_completed", 1)
-	if res.Resilience.Degraded {
-		s.cfg.Metrics.Add("requests_degraded", 1)
-	}
 }
 
 // ErrorClass buckets a request failure for metrics, exit codes and the
@@ -1256,8 +1252,6 @@ func (s *Server) fail(job *Job, err error) {
 	job.wallSeconds = time.Since(job.submitted).Seconds()
 	s.terminalLocked(job)
 	s.mu.Unlock()
-	s.cfg.Metrics.Add("requests_failed", 1)
-	s.cfg.Metrics.Add("requests_failed_"+class, 1)
 }
 
 func (s *Server) setState(job *Job, st State) {
@@ -1270,8 +1264,19 @@ func (s *Server) setState(job *Job, st State) {
 
 // terminalLocked is the one place a job turns terminal: its state is
 // already StateDone or StateFailed, and from here on its done channel is
-// closed — the stamp every waiter (Done, WaitIdle) hangs off.
+// closed — the stamp every waiter (Done, WaitIdle) hangs off. The request
+// counters are added before the stamp, so a waiter reads its own job in
+// them.
 func (s *Server) terminalLocked(job *Job) {
+	if job.state == StateDone {
+		s.cfg.Metrics.Add("requests_completed", 1)
+		if job.result.Resilience.Degraded {
+			s.cfg.Metrics.Add("requests_degraded", 1)
+		}
+	} else {
+		s.cfg.Metrics.Add("requests_failed", 1)
+		s.cfg.Metrics.Add("requests_failed_"+job.errClass, 1)
+	}
 	close(job.done)
 	s.pending--
 	if s.pending == 0 {

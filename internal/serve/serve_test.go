@@ -306,6 +306,43 @@ func TestDeadlineShedsCleanly(t *testing.T) {
 	}
 }
 
+// TestDoneWaiterReadsItsOwnJobInTheCounters: the request counters are part
+// of a job turning terminal, so a waiter woken by Done already finds its
+// job counted — completed or failed, with its class. The waiter polls the
+// channel instead of blocking on it: a blocked receiver is readied on the
+// closing goroutine's own P and usually runs only after that goroutine has
+// moved on, which hides a counter added after the close.
+func TestDoneWaiterReadsItsOwnJobInTheCounters(t *testing.T) {
+	s := newTestServer(t, Config{Threads: 1, MSAWorkers: 1, Cache: cache.New(0)})
+	s.Start()
+	m := s.Metrics()
+	for i := 1; i <= 200; i++ {
+		req := Request{Sample: "2PV7"}
+		if i%2 == 0 {
+			req.Timeout = time.Nanosecond
+		}
+		id, err := s.Submit(req)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		ch := s.Done(id)
+		for polling := true; polling; {
+			select {
+			case <-ch:
+				polling = false
+			default:
+				runtime.Gosched()
+			}
+		}
+		done, failed := m.Get("requests_completed"), m.Get("requests_failed")
+		timeouts := m.Get("requests_failed_timeout")
+		if done != int64((i+1)/2) || failed != int64(i/2) || timeouts != failed {
+			t.Fatalf("after job %d: completed=%d failed=%d failed_timeout=%d, want %d, %d, %d",
+				i, done, failed, timeouts, (i+1)/2, i/2, i/2)
+		}
+	}
+}
+
 // TestNoGoroutineLeak runs a full server lifecycle and checks every
 // scheduler goroutine is released by Stop. The shared compute pools of
 // internal/parallel live for the process, so they are warmed up before

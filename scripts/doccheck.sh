@@ -13,6 +13,10 @@
 # the first column of the table under README's "`afserve` flags:" or
 # "`afload` flags:" line must be a flag of that binary, and every flag any of
 # the three prints must be named as `-name` somewhere in README.
+#
+# CHANGES budget (ROADMAP item 12): from PR 30 on, a CHANGES.md entry (a
+# "- PR <n>:" line and the lines up to the next one) is at most 15 lines of
+# at most 100 columns; the long form of a PR lives in its commit message.
 cd "$(dirname "$0")/.." || exit 2
 tree=$(mktemp) && help=$(mktemp -d) && trap 'rm -rf "$tree" "$help"' EXIT
 find . \( -name .git -o -name .bench_build \) -prune -o -print | sed 's/$/|/' >"$tree"
@@ -53,6 +57,16 @@ for arg; do
 	if [ "$arg" = "$doc" ]; then fail=1 label=unresolved; else label="warning, unresolved"; fi
 	echo "$misses" | sed "s|^|doccheck: $doc: $label: |"
 done
+misses=$(LC_ALL=C awk '/^- PR [0-9]+:/ { pr = $3 + 0; lines = 0 }
+	pr >= 30 {
+		s = $0; gsub(/[\200-\277]/, "", s) # UTF-8 continuation bytes: count characters
+		if (length(s) > 100) printf "PR %d, line %d: %d columns, budget 100\n", pr, NR, length(s)
+		if (++lines == 16) printf "PR %d: more than 15 lines\n", pr
+	}' CHANGES.md)
+if [ -n "$misses" ]; then
+	fail=1
+	echo "$misses" | sed 's|^|doccheck: CHANGES.md: |'
+fi
 for b in afserve afload afcluster; do
 	${GO:-go} run ./cmd/$b -h 2>&1 | sed -n 's/^  \(-[a-z0-9-]*\).*/\1/p' >"$help/$b"
 done
