@@ -1,10 +1,11 @@
 # Developer workflow for afsysbench. `make check` is the PR gate: format,
-# vet, full tests, and the race detector over the packages that shard work
-# across the parallel engine.
+# vet, the doc check, full tests, the race detector over the packages that
+# shard work across the parallel engine (the serving gates, TestGates in
+# internal/scenario, among them), the fault suite and the benchmark smoke.
 
 GO ?= go
 
-.PHONY: all build test check fmt vet doccheck loc race faults chaos chaos-disk chaos-cluster cluster-smoke fairness bench profile-cold profile-hot serve-bench serve-smoke cluster-bench bench-batch batch-smoke bench-smoke
+.PHONY: all build test check fmt vet doccheck loc race faults bench profile-cold profile-hot serve-bench bench-smoke
 
 all: build
 
@@ -32,9 +33,10 @@ doccheck:
 	@GO="$(GO)" sh scripts/doccheck.sh README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md warn:bench/README.md
 
 # The size numbers ROADMAP aim 2 reports, by the rule every diet PR uses: Go
-# lines outside _test.go files that are neither blank nor a // comment line
-# (whole repo, and outside bench/, which the benchmark owns); flags the
-# three serving CLIs register, counted from their -h output so it does not
+# lines that are neither blank nor a // comment line, outside _test.go files
+# (whole repo, and outside bench/, which the benchmark owns) and inside them
+# (outside bench/: code moved into a test is not code removed); flags the
+# two serving CLIs register, counted from their -h output so it does not
 # matter which file the registration call sits in; fields of serve.Config;
 # directories under cmd/, internal/ and examples/.
 GOSRC = find . -name '*.go' ! -name '*_test.go'
@@ -42,7 +44,8 @@ CODE_LINES = xargs -0 cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
 loc:
 	@echo "non-test code lines:              $$($(GOSRC) -print0 | $(CODE_LINES))"
 	@echo "  outside bench/:                 $$($(GOSRC) ! -path './bench/*' -print0 | $(CODE_LINES))"
-	@echo "flags (afserve+afload+afcluster): $$(for b in afserve afload afcluster; do $(GO) run ./cmd/$$b -h 2>&1; done | grep -c '^  -')"
+	@echo "test code lines outside bench/:   $$(find . -name '*_test.go' ! -path './bench/*' -print0 | $(CODE_LINES))"
+	@echo "flags (afserve+afload):           $$(for b in afserve afload; do $(GO) run ./cmd/$$b -h 2>&1; done | grep -c '^  -')"
 	@echo "serve.Config fields:              $$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z][A-Za-z]* /{n++} END{print n}' internal/serve/serve.go)"
 	@echo "binaries:                         $$(ls cmd | wc -l)"
 	@echo "internal packages:                $$(ls internal | wc -l)"
@@ -52,10 +55,12 @@ loc:
 # packages whose kernels shard over it (including the hmmer scan-workspace
 # pool that msa workers draw from concurrently), and the serving subsystem
 # (cache singleflight, scheduler pools) with the modeled clock its report
-# paths call from worker goroutines (vtime) and the scenario library's
-# client pools. The second line's -run 'Test|Fuzz' keeps fuzz seed corpora
-# replaying under the race detector wherever a package has a fuzz target
-# (cachedisk and qos do; hmmer has none left and runs its tests).
+# paths call from worker goroutines (vtime), and the scenario library's
+# client pools with the serving gates (TestGates: chaos, chaos-disk,
+# chaos-cluster, cluster-scaling, fairness, batch-sweep). The second line's
+# -run 'Test|Fuzz' keeps fuzz seed corpora replaying under the race detector
+# wherever a package has a fuzz target (cachedisk and qos do; hmmer has none
+# left and runs its tests).
 race:
 	$(GO) test -race ./internal/parallel ./internal/tensor ./internal/pairformer ./internal/diffusion ./internal/cache ./internal/batch ./internal/serve ./internal/msa ./internal/cluster ./internal/vtime ./internal/scenario
 	$(GO) test -race -run 'Test|Fuzz' ./internal/hmmer ./internal/cachedisk ./internal/qos
@@ -67,58 +72,7 @@ faults:
 	$(GO) test -race ./internal/resilience
 	$(GO) test -race -run 'Ctx|Cancel|Fault|Resilience|Transient|Permanent|StageBudget|MemSpike|Stall|Stream|ExitCode|GoldenRun' ./internal/parallel ./internal/simio ./internal/hmmer ./internal/msa ./internal/core ./cmd/afsysbench
 
-# Chaos storm under the race detector: a seeded 120-request fault storm
-# (worker panics at every guard point, once-per-chain faults forcing
-# checkpointed retries, a dark database tripping its breaker) against a
-# live scheduler, asserting the serving fault-model invariants — every job
-# terminal, pools at full strength, no goroutine leak. The seed is in the
-# output; a failure reproduces with the printed flag line.
-chaos:
-	$(GO) run -race ./cmd/afload -chaos -seed 7 -n 120 -concurrency 8 -mix 2PV7:4,1YY9:1 -threads 2 -msa-workers 4 -gpu-workers 2
-
-# Disk-fault chaos gate under the race detector: the persistent chain-cache
-# tier lives through a seeded disk-fault storm (torn writes, failed fsyncs,
-# mid-commit crashes, silent bit flips, read errors), direct vandalism of
-# its directory, a restart, and a fully dark disk — asserting that every
-# served MSA is bitwise-identical to fresh compute, corrupt entries are
-# counted and dropped, and sustained failure degrades to memory-only with
-# zero failed requests. A failure reproduces with the printed flag line.
-chaos-disk:
-	$(GO) run -race ./cmd/afload -chaos-disk -seed 11 -ppi 4 -concurrency 4 -threads 2 -msa-workers 4 -gpu-workers 2
-
-# Cluster kill-storm gate under the race detector: a seeded trace through
-# the sharded scatter-gather tier behind the replica router while two whole
-# shard nodes and one serving replica are killed mid-storm — asserting zero
-# wrong results (every digest matches the single-node reference), zero lost
-# requests, counted shard and router failovers, survivors at full strength,
-# and no goroutine leak. A failure reproduces with the printed flag line.
-chaos-cluster:
-	$(GO) run -race ./cmd/afcluster -chaos -seed 13 -shards 8 -replicas 3 -n 40 -mix 2PV7:3,1YY9:2 -threads 2 -msa-workers 2 -gpu-workers 1
-
-# Cluster smoke for the check gate: the tiny end-to-end scaling sweep —
-# reference pass, live scatter-gather cluster, digest verification, the
-# modeled shard-efficiency curve with its 0.8 gate at 16 shards.
-cluster-smoke:
-	$(GO) test -run 'TestScalingRunSmoke' -count 1 ./cmd/afcluster
-
-# Multi-tenant fairness gate under the race detector: an adversarial
-# screening storm (bursty MMPP arrivals, poly-Q-heavy PPI mix, 10x the
-# victim's offered load) against the tenant-aware scheduler — asserting
-# the protected victim keeps its solo-baseline modeled p95 (<=1.5x) and
-# sheds <5%, the FIFO comparator demonstrably violates both, and the
-# admission/dispatch decision digests reproduce bit-for-bit across a
-# rerun, a different pool size, and batching on/off. A failure
-# reproduces with the printed flag line.
-fairness:
-	$(GO) run -race ./cmd/afload -fairness -seed 7 -threads 2 -msa-workers 4 -gpu-workers 2
-
-check: fmt vet doccheck test race faults chaos chaos-disk chaos-cluster cluster-smoke fairness serve-smoke batch-smoke bench-smoke
-
-# Cluster scaling benchmark: the full shards × replicas sweep merged into
-# BENCH_serve.json as the cluster_scaling section (run serve-bench first so
-# the single-node sections are fresh in the same file).
-cluster-bench:
-	$(GO) run ./cmd/afcluster -shards 8 -replicas 3 -n 24 -mix 2PV7:3,1YY9:2,6QNR:1 -json BENCH_serve.json
+check: fmt vet doccheck test race faults bench-smoke
 
 # Kernel microbenchmarks with allocation tracking: the tensor kernels serial
 # vs parallel, and the MSA scan hot path's two arms on identical inputs
@@ -156,27 +110,11 @@ profile-hot:
 # chain cache — a warm pass precomputes the disk tier, the measured pass
 # starts with a cold memory tier, and -compare-cache adds the cache-off and
 # request-keyed baselines with the modeled makespan improvement of
-# chain-level keys. Emits BENCH_serve.json.
+# chain-level keys. It only prints; cmd/afload's TestWarmTwoTierPPI runs the
+# same shape at -ppi 4 and pins its modeled makespans.
 serve-bench:
 	rm -rf /tmp/afsysbench-serve-tier
-	$(GO) run ./cmd/afload -ppi 6 -concurrency 4 -threads 4 -msa-workers 4 -cache-dir /tmp/afsysbench-serve-tier -warm -compare-cache -json BENCH_serve.json
-
-# Smoke variant of serve-bench for the check gate: small trace, no artifact.
-serve-smoke:
-	rm -rf /tmp/afsysbench-serve-smoke-tier
-	$(GO) run ./cmd/afload -ppi 4 -concurrency 2 -threads 4 -msa-workers 2 -cache-dir /tmp/afsysbench-serve-smoke-tier -warm -compare-cache
-
-# Cross-request batching benchmark: the compile-dominated -> compute-dominated
-# crossover sweep (modeled curve, measured offered-load sweep, bucket-count
-# sweep) merged into BENCH_serve.json as the batch_crossover section. The
-# sweep is its own gate: it fails unless the small-input unbatched overhead
-# exceeds the paper's 75% and batching reaches <50% within the memory cap.
-bench-batch:
-	$(GO) run ./cmd/afload -batch-sweep -n 16 -json BENCH_serve.json
-
-# Smoke variant for the check gate: same sweep and gate, no artifact.
-batch-smoke:
-	$(GO) run ./cmd/afload -batch-sweep -n 16
+	$(GO) run ./cmd/afload -ppi 6 -concurrency 4 -threads 4 -msa-workers 4 -cache-dir /tmp/afsysbench-serve-tier -warm -compare-cache
 
 # Smoke run of the repo benchmark (BENCHMARK.json, bench/) for the check
 # gate: all six workloads shrunk to about two seconds each, with the

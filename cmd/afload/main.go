@@ -4,20 +4,12 @@
 // terminal state, then submits the next), and reports throughput, latency
 // percentiles (p50/p95/p99), cache hit rate and shed rate.
 //
-// Two targets:
-//
 //	afload -addr http://host:8642 -n 100 -mix promo:1,1YY9:9
 //	    drives a running afserve over its HTTP API.
 //
-//	afload -n 30 -mix promo:1,1YY9:9 -compare-cache -json BENCH_serve.json
-//	    (no -addr) embeds the scheduler in-process, runs the same trace
-//	    with the cache enabled and disabled, and writes the comparison —
-//	    the `make serve-bench` artifact.
-//
-//	afload -chaos -n 120 -mix 2PV7:4,1YY9:1
-//	    (no -addr) runs the seeded fault storm of chaos.go against a live
-//	    in-process scheduler and exits non-zero if any fault-tolerance
-//	    invariant breaks — the `make chaos` gate.
+//	afload -n 30 -mix promo:1,1YY9:9 -compare-cache
+//	    (no -addr) embeds the scheduler in-process and runs the same trace
+//	    with the cache enabled and disabled.
 //
 //	afload -ppi 6 -cache-dir /var/cache/af -warm -compare-cache
 //	    runs the all-vs-all PPI screening mix over the two-tier chain
@@ -26,22 +18,19 @@
 //	    cache-off and request-keyed baselines with the modeled makespan
 //	    improvement of chain-level keys.
 //
-//	afload -chaos-disk -ppi 4
-//	    runs the disk-fault chaos gate of chaosdisk.go: injected disk
-//	    faults, a vandalized store directory, a restart and a fully dark
-//	    disk, asserting that no request ever fails or returns a result
-//	    different from fresh compute — the `make chaos-disk` gate.
+//	afload -qos -tenants 'inter:w=8,n=16;storm:w=1,r=600,rps=4,n=160,shape=bursty'
+//	    drives the tenant traces open-loop through the tenant-aware
+//	    scheduler and prints the per-tenant fairness block.
 //
 // The request trace is a pure function of -seed, -mix/-ppi and -n, so runs
-// are reproducible end to end. How a scenario is wired, driven and judged
-// lives in internal/scenario; this package is flag parsing, the mode table
-// and what each mode owns — its serve.Config delta, its fault plan, its
-// assertions.
+// are reproducible end to end. The serving gates are not modes of this
+// command: they are the rows of TestGates in internal/scenario.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -49,6 +38,7 @@ import (
 
 	"afsysbench/internal/core"
 	"afsysbench/internal/inputs"
+	"afsysbench/internal/qos"
 	"afsysbench/internal/scenario"
 	"afsysbench/internal/serve"
 )
@@ -72,54 +62,19 @@ type options struct {
 	seed         uint64
 	warm         bool
 	compareCache bool
+	qos          bool
 	tenants      string
-	// qosTenants is the -qos mode's parsed tenant list: -tenants, or a single
-	// default tenant over -mix and -n.
+	// qosTenants is -qos's parsed tenant list: -tenants, or a single default
+	// tenant over -mix and -n.
 	qosTenants []scenario.Tenant
-	jsonPath   string
-	// mode is the selected entry of modes; nil is the plain closed-loop
-	// measurement.
-	mode *mode
-	// mixSet records whether -mix was given explicitly, so modes with a
-	// better-suited default (the batch sweep wants small inputs) can tell
-	// "caller chose the stock mix" from "caller chose nothing".
-	mixSet bool
 }
 
-// mode is one scenario afload runs instead of the plain closed-loop
-// measurement, selected by the boolean flag -name. Every mode is
-// in-process, and at most one may be selected.
-type mode struct {
-	name, usage string
-	run         func(o options, out *os.File) error
-	// ignores lists the flags the mode has no use for; parseFlags rejects
-	// them instead of letting the mode silently drop them, saying why: what
-	// the mode does in their place.
-	ignores []string
-	why     string
-}
+// qosIgnores are the flags -qos has no use for; parseFlags rejects them
+// instead of letting the mode silently drop them.
+var qosIgnores = []string{"ppi", "warm", "compare-cache", "cache-dir"}
 
-var modes = []mode{
-	{"chaos", "in-process only: run the seeded fault storm and assert the fault-tolerance invariants instead of measuring throughput", runChaos,
-		[]string{"ppi", "cache-dir", "warm", "compare-cache", "batch"},
-		"drives its own trace through a cache-less, unbatched scheduler"},
-	{"chaos-disk", "in-process only: run the disk-fault chaos gate against the persistent tier and assert the crash-safety invariants", runChaosDisk,
-		[]string{"warm", "compare-cache", "batch"},
-		"runs its own warm/cold passes, unbatched"},
-	{"batch-sweep", "in-process only: sweep batch size, offered load and bucket count, report the compile-dominated -> compute-dominated crossover, and merge a batch_crossover section into -json", runBatchSweep,
-		[]string{"ppi", "warm", "compare-cache", "cache-dir", "batch"},
-		"drives its own batching passes"},
-	{"qos", "in-process only: drive the trace open-loop through the tenant-aware scheduler (per-tenant admission, WFQ, brownout) and report the fairness block", runQoS,
-		[]string{"ppi", "warm", "compare-cache", "cache-dir"},
-		"drives its own open-loop tenant traces through a cache-less scheduler"},
-	{"fairness", "in-process only: run the adversarial screening-storm fairness gate and exit non-zero if QoS fails to protect the victim tenant", runFairness,
-		[]string{"ppi", "warm", "compare-cache", "cache-dir", "mix", "n", "batch"},
-		"fixes its own victim/storm traces and batching passes"},
-}
-
-// inprocOnly are the flags (besides the modes) that mean nothing to a
-// remote afserve.
-var inprocOnly = []string{"compare-cache", "cache-dir", "warm", "batch"}
+// inprocOnly are the flags that mean nothing to a remote afserve.
+var inprocOnly = []string{"qos", "compare-cache", "cache-dir", "warm", "batch"}
 
 func parseFlags(args []string) (options, error) {
 	var o options
@@ -133,12 +88,8 @@ func parseFlags(args []string) (options, error) {
 	fs.Uint64Var(&o.seed, "seed", 7, "trace seed (trace is a pure function of seed, mix, n)")
 	fs.BoolVar(&o.warm, "warm", false, "in-process only: precompute the trace into the disk tier, then measure with a cold memory tier (needs -cache-dir)")
 	fs.BoolVar(&o.compareCache, "compare-cache", false, "in-process only: rerun the trace cache-disabled and request-keyed and report the speedups")
+	fs.BoolVar(&o.qos, "qos", false, "in-process only: drive the trace open-loop through the tenant-aware scheduler (per-tenant admission, WFQ, brownout) and report the fairness block")
 	fs.StringVar(&o.tenants, "tenants", "", "-qos tenant spec: 'name:w=8,rps=0.5,n=20,shape=bursty,mix=2PV7:3|7RCE:2;...' (keys w/r/b set the quota, rps/n/shape/mix the offered trace)")
-	fs.StringVar(&o.jsonPath, "json", "", "write the report JSON to this path")
-	selected := make([]bool, len(modes))
-	for i, m := range modes {
-		fs.BoolVar(&selected[i], m.name, false, m.usage)
-	}
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -156,48 +107,27 @@ func parseFlags(args []string) (options, error) {
 		f := fs.Lookup(name)
 		return f.Value.String() != f.DefValue
 	}
-	o.mixSet = explicit["mix"]
-	for i := range modes {
-		if !selected[i] {
-			continue
-		}
-		if o.mode != nil {
-			return o, fmt.Errorf("-%s and -%s are mutually exclusive (each mode runs its own passes; drop one)", o.mode.name, modes[i].name)
-		}
-		o.mode = &modes[i]
-	}
 	if o.n <= 0 || o.concurrency <= 0 {
 		return o, fmt.Errorf("-n and -concurrency must be positive")
 	}
 	if o.addr != "" {
-		if o.mode != nil {
-			return o, fmt.Errorf("-%s needs the in-process mode (drop -addr)", o.mode.name)
-		}
 		for _, name := range inprocOnly {
 			if given(name) {
 				return o, fmt.Errorf("-%s needs the in-process mode (drop -addr)", name)
 			}
 		}
 	}
-	qosMode := o.mode != nil && o.mode.name == "qos"
-	if o.tenants != "" && !qosMode {
-		return o, fmt.Errorf("per-tenant traces (-tenants) need -qos (the fairness gate fixes its own scenario)")
+	if o.tenants != "" && !o.qos {
+		return o, fmt.Errorf("per-tenant traces (-tenants) need -qos")
 	}
-	// One mode takes a shared flag on its own terms: the disk gate reads
-	// -cache-dir at any -cache-mb (it opens, closes and vandalizes the tier
-	// itself). Validate what is left.
-	shared := o.Flags
-	if o.mode != nil {
-		for _, name := range o.mode.ignores {
+	if o.qos {
+		for _, name := range qosIgnores {
 			if given(name) {
-				return o, fmt.Errorf("-%s %s; drop -%s", o.mode.name, o.mode.why, name)
+				return o, fmt.Errorf("-qos drives its own open-loop tenant traces through a cache-less scheduler; drop -%s", name)
 			}
 		}
-		if o.mode.name == "chaos-disk" {
-			shared.CacheDir = ""
-		}
 	}
-	if err := shared.Validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		return o, err
 	}
 	if o.warm && o.CacheDir == "" {
@@ -212,10 +142,10 @@ func parseFlags(args []string) (options, error) {
 	if o.ppi > 0 && (explicit["mix"] || explicit["n"]) {
 		return o, fmt.Errorf("-ppi derives the all-vs-all trace itself and overrides -mix and -n; drop them")
 	}
-	if qosMode && o.tenants != "" && explicit["n"] {
-		return o, fmt.Errorf("-tenants carries per-tenant request counts (n=); a global -n would be ignored, drop it")
-	}
-	if qosMode {
+	if o.qos {
+		if o.tenants != "" && explicit["n"] {
+			return o, fmt.Errorf("-tenants carries per-tenant request counts (n=); a global -n would be ignored, drop it")
+		}
 		spec := o.tenants
 		if spec == "" {
 			spec = fmt.Sprintf("default:n=%d", o.n)
@@ -228,35 +158,7 @@ func parseFlags(args []string) (options, error) {
 	return o, nil
 }
 
-// closedPass is one in-process server lifetime under closed-loop load: a
-// server wired from f — tune, when non-nil, then sets the Config fields the
-// caller's mode owns — driven through the trace, scraped, and its disk tier
-// closed. spill pushes the surviving memory tier to disk before the server
-// stops (the -warm precompute).
-func closedPass(suite *core.Suite, f serve.Flags, tune func(*serve.Config), trace []string, concurrency int, label string, spill bool) (serve.LoadStats, error) {
-	cfg, err := f.Config()
-	if err != nil {
-		return serve.LoadStats{}, err
-	}
-	if cfg.DiskCache != nil {
-		defer cfg.DiskCache.Close()
-	}
-	if tune != nil {
-		tune(&cfg)
-	}
-	s := serve.NewWithSuite(suite, cfg)
-	s.Start()
-	stats := scenario.ClosedLoop(scenario.InProc{S: s}, trace, concurrency, f.Threads)
-	if spill {
-		s.SpillCache()
-	}
-	s.Stop()
-	stats.Label = label
-	scenario.Collect(s, &stats, 0, 0)
-	return stats, nil
-}
-
-func printStats(w *os.File, st serve.LoadStats) {
+func printStats(w io.Writer, st serve.LoadStats) {
 	fmt.Fprintf(w, "%-10s %3d req: %d done, %d shed, %d failed | %.1fs wall, %.2f req/s | p50 %.0fms p95 %.0fms p99 %.0fms | hit rate %.1f%% shed rate %.1f%%\n",
 		st.Label, st.Requests, st.Completed, st.Shed, st.Failed,
 		st.WallSeconds, st.Throughput,
@@ -276,107 +178,127 @@ func printStats(w *os.File, st serve.LoadStats) {
 	}
 }
 
-// report starts the BENCH_serve.json document with the run parameters.
-func (o options) report(mix string, requests int) serve.LoadReport {
-	return serve.LoadReport{
-		Mix:         mix,
-		Requests:    requests,
-		Concurrency: o.concurrency,
-		Threads:     o.Threads,
-		MSAWorkers:  o.MSAWorkers,
-		GPUWorkers:  o.GPUWorkers,
-		QueueDepth:  o.Queue,
-		Seed:        o.seed,
+func printFairness(w io.Writer, rep *serve.FairnessReport) {
+	if rep == nil {
+		return
 	}
+	mode := "wfq"
+	if rep.FIFO {
+		mode = "fifo"
+	}
+	for _, ts := range rep.Tenants {
+		row := rep.TenantRow(ts.Tenant)
+		fmt.Fprintf(w, "tenant %-8s (%s, w=%g): offered %d, admitted %d, shed %d (qf=%d rl=%d bo=%d), degraded %d | modeled p50 %.0fms p95 %.0fms\n",
+			ts.Tenant, mode, ts.Weight, ts.Offered, ts.Admitted, ts.Shed(),
+			ts.ShedQueueFull, ts.ShedRateLimited, ts.ShedBrownout, ts.Degraded(),
+			row.Latency.P50Ms, row.Latency.P95Ms)
+	}
+	fmt.Fprintf(w, "digests: decisions %s, dispatch %s\n", rep.DecisionDigest, rep.DispatchDigest)
 }
 
-func run(args []string, out *os.File) error {
+func run(args []string, out io.Writer) error {
 	o, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-	if o.mode != nil {
-		return o.mode.run(o, out)
+	if o.qos {
+		return runQoS(o, out)
 	}
-	return runLoad(o, out)
+	_, err = runLoad(o, out)
+	return err
+}
+
+// runQoS is the -qos mode: one tenant-aware open-loop pass over the
+// -tenants spec (or a single default tenant over -mix), reported with the
+// per-tenant fairness block.
+func runQoS(o options, out io.Writer) error {
+	suite, err := core.NewSuite()
+	if err != nil {
+		return err
+	}
+	f := o.Flags
+	f.CacheMB = 0
+	cfg, err := f.Config()
+	if err != nil {
+		return err
+	}
+	stats, err := scenario.QoSPass(suite, cfg, o.qosTenants, o.seed, qos.Config{}, "qos")
+	if err != nil {
+		return err
+	}
+	printStats(out, stats)
+	printFairness(out, stats.Fairness)
+	return nil
 }
 
 // runLoad is the plain measurement: the trace closed-loop against a remote
 // afserve, or against in-process servers — the measured pass, optionally
-// after a -warm precompute and followed by the -compare-cache baselines.
-func runLoad(o options, out *os.File) error {
+// after a -warm precompute and followed by the -compare-cache baselines. It
+// returns every pass it printed, by label.
+func runLoad(o options, out io.Writer) (map[string]serve.LoadStats, error) {
 	trace, err := scenario.Trace(o.mix, o.ppi, o.n, o.seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	mixLabel := o.mix
-	if o.ppi > 0 {
-		mixLabel = fmt.Sprintf("ppi all-vs-all over %d pool proteins", o.ppi)
-	}
-	report := o.report(mixLabel, len(trace))
-	report.CacheMB = o.CacheMB
-	report.CacheDir = o.CacheDir
-
+	passes := make(map[string]serve.LoadStats)
 	if o.addr != "" {
 		t := scenario.HTTP{Base: strings.TrimRight(o.addr, "/"), Client: &http.Client{Timeout: 5 * time.Minute}}
 		stats := scenario.ClosedLoop(t, trace, o.concurrency, o.Threads)
 		stats.Label = "remote"
 		printStats(out, stats)
-		report.WithCache = &stats
-	} else {
-		suite, err := core.NewSuite()
+		passes[stats.Label] = stats
+		return passes, nil
+	}
+	suite, err := core.NewSuite()
+	if err != nil {
+		return nil, err
+	}
+	pass := func(label string, f serve.Flags, requestKeyed, spill bool) (serve.LoadStats, error) {
+		cfg, err := f.Config()
 		if err != nil {
-			return err
+			return serve.LoadStats{}, err
 		}
-		pass := func(label string, f serve.Flags, tune func(*serve.Config), spill bool) (*serve.LoadStats, error) {
-			st, err := closedPass(suite, f, tune, trace, o.concurrency, label, spill)
-			if err != nil {
-				return nil, err
-			}
-			printStats(out, st)
-			return &st, nil
-		}
-		if o.warm {
-			// The precompute pass fills the disk tier through a throwaway
-			// memory tier, so the measured pass below starts with a cold
-			// memory tier but a warm disk.
-			if report.Warm, err = pass("warm", o.Flags, nil, true); err != nil {
-				return err
-			}
-		}
-		if report.WithCache, err = pass("with-cache", o.Flags, nil, false); err != nil {
-			return err
-		}
-		if o.compareCache {
-			noCache := o.Flags
-			noCache.CacheMB, noCache.CacheDir = 0, ""
-			if report.NoCache, err = pass("no-cache", noCache, nil, false); err != nil {
-				return err
-			}
-			if report.NoCache.Throughput > 0 {
-				report.ThroughputSpeedup = report.WithCache.Throughput / report.NoCache.Throughput
-				fmt.Fprintf(out, "cache throughput speedup: %.2fx (hit rate %.1f%%)\n",
-					report.ThroughputSpeedup, 100*report.WithCache.CacheHitRate)
-			}
-			// The request-keyed memory-only baseline: what the serving tier
-			// looked like before chain-level keys. Its modeled makespan over
-			// the chain-keyed pass's is the deployment-scale win of sharing
-			// chains across complexes.
-			memOnly := o.Flags
-			memOnly.CacheDir = ""
-			report.Baseline, err = pass("req-keyed", memOnly, func(c *serve.Config) { c.RequestScopedKeys = true }, false)
-			if err != nil {
-				return err
-			}
-			if report.WithCache.ModeledMakespan > 0 {
-				report.MakespanImprovement = report.Baseline.ModeledMakespan / report.WithCache.ModeledMakespan
-				fmt.Fprintf(out, "chain-keyed modeled makespan improvement over request-keyed: %.2fx\n",
-					report.MakespanImprovement)
-			}
+		cfg.RequestScopedKeys = requestKeyed
+		st := scenario.ClosedPass(suite, cfg, trace, o.concurrency, label, spill)
+		printStats(out, st)
+		passes[label] = st
+		return st, nil
+	}
+	if o.warm {
+		// The precompute pass fills the disk tier through a throwaway memory
+		// tier, so the measured pass below starts with a cold memory tier
+		// but a warm disk.
+		if _, err := pass("warm", o.Flags, false, true); err != nil {
+			return nil, err
 		}
 	}
-	if o.jsonPath != "" {
-		return scenario.WriteJSON(out, o.jsonPath, report)
+	withCache, err := pass("with-cache", o.Flags, false, false)
+	if err != nil || !o.compareCache {
+		return passes, err
 	}
-	return nil
+	noCache := o.Flags
+	noCache.CacheMB, noCache.CacheDir = 0, ""
+	nc, err := pass("no-cache", noCache, false, false)
+	if err != nil {
+		return nil, err
+	}
+	if nc.Throughput > 0 {
+		fmt.Fprintf(out, "cache throughput speedup: %.2fx (hit rate %.1f%%)\n",
+			withCache.Throughput/nc.Throughput, 100*withCache.CacheHitRate)
+	}
+	// The request-keyed memory-only baseline: what the serving tier looked
+	// like before chain-level keys. Its modeled makespan over the
+	// chain-keyed pass's is the deployment-scale win of sharing chains
+	// across complexes.
+	memOnly := o.Flags
+	memOnly.CacheDir = ""
+	rk, err := pass("req-keyed", memOnly, true, false)
+	if err != nil {
+		return nil, err
+	}
+	if withCache.ModeledMakespan > 0 {
+		fmt.Fprintf(out, "chain-keyed modeled makespan improvement over request-keyed: %.2fx\n",
+			rk.ModeledMakespan/withCache.ModeledMakespan)
+	}
+	return passes, nil
 }

@@ -1,14 +1,12 @@
 package main
 
 import (
-	"encoding/json"
-	"math"
-	"os"
+	"fmt"
+	"io"
 	"path/filepath"
 	"testing"
 
 	"afsysbench/internal/inputs"
-	"afsysbench/internal/serve"
 )
 
 func TestParseMix(t *testing.T) {
@@ -81,28 +79,6 @@ func TestParseFlagsValidation(t *testing.T) {
 	if _, err := parseFlags([]string{"-ppi", "999"}); err == nil {
 		t.Fatal("-ppi beyond the pool accepted")
 	}
-	// The chaos gates are mutually exclusive and each drives its own trace:
-	// flags the gate would silently ignore must be rejected, not swallowed.
-	if _, err := parseFlags([]string{"-chaos", "-chaos-disk"}); err == nil {
-		t.Fatal("-chaos with -chaos-disk accepted")
-	}
-	for _, extra := range [][]string{
-		{"-ppi", "4"}, {"-cache-dir", "/tmp/x"}, {"-warm"}, {"-compare-cache"},
-	} {
-		if _, err := parseFlags(append([]string{"-chaos"}, extra...)); err == nil {
-			t.Fatalf("-chaos with %v accepted (the fault storm ignores it)", extra)
-		}
-	}
-	if _, err := parseFlags([]string{"-chaos-disk", "-warm"}); err == nil {
-		t.Fatal("-chaos-disk with -warm accepted")
-	}
-	if _, err := parseFlags([]string{"-chaos-disk", "-compare-cache"}); err == nil {
-		t.Fatal("-chaos-disk with -compare-cache accepted")
-	}
-	// But -chaos-disk really does consume -ppi and -cache-dir.
-	if _, err := parseFlags([]string{"-chaos-disk", "-ppi", "4", "-cache-dir", "/tmp/x"}); err != nil {
-		t.Fatalf("-chaos-disk with -ppi/-cache-dir rejected: %v", err)
-	}
 	// Cache-dependent modes need the memory tier in front of them.
 	if _, err := parseFlags([]string{"-compare-cache", "-cache-mb", "0"}); err == nil {
 		t.Fatal("-compare-cache with -cache-mb 0 accepted")
@@ -124,187 +100,84 @@ func TestParseFlagsValidation(t *testing.T) {
 }
 
 // TestEndToEndComparison runs a small in-process comparison and checks the
-// report invariants the serve-bench target relies on: a repeat-heavy mix
-// hits the cache and the cached pass beats the uncached one.
+// invariants the serve-bench target relies on: a repeat-heavy mix hits the
+// cache and the cached pass beats the uncached one.
 func TestEndToEndComparison(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	err = run([]string{
+	o, err := parseFlags([]string{
 		"-n", "6", "-concurrency", "2", "-mix", "1YY9:1",
-		"-threads", "4", "-msa-workers", "2",
-		"-compare-cache", "-json", jsonPath,
-	}, devnull)
+		"-threads", "4", "-msa-workers", "2", "-compare-cache",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(jsonPath)
+	passes, err := runLoad(o, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep serve.LoadReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.WithCache == nil || rep.NoCache == nil {
-		t.Fatal("report missing a pass")
-	}
-	if rep.WithCache.Completed != 6 || rep.NoCache.Completed != 6 {
-		t.Fatalf("incomplete passes: %+v / %+v", rep.WithCache, rep.NoCache)
+	with, no := passes["with-cache"], passes["no-cache"]
+	if with.Completed != 6 || no.Completed != 6 {
+		t.Fatalf("incomplete passes: %+v / %+v", with, no)
 	}
 	// One distinct query, six requests: five of six served by the cache.
-	if rep.WithCache.CacheHitRate < 0.8 {
-		t.Fatalf("hit rate = %v", rep.WithCache.CacheHitRate)
+	if with.CacheHitRate < 0.8 {
+		t.Fatalf("hit rate = %v", with.CacheHitRate)
 	}
-	if rep.WithCache.Throughput <= rep.NoCache.Throughput {
-		t.Fatalf("cache did not buy throughput: %.2f vs %.2f req/s",
-			rep.WithCache.Throughput, rep.NoCache.Throughput)
+	if with.Throughput <= no.Throughput {
+		t.Fatalf("cache did not buy throughput: %.2f vs %.2f req/s", with.Throughput, no.Throughput)
 	}
-	if rep.ThroughputSpeedup <= 1 {
-		t.Fatalf("speedup = %v", rep.ThroughputSpeedup)
-	}
-	if rep.WithCache.ModeledSerial <= rep.WithCache.ModeledMakespan {
-		t.Fatalf("modeled schedule not better than serial: %+v", rep.WithCache)
+	if with.ModeledSerial <= with.ModeledMakespan {
+		t.Fatalf("modeled schedule not better than serial: %+v", with)
 	}
 }
 
-// TestWarmTwoTierPPI runs the serve-bench shape end to end: a PPI screen
-// over a warmed disk tier with the request-keyed baseline, checking the
-// two-tier accounting the BENCH_serve.json artifact reports.
+// TestWarmTwoTierPPI runs `make serve-bench`'s shape at its smoke size: a
+// PPI screen over a warmed disk tier with the cache-off and request-keyed
+// baselines, checking the two-tier accounting and the chain-keyed modeled
+// makespan improvement.
 func TestWarmTwoTierPPI(t *testing.T) {
-	dir := t.TempDir()
-	jsonPath := filepath.Join(dir, "bench.json")
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	o, err := parseFlags([]string{
+		"-ppi", "4", "-concurrency", "2", "-threads", "4", "-msa-workers", "2",
+		"-cache-dir", filepath.Join(t.TempDir(), "tier"), "-warm", "-compare-cache",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer devnull.Close()
-	err = run([]string{
-		"-ppi", "4", "-concurrency", "2",
-		"-threads", "2", "-msa-workers", "2",
-		"-cache-dir", filepath.Join(dir, "tier"),
-		"-warm", "-compare-cache", "-json", jsonPath,
-	}, devnull)
+	passes, err := runLoad(o, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep serve.LoadReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Warm == nil || rep.WithCache == nil || rep.Baseline == nil {
-		t.Fatal("report missing a pass")
-	}
-	// The warm pass computed each of the 4 pool chains once and shared
-	// the remaining lookups in memory.
-	if rep.Warm.ChainFresh != 4 || rep.Warm.ChainMemHits == 0 {
-		t.Fatalf("warm pass chains: %+v", rep.Warm)
+	warm, with, rk := passes["warm"], passes["with-cache"], passes["req-keyed"]
+	// The warm pass computed each of the 4 pool chains once and shared the
+	// remaining lookups in memory.
+	if warm.ChainFresh != 4 || warm.ChainMemHits == 0 {
+		t.Fatalf("warm pass chains: %+v", warm)
 	}
 	// The measured pass starts with a cold memory tier over a warm disk:
 	// nothing is computed fresh, and the disk serves each chain's first
 	// sighting.
-	if rep.WithCache.ChainFresh != 0 || rep.WithCache.ChainDiskHits != 4 {
-		t.Fatalf("measured pass chains: %+v", rep.WithCache)
+	if with.ChainFresh != 0 || with.ChainDiskHits != 4 {
+		t.Fatalf("measured pass chains: %+v", with)
 	}
-	if rep.WithCache.Disk == nil || rep.WithCache.Disk.Hits < 4 {
-		t.Fatalf("disk stats: %+v", rep.WithCache.Disk)
+	if with.Disk == nil || with.Disk.Hits < 4 {
+		t.Fatalf("disk stats: %+v", with.Disk)
 	}
 	// Every pair in the all-vs-all trace is distinct, so request-keyed
-	// caching shares nothing and chain keys must win the modeled
-	// makespan.
-	if rep.Baseline.ChainMemHits != 0 || rep.Baseline.ChainDiskHits != 0 {
-		t.Fatalf("request-keyed baseline shared chains: %+v", rep.Baseline)
+	// caching shares nothing and chain keys must win the modeled makespan.
+	if rk.ChainMemHits != 0 || rk.ChainDiskHits != 0 {
+		t.Fatalf("request-keyed baseline shared chains: %+v", rk)
 	}
-	if rep.MakespanImprovement <= 1 {
-		t.Fatalf("makespan improvement = %v", rep.MakespanImprovement)
+	if improvement := rk.ModeledMakespan / with.ModeledMakespan; improvement <= 1 {
+		t.Fatalf("makespan improvement = %v", improvement)
 	}
-}
-
-// TestChaosDiskGate runs the full disk-fault chaos sequence at the same
-// shape as the `make chaos-disk` target, just smaller.
-func TestChaosDiskGate(t *testing.T) {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
+	// The measured pass charges no MSA second, so its makespan does not
+	// depend on which client submitted first: 181 s is pinned. The other
+	// passes' schedules follow the two clients' submit order, which a loaded
+	// host reorders (about 1 run in 15 moves warm 268, no-cache 530 or
+	// request-keyed 530 s), so they are only logged.
+	if got := fmt.Sprintf("%.0f", with.ModeledMakespan); got != "181" {
+		t.Errorf("with-cache modeled makespan %s s, pinned 181 s", got)
 	}
-	defer devnull.Close()
-	err = run([]string{
-		"-chaos-disk", "-seed", "11", "-ppi", "3",
-		"-concurrency", "2", "-threads", "2", "-msa-workers", "2",
-	}, devnull)
-	if err != nil {
-		t.Fatalf("chaos-disk gate failed: %v", err)
-	}
-}
-
-// TestChaosGateSmoke runs the fault-storm gate at the shape of the `make
-// chaos` target, just smaller: every invariant must hold and the JSON
-// report must carry no violations.
-func TestChaosGateSmoke(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "chaos.json")
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	err = run([]string{
-		"-chaos", "-seed", "7", "-n", "24", "-concurrency", "4", "-mix", "2PV7:4,1YY9:1",
-		"-threads", "2", "-msa-workers", "4", "-gpu-workers", "2", "-json", jsonPath,
-	}, devnull)
-	if err != nil {
-		t.Fatalf("chaos gate failed: %v", err)
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep ChaosReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Requests != 24 || rep.Done+rep.Failed != 24 || len(rep.Violations) != 0 {
-		t.Fatalf("chaos report: %+v", rep)
-	}
-	if rep.WorkerPanics < 1 || rep.BreakerTrips < 1 || rep.ChainsRestored < 1 {
-		t.Fatalf("storm did not exercise the fault paths: %+v", rep)
-	}
-}
-
-// TestBatchSweepGate runs the `make batch-smoke` sweep and pins its modeled
-// headline: 81.6% unbatched overhead for the small input, under 50% from
-// batch 6 on (first dispatch).
-func TestBatchSweepGate(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	if err := run([]string{"-batch-sweep", "-n", "16", "-json", jsonPath}, devnull); err != nil {
-		t.Fatalf("batch-sweep gate failed: %v", err)
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Section crossoverSection `json:"batch_crossover"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	sec := doc.Section
-	if math.Round(1000*sec.UnbatchedOverhead) != 816 || sec.CrossoverFirst != 6 || sec.CrossoverFirst >= sec.MaxBatch {
-		t.Fatalf("crossover moved: unbatched %.4f, first crossover %d, cap %d", sec.UnbatchedOverhead, sec.CrossoverFirst, sec.MaxBatch)
-	}
-	if len(sec.OfferedLoad) != 4 || len(sec.BucketSweep) != len(sweepBucketSets()) {
-		t.Fatalf("measured sweeps incomplete: %d load points, %d bucket points", len(sec.OfferedLoad), len(sec.BucketSweep))
-	}
+	t.Logf("modeled makespans warm/with-cache/no-cache/req-keyed %.0f/%.0f/%.0f/%.0f s, improvement %.2fx",
+		warm.ModeledMakespan, with.ModeledMakespan, passes["no-cache"].ModeledMakespan, rk.ModeledMakespan,
+		rk.ModeledMakespan/with.ModeledMakespan)
 }

@@ -68,11 +68,13 @@ type options struct {
 	deadline time.Duration
 	cold     bool
 
-	faults      string
+	// faults and tenants are -faults and -tenants, parsed by parseFlags so
+	// a bad spec fails before run opens the disk tier or binds the port.
+	faults      resilience.Faults
 	msaAttempts int
 
 	qos         bool
-	tenants     string
+	tenants     map[string]qos.TenantConfig
 	qosDrain    float64
 	qosCapacity float64
 }
@@ -84,10 +86,11 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.addr, "addr", ":8642", "listen address")
 	fs.DurationVar(&o.deadline, "deadline", 0, "default per-request wall deadline (0 = none)")
 	fs.BoolVar(&o.cold, "cold", false, "cold model per request (pay GPU init + XLA compile each time)")
-	fs.StringVar(&o.faults, "faults", "", "fault spec injected into every request, e.g. transient:uniref_s:1,chainfault:B:1")
+	var faults, tenants string
+	fs.StringVar(&faults, "faults", "", "fault spec injected into every request, e.g. transient:uniref_s:1,chainfault:B:1")
 	fs.IntVar(&o.msaAttempts, "msa-attempts", 1, "MSA stage attempts per request; >1 enables chain checkpoints, so a retry re-runs only failed chains")
 	fs.BoolVar(&o.qos, "qos", false, "tenant-aware admission: per-tenant token buckets, weighted-fair MSA queueing and the brownout ladder (tenant from the X-AF-Tenant header)")
-	fs.StringVar(&o.tenants, "tenants", "", "per-tenant quotas for -qos, e.g. 'inter:w=8;storm:w=1,r=400,b=800' (w= weight, r= chain-tokens/s, b= burst)")
+	fs.StringVar(&tenants, "tenants", "", "per-tenant quotas for -qos, e.g. 'inter:w=8;storm:w=1,r=400,b=800' (w= weight, r= chain-tokens/s, b= burst)")
 	fs.Float64Var(&o.qosDrain, "qos-drain", 0, "-qos modeled drain rate in chain-tokens per second (0 = stock)")
 	fs.Float64Var(&o.qosCapacity, "qos-capacity", 0, "-qos modeled backlog capacity in chain-tokens (0 = stock)")
 	if err := fs.Parse(args); err != nil {
@@ -96,11 +99,17 @@ func parseFlags(args []string) (options, error) {
 	if err := o.Validate(); err != nil {
 		return o, err
 	}
-	if !o.qos && (o.tenants != "" || o.qosDrain > 0 || o.qosCapacity > 0) {
+	if !o.qos && (tenants != "" || o.qosDrain > 0 || o.qosCapacity > 0) {
 		return o, fmt.Errorf("-tenants, -qos-drain and -qos-capacity need -qos")
 	}
-	if o.tenants != "" {
-		if _, err := qos.ParseTenantSpec(o.tenants); err != nil {
+	var err error
+	if faults != "" {
+		if o.faults, err = resilience.ParseFaults(faults); err != nil {
+			return o, err
+		}
+	}
+	if tenants != "" {
+		if o.tenants, err = qos.ParseTenantSpec(tenants); err != nil {
 			return o, err
 		}
 	}
@@ -116,21 +125,11 @@ func buildServer(o options) (*serve.Server, error) {
 	}
 	cfg.DefaultTimeout = o.deadline
 	cfg.ColdModel = o.cold
-	if o.faults != "" {
-		if cfg.Faults, err = resilience.ParseFaults(o.faults); err != nil {
-			return nil, err
-		}
-	}
+	cfg.Faults = o.faults
 	cfg.MSAAttempts = o.msaAttempts
 	if o.qos {
-		var tenants map[string]qos.TenantConfig
-		if o.tenants != "" {
-			if tenants, err = qos.ParseTenantSpec(o.tenants); err != nil {
-				return nil, err
-			}
-		}
 		cfg.QoS = qos.NewController(qos.Config{
-			Tenants:           tenants,
+			Tenants:           o.tenants,
 			DrainTokensPerSec: o.qosDrain,
 			CapacityTokens:    o.qosCapacity,
 		})

@@ -23,6 +23,15 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-nope"}); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	// A bad -faults spec fails the flag parse, before run opens the disk
+	// tier or binds the port.
+	if _, err := parseFlags([]string{"-faults", "bogus"}); err == nil {
+		t.Fatal("-faults bogus accepted")
+	}
+	o, err = parseFlags([]string{"-faults", "transient:uniref_s:1"})
+	if err != nil || len(o.faults) != 1 {
+		t.Fatalf("-faults transient:uniref_s:1: faults %+v, err %v", o.faults, err)
+	}
 }
 
 func TestBuildServer(t *testing.T) {

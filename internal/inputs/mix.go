@@ -37,7 +37,7 @@ func ParseMix(spec string) (samples []string, weights []int, err error) {
 // WeightedTrace derives the deterministic request trace every load driver
 // shares: n weighted draws from the mix using the splittable RNG, a pure
 // function of (mix, n, seed) — so the same seed and mix yield the same
-// request sequence in afload and afcluster.
+// request sequence in afload and the serving gates.
 func WeightedTrace(samples []string, weights []int, n int, seed uint64) []string {
 	total := 0
 	for _, w := range weights {

@@ -1,6 +1,10 @@
 package scenario
 
-import "afsysbench/internal/serve"
+import (
+	"afsysbench/internal/core"
+	"afsysbench/internal/qos"
+	"afsysbench/internal/serve"
+)
 
 // Collect scrapes a finished server into the server-side half of stats:
 // cache and chain-tier counters, the routing breakdown, disk-tier stats,
@@ -42,4 +46,52 @@ func Collect(s *serve.Server, stats *serve.LoadStats, cpuLanes, gpuLanes int) {
 	if stats.Fairness = s.FairnessReport(cpuLanes, gpuLanes); stats.Fairness != nil {
 		stats.Latency = stats.Fairness.Overall
 	}
+}
+
+// ClosedPass is one in-process server lifetime under closed-loop load: a
+// server wired from cfg, driven through the trace by concurrency clients at
+// cfg.Threads, scraped, and its disk tier (the caller opened it) closed.
+// spill pushes the surviving memory tier to disk before the server stops,
+// so a warm-up pass can precompute the disk tier for the next one.
+func ClosedPass(suite *core.Suite, cfg serve.Config, trace []string, concurrency int, label string, spill bool) serve.LoadStats {
+	defer cfg.DiskCache.Close()
+	s := serve.NewWithSuite(suite, cfg)
+	s.Start()
+	stats := ClosedLoop(InProc{S: s}, trace, concurrency, cfg.Threads)
+	if spill {
+		s.SpillCache()
+	}
+	s.Stop()
+	stats.Label = label
+	Collect(s, &stats, 0, 0)
+	return stats
+}
+
+// QoS passes replay latency on these fixed modeled lane counts — inputs to
+// the model, never the live pool sizes, so a pass's numbers are identical
+// at any pool size.
+const (
+	qosModeledCPU = 4
+	qosModeledGPU = 2
+)
+
+// QoSPass is one open-loop server lifetime: a scheduler wired from cfg under
+// a controller built from qcfg and the tenants' quotas, fed the tenants'
+// merged event trace (a pure function of seed) before Start, drained, and
+// scraped with the fairness block attached.
+func QoSPass(suite *core.Suite, cfg serve.Config, tenants []Tenant, seed uint64, qcfg qos.Config, label string) (serve.LoadStats, error) {
+	events, err := Events(tenants, seed)
+	if err != nil {
+		return serve.LoadStats{}, err
+	}
+	qcfg.Tenants = Quotas(tenants)
+	cfg.QoS = qos.NewController(qcfg)
+	s := serve.NewWithSuite(suite, cfg)
+	stats, err := OpenLoop(s, events, cfg.Threads)
+	if err != nil {
+		return stats, err
+	}
+	stats.Label = label
+	Collect(s, &stats, qosModeledCPU, qosModeledGPU)
+	return stats, nil
 }

@@ -1,14 +1,14 @@
 // Package scenario is the one place that knows how a load scenario runs
-// against the serving stack: a trace, a wired server, a driver, a verdict.
-// afload and afcluster are flag parsing plus a mode table over it; a mode
-// keeps only what is its own — its serve.Config delta, its fault plan, its
-// assertions.
+// against the serving stack: Trace / Events synthesize the requests, a
+// Target (InProc, HTTP) takes them, Each / ClosedLoop / OpenLoop push them
+// through, and Collect scrapes a finished server into serve.LoadStats.
+// ClosedPass and QoSPass are one server lifetime each, closed- and
+// open-loop; afload's measurement modes and the serving gates call them.
 //
-//   - wire: serve.Flags turns the shared flags into a serve.Config;
-//   - drive: Trace / Events synthesize the requests, a Target (InProc, HTTP)
-//     takes them, Each / ClosedLoop / OpenLoop push them through;
-//   - judge: Collect scrapes a finished server into serve.LoadStats, Verdict
-//     gathers broken invariants and ends a gate, WriteJSON writes the report.
+// The serving gates — chaos, chaos-disk, chaos-cluster, cluster-scaling,
+// fairness, batch-sweep — are the rows of TestGates: each row fixes its
+// seed, its serve.Config, its scenario and its assertions, and a failing
+// row reproduces with go test -race -run 'TestGates/<row>$'.
 //
 // Everything synthesized here is a pure function of (seed, spec), so two
 // runs — at any pool size — submit the identical sequence.

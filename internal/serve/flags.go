@@ -9,12 +9,11 @@ import (
 	"afsysbench/internal/platform"
 )
 
-// Flags is the flag → Config mapping the serving CLIs share. afserve and
-// afload Register all eight flags, afcluster only the four pool flags
-// (RegisterPools, with its own defaults); each embeds Flags in its options,
-// calls Validate from its flag parser and Config where it builds a server,
-// and then sets only the Config fields its mode owns. The zero value maps
-// to the zero Config.
+// Flags is the flag → Config mapping afserve and afload share: each
+// Registers all eight flags, embeds Flags in its options, calls Validate
+// from its flag parser and Config where it builds a server, and then sets
+// only the Config fields its mode owns. The zero value maps to the zero
+// Config.
 type Flags struct {
 	Machine    string
 	Threads    int
@@ -26,19 +25,13 @@ type Flags struct {
 	Batch      bool
 }
 
-// RegisterPools registers -threads, -msa-workers, -gpu-workers and -queue
-// with the caller's defaults.
-func (f *Flags) RegisterPools(fs *flag.FlagSet, threads, msaWorkers, gpuWorkers, queue int) {
-	fs.IntVar(&f.Threads, "threads", threads, "per-request thread count")
-	fs.IntVar(&f.MSAWorkers, "msa-workers", msaWorkers, "MSA (CPU) pool size per server; 0 = one per core")
-	fs.IntVar(&f.GPUWorkers, "gpu-workers", gpuWorkers, "inference (GPU) pool size per server; 0 = one per modeled device")
-	fs.IntVar(&f.Queue, "queue", queue, "admission queue depth; a full queue sheds (503)")
-}
-
-// Register registers all eight shared flags; threads is the CLI's -threads
+// Register registers the eight shared flags; threads is the CLI's -threads
 // default (the daemon serves at AF3's 8, the load generator drives at 4).
 func (f *Flags) Register(fs *flag.FlagSet, threads int) {
-	f.RegisterPools(fs, threads, 0, 0, 64)
+	fs.IntVar(&f.Threads, "threads", threads, "per-request thread count")
+	fs.IntVar(&f.MSAWorkers, "msa-workers", 0, "MSA (CPU) pool size per server; 0 = one per core")
+	fs.IntVar(&f.GPUWorkers, "gpu-workers", 0, "inference (GPU) pool size per server; 0 = one per modeled device")
+	fs.IntVar(&f.Queue, "queue", 64, "admission queue depth; a full queue sheds (503)")
 	fs.StringVar(&f.Machine, "machine", "server", "platform: server, desktop, desktop-upgraded, server-cxl")
 	fs.IntVar(&f.CacheMB, "cache-mb", 512, "MSA cache capacity in MiB; 0 disables caching")
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "crash-safe persistent chain-cache tier rooted at this directory (needs -cache-mb > 0); survives restarts")

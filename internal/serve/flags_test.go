@@ -22,24 +22,17 @@ func TestFlagsRegister(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if f.Machine != "server" || f.Threads != 8 || f.Queue != 64 || f.CacheMB != 512 || f.MSAWorkers != 0 || f.GPUWorkers != 0 {
+	if f != (Flags{Machine: "server", Threads: 8, Queue: 64, CacheMB: 512}) {
 		t.Fatalf("defaults = %+v", f)
 	}
 	var p Flags
 	fs = flag.NewFlagSet("x", flag.ContinueOnError)
-	p.RegisterPools(fs, 2, 2, 1, 0)
-	if count(fs) != 4 {
-		t.Fatalf("RegisterPools registered %d flags, want 4", count(fs))
-	}
-	if err := fs.Parse([]string{"-gpu-workers", "3"}); err != nil {
+	p.Register(fs, 4)
+	if err := fs.Parse([]string{"-gpu-workers", "3", "-cache-dir", "/tmp/x", "-batch"}); err != nil {
 		t.Fatal(err)
 	}
-	if p != (Flags{Threads: 2, MSAWorkers: 2, GPUWorkers: 3}) {
-		t.Fatalf("pool flags = %+v", p)
-	}
-	// The pool-only zero fields validate and map to the zero Config.
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+	if p != (Flags{Machine: "server", Threads: 4, GPUWorkers: 3, Queue: 64, CacheMB: 512, CacheDir: "/tmp/x", Batch: true}) {
+		t.Fatalf("parsed flags = %+v", p)
 	}
 }
 

@@ -4,15 +4,17 @@
 # path (cmd/…, internal/…, examples/…, bench/…, ./…, *.go, *.md, *.json,
 # *.sh), the word after `make`, and a Test*/Benchmark* name must resolve — a
 # path as a suffix of some file or directory in the tree, a test name as the
-# start of a test function's name (docs cite them as -run/-bench patterns).
+# start of a test function's name (docs cite them as -run/-bench patterns),
+# and a Test/sub name also needs its subtest name as a string literal in a
+# test file.
 # Skipped: tokens with a placeholder or glob character (< > { } *), absolute
 # paths, and what follows a … . A "warn:" prefix on a file argument prints
 # its misses without failing.
 #
-# Flags, checked against the three serving binaries' -h: every `-name` in
-# the first column of the table under README's "`afserve` flags:" or
-# "`afload` flags:" line must be a flag of that binary, and every flag any of
-# the three prints must be named as `-name` somewhere in README.
+# Flags, checked against the two serving binaries' -h: every `-name` in the
+# first column of the table under README's "`afserve` flags:" or "`afload`
+# flags:" line must be a flag of that binary, and every flag either prints
+# must be named as `-name` somewhere in README.
 #
 # CHANGES budget (ROADMAP item 12): from PR 30 on, a CHANGES.md entry (a
 # "- PR <n>:" line and the lines up to the next one) is at most 15 lines of
@@ -32,10 +34,13 @@ resolves() { # $1 = token, $2 = "make" when the token follows that word
 		return
 	fi
 	case $t in
+	Test[A-Z]*/* | Benchmark[A-Z]*/*) # TestGates/fairness: the function and a "fairness" literal
+		grep -rqF --include='*_test.go' -- "func ${t%%/*}" . &&
+			grep -rqF --include='*_test.go' -- "\"${t#*/}\"" .
+		;;
 	Test[A-Z]* | Benchmark[A-Z]*)
 		grep -rqF --include='*_test.go' -- "func $t" .
 		;;
-	BENCH_serve.json) ;; # written by `make serve-bench`, gitignored
 	cmd/* | internal/* | examples/* | bench/* | ./* | *.go | *.md | *.json | *.sh)
 		t=${t#./} t=${t%/...}
 		grep -qF -- "/${t%/}|" "$tree"
@@ -67,12 +72,12 @@ if [ -n "$misses" ]; then
 	fail=1
 	echo "$misses" | sed 's|^|doccheck: CHANGES.md: |'
 fi
-for b in afserve afload afcluster; do
+for b in afserve afload; do
 	${GO:-go} run ./cmd/$b -h 2>&1 | sed -n 's/^  \(-[a-z0-9-]*\).*/\1/p' >"$help/$b"
 done
 misses=$(awk -F'|' '/^`af[a-z]*` flags:$/{b=substr($1,2,index($1,"` ")-2);next} b&&/^\|/{n=split($2,c,"`");for(i=2;i<=n;i+=2)print b,c[i];next} b&&NF{b=""}' README.md |
 	while read -r b f; do grep -qx -- "$f" "$help/$b" || echo "the $b table names $f, which $b -h does not list"; done
-	for b in afserve afload afcluster; do
+	for b in afserve afload; do
 		while read -r f; do grep -qF -- "\`$f\`" README.md || echo "$b -h lists $f, which README never names"; done <"$help/$b"
 	done)
 if [ -n "$misses" ]; then
