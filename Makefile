@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet doccheck loc race faults bench profile-cold profile-hot serve-bench bench-smoke
+.PHONY: all build test check fmt vet doccheck loc race faults bench profile-cold profile-hot profile-figures serve-bench bench-smoke
 
 all: build
 
@@ -105,6 +105,14 @@ profile-hot:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run xxx -bench HotMix -benchtime 6000x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/hot.pprof ./internal/core
 	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/hot.pprof
+
+# And for the paper side: ten paper_figures passes — the twelve figure and
+# table producers on a fresh suite (BenchmarkPaperPass) — with the suite
+# build and XLA warm-up outside the timer, though not outside the profile.
+profile-figures:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run xxx -bench PaperPass -benchtime 10x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/figures.pprof ./internal/core
+	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/figures.pprof
 
 # Serving benchmark: the all-vs-all PPI screening mix through the two-tier
 # chain cache — a warm pass precomputes the disk tier, the measured pass

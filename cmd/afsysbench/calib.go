@@ -8,9 +8,7 @@ import (
 
 	"afsysbench/internal/core"
 	"afsysbench/internal/inputs"
-	"afsysbench/internal/msa"
 	"afsysbench/internal/platform"
-	"afsysbench/internal/simhw"
 )
 
 // runCalib is the calib mode: the raw simulated numbers behind every paper
@@ -56,11 +54,10 @@ func runCalib(args []string, w io.Writer) error {
 			fmt.Fprintf(w, "%-8s:", mach.Name)
 			var t1 float64
 			for _, t := range threads {
-				res, err := suite.MSAResult(in, t)
+				sim, err := suite.MSAReplay(in, mach, t)
 				if err != nil {
 					return err
 				}
-				sim := simhw.Simulate(msa.BuildRunSpec(mach, res))
 				if t == threads[0] {
 					t1 = sim.Seconds
 				}
@@ -68,11 +65,10 @@ func runCalib(args []string, w io.Writer) error {
 			}
 			fmt.Fprintln(w)
 			for _, t := range []int{1, 4, 6} {
-				res, err := suite.MSAResult(in, t)
+				sim, err := suite.MSAReplay(in, mach, t)
 				if err != nil {
 					return err
 				}
-				sim := simhw.Simulate(msa.BuildRunSpec(mach, res))
 				a := sim.Aggregate
 				fmt.Fprintf(w, "   %dT IPC=%.2f MPKI=%.1f L1=%.2f%% LLC=%.1f%% dTLB=%.2f%% Br=%.2f%% bw=%.2f clk=%.2f\n",
 					t, a.IPC(), a.CacheMissMPKI(), a.L1MissPct(), a.LLCMissPct(), a.DTLBMissPct(), a.BranchMissPct(), sim.BandwidthUtil, sim.ClockGHz)

@@ -168,6 +168,9 @@ func runCLI(args []string) (int, error) {
 			if err != nil {
 				return exitError, fmt.Errorf("bad -threads value %q: %w", part, err)
 			}
+			if n < 1 {
+				return exitError, fmt.Errorf("bad -threads value %q: a thread count is at least 1", part)
+			}
 			threads = append(threads, n)
 		}
 	}
@@ -255,7 +258,7 @@ func runSingle(suite *core.Suite, cfg singleRunConfig) (int, error) {
 		return exitError, err
 	}
 	threads := 8
-	if len(cfg.threads) > 0 && cfg.threads[0] > 0 {
+	if len(cfg.threads) > 0 {
 		threads = cfg.threads[0]
 	}
 	ctx := context.Background()

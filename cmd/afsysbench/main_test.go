@@ -81,9 +81,16 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunBadThreads: a thread count below 1 is refused, not run as the
+// pipeline's 8-thread default under a "0T" or "-3T" label.
 func TestRunBadThreads(t *testing.T) {
-	if err := run([]string{"-exp", "fig3", "-threads", "two"}); err == nil {
-		t.Error("bad threads value accepted")
+	for _, threads := range []string{"two", "0", "8,-3"} {
+		if code, err := runCLI([]string{"-exp", "fig3", "-samples", "2PV7", "-threads", threads}); err == nil || code != exitError {
+			t.Errorf("-threads %s: exit %d, err %v; want a refusal", threads, code, err)
+		}
+	}
+	if err := run([]string{"prof", "-threads", "0"}); err == nil {
+		t.Error("prof -threads 0 accepted")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"afsysbench/internal/core"
 	"afsysbench/internal/hmmer"
 	"afsysbench/internal/inputs"
-	"afsysbench/internal/msa"
 	"afsysbench/internal/platform"
 	"afsysbench/internal/report"
 	"afsysbench/internal/seq"
@@ -33,6 +32,9 @@ func runProf(args []string, w io.Writer) error {
 	metricName := fs.String("metric", "cycles", "cycles | instructions | cache-misses | dTLB | page-faults | branches")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *threads < 1 {
+		return fmt.Errorf("bad -threads value %d: a thread count is at least 1", *threads)
 	}
 
 	in, mach, err := sampleOnMachine(*sample, *machineName)
@@ -65,11 +67,10 @@ func runProf(args []string, w io.Writer) error {
 			}
 			return report.CompareProfiles(w, title, report.CacheMisses, [2]string{"1T", "4T"}, [2]map[string]simhw.Counters{p1, p4}, 1)
 		}
-		res, err := suite.MSAResult(in, *threads)
+		sim, err := suite.MSAReplay(in, mach, *threads)
 		if err != nil {
 			return err
 		}
-		sim := simhw.Simulate(msa.BuildRunSpec(mach, res))
 		title := fmt.Sprintf("%s MSA phase on %s, %d threads", in.Name, mach.Name, *threads)
 		if err := report.PerfStat(w, title, sim.Aggregate, sim.Seconds); err != nil {
 			return err
@@ -153,10 +154,6 @@ func showHits(w io.Writer, suite *core.Suite, in *inputs.Input) error {
 }
 
 func msaProfile(suite *core.Suite, in *inputs.Input, mach platform.Machine, threads int) (map[string]simhw.Counters, error) {
-	res, err := suite.MSAResult(in, threads)
-	if err != nil {
-		return nil, err
-	}
-	sim := simhw.Simulate(msa.BuildRunSpec(mach, res))
-	return sim.PerFunc, nil
+	sim, err := suite.MSAReplay(in, mach, threads)
+	return sim.PerFunc, err
 }

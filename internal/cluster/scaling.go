@@ -104,9 +104,10 @@ type ScalingPoint struct {
 	ReplicaEfficiency float64 `json:"replica_efficiency"`
 }
 
-// ScalingCurve is the BENCH_serve.json cluster scaling section: the
-// modeled throughput surface over the N×R sweep, anchored in a measured
-// single-node trace and a measured cluster net profile.
+// ScalingCurve is the cluster scaling result: the modeled throughput
+// surface over the N×R sweep, anchored in a measured single-node trace and
+// a measured cluster net profile. The cluster-scaling row of TestGates
+// computes and checks it.
 type ScalingCurve struct {
 	Records    int            `json:"records_per_db"`
 	Net        NetModel       `json:"net_model"`

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -32,21 +34,57 @@ func suite(t *testing.T) *Suite {
 
 // TestSuiteRunsTheDefaultEngine pins "one engine": a hand-built msa.Options
 // with nothing but threads and databases meters exactly what the suite's
-// MSA run does, worker for worker.
+// MSA run does, worker for worker, event for event — at every thread count,
+// although the suite searches each sample once, at the first count asked
+// for, and re-cuts that search for every other (msa.Result.Rethread). The
+// first count differs per sample, so several source counts are re-cut; a
+// profile with a database dropped is checked the same way.
 func TestSuiteRunsTheDefaultEngine(t *testing.T) {
-	s := suite(t)
-	in, _ := inputs.ByName("2PV7")
-	direct, err := msa.Run(in, msa.Options{Threads: 4, DBs: s.DBs})
-	if err != nil {
-		t.Fatal(err)
+	s := newTestSuite(t)
+	threads := []int{1, 2, 3, 4, 6, 8, 16}
+	reduced := &msa.DBSet{Protein: s.DBs.Protein[:1], RNA: s.DBs.RNA[1:]}
+	profiles := []struct {
+		sig     string
+		dbs     *msa.DBSet
+		threads []int
+	}{
+		{"full", s.DBs, threads},
+		{"reduced", reduced, []int{1, 3, 8, 16}},
 	}
-	viaSuite, err := s.MSAResult(in, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := range direct.Workers {
-		if got, want := viaSuite.Workers[w].Totals(), direct.Workers[w].Totals(); got != want {
-			t.Errorf("worker %d: suite metered %+v, direct run %+v", w, got, want)
+	for _, p := range profiles {
+		for i, in := range inputs.Samples() {
+			first := p.threads[i%len(p.threads)]
+			order := append([]int{first}, p.threads...)
+			for _, T := range order {
+				view, err := s.msaResultFor(context.Background(), in, T, p.dbs, p.sig, false, msa.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				again, _ := s.msaResultFor(context.Background(), in, T, p.dbs, p.sig, false, msa.Options{})
+				if again.res != view.res {
+					t.Fatalf("%s %s at %dT: a repeat returned another result", p.sig, in.Name, T)
+				}
+				direct, err := msa.Run(in, msa.Options{Threads: T, DBs: p.dbs, AllowMissingDB: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(view.res.Workers) != T {
+					t.Fatalf("%s %s at %dT: %d workers", p.sig, in.Name, T, len(view.res.Workers))
+				}
+				for w, acc := range view.res.Workers {
+					if !reflect.DeepEqual(acc.Flat(), direct.Workers[w].Flat()) {
+						t.Fatalf("%s %s at %dT (searched at %dT), worker %d: events differ from a direct run",
+							p.sig, in.Name, T, first, w)
+					}
+					if !reflect.DeepEqual(acc.ByFunc(), direct.Workers[w].ByFunc()) {
+						t.Fatalf("%s %s at %dT (searched at %dT), worker %d: ByFunc differs from a direct run",
+							p.sig, in.Name, T, first, w)
+					}
+				}
+			}
+			if e := s.msaMemo[in.Name+"/"+p.sig]; len(e.search.Workers) != first {
+				t.Fatalf("%s %s: the memo searched at %dT, want %dT", p.sig, in.Name, len(e.search.Workers), first)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"afsysbench/internal/inputs"
@@ -75,25 +76,76 @@ func TestFreshMSABypassesMemo(t *testing.T) {
 	}
 	mach := platform.Desktop()
 
-	if _, err := s.RunMSAPhase(context.Background(), in, mach, PipelineOptions{Threads: 4, FreshMSA: true}); err != nil {
-		t.Fatal(err)
+	phase := func(opts PipelineOptions) *MSAPhase {
+		t.Helper()
+		mp, err := s.RunMSAPhase(context.Background(), in, mach, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mp
 	}
-	s.mu.Lock()
-	memoLen := len(s.msaCache)
-	s.mu.Unlock()
-	if memoLen != 0 {
-		t.Fatalf("FreshMSA populated the suite memo (%d entries)", memoLen)
+	phase(PipelineOptions{Threads: 4, FreshMSA: true})
+	if n := len(s.msaMemo); n != 0 {
+		t.Fatalf("FreshMSA populated the suite memo (%d entries)", n)
 	}
 
-	// And the memoized path still memoizes.
-	if _, err := s.RunMSAPhase(context.Background(), in, mach, PipelineOptions{Threads: 4}); err != nil {
+	// And the memoized path still memoizes: one entry per sample and
+	// profile holding the search, its view at each thread count asked for,
+	// and each view's replay per machine.
+	first := phase(PipelineOptions{Threads: 4})
+	e := s.msaMemo["promo/full"]
+	if len(s.msaMemo) != 1 || e == nil || len(e.views) != 1 || len(e.views[4].sims) != 1 {
+		t.Fatalf("memoized run left memo %+v, want one entry with one view and one replay", s.msaMemo)
+	}
+	if again := phase(PipelineOptions{Threads: 4, RunIndex: 1}); again.Data != first.Data {
+		t.Fatal("a repeat at the same thread count did not return the memoized result")
+	}
+	phase(PipelineOptions{Threads: 2})
+	if len(s.msaMemo) != 1 || len(e.views) != 2 || e.views[2].res == e.search {
+		t.Fatal("a second thread count must add a re-cut view to the entry, not a search")
+	}
+	if phase(PipelineOptions{Threads: 4, FreshMSA: true}).Data == first.Data {
+		t.Fatal("FreshMSA read the memo")
+	}
+}
+
+// TestMemoServesConcurrentCallersOneResult: callers asking for one sample
+// at several thread counts at once share one memo entry, and every caller
+// of a thread count gets the same result and the same replay, whichever
+// goroutine searched or re-cut first.
+func TestMemoServesConcurrentCallersOneResult(t *testing.T) {
+	s := newTestSuite(t)
+	in, err := inputs.ByName("2PV7")
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	memoLen = len(s.msaCache)
-	s.mu.Unlock()
-	if memoLen != 1 {
-		t.Fatalf("memoized run left %d memo entries, want 1", memoLen)
+	threads := []int{1, 2, 4, 8, 1, 2, 4, 8}
+	results := make([]*msa.Result, len(threads))
+	seconds := make([]float64, len(threads))
+	var wg sync.WaitGroup
+	for i, T := range threads {
+		wg.Add(1)
+		go func(i, T int) {
+			defer wg.Done()
+			sim, err := s.MSAReplay(in, platform.Server(), T)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			seconds[i] = sim.Seconds
+			if results[i], err = s.MSAResult(in, T); err != nil {
+				t.Error(err)
+			}
+		}(i, T)
+	}
+	wg.Wait()
+	if n := len(s.msaMemo); n != 1 {
+		t.Fatalf("%d memo entries for one sample and profile", n)
+	}
+	for i, T := range threads[:4] {
+		if results[i] == nil || results[i] != results[i+4] || seconds[i] != seconds[i+4] {
+			t.Fatalf("%dT: two callers got different results or replays", T)
+		}
 	}
 }
 

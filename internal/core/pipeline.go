@@ -347,14 +347,15 @@ func (s *Suite) runMSAStage(ctx context.Context, in *inputs.Input, mach platform
 		// Chain faults and checkpoints make the search attempt-dependent:
 		// the memo must not absorb (or replay around) either.
 		fresh := opts.FreshMSA || opts.MSACheckpoint != nil || inj.HasChainFaults() || opts.ChainCache != nil || opts.Scatter != nil
-		msaRes, err := s.msaResultFor(ctx, in, opts.Threads, s.reducedDBSet(active), s.dbSignature(active), fresh, hooks)
+		view, err := s.msaResultFor(ctx, in, opts.Threads, s.reducedDBSet(active), s.dbSignature(active), fresh, hooks)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return resilience.ErrStageTimeout{Stage: "msa", Cause: ctxErr}
 			}
 			return err
 		}
-		cpuSim := simhw.Simulate(msa.BuildRunSpec(mach, msaRes))
+		msaRes := view.res
+		cpuSim := s.replay(view, mach)
 		cpu := cpuSim.Seconds * s.jitter(in.Name, opts.RunIndex, 0.02)
 		stall := inj.StallSeconds()
 

@@ -8,7 +8,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"sync"
 
@@ -38,8 +37,10 @@ type Suite struct {
 	// performs (the zero value: engine defaults).
 	Search hmmer.SearchOptions
 
-	mu       sync.Mutex
-	msaCache map[string]*msa.Result
+	mu sync.Mutex
+	// msaMemo holds one search per sample and database profile, keyed
+	// "sample/profile" (see msaResultFor).
+	msaMemo map[string]*msaEntry
 	// xla memoizes compiled artifacts per token count, LRU-bounded to
 	// xlaCacheEntries entries of size 1 (nil = no memo: every call
 	// compiles).
@@ -66,57 +67,134 @@ func NewSuite() (*Suite, error) {
 		return nil, err
 	}
 	return &Suite{
-		DBs:      dbs,
-		Model:    simgpu.DefaultModel(),
-		Runs:     5,
-		Seed:     0xAF5B,
-		msaCache: make(map[string]*msa.Result),
-		xla:      cache.New(xlaCacheEntries),
+		DBs:     dbs,
+		Model:   simgpu.DefaultModel(),
+		Runs:    5,
+		Seed:    0xAF5B,
+		msaMemo: make(map[string]*msaEntry),
+		xla:     cache.New(xlaCacheEntries),
 	}, nil
+}
+
+// msaEntry is the memo's one search of a sample against one database
+// profile, and every thread count's view of it.
+type msaEntry struct {
+	// dbs is the profile the search ran against, which Rethread needs.
+	dbs    *msa.DBSet
+	search *msa.Result
+	views  map[int]msaView
+}
+
+// msaView is one thread count's MSA result: the search itself at the
+// thread count it ran at, a Rethread of it at every other. sims memoizes its
+// machine-model replays; it is nil for a fresh search, which nothing keeps.
+type msaView struct {
+	res  *msa.Result
+	sims map[platform.Machine]simhw.Result
 }
 
 // MSAResult runs (or returns the cached) MSA phase for a sample at a thread
 // count. The result is platform-independent: the machine models replay it.
 func (s *Suite) MSAResult(in *inputs.Input, threads int) (*msa.Result, error) {
-	return s.msaResultFor(context.Background(), in, threads, s.DBs, "full", false, msa.Options{})
+	v, err := s.msaResultFor(context.Background(), in, threads, s.DBs, "full", false, msa.Options{})
+	return v.res, err
 }
 
-// msaResultFor runs (or returns the cached) MSA phase against a specific
-// database profile. sig names the profile in the cache key: the degradation
+// MSAReplay is the machine-model replay of a sample's MSA phase at a thread
+// count on mach — simhw.Simulate(msa.BuildRunSpec(mach, res)) of
+// MSAResult's res, computed once per suite.
+func (s *Suite) MSAReplay(in *inputs.Input, mach platform.Machine, threads int) (simhw.Result, error) {
+	v, err := s.msaResultFor(context.Background(), in, threads, s.DBs, "full", false, msa.Options{})
+	if err != nil {
+		return simhw.Result{}, err
+	}
+	return s.replay(v, mach), nil
+}
+
+// msaResultFor runs (or returns the memoized) MSA phase against a specific
+// database profile. sig names the profile in the memo key: the degradation
 // ladder re-plans the stage against reduced sets, and a result computed
 // with a dropped database must never be served for the full profile (or
-// vice versa). fresh bypasses the memo entirely — no read, no write — for
-// callers that manage reuse themselves (PipelineOptions.FreshMSA) and for
-// any run carrying attempt-dependent hooks (chain faults, checkpoints).
-// sig doubles as the checkpoint scope, so a delta recorded against one
-// profile never replays under another. hooks carries the per-run hooks
-// (Checkpoint, ChainFault, ChainCache, Scatter; the zero value means a plain
-// search); everything else in it is filled in here.
-func (s *Suite) msaResultFor(ctx context.Context, in *inputs.Input, threads int, dbs *msa.DBSet, sig string, fresh bool, hooks msa.Options) (*msa.Result, error) {
-	key := fmt.Sprintf("%s/%d/%s", in.Name, threads, sig)
+// vice versa). The memo searches once per sample and profile, at the first
+// thread count asked for; a thread count changes only which worker each
+// record's metering events land in, so every other count is that search's
+// msa.Result.Rethread, kept so that a repeat returns the same result.
+//
+// fresh bypasses the memo entirely — no read, no write — for callers that
+// manage reuse themselves (PipelineOptions.FreshMSA) and for any run
+// carrying attempt-dependent hooks (chain faults, checkpoints). sig doubles
+// as the checkpoint scope, so a delta recorded against one profile never
+// replays under another. hooks carries the per-run hooks (Checkpoint,
+// ChainFault, ChainCache, Scatter; the zero value means a plain search);
+// everything else in it is filled in here.
+func (s *Suite) msaResultFor(ctx context.Context, in *inputs.Input, threads int, dbs *msa.DBSet, sig string, fresh bool, hooks msa.Options) (msaView, error) {
+	var key string
+	var e *msaEntry
 	if !fresh {
+		key = in.Name + "/" + sig
 		s.mu.Lock()
-		cached, ok := s.msaCache[key]
-		s.mu.Unlock()
-		if ok {
-			return cached, nil
+		e = s.msaMemo[key]
+		if v, ok := e.view(threads); ok {
+			s.mu.Unlock()
+			return v, nil
 		}
-	}
-	hooks.Threads = threads
-	hooks.Search = s.Search
-	hooks.DBs = dbs
-	hooks.AllowMissingDB = true
-	hooks.CheckpointScope = sig
-	res, err := msa.RunCtx(ctx, in, hooks)
-	if err != nil {
-		return nil, err
-	}
-	if !fresh {
-		s.mu.Lock()
-		s.msaCache[key] = res
 		s.mu.Unlock()
 	}
-	return res, nil
+	var res *msa.Result
+	var err error
+	if e != nil {
+		res, err = e.search.Rethread(threads, e.dbs)
+	} else {
+		hooks.Threads = threads
+		hooks.Search = s.Search
+		hooks.DBs = dbs
+		hooks.AllowMissingDB = true
+		hooks.CheckpointScope = sig
+		res, err = msa.RunCtx(ctx, in, hooks)
+	}
+	if err != nil || fresh {
+		return msaView{res: res}, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// A concurrent first request may have stored the entry or the view
+	// meanwhile; what is stored wins, so every caller sees one result.
+	if e = s.msaMemo[key]; e == nil {
+		e = &msaEntry{dbs: dbs, search: res, views: make(map[int]msaView)}
+		s.msaMemo[key] = e
+	}
+	if v, ok := e.view(threads); ok {
+		return v, nil
+	}
+	v := msaView{res: res, sims: make(map[platform.Machine]simhw.Result)}
+	e.views[threads] = v
+	return v, nil
+}
+
+// view returns the entry's view at a thread count, if it has one. A nil
+// entry has none.
+func (e *msaEntry) view(threads int) (msaView, bool) {
+	if e == nil {
+		return msaView{}, false
+	}
+	v, ok := e.views[threads]
+	return v, ok
+}
+
+// replay is the machine-model replay of v's result on mach, memoized in v
+// unless v is a fresh search.
+func (s *Suite) replay(v msaView, mach platform.Machine) simhw.Result {
+	if v.sims == nil {
+		return simhw.Simulate(msa.BuildRunSpec(mach, v.res))
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sim, ok := v.sims[mach]
+	if !ok {
+		sim = simhw.Simulate(msa.BuildRunSpec(mach, v.res))
+		v.sims[mach] = sim
+	}
+	return sim
 }
 
 // XLAArtifacts builds and compiles the inference graph for n tokens,

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"afsysbench/internal/cache"
-	"afsysbench/internal/msa"
 	"afsysbench/internal/simgpu"
 )
 
@@ -15,9 +14,8 @@ import (
 // test suite's memo and counters untouched.
 func TestXLACacheBoundedLRU(t *testing.T) {
 	s := &Suite{
-		Model:    simgpu.DefaultModel(),
-		msaCache: make(map[string]*msa.Result),
-		xla:      cache.New(2),
+		Model: simgpu.DefaultModel(),
+		xla:   cache.New(2),
 	}
 	stats := func() (entries int, evictions uint64) {
 		st := s.xla.Stats()

@@ -132,6 +132,14 @@ func (a *Accumulator) Link(src *Accumulator) {
 	}
 }
 
+// LinkRun appends one run of events to a by reference, as Link does for
+// each of an accumulator's runs: a sub-slice of another accumulator's run
+// (see Run) links without copying an event.
+func (a *Accumulator) LinkRun(run []Event) {
+	a.linked = true
+	a.linkRun(run)
+}
+
 func (a *Accumulator) linkRun(run []Event) {
 	if len(run) == 0 {
 		return
@@ -172,11 +180,15 @@ func (a *Accumulator) Flat() []Event {
 	return out
 }
 
-// run returns the r-th run: the head for r == 0, then the linked ones.
-// Totals and ByFunc walk for r := 0; r <= len(a.tail); r++ with a plain
-// inner loop — they sit on the serving hot path, and a per-event callback
-// costs more than the arithmetic it wraps.
-func (a *Accumulator) run(r int) []Event {
+// Runs returns the number of runs a holds: the head run, then one per
+// linked run. Together with Run it walks the stream without Flat's copy.
+func (a *Accumulator) Runs() int { return len(a.tail) + 1 }
+
+// Run returns the r-th run (0 ≤ r < Runs()): the head for r == 0, then the
+// linked ones, read-only. Totals and ByFunc walk it with a plain inner loop
+// — they sit on the serving hot path, and a per-event callback costs more
+// than the arithmetic it wraps.
+func (a *Accumulator) Run(r int) []Event {
 	if r == 0 {
 		return a.Events
 	}
@@ -188,7 +200,7 @@ func (a *Accumulator) Totals() Event {
 	var t Event
 	t.Func = "total"
 	for r := 0; r <= len(a.tail); r++ {
-		run := a.run(r)
+		run := a.Run(r)
 		for i := range run {
 			ev := &run[i]
 			t.Instructions += ev.Instructions
@@ -222,7 +234,7 @@ func (a *Accumulator) ByFunc() map[string]Event {
 	groups, next := groupBuf[:0], nextBuf[:0]
 	last, g := 0, 0
 	for r := 0; r <= len(a.tail); r++ {
-		run := a.run(r)
+		run := a.Run(r)
 		for i := range run {
 			ev := &run[i]
 			if g >= len(groups) || groups[g].Func != ev.Func {

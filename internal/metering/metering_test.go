@@ -151,7 +151,7 @@ func TestLinkedReadsAsFlat(t *testing.T) {
 func ByFuncMapWalk(a *Accumulator) map[string]Event {
 	groups := make(map[string]*Event)
 	for r := 0; r <= len(a.tail); r++ {
-		run := a.run(r)
+		run := a.Run(r)
 		for i := range run {
 			ev := &run[i]
 			cur := groups[ev.Func]

@@ -115,7 +115,7 @@ func (p *Pool) Run(n int, fn func(shard, lo, hi int)) {
 	}
 	var pending atomic.Int32
 	for s := shards - 1; s >= 1; s-- {
-		lo, hi := span(n, s, shards)
+		lo, hi := Span(n, s, shards)
 		pending.Add(1)
 		j := job{fn: fn, shard: s, lo: lo, hi: hi, pending: &pending}
 		select {
@@ -125,7 +125,7 @@ func (p *Pool) Run(n int, fn func(shard, lo, hi int)) {
 			pending.Add(-1)
 		}
 	}
-	lo, hi := span(n, 0, shards)
+	lo, hi := Span(n, 0, shards)
 	fn(0, lo, hi)
 	// Drain while waiting: helper goroutines can all be parked inside
 	// nested Run calls, in which case enqueued jobs (this call's or a
@@ -190,7 +190,7 @@ func (p *Pool) RunCtx(ctx context.Context, n int, fn func(shard, lo, hi int)) er
 		if ctx.Err() != nil {
 			break // stop dispatching; already-queued shards self-skip
 		}
-		lo, hi := span(n, s, shards)
+		lo, hi := Span(n, s, shards)
 		pending.Add(1)
 		j := job{fn: guarded, shard: s, lo: lo, hi: hi, pending: &pending}
 		select {
@@ -201,7 +201,7 @@ func (p *Pool) RunCtx(ctx context.Context, n int, fn func(shard, lo, hi int)) er
 		}
 	}
 	if ctx.Err() == nil {
-		lo, hi := span(n, 0, shards)
+		lo, hi := Span(n, 0, shards)
 		fn(0, lo, hi)
 	}
 	// Same drain-while-waiting discipline as Run; drained jobs from this
@@ -224,10 +224,12 @@ func (p *Pool) RunCtx(ctx context.Context, n int, fn func(shard, lo, hi int)) er
 	return ctx.Err()
 }
 
-// span returns the s-th of `shards` contiguous ranges of [0,n) — the same
-// arithmetic the MSA scan has always used, so shard boundaries are stable
-// across the codebase.
-func span(n, s, shards int) (lo, hi int) {
+// Span returns the s-th of `shards` contiguous ranges of [0,n) — the one
+// shard rule behind Run, Shards and ShardsCtx, so shard boundaries are stable
+// across the codebase. It is exported for code that must know which records
+// a scan's worker s was given without running the scan (msa.Result.Rethread
+// re-cuts per-worker metering along these boundaries).
+func Span(n, s, shards int) (lo, hi int) {
 	return n * s / shards, n * (s + 1) / shards
 }
 
@@ -247,7 +249,7 @@ func Shards(shards, n int, fn func(shard, lo, hi int)) {
 	}
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
-		lo, hi := span(n, s, shards)
+		lo, hi := Span(n, s, shards)
 		if lo == hi {
 			continue
 		}
@@ -283,7 +285,7 @@ func ShardsCtx(ctx context.Context, shards, n int, fn func(shard, lo, hi int)) e
 		if ctx.Err() != nil {
 			break
 		}
-		lo, hi := span(n, s, shards)
+		lo, hi := Span(n, s, shards)
 		if lo == hi {
 			continue
 		}
