@@ -60,7 +60,7 @@ loc:
 # chaos-cluster, cluster-scaling, fairness, batch-sweep). The second line's
 # -run 'Test|Fuzz' keeps fuzz seed corpora replaying under the race detector
 # wherever a package has a fuzz target (cachedisk and qos do; hmmer has none
-# left and runs its tests).
+# left and runs its tests; msa's chain-codec corpus runs on the first line).
 race:
 	$(GO) test -race ./internal/parallel ./internal/tensor ./internal/pairformer ./internal/diffusion ./internal/cache ./internal/batch ./internal/serve ./internal/msa ./internal/cluster ./internal/vtime ./internal/scenario
 	$(GO) test -race -run 'Test|Fuzz' ./internal/hmmer ./internal/cachedisk ./internal/qos
@@ -82,10 +82,12 @@ check: fmt vet doccheck test race faults bench-smoke
 # its scoring and traceback drivers (64 distinct targets per iteration set,
 # so a kernel that branches is not flattered). The numbers of record for
 # the scan are the repo benchmark's hmmer.*_ns_per_cell (sh bench/run.sh
-# --trace 1).
+# --trace 1). Last, the chain codec: encode and decode of each PPI pool
+# chain, the disk tier's payloads.
 bench:
 	$(GO) test -run xxx -bench 'MatMul|TriangleAttention|BlockApply|DiffusionDenoise' -benchmem ./internal/tensor ./internal/pairformer ./internal/diffusion
 	$(GO) test -run xxx -bench 'Scan|Forward|BandedViterbi' -benchmem ./internal/hmmer
+	$(GO) test -run xxx -bench ChainCodec -benchmem ./internal/msa
 
 # Where a cold request's CPU goes: three one-thread passes of the cold_msa
 # request mix through Suite.RunPipeline with FreshMSA (BenchmarkColdMix)

@@ -377,6 +377,19 @@ func (s *Store) Put(key string, codec uint16, payload []byte) error {
 	return nil
 }
 
+// Has reports whether the store indexes an entry under key, without
+// reading it or consulting the breaker. A spill asks first, so it does not
+// build a payload Put would discard.
+func (s *Store) Has(key string) bool {
+	if s == nil {
+		return false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.index[key]
+	return ok
+}
+
 // Drop removes an entry whose payload verified but failed the caller's
 // decode — semantic corruption the checksum cannot see (e.g. a payload
 // written by a buggy encoder). Counted separately from checksum drops.

@@ -55,7 +55,7 @@ func isTracebackEvent(ev metering.Event) bool {
 // ScanRecords per alphabet — every field of every event, in order — to the
 // value computed at the commit before tracebacks moved behind the scan's
 // dedup. TestScanMeteringMatchesParent pins per-function sums; the machine
-// models fold events in order and chain deltas are gob-encoded in order, so
+// models fold events in order and chain deltas are encoded in order, so
 // a change that keeps the totals and moves an event still moves modeled
 // seconds and cached bytes. The inputs are the ones where the Go loop now
 // does its work at a different point than the model is charged for it.

@@ -92,7 +92,7 @@ func (Nop) Record(Event) {}
 //
 // An accumulator is an ordered list of read-only runs of events. Events is
 // the head run: a recorder that only ever calls Record — every chain-level
-// accumulator, every gob-encoded chain delta — has nothing else, and is the
+// accumulator, every encoded chain delta — has nothing else, and is the
 // flat accumulator it always was. Link splices another accumulator's events
 // in by reference, so a request-level accumulator assembled from cached
 // chains costs a few slice headers, not a copy of every event. A linked
@@ -101,9 +101,9 @@ func (Nop) Record(Event) {}
 // Events alone is the whole stream only while Linked() is false.
 type Accumulator struct {
 	Events []Event
-	// tail holds the runs linked after the head, in order. Unexported, so
-	// gob carries the head run only; msa refuses to encode a linked
-	// accumulator rather than drop these.
+	// tail holds the runs linked after the head, in order. msa's chain
+	// codec writes the head run only, so it refuses a linked accumulator
+	// rather than drop these.
 	tail   [][]Event
 	linked bool
 }

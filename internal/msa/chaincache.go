@@ -1,13 +1,9 @@
 package msa
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
-	"afsysbench/internal/hmmer"
 	"afsysbench/internal/inputs"
-	"afsysbench/internal/metering"
 )
 
 // ChainFetch is the serving layer's cross-request chain-cache hook. It is
@@ -34,15 +30,6 @@ type CachedChain struct {
 	size int64
 }
 
-// chainDeltaWire is the exported mirror of chainDelta for gob transport.
-type chainDeltaWire struct {
-	CR       ChainResult
-	Hits     []hmmer.Hit
-	Workers  []*metering.Accumulator
-	Streamed map[string]int64
-	Serial   uint64
-}
-
 func newCachedChain(d *chainDelta) *CachedChain {
 	return &CachedChain{d: d, work: deltaWork(d), size: deltaSize(d)}
 }
@@ -59,61 +46,9 @@ func (cc *CachedChain) Work() uint64 { return cc.work }
 // truth).
 func (cc *CachedChain) SizeBytes() int64 { return cc.size }
 
-// Encode serializes the snapshot for the persistent tier. gob carries only
-// an accumulator's head run, so a delta whose workers were assembled with
-// Link is refused rather than written short: chain-level accumulators are
-// flat by construction (recorders and the cluster scatter only append).
-func (cc *CachedChain) Encode() ([]byte, error) {
-	for i, acc := range cc.d.workers {
-		if acc.Linked() {
-			return nil, fmt.Errorf("msa: encode cached chain: worker accumulator %d is linked", i)
-		}
-	}
-	var buf bytes.Buffer
-	w := chainDeltaWire{
-		CR:       cc.d.cr,
-		Hits:     cc.d.hits,
-		Workers:  cc.d.workers,
-		Streamed: cc.d.streamed,
-		Serial:   cc.d.serial,
-	}
-	if err := gob.NewEncoder(&buf).Encode(&w); err != nil {
-		return nil, fmt.Errorf("msa: encode cached chain: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeCachedChain reverses Encode. It validates structural invariants
-// that the merge path relies on (worker accumulators non-nil), so a decode
-// of a syntactically valid but semantically broken payload fails cleanly
-// instead of panicking later.
-func DecodeCachedChain(b []byte) (*CachedChain, error) {
-	var w chainDeltaWire
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return nil, fmt.Errorf("msa: decode cached chain: %w", err)
-	}
-	for i, acc := range w.Workers {
-		if acc == nil {
-			return nil, fmt.Errorf("msa: decode cached chain: nil worker accumulator %d", i)
-		}
-	}
-	for i, h := range w.Hits {
-		if h.Target == nil {
-			return nil, fmt.Errorf("msa: decode cached chain: hit %d has no target", i)
-		}
-	}
-	d := &chainDelta{
-		cr:       w.CR,
-		hits:     w.Hits,
-		workers:  w.Workers,
-		streamed: w.Streamed,
-		serial:   w.Serial,
-	}
-	if d.streamed == nil {
-		d.streamed = make(map[string]int64)
-	}
-	return newCachedChain(d), nil
-}
+// Workers returns the number of worker accumulators the snapshot carries:
+// the thread count it was searched at, which a replay must match.
+func (cc *CachedChain) Workers() int { return len(cc.d.workers) }
 
 // deltaFor returns the delta rewritten for the chain label cid. The
 // snapshot is keyed by sequence content, so the same CachedChain may serve

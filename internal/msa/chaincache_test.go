@@ -1,7 +1,9 @@
 package msa
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,13 +12,14 @@ import (
 )
 
 // mapChainCache is a ChainFetch over a plain map, optionally round-tripping
-// every stored snapshot through the gob codec to prove the serialized form
-// replays byte-identically.
+// every stored snapshot through the chain codec to prove the serialized
+// form replays byte-identically.
 type mapChainCache struct {
 	entries   map[string]*CachedChain
 	viaCodec  bool
 	hits      int
 	misses    int
+	aligned   int // hits carrying an Alignment across the codec
 	lastSizes []int64
 }
 
@@ -33,17 +36,42 @@ func (m *mapChainCache) fetch(scope string, chain inputs.Chain, compute func() (
 	m.misses++
 	m.lastSizes = append(m.lastSizes, cc.SizeBytes())
 	if m.viaCodec {
-		b, err := cc.Encode()
-		if err != nil {
+		if cc, err = roundTrip(cc); err != nil {
 			return nil, false, err
 		}
-		cc, err = DecodeCachedChain(b)
-		if err != nil {
-			return nil, false, err
+		for _, h := range cc.d.hits {
+			if h.Alignment != nil {
+				m.aligned++
+			}
 		}
 	}
 	m.entries[key] = cc
 	return cc, false, nil
+}
+
+// roundTrip sends cc through the codec. The decoded snapshot must equal cc
+// field for field — targets and alignments included — account the same
+// work and size, and re-encode to the same bytes.
+func roundTrip(cc *CachedChain) (*CachedChain, error) {
+	b, err := cc.Encode()
+	if err != nil {
+		return nil, err
+	}
+	back, err := DecodeCachedChain(b)
+	if err != nil {
+		return nil, err
+	}
+	if !reflect.DeepEqual(back.d, cc.d) {
+		return nil, fmt.Errorf("chain %s changed across the codec", cc.d.cr.ChainID)
+	}
+	if back.Work() != cc.Work() || back.SizeBytes() != cc.SizeBytes() {
+		return nil, fmt.Errorf("chain %s: the codec changed work %d→%d, size %d→%d",
+			cc.d.cr.ChainID, cc.Work(), back.Work(), cc.SizeBytes(), back.SizeBytes())
+	}
+	if again, err := back.Encode(); err != nil || !bytes.Equal(again, b) {
+		return nil, fmt.Errorf("chain %s does not re-encode to its payload (%v)", cc.d.cr.ChainID, err)
+	}
+	return back, nil
 }
 
 // deterministicView strips the operational counters (cache split, restores)
@@ -55,65 +83,94 @@ func deterministicView(res *Result) *Result {
 	return &v
 }
 
+// TestChainCacheReplayIsByteIdentical: a run served from the chain cache
+// equals a fresh one. The codec arm stores every chain through Encode and
+// DecodeCachedChain, on every Table II sample and a PPI pair at 1 and 2
+// threads, and once with every kept hit traced (TraceE 0), so the final
+// hits the codec carries have alignments.
 func TestChainCacheReplayIsByteIdentical(t *testing.T) {
-	for _, viaCodec := range []bool{false, true} {
-		in, _ := inputs.ByName("1YY9")
-		opts := Options{Threads: 2, DBs: dbs(t)}
+	type arm struct {
+		in                 *inputs.Input
+		threads            int
+		viaCodec, traceAll bool
+	}
+	yy9, _ := inputs.ByName("1YY9")
+	pv7, _ := inputs.ByName("2PV7")
+	ppi, err := inputs.PPIPair(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arms := []arm{{in: yy9, threads: 2}, {in: pv7, threads: 2, viaCodec: true, traceAll: true}}
+	for _, in := range append(inputs.Samples(), ppi) {
+		for _, threads := range []int{1, 2} {
+			arms = append(arms, arm{in: in, threads: threads, viaCodec: true})
+		}
+	}
+	for _, a := range arms {
+		name := fmt.Sprintf("%s/T%d/codec=%v/traceAll=%v", a.in.Name, a.threads, a.viaCodec, a.traceAll)
+		in := a.in
+		opts := Options{Threads: a.threads, DBs: dbs(t)}
+		if a.traceAll {
+			opts.Scatter = newScanLog(scanShards, true).scatter
+		}
 		fresh, err := Run(in, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		cc := &mapChainCache{entries: make(map[string]*CachedChain), viaCodec: viaCodec}
+		cc := &mapChainCache{entries: make(map[string]*CachedChain), viaCodec: a.viaCodec}
 		opts.ChainCache = cc.fetch
 		first, err := Run(in, opts)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if cc.misses != len(in.MSAChains()) || cc.hits != 0 {
-			t.Fatalf("codec=%v first run: hits=%d misses=%d", viaCodec, cc.hits, cc.misses)
+			t.Fatalf("%s first run: hits=%d misses=%d", name, cc.hits, cc.misses)
 		}
 		second, err := Run(in, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cc.hits != len(in.MSAChains()) {
-			t.Fatalf("codec=%v second run hits=%d, want %d", viaCodec, cc.hits, len(in.MSAChains()))
+			t.Fatalf("%s second run hits=%d, want %d", name, cc.hits, len(in.MSAChains()))
 		}
 		if second.CachedChains != len(in.MSAChains()) || second.FreshWork != 0 || second.CachedWork == 0 {
-			t.Fatalf("codec=%v cache accounting: %d cached, fresh=%d cached=%d",
-				viaCodec, second.CachedChains, second.FreshWork, second.CachedWork)
+			t.Fatalf("%s cache accounting: %d cached, fresh=%d cached=%d",
+				name, second.CachedChains, second.FreshWork, second.CachedWork)
 		}
 		if first.FreshWork+first.CachedWork != second.FreshWork+second.CachedWork {
-			t.Fatalf("codec=%v total work not cache-independent: %d vs %d",
-				viaCodec, first.FreshWork+first.CachedWork, second.FreshWork+second.CachedWork)
+			t.Fatalf("%s total work not cache-independent: %d vs %d",
+				name, first.FreshWork+first.CachedWork, second.FreshWork+second.CachedWork)
+		}
+		if a.traceAll && cc.aligned == 0 {
+			t.Fatalf("%s: no cached hit carries an alignment", name)
 		}
 		for _, pair := range [][2]*Result{{fresh, first}, {fresh, second}} {
 			a, b := deterministicView(pair[0]), deterministicView(pair[1])
 			if !reflect.DeepEqual(a.PerChain, b.PerChain) {
-				t.Fatalf("codec=%v PerChain diverged", viaCodec)
+				t.Fatalf("%s PerChain diverged", name)
 			}
 			if !reflect.DeepEqual(a.Features, b.Features) {
-				t.Fatalf("codec=%v Features diverged", viaCodec)
+				t.Fatalf("%s Features diverged", name)
 			}
 			if !reflect.DeepEqual(a.Streamed, b.Streamed) {
-				t.Fatalf("codec=%v Streamed diverged", viaCodec)
+				t.Fatalf("%s Streamed diverged", name)
 			}
 			if a.SerialInstructions != b.SerialInstructions {
-				t.Fatalf("codec=%v SerialInstructions diverged", viaCodec)
+				t.Fatalf("%s SerialInstructions diverged", name)
 			}
 			if len(a.Workers) != len(b.Workers) {
-				t.Fatalf("codec=%v worker counts diverged", viaCodec)
+				t.Fatalf("%s worker counts diverged", name)
 			}
 			for w := range a.Workers {
 				if !reflect.DeepEqual(a.Workers[w].Flat(), b.Workers[w].Flat()) {
-					t.Fatalf("codec=%v worker %d events diverged", viaCodec, w)
+					t.Fatalf("%s worker %d events diverged", name, w)
 				}
 			}
 		}
 		for _, sz := range cc.lastSizes {
 			if sz <= 0 {
-				t.Fatalf("codec=%v non-positive SizeBytes", viaCodec)
+				t.Fatalf("%s non-positive SizeBytes", name)
 			}
 		}
 	}
@@ -159,14 +216,6 @@ func TestChainCacheErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestDecodeCachedChainRejectsGarbage(t *testing.T) {
-	for _, b := range [][]byte{nil, {}, {0x00}, []byte("not gob at all"), make([]byte, 512)} {
-		if _, err := DecodeCachedChain(b); err == nil {
-			t.Fatalf("garbage %d bytes decoded", len(b))
-		}
-	}
-}
-
 func TestChainFingerprintContentIdentity(t *testing.T) {
 	in, _ := inputs.ByName("1YY9")
 	chains := in.MSAChains()
@@ -182,11 +231,11 @@ func TestChainFingerprintContentIdentity(t *testing.T) {
 	}
 }
 
-// TestEncodeRefusesLinkedAccumulator: gob carries only an accumulator's head
-// run, so a chain delta whose worker events were assembled with Link must
-// fail to encode — never reach the disk tier short — while its work and
-// size accounting still cover every event; the flat delta holding the same
-// events round-trips intact.
+// TestEncodeRefusesLinkedAccumulator: the codec writes only an
+// accumulator's head run, so a chain delta whose worker events were
+// assembled with Link must fail to encode — never reach the disk tier
+// short — while its work and size accounting still cover every event; the
+// flat delta holding the same events round-trips intact.
 func TestEncodeRefusesLinkedAccumulator(t *testing.T) {
 	in, _ := inputs.ByName("2PV7")
 	store := &mapChainCache{entries: make(map[string]*CachedChain)}

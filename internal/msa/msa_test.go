@@ -13,7 +13,7 @@ import (
 // deterministic so sharing across tests is safe.
 var testDBs *DBSet
 
-func dbs(t *testing.T) *DBSet {
+func dbs(t testing.TB) *DBSet {
 	t.Helper()
 	if testDBs == nil {
 		var err error

@@ -811,10 +811,11 @@ func (s *Server) pipelineOpts(job *Job) core.PipelineOptions {
 // The NUL keeps it clear of any tenant ID.
 const fifoKey = "\x00fifo"
 
-// chainCodecGob identifies the gob-encoded msa.CachedChain payload format
-// in the persistent tier's entry headers. Bump when the wire struct
-// changes; entries with an unknown codec are dropped at read time.
-const chainCodecGob uint16 = 1
+// chainCodec identifies the msa.CachedChain payload format (msa's chain
+// codec) in the persistent tier's entry headers. Bump it when the format
+// changes: an entry with another codec — 1 was gob — is dropped at read
+// time and recomputed once.
+const chainCodec uint16 = 2
 
 // chainKey is the content address of one chain's MSA search: everything
 // that determines the chain delta goes in — the chain content
@@ -852,7 +853,7 @@ func (s *Server) chainFetcher(job *Job) msa.ChainFetch {
 		key := s.chainKey(job, scope, chain)
 		fromDisk := false
 		v, hit, err := s.cfg.Cache.GetOrCompute(key, func() (any, int64, error) {
-			if cc := s.diskLookup(key); cc != nil {
+			if cc := s.diskLookup(key, job.threads); cc != nil {
 				fromDisk = true
 				return cc, cc.SizeBytes(), nil
 			}
@@ -889,19 +890,20 @@ func (s *Server) chainFetcher(job *Job) msa.ChainFetch {
 // failure mode — a miss, a tripped breaker, a corrupt file, an
 // undecodable payload — returns nil, never an error: the disk tier can
 // only ever save work. A payload that passes the store's checksum but
-// fails to decode is semantic corruption (e.g. a format drift), so the
-// entry is dropped to be rebuilt.
-func (s *Server) diskLookup(key string) *msa.CachedChain {
+// fails to decode, or decodes to a chain searched at another thread count
+// than the key's (a replay indexes the request's workers by the chain's),
+// is semantic corruption, so the entry is dropped to be rebuilt.
+func (s *Server) diskLookup(key string, threads int) *msa.CachedChain {
 	payload, codec, ok := s.cfg.DiskCache.Get(key)
 	if !ok {
 		return nil
 	}
-	if codec != chainCodecGob {
+	if codec != chainCodec {
 		s.cfg.DiskCache.Drop(key)
 		return nil
 	}
 	cc, err := msa.DecodeCachedChain(payload)
-	if err != nil {
+	if err != nil || cc.Workers() != threads {
 		s.cfg.DiskCache.Drop(key)
 		s.cfg.Metrics.Add("msa_chain_disk_decode_drops", 1)
 		return nil
@@ -910,26 +912,29 @@ func (s *Server) diskLookup(key string) *msa.CachedChain {
 }
 
 // spillChain is the memory cache's eviction hook: a chain pushed out of
-// the LRU is written through to the disk tier. Best-effort — a failed or
-// degraded spill just means a future miss, never an error.
+// the LRU is written through to the disk tier. A chain the disk already
+// holds — one read back from it, or evicted before — is not encoded again
+// (entries are content-addressed, so Put would discard the bytes).
+// Best-effort — a failed or degraded spill just means a future miss,
+// never an error. msa_chain_spills counts the payloads encoded.
 func (s *Server) spillChain(key string, val any, size int64) {
 	cc, ok := val.(*msa.CachedChain)
-	if !ok {
+	if !ok || s.cfg.DiskCache.Has(key) {
 		return
 	}
 	payload, err := cc.Encode()
 	if err != nil {
 		return
 	}
-	_ = s.cfg.DiskCache.Put(key, chainCodecGob, payload)
+	_ = s.cfg.DiskCache.Put(key, chainCodec, payload)
 	s.cfg.Metrics.Add("msa_chain_spills", 1)
 }
 
 // SpillCache flushes every chain entry currently resident in the memory
-// tier to the disk tier and returns how many were written (entries the
-// disk already holds count — Put is idempotent). This is the afload -warm
-// precompute path: fill the persistent tier from a trace now so a later
-// cold-memory run starts against a warm disk.
+// tier to the disk tier and returns how many the disk now holds (entries
+// it already held count, and are not encoded again). This is the afload
+// -warm precompute path: fill the persistent tier from a trace now so a
+// later cold-memory run starts against a warm disk.
 func (s *Server) SpillCache() int {
 	if s.cfg.Cache == nil || s.cfg.DiskCache == nil {
 		return 0
@@ -940,11 +945,15 @@ func (s *Server) SpillCache() int {
 		if !ok {
 			return true
 		}
+		if s.cfg.DiskCache.Has(key) {
+			n++
+			return true
+		}
 		payload, err := cc.Encode()
 		if err != nil {
 			return true
 		}
-		if s.cfg.DiskCache.Put(key, chainCodecGob, payload) == nil {
+		if s.cfg.DiskCache.Put(key, chainCodec, payload) == nil {
 			n++
 		}
 		return true

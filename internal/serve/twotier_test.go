@@ -7,6 +7,7 @@ import (
 
 	"afsysbench/internal/cache"
 	"afsysbench/internal/cachedisk"
+	"afsysbench/internal/msa"
 	"afsysbench/internal/resilience"
 	"afsysbench/internal/rng"
 )
@@ -190,5 +191,92 @@ func TestSustainedDiskFailureDegradesToMemory(t *testing.T) {
 	}
 	if ds := store.Stats(); ds.DegradedOps == 0 {
 		t.Fatalf("degraded ops not counted: %+v", ds)
+	}
+}
+
+// chainOf runs 2PV7 — one MSA chain — on a memory-only server at threads
+// and returns the chain's key, its encoded payload and the result's
+// fingerprint.
+func chainOf(t *testing.T, threads int) (key string, payload []byte, want string) {
+	t.Helper()
+	s := newTestServer(t, Config{Threads: threads, MSAWorkers: 1, Cache: cache.New(0)})
+	st := runTrace(t, s, []string{"2PV7"})
+	want = fingerprint(t, s, st[0].ID)
+	var err error
+	s.Config().Cache.Range(func(k string, val any, _ int64) bool {
+		key = k
+		payload, err = val.(*msa.CachedChain).Encode()
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payload == nil {
+		t.Fatal("2PV7 left no chain in the memory tier")
+	}
+	return key, payload, want
+}
+
+// TestDiskEntryOfAnotherThreadCountIsDropped: a checksum-valid entry whose
+// chain was searched at another thread count than its key names — two
+// workers under a four-thread key, four under a two-thread key — is
+// dropped, not replayed into the request's workers: the request and its
+// repeat get the fresh result, and the drop is counted.
+func TestDiskEntryOfAnotherThreadCountIsDropped(t *testing.T) {
+	key2, payload2, want2 := chainOf(t, 2)
+	key4, payload4, want4 := chainOf(t, 4)
+	for _, tc := range []struct {
+		threads      int
+		key, want    string
+		foreignBytes []byte
+	}{
+		{4, key4, want4, payload2},
+		{2, key2, want2, payload4},
+	} {
+		store := openDiskTier(t, t.TempDir(), cachedisk.Config{})
+		if err := store.Put(tc.key, chainCodec, tc.foreignBytes); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, Config{Threads: tc.threads, MSAWorkers: 1, Cache: cache.New(0), DiskCache: store})
+		st := runTrace(t, s, []string{"2PV7", "2PV7"})
+		for i, js := range st {
+			if js.State != "done" {
+				t.Fatalf("T%d request %d: %+v", tc.threads, i, js)
+			}
+			if got := fingerprint(t, s, js.ID); got != tc.want {
+				t.Fatalf("T%d request %d served a foreign chain:\n  want %s\n  got  %s", tc.threads, i, tc.want, got)
+			}
+		}
+		if st[0].ChainsDisk != 0 || st[0].ChainsFresh != 1 || st[1].ChainsMem != 1 {
+			t.Fatalf("T%d chains = %+v then %+v, want a fresh search, then a memory hit", tc.threads, st[0], st[1])
+		}
+		if got := s.Metrics().Get("msa_chain_disk_decode_drops"); got != 1 {
+			t.Fatalf("T%d decode drops = %d, want 1", tc.threads, got)
+		}
+	}
+}
+
+// TestSpillEncodesOnlyWhatTheDiskLacks runs a PPI screen on a memory tier
+// no chain fits in, so every chain is evicted the moment it lands — fresh
+// or read back from disk — over and over. Each distinct chain is written
+// once, and a chain the disk already holds is never offered again.
+func TestSpillEncodesOnlyWhatTheDiskLacks(t *testing.T) {
+	store := openDiskTier(t, t.TempDir(), cachedisk.Config{})
+	s := newTestServer(t, Config{Threads: 2, MSAWorkers: 1, Cache: cache.New(1), DiskCache: store})
+	trace := []string{"ppi-0x1", "ppi-2x3", "ppi-0x2", "ppi-1x3", "ppi-0x3", "ppi-1x2"}
+	for _, js := range runTrace(t, s, trace) {
+		if js.State != "done" {
+			t.Fatalf("request failed: %+v", js)
+		}
+	}
+	ds := store.Stats()
+	if ds.Puts != 4 || ds.PutExisting != 0 {
+		t.Fatalf("disk puts = %d, re-puts = %d; want 4 distinct chains written once each", ds.Puts, ds.PutExisting)
+	}
+	if ds.Hits == 0 {
+		t.Fatal("no chain was read back from disk: the trace proves nothing")
+	}
+	if got := s.Metrics().Get("msa_chain_spills"); got != 4 {
+		t.Fatalf("msa_chain_spills = %d, want 4 payloads encoded", got)
 	}
 }
