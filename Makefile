@@ -82,12 +82,13 @@ check: fmt vet doccheck test race faults bench-smoke
 # its scoring and traceback drivers (64 distinct targets per iteration set,
 # so a kernel that branches is not flattered). The numbers of record for
 # the scan are the repo benchmark's hmmer.*_ns_per_cell (sh bench/run.sh
-# --trace 1). Last, the chain codec: encode and decode of each PPI pool
-# chain, the disk tier's payloads.
+# --trace 1). Last, the chain codec — encode and decode of each PPI pool
+# chain, the disk tier's payloads — and the chain replay: one cached chain
+# re-cut into 1, 4 and 16 workers, what every cache hit pays.
 bench:
 	$(GO) test -run xxx -bench 'MatMul|TriangleAttention|BlockApply|DiffusionDenoise' -benchmem ./internal/tensor ./internal/pairformer ./internal/diffusion
 	$(GO) test -run xxx -bench 'Scan|Forward|BandedViterbi' -benchmem ./internal/hmmer
-	$(GO) test -run xxx -bench ChainCodec -benchmem ./internal/msa
+	$(GO) test -run xxx -bench 'ChainCodec|ChainReplay' -benchmem ./internal/msa
 
 # Where a cold request's CPU goes: three one-thread passes of the cold_msa
 # request mix through Suite.RunPipeline with FreshMSA (BenchmarkColdMix)

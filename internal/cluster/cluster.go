@@ -80,9 +80,8 @@ func NewShardPlan(fingerprint string, shards int) ShardPlan {
 }
 
 // Range returns shard s's contiguous record range [lo, hi) of a database
-// with n records — the same arithmetic parallel.Shards uses for the
-// in-process thread split, so shard boundaries are stable across the
-// codebase.
+// with n records — the same arithmetic as parallel.Span, the per-worker
+// split, so shard boundaries are stable across the codebase.
 func (p ShardPlan) Range(n, s int) (lo, hi int) {
 	return n * s / p.Shards, n * (s + 1) / p.Shards
 }

@@ -170,8 +170,8 @@ func (c *Cluster) Scatter(ctx context.Context, req msa.ScatterRequest) (*hmmer.R
 	c.mu.Unlock()
 
 	// Build the segment list. Worker spans use the same contiguous-split
-	// arithmetic as parallel.Shards, so segment boundaries nest exactly
-	// inside the single-node per-worker ranges.
+	// arithmetic as parallel.Span, so segment boundaries nest exactly
+	// inside the ScatterRequest's per-worker ranges.
 	byShard := make([][]*segment, c.plan.Shards)
 	var segs []*segment
 	for s := 0; s < c.plan.Shards; s++ {

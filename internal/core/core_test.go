@@ -8,9 +8,12 @@ import (
 	"sync"
 	"testing"
 
+	"afsysbench/internal/hmmer"
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/memest"
+	"afsysbench/internal/metering"
 	"afsysbench/internal/msa"
+	"afsysbench/internal/parallel"
 	"afsysbench/internal/platform"
 	"afsysbench/internal/seq"
 )
@@ -32,13 +35,42 @@ func suite(t *testing.T) *Suite {
 	return suiteInst
 }
 
-// TestSuiteRunsTheDefaultEngine pins "one engine": a hand-built msa.Options
-// with nothing but threads and databases meters exactly what the suite's
-// MSA run does, worker for worker, event for event — at every thread count,
-// although the suite searches each sample once, at the first count asked
-// for, and re-cuts that search for every other (msa.Result.Rethread). The
-// first count differs per sample, so several source counts are re-cut; a
-// profile with a database dropped is checked the same way.
+// shardOracle is the attribution the suite's MSA results are held to: an
+// msa.ScatterFunc that scans each database serially over exactly
+// req.Threads spans, parallel.Span(n, w, Threads) into req.Workers[w] — the
+// decomposition the scan used while its goroutine count was the thread
+// count — and keeps a copy of what each worker recorded, taken before the
+// run re-cuts anything.
+type shardOracle struct{ workers []*metering.Accumulator }
+
+func (o *shardOracle) scatter(ctx context.Context, req msa.ScatterRequest) (*hmmer.Result, error) {
+	n := len(req.DB.Seqs)
+	parts := make([]*hmmer.Result, req.Threads)
+	for w := range parts {
+		lo, hi := parallel.Span(n, w, req.Threads)
+		if lo == hi {
+			continue
+		}
+		acc := req.Workers[w]
+		from := len(acc.Events)
+		src := &hmmer.SliceSource{Seqs: req.DB.Seqs[lo:hi]}
+		var err error
+		parts[w], err = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, req.DB.TotalResidues(), req.Search, metering.Scaled(acc, req.ScaleFactor))
+		if err != nil {
+			return nil, err
+		}
+		o.workers[w].Events = append(o.workers[w].Events, acc.Events[from:]...)
+	}
+	return hmmer.MergeResults(req.Query.ID, parts), nil
+}
+
+// TestSuiteRunsTheDefaultEngine pins "one engine": the suite's MSA run
+// meters exactly what the shard oracle attributes, worker for worker, event
+// for event — at every thread count, although the suite searches each
+// sample once, at the first count asked for, and re-cuts that search for
+// every other (msa.Result.Rethread). The first count differs per sample,
+// so several source counts are re-cut; a profile with a database dropped is
+// checked the same way.
 func TestSuiteRunsTheDefaultEngine(t *testing.T) {
 	s := newTestSuite(t)
 	threads := []int{1, 2, 3, 4, 6, 8, 16}
@@ -64,20 +96,23 @@ func TestSuiteRunsTheDefaultEngine(t *testing.T) {
 				if again.res != view.res {
 					t.Fatalf("%s %s at %dT: a repeat returned another result", p.sig, in.Name, T)
 				}
-				direct, err := msa.Run(in, msa.Options{Threads: T, DBs: p.dbs, AllowMissingDB: true})
-				if err != nil {
+				o := &shardOracle{workers: make([]*metering.Accumulator, T)}
+				for w := range o.workers {
+					o.workers[w] = &metering.Accumulator{}
+				}
+				if _, err := msa.Run(in, msa.Options{Threads: T, DBs: p.dbs, AllowMissingDB: true, Scatter: o.scatter}); err != nil {
 					t.Fatal(err)
 				}
 				if len(view.res.Workers) != T {
 					t.Fatalf("%s %s at %dT: %d workers", p.sig, in.Name, T, len(view.res.Workers))
 				}
 				for w, acc := range view.res.Workers {
-					if !reflect.DeepEqual(acc.Flat(), direct.Workers[w].Flat()) {
-						t.Fatalf("%s %s at %dT (searched at %dT), worker %d: events differ from a direct run",
+					if !reflect.DeepEqual(acc.Flat(), o.workers[w].Flat()) {
+						t.Fatalf("%s %s at %dT (searched at %dT), worker %d: events differ from the oracle's",
 							p.sig, in.Name, T, first, w)
 					}
-					if !reflect.DeepEqual(acc.ByFunc(), direct.Workers[w].ByFunc()) {
-						t.Fatalf("%s %s at %dT (searched at %dT), worker %d: ByFunc differs from a direct run",
+					if !reflect.DeepEqual(acc.ByFunc(), o.workers[w].ByFunc()) {
+						t.Fatalf("%s %s at %dT (searched at %dT), worker %d: ByFunc differs from the oracle's",
 							p.sig, in.Name, T, first, w)
 					}
 				}

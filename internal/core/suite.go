@@ -79,8 +79,6 @@ func NewSuite() (*Suite, error) {
 // msaEntry is the memo's one search of a sample against one database
 // profile, and every thread count's view of it.
 type msaEntry struct {
-	// dbs is the profile the search ran against, which Rethread needs.
-	dbs    *msa.DBSet
 	search *msa.Result
 	views  map[int]msaView
 }
@@ -143,7 +141,7 @@ func (s *Suite) msaResultFor(ctx context.Context, in *inputs.Input, threads int,
 	var res *msa.Result
 	var err error
 	if e != nil {
-		res, err = e.search.Rethread(threads, e.dbs)
+		res = e.search.Rethread(threads)
 	} else {
 		hooks.Threads = threads
 		hooks.Search = s.Search
@@ -160,7 +158,7 @@ func (s *Suite) msaResultFor(ctx context.Context, in *inputs.Input, threads int,
 	// A concurrent first request may have stored the entry or the view
 	// meanwhile; what is stored wins, so every caller sees one result.
 	if e = s.msaMemo[key]; e == nil {
-		e = &msaEntry{dbs: dbs, search: res, views: make(map[int]msaView)}
+		e = &msaEntry{search: res, views: make(map[int]msaView)}
 		s.msaMemo[key] = e
 	}
 	if v, ok := e.view(threads); ok {

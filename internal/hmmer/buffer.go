@@ -70,8 +70,9 @@ func NewBuffer(src RecordSource, dbFootprint uint64, m metering.Meter) *Buffer {
 // Contract: copy_to_iter is the first event a record's scan records, and no
 // other step of a scan records it. A scan's meter therefore holds, per
 // record in storage order, one copy_to_iter and then everything that record
-// cost until the next one — which is what lets msa.Result.Rethread re-cut
-// one search's per-worker events along another thread count's shard spans.
+// cost until the next one — which is how msa finds where each record's
+// events start once, when a chain is searched, and then re-cuts the chain
+// for any thread count without walking its events again.
 func (b *Buffer) Next() (*seq.Sequence, bool) {
 	rec, ok := b.src.Next()
 	if !ok {

@@ -98,12 +98,10 @@ func (Nop) Record(Event) {}
 // chains costs a few slice headers, not a copy of every event. A linked
 // accumulator is sealed: its events belong to whoever recorded them, so it
 // must be read through Totals/ByFunc/Len/Flat and never recorded into.
-// Events alone is the whole stream only while Linked() is false.
+// Events alone is the whole stream only until the first Link.
 type Accumulator struct {
 	Events []Event
-	// tail holds the runs linked after the head, in order. msa's chain
-	// codec writes the head run only, so it refuses a linked accumulator
-	// rather than drop these.
+	// tail holds the runs linked after the head, in order.
 	tail   [][]Event
 	linked bool
 }
@@ -152,10 +150,6 @@ func (a *Accumulator) linkRun(run []Event) {
 	a.tail = append(a.tail, run)
 }
 
-// Linked reports whether Link has been called on a: its events may be
-// shared with other accumulators and it can no longer Record.
-func (a *Accumulator) Linked() bool { return a.linked }
-
 // Len returns the number of accumulated events across all runs.
 func (a *Accumulator) Len() int {
 	n := len(a.Events)
@@ -180,15 +174,11 @@ func (a *Accumulator) Flat() []Event {
 	return out
 }
 
-// Runs returns the number of runs a holds: the head run, then one per
-// linked run. Together with Run it walks the stream without Flat's copy.
-func (a *Accumulator) Runs() int { return len(a.tail) + 1 }
-
-// Run returns the r-th run (0 ≤ r < Runs()): the head for r == 0, then the
-// linked ones, read-only. Totals and ByFunc walk it with a plain inner loop
+// run returns the r-th run (0 ≤ r ≤ len(a.tail)): the head for r == 0,
+// then the linked ones. Totals and ByFunc walk it with a plain inner loop
 // — they sit on the serving hot path, and a per-event callback costs more
 // than the arithmetic it wraps.
-func (a *Accumulator) Run(r int) []Event {
+func (a *Accumulator) run(r int) []Event {
 	if r == 0 {
 		return a.Events
 	}
@@ -200,7 +190,7 @@ func (a *Accumulator) Totals() Event {
 	var t Event
 	t.Func = "total"
 	for r := 0; r <= len(a.tail); r++ {
-		run := a.Run(r)
+		run := a.run(r)
 		for i := range run {
 			ev := &run[i]
 			t.Instructions += ev.Instructions
@@ -234,7 +224,7 @@ func (a *Accumulator) ByFunc() map[string]Event {
 	groups, next := groupBuf[:0], nextBuf[:0]
 	last, g := 0, 0
 	for r := 0; r <= len(a.tail); r++ {
-		run := a.Run(r)
+		run := a.run(r)
 		for i := range run {
 			ev := &run[i]
 			if g >= len(groups) || groups[g].Func != ev.Func {

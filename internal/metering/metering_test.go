@@ -118,8 +118,8 @@ func TestLinkedReadsAsFlat(t *testing.T) {
 			linked.Link(src)
 			lo, done = hi, hi == len(evs)
 		}
-		if !linked.Linked() || flat.Linked() {
-			t.Fatal("Linked() wrong")
+		if !linked.linked || flat.linked {
+			t.Fatal("linked flag wrong")
 		}
 		if linked.Len() != len(evs) {
 			t.Fatalf("trial %d: Len = %d, want %d", trial, linked.Len(), len(evs))
@@ -151,7 +151,7 @@ func TestLinkedReadsAsFlat(t *testing.T) {
 func ByFuncMapWalk(a *Accumulator) map[string]Event {
 	groups := make(map[string]*Event)
 	for r := 0; r <= len(a.tail); r++ {
-		run := a.Run(r)
+		run := a.run(r)
 		for i := range run {
 			ev := &run[i]
 			cur := groups[ev.Func]

@@ -18,12 +18,14 @@ type ChainFetch func(scope string, chain inputs.Chain, compute func() (*CachedCh
 
 // CachedChain is an opaque, serializable snapshot of one chain's complete
 // MSA contribution — the chainDelta: summary row, final-round hits,
-// per-worker metering events, streamed bytes, serial work. It is keyed by
-// chain *content* (sequence, not the per-complex chain label), so the same
-// pool chain reused across complexes hits warm; the label is rewritten at
-// replay time. Replaying a CachedChain merges the exact bytes a fresh
-// search would have produced, which is what keeps the serving determinism
-// contract intact across cache tiers.
+// metering events in record order with each record's start, streamed
+// bytes, serial work. It is keyed by chain *content* (sequence, not the
+// per-complex chain label), so the same pool chain reused across complexes
+// hits warm; the label is rewritten at replay time. Nothing in it depends
+// on the thread count it was searched at, so it serves every thread count.
+// Replaying a CachedChain merges the exact bytes a fresh search would have
+// produced, which is what keeps the serving determinism contract intact
+// across cache tiers.
 type CachedChain struct {
 	d    *chainDelta
 	work uint64
@@ -46,35 +48,27 @@ func (cc *CachedChain) Work() uint64 { return cc.work }
 // truth).
 func (cc *CachedChain) SizeBytes() int64 { return cc.size }
 
-// Workers returns the number of worker accumulators the snapshot carries:
-// the thread count it was searched at, which a replay must match.
-func (cc *CachedChain) Workers() int { return len(cc.d.workers) }
-
 // deltaFor returns the delta rewritten for the chain label cid. The
 // snapshot is keyed by sequence content, so the same CachedChain may serve
 // chain "A" of one complex and chain "B" of another; everything in the
 // delta except the label is content-determined. The summary row is copied
-// by value; hits, events and streamed bytes are shared read-only — with
-// every Result the delta is merged into as well, since merge links the
-// worker events instead of copying them.
+// by value; hits, events, record starts and streamed bytes are shared
+// read-only — with every Result the delta is merged into as well, since
+// merge links the events instead of copying them.
 func (cc *CachedChain) deltaFor(cid string) *chainDelta {
-	d := &chainDelta{
-		cr:       cc.d.cr,
-		hits:     cc.d.hits,
-		workers:  cc.d.workers,
-		streamed: cc.d.streamed,
-		serial:   cc.d.serial,
-	}
+	d := *cc.d
 	d.cr.ChainID = cid
-	return d
+	return &d
 }
 
 // deltaWork sums the modeled instructions a delta carries, floored at 1 so
 // work-share ratios stay well-defined for trivial chains.
 func deltaWork(d *chainDelta) uint64 {
 	w := d.serial
-	for _, acc := range d.workers {
-		w += acc.Totals().Instructions
+	for _, run := range d.events {
+		for i := range run {
+			w += run[i].Instructions
+		}
 	}
 	if w == 0 {
 		w = 1
@@ -82,7 +76,9 @@ func deltaWork(d *chainDelta) uint64 {
 	return w
 }
 
-// deltaSize estimates a delta's in-memory footprint for LRU charging.
+// deltaSize estimates a delta's in-memory footprint for LRU charging: a
+// function of the chain's content, so a chain costs the same at every
+// thread count and across the codec.
 func deltaSize(d *chainDelta) int64 {
 	sz := int64(256) + int64(len(d.cr.ChainID))
 	for _, h := range d.hits {
@@ -94,10 +90,10 @@ func deltaSize(d *chainDelta) int64 {
 			sz += 16 + 24*int64(len(h.Alignment.Pairs))
 		}
 	}
-	for _, acc := range d.workers {
-		sz += 24
-		for _, ev := range acc.Flat() {
-			sz += 96 + int64(len(ev.Func))
+	sz += 24 + 4*int64(len(d.starts))
+	for _, run := range d.events {
+		for i := range run {
+			sz += 96 + int64(len(run[i].Func))
 		}
 	}
 	for name := range d.streamed {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"afsysbench/internal/inputs"
@@ -50,8 +51,9 @@ func (m *mapChainCache) fetch(scope string, chain inputs.Chain, compute func() (
 }
 
 // roundTrip sends cc through the codec. The decoded snapshot must equal cc
-// field for field — targets and alignments included — account the same
-// work and size, and re-encode to the same bytes.
+// field for field — targets and alignments included, the events compared
+// as one stream however cc's are cut — account the same work and size, and
+// re-encode to the same bytes.
 func roundTrip(cc *CachedChain) (*CachedChain, error) {
 	b, err := cc.Encode()
 	if err != nil {
@@ -61,7 +63,7 @@ func roundTrip(cc *CachedChain) (*CachedChain, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !reflect.DeepEqual(back.d, cc.d) {
+	if !reflect.DeepEqual(oneRun(back.d), oneRun(cc.d)) {
 		return nil, fmt.Errorf("chain %s changed across the codec", cc.d.cr.ChainID)
 	}
 	if back.Work() != cc.Work() || back.SizeBytes() != cc.SizeBytes() {
@@ -74,6 +76,16 @@ func roundTrip(cc *CachedChain) (*CachedChain, error) {
 	return back, nil
 }
 
+// oneRun returns a copy of d whose stream is one piece, as a decoded
+// delta's is.
+func oneRun(d *chainDelta) chainDelta {
+	c := *d
+	if len(d.events) > 0 {
+		c.events = [][]metering.Event{slices.Concat(d.events...)}
+	}
+	return c
+}
+
 // deterministicView strips the operational counters (cache split, restores)
 // that legitimately differ between a fresh and a cache-served run.
 func deterministicView(res *Result) *Result {
@@ -83,96 +95,110 @@ func deterministicView(res *Result) *Result {
 	return &v
 }
 
-// TestChainCacheReplayIsByteIdentical: a run served from the chain cache
-// equals a fresh one. The codec arm stores every chain through Encode and
-// DecodeCachedChain, on every Table II sample and a PPI pair at 1 and 2
-// threads, and once with every kept hit traced (TraceE 0), so the final
-// hits the codec carries have alignments.
-func TestChainCacheReplayIsByteIdentical(t *testing.T) {
-	type arm struct {
-		in                 *inputs.Input
-		threads            int
-		viaCodec, traceAll bool
+// sameOutcome fails the test when b's chains, features, streamed bytes or
+// serial work differ from a's: everything but the workers, which no thread
+// count changes.
+func sameOutcome(t *testing.T, name string, a, b *Result) {
+	t.Helper()
+	a, b = deterministicView(a), deterministicView(b)
+	switch {
+	case !reflect.DeepEqual(a.PerChain, b.PerChain):
+		t.Fatalf("%s PerChain diverged", name)
+	case !reflect.DeepEqual(a.Features, b.Features):
+		t.Fatalf("%s Features diverged", name)
+	case !reflect.DeepEqual(a.Streamed, b.Streamed):
+		t.Fatalf("%s Streamed diverged", name)
+	case a.SerialInstructions != b.SerialInstructions:
+		t.Fatalf("%s SerialInstructions diverged", name)
 	}
-	yy9, _ := inputs.ByName("1YY9")
-	pv7, _ := inputs.ByName("2PV7")
+}
+
+// TestChainCacheReplayIsByteIdentical: a run served from the chain cache
+// equals a fresh one at every thread count. On every Table II sample and a
+// PPI pair, the chains cached by a search at 1, 2 and 3 threads — held in
+// memory, and sent through Encode and DecodeCachedChain — are served at 1,
+// 2, 4, 8 and 16 threads, and every worker must equal the shard oracle's at
+// that count, event for event and in ByFunc. A last arm traces every kept
+// hit (TraceE 0), so the final hits the codec carries have alignments.
+func TestChainCacheReplayIsByteIdentical(t *testing.T) {
 	ppi, err := inputs.PPIPair(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arms := []arm{{in: yy9, threads: 2}, {in: pv7, threads: 2, viaCodec: true, traceAll: true}}
+	serveAt := []int{1, 2, 4, 8, 16}
 	for _, in := range append(inputs.Samples(), ppi) {
-		for _, threads := range []int{1, 2} {
-			arms = append(arms, arm{in: in, threads: threads, viaCodec: true})
-		}
-	}
-	for _, a := range arms {
-		name := fmt.Sprintf("%s/T%d/codec=%v/traceAll=%v", a.in.Name, a.threads, a.viaCodec, a.traceAll)
-		in := a.in
-		opts := Options{Threads: a.threads, DBs: dbs(t)}
-		if a.traceAll {
-			opts.Scatter = newScanLog(scanShards, true).scatter
-		}
-		fresh, err := Run(in, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		cc := &mapChainCache{entries: make(map[string]*CachedChain), viaCodec: a.viaCodec}
-		opts.ChainCache = cc.fetch
-		first, err := Run(in, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if cc.misses != len(in.MSAChains()) || cc.hits != 0 {
-			t.Fatalf("%s first run: hits=%d misses=%d", name, cc.hits, cc.misses)
-		}
-		second, err := Run(in, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cc.hits != len(in.MSAChains()) {
-			t.Fatalf("%s second run hits=%d, want %d", name, cc.hits, len(in.MSAChains()))
-		}
-		if second.CachedChains != len(in.MSAChains()) || second.FreshWork != 0 || second.CachedWork == 0 {
-			t.Fatalf("%s cache accounting: %d cached, fresh=%d cached=%d",
-				name, second.CachedChains, second.FreshWork, second.CachedWork)
-		}
-		if first.FreshWork+first.CachedWork != second.FreshWork+second.CachedWork {
-			t.Fatalf("%s total work not cache-independent: %d vs %d",
-				name, first.FreshWork+first.CachedWork, second.FreshWork+second.CachedWork)
-		}
-		if a.traceAll && cc.aligned == 0 {
-			t.Fatalf("%s: no cached hit carries an alignment", name)
-		}
-		for _, pair := range [][2]*Result{{fresh, first}, {fresh, second}} {
-			a, b := deterministicView(pair[0]), deterministicView(pair[1])
-			if !reflect.DeepEqual(a.PerChain, b.PerChain) {
-				t.Fatalf("%s PerChain diverged", name)
+		chains := len(in.MSAChains())
+		oracle := make(map[int][]*metering.Accumulator)
+		var ref *Result
+		for _, T := range serveAt {
+			o := &shardOracle{workers: newWorkers(T)}
+			res, err := Run(in, Options{Threads: T, DBs: dbs(t), Scatter: o.scatter})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(a.Features, b.Features) {
-				t.Fatalf("%s Features diverged", name)
+			oracle[T], ref = o.workers, res
+		}
+		for _, cachedAt := range []int{1, 2, 3} {
+			mem := &mapChainCache{entries: make(map[string]*CachedChain)}
+			first, err := Run(in, Options{Threads: cachedAt, DBs: dbs(t), ChainCache: mem.fetch})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(a.Streamed, b.Streamed) {
-				t.Fatalf("%s Streamed diverged", name)
+			if mem.misses != chains || mem.hits != 0 {
+				t.Fatalf("%s cached at T%d: hits=%d misses=%d", in.Name, cachedAt, mem.hits, mem.misses)
 			}
-			if a.SerialInstructions != b.SerialInstructions {
-				t.Fatalf("%s SerialInstructions diverged", name)
+			sameOutcome(t, fmt.Sprintf("%s searched at T%d", in.Name, cachedAt), ref, first)
+			for _, sz := range mem.lastSizes {
+				if sz <= 0 {
+					t.Fatalf("%s non-positive SizeBytes", in.Name)
+				}
 			}
-			if len(a.Workers) != len(b.Workers) {
-				t.Fatalf("%s worker counts diverged", name)
+			codec := &mapChainCache{entries: make(map[string]*CachedChain)}
+			for key, cc := range mem.entries {
+				if codec.entries[key], err = roundTrip(cc); err != nil {
+					t.Fatal(err)
+				}
 			}
-			for w := range a.Workers {
-				if !reflect.DeepEqual(a.Workers[w].Flat(), b.Workers[w].Flat()) {
-					t.Fatalf("%s worker %d events diverged", name, w)
+			for _, store := range []*mapChainCache{mem, codec} {
+				for _, T := range serveAt {
+					name := fmt.Sprintf("%s cached at T%d, served at T%d, codec=%v", in.Name, cachedAt, T, store == codec)
+					res, err := Run(in, Options{Threads: T, DBs: dbs(t), ChainCache: store.fetch})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if res.CachedChains != chains || res.FreshWork != 0 || res.CachedWork != first.FreshWork+first.CachedWork {
+						t.Fatalf("%s cache accounting: %d cached, fresh=%d cached=%d, searched %d",
+							name, res.CachedChains, res.FreshWork, res.CachedWork, first.FreshWork)
+					}
+					sameOutcome(t, name, ref, res)
+					if w := sameWorkers(res.Workers, oracle[T]); w >= 0 {
+						t.Fatalf("%s worker %d differs from the oracle's", name, w)
+					}
 				}
 			}
 		}
-		for _, sz := range cc.lastSizes {
-			if sz <= 0 {
-				t.Fatalf("%s non-positive SizeBytes", name)
-			}
+	}
+
+	pv7, _ := inputs.ByName("2PV7")
+	opts := Options{Threads: 2, DBs: dbs(t), Scatter: newScanLog(scanShards, true).scatter}
+	fresh, err := Run(pv7, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &mapChainCache{entries: make(map[string]*CachedChain), viaCodec: true}
+	opts.ChainCache = cc.fetch
+	for range 2 {
+		res, err := Run(pv7, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sameOutcome(t, "2PV7 traced", fresh, res)
+		if w := sameWorkers(res.Workers, fresh.Workers); w >= 0 {
+			t.Fatalf("2PV7 traced: worker %d diverged", w)
+		}
+	}
+	if cc.hits != 1 || cc.aligned == 0 {
+		t.Fatalf("2PV7 traced: %d hits, %d cached hits carry an alignment", cc.hits, cc.aligned)
 	}
 }
 
@@ -231,48 +257,50 @@ func TestChainFingerprintContentIdentity(t *testing.T) {
 	}
 }
 
-// TestEncodeRefusesLinkedAccumulator: the codec writes only an
-// accumulator's head run, so a chain delta whose worker events were
-// assembled with Link must fail to encode — never reach the disk tier
-// short — while its work and size accounting still cover every event; the
-// flat delta holding the same events round-trips intact.
-func TestEncodeRefusesLinkedAccumulator(t *testing.T) {
-	in, _ := inputs.ByName("2PV7")
-	store := &mapChainCache{entries: make(map[string]*CachedChain)}
-	if _, err := Run(in, Options{Threads: 2, DBs: dbs(t), ChainCache: store.fetch}); err != nil {
+// TestCachedChainIsWidthFree: what a chain costs and how it encodes are
+// functions of its content. Searched at 1 thread, at 16 (min(16,
+// GOMAXPROCS) spans) and through the 16-span shard oracle — one stream in
+// one piece, a few, or sixteen per scan — every chain of every Table II
+// sample and a PPI pair encodes to the same bytes and accounts the same
+// Work and SizeBytes.
+func TestCachedChainIsWidthFree(t *testing.T) {
+	ppi, err := inputs.PPIPair(0, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, flat := range store.entries {
-		payload, err := flat.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := DecodeCachedChain(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.Work() != flat.Work() || back.SizeBytes() != flat.SizeBytes() {
-			t.Fatalf("round trip changed accounting: work %d→%d size %d→%d", flat.Work(), back.Work(), flat.SizeBytes(), back.SizeBytes())
-		}
-
-		// The same events, cut in two and linked.
-		d := *flat.d
-		d.workers = make([]*metering.Accumulator, len(flat.d.workers))
-		for w, acc := range flat.d.workers {
-			half := len(acc.Events) / 2
-			d.workers[w] = &metering.Accumulator{}
-			d.workers[w].Link(&metering.Accumulator{Events: acc.Events[:half]})
-			d.workers[w].Link(&metering.Accumulator{Events: acc.Events[half:]})
-			if !reflect.DeepEqual(back.d.workers[w].Events, acc.Events) {
-				t.Fatalf("worker %d events changed across the codec", w)
+	for _, in := range append(inputs.Samples(), ppi) {
+		var ref map[string]*CachedChain
+		var refBytes map[string][]byte
+		for _, arm := range []struct {
+			threads int
+			oracle  bool
+		}{{1, false}, {16, false}, {16, true}} {
+			store := &mapChainCache{entries: make(map[string]*CachedChain)}
+			opts := Options{Threads: arm.threads, DBs: dbs(t), ChainCache: store.fetch}
+			if arm.oracle {
+				opts.Scatter = (&shardOracle{workers: newWorkers(arm.threads)}).scatter
 			}
-		}
-		linked := newCachedChain(&d)
-		if linked.Work() != flat.Work() || linked.SizeBytes() != flat.SizeBytes() {
-			t.Fatalf("linked delta accounts work %d size %d, flat %d / %d", linked.Work(), linked.SizeBytes(), flat.Work(), flat.SizeBytes())
-		}
-		if _, err := linked.Encode(); err == nil {
-			t.Fatal("a linked chain delta encoded")
+			if _, err := Run(in, opts); err != nil {
+				t.Fatal(err)
+			}
+			payloads := make(map[string][]byte)
+			for key, cc := range store.entries {
+				if payloads[key], err = cc.Encode(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ref == nil {
+				ref, refBytes = store.entries, payloads
+				continue
+			}
+			for key, cc := range store.entries {
+				want := ref[key]
+				if !bytes.Equal(payloads[key], refBytes[key]) || cc.Work() != want.Work() || cc.SizeBytes() != want.SizeBytes() {
+					t.Fatalf("%s at T%d (oracle %v): %d B, work %d, size %d; at T1 %d B, work %d, size %d",
+						in.Name, arm.threads, arm.oracle, len(payloads[key]), cc.Work(), cc.SizeBytes(),
+						len(refBytes[key]), want.Work(), want.SizeBytes())
+				}
+			}
 		}
 	}
 }

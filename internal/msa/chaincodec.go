@@ -21,9 +21,12 @@ import (
 //	         ViterbiScore, ForwardScore, Bits, EValue; an alignment flag
 //	         0|1, then Score and per pair Op, Col, Pos
 //	funcs    count; the events' function names, strictly ascending
-//	workers  count; per worker an event count, then per event the index of
-//	         its function in funcs, Instructions, Bytes, WorkingSet,
-//	         Pattern, Branches, BranchMissRate, PageTouches, Allocated, Pruned
+//	events   count; per event, in record order, the index of its function
+//	         in funcs, Instructions, Bytes, WorkingSet, Pattern, Branches,
+//	         BranchMissRate, PageTouches, Allocated, Pruned
+//	scans    count; per database of one round, in scan order, its records
+//	records  count (= Scanned, a whole number of rounds); per record its
+//	         event count, at least 1, the counts adding up to the events
 //	streamed count; per database its name, strictly ascending, then bytes
 //	serial   SerialInstructions
 //
@@ -33,10 +36,11 @@ import (
 // bits, little-endian. A hit's TargetID is not stored: cascade, the only
 // producer of hits, sets it to Target.ID, and the decoder does the same.
 // Since names are sorted and varints minimal, equal deltas encode to equal
-// bytes, and a payload that decodes re-encodes to itself.
+// bytes, and a payload that decodes re-encodes to itself. Nothing in it
+// depends on the thread count the chain was searched at.
 const (
 	chainMagic   = "AFCD"
-	chainVersion = 1
+	chainVersion = 2
 )
 
 // Lower bounds on an element's encoded size. The decoder checks a count
@@ -50,19 +54,11 @@ const (
 	minDBBytes    = 2
 )
 
-// Encode serializes the snapshot for the persistent tier. The codec writes
-// an accumulator's head run, so a delta whose workers were assembled with
-// Link is refused rather than written short: chain-level accumulators are
-// flat by construction (recorders and the cluster scatter only append). A
-// hit without a target, or whose TargetID is not its target's ID, is
-// refused too: the format cannot express it.
+// Encode serializes the snapshot for the persistent tier. A hit without a
+// target, or whose TargetID is not its target's ID, is refused: the format
+// cannot express it.
 func (cc *CachedChain) Encode() ([]byte, error) {
 	d := cc.d
-	for i, acc := range d.workers {
-		if acc.Linked() {
-			return nil, fmt.Errorf("msa: encode cached chain: worker accumulator %d is linked", i)
-		}
-	}
 	for i := range d.hits {
 		if h := &d.hits[i]; h.Target == nil {
 			return nil, fmt.Errorf("msa: encode cached chain: hit %d has no target", i)
@@ -105,17 +101,16 @@ func (cc *CachedChain) Encode() ([]byte, error) {
 		}
 	}
 
-	names := funcNames(d.workers)
+	names := funcNames(d.events)
 	b = binary.AppendUvarint(b, uint64(len(names)))
 	for _, name := range names {
 		b = appendString(b, name)
 	}
-	b = binary.AppendUvarint(b, uint64(len(d.workers)))
+	b = binary.AppendUvarint(b, uint64(d.starts[len(d.starts)-1]))
 	k := 0 // the previous event's function: a run of one symbol skips the search
-	for _, acc := range d.workers {
-		b = binary.AppendUvarint(b, uint64(len(acc.Events)))
-		for i := range acc.Events {
-			ev := &acc.Events[i]
+	for _, run := range d.events {
+		for i := range run {
+			ev := &run[i]
 			if names[k] != ev.Func {
 				k = slices.Index(names, ev.Func)
 			}
@@ -131,6 +126,14 @@ func (cc *CachedChain) Encode() ([]byte, error) {
 			b = binary.AppendUvarint(b, ev.Pruned)
 		}
 	}
+	b = binary.AppendUvarint(b, uint64(len(d.dbRecs)))
+	for _, n := range d.dbRecs {
+		b = binary.AppendUvarint(b, uint64(n))
+	}
+	b = binary.AppendUvarint(b, uint64(len(d.starts)-1))
+	for r := 1; r < len(d.starts); r++ {
+		b = binary.AppendUvarint(b, uint64(d.starts[r]-d.starts[r-1]))
+	}
 
 	dbs := make([]string, 0, len(d.streamed))
 	for name := range d.streamed {
@@ -145,13 +148,13 @@ func (cc *CachedChain) Encode() ([]byte, error) {
 	return binary.AppendUvarint(b, d.serial), nil
 }
 
-// funcNames returns the distinct function names of the workers' events,
+// funcNames returns the distinct function names of the stream's events,
 // sorted: the payload's function table.
-func funcNames(workers []*metering.Accumulator) []string {
+func funcNames(events [][]metering.Event) []string {
 	names := make([]string, 0, 16) // a stream cycles through a handful of symbols
-	for _, acc := range workers {
-		for i := range acc.Events {
-			f := acc.Events[i].Func
+	for _, run := range events {
+		for i := range run {
+			f := run[i].Func
 			if !slices.Contains(names, f) {
 				names = append(names, f)
 			}
@@ -176,8 +179,9 @@ func appendInts(b []byte, vs ...int) []byte {
 // DecodeCachedChain reverses Encode. The payload comes off a disk, so it is
 // parsed as untrusted input: a truncated field, a count the bytes left
 // cannot hold, an out-of-range function index or access pattern, a
-// non-minimal varint, unsorted or unused names and trailing bytes are all
-// errors — never a panic, and never a delta the merge path could trip on.
+// non-minimal varint, unsorted or unused names, record counts that do not
+// index the events or the rounds, and trailing bytes are all errors —
+// never a panic, and never a delta the merge path could trip on.
 func DecodeCachedChain(b []byte) (*CachedChain, error) {
 	if len(b) <= len(chainMagic) || string(b[:len(chainMagic)]) != chainMagic {
 		return nil, fmt.Errorf("msa: decode cached chain: not a chain payload")
@@ -210,21 +214,18 @@ func DecodeCachedChain(b []byte) (*CachedChain, error) {
 		}
 	}
 	used := make([]bool, len(names))
-	nw := r.count(1)
-	d.workers = make([]*metering.Accumulator, nw)
-	accs := make([]metering.Accumulator, nw)
-	for w := range d.workers {
-		d.workers[w] = &accs[w]
-		if n := r.count(minEventBytes); n > 0 {
-			accs[w].Events = make([]metering.Event, n)
-			for i := range accs[w].Events {
-				r.event(&accs[w].Events[i], names, used)
-			}
+	var events []metering.Event
+	if n := r.count(minEventBytes); n > 0 {
+		events = make([]metering.Event, n)
+		for i := range events {
+			r.event(&events[i], names, used)
 		}
+		d.events = [][]metering.Event{events}
 	}
 	if slices.Contains(used, false) {
 		r.fail("function name no event uses")
 	}
+	d.dbRecs, d.starts = r.records(cr.Scanned, len(events))
 
 	n := r.count(minDBBytes)
 	d.streamed = make(map[string]int64, n)
@@ -347,6 +348,50 @@ func (r *chainReader) hit(h *hmmer.Hit, target *seq.Sequence) {
 		}
 	}
 	h.Alignment = ali
+}
+
+// records reads the scan sequence and the per-record event counts, which
+// must index a stream of n events: the chain's scanned records are a whole
+// number of rounds of the sequence, each has one count, and every count is
+// at least 1 (the record's copy_to_iter), the counts adding up to n.
+func (r *chainReader) records(scanned, n int) (dbRecs []int, starts []int32) {
+	round := uint64(0)
+	if k := r.count(1); k > 0 {
+		dbRecs = make([]int, k)
+		for i := range dbRecs {
+			v := r.uvarint()
+			if v > math.MaxInt32 {
+				r.fail("database record count out of range")
+				v = 0
+			}
+			dbRecs[i] = int(v)
+			round += v
+		}
+	}
+	if scanned < 0 || (round == 0) != (scanned == 0) || round != 0 && uint64(scanned)%round != 0 {
+		r.fail("records scanned is not a whole number of rounds")
+	}
+	k := r.count(1)
+	if k != scanned {
+		r.fail("record counts do not match the records scanned")
+		k = 0
+	}
+	starts = make([]int32, k+1)
+	at := 0
+	for i := 0; i < k; i++ {
+		c := r.uvarint()
+		if c == 0 || c > uint64(n-at) {
+			r.fail("record event counts do not index the events")
+			break
+		}
+		starts[i] = int32(at)
+		at += int(c)
+	}
+	starts[k] = int32(at)
+	if at != n {
+		r.fail("record event counts do not add up to the events")
+	}
+	return dbRecs, starts
 }
 
 func (r *chainReader) event(ev *metering.Event, names []string, used []bool) {

@@ -9,33 +9,45 @@ import (
 
 // chainDelta is the complete contribution of one chain's searches to a
 // Result: the summary row, the final-round hit list (pairing input), the
-// per-worker metering events, the streamed byte totals and the serial
-// work. Chains compute their delta privately — against a scratch carrier,
-// never the shared Result — which is what makes two things possible
-// without disturbing determinism: a checkpoint can replay a completed
-// chain verbatim on a stage retry, and the merge into the Result happens
-// in chain order exactly as the serial code did.
+// metering events, the streamed byte totals and the serial work. Chains
+// compute their delta privately — against scratch accumulators, never the
+// shared Result — which is what makes two things possible without
+// disturbing determinism: a checkpoint can replay a completed chain
+// verbatim on a stage retry, and the merge into the Result happens in chain
+// order exactly as the serial code did.
+//
+// The events are the chain's, not a thread count's: one stream in record
+// order, every record's events from its copy_to_iter up to the next (the
+// contract on hmmer.Buffer.Next), with the index where each record starts.
+// How many goroutines scanned it is not recorded, so one delta serves every
+// thread count (link).
 type chainDelta struct {
-	cr       ChainResult
-	hits     []hmmer.Hit
-	workers  []*metering.Accumulator
+	cr   ChainResult
+	hits []hmmer.Hit
+	// events is the stream as pieces, in order: sub-slices of the
+	// accumulators the search recorded into, where touching pieces of one
+	// accumulator are one piece, or the one list a payload decodes to.
+	events [][]metering.Event
+	// dbRecs is one round's scan sequence: the record count of each
+	// database it scans, in order. The chain ran cr.Scanned / Σ dbRecs
+	// rounds of it.
+	dbRecs []int
+	// starts[r] is the stream index of record r's first event, over every
+	// scan's records in order; starts[cr.Scanned] is the stream's length.
+	starts   []int32
 	streamed map[string]int64
 	serial   uint64
 }
 
-// merge replays a delta into the result. Worker events are linked in chain
-// order — by reference, never copied: the delta may belong to a checkpoint
-// or to the serving cache and be replayed into many results at once, so it
-// is read-only from here on — and a Result assembled from deltas reads
-// (Totals, ByFunc, Flat) exactly as the flat one the pre-delta serial code
-// built. The cost is one slice header per worker, whatever the chain's
-// event count.
+// merge replays a delta into the result: its events are re-cut into
+// len(res.Workers) workers by link — by reference, never copied: the delta
+// may belong to a checkpoint or to the serving cache and be replayed into
+// many results at once, so it is read-only from here on.
 func (res *Result) merge(d *chainDelta) {
 	res.PerChain = append(res.PerChain, d.cr)
+	res.deltas = append(res.deltas, d)
 	res.TotalHitResidues += d.cr.HitResidues
-	for w, acc := range d.workers {
-		res.Workers[w].Link(acc)
-	}
+	d.link(res.Workers)
 	for name, b := range d.streamed {
 		res.Streamed[name] += b
 	}

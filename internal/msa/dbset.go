@@ -1,10 +1,11 @@
 // Package msa implements AlphaFold3's MSA phase: per-chain homology search
 // fan-out (jackhmmer-style iterative protein search, nhmmer-style RNA
-// scan) over the reference databases, shard-parallel across worker threads
-// exactly like HMMER's --cpu option, followed by alignment stacking and
-// featurization. Every worker reports metering events; footprint.go turns
-// one run's measurements into a simhw.RunSpec so the paper's two platforms
-// can replay it at any thread count.
+// scan) over the reference databases, each scan shard-parallel over at
+// most one span per core, followed by alignment stacking and
+// featurization. A chain keeps its metering events once, in record order;
+// a result attributes them across Threads workers the way HMMER's --cpu
+// worker threads would split each database, and footprint.go turns those
+// workers into a simhw.RunSpec so the paper's two platforms can replay it.
 package msa
 
 import (

@@ -15,8 +15,10 @@ import (
 
 // Options configures one MSA phase run.
 type Options struct {
-	// Threads is the worker count (the paper sweeps 1–8; AF3 defaults
-	// to 8).
+	// Threads is the worker count the result's metering is attributed
+	// across (the paper sweeps 1–8; AF3 defaults to 8). It is not the
+	// search's concurrency: a scan fans out over at most one span per core,
+	// and what it found is the same at every count.
 	Threads int
 	// Rounds is the jackhmmer iteration count for protein chains
 	// (default 2). RNA chains always scan once (nhmmer).
@@ -61,21 +63,22 @@ type Options struct {
 	// search (not a checkpoint replay) with its wall-clock duration. Only
 	// the repo benchmark sets it (bench/layers.go, msa.chain_ms_p50/p90).
 	ChainDone func(chainID string, wall time.Duration)
-	// Scatter, when set, replaces the in-process per-thread sharded scan
-	// of each database — the cluster layer's scatter-gather hook. The
-	// implementation must honor the determinism contract: the merged
-	// result, including per-worker metering attribution, must be
-	// bitwise-identical to the default scanParallel at the same Threads
-	// setting, so shard count can never change what a request computes.
+	// Scatter, when set, replaces the in-process scan of each database —
+	// the cluster layer's scatter-gather hook. The implementation must
+	// honor the determinism contract: the merged hits and counters, and the
+	// metering events in record order, must be bitwise-identical to the
+	// in-process scan's, so shard count can never change what a request
+	// computes.
 	Scatter ScatterFunc
 }
 
 // ScatterRequest is one database scan handed to a Scatter hook: everything
-// scanParallel would have used, plus the metering scale and the per-worker
-// accumulators the hook must attribute events to. Workers has exactly
-// Threads entries; worker w owns the records of the global thread split
-// parallel.Shards would give it, and its events must append in record
-// order — that is what keeps a scattered scan bitwise-identical to the
+// the in-process scan would have used, plus the metering scale and the
+// accumulators the hook records events into. Workers has exactly Threads
+// entries; worker w owns the records parallel.Span(n, w, Threads), and its
+// events must append in record order. Read in worker order, the workers
+// then hold the scan's events in record order — the one thing the chain
+// keeps of them, so a scattered scan replays bitwise-identically to the
 // single-node one.
 type ScatterRequest struct {
 	Profile *hmmer.Profile
@@ -84,13 +87,13 @@ type ScatterRequest struct {
 	// Search carries the engine options with DBFootprint already set to
 	// the database's modeled size.
 	Search hmmer.SearchOptions
-	// Threads is the global worker count the scan is attributed across.
+	// Threads is the request's thread count: the number of workers.
 	Threads int
 	// ScaleFactor is the synthetic-to-paper metering scale for this
 	// database (DB.ScaleFactor × workCalibration); every shard's events
 	// must be scaled by it before accumulation.
 	ScaleFactor float64
-	// Workers are the per-thread accumulators (len == Threads).
+	// Workers are the accumulators to record into (len == Threads).
 	Workers []*metering.Accumulator
 }
 
@@ -138,10 +141,11 @@ type Result struct {
 	Features *Features
 	// Workers holds per-thread metering accumulators (scaled to paper
 	// volume); index = worker id. Each is linked from the chains' deltas
-	// in chain order and shares their events — with the checkpoint, the
-	// serving cache and every other result the same chains were replayed
-	// into — so it is read-only: consume it through Totals, ByFunc, Len
-	// or Flat. Events alone is only the first contributing chain's run.
+	// in chain order — worker t takes span t of every scan's records — and
+	// shares their events with the checkpoint, the serving cache and every
+	// other result the same chains were replayed into, so it is read-only:
+	// consume it through Totals, ByFunc, Len or Flat. Events alone is only
+	// its first run.
 	Workers []*metering.Accumulator
 	// SerialInstructions is the modeled non-parallel work (profile
 	// rebuilds, hit merging, feature assembly) at paper scale.
@@ -166,11 +170,15 @@ type Result struct {
 	CachedChains int
 	FreshWork    uint64
 	CachedWork   uint64
+
+	// deltas are the chains merged in, in order: what Rethread re-cuts.
+	deltas []*chainDelta
 }
 
 // Run executes the MSA phase for the input: for every protein/RNA chain,
-// search the matching databases with Threads workers sharding each
-// database, iterating protein profiles Rounds times.
+// search the matching databases, each scan sharded over at most one span
+// per core, iterating protein profiles Rounds times, and attribute the
+// metering across Threads workers.
 func Run(in *inputs.Input, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), in, opts)
 }
@@ -187,13 +195,13 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	chains := in.MSAChains()
 	res := &Result{
 		Input:    in,
-		Workers:  make([]*metering.Accumulator, opts.Threads),
+		PerChain: make([]ChainResult, 0, len(chains)),
+		Workers:  newWorkers(opts.Threads),
 		Streamed: make(map[string]int64),
-	}
-	for i := range res.Workers {
-		res.Workers[i] = &metering.Accumulator{}
+		deltas:   make([]*chainDelta, 0, len(chains)),
 	}
 
 	// runFresh is a chain's real search, whichever arm below asks for it:
@@ -210,8 +218,7 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 		return d, nil
 	}
 
-	var perChainHits [][]hmmer.Hit
-	for _, chain := range in.MSAChains() {
+	for _, chain := range chains {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -220,7 +227,6 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 			res.RestoredChains++
 			res.FreshWork += deltaWork(d)
 			res.merge(d)
-			perChainHits = append(perChainHits, d.hits)
 			continue
 		}
 		if opts.ChainCache != nil {
@@ -243,7 +249,6 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 			d := cc.deltaFor(cid)
 			opts.Checkpoint.store(opts.CheckpointScope, cid, d)
 			res.merge(d)
-			perChainHits = append(perChainHits, d.hits)
 			continue
 		}
 		d, err := runFresh(chain)
@@ -253,14 +258,15 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 		opts.Checkpoint.store(opts.CheckpointScope, cid, d)
 		res.FreshWork += deltaWork(d)
 		res.merge(d)
-		perChainHits = append(perChainHits, d.hits)
 	}
 	// Cross-chain species pairing (serial, between search and features).
-	res.Pairing = pairChains(perChainHits)
+	perChainHits := make([][]hmmer.Hit, len(res.deltas))
 	totalHits := 0
-	for _, hits := range perChainHits {
-		totalHits += len(hits)
+	for i, d := range res.deltas {
+		perChainHits[i] = d.hits
+		totalHits += len(d.hits)
 	}
+	res.Pairing = pairChains(perChainHits)
 	res.SerialInstructions += uint64(totalHits) * 3000 // paired-row assembly
 
 	res.Features = buildFeatures(in, res.PerChain)
@@ -283,41 +289,34 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 			return nil, err
 		}
 	}
-	// Private scratch carrier: scanParallel and the serial-work bookkeeping
-	// below write here, never into the caller's Result.
-	scratch := &Result{
-		Workers:  make([]*metering.Accumulator, opts.Threads),
-		Streamed: make(map[string]int64),
-	}
-	for i := range scratch.Workers {
-		scratch.Workers[i] = &metering.Accumulator{}
-	}
-	res := scratch
-	cr := ChainResult{ChainID: cid, Type: query.Type}
-	finish := func(hits []hmmer.Hit) *chainDelta {
-		return &chainDelta{
-			cr:       cr,
-			hits:     hits,
-			workers:  scratch.Workers,
-			streamed: scratch.Streamed,
-			serial:   scratch.SerialInstructions,
-		}
-	}
+	d := &chainDelta{cr: ChainResult{ChainID: cid, Type: query.Type}, streamed: make(map[string]int64)}
+	cr := &d.cr
 	dbs := opts.DBs.For(query.Type)
 	if len(dbs) == 0 {
 		if opts.AllowMissingDB {
 			// Degraded profile: the chain proceeds with only its own
 			// sequence (alignment depth 1, nothing scanned or streamed).
 			cr.Rows = 1
-			return finish(nil), nil
+			d.starts = []int32{0}
+			return d, nil
 		}
 		return nil, fmt.Errorf("no databases for molecule type %v", query.Type)
+	}
+	d.dbRecs = make([]int, len(dbs))
+	for i, db := range dbs {
+		d.dbRecs[i] = len(db.Seqs)
 	}
 	rounds := opts.Rounds
 	if query.Type != seq.Protein {
 		rounds = 1 // nhmmer is single-pass
 	}
 
+	// Every scan records into the same accumulators, worker w after worker
+	// w-1 in record order; cuts notes, per scan, which part of each
+	// worker's events it added. Sliced once the search is over (an append
+	// may move a worker's events), they are the chain's stream.
+	workers := newWorkers(opts.Threads)
+	var cuts []cut
 	profile, err := hmmer.BuildFromQuery(query)
 	if err != nil {
 		return nil, err
@@ -337,11 +336,12 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			merged, err := scanParallel(ctx, profile, query, db, opts, res)
+			merged, err := scanParallel(ctx, profile, query, db, opts, workers)
 			if err != nil {
 				return nil, err
 			}
-			res.Streamed[db.Name] += db.ModeledBytes()
+			cuts = appendCuts(cuts, workers)
+			d.streamed[db.Name] += db.ModeledBytes()
 			allHits = append(allHits, merged.Hits...)
 			cr.Candidates += merged.Candidates
 			cr.Scanned += merged.Scanned
@@ -355,7 +355,7 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 		rows := hmmer.BuildHitAlignment(query, allHits, hmmer.InclusionE)
 		// Profile rebuild is serial work between rounds; model it at the
 		// paper-scale recruited depth.
-		res.SerialInstructions += uint64(len(rows)*query.Len()) * 600
+		d.serial += uint64(len(rows)*query.Len()) * 600
 		if len(rows) <= 1 {
 			break
 		}
@@ -364,6 +364,7 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 			return nil, err
 		}
 	}
+	d.hits = lastHits
 	cr.Hits = len(lastHits)
 	cr.Rows = 1
 	for _, h := range lastHits {
@@ -373,13 +374,79 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 		}
 	}
 	// Merging and E-value sorting of the paper-scale hit list is serial.
-	res.SerialInstructions += uint64(cr.HitResidues) * 1200
-	return finish(lastHits), nil
+	d.serial += uint64(cr.HitResidues) * 1200
+	if err := d.setStream(workers, cuts); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
-// scanParallel scans one database with the chain's current profile: through
-// the Scatter hook when one is set, in process (scanShards) otherwise.
-func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequence, db *seqdb.DB, opts Options, res *Result) (*hmmer.Result, error) {
+// cut is one scan's part of one worker's events: Events[lo:hi].
+type cut struct{ w, lo, hi int }
+
+// appendCuts notes the events each worker gained since its last cut, in
+// worker order, which is the scan's record order. A cut that continues the
+// previous one in the same worker — every scan but the first at width 1 —
+// extends it.
+func appendCuts(cuts []cut, workers []*metering.Accumulator) []cut {
+	for w, acc := range workers {
+		lo := 0
+		for i := len(cuts) - 1; i >= 0; i-- {
+			if cuts[i].w == w {
+				lo = cuts[i].hi
+				break
+			}
+		}
+		hi := len(acc.Events)
+		switch {
+		case lo == hi:
+		case len(cuts) > 0 && cuts[len(cuts)-1].w == w:
+			cuts[len(cuts)-1].hi = hi
+		default:
+			cuts = append(cuts, cut{w, lo, hi})
+		}
+	}
+	return cuts
+}
+
+// setStream slices the chain's stream out of the workers it was recorded
+// into and indexes where each record starts: at its copy_to_iter, the
+// first event of every record's scan (hmmer.Buffer.Next). A stream that
+// does not start with a record, or holds another number of records than
+// the scans report, is an error: a re-cut would drop or misplace events.
+func (d *chainDelta) setStream(workers []*metering.Accumulator, cuts []cut) error {
+	if len(cuts) > 0 {
+		d.events = make([][]metering.Event, len(cuts))
+	}
+	d.starts = make([]int32, 0, d.cr.Scanned+1)
+	n := 0
+	for i, c := range cuts {
+		run := workers[c.w].Events[c.lo:c.hi]
+		d.events[i] = run
+		for j := range run {
+			if run[j].Func == recordStart {
+				d.starts = append(d.starts, int32(n+j))
+			}
+		}
+		n += len(run)
+	}
+	if n > 0 && (len(d.starts) == 0 || d.starts[0] != 0) {
+		return fmt.Errorf("msa: the scans' events do not start with %s", recordStart)
+	}
+	if len(d.starts) != d.cr.Scanned {
+		return fmt.Errorf("msa: the scans recorded %d records, reported %d", len(d.starts), d.cr.Scanned)
+	}
+	d.starts = append(d.starts, int32(n))
+	return nil
+}
+
+// recordStart is the event every record's scan records first.
+const recordStart = "copy_to_iter"
+
+// scanParallel scans one database with the chain's current profile into
+// workers: through the Scatter hook when one is set, in process
+// (scanShards) otherwise.
+func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequence, db *seqdb.DB, opts Options, workers []*metering.Accumulator) (*hmmer.Result, error) {
 	searchOpts := opts.Search
 	searchOpts.DBFootprint = uint64(db.ModeledBytes())
 	scatter := opts.Scatter
@@ -393,28 +460,31 @@ func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequen
 		Search:      searchOpts,
 		Threads:     opts.Threads,
 		ScaleFactor: db.ScaleFactor * workCalibration,
-		Workers:     res.Workers,
+		Workers:     workers,
 	})
 }
 
-// scanShards is the in-process ScatterFunc: it shards the database across
-// the workers, scanning concurrently — the analog of HMMER's worker threads
-// consuming reader blocks. Each worker's metering events are scaled by the
-// database's synthetic-to-paper factor before accumulation. parallel.Shards
-// is used (not a capped Pool.Run) because the shard count is semantic here:
-// shard w's events must land in Workers[w] for per-thread attribution, even
-// when Threads exceeds the machine's core count.
+// scanShards is the in-process ScatterFunc: it shards the database over
+// min(len(Workers), cores) contiguous spans scanned concurrently on the
+// shared pool of that width — the analog of HMMER's worker threads
+// consuming reader blocks — span w recording into Workers[w], so the
+// workers in order hold the events in record order. The width is a
+// concurrency cap, not an attribution: a merge re-cuts the chain's records
+// for the request's thread count, so a 2 000-thread request runs as many
+// goroutines as a 2-thread one. Each span's metering events are scaled by
+// the database's synthetic-to-paper factor before accumulation.
 //
-// Scratch reuse: each shard's scan draws a scanWorkspace from the hmmer
+// Scratch reuse: each span's scan draws a scanWorkspace from the hmmer
 // package's sync.Pool for the duration of its pass, so the DP rows,
-// Forward rows and seed scratch are allocated once per worker per database —
+// Forward rows and seed scratch are allocated once per span per database —
 // not once per record — and successive databases reuse the buffers the
 // previous pass grew.
 func scanShards(ctx context.Context, req ScatterRequest) (*hmmer.Result, error) {
 	db := req.DB
-	parts := make([]*hmmer.Result, req.Threads)
-	errs := make([]error, req.Threads)
-	ctxErr := parallel.ShardsCtx(ctx, req.Threads, len(db.Seqs), func(w, lo, hi int) {
+	width := min(len(req.Workers), parallel.DefaultWorkers())
+	parts := make([]*hmmer.Result, width)
+	errs := make([]error, width)
+	ctxErr := parallel.ForWorkers(width).RunCtx(ctx, len(db.Seqs), func(w, lo, hi int) {
 		meter := metering.Scaled(req.Workers[w], req.ScaleFactor)
 		src := &hmmer.SliceSource{Seqs: db.Seqs[lo:hi]}
 		parts[w], errs[w] = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, db.TotalResidues(), req.Search, meter)

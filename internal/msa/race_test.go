@@ -77,8 +77,8 @@ func TestConcurrentReplaySharesCachedEvents(t *testing.T) {
 	want := BuildRunSpec(mach, fresh)
 	snapshot := make(map[string][][]metering.Event)
 	for key, cc := range store.entries {
-		for _, acc := range cc.d.workers {
-			snapshot[key] = append(snapshot[key], append([]metering.Event(nil), acc.Events...))
+		for _, run := range cc.d.events {
+			snapshot[key] = append(snapshot[key], append([]metering.Event(nil), run...))
 		}
 	}
 	// Concurrent replays only read the map.
@@ -118,9 +118,9 @@ func TestConcurrentReplaySharesCachedEvents(t *testing.T) {
 	wg.Wait()
 
 	for key, cc := range store.entries {
-		for w, acc := range cc.d.workers {
-			if acc.Linked() || !reflect.DeepEqual(acc.Events, snapshot[key][w]) {
-				t.Fatalf("cached chain %q worker %d changed under replay", key, w)
+		for i, run := range cc.d.events {
+			if !reflect.DeepEqual(run, snapshot[key][i]) {
+				t.Fatalf("cached chain %q piece %d changed under replay", key, i)
 			}
 		}
 	}

@@ -1,136 +1,101 @@
 package msa
 
 import (
-	"fmt"
-
 	"afsysbench/internal/metering"
 	"afsysbench/internal/parallel"
 )
 
-// recordStart is the event every record's scan records first (the contract
-// on hmmer.Buffer.Next): a worker's stream is its records' events, each
-// record from its copy_to_iter up to the next one.
-const recordStart = "copy_to_iter"
-
-// Rethread returns res as a search at threads workers would have attributed
-// it. A thread count decides only which worker each record's metering
-// events land in — hits, features and counters are bitwise identical at any
-// count — so instead of searching again, Rethread re-cuts res's per-record
-// event runs along the shard spans parallel.Shards would use at threads.
-// dbs is the database profile res was searched against.
+// Rethread returns res as a search at threads workers (≥ 1) would have
+// attributed it. A thread count decides only which worker each record's
+// metering events land in — hits, features and counters are bitwise
+// identical at any count — so Rethread re-merges res's chain deltas into
+// threads new workers instead of searching again.
 //
 // Everything in the returned Result except Workers is shared with res. The
-// new workers link sub-slices of res's runs and copy no event, so they are
+// new workers link res's events in place and copy none, so they are
 // read-only like res's own.
-//
-// The scan sequence is derived, not stored: chain c ran
-// PerChain[c].Scanned / Σ len(db.Seqs) rounds over dbs.For(c.Type), each
-// round scanning every database in catalog order, and worker w of a scan
-// over n records took parallel.Span(n, w, len(res.Workers)). A stream out of
-// step with that — a record that does not start with copy_to_iter, a
-// stream that ends early or has events left over — is an error, never a
-// guess.
-func (res *Result) Rethread(threads int, dbs *DBSet) (*Result, error) {
-	if threads < 1 || len(res.Workers) == 0 {
-		return nil, fmt.Errorf("msa: rethread %d workers to %d", len(res.Workers), threads)
-	}
-	src := make([]eventCursor, len(res.Workers))
-	for w, acc := range res.Workers {
-		src[w].acc = acc
-	}
-	dst := make([]*metering.Accumulator, threads)
-	for t := range dst {
-		dst[t] = &metering.Accumulator{}
-	}
-	for _, cr := range res.PerChain {
-		scans := dbs.For(cr.Type)
-		records := 0
-		for _, db := range scans {
-			records += len(db.Seqs)
-		}
-		rounds := 0
-		if records > 0 {
-			rounds = cr.Scanned / records
-		}
-		if rounds*records != cr.Scanned {
-			return nil, fmt.Errorf("msa: rethread chain %s: %d records scanned is not a whole number of %d-record rounds",
-				cr.ChainID, cr.Scanned, records)
-		}
-		for r := 0; r < rounds; r++ {
-			for _, db := range scans {
-				if err := recutScan(len(db.Seqs), src, dst); err != nil {
-					return nil, fmt.Errorf("msa: rethread chain %s round %d, %s: %w", cr.ChainID, r+1, db.Name, err)
-				}
-			}
-		}
-	}
-	for w := range src {
-		if !src[w].atEnd() {
-			return nil, fmt.Errorf("msa: rethread: worker %d has events left over after the last scan", w)
-		}
-	}
+func (res *Result) Rethread(threads int) *Result {
 	out := *res
-	out.Workers = dst
-	return &out, nil
-}
-
-// recutScan moves one scan of n records from the source workers' streams to
-// the target accumulators: target t takes records parallel.Span(n, t,
-// len(dst)), in record order.
-func recutScan(n int, src []eventCursor, dst []*metering.Accumulator) error {
-	t := 0
-	for w := range src {
-		lo, hi := parallel.Span(n, w, len(src))
-		for lo < hi {
-			_, thi := parallel.Span(n, t, len(dst))
-			for thi <= lo {
-				t++
-				_, thi = parallel.Span(n, t, len(dst))
-			}
-			end := min(hi, thi)
-			if err := src[w].take(end-lo, dst[t]); err != nil {
-				return fmt.Errorf("worker %d: %w", w, err)
-			}
-			lo = end
-		}
+	out.Workers = newWorkers(threads)
+	for _, d := range res.deltas {
+		d.link(out.Workers)
 	}
-	return nil
+	return &out
 }
 
-// eventCursor walks one source worker's stream: event i of run r is next.
-type eventCursor struct {
-	acc  *metering.Accumulator
-	r, i int
-}
-
-// atEnd moves the cursor past the runs it has read to the end and reports
-// whether that is the whole stream.
-func (c *eventCursor) atEnd() bool {
-	for c.r < c.acc.Runs() && c.i == len(c.acc.Run(c.r)) {
-		c.r, c.i = c.r+1, 0
+// newWorkers returns n empty accumulators.
+func newWorkers(n int) []*metering.Accumulator {
+	accs := make([]metering.Accumulator, n)
+	out := make([]*metering.Accumulator, n)
+	for i := range out {
+		out[i] = &accs[i]
 	}
-	return c.r == c.acc.Runs()
+	return out
 }
 
-// take links the next k records' events into dst, one sub-slice per run
-// they lie in. A record ends at the next copy_to_iter or at the end of its
-// run; one split across runs fails the next run's copy_to_iter check.
-func (c *eventCursor) take(k int, dst *metering.Accumulator) error {
-	for k > 0 {
-		if c.atEnd() {
-			return fmt.Errorf("the stream ends with %d records still to take", k)
-		}
-		run, lo := c.acc.Run(c.r), c.i
-		for ; k > 0 && c.i < len(run); k-- {
-			if f := run[c.i].Func; f != recordStart {
-				return fmt.Errorf("a record starts with %s, not %s", f, recordStart)
-			}
-			c.i++
-			for c.i < len(run) && run[c.i].Func != recordStart {
-				c.i++
+// link re-cuts the delta's stream into workers as a search at len(workers)
+// threads attributes it: worker t takes, from every scan of n records, the
+// records parallel.Span(n, t, len(workers)), in record order. starts turns
+// a record range into a stream range, which links as sub-slices of the
+// pieces it covers — no event is walked or copied, so a merge costs
+// O(len(workers) × scans) runs whatever the chain's size.
+func (d *chainDelta) link(workers []*metering.Accumulator) {
+	records := 0
+	for _, n := range d.dbRecs {
+		records += n
+	}
+	rounds := 0
+	if records > 0 {
+		rounds = d.cr.Scanned / records
+	}
+	for t, acc := range workers {
+		c := recut{events: d.events, acc: acc}
+		r := 0 // the current scan's first record
+		for range rounds {
+			for _, n := range d.dbRecs {
+				lo, hi := parallel.Span(n, t, len(workers))
+				c.take(int(d.starts[r+lo]), int(d.starts[r+hi]))
+				r += n
 			}
 		}
-		dst.LinkRun(run[lo:c.i])
+		c.flush()
 	}
-	return nil
+}
+
+// recut links stream ranges, in increasing order, into one accumulator. A
+// range that continues the pending run in the same piece extends it, so a
+// one-piece stream taken whole — every chain searched or decoded at width 1,
+// merged at one thread — links as a single run.
+type recut struct {
+	events [][]metering.Event
+	acc    *metering.Accumulator
+	k      int // the current piece, events[k] ...
+	base   int // ... which begins at this stream index
+	lo, hi int // the pending run, events[k][lo:hi]
+}
+
+// take links stream indexes [a, b).
+func (c *recut) take(a, b int) {
+	for a < b {
+		for a >= c.base+len(c.events[c.k]) {
+			c.flush()
+			c.base += len(c.events[c.k])
+			c.k++
+		}
+		end := min(b, c.base+len(c.events[c.k]))
+		if a-c.base != c.hi {
+			c.flush()
+			c.lo = a - c.base
+		}
+		c.hi = end - c.base
+		a = end
+	}
+}
+
+// flush links the pending run.
+func (c *recut) flush() {
+	if c.lo < c.hi {
+		c.acc.LinkRun(c.events[c.k][c.lo:c.hi])
+	}
+	c.lo, c.hi = 0, 0
 }

@@ -86,59 +86,3 @@ func TestRunCtxCancelMidScanStopsWithinOneShard(t *testing.T) {
 		t.Fatalf("%d shards executed after mid-scan cancel, want exactly 1", got)
 	}
 }
-
-func TestShardsCtxCompletes(t *testing.T) {
-	out := make([]int, 37)
-	if err := ShardsCtx(context.Background(), 5, len(out), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = 1
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != 1 {
-			t.Fatalf("index %d not covered", i)
-		}
-	}
-}
-
-func TestShardsCtxPreCancelledRunsNothing(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int32
-	err := ShardsCtx(ctx, 4, 64, func(_, _, _ int) { ran.Add(1) })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if ran.Load() != 0 {
-		t.Errorf("%d shards ran after pre-cancel", ran.Load())
-	}
-	// Serial path too.
-	if err := ShardsCtx(ctx, 1, 10, func(_, _, _ int) { ran.Add(1) }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("serial err = %v", err)
-	}
-	if ran.Load() != 0 {
-		t.Error("serial shard ran after pre-cancel")
-	}
-}
-
-func TestShardsCtxMatchesShardsDecomposition(t *testing.T) {
-	// Same span arithmetic as Shards: per-shard attribution stays stable.
-	for _, shards := range []int{1, 2, 3, 8} {
-		// Distinct shard indices write distinct elements: race-free.
-		got := make([][2]int, shards)
-		want := make([][2]int, shards)
-		if err := ShardsCtx(context.Background(), shards, 24, func(s, lo, hi int) {
-			got[s] = [2]int{lo, hi}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		Shards(shards, 24, func(s, lo, hi int) { want[s] = [2]int{lo, hi} })
-		for s := range want {
-			if got[s] != want[s] {
-				t.Errorf("shards=%d shard %d: %v vs %v", shards, s, got[s], want[s])
-			}
-		}
-	}
-}

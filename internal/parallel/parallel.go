@@ -225,82 +225,13 @@ func (p *Pool) RunCtx(ctx context.Context, n int, fn func(shard, lo, hi int)) er
 }
 
 // Span returns the s-th of `shards` contiguous ranges of [0,n) — the one
-// shard rule behind Run, Shards and ShardsCtx, so shard boundaries are stable
-// across the codebase. It is exported for code that must know which records
-// a scan's worker s was given without running the scan (msa.Result.Rethread
-// re-cuts per-worker metering along these boundaries).
+// shard rule behind Run and RunCtx, so shard boundaries are stable across
+// the codebase. It is exported for code that must know which records a
+// worker takes without running anything: msa re-cuts a chain's per-record
+// metering along these boundaries for a request's thread count, and the
+// cluster's scatter nests its segments inside them.
 func Span(n, s, shards int) (lo, hi int) {
 	return n * s / shards, n * (s + 1) / shards
-}
-
-// Shards runs fn over exactly `shards` contiguous spans of [0,n),
-// spawning one goroutine per non-empty shard, and blocks until all are
-// done. Unlike Run, the shard count here is semantic, not a concurrency
-// hint: callers such as the MSA scan attribute per-shard work to
-// per-thread accumulators, so the decomposition must match the requested
-// thread count exactly regardless of available parallelism.
-func Shards(shards, n int, fn func(shard, lo, hi int)) {
-	if n <= 0 || shards <= 0 {
-		return
-	}
-	if shards == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		lo, hi := Span(n, s, shards)
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			fn(s, lo, hi)
-		}(s, lo, hi)
-	}
-	wg.Wait()
-}
-
-// ShardsCtx is Shards with cancellation: shards whose goroutine observes a
-// done ctx before starting fn are skipped, and no new shard is spawned
-// after cancellation, so a cancelled scan stops within the work already in
-// flight instead of finishing the fan-out. Returns ctx.Err(); on a non-nil
-// return the decomposition is partial and per-shard outputs must be
-// discarded.
-func ShardsCtx(ctx context.Context, shards, n int, fn func(shard, lo, hi int)) error {
-	if n <= 0 || shards <= 0 {
-		return ctx.Err()
-	}
-	if shards == 1 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		fn(0, 0, n)
-		return ctx.Err()
-	}
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		if ctx.Err() != nil {
-			break
-		}
-		lo, hi := Span(n, s, shards)
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			select {
-			case <-done:
-			default:
-				fn(s, lo, hi)
-			}
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 var (

@@ -107,12 +107,14 @@ func TestNestedRunDoesNotDeadlock(t *testing.T) {
 }
 
 func TestShardsMatchesFixedDecomposition(t *testing.T) {
-	// The MSA scan relies on the exact len*s/shards boundaries and on every
-	// shard index being called even when shards > available parallelism.
+	// Run's shards are Span's: msa re-cuts a scan along the exact
+	// len*s/shards boundaries, whatever width the scan itself ran at.
 	const n, shards = 17, 5
+	p := New(shards)
+	defer p.Close()
 	got := make([][2]int, shards)
 	var mu sync.Mutex
-	Shards(shards, n, func(shard, lo, hi int) {
+	p.Run(n, func(shard, lo, hi int) {
 		mu.Lock()
 		got[shard] = [2]int{lo, hi}
 		mu.Unlock()
@@ -122,22 +124,26 @@ func TestShardsMatchesFixedDecomposition(t *testing.T) {
 		if got[s] != [2]int{wantLo, wantHi} {
 			t.Errorf("shard %d = %v, want [%d,%d)", s, got[s], wantLo, wantHi)
 		}
+		if lo, hi := Span(n, s, shards); [2]int{lo, hi} != got[s] {
+			t.Errorf("Span(%d, %d, %d) = [%d,%d), Run gave %v", n, s, shards, lo, hi, got[s])
+		}
 	}
 }
 
 func TestShardsSkipsEmptyAndHandlesZero(t *testing.T) {
+	p := New(4)
+	defer p.Close()
 	var calls atomic.Int32
-	Shards(4, 2, func(shard, lo, hi int) {
+	p.Run(2, func(shard, lo, hi int) {
 		if lo == hi {
 			t.Errorf("empty shard %d delivered", shard)
 		}
 		calls.Add(1)
 	})
 	if calls.Load() != 2 {
-		t.Fatalf("got %d calls for n=2 over 4 shards, want 2", calls.Load())
+		t.Fatalf("got %d calls for n=2 over 4 workers, want 2", calls.Load())
 	}
-	Shards(3, 0, func(shard, lo, hi int) { t.Error("n=0 must not call fn") })
-	Shards(0, 5, func(shard, lo, hi int) { t.Error("shards=0 must not call fn") })
+	p.Run(0, func(shard, lo, hi int) { t.Error("n=0 must not call fn") })
 }
 
 func TestForWorkersCachesAndClamps(t *testing.T) {

@@ -43,7 +43,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -813,9 +812,9 @@ const fifoKey = "\x00fifo"
 
 // chainCodec identifies the msa.CachedChain payload format (msa's chain
 // codec) in the persistent tier's entry headers. Bump it when the format
-// changes: an entry with another codec — 1 was gob — is dropped at read
-// time and recomputed once.
-const chainCodec uint16 = 2
+// changes: an entry with another codec — 1 was gob, 2 framed events per
+// worker — is dropped at read time and recomputed once.
+const chainCodec uint16 = 3
 
 // chainKey is the content address of one chain's MSA search: everything
 // that determines the chain delta goes in — the chain content
@@ -823,18 +822,18 @@ const chainCodec uint16 = 2
 // label), the database-set identity, the database profile the stage plans
 // against (scope covers both breaker skips and the degradation ladder, so
 // a delta searched under a reduced profile is never served for the full
-// one), the thread count that shards the scan, and the scan-engine
-// options. The machine and suite seed are deliberately absent: a chain
-// delta is platform-independent (the machine models replay it later) and
-// the search itself is deterministic. With RequestScopedKeys the whole
+// one), and the scan-engine options. The machine, the suite seed and the
+// thread count are deliberately absent: a chain delta is
+// platform-independent (the machine models replay it later), the search
+// itself is deterministic, and a thread count only re-cuts the delta's
+// events when it is merged, so one chain serves every count. With RequestScopedKeys the whole
 // request fingerprint is folded in, confining reuse to identical requests.
 func (s *Server) chainKey(job *Job, scope string, chain inputs.Chain) string {
 	parts := []string{
-		"msa-chain/v4",
+		"msa-chain/v5",
 		msa.ChainFingerprint(chain),
 		s.keyDBs,
 		"scope=" + scope,
-		strconv.Itoa(job.threads),
 		s.keySearch,
 	}
 	if s.cfg.RequestScopedKeys {
@@ -853,7 +852,7 @@ func (s *Server) chainFetcher(job *Job) msa.ChainFetch {
 		key := s.chainKey(job, scope, chain)
 		fromDisk := false
 		v, hit, err := s.cfg.Cache.GetOrCompute(key, func() (any, int64, error) {
-			if cc := s.diskLookup(key, job.threads); cc != nil {
+			if cc := s.diskLookup(key); cc != nil {
 				fromDisk = true
 				return cc, cc.SizeBytes(), nil
 			}
@@ -890,10 +889,9 @@ func (s *Server) chainFetcher(job *Job) msa.ChainFetch {
 // failure mode — a miss, a tripped breaker, a corrupt file, an
 // undecodable payload — returns nil, never an error: the disk tier can
 // only ever save work. A payload that passes the store's checksum but
-// fails to decode, or decodes to a chain searched at another thread count
-// than the key's (a replay indexes the request's workers by the chain's),
-// is semantic corruption, so the entry is dropped to be rebuilt.
-func (s *Server) diskLookup(key string, threads int) *msa.CachedChain {
+// fails to decode is semantic corruption, so the entry is dropped to be
+// rebuilt.
+func (s *Server) diskLookup(key string) *msa.CachedChain {
 	payload, codec, ok := s.cfg.DiskCache.Get(key)
 	if !ok {
 		return nil
@@ -903,7 +901,7 @@ func (s *Server) diskLookup(key string, threads int) *msa.CachedChain {
 		return nil
 	}
 	cc, err := msa.DecodeCachedChain(payload)
-	if err != nil || cc.Workers() != threads {
+	if err != nil {
 		s.cfg.DiskCache.Drop(key)
 		s.cfg.Metrics.Add("msa_chain_disk_decode_drops", 1)
 		return nil

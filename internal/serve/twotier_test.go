@@ -1,13 +1,14 @@
 package serve
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"afsysbench/internal/cache"
 	"afsysbench/internal/cachedisk"
-	"afsysbench/internal/msa"
 	"afsysbench/internal/resilience"
 	"afsysbench/internal/rng"
 )
@@ -194,66 +195,76 @@ func TestSustainedDiskFailureDegradesToMemory(t *testing.T) {
 	}
 }
 
-// chainOf runs 2PV7 — one MSA chain — on a memory-only server at threads
-// and returns the chain's key, its encoded payload and the result's
-// fingerprint.
-func chainOf(t *testing.T, threads int) (key string, payload []byte, want string) {
-	t.Helper()
-	s := newTestServer(t, Config{Threads: threads, MSAWorkers: 1, Cache: cache.New(0)})
-	st := runTrace(t, s, []string{"2PV7"})
-	want = fingerprint(t, s, st[0].ID)
-	var err error
-	s.Config().Cache.Range(func(k string, val any, _ int64) bool {
-		key = k
-		payload, err = val.(*msa.CachedChain).Encode()
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestThreadCountsShareChains: a thread count only re-cuts a cached
+// chain's events, so one chain serves every count. An interleaved PPI trace
+// at 1, 2 and 4 threads searches each of its three pool chains once, and a
+// chain one server spilled at 2 threads is a disk hit for another at 4.
+// Every result equals the one a server at the request's thread count alone,
+// with no cache, computes.
+func TestThreadCountsShareChains(t *testing.T) {
+	type req struct {
+		sample  string
+		threads int
 	}
-	if payload == nil {
-		t.Fatal("2PV7 left no chain in the memory tier")
+	trace := []req{
+		{"ppi-0x1", 1}, {"ppi-0x1", 2}, {"ppi-1x2", 4}, {"ppi-0x2", 1},
+		{"ppi-1x2", 2}, {"ppi-0x1", 4}, {"ppi-0x2", 2}, {"ppi-0x2", 4},
 	}
-	return key, payload, want
-}
+	want := make(map[req]string)
+	for _, threads := range []int{1, 2, 4} {
+		s := newTestServer(t, Config{Threads: threads, MSAWorkers: 1})
+		samples := []string{"ppi-0x1", "ppi-1x2", "ppi-0x2"}
+		for i, js := range runTrace(t, s, samples) {
+			want[req{samples[i], threads}] = fingerprint(t, s, js.ID)
+		}
+	}
 
-// TestDiskEntryOfAnotherThreadCountIsDropped: a checksum-valid entry whose
-// chain was searched at another thread count than its key names — two
-// workers under a four-thread key, four under a two-thread key — is
-// dropped, not replayed into the request's workers: the request and its
-// repeat get the fresh result, and the drop is counted.
-func TestDiskEntryOfAnotherThreadCountIsDropped(t *testing.T) {
-	key2, payload2, want2 := chainOf(t, 2)
-	key4, payload4, want4 := chainOf(t, 4)
-	for _, tc := range []struct {
-		threads      int
-		key, want    string
-		foreignBytes []byte
-	}{
-		{4, key4, want4, payload2},
-		{2, key2, want2, payload4},
-	} {
-		store := openDiskTier(t, t.TempDir(), cachedisk.Config{})
-		if err := store.Put(tc.key, chainCodec, tc.foreignBytes); err != nil {
+	t.Run("memory", func(t *testing.T) {
+		s := newTestServer(t, Config{Threads: 1, MSAWorkers: 2, Cache: cache.New(0)})
+		s.Start()
+		for _, r := range trace {
+			if _, err := s.Submit(Request{Sample: r.sample, Threads: r.threads}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		if err := s.WaitIdle(ctx); err != nil {
 			t.Fatal(err)
 		}
-		s := newTestServer(t, Config{Threads: tc.threads, MSAWorkers: 1, Cache: cache.New(0), DiskCache: store})
-		st := runTrace(t, s, []string{"2PV7", "2PV7"})
-		for i, js := range st {
+		for i, js := range s.Statuses() {
 			if js.State != "done" {
-				t.Fatalf("T%d request %d: %+v", tc.threads, i, js)
+				t.Fatalf("request %d: %+v", i, js)
 			}
-			if got := fingerprint(t, s, js.ID); got != tc.want {
-				t.Fatalf("T%d request %d served a foreign chain:\n  want %s\n  got  %s", tc.threads, i, tc.want, got)
+			if got := fingerprint(t, s, js.ID); got != want[trace[i]] {
+				t.Fatalf("%s at T%d:\n  want %s\n  got  %s", trace[i].sample, trace[i].threads, want[trace[i]], got)
 			}
 		}
-		if st[0].ChainsDisk != 0 || st[0].ChainsFresh != 1 || st[1].ChainsMem != 1 {
-			t.Fatalf("T%d chains = %+v then %+v, want a fresh search, then a memory hit", tc.threads, st[0], st[1])
+		if got := s.Metrics().Get("msa_chain_misses"); got != 3 {
+			t.Fatalf("msa_chain_misses = %d, want each of the 3 pool chains searched once", got)
 		}
-		if got := s.Metrics().Get("msa_chain_disk_decode_drops"); got != 1 {
-			t.Fatalf("T%d decode drops = %d, want 1", tc.threads, got)
+	})
+
+	t.Run("disk", func(t *testing.T) {
+		dir := t.TempDir()
+		s2 := newTestServer(t, Config{Threads: 2, MSAWorkers: 1, Cache: cache.New(0), DiskCache: openDiskTier(t, dir, cachedisk.Config{})})
+		runTrace(t, s2, []string{"ppi-0x1"})
+		if n := s2.SpillCache(); n != 2 {
+			t.Fatalf("SpillCache = %d, want 2 chains", n)
 		}
-	}
+		s2.Stop()
+		if err := s2.Config().DiskCache.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s4 := newTestServer(t, Config{Threads: 4, MSAWorkers: 1, Cache: cache.New(0), DiskCache: openDiskTier(t, dir, cachedisk.Config{})})
+		st := runTrace(t, s4, []string{"ppi-0x1"})
+		if st[0].ChainsDisk != 2 || st[0].ChainsFresh != 0 {
+			t.Fatalf("a 4-thread request over a 2-thread server's tier: %+v, want 2 disk hits", st[0])
+		}
+		if got := fingerprint(t, s4, st[0].ID); got != want[req{"ppi-0x1", 4}] {
+			t.Fatalf("disk replay at T4:\n  want %s\n  got  %s", want[req{"ppi-0x1", 4}], got)
+		}
+	})
 }
 
 // TestSpillEncodesOnlyWhatTheDiskLacks runs a PPI screen on a memory tier
