@@ -85,7 +85,7 @@ func ByteSizeOf(shape []int) int64 {
 // ops, shapes and dependencies — at a per-block granularity matching the
 // module implementations.
 func BuildInferenceGraph(pf pairformer.Config, df diffusion.Config, n, recycles int) *Graph {
-	g := &Graph{}
+	g := &Graph{Ops: make([]Op, 0, inferenceGraphOps(pf, df, recycles))}
 	pair := g.Add(OpElementwise, []int{n * n, pf.PairDim})
 	single := g.Add(OpElementwise, []int{n, pf.SingleDim})
 
@@ -114,6 +114,26 @@ func BuildInferenceGraph(pf pairformer.Config, df diffusion.Config, n, recycles 
 	}
 	g.Add(OpMatMul, []int{atoms, 3}, back)
 	return g
+}
+
+// The builders' op counts, in closed form, so that BuildInferenceGraph
+// sizes its op list once. None depends on the token count.
+const (
+	// attentionOps: q, k, v, kᵀ, logits, softmax, context, output,
+	// residual, layer norm.
+	attentionOps = 10
+	// pairformerBlockOps: two triangle multiplications of 8 ops, two
+	// triangle attentions of 9, the pair transition's 5 and the single
+	// track's attention.
+	pairformerBlockOps = 2*8 + 2*9 + 5 + attentionOps
+)
+
+// inferenceGraphOps is len(BuildInferenceGraph(pf, df, n, recycles).Ops)
+// for every n: the pair and single inputs, the Pairformer blocks, and the
+// denoiser's six projections and reductions around its attention layers.
+func inferenceGraphOps(pf pairformer.Config, df diffusion.Config, recycles int) int {
+	return 2 + recycles*pf.Blocks*pairformerBlockOps +
+		6 + attentionOps*(df.LocalEncLayers+df.GlobalLayers+df.LocalDecLayers)
 }
 
 func addPairformerBlock(g *Graph, pf pairformer.Config, n, pair, single int) (int, int) {

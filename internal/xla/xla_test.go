@@ -132,3 +132,60 @@ func TestCompileDeterministic(t *testing.T) {
 		t.Errorf("compile stats differ across identical builds:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestInferenceGraphSizedOnce: BuildInferenceGraph allocates its op list
+// once — the closed-form count is exact, whatever the token count — and
+// the graph compiles to the stats and events it always did (the pins are
+// the values of the append-grown builder, at n = 400 with the default
+// model).
+func TestInferenceGraphSizedOnce(t *testing.T) {
+	small := pairformer.DefaultConfig()
+	small.Blocks = 2
+	tiny := diffusion.DefaultConfig()
+	tiny.GlobalLayers, tiny.LocalEncLayers, tiny.LocalDecLayers = 2, 1, 0
+	for _, tc := range []struct {
+		pf       pairformer.Config
+		df       diffusion.Config
+		recycles int
+	}{
+		{pairformer.DefaultConfig(), diffusion.DefaultConfig(), 10},
+		{pairformer.DefaultConfig(), diffusion.DefaultConfig(), 1},
+		{small, tiny, 3},
+		{small, tiny, 0},
+	} {
+		for _, n := range []int{1, 32, 400} {
+			g := BuildInferenceGraph(tc.pf, tc.df, n, tc.recycles)
+			if len(g.Ops) != cap(g.Ops) {
+				t.Errorf("blocks %d, recycles %d, n %d: %d ops in a list of capacity %d",
+					tc.pf.Blocks, tc.recycles, n, len(g.Ops), cap(g.Ops))
+			}
+		}
+	}
+	var acc metering.Accumulator
+	st, err := Compile(BuildInferenceGraph(pairformer.DefaultConfig(), diffusion.DefaultConfig(), 400, 10), &acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := CompileStats{Ops: 23838, FusedOps: 5311, FusionGroups: 3391, Buffers: 18527, PeakBytes: 594534400, Instructions: 0x340941b300}
+	if st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+	type work struct {
+		fn                                                   string
+		instructions, bytes, workingSet, branches, allocated uint64
+	}
+	wantEvents := []work{
+		{"xla::ShapeUtil::ByteSizeOf", 0x32039d0, 0x2e8f0000, 0x174780, 0x6d1f28, 0},
+		{"std::vector::_M_fill_insert", 0x711470, 0x236fe000, 0x236fe000, 0x485f0, 0x236fe000},
+		{"xla_compile_passes", 0x340941b300, 0x22eb4000, 0x5d1e000, 0x8ac359dd5, 0},
+	}
+	if len(acc.Events) != len(wantEvents) {
+		t.Fatalf("%d events, want %d", len(acc.Events), len(wantEvents))
+	}
+	for i, ev := range acc.Events {
+		got := work{ev.Func, ev.Instructions, ev.Bytes, ev.WorkingSet, ev.Branches, ev.Allocated}
+		if got != wantEvents[i] {
+			t.Errorf("event %d = %+v, want %+v", i, got, wantEvents[i])
+		}
+	}
+}
