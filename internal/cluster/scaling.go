@@ -27,7 +27,8 @@ func PointFromResult(res *core.PipelineResult) RequestPoint {
 	if d := res.MSAData; d != nil {
 		var parallel uint64
 		for _, w := range d.Workers {
-			parallel += w.Totals().Instructions
+			work := w.Ledger()
+			parallel += work.Total().Instructions
 		}
 		if total := float64(parallel + d.SerialInstructions); total > 0 {
 			p.SerialFraction = float64(d.SerialInstructions) / total

@@ -219,10 +219,10 @@ func (p *MSAPhase) SizeBytes() int64 {
 // the Section VI memory gate, database opening under the retry policy, and
 // the degradation-ladder planning loop. Every call builds its own
 // *MSAPhase — the serving cache works a level down, on chains
-// (opts.ChainCache) — but the phase's Data.Workers link the metering
-// events of whatever chain deltas were replayed into it, cached ones
-// included, so the returned value is read-only: several requests' phases
-// may share one chain's events.
+// (opts.ChainCache), and its Data.Workers are credited from the per-record
+// sums of whatever chain deltas were replayed into it, cached ones
+// included. The phase shares those deltas with other requests', so it is
+// read-only.
 func (s *Suite) RunMSAPhase(ctx context.Context, in *inputs.Input, mach platform.Machine, opts PipelineOptions) (*MSAPhase, error) {
 	if ctx == nil {
 		ctx = context.Background()

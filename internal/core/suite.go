@@ -115,7 +115,7 @@ func (s *Suite) MSAReplay(in *inputs.Input, mach platform.Machine, threads int) 
 // with a dropped database must never be served for the full profile (or
 // vice versa). The memo searches once per sample and profile, at the first
 // thread count asked for; a thread count changes only which worker each
-// record's metering events land in, so every other count is that search's
+// record's metering work lands in, so every other count is that search's
 // msa.Result.Rethread, kept so that a repeat returns the same result.
 //
 // fresh bypasses the memo entirely — no read, no write — for callers that
@@ -233,16 +233,16 @@ func (s *Suite) CompileSim(mach platform.Machine, n int) (HostProfile, error) {
 	tw := simhw.ThreadWork{}
 	for _, ev := range events {
 		fw := simhw.FuncWork{
-			Func:           ev.Func,
+			Func:           ev.Func.String(),
 			Instructions:   ev.Instructions,
 			Bytes:          ev.Bytes,
 			Branches:       ev.Branches,
-			BranchMissRate: ev.BranchMissRate,
-			Pattern:        ev.Pattern,
+			BranchMissRate: ev.Func.BranchMissRate(),
+			Pattern:        ev.Func.Pattern(),
 			HotBytes:       ev.WorkingSet,
 			Allocated:      ev.Allocated,
 		}
-		if ev.Func == "xla::ShapeUtil::ByteSizeOf" {
+		if ev.Func == metering.ByteSizeOf {
 			// Shape metadata is pointer-chased across the whole runtime
 			// heap, which is what defeats even the server's TLB reach
 			// (Table V's dTLB row).
@@ -282,8 +282,8 @@ func (s *Suite) CompileSim(mach platform.Machine, n int) (HostProfile, error) {
 	// generation's autotuning factor; the rest of the host profile is
 	// init-phase activity that simgpu prices separately.
 	var compileCycles float64
-	for _, fn := range []string{"xla_compile_passes", "xla::ShapeUtil::ByteSizeOf", "std::vector::_M_fill_insert"} {
-		compileCycles += float64(res.PerFunc[fn].Cycles)
+	for _, fn := range []metering.Func{metering.CompilePasses, metering.ByteSizeOf, metering.FillInsert} {
+		compileCycles += float64(res.PerFunc[fn.String()].Cycles)
 	}
 	hz := mach.CPU.MaxClockGHz * 1e9
 	return HostProfile{

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"testing"
 
 	"afsysbench/internal/inputs"
@@ -71,18 +70,9 @@ func TestCountedWorkGolden(t *testing.T) {
 // writeWorkerWork writes one line per function the worker counted work
 // for, in function-name order.
 func writeWorkerWork(b *bytes.Buffer, prefix string, acc *metering.Accumulator) {
-	counts := make(map[string]int)
-	for _, ev := range acc.Flat() {
-		counts[ev.Func]++
-	}
-	byFunc := acc.ByFunc()
-	names := make([]string, 0, len(byFunc))
-	for name := range byFunc {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ev := byFunc[name]
-		fmt.Fprintf(b, "%s %s %d %d %d %d %d\n", prefix, name, counts[name], ev.Instructions, ev.Bytes, ev.Branches, ev.Allocated)
+	for f, t := range acc.Ledger() {
+		if t.Events > 0 {
+			fmt.Fprintf(b, "%s %s %d %d %d %d %d\n", prefix, metering.Func(f), t.Events, t.Instructions, t.Bytes, t.Branches, t.Allocated)
+		}
 	}
 }

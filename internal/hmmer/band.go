@@ -243,22 +243,20 @@ var (
 // recordCalcBand emits the two per-kernel-variant metering events of one
 // band pass over cellsEven + cellsOdd cells.
 func recordCalcBand(c calcBandCost, workingSet, cellsEven, cellsOdd uint64, m metering.Meter) {
-	record := func(fn string, cells uint64) {
+	record := func(fn metering.Func, cells uint64) {
 		if cells == 0 {
 			return
 		}
 		m.Record(metering.Event{
-			Func:           fn,
-			Instructions:   cells * c.instructions,
-			Bytes:          cells * c.bytes,
-			WorkingSet:     workingSet,
-			Pattern:        metering.Strided,
-			Branches:       cells * c.branches,
-			BranchMissRate: 0.004,
+			Func:         fn,
+			Instructions: cells * c.instructions,
+			Bytes:        cells * c.bytes,
+			WorkingSet:   workingSet,
+			Branches:     cells * c.branches,
 		})
 	}
-	record("calc_band_9", cellsEven)
-	record("calc_band_10", cellsOdd)
+	record(metering.CalcBand9, cellsEven)
+	record(metering.CalcBand10, cellsOdd)
 }
 
 // recordBandPrune charges the row-max cutoff's real residual work — one
@@ -267,11 +265,10 @@ func recordCalcBand(c calcBandCost, workingSet, cellsEven, cellsOdd uint64, m me
 // charged at kernel cost: a cut-off band never touches them at all.
 func recordBandPrune(rowsDone, L, w int, pruned uint64, m metering.Meter) {
 	m.Record(metering.Event{
-		Func:         "band_prune",
+		Func:         metering.BandPrune,
 		Instructions: uint64(rowsDone)*4 + uint64(L-rowsDone)*2,
 		Bytes:        uint64(rowsDone) * 4,
 		WorkingSet:   uint64(6*w) * 4,
-		Pattern:      metering.Sequential,
 		Branches:     uint64(rowsDone),
 		Pruned:       pruned,
 	})
@@ -308,13 +305,11 @@ func FullViterbi(p *Profile, target *seq.Sequence, m metering.Meter) AlignResult
 	cells := uint64(L) * uint64(M)
 	res.Cells = cells
 	m.Record(metering.Event{
-		Func:           "viterbi_full",
-		Instructions:   cells * 14,
-		Bytes:          cells * 56,
-		WorkingSet:     uint64(6*(M+1))*4 + p.MemoryBytes() + uint64(L),
-		Pattern:        metering.Strided,
-		Branches:       cells * 4,
-		BranchMissRate: 0.004,
+		Func:         metering.ViterbiFull,
+		Instructions: cells * 14,
+		Bytes:        cells * 56,
+		WorkingSet:   uint64(6*(M+1))*4 + p.MemoryBytes() + uint64(L),
+		Branches:     cells * 4,
 	})
 	return res
 }

@@ -70,9 +70,9 @@ func NewBuffer(src RecordSource, dbFootprint uint64, m metering.Meter) *Buffer {
 // Contract: copy_to_iter is the first event a record's scan records, and no
 // other step of a scan records it. A scan's meter therefore holds, per
 // record in storage order, one copy_to_iter and then everything that record
-// cost until the next one — which is how msa finds where each record's
-// events start once, when a chain is searched, and then re-cuts the chain
-// for any thread count without walking its events again.
+// cost until the next one — which is how msa folds a chain's events into
+// per-record sums once, when the chain is searched, and then credits the
+// chain to any thread count without an event.
 func (b *Buffer) Next() (*seq.Sequence, bool) {
 	rec, ok := b.src.Next()
 	if !ok {
@@ -82,39 +82,32 @@ func (b *Buffer) Next() (*seq.Sequence, bool) {
 
 	// copy_to_iter: page-cache -> user copy, one pass over the bytes.
 	b.meter.Record(metering.Event{
-		Func:         "copy_to_iter",
+		Func:         metering.CopyToIter,
 		Instructions: n / 2, // wide vectorized copy loop
 		Bytes:        2 * n, // read + write
 		WorkingSet:   b.dbFootprint,
-		Pattern:      metering.Sequential,
 		Branches:     n / 64,
-		// Copy loops are essentially branch-perfect.
-		BranchMissRate: 0.001,
 	})
 
 	// addbuf: append into the lookahead window (a second pass). Allocated
 	// is HMMER's per-record buffer growth, not this process's Go heap.
 	b.meter.Record(metering.Event{
-		Func:           "addbuf",
-		Instructions:   12 * n, // parsing, validation, digital translation
-		Bytes:          2 * n,
-		WorkingSet:     stagingSize,
-		Pattern:        metering.Sequential,
-		Branches:       n / 16,
-		BranchMissRate: 0.002,
-		Allocated:      n,
+		Func:         metering.AddBuf,
+		Instructions: 12 * n, // parsing, validation, digital translation
+		Bytes:        2 * n,
+		WorkingSet:   stagingSize,
+		Branches:     n / 16,
+		Allocated:    n,
 	})
 
 	// seebuf: lookahead scanning — record sniffing and tokenization, a
 	// third pass.
 	b.meter.Record(metering.Event{
-		Func:           "seebuf",
-		Instructions:   4 * n,
-		Bytes:          n,
-		WorkingSet:     stagingSize,
-		Pattern:        metering.Sequential,
-		Branches:       n,
-		BranchMissRate: 0.002,
+		Func:         metering.SeeBuf,
+		Instructions: 4 * n,
+		Bytes:        n,
+		WorkingSet:   stagingSize,
+		Branches:     n,
 	})
 	return rec, true
 }

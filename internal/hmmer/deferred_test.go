@@ -48,11 +48,13 @@ func repeatRichScan(t *testing.T, mt seq.MoleculeType) (*seq.Sequence, *seqdb.DB
 // isTracebackEvent tells the traceback's calc_band events (17 instructions
 // and 5 branches per cell) from the scoring pass's (14 and 4).
 func isTracebackEvent(ev metering.Event) bool {
-	return (ev.Func == "calc_band_9" || ev.Func == "calc_band_10") && ev.Branches*17 == ev.Instructions*5
+	return (ev.Func == metering.CalcBand9 || ev.Func == metering.CalcBand10) && ev.Branches*17 == ev.Instructions*5
 }
 
 // TestScanEventStreamMatchesParent pins the event *stream* of one
-// ScanRecords per alphabet — every field of every event, in order — to the
+// ScanRecords per alphabet — every field of every event, in order, with
+// each function's name, pattern and miss rate from the function table as
+// the events once carried them — to the
 // value computed at the commit before tracebacks moved behind the scan's
 // dedup. TestScanMeteringMatchesParent pins per-function sums; the machine
 // models fold events in order and chain deltas are encoded in order, so
@@ -81,14 +83,14 @@ func TestScanEventStreamMatchesParent(t *testing.T) {
 		}
 		traced := 0
 		for _, ev := range acc.Events {
-			h.Write([]byte(ev.Func))
+			h.Write([]byte(ev.Func.String()))
 			for _, v := range []uint64{
-				ev.Instructions, ev.Bytes, ev.WorkingSet, uint64(ev.Pattern), ev.Branches,
-				math.Float64bits(ev.BranchMissRate), ev.PageTouches, ev.Allocated, ev.Pruned,
+				ev.Instructions, ev.Bytes, ev.WorkingSet, uint64(ev.Func.Pattern()), ev.Branches,
+				math.Float64bits(ev.Func.BranchMissRate()), ev.PageTouches, ev.Allocated, ev.Pruned,
 			} {
 				word(v)
 			}
-			if ev.Func == "calc_band_9" && isTracebackEvent(ev) {
+			if ev.Func == metering.CalcBand9 && isTracebackEvent(ev) {
 				traced++
 			}
 		}

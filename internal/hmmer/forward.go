@@ -124,12 +124,10 @@ func forward(p *Profile, target *seq.Sequence, diagonal, halfWidth int, ws *scan
 // loop in this package: making those cheaper does not change them.
 func recordForwardEvent(p *Profile, w int, cells uint64, m metering.Meter) {
 	m.Record(metering.Event{
-		Func:           "forward_band",
-		Instructions:   cells * 30,
-		Bytes:          cells * 40,
-		WorkingSet:     uint64(2*w)*8 + p.MemoryBytes(),
-		Pattern:        metering.Strided,
-		Branches:       cells * 2,
-		BranchMissRate: 0.003,
+		Func:         metering.ForwardBand,
+		Instructions: cells * 30,
+		Bytes:        cells * 40,
+		WorkingSet:   uint64(2*w)*8 + p.MemoryBytes(),
+		Branches:     cells * 2,
 	})
 }

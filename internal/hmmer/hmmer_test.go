@@ -182,10 +182,9 @@ func TestBandKernelEventSplit(t *testing.T) {
 	p, _ := BuildFromQuery(q)
 	var m metering.Accumulator
 	BandedViterbi(p, target, 0, BandHalfWidth, &m)
-	by := m.ByFunc()
-	b9, ok9 := by["calc_band_9"]
-	b10, ok10 := by["calc_band_10"]
-	if !ok9 || !ok10 {
+	by := m.Ledger()
+	b9, b10 := by[metering.CalcBand9], by[metering.CalcBand10]
+	if b9.Events == 0 || b10.Events == 0 {
 		t.Fatal("both band kernels must report events")
 	}
 	// Even rows (kernel 9) process >= as many rows as odd rows.

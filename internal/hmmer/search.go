@@ -264,14 +264,11 @@ func (idx *seedIndex) candidates(target *seq.Sequence, minSeeds, maxDiag, mergeD
 	// hash many positions to the same k-mer, so repetitive targets walk
 	// long posting lists — the seed-stage half of the promo blowup.
 	m.Record(metering.Event{
-		Func:         "seed_filter",
+		Func:         metering.SeedFilter,
 		Instructions: uint64(L)*6 + probes*8,
 		Bytes:        uint64(L)*12 + probes*16,
 		WorkingSet:   uint64(idx.distinct)*16 + uint64(L),
-		Pattern:      metering.Random, // hash-table probes
 		Branches:     uint64(L)*2 + probes,
-		// Hash probe hit/miss is data-dependent and poorly predicted.
-		BranchMissRate: 0.010,
 	})
 	diags := idx.diags[:0]
 	for _, v := range touched {

@@ -66,18 +66,18 @@ func TestBufferPreservesRecords(t *testing.T) {
 			t.Fatal("residues corrupted in buffering path")
 		}
 	}
-	by := m.ByFunc()
-	for _, fn := range []string{"copy_to_iter", "addbuf", "seebuf"} {
-		ev, ok := by[fn]
-		if !ok {
-			t.Fatalf("missing %s event", fn)
+	by := m.Ledger()
+	for _, fn := range []metering.Func{metering.CopyToIter, metering.AddBuf, metering.SeeBuf} {
+		ev := by[fn]
+		if ev.Events != 1 {
+			t.Fatalf("%d %s events, want 1", ev.Events, fn)
 		}
 		if ev.Instructions == 0 || ev.Bytes == 0 {
 			t.Errorf("%s event has zero counts", fn)
 		}
 	}
-	if by["copy_to_iter"].WorkingSet != 1<<30 {
-		t.Error("copy_to_iter working set must be the DB footprint")
+	if ev := m.Events[0]; ev.Func != metering.CopyToIter || ev.WorkingSet != 1<<30 {
+		t.Error("copy_to_iter must come first, its working set the DB footprint")
 	}
 	if _, ok := buf.Next(); ok {
 		t.Error("buffer yielded extra record")
@@ -343,16 +343,16 @@ func TestSearchMeteringCoversKernels(t *testing.T) {
 	if _, err := SearchProtein(query, sliceSrc(db), db.TotalResidues(), SearchOptions{Iterations: 1}, &m); err != nil {
 		t.Fatal(err)
 	}
-	by := m.ByFunc()
-	for _, fn := range []string{"calc_band_9", "calc_band_10", "addbuf", "seebuf", "copy_to_iter", "seed_filter"} {
+	by := m.Ledger()
+	for _, fn := range []metering.Func{metering.CalcBand9, metering.CalcBand10, metering.AddBuf, metering.SeeBuf, metering.CopyToIter, metering.SeedFilter} {
 		if by[fn].Instructions == 0 {
 			t.Errorf("function %s reported no work", fn)
 		}
 	}
 	// Shape check against Table IV: DP kernels must dominate the buffer
 	// layer in instruction count.
-	dp := by["calc_band_9"].Instructions + by["calc_band_10"].Instructions
-	bufWork := by["addbuf"].Instructions + by["seebuf"].Instructions
+	dp := by[metering.CalcBand9].Instructions + by[metering.CalcBand10].Instructions
+	bufWork := by[metering.AddBuf].Instructions + by[metering.SeeBuf].Instructions
 	if dp <= bufWork {
 		t.Errorf("DP kernels (%d) do not dominate buffering (%d)", dp, bufWork)
 	}

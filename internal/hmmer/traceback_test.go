@@ -128,8 +128,8 @@ func TestTracebackEmitsKernelEvents(t *testing.T) {
 	p, _ := BuildFromQuery(q)
 	var m metering.Accumulator
 	BandedViterbiAlign(p, target, 0, BandHalfWidth, &m)
-	by := m.ByFunc()
-	if by["calc_band_9"].Instructions == 0 || by["calc_band_10"].Instructions == 0 {
+	by := m.Ledger()
+	if by[metering.CalcBand9].Instructions == 0 || by[metering.CalcBand10].Instructions == 0 {
 		t.Error("traceback kernel must report calc_band events")
 	}
 }

@@ -36,14 +36,76 @@ func (p Pattern) String() string {
 	}
 }
 
-// Event is one unit of reported work, attributed to a named function. The
-// function names mirror the hot symbols in the paper's Tables IV and V
-// (calc_band_9, calc_band_10, addbuf, seebuf, copy_to_iter,
-// std::vector::_M_fill_insert, xla::ShapeUtil::ByteSizeOf) so the profiler
-// output lines up with the paper's perf reports.
+// Func is a symbol work is attributed to. The names mirror the hot symbols
+// in the paper's Tables IV and V (calc_band_9, calc_band_10, addbuf,
+// seebuf, copy_to_iter, std::vector::_M_fill_insert,
+// xla::ShapeUtil::ByteSizeOf) so the profiler output lines up with the
+// paper's perf reports. The enum order is the names' sort order, so a walk
+// over a Ledger meets them as a sorted name list would.
+type Func uint8
+
+const (
+	AddBuf Func = iota
+	BandPrune
+	CalcBand10
+	CalcBand9
+	CopyToIter
+	ForwardBand
+	SeeBuf
+	SeedFilter
+	FillInsert
+	ViterbiFull
+	ByteSizeOf
+	CompilePasses
+	// NumFuncs is the number of symbols: the size of a Ledger.
+	NumFuncs
+)
+
+// funcs holds each symbol's name and the constants of its work: the
+// workload-intrinsic branch misprediction probability in [0,1], which the
+// CPU model scales by its predictor quality, and the dominant access
+// pattern. Both are properties of the code, not of an input, so they live
+// here rather than in every event.
+var funcs = [NumFuncs]struct {
+	name           string
+	branchMissRate float64
+	pattern        Pattern
+}{
+	// HMMER's buffering layer: the parse and lookahead passes.
+	AddBuf:     {"addbuf", 0.002, Sequential},
+	BandPrune:  {"band_prune", 0, Sequential},
+	CalcBand10: {"calc_band_10", 0.004, Strided},
+	CalcBand9:  {"calc_band_9", 0.004, Strided},
+	// Copy loops are essentially branch-perfect.
+	CopyToIter:  {"copy_to_iter", 0.001, Sequential},
+	ForwardBand: {"forward_band", 0.003, Strided},
+	SeeBuf:      {"seebuf", 0.002, Sequential},
+	// Hash probe hit/miss is data-dependent and poorly predicted; the
+	// probes are random access.
+	SeedFilter: {"seed_filter", 0.010, Random},
+	// Fill loops predict perfectly; the cost is the page faults.
+	FillInsert:  {"std::vector::_M_fill_insert", 0.002, Sequential},
+	ViterbiFull: {"viterbi_full", 0.004, Strided},
+	// Shape-dependent virtual dispatch mispredicts freely, over shape
+	// metadata scattered across the heap.
+	ByteSizeOf:    {"xla::ShapeUtil::ByteSizeOf", 0.08, Random},
+	CompilePasses: {"xla_compile_passes", 0.015, Random},
+}
+
+// String returns the symbol's name.
+func (f Func) String() string { return funcs[f].name }
+
+// BranchMissRate is the function's branch misprediction probability.
+func (f Func) BranchMissRate() float64 { return funcs[f].branchMissRate }
+
+// Pattern is the function's dominant access pattern.
+func (f Func) Pattern() Pattern { return funcs[f].pattern }
+
+// Event is one unit of reported work, attributed to a function. It holds
+// no pointer, so the collector does not scan an array of them.
 type Event struct {
 	// Func is the symbol the work is attributed to.
-	Func string
+	Func Func
 	// Instructions is the retired-instruction estimate for the event.
 	Instructions uint64
 	// Bytes is the total data volume touched (reads + writes).
@@ -51,13 +113,8 @@ type Event struct {
 	// WorkingSet is the live data footprint in bytes during the event; the
 	// cache model compares it against per-level capacities.
 	WorkingSet uint64
-	// Pattern is the dominant access pattern.
-	Pattern Pattern
 	// Branches is the conditional-branch estimate.
 	Branches uint64
-	// BranchMissRate is the workload-intrinsic misprediction probability
-	// in [0,1]; the CPU model scales it by its predictor quality.
-	BranchMissRate float64
 	// PageTouches counts distinct virtual pages touched, driving the dTLB
 	// and page-fault models. Zero means "derive from Bytes/pageSize".
 	PageTouches uint64
@@ -87,184 +144,73 @@ type Nop struct{}
 // Record implements Meter.
 func (Nop) Record(Event) {}
 
-// Accumulator collects events verbatim, summing per-function totals. It is
-// the standard sink for one worker thread's activity.
-//
-// An accumulator is an ordered list of read-only runs of events. Events is
-// the head run: a recorder that only ever calls Record — every chain-level
-// accumulator, every encoded chain delta — has nothing else, and is the
-// flat accumulator it always was. Link splices another accumulator's events
-// in by reference, so a request-level accumulator assembled from cached
-// chains costs a few slice headers, not a copy of every event. A linked
-// accumulator is sealed: its events belong to whoever recorded them, so it
-// must be read through Totals/ByFunc/Len/Flat and never recorded into.
-// Events alone is the whole stream only until the first Link.
-type Accumulator struct {
-	Events []Event
-	// tail holds the runs linked after the head, in order.
-	tail   [][]Event
-	linked bool
+// Tally is one function's counted work: how many events it recorded and
+// their summed counters, which is all a per-function replay of an MSA run
+// reads of them.
+type Tally struct {
+	Events, Instructions, Bytes, Branches, Allocated uint64
 }
 
-// Record implements Meter. Recording into a linked accumulator would
-// either write after borrowed events out of order or into memory another
-// accumulator owns; it is a programming error and panics.
-func (a *Accumulator) Record(ev Event) {
-	if a.linked {
-		panic("metering: Record on a linked Accumulator")
-	}
-	a.Events = append(a.Events, ev)
+// Add adds u to t.
+func (t *Tally) Add(u Tally) {
+	t.Events += u.Events
+	t.Instructions += u.Instructions
+	t.Bytes += u.Bytes
+	t.Branches += u.Branches
+	t.Allocated += u.Allocated
 }
 
-// Link appends src's events to a by reference, in src's order. Each run is
-// capacity-clipped, so an append to a.Events (or to any run) reallocates
-// instead of writing into src's backing array. The link is to the events
-// src holds now; a later Record into src is not seen. The first non-empty
-// run linked into an empty accumulator becomes its head run, so a
-// single-contributor accumulator still has everything in Events.
-func (a *Accumulator) Link(src *Accumulator) {
-	a.linked = true
-	a.linkRun(src.Events)
-	for _, run := range src.tail {
-		a.linkRun(run)
-	}
+// Sub returns t − u: the work between two running totals.
+func (t Tally) Sub(u Tally) Tally {
+	return Tally{t.Events - u.Events, t.Instructions - u.Instructions, t.Bytes - u.Bytes,
+		t.Branches - u.Branches, t.Allocated - u.Allocated}
 }
 
-// LinkRun appends one run of events to a by reference, as Link does for
-// each of an accumulator's runs: a sub-slice of another accumulator's run
-// (see Run) links without copying an event.
-func (a *Accumulator) LinkRun(run []Event) {
-	a.linked = true
-	a.linkRun(run)
+// AddEvent counts one event into t.
+func (t *Tally) AddEvent(ev *Event) {
+	t.Events++
+	t.Instructions += ev.Instructions
+	t.Bytes += ev.Bytes
+	t.Branches += ev.Branches
+	t.Allocated += ev.Allocated
 }
 
-func (a *Accumulator) linkRun(run []Event) {
-	if len(run) == 0 {
-		return
-	}
-	run = run[:len(run):len(run)]
-	if len(a.Events) == 0 && len(a.tail) == 0 {
-		a.Events = run
-		return
-	}
-	a.tail = append(a.tail, run)
-}
+// Ledger is counted work per function, indexed by Func. Its sums are
+// exact integers, so any grouping of the same events adds up to the same
+// ledger.
+type Ledger [NumFuncs]Tally
 
-// Len returns the number of accumulated events across all runs.
-func (a *Accumulator) Len() int {
-	n := len(a.Events)
-	for _, run := range a.tail {
-		n += len(run)
-	}
-	return n
-}
-
-// Flat returns all accumulated events in order as one slice: Events itself
-// when there is only the head run, a fresh copy otherwise. The result is
-// read-only either way.
-func (a *Accumulator) Flat() []Event {
-	if len(a.tail) == 0 {
-		return a.Events
-	}
-	out := make([]Event, 0, a.Len())
-	out = append(out, a.Events...)
-	for _, run := range a.tail {
-		out = append(out, run...)
-	}
-	return out
-}
-
-// run returns the r-th run (0 ≤ r ≤ len(a.tail)): the head for r == 0,
-// then the linked ones. Totals and ByFunc walk it with a plain inner loop
-// — they sit on the serving hot path, and a per-event callback costs more
-// than the arithmetic it wraps.
-func (a *Accumulator) run(r int) []Event {
-	if r == 0 {
-		return a.Events
-	}
-	return a.tail[r-1]
-}
-
-// Totals sums the accumulated events.
-func (a *Accumulator) Totals() Event {
-	var t Event
-	t.Func = "total"
-	for r := 0; r <= len(a.tail); r++ {
-		run := a.run(r)
-		for i := range run {
-			ev := &run[i]
-			t.Instructions += ev.Instructions
-			t.Bytes += ev.Bytes
-			t.Branches += ev.Branches
-			t.PageTouches += ev.PageTouches
-			t.Allocated += ev.Allocated
-			t.Pruned += ev.Pruned
-			if ev.WorkingSet > t.WorkingSet {
-				t.WorkingSet = ev.WorkingSet
-			}
-		}
+// Total sums the ledger over its functions.
+func (l *Ledger) Total() Tally {
+	var t Tally
+	for f := range l {
+		t.Add(l[f])
 	}
 	return t
 }
 
-// ByFunc groups the accumulated events per function symbol, summing counts
-// and keeping the maximum working set. Runs are walked in link order with
-// the same per-event operations a flat accumulator would see, so the float
-// blend of BranchMissRate is bitwise independent of how the events were
-// cut into runs.
-func (a *Accumulator) ByFunc() map[string]Event {
-	// A stream cycles through a handful of symbols in a near-fixed order (a
-	// scan records copy_to_iter, addbuf, seebuf, seed_filter per record, then
-	// a candidate's band events), so groups live in a small slice and
-	// next[k] is the group that followed group k last time. That guess is
-	// tried first, a linear scan finds the rest, and the map is built once
-	// at the end instead of looked up per event.
-	var groupBuf [16]Event
-	var nextBuf [16]int
-	groups, next := groupBuf[:0], nextBuf[:0]
-	last, g := 0, 0
-	for r := 0; r <= len(a.tail); r++ {
-		run := a.run(r)
-		for i := range run {
-			ev := &run[i]
-			if g >= len(groups) || groups[g].Func != ev.Func {
-				g = 0
-				for g < len(groups) && groups[g].Func != ev.Func {
-					g++
-				}
-				if g == len(groups) {
-					groups, next = append(groups, Event{Func: ev.Func}), append(next, 0)
-				}
-				next[last] = g
-			}
-			cur := &groups[g]
-			last, g = g, next[g]
-			cur.Instructions += ev.Instructions
-			cur.Bytes += ev.Bytes
-			cur.Branches += ev.Branches
-			cur.PageTouches += ev.PageTouches
-			cur.Allocated += ev.Allocated
-			cur.Pruned += ev.Pruned
-			if ev.WorkingSet > cur.WorkingSet {
-				cur.WorkingSet = ev.WorkingSet
-			}
-			if ev.Pattern > cur.Pattern {
-				// Keep the "worst" (least cache friendly) pattern seen.
-				cur.Pattern = ev.Pattern
-			}
-			// Weighted blend of branch miss rates by branch count.
-			if ev.Branches > 0 {
-				tot := float64(cur.Branches)
-				cur.BranchMissRate = (cur.BranchMissRate*(tot-float64(ev.Branches)) +
-					ev.BranchMissRate*float64(ev.Branches)) / tot
-			}
-		}
+// Accumulator is one worker thread's metering: the events recorded into
+// it, in order, plus work credited to it as per-function sums. A scan
+// records events; an MSA result's workers hold only credits, merged from
+// the chains' per-record sums, and no event.
+type Accumulator struct {
+	Events []Event
+	Credit Ledger
+}
+
+// Record implements Meter.
+func (a *Accumulator) Record(ev Event) {
+	a.Events = append(a.Events, ev)
+}
+
+// Ledger returns the accumulator's work per function: its credits plus
+// its events.
+func (a *Accumulator) Ledger() Ledger {
+	l := a.Credit
+	for i := range a.Events {
+		l[a.Events[i].Func].AddEvent(&a.Events[i])
 	}
-	out := make(map[string]Event, len(groups))
-	for _, ev := range groups {
-		out[ev.Func] = ev
-	}
-	return out
+	return l
 }
 
 // Scaled returns a Meter that multiplies instruction/byte counts by factor

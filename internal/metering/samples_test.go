@@ -1,47 +1,67 @@
 package metering_test
 
 import (
-	"math/rand"
+	"context"
 	"testing"
 
 	"afsysbench/internal/core"
+	"afsysbench/internal/hmmer"
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/metering"
+	"afsysbench/internal/msa"
+	"afsysbench/internal/parallel"
+	"afsysbench/internal/xla"
 )
 
-// TestByFuncMatchesMapWalkOnSamples holds ByFunc to the map-walk oracle on
-// the streams the machine model really reads: every sample's per-worker
-// accumulators at 1, 2 and 4 threads, as the MSA stage links them, and the
-// same events re-cut into runs at seeded random points and linked again.
-// A float that moves in its last bit fails here before it moves a modeled
-// second.
+// recordingScatter is an msa.ScatterFunc that scans each database
+// serially over exactly req.Threads spans, span w into req.Workers[w], and
+// keeps a copy of every event each worker recorded, in order.
+type recordingScatter struct{ events [][]metering.Event }
+
+func (o *recordingScatter) scatter(ctx context.Context, req msa.ScatterRequest) (*hmmer.Result, error) {
+	n := len(req.DB.Seqs)
+	parts := make([]*hmmer.Result, req.Threads)
+	for w := range parts {
+		lo, hi := parallel.Span(n, w, req.Threads)
+		acc := req.Workers[w]
+		from := len(acc.Events)
+		src := &hmmer.SliceSource{Seqs: req.DB.Seqs[lo:hi]}
+		var err error
+		parts[w], err = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, req.DB.TotalResidues(), req.Search, metering.Scaled(acc, req.ScaleFactor))
+		if err != nil {
+			return nil, err
+		}
+		o.events[w] = append(o.events[w], acc.Events[from:]...)
+	}
+	return hmmer.MergeResults(req.Query.ID, parts), nil
+}
+
+// TestByFuncMatchesMapWalkOnSamples holds the ledgers the machine model
+// really reads — every sample's MSA workers at 1, 2 and 4 threads, credited
+// from the chains' per-record sums without an event — to a map walk of the
+// events each worker recorded. A count that moves fails here before it
+// moves a modeled second.
 func TestByFuncMatchesMapWalkOnSamples(t *testing.T) {
 	s, err := core.NewSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rand.New(rand.NewSource(29))
 	streams := 0
 	for _, in := range inputs.Samples() {
 		for _, threads := range []int{1, 2, 4} {
-			res, err := s.MSAResult(in, threads)
+			o := &recordingScatter{events: make([][]metering.Event, threads)}
+			res, err := msa.Run(in, msa.Options{Threads: threads, DBs: s.DBs, Search: s.Search, Scatter: o.scatter})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for w, acc := range res.Workers {
-				evs := acc.Flat()
-				recut := &metering.Accumulator{}
-				for lo := 0; lo < len(evs); {
-					hi := lo + 1 + r.Intn(len(evs)-lo)
-					recut.Link(&metering.Accumulator{Events: evs[lo:hi]})
-					lo = hi
+				if len(acc.Events) != 0 {
+					t.Fatalf("%s at %d threads, worker %d holds %d events", in.Name, threads, w, len(acc.Events))
 				}
-				for _, a := range []*metering.Accumulator{acc, recut} {
-					if d := metering.DiffByFunc(a.ByFunc(), metering.ByFuncMapWalk(a)); d != "" {
-						t.Fatalf("%s at %d threads, worker %d: %s", in.Name, threads, w, d)
-					}
+				if d := metering.DiffLedger(acc.Ledger(), metering.MapWalk(o.events[w])); d != "" {
+					t.Fatalf("%s at %d threads, worker %d: %s", in.Name, threads, w, d)
 				}
-				if len(evs) > 0 {
+				if len(o.events[w]) > 0 {
 					streams++
 				}
 			}
@@ -49,5 +69,47 @@ func TestByFuncMatchesMapWalkOnSamples(t *testing.T) {
 	}
 	if streams == 0 {
 		t.Fatal("no sample produced a worker stream; the comparison is vacuous")
+	}
+}
+
+// TestEveryRecordedEventHasAKnownFunc: every event a real scan or compile
+// records names a function of the table, and between them they use every
+// function but viterbi_full (the unbanded kernel no search runs).
+func TestEveryRecordedEventHasAKnownFunc(t *testing.T) {
+	s, err := core.NewSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[metering.Func]bool)
+	check := func(what string, evs []metering.Event) {
+		for _, ev := range evs {
+			if ev.Func >= metering.NumFuncs {
+				t.Fatalf("%s recorded function id %d, past the table", what, ev.Func)
+			}
+			seen[ev.Func] = true
+		}
+	}
+	for _, name := range []string{"2PV7", "promo"} {
+		in, err := inputs.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &recordingScatter{events: make([][]metering.Event, 2)}
+		if _, err := msa.Run(in, msa.Options{Threads: 2, DBs: s.DBs, Search: s.Search, Scatter: o.scatter}); err != nil {
+			t.Fatal(err)
+		}
+		for _, evs := range o.events {
+			check(name, evs)
+		}
+	}
+	var acc metering.Accumulator
+	if _, err := xla.Compile(xla.BuildInferenceGraph(s.Model.PF, s.Model.DF, 64, 1), &acc); err != nil {
+		t.Fatal(err)
+	}
+	check("xla.Compile", acc.Events)
+	for f := range metering.NumFuncs {
+		if !seen[f] && f != metering.ViterbiFull {
+			t.Errorf("no scan or compile recorded %s", f)
+		}
 	}
 }

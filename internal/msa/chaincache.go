@@ -18,12 +18,12 @@ type ChainFetch func(scope string, chain inputs.Chain, compute func() (*CachedCh
 
 // CachedChain is an opaque, serializable snapshot of one chain's complete
 // MSA contribution — the chainDelta: summary row, final-round hits,
-// metering events in record order with each record's start, streamed
-// bytes, serial work. It is keyed by chain *content* (sequence, not the
+// per-function metering sums at every record boundary, streamed bytes,
+// serial work. It is keyed by chain *content* (sequence, not the
 // per-complex chain label), so the same pool chain reused across complexes
 // hits warm; the label is rewritten at replay time. Nothing in it depends
 // on the thread count it was searched at, so it serves every thread count.
-// Replaying a CachedChain merges the exact bytes a fresh search would have
+// Replaying a CachedChain credits the exact sums a fresh search would have
 // produced, which is what keeps the serving determinism contract intact
 // across cache tiers.
 type CachedChain struct {
@@ -37,7 +37,7 @@ func newCachedChain(d *chainDelta) *CachedChain {
 }
 
 // Work returns the modeled instruction count the snapshot represents
-// (worker events plus serial work, never zero). The serving layer charges
+// (the scans' instructions plus serial work, never zero). The serving layer charges
 // a request's MSA seconds by the fresh-work share, so a fully cached
 // request schedules at zero CPU cost while a partial hit pays only its
 // fresh chains.
@@ -52,9 +52,7 @@ func (cc *CachedChain) SizeBytes() int64 { return cc.size }
 // snapshot is keyed by sequence content, so the same CachedChain may serve
 // chain "A" of one complex and chain "B" of another; everything in the
 // delta except the label is content-determined. The summary row is copied
-// by value; hits, events, record starts and streamed bytes are shared
-// read-only — with every Result the delta is merged into as well, since
-// merge links the events instead of copying them.
+// by value; hits, sums and streamed bytes are shared read-only.
 func (cc *CachedChain) deltaFor(cid string) *chainDelta {
 	d := *cc.d
 	d.cr.ChainID = cid
@@ -65,10 +63,8 @@ func (cc *CachedChain) deltaFor(cid string) *chainDelta {
 // work-share ratios stay well-defined for trivial chains.
 func deltaWork(d *chainDelta) uint64 {
 	w := d.serial
-	for _, run := range d.events {
-		for i := range run {
-			w += run[i].Instructions
-		}
+	for k := range d.sums {
+		w += d.sums[k].total().Instructions
 	}
 	if w == 0 {
 		w = 1
@@ -78,7 +74,9 @@ func deltaWork(d *chainDelta) uint64 {
 
 // deltaSize estimates a delta's in-memory footprint for LRU charging: a
 // function of the chain's content, so a chain costs the same at every
-// thread count and across the codec.
+// thread count and across the codec. It charges each event the scans
+// recorded as the 96 B it cost when a chain stored its events, so a tier
+// of a given size holds the chains it always held.
 func deltaSize(d *chainDelta) int64 {
 	sz := int64(256) + int64(len(d.cr.ChainID))
 	for _, h := range d.hits {
@@ -90,11 +88,10 @@ func deltaSize(d *chainDelta) int64 {
 			sz += 16 + 24*int64(len(h.Alignment.Pairs))
 		}
 	}
-	sz += 24 + 4*int64(len(d.starts))
-	for _, run := range d.events {
-		for i := range run {
-			sz += 96 + int64(len(run[i].Func))
-		}
+	sz += 24 + 4*int64(d.cr.Scanned+1)
+	for k := range d.sums {
+		s := &d.sums[k]
+		sz += int64(s.total().Events) * (96 + int64(len(s.f.String())))
 	}
 	for name := range d.streamed {
 		sz += 16 + int64(len(name))

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"afsysbench/internal/inputs"
@@ -51,9 +50,8 @@ func (m *mapChainCache) fetch(scope string, chain inputs.Chain, compute func() (
 }
 
 // roundTrip sends cc through the codec. The decoded snapshot must equal cc
-// field for field — targets and alignments included, the events compared
-// as one stream however cc's are cut — account the same work and size, and
-// re-encode to the same bytes.
+// field for field — targets, alignments and per-record sums included —
+// account the same work and size, and re-encode to the same bytes.
 func roundTrip(cc *CachedChain) (*CachedChain, error) {
 	b, err := cc.Encode()
 	if err != nil {
@@ -63,7 +61,7 @@ func roundTrip(cc *CachedChain) (*CachedChain, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !reflect.DeepEqual(oneRun(back.d), oneRun(cc.d)) {
+	if !reflect.DeepEqual(back.d, cc.d) {
 		return nil, fmt.Errorf("chain %s changed across the codec", cc.d.cr.ChainID)
 	}
 	if back.Work() != cc.Work() || back.SizeBytes() != cc.SizeBytes() {
@@ -74,16 +72,6 @@ func roundTrip(cc *CachedChain) (*CachedChain, error) {
 		return nil, fmt.Errorf("chain %s does not re-encode to its payload (%v)", cc.d.cr.ChainID, err)
 	}
 	return back, nil
-}
-
-// oneRun returns a copy of d whose stream is one piece, as a decoded
-// delta's is.
-func oneRun(d *chainDelta) chainDelta {
-	c := *d
-	if len(d.events) > 0 {
-		c.events = [][]metering.Event{slices.Concat(d.events...)}
-	}
-	return c
 }
 
 // deterministicView strips the operational counters (cache split, restores)
@@ -117,9 +105,10 @@ func sameOutcome(t *testing.T, name string, a, b *Result) {
 // equals a fresh one at every thread count. On every Table II sample and a
 // PPI pair, the chains cached by a search at 1, 2 and 3 threads — held in
 // memory, and sent through Encode and DecodeCachedChain — are served at 1,
-// 2, 4, 8 and 16 threads, and every worker must equal the shard oracle's at
-// that count, event for event and in ByFunc. A last arm traces every kept
-// hit (TraceE 0), so the final hits the codec carries have alignments.
+// 2, 4, 8 and 16 threads, and every worker's ledger must equal the fold of
+// the events the shard oracle's worker recorded at that count. A last arm
+// traces every kept hit (TraceE 0), so the final hits the codec carries
+// have alignments.
 func TestChainCacheReplayIsByteIdentical(t *testing.T) {
 	ppi, err := inputs.PPIPair(0, 3)
 	if err != nil {
@@ -259,10 +248,10 @@ func TestChainFingerprintContentIdentity(t *testing.T) {
 
 // TestCachedChainIsWidthFree: what a chain costs and how it encodes are
 // functions of its content. Searched at 1 thread, at 16 (min(16,
-// GOMAXPROCS) spans) and through the 16-span shard oracle — one stream in
-// one piece, a few, or sixteen per scan — every chain of every Table II
-// sample and a PPI pair encodes to the same bytes and accounts the same
-// Work and SizeBytes.
+// GOMAXPROCS) spans) and through the 16-span shard oracle — a scan's
+// events recorded by one worker, a few, or sixteen — every chain of every
+// Table II sample and a PPI pair encodes to the same bytes and accounts the
+// same Work and SizeBytes.
 func TestCachedChainIsWidthFree(t *testing.T) {
 	ppi, err := inputs.PPIPair(0, 3)
 	if err != nil {

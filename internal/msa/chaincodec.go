@@ -20,13 +20,16 @@ import (
 //	hits     count; per hit: target ID, type and residues; Diagonal;
 //	         ViterbiScore, ForwardScore, Bits, EValue; an alignment flag
 //	         0|1, then Score and per pair Op, Col, Pos
-//	funcs    count; the events' function names, strictly ascending
-//	events   count; per event, in record order, the index of its function
-//	         in funcs, Instructions, Bytes, WorkingSet, Pattern, Branches,
-//	         BranchMissRate, PageTouches, Allocated, Pruned
 //	scans    count; per database of one round, in scan order, its records
-//	records  count (= Scanned, a whole number of rounds); per record its
-//	         event count, at least 1, the counts adding up to the events
+//	         (Scanned is a whole number of rounds)
+//	events   the number of events the scans recorded
+//	funcs    count; per function with events, in ascending metering.Func
+//	         order: its id; the number of records it has events in, 1 to
+//	         Scanned; unless that is every record, those records' indexes as
+//	         gaps (the first index, then each index less the one before, at
+//	         least 1); then per such record, in order, its event count (at
+//	         least 1, the counts adding up to events) and summed
+//	         Instructions, Bytes, Branches and Allocated
 //	streamed count; per database its name, strictly ascending, then bytes
 //	serial   SerialInstructions
 //
@@ -35,12 +38,14 @@ import (
 // and the bytes; a float64 (and the float32 alignment score) is its IEEE
 // bits, little-endian. A hit's TargetID is not stored: cascade, the only
 // producer of hits, sets it to Target.ID, and the decoder does the same.
-// Since names are sorted and varints minimal, equal deltas encode to equal
-// bytes, and a payload that decodes re-encodes to itself. Nothing in it
-// depends on the thread count the chain was searched at.
+// Since names and ids are sorted and varints minimal, equal deltas encode
+// to equal bytes, and a payload that decodes re-encodes to itself. Nothing
+// in it depends on the thread count the chain was searched at. A function
+// id is its metering.Func value, so any change to that table is a change of
+// format: bump chainVersion and the serving layer's codec id with it.
 const (
 	chainMagic   = "AFCD"
-	chainVersion = 2
+	chainVersion = 3
 )
 
 // Lower bounds on an element's encoded size. The decoder checks a count
@@ -48,10 +53,11 @@ const (
 // allocates anything for it, so a payload cannot make it allocate more
 // than a small multiple of the payload's own length.
 const (
-	minHitBytes   = 4 + 4*8 + 1 // ID, type, residues, diagonal; four scores; flag
-	minPairBytes  = 3
-	minEventBytes = 9 + 8 // nine uvarints, BranchMissRate
-	minDBBytes    = 2
+	minHitBytes    = 4 + 4*8 + 1 // ID, type, residues, diagonal; four scores; flag
+	minPairBytes   = 3
+	minRecordBytes = 5     // a record's count and four sums
+	minFuncBytes   = 2 + 5 // id, record count, one record
+	minDBBytes     = 2
 )
 
 // Encode serializes the snapshot for the persistent tier. A hit without a
@@ -67,7 +73,7 @@ func (cc *CachedChain) Encode() ([]byte, error) {
 		}
 	}
 
-	b := make([]byte, 0, cc.size/3)
+	b := make([]byte, 0, cc.size/5) // a payload is ≈ 1/6.5 of the modeled size
 	b = append(b, chainMagic...)
 	b = append(b, chainVersion)
 	cr := &d.cr
@@ -101,38 +107,31 @@ func (cc *CachedChain) Encode() ([]byte, error) {
 		}
 	}
 
-	names := funcNames(d.events)
-	b = binary.AppendUvarint(b, uint64(len(names)))
-	for _, name := range names {
-		b = appendString(b, name)
-	}
-	b = binary.AppendUvarint(b, uint64(d.starts[len(d.starts)-1]))
-	k := 0 // the previous event's function: a run of one symbol skips the search
-	for _, run := range d.events {
-		for i := range run {
-			ev := &run[i]
-			if names[k] != ev.Func {
-				k = slices.Index(names, ev.Func)
-			}
-			b = binary.AppendUvarint(b, uint64(k))
-			b = binary.AppendUvarint(b, ev.Instructions)
-			b = binary.AppendUvarint(b, ev.Bytes)
-			b = binary.AppendUvarint(b, ev.WorkingSet)
-			b = binary.AppendUvarint(b, uint64(ev.Pattern))
-			b = binary.AppendUvarint(b, ev.Branches)
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ev.BranchMissRate))
-			b = binary.AppendUvarint(b, ev.PageTouches)
-			b = binary.AppendUvarint(b, ev.Allocated)
-			b = binary.AppendUvarint(b, ev.Pruned)
-		}
-	}
 	b = binary.AppendUvarint(b, uint64(len(d.dbRecs)))
 	for _, n := range d.dbRecs {
 		b = binary.AppendUvarint(b, uint64(n))
 	}
-	b = binary.AppendUvarint(b, uint64(len(d.starts)-1))
-	for r := 1; r < len(d.starts); r++ {
-		b = binary.AppendUvarint(b, uint64(d.starts[r]-d.starts[r-1]))
+	var events uint64
+	for k := range d.sums {
+		events += d.sums[k].total().Events
+	}
+	b = binary.AppendUvarint(b, events)
+	b = binary.AppendUvarint(b, uint64(len(d.sums)))
+	for k := range d.sums {
+		s := &d.sums[k]
+		b = binary.AppendUvarint(b, uint64(s.f))
+		b = binary.AppendUvarint(b, uint64(len(s.cum)-1))
+		prev := int32(0)
+		for _, r := range s.recs {
+			b = binary.AppendUvarint(b, uint64(r-prev))
+			prev = r
+		}
+		for j := 1; j < len(s.cum); j++ {
+			t := s.cum[j].Sub(s.cum[j-1])
+			for _, v := range [...]uint64{t.Events, t.Instructions, t.Bytes, t.Branches, t.Allocated} {
+				b = binary.AppendUvarint(b, v)
+			}
+		}
 	}
 
 	dbs := make([]string, 0, len(d.streamed))
@@ -146,22 +145,6 @@ func (cc *CachedChain) Encode() ([]byte, error) {
 		b = binary.AppendVarint(b, d.streamed[name])
 	}
 	return binary.AppendUvarint(b, d.serial), nil
-}
-
-// funcNames returns the distinct function names of the stream's events,
-// sorted: the payload's function table.
-func funcNames(events [][]metering.Event) []string {
-	names := make([]string, 0, 16) // a stream cycles through a handful of symbols
-	for _, run := range events {
-		for i := range run {
-			f := run[i].Func
-			if !slices.Contains(names, f) {
-				names = append(names, f)
-			}
-		}
-	}
-	slices.Sort(names)
-	return names
 }
 
 func appendString(b []byte, s string) []byte {
@@ -178,10 +161,12 @@ func appendInts(b []byte, vs ...int) []byte {
 
 // DecodeCachedChain reverses Encode. The payload comes off a disk, so it is
 // parsed as untrusted input: a truncated field, a count the bytes left
-// cannot hold, an out-of-range function index or access pattern, a
-// non-minimal varint, unsorted or unused names, record counts that do not
-// index the events or the rounds, and trailing bytes are all errors —
-// never a panic, and never a delta the merge path could trip on.
+// cannot hold, an out-of-range or unsorted function id, a non-minimal
+// varint, record indexes that do not increase or lie past the records
+// scanned, per-record event counts that are zero or do not add up to the
+// events, a scan sequence the records are not whole rounds of, unsorted
+// names and trailing bytes are all errors — never a panic, and never a
+// delta the merge path could trip on.
 func DecodeCachedChain(b []byte) (*CachedChain, error) {
 	if len(b) <= len(chainMagic) || string(b[:len(chainMagic)]) != chainMagic {
 		return nil, fmt.Errorf("msa: decode cached chain: not a chain payload")
@@ -206,26 +191,8 @@ func DecodeCachedChain(b []byte) (*CachedChain, error) {
 		}
 	}
 
-	names := make([]string, r.count(1))
-	for i := range names {
-		names[i] = r.str()
-		if i > 0 && names[i] <= names[i-1] {
-			r.fail("function names not strictly ascending")
-		}
-	}
-	used := make([]bool, len(names))
-	var events []metering.Event
-	if n := r.count(minEventBytes); n > 0 {
-		events = make([]metering.Event, n)
-		for i := range events {
-			r.event(&events[i], names, used)
-		}
-		d.events = [][]metering.Event{events}
-	}
-	if slices.Contains(used, false) {
-		r.fail("function name no event uses")
-	}
-	d.dbRecs, d.starts = r.records(cr.Scanned, len(events))
+	d.dbRecs = r.scans(cr.Scanned)
+	d.sums = r.sums(cr.Scanned)
 
 	n := r.count(minDBBytes)
 	d.streamed = make(map[string]int64, n)
@@ -350,11 +317,10 @@ func (r *chainReader) hit(h *hmmer.Hit, target *seq.Sequence) {
 	h.Alignment = ali
 }
 
-// records reads the scan sequence and the per-record event counts, which
-// must index a stream of n events: the chain's scanned records are a whole
-// number of rounds of the sequence, each has one count, and every count is
-// at least 1 (the record's copy_to_iter), the counts adding up to n.
-func (r *chainReader) records(scanned, n int) (dbRecs []int, starts []int32) {
+// scans reads one round's scan sequence, of which the chain's scanned
+// records must be a whole number of rounds.
+func (r *chainReader) scans(scanned int) []int {
+	var dbRecs []int
 	round := uint64(0)
 	if k := r.count(1); k > 0 {
 		dbRecs = make([]int, k)
@@ -371,48 +337,53 @@ func (r *chainReader) records(scanned, n int) (dbRecs []int, starts []int32) {
 	if scanned < 0 || (round == 0) != (scanned == 0) || round != 0 && uint64(scanned)%round != 0 {
 		r.fail("records scanned is not a whole number of rounds")
 	}
-	k := r.count(1)
-	if k != scanned {
-		r.fail("record counts do not match the records scanned")
-		k = 0
-	}
-	starts = make([]int32, k+1)
-	at := 0
-	for i := 0; i < k; i++ {
-		c := r.uvarint()
-		if c == 0 || c > uint64(n-at) {
-			r.fail("record event counts do not index the events")
-			break
-		}
-		starts[i] = int32(at)
-		at += int(c)
-	}
-	starts[k] = int32(at)
-	if at != n {
-		r.fail("record event counts do not add up to the events")
-	}
-	return dbRecs, starts
+	return dbRecs
 }
 
-func (r *chainReader) event(ev *metering.Event, names []string, used []bool) {
-	k := r.uvarint()
-	if k >= uint64(len(names)) {
-		r.fail("function index out of range")
-		return
+// sums reads the event total and the per-function sums over records
+// 0 .. records−1, rebuilding each function's running totals.
+func (r *chainReader) sums(records int) []funcSums {
+	events := r.uvarint()
+	var sums []funcSums
+	if n := r.count(minFuncBytes); n > 0 {
+		sums = make([]funcSums, n)
 	}
-	used[k] = true
-	ev.Func = names[k]
-	ev.Instructions = r.uvarint()
-	ev.Bytes = r.uvarint()
-	ev.WorkingSet = r.uvarint()
-	if p := r.uvarint(); p <= uint64(metering.Random) {
-		ev.Pattern = metering.Pattern(p)
-	} else {
-		r.fail("access pattern out of range")
+	var counted uint64
+	for i := range sums {
+		s := &sums[i]
+		id := r.uvarint()
+		if s.f = metering.Func(id); id >= uint64(metering.NumFuncs) || i > 0 && s.f <= sums[i-1].f {
+			r.fail("function id out of range or order")
+		}
+		k := r.count(minRecordBytes)
+		if k == 0 || k > records {
+			r.fail("a function's record count is not 1 to the records scanned")
+		}
+		if k < records {
+			s.recs = make([]int32, k)
+			at := uint64(0)
+			for j := range s.recs {
+				gap := r.uvarint()
+				if at += gap; j > 0 && gap == 0 || gap >= uint64(records) || at >= uint64(records) {
+					r.fail("record indexes do not increase within the records scanned")
+				}
+				s.recs[j] = int32(at)
+			}
+		}
+		s.cum = make([]metering.Tally, k+1)
+		for j := 1; j <= k; j++ {
+			t := metering.Tally{Events: r.uvarint(), Instructions: r.uvarint(), Bytes: r.uvarint(),
+				Branches: r.uvarint(), Allocated: r.uvarint()}
+			if t.Events == 0 {
+				r.fail("a record with no events")
+			}
+			counted += t.Events
+			s.cum[j] = s.cum[j-1]
+			s.cum[j].Add(t)
+		}
 	}
-	ev.Branches = r.uvarint()
-	ev.BranchMissRate = r.f64()
-	ev.PageTouches = r.uvarint()
-	ev.Allocated = r.uvarint()
-	ev.Pruned = r.uvarint()
+	if counted != events {
+		r.fail("per-record event counts do not add up to the events")
+	}
+	return sums
 }

@@ -6,15 +6,10 @@ import (
 	"testing"
 
 	"afsysbench/internal/inputs"
+	"afsysbench/internal/metering"
 )
 
 func cat(parts ...[]byte) []byte { return slices.Concat(parts...) }
-
-// codecEvent is one encoded event: function index k, access pattern p,
-// every other field zero.
-func codecEvent(k, p byte) []byte {
-	return cat([]byte{k, 0, 0, 0, p, 0}, make([]byte, 8), []byte{0, 0, 0})
-}
 
 // row is a payload's magic, version and summary row: every field zero but
 // Scanned, a zig-zag varint byte.
@@ -22,44 +17,54 @@ func row(scanned byte) []byte {
 	return cat([]byte(chainMagic), []byte{chainVersion, 0, 0, 0, 0, scanned, 0, 0, 0, 0})
 }
 
-// validChain is the smallest payload with an event: a summary row of one
-// record scanned, no hits, function table {"f"}, one event, one database of
-// one record, that record's one event, nothing streamed, no serial work.
+// rec is one record's sums for a function: n events, every sum zero.
+func rec(n byte) []byte { return []byte{n, 0, 0, 0, 0} }
+
+// validChain is a small payload with both kinds of function: a summary row
+// of two records scanned, no hits, one database of two records, three
+// events — copy_to_iter in both records (every record: no indexes) and
+// seed_filter in record 1 only (one index, as a gap from 0) — nothing
+// streamed, no serial work.
 func validChain() []byte {
-	return cat(row(2), []byte{0}, []byte{1, 1, 'f'}, []byte{1}, codecEvent(0, 0), []byte{1, 1}, []byte{1, 1}, []byte{0}, []byte{0})
+	return cat(row(4), []byte{0}, []byte{1, 2}, []byte{3, 2},
+		[]byte{byte(metering.CopyToIter), 2}, rec(1), rec(1),
+		[]byte{byte(metering.SeedFilter), 1, 1}, rec(1),
+		[]byte{0}, []byte{0})
 }
 
 // garbageChains are payloads DecodeCachedChain must refuse: foreign bytes,
 // then validChain broken one field at a time.
 func garbageChains() [][]byte {
-	one := row(2) // a summary row of one record scanned
+	two := cat(row(4), []byte{0}) // a summary row of two records scanned, no hits
 	valid := validChain()
-	f, fg, gf, none := []byte{1, 1, 'f'}, []byte{2, 1, 'f', 1, 'g'}, []byte{2, 1, 'g', 1, 'f'}, []byte{0}
-	ev, ev1, evs := cat([]byte{1}, codecEvent(0, 0)), cat([]byte{1}, codecEvent(1, 0)), cat([]byte{2}, codecEvent(0, 0), codecEvent(0, 0))
-	db1, rec1 := []byte{1, 1}, []byte{1, 1} // one database of one record; one record of one event
+	db2, none := []byte{1, 2}, []byte{0} // one database of two records
+	copyBoth := cat([]byte{byte(metering.CopyToIter), 2}, rec(1), rec(1))
+	seed := func(head ...byte) []byte { return cat([]byte{byte(metering.SeedFilter)}, head, rec(1)) }
+	tail := cat(none, none) // nothing streamed, no serial work
 	out := [][]byte{
 		nil, {}, {0x00}, []byte("not gob at all"), make([]byte, 512), []byte(chainMagic),
 		cat([]byte(chainMagic), []byte{chainVersion + 1}, valid[len(chainMagic)+1:]), // unknown version
 		cat(valid, none), // trailing byte
-		cat(one, none, f, ev1, db1, rec1, none, none),                                                    // function index out of range
-		cat(one, none, f, []byte{1}, codecEvent(0, 3), db1, rec1, none, none),                            // access pattern out of range
-		cat(one, none, f, ev, db1, rec1, none, []byte{0x80, 0x00}),                                       // overlong varint
-		cat(one, none, f, []byte{100}, codecEvent(0, 0), db1, rec1, none, none),                          // more events than bytes
-		cat(one, none, fg, ev, db1, rec1, none, none),                                                    // a name no event uses
-		cat(one, none, gf, []byte{2}, codecEvent(0, 0), codecEvent(1, 0), db1, []byte{1, 2}, none, none), // names out of order
-		cat(one, none, f, ev, db1, rec1, []byte{2, 1, 'b', 0, 1, 'a', 0}, none),                          // databases out of order
-		cat(one, none, f, evs, db1, rec1, none, none),                                                    // record counts short of the events
-		cat(one, none, f, ev, db1, []byte{1, 2}, none, none),                                             // record counts past the events
-		cat(one, none, f, ev, db1, []byte{1, 0}, none, none),                                             // a record with no events
-		cat(one, none, f, ev, []byte{1, 2}, rec1, none, none),                                            // 1 record scanned, rounds of 2
-		cat(one, none, f, ev, []byte{1, 0}, rec1, none, none),                                            // 1 record scanned, rounds of 0
-		cat(one, none, f, ev, none, rec1, none, none),                                                    // 1 record scanned, no databases
-		cat(one, none, f, ev, db1, []byte{2, 1, 1}, none, none),                                          // trailing counts
-		cat(one, none, f, ev, db1, none, none, none),                                                     // no counts
-		cat(row(1), none, f, ev, db1, rec1, none, none),                                                  // -1 records scanned
-		cat(row(0), none, f, ev, db1, none, none, none),                                                  // events but no records
-		cat(one, []byte{1}), // a hit with no target
-		cat(one, []byte{1, 1, 't', 0, 0, 0}, make([]byte, 32), []byte{2}, make([]byte, 4)), // alignment flag 2
+		cat(two, db2, []byte{3, 2}, copyBoth, []byte{byte(metering.NumFuncs), 1, 1}, rec(1), tail),                         // function id out of range
+		cat(two, db2, []byte{3, 2}, seed(1, 1), copyBoth, tail),                                                            // function ids out of order
+		cat(two, db2, []byte{4, 2}, copyBoth, copyBoth, tail),                                                              // a function twice
+		cat(two, db2, []byte{2, 2}, copyBoth, seed(0), tail),                                                               // a function in no record
+		cat(two, db2, []byte{4, 2}, copyBoth, []byte{byte(metering.SeedFilter), 3, 0, 1, 1}, rec(1), rec(1), rec(1), tail), // in more records than scanned
+		cat(row(6), none, []byte{1, 3}, []byte{5, 2}, []byte{byte(metering.CopyToIter), 3}, rec(1), rec(1), rec(1), []byte{byte(metering.SeedFilter), 2, 1, 0}, rec(1), rec(1), tail), // record indexes that do not increase
+		cat(two, db2, []byte{3, 2}, copyBoth, seed(1, 2), tail),                                      // a record index past the records
+		cat(two, db2, []byte{4, 2}, copyBoth, seed(1, 1), tail),                                      // per-record counts that do not sum
+		cat(two, db2, []byte{2, 2}, copyBoth, []byte{byte(metering.SeedFilter), 1, 1}, rec(0), tail), // a record with no events
+		cat(two, db2, []byte{3, 100}, copyBoth, seed(1, 1), tail),                                    // more functions than bytes
+		cat(two, db2, []byte{3, byte(metering.NumFuncs) + 1}, make([]byte, 128)),                     // more functions than the table
+		cat(two, db2, []byte{3, 2}, copyBoth, seed(1, 1), none, []byte{0x80, 0x00}),                  // overlong varint
+		cat(two, db2, []byte{3, 2}, copyBoth, seed(1, 1), []byte{2, 1, 'b', 0, 1, 'a', 0}, none),     // databases out of order
+		cat(two, []byte{1, 4}, []byte{3, 2}, copyBoth, seed(1, 1), tail),                             // 2 records scanned, rounds of 4
+		cat(two, []byte{1, 0}, []byte{3, 2}, copyBoth, seed(1, 1), tail),                             // 2 records scanned, rounds of 0
+		cat(two, none, []byte{3, 2}, copyBoth, seed(1, 1), tail),                                     // 2 records scanned, no databases
+		cat(row(1), none, db2, []byte{3, 2}, copyBoth, seed(1, 1), tail),                             // -1 records scanned
+		cat(row(0), none, none, []byte{1, 1}, []byte{byte(metering.CopyToIter), 1}, rec(1), tail),    // events but no records
+		cat(row(2), []byte{1}), // a hit with no target
+		cat(row(2), []byte{1, 1, 't', 0, 0, 0}, make([]byte, 32), []byte{2}, make([]byte, 4)), // alignment flag 2
 	}
 	for n := range valid {
 		out = append(out, valid[:n]) // every truncation
@@ -113,8 +118,8 @@ func chainPayloads(tb testing.TB) [][]byte {
 // FuzzDecodeCachedChain: the decoder parses what a disk hands it, so on any
 // bytes it returns an error or a chain — never panics — and a payload it
 // accepts is the one encoding of that chain: it re-encodes to the same
-// bytes, and merges at every thread count from 1 to 17 into workers that
-// hold all of its events between them.
+// bytes, and merges at every thread count from 1 to 17 into workers whose
+// ledgers add up to the chain's sums, function by function.
 func FuzzDecodeCachedChain(f *testing.F) {
 	for _, b := range chainPayloads(f) {
 		f.Add(b)
@@ -134,16 +139,21 @@ func FuzzDecodeCachedChain(f *testing.F) {
 		if !bytes.Equal(again, b) {
 			t.Fatalf("payload %x re-encodes to %x", b, again)
 		}
-		events := int(cc.d.starts[len(cc.d.starts)-1])
+		var want metering.Ledger
+		for k := range cc.d.sums {
+			want[cc.d.sums[k].f] = cc.d.sums[k].total()
+		}
 		for threads := 1; threads <= 17; threads++ {
 			workers := newWorkers(threads)
-			cc.d.link(workers)
-			n := 0
+			cc.d.credit(workers)
+			var got metering.Ledger
 			for _, acc := range workers {
-				n += acc.Len()
+				for fn, t := range acc.Ledger() {
+					got[fn].Add(t)
+				}
 			}
-			if n != events {
-				t.Fatalf("merged at %d threads, the workers hold %d of %d events", threads, n, events)
+			if got != want {
+				t.Fatalf("merged at %d threads, the workers hold %v of %v", threads, got, want)
 			}
 		}
 	})

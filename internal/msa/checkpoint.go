@@ -1,6 +1,7 @@
 package msa
 
 import (
+	"slices"
 	"sync"
 
 	"afsysbench/internal/hmmer"
@@ -9,45 +10,64 @@ import (
 
 // chainDelta is the complete contribution of one chain's searches to a
 // Result: the summary row, the final-round hit list (pairing input), the
-// metering events, the streamed byte totals and the serial work. Chains
+// metering work, the streamed byte totals and the serial work. Chains
 // compute their delta privately — against scratch accumulators, never the
 // shared Result — which is what makes two things possible without
 // disturbing determinism: a checkpoint can replay a completed chain
 // verbatim on a stage retry, and the merge into the Result happens in chain
 // order exactly as the serial code did.
 //
-// The events are the chain's, not a thread count's: one stream in record
-// order, every record's events from its copy_to_iter up to the next (the
-// contract on hmmer.Buffer.Next), with the index where each record starts.
-// How many goroutines scanned it is not recorded, so one delta serves every
-// thread count (link).
+// The metering work is the chain's, not a thread count's: the scans'
+// events are folded once, when the delta is built, into per-function sums
+// at record boundaries (funcSums), and then dropped. How many goroutines
+// scanned it is not recorded, so one delta serves every thread count
+// (credit).
 type chainDelta struct {
 	cr   ChainResult
 	hits []hmmer.Hit
-	// events is the stream as pieces, in order: sub-slices of the
-	// accumulators the search recorded into, where touching pieces of one
-	// accumulator are one piece, or the one list a payload decodes to.
-	events [][]metering.Event
 	// dbRecs is one round's scan sequence: the record count of each
 	// database it scans, in order. The chain ran cr.Scanned / Σ dbRecs
 	// rounds of it.
 	dbRecs []int
-	// starts[r] is the stream index of record r's first event, over every
-	// scan's records in order; starts[cr.Scanned] is the stream's length.
-	starts   []int32
+	// sums holds one entry per function the scans recorded work for, in
+	// Func order.
+	sums     []funcSums
 	streamed map[string]int64
 	serial   uint64
 }
 
-// merge replays a delta into the result: its events are re-cut into
-// len(res.Workers) workers by link — by reference, never copied: the delta
-// may belong to a checkpoint or to the serving cache and be replayed into
-// many results at once, so it is read-only from here on.
+// funcSums is one function's work over a chain's records, r = 0 ..
+// cr.Scanned−1 across every scan in order: recs lists the records the
+// function has events in, ascending — nil when that is every record — and
+// cum[i] is its work over the first i of them, so len(cum) = len(recs)+1.
+// Neither holds a pointer.
+type funcSums struct {
+	f    metering.Func
+	recs []int32
+	cum  []metering.Tally
+}
+
+// at returns the function's work over the records before r.
+func (s *funcSums) at(r int) metering.Tally {
+	if s.recs == nil {
+		return s.cum[r]
+	}
+	i, _ := slices.BinarySearch(s.recs, int32(r))
+	return s.cum[i]
+}
+
+// total returns the function's work over every record.
+func (s *funcSums) total() metering.Tally { return s.cum[len(s.cum)-1] }
+
+// merge replays a delta into the result: its sums are credited to
+// len(res.Workers) workers by credit. The delta may belong to a checkpoint
+// or to the serving cache and be replayed into many results at once, so it
+// is read-only from here on.
 func (res *Result) merge(d *chainDelta) {
 	res.PerChain = append(res.PerChain, d.cr)
 	res.deltas = append(res.deltas, d)
 	res.TotalHitResidues += d.cr.HitResidues
-	d.link(res.Workers)
+	d.credit(res.Workers)
 	for name, b := range d.streamed {
 		res.Streamed[name] += b
 	}
@@ -57,7 +77,7 @@ func (res *Result) merge(d *chainDelta) {
 // Checkpoint preserves completed per-chain search deltas across retries
 // of an MSA phase, so a retried stage re-runs only the chains that had
 // not finished when the previous attempt faulted — the rest replay
-// verbatim, streamed bytes, metering events and all. Entries are scoped
+// verbatim, streamed bytes, metering sums and all. Entries are scoped
 // by the database profile signature: a degradation-ladder re-plan against
 // a reduced set must never reuse a delta computed against the full one.
 // Safe for concurrent use; a nil *Checkpoint stores nothing (the

@@ -11,8 +11,8 @@ import (
 )
 
 // assertSameResult checks the full determinism contract between two MSA
-// results: per-chain summaries, worker metering event streams, streamed
-// bytes, serial work and features must be bitwise identical. Operational
+// results: per-chain summaries, worker metering ledgers, streamed bytes,
+// serial work and features must be bitwise identical. Operational
 // counters (RestoredChains) are deliberately excluded.
 func assertSameResult(t *testing.T, a, b *Result) {
 	t.Helper()
@@ -32,9 +32,8 @@ func assertSameResult(t *testing.T, a, b *Result) {
 		t.Fatalf("worker counts differ: %d vs %d", len(a.Workers), len(b.Workers))
 	}
 	for w := range a.Workers {
-		if !reflect.DeepEqual(a.Workers[w].Flat(), b.Workers[w].Flat()) {
-			t.Errorf("worker %d event stream differs (%d vs %d events)",
-				w, a.Workers[w].Len(), b.Workers[w].Len())
+		if a.Workers[w].Ledger() != b.Workers[w].Ledger() {
+			t.Errorf("worker %d work differs:\n%v\n%v", w, a.Workers[w].Ledger(), b.Workers[w].Ledger())
 		}
 	}
 	if !reflect.DeepEqual(a.Features, b.Features) {

@@ -2,10 +2,11 @@
 // fan-out (jackhmmer-style iterative protein search, nhmmer-style RNA
 // scan) over the reference databases, each scan shard-parallel over at
 // most one span per core, followed by alignment stacking and
-// featurization. A chain keeps its metering events once, in record order;
-// a result attributes them across Threads workers the way HMMER's --cpu
-// worker threads would split each database, and footprint.go turns those
-// workers into a simhw.RunSpec so the paper's two platforms can replay it.
+// featurization. A chain keeps its metering work once, as per-function
+// sums at every record boundary; a result credits it across Threads
+// workers the way HMMER's --cpu worker threads would split each database,
+// and footprint.go turns those workers into a simhw.RunSpec so the paper's
+// two platforms can replay it.
 package msa
 
 import (

@@ -1,9 +1,7 @@
 package msa
 
 import (
-	"sort"
-	"strings"
-
+	"afsysbench/internal/metering"
 	"afsysbench/internal/platform"
 	"afsysbench/internal/simhw"
 )
@@ -63,50 +61,46 @@ func BuildRunSpec(mach platform.Machine, res *Result) simhw.RunSpec {
 	}
 	// The buffering layer (copy_to_iter/addbuf/seebuf) is HMMER's
 	// serialized master/reader thread: merge it out of the workers into
-	// the reader lane.
-	reader := make(map[string]simhw.FuncWork)
+	// the reader lane. Functions come in Func order, which is name order.
+	var reader [metering.NumFuncs]simhw.FuncWork
 	var totalStream uint64
 	for _, w := range res.Workers {
 		tw := simhw.ThreadWork{}
-		byFunc := w.ByFunc()
-		names := make([]string, 0, len(byFunc))
-		for name := range byFunc {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ev := byFunc[name]
-			fw := simhw.FuncWork{
-				Func:           ev.Func,
-				Instructions:   ev.Instructions,
-				Bytes:          ev.Bytes,
-				Branches:       ev.Branches,
-				BranchMissRate: ev.BranchMissRate,
-				Pattern:        ev.Pattern,
-				Allocated:      ev.Allocated,
+		work := w.Ledger()
+		for f, t := range work {
+			if t.Events == 0 {
+				continue
 			}
-			switch {
-			case strings.HasPrefix(ev.Func, "calc_band"),
-				ev.Func == "viterbi_full",
-				ev.Func == "forward_band":
+			fn := metering.Func(f)
+			fw := simhw.FuncWork{
+				Func:           fn.String(),
+				Instructions:   t.Instructions,
+				Bytes:          t.Bytes,
+				Branches:       t.Branches,
+				BranchMissRate: fn.BranchMissRate(),
+				Pattern:        fn.Pattern(),
+				Allocated:      t.Allocated,
+			}
+			switch fn {
+			case metering.CalcBand9, metering.CalcBand10, metering.ViterbiFull, metering.ForwardBand:
 				fw.HotBytes = sharedHot + privateHot
 				fw.SharedHotBytes = sharedHot
 				fw.Regularity = regularity
 				tw.Funcs = append(tw.Funcs, fw)
-			case ev.Func == "seed_filter":
+			case metering.SeedFilter:
 				fw.HotBytes = seedHot
 				fw.SharedHotBytes = seedHot
 				fw.Regularity = regularity
 				tw.Funcs = append(tw.Funcs, fw)
-			case ev.Func == "copy_to_iter":
+			case metering.CopyToIter:
 				// Half the reported traffic is the read side streaming
 				// straight from the page cache.
-				fw.StreamBytes = ev.Bytes / 2
+				fw.StreamBytes = t.Bytes / 2
 				totalStream += fw.StreamBytes
-				addReaderWork(reader, fw)
-			case ev.Func == "addbuf" || ev.Func == "seebuf":
+				addReaderWork(&reader[f], fw)
+			case metering.AddBuf, metering.SeeBuf:
 				fw.HotBytes = bufferHotBytes
-				addReaderWork(reader, fw)
+				addReaderWork(&reader[f], fw)
 			default:
 				fw.HotBytes = bufferHotBytes
 				tw.Funcs = append(tw.Funcs, fw)
@@ -114,23 +108,20 @@ func BuildRunSpec(mach platform.Machine, res *Result) simhw.RunSpec {
 		}
 		spec.Threads = append(spec.Threads, tw)
 	}
-	names := make([]string, 0, len(reader))
-	for name := range reader {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		spec.Reader = append(spec.Reader, reader[name])
+	for _, fw := range reader {
+		if fw.Func != "" {
+			spec.Reader = append(spec.Reader, fw)
+		}
 	}
 	spec.SerialStreamBytes = uint64(float64(totalStream) * serialStreamFractions)
 	return spec
 }
 
-// addReaderWork merges a function's work into the reader lane.
-func addReaderWork(reader map[string]simhw.FuncWork, fw simhw.FuncWork) {
-	cur, ok := reader[fw.Func]
-	if !ok {
-		reader[fw.Func] = fw
+// addReaderWork merges a worker's work for one function into the reader
+// lane's entry for it (zero until the first worker's).
+func addReaderWork(cur *simhw.FuncWork, fw simhw.FuncWork) {
+	if cur.Func == "" {
+		*cur = fw
 		return
 	}
 	cur.Instructions += fw.Instructions
@@ -138,5 +129,4 @@ func addReaderWork(reader map[string]simhw.FuncWork, fw simhw.FuncWork) {
 	cur.Branches += fw.Branches
 	cur.StreamBytes += fw.StreamBytes
 	cur.Allocated += fw.Allocated
-	reader[fw.Func] = cur
 }

@@ -77,9 +77,9 @@ type Options struct {
 // accumulators the hook records events into. Workers has exactly Threads
 // entries; worker w owns the records parallel.Span(n, w, Threads), and its
 // events must append in record order. Read in worker order, the workers
-// then hold the scan's events in record order — the one thing the chain
-// keeps of them, so a scattered scan replays bitwise-identically to the
-// single-node one.
+// then hold the scan's events in record order, which the chain folds into
+// its per-record sums, so a scattered scan replays bitwise-identically to
+// the single-node one.
 type ScatterRequest struct {
 	Profile *hmmer.Profile
 	Query   *seq.Sequence
@@ -139,13 +139,10 @@ type Result struct {
 	Input    *inputs.Input
 	PerChain []ChainResult
 	Features *Features
-	// Workers holds per-thread metering accumulators (scaled to paper
-	// volume); index = worker id. Each is linked from the chains' deltas
-	// in chain order — worker t takes span t of every scan's records — and
-	// shares their events with the checkpoint, the serving cache and every
-	// other result the same chains were replayed into, so it is read-only:
-	// consume it through Totals, ByFunc, Len or Flat. Events alone is only
-	// its first run.
+	// Workers holds per-thread metering (scaled to paper volume); index =
+	// worker id. Each is a ledger: its Credit sums, per function, span t
+	// of every scan's records of every chain merged in. No worker holds an
+	// event.
 	Workers []*metering.Accumulator
 	// SerialInstructions is the modeled non-parallel work (profile
 	// rebuilds, hit merging, feature assembly) at paper scale.
@@ -171,7 +168,7 @@ type Result struct {
 	FreshWork    uint64
 	CachedWork   uint64
 
-	// deltas are the chains merged in, in order: what Rethread re-cuts.
+	// deltas are the chains merged in, in order: what Rethread re-credits.
 	deltas []*chainDelta
 }
 
@@ -277,7 +274,7 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 }
 
 // runChain searches all matching databases for one chain, computing its
-// full contribution — summary row, final-round hits, metering events,
+// full contribution — summary row, final-round hits, metering sums,
 // streamed bytes, serial work — into a private delta. Nothing shared is
 // touched until the caller merges the delta, so replayed attempts
 // (checkpoints) are safe by construction.
@@ -297,7 +294,6 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 			// Degraded profile: the chain proceeds with only its own
 			// sequence (alignment depth 1, nothing scanned or streamed).
 			cr.Rows = 1
-			d.starts = []int32{0}
 			return d, nil
 		}
 		return nil, fmt.Errorf("no databases for molecule type %v", query.Type)
@@ -313,8 +309,9 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 
 	// Every scan records into the same accumulators, worker w after worker
 	// w-1 in record order; cuts notes, per scan, which part of each
-	// worker's events it added. Sliced once the search is over (an append
-	// may move a worker's events), they are the chain's stream.
+	// worker's events it added. Read once the search is over (an append
+	// may move a worker's events), they are the chain's stream, which
+	// setStream folds.
 	workers := newWorkers(opts.Threads)
 	var cuts []cut
 	profile, err := hmmer.BuildFromQuery(query)
@@ -409,39 +406,71 @@ func appendCuts(cuts []cut, workers []*metering.Accumulator) []cut {
 	return cuts
 }
 
-// setStream slices the chain's stream out of the workers it was recorded
-// into and indexes where each record starts: at its copy_to_iter, the
-// first event of every record's scan (hmmer.Buffer.Next). A stream that
-// does not start with a record, or holds another number of records than
-// the scans report, is an error: a re-cut would drop or misplace events.
+// setStream folds the chain's stream into per-function sums at record
+// boundaries (chainDelta.sums): two walks, one to size every function's
+// arrays exactly and one to fill them. A record's events start at its
+// copy_to_iter, the first event every record's scan records
+// (hmmer.Buffer.Next). A stream that does not start with a record, or holds
+// another number of records than the scans report, is an error: its work
+// would be credited to the wrong records.
 func (d *chainDelta) setStream(workers []*metering.Accumulator, cuts []cut) error {
-	if len(cuts) > 0 {
-		d.events = make([][]metering.Event, len(cuts))
-	}
-	d.starts = make([]int32, 0, d.cr.Scanned+1)
-	n := 0
-	for i, c := range cuts {
-		run := workers[c.w].Events[c.lo:c.hi]
-		d.events[i] = run
-		for j := range run {
-			if run[j].Func == recordStart {
-				d.starts = append(d.starts, int32(n+j))
+	each := func(fn func(rec int, ev *metering.Event)) {
+		rec := -1
+		for _, c := range cuts {
+			run := workers[c.w].Events[c.lo:c.hi]
+			for i := range run {
+				if run[i].Func == recordStart {
+					rec++
+				}
+				fn(rec, &run[i])
 			}
 		}
-		n += len(run)
 	}
-	if n > 0 && (len(d.starts) == 0 || d.starts[0] != 0) {
+	// occ[f] counts the records f has events in; last[f] is the last one
+	// seen, plus one.
+	var occ, last [metering.NumFuncs]int
+	records, orphans := 0, false
+	each(func(rec int, ev *metering.Event) {
+		if orphans = orphans || rec < 0; !orphans && last[ev.Func] != rec+1 {
+			last[ev.Func] = rec + 1
+			occ[ev.Func]++
+		}
+		records = rec + 1
+	})
+	if orphans {
 		return fmt.Errorf("msa: the scans' events do not start with %s", recordStart)
 	}
-	if len(d.starts) != d.cr.Scanned {
-		return fmt.Errorf("msa: the scans recorded %d records, reported %d", len(d.starts), d.cr.Scanned)
+	if records != d.cr.Scanned {
+		return fmt.Errorf("msa: the scans recorded %d records, reported %d", records, d.cr.Scanned)
 	}
-	d.starts = append(d.starts, int32(n))
+	var slot [metering.NumFuncs]int
+	for f, n := range occ {
+		if n > 0 {
+			s := funcSums{f: metering.Func(f), cum: make([]metering.Tally, 1, n+1)}
+			if n < records {
+				s.recs = make([]int32, 0, n)
+			}
+			slot[f] = len(d.sums)
+			d.sums = append(d.sums, s)
+		}
+	}
+	last = [metering.NumFuncs]int{}
+	each(func(rec int, ev *metering.Event) {
+		s := &d.sums[slot[ev.Func]]
+		if last[ev.Func] != rec+1 {
+			last[ev.Func] = rec + 1
+			s.cum = append(s.cum, s.cum[len(s.cum)-1])
+			if s.recs != nil {
+				s.recs = append(s.recs, int32(rec))
+			}
+		}
+		s.cum[len(s.cum)-1].AddEvent(ev)
+	})
 	return nil
 }
 
 // recordStart is the event every record's scan records first.
-const recordStart = "copy_to_iter"
+const recordStart = metering.CopyToIter
 
 // scanParallel scans one database with the chain's current profile into
 // workers: through the Scatter hook when one is set, in process
@@ -469,8 +498,8 @@ func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequen
 // shared pool of that width — the analog of HMMER's worker threads
 // consuming reader blocks — span w recording into Workers[w], so the
 // workers in order hold the events in record order. The width is a
-// concurrency cap, not an attribution: a merge re-cuts the chain's records
-// for the request's thread count, so a 2 000-thread request runs as many
+// concurrency cap, not an attribution: a merge credits the chain's records
+// to the request's thread count, so a 2 000-thread request runs as many
 // goroutines as a 2-thread one. Each span's metering events are scaled by
 // the database's synthetic-to-paper factor before accumulation.
 //

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"afsysbench/internal/inputs"
+	"afsysbench/internal/metering"
 	"afsysbench/internal/platform"
 	"afsysbench/internal/seq"
 	"afsysbench/internal/simhw"
@@ -72,8 +73,8 @@ func TestRunBasics(t *testing.T) {
 		t.Fatalf("workers = %d", len(res.Workers))
 	}
 	for i, w := range res.Workers {
-		if w.Len() == 0 {
-			t.Errorf("worker %d recorded no events", i)
+		if work := w.Ledger(); work.Total().Events == 0 {
+			t.Errorf("worker %d was credited no events", i)
 		}
 	}
 	if res.SerialInstructions == 0 {
@@ -162,8 +163,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		a.TotalHitResidues != b.TotalHitResidues {
 		t.Error("MSA run not deterministic at fixed thread count")
 	}
-	at, bt := a.Workers[1].Totals(), b.Workers[1].Totals()
-	if at.Instructions != bt.Instructions {
+	if a.Workers[1].Ledger() != b.Workers[1].Ledger() {
 		t.Error("worker metering not deterministic")
 	}
 }
@@ -213,10 +213,12 @@ func TestPromoCandidateExplosion(t *testing.T) {
 	// And the extra filtering work shows up as more instructions.
 	var pInstr, yInstr uint64
 	for _, w := range promo.Workers {
-		pInstr += w.Totals().Instructions
+		work := w.Ledger()
+		pInstr += work.Total().Instructions
 	}
 	for _, w := range yy9.Workers {
-		yInstr += w.Totals().Instructions
+		work := w.Ledger()
+		yInstr += work.Total().Instructions
 	}
 	if pInstr <= yInstr {
 		t.Errorf("promo instruction volume (%d) not above 1YY9 (%d)", pInstr, yInstr)
@@ -257,6 +259,41 @@ func TestBuildRunSpecStructure(t *testing.T) {
 	}
 	if spec.SerialInstructions == 0 {
 		t.Error("serial instructions not carried into spec")
+	}
+}
+
+// TestBuildRunSpecRatesAreFunctionConstants: every function BuildRunSpec
+// hands the CPU model, on a worker or in the reader lane, carries its
+// function's own branch miss rate and pattern, for every sample at several
+// thread counts. (A running blend of the per-event rates, weighted by
+// branch count, drifted off them in the last bits.)
+func TestBuildRunSpecRatesAreFunctionConstants(t *testing.T) {
+	byName := make(map[string]metering.Func)
+	for f := range metering.NumFuncs {
+		byName[f.String()] = f
+	}
+	for _, in := range inputs.Samples() {
+		res, err := Run(in, Options{Threads: 1, DBs: dbs(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{1, 3, 8} {
+			spec := BuildRunSpec(platform.Server(), res.Rethread(threads))
+			funcs := spec.Reader
+			for _, tw := range spec.Threads {
+				funcs = append(funcs, tw.Funcs...)
+			}
+			for _, fw := range funcs {
+				f, ok := byName[fw.Func]
+				if !ok {
+					t.Fatalf("%s at %dT: unknown function %q", in.Name, threads, fw.Func)
+				}
+				if fw.BranchMissRate != f.BranchMissRate() || fw.Pattern != f.Pattern() {
+					t.Errorf("%s at %dT: %s has rate %x, pattern %v; the function's are %x, %v",
+						in.Name, threads, fw.Func, fw.BranchMissRate, fw.Pattern, f.BranchMissRate(), f.Pattern())
+				}
+			}
+		}
 	}
 }
 

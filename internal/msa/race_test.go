@@ -3,11 +3,11 @@ package msa
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"afsysbench/internal/inputs"
-	"afsysbench/internal/metering"
 	"afsysbench/internal/platform"
 )
 
@@ -58,10 +58,10 @@ func TestConcurrentRunsShareWorkspacePool(t *testing.T) {
 // TestConcurrentReplaySharesCachedEvents replays the same CachedChains into
 // many results at once — each under its own chain labels, as the serving
 // cache does for one pool chain appearing in several complexes — and feeds
-// every result to BuildRunSpec. Results link the cached events instead of
-// copying them, so this is the test that the sharing is read-only: under
-// -race any write through a link is a report, and afterwards the cached
-// events must equal a deep copy taken before the first replay.
+// every result to BuildRunSpec. Every replay reads the cached chains' sums
+// of their events, so this is the test that the sharing is read-only:
+// under -race any write into a cached chain is a report, and afterwards the
+// cached sums must equal a deep copy taken before the first replay.
 func TestConcurrentReplaySharesCachedEvents(t *testing.T) {
 	in, err := inputs.ByName("1YY9")
 	if err != nil {
@@ -75,10 +75,11 @@ func TestConcurrentReplaySharesCachedEvents(t *testing.T) {
 	}
 	mach := platform.Server()
 	want := BuildRunSpec(mach, fresh)
-	snapshot := make(map[string][][]metering.Event)
+	snapshot := make(map[string][]funcSums)
 	for key, cc := range store.entries {
-		for _, run := range cc.d.events {
-			snapshot[key] = append(snapshot[key], append([]metering.Event(nil), run...))
+		for _, s := range cc.d.sums {
+			s.recs, s.cum = slices.Clone(s.recs), slices.Clone(s.cum)
+			snapshot[key] = append(snapshot[key], s)
 		}
 	}
 	// Concurrent replays only read the map.
@@ -106,8 +107,8 @@ func TestConcurrentReplaySharesCachedEvents(t *testing.T) {
 				t.Errorf("replay %d: %d cached chains, first label %q", g, res.CachedChains, res.PerChain[0].ChainID)
 			}
 			for w := range res.Workers {
-				if !reflect.DeepEqual(res.Workers[w].Flat(), fresh.Workers[w].Flat()) {
-					t.Errorf("replay %d worker %d: events differ from the searched run", g, w)
+				if res.Workers[w].Ledger() != fresh.Workers[w].Ledger() {
+					t.Errorf("replay %d worker %d: work differs from the searched run's", g, w)
 				}
 			}
 			if got := BuildRunSpec(mach, res); !reflect.DeepEqual(got, want) {
@@ -118,10 +119,8 @@ func TestConcurrentReplaySharesCachedEvents(t *testing.T) {
 	wg.Wait()
 
 	for key, cc := range store.entries {
-		for i, run := range cc.d.events {
-			if !reflect.DeepEqual(run, snapshot[key][i]) {
-				t.Fatalf("cached chain %q piece %d changed under replay", key, i)
-			}
+		if !reflect.DeepEqual(cc.d.sums, snapshot[key]) {
+			t.Fatalf("cached chain %q's sums changed under replay", key)
 		}
 	}
 }

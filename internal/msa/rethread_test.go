@@ -13,12 +13,12 @@ import (
 	"afsysbench/internal/parallel"
 )
 
-// shardOracle is the attribution a re-cut must reproduce: a ScatterFunc
+// shardOracle is the attribution a merge must reproduce: a ScatterFunc
 // that scans each database serially over exactly req.Threads spans,
 // parallel.Span(n, w, Threads) into req.Workers[w] — the decomposition the
 // scan used while its goroutine count was the thread count — and keeps a
-// copy of what each worker recorded. After a Run, workers[w] is worker w's
-// stream across the run's chains, taken before any re-cut.
+// copy of what each worker recorded. After a Run, workers[w] holds worker
+// w's events across the run's chains, as recorded.
 type shardOracle struct{ workers []*metering.Accumulator }
 
 func (o *shardOracle) scatter(ctx context.Context, req ScatterRequest) (*hmmer.Result, error) {
@@ -53,14 +53,15 @@ func oracleWorkers(t testing.TB, in *inputs.Input, threads int) []*metering.Accu
 	return o.workers
 }
 
-// sameWorkers reports the first worker of got whose events, or ByFunc,
-// differ from want's; -1 when every one matches.
+// sameWorkers reports the first worker of got whose ledger differs from
+// want's; -1 when every one matches. A worker's ledger is every integer
+// the machine models read of it.
 func sameWorkers(got, want []*metering.Accumulator) int {
 	if len(got) != len(want) {
 		return 0
 	}
 	for w := range want {
-		if !reflect.DeepEqual(got[w].Flat(), want[w].Flat()) || !reflect.DeepEqual(got[w].ByFunc(), want[w].ByFunc()) {
+		if got[w].Ledger() != want[w].Ledger() {
 			return w
 		}
 	}
@@ -68,7 +69,8 @@ func sameWorkers(got, want []*metering.Accumulator) int {
 }
 
 // TestRethreadSharesEverythingButWorkers: the re-cut result is the source
-// with new workers, and those workers link the source's events in place.
+// with new workers, whose ledgers are the shard oracle's at that count and
+// which hold no event.
 func TestRethreadSharesEverythingButWorkers(t *testing.T) {
 	in, err := inputs.ByName("1YY9")
 	if err != nil {
@@ -84,8 +86,10 @@ func TestRethreadSharesEverythingButWorkers(t *testing.T) {
 	if !reflect.DeepEqual(&cp, res) || out.Features != res.Features || &out.PerChain[0] != &res.PerChain[0] {
 		t.Fatal("Rethread changed or copied a field other than Workers")
 	}
-	if &out.Workers[0].Events[0] != &res.Workers[0].Events[0] {
-		t.Fatal("worker 0's first run is not the source's events")
+	for w, acc := range append(out.Workers, res.Workers...) {
+		if len(acc.Events) != 0 {
+			t.Fatalf("worker %d holds %d events", w, len(acc.Events))
+		}
 	}
 	if w := sameWorkers(out.Workers, oracleWorkers(t, in, 4)); w >= 0 {
 		t.Fatalf("worker %d of the re-cut differs from the oracle's", w)
@@ -111,12 +115,12 @@ func TestScanFansOutAtMostOneSpanPerCore(t *testing.T) {
 			}
 			before := make([]int, 16)
 			for w, acc := range req.Workers {
-				before[w] = acc.Len()
+				before[w] = len(acc.Events)
 			}
 			res, err := scanShards(ctx, req)
 			want := min(16, procs, len(req.DB.Seqs))
 			for w, acc := range req.Workers {
-				if got := acc.Len() > before[w]; got != (w < want) {
+				if got := len(acc.Events) > before[w]; got != (w < want) {
 					t.Fatalf("GOMAXPROCS=%d: worker %d recorded=%v, want spans 0..%d only", procs, w, got, want-1)
 				}
 			}
@@ -132,10 +136,10 @@ func TestScanFansOutAtMostOneSpanPerCore(t *testing.T) {
 	}
 }
 
-// TestChainRefusesEventsOutsideRecords: a chain's stream is cut at record
-// starts, so a scan whose events do not begin with a record, or that
+// TestChainRefusesEventsOutsideRecords: a chain's stream is folded per
+// record, so a scan whose events do not begin with a record, or that
 // records more records than it reports, fails the chain rather than
-// caching a stream a re-cut would drop events from.
+// caching sums that would credit work to the wrong records.
 func TestChainRefusesEventsOutsideRecords(t *testing.T) {
 	in, err := inputs.ByName("2PV7")
 	if err != nil {
@@ -145,11 +149,11 @@ func TestChainRefusesEventsOutsideRecords(t *testing.T) {
 		name string
 		ev   metering.Event
 	}{
-		{"an event before the first record", metering.Event{Func: "addbuf"}},
+		{"an event before the first record", metering.Event{Func: metering.AddBuf}},
 		{"an unreported record", metering.Event{Func: recordStart}},
 	} {
 		hook := func(ctx context.Context, req ScatterRequest) (*hmmer.Result, error) {
-			if req.Workers[0].Len() == 0 {
+			if len(req.Workers[0].Events) == 0 {
 				req.Workers[0].Record(tc.ev)
 			}
 			return scanShards(ctx, req)
@@ -164,9 +168,9 @@ func TestChainRefusesEventsOutsideRecords(t *testing.T) {
 
 // BenchmarkChainReplay merges one cached chain — 2PV7's, 6QNR's first and
 // a PPI pool chain, each searched at one thread as the benchmark workloads
-// search — into T fresh workers: the re-cut every cache hit, checkpoint
-// replay and Rethread takes. An op allocates the T workers and links the
-// chain into them.
+// search — into T fresh workers and reads each worker's ledger: what every
+// cache hit, checkpoint replay and Rethread pays before BuildRunSpec. An op
+// allocates the T workers and credits the chain's sums to them.
 func BenchmarkChainReplay(b *testing.B) {
 	ppi, err := inputs.PPIPair(0, 0)
 	if err != nil {
@@ -184,8 +188,17 @@ func BenchmarkChainReplay(b *testing.B) {
 		for _, threads := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("%s/T%d", name, threads), func(b *testing.B) {
 				b.ReportAllocs()
+				var events uint64
 				for i := 0; i < b.N; i++ {
-					d.link(newWorkers(threads))
+					workers := newWorkers(threads)
+					d.credit(workers)
+					for _, w := range workers {
+						work := w.Ledger()
+						events += work[metering.CopyToIter].Events
+					}
+				}
+				if events != uint64(b.N*d.cr.Scanned) {
+					b.Fatalf("%d records credited over %d ops of %d", events, b.N, d.cr.Scanned)
 				}
 			})
 		}

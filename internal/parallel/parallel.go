@@ -227,7 +227,7 @@ func (p *Pool) RunCtx(ctx context.Context, n int, fn func(shard, lo, hi int)) er
 // Span returns the s-th of `shards` contiguous ranges of [0,n) — the one
 // shard rule behind Run and RunCtx, so shard boundaries are stable across
 // the codebase. It is exported for code that must know which records a
-// worker takes without running anything: msa re-cuts a chain's per-record
+// worker takes without running anything: msa credits a chain's per-record
 // metering along these boundaries for a request's thread count, and the
 // cluster's scatter nests its segments inside them.
 func Span(n, s, shards int) (lo, hi int) {

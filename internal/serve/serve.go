@@ -813,8 +813,9 @@ const fifoKey = "\x00fifo"
 // chainCodec identifies the msa.CachedChain payload format (msa's chain
 // codec) in the persistent tier's entry headers. Bump it when the format
 // changes: an entry with another codec — 1 was gob, 2 framed events per
-// worker — is dropped at read time and recomputed once.
-const chainCodec uint16 = 3
+// worker, 3 held the events in record order — is dropped at read time and
+// recomputed once.
+const chainCodec uint16 = 4
 
 // chainKey is the content address of one chain's MSA search: everything
 // that determines the chain delta goes in — the chain content
@@ -825,12 +826,13 @@ const chainCodec uint16 = 3
 // one), and the scan-engine options. The machine, the suite seed and the
 // thread count are deliberately absent: a chain delta is
 // platform-independent (the machine models replay it later), the search
-// itself is deterministic, and a thread count only re-cuts the delta's
-// events when it is merged, so one chain serves every count. With RequestScopedKeys the whole
-// request fingerprint is folded in, confining reuse to identical requests.
+// itself is deterministic, and a thread count only decides which worker
+// each record's work is credited to when the delta is merged, so one chain
+// serves every count. With RequestScopedKeys the whole request fingerprint
+// is folded in, confining reuse to identical requests.
 func (s *Server) chainKey(job *Job, scope string, chain inputs.Chain) string {
 	parts := []string{
-		"msa-chain/v5",
+		"msa-chain/v6",
 		msa.ChainFingerprint(chain),
 		s.keyDBs,
 		"scope=" + scope,

@@ -233,14 +233,11 @@ func Compile(g *Graph, m metering.Meter) (CompileStats, error) {
 	// assignment, fusion legality, buffer sizing), so the per-op traffic
 	// is far larger than one struct read.
 	m.Record(metering.Event{
-		Func:         "xla::ShapeUtil::ByteSizeOf",
+		Func:         metering.ByteSizeOf,
 		Instructions: uint64(st.Ops) * 2200,
 		Bytes:        uint64(st.Ops) * 32768,
 		WorkingSet:   uint64(st.Ops) * 64, // scattered shape metadata
-		Pattern:      metering.Random,
 		Branches:     uint64(st.Ops) * 300,
-		// Shape-dependent virtual dispatch mispredicts freely.
-		BranchMissRate: 0.08,
 	})
 
 	// Pass 2: greedy elementwise fusion into the producing op.
@@ -304,27 +301,22 @@ func Compile(g *Graph, m metering.Meter) (CompileStats, error) {
 	}
 	st.PeakBytes = peak
 	m.Record(metering.Event{
-		Func:         "std::vector::_M_fill_insert",
+		Func:         metering.FillInsert,
 		Instructions: uint64(st.Buffers) * 400,
 		Bytes:        uint64(st.PeakBytes),
 		WorkingSet:   uint64(st.PeakBytes),
-		Pattern:      metering.Sequential,
 		Branches:     uint64(st.Buffers) * 16,
-		// fill loops predict perfectly; the cost is the page faults.
-		BranchMissRate: 0.002,
-		Allocated:      uint64(st.PeakBytes),
+		Allocated:    uint64(st.PeakBytes),
 	})
 
 	// The bulk compile work (pattern matching, autotuning, codegen).
 	st.Instructions = uint64(float64(st.Ops)*compileInstrPerOp + float64(matmuls)*compileInstrPerMatMul)
 	m.Record(metering.Event{
-		Func:           "xla_compile_passes",
-		Instructions:   st.Instructions,
-		Bytes:          uint64(st.Ops) * compileBytesPerOp,
-		WorkingSet:     uint64(st.Ops) * 4096,
-		Pattern:        metering.Random,
-		Branches:       st.Instructions / 6,
-		BranchMissRate: 0.015,
+		Func:         metering.CompilePasses,
+		Instructions: st.Instructions,
+		Bytes:        uint64(st.Ops) * compileBytesPerOp,
+		WorkingSet:   uint64(st.Ops) * 4096,
+		Branches:     st.Instructions / 6,
 	})
 	return st, nil
 }

@@ -71,16 +71,16 @@ func TestCompileEmitsTableVSymbols(t *testing.T) {
 	if _, err := Compile(smallGraph(), &acc); err != nil {
 		t.Fatal(err)
 	}
-	by := acc.ByFunc()
-	for _, fn := range []string{"xla::ShapeUtil::ByteSizeOf", "std::vector::_M_fill_insert", "xla_compile_passes"} {
+	by := acc.Ledger()
+	for _, fn := range []metering.Func{metering.ByteSizeOf, metering.FillInsert, metering.CompilePasses} {
 		if by[fn].Instructions == 0 {
 			t.Errorf("missing compile event %s", fn)
 		}
 	}
-	if by["std::vector::_M_fill_insert"].Allocated == 0 {
+	if by[metering.FillInsert].Allocated == 0 {
 		t.Error("buffer assignment must report allocation (page-fault source)")
 	}
-	if by["xla::ShapeUtil::ByteSizeOf"].Pattern != metering.Random {
+	if metering.ByteSizeOf.Pattern() != metering.Random {
 		t.Error("shape walks must be random-access")
 	}
 }
@@ -183,7 +183,7 @@ func TestInferenceGraphSizedOnce(t *testing.T) {
 		t.Fatalf("%d events, want %d", len(acc.Events), len(wantEvents))
 	}
 	for i, ev := range acc.Events {
-		got := work{ev.Func, ev.Instructions, ev.Bytes, ev.WorkingSet, ev.Branches, ev.Allocated}
+		got := work{ev.Func.String(), ev.Instructions, ev.Bytes, ev.WorkingSet, ev.Branches, ev.Allocated}
 		if got != wantEvents[i] {
 			t.Errorf("event %d = %+v, want %+v", i, got, wantEvents[i])
 		}
