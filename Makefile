@@ -90,15 +90,20 @@ bench:
 	$(GO) test -run xxx -bench 'Scan|Forward|BandedViterbi' -benchmem ./internal/hmmer
 	$(GO) test -run xxx -bench 'ChainCodec|ChainReplay' -benchmem ./internal/msa
 
-# Where a cold request's CPU goes: three one-thread passes of the cold_msa
-# request mix through Suite.RunPipeline with FreshMSA (BenchmarkColdMix)
-# under the CPU profiler, then the 15 hottest functions. The test binary and
-# the profile stay out of the tree.
+# Where a cold request's CPU and bytes go: three one-thread passes of the
+# cold_msa request mix through Suite.RunPipeline with FreshMSA
+# (BenchmarkColdMix) under the CPU profiler, then the 15 hottest functions;
+# then three more passes of the same test binary with every allocation
+# sampled, and the 10 functions that allocate the most bytes (alloc_space),
+# with the B/op of a pass. The test binary and the profiles stay out of the
+# tree.
 PROFILE_DIR ?= /tmp/afsysbench-profile
 profile-cold:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run xxx -bench ColdMix -benchtime 3x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/cold.pprof ./internal/core
 	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/cold.pprof
+	cd internal/core && $(PROFILE_DIR)/core.test -test.run xxx -test.bench ColdMix -test.benchtime 3x -test.benchmem -test.memprofilerate 1 -test.memprofile $(PROFILE_DIR)/cold.mem.pprof
+	$(GO) tool pprof -top -nodecount 10 -sample_index alloc_space $(PROFILE_DIR)/core.test $(PROFILE_DIR)/cold.mem.pprof
 
 # Its twin for the cached path: 6 000 passes of the hot_cache request mix
 # through RunPipeline behind a chain cache that always hits (BenchmarkHotMix,

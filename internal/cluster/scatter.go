@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"afsysbench/internal/hmmer"
@@ -24,7 +23,7 @@ type Config struct {
 // nodes. Its Scatter method satisfies msa.ScatterFunc and honors the
 // bitwise-determinism contract: every scan segment is the intersection of
 // a shard node's record range with a global worker's record range, and the
-// gather appends each worker's segment events in ascending record order —
+// gather joins each worker's segment folds in ascending record order —
 // so the merged result, including per-worker metering attribution, is
 // identical to the in-process scan at the same thread count regardless of
 // N, node deaths, or failovers.
@@ -144,23 +143,23 @@ func (c *Cluster) Stats() Stats {
 	return st
 }
 
-// segment is one scan unit: the intersection of shard `shard`'s record
-// range with global worker `worker`'s range. Its events accumulate into a
-// private accumulator and are appended to the worker's accumulator at
-// gather time, in ascending record order.
+// segment is one scan unit: the intersection of a shard's record range
+// with global worker `worker`'s range. Its metering folds per record
+// into a private accumulator, sized from the segment's record count, and
+// the fold joins the worker's accumulator at gather time, in ascending
+// record order.
 type segment struct {
 	worker int
-	shard  int
 	lo, hi int
 	res    *hmmer.Result
-	acc    *metering.Accumulator
+	fold   *metering.Fold
 }
 
 // Scatter is the msa.ScatterFunc implementation: split the database into
 // (shard × worker) intersection segments, dispatch each shard's segments
 // to its owner node (failing over along the rotation when nodes are dead
 // or die mid-scan), then gather — merge the hit lists with
-// hmmer.MergeResults and append each worker's segment events in record
+// hmmer.MergeResults and join each worker's segment folds in record
 // order.
 func (c *Cluster) Scatter(ctx context.Context, req msa.ScatterRequest) (*hmmer.Result, error) {
 	n := len(req.DB.Seqs)
@@ -172,17 +171,18 @@ func (c *Cluster) Scatter(ctx context.Context, req msa.ScatterRequest) (*hmmer.R
 	// Build the segment list. Worker spans use the same contiguous-split
 	// arithmetic as parallel.Span, so segment boundaries nest exactly
 	// inside the ScatterRequest's per-worker ranges.
+	// Built worker by worker, the list is in record order.
 	byShard := make([][]*segment, c.plan.Shards)
 	var segs []*segment
-	for s := 0; s < c.plan.Shards; s++ {
-		slo, shi := c.plan.Range(n, s)
-		for w := 0; w < t; w++ {
-			wlo, whi := n*w/t, n*(w+1)/t
-			lo, hi := maxInt(slo, wlo), minInt(shi, whi)
+	for w := 0; w < t; w++ {
+		wlo, whi := n*w/t, n*(w+1)/t
+		for s := 0; s < c.plan.Shards; s++ {
+			slo, shi := c.plan.Range(n, s)
+			lo, hi := max(slo, wlo), min(shi, whi)
 			if lo >= hi {
 				continue
 			}
-			g := &segment{worker: w, shard: s, lo: lo, hi: hi}
+			g := &segment{worker: w, lo: lo, hi: hi}
 			segs = append(segs, g)
 			byShard[s] = append(byShard[s], g)
 		}
@@ -208,20 +208,13 @@ func (c *Cluster) Scatter(ctx context.Context, req msa.ScatterRequest) (*hmmer.R
 		}
 	}
 
-	// Gather. Segment events append to their worker's accumulator in
-	// ascending record order — the exact sequence the in-process scan
-	// would have produced — and the parts merge through the same
-	// deterministic MergeResults.
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].worker != segs[j].worker {
-			return segs[i].worker < segs[j].worker
-		}
-		return segs[i].lo < segs[j].lo
-	})
-	parts := make([]*hmmer.Result, 0, len(segs))
-	for _, g := range segs {
-		req.Workers[g.worker].Events = append(req.Workers[g.worker].Events, g.acc.Events...)
-		parts = append(parts, g.res)
+	// Gather. Segment folds join their worker's accumulator in ascending
+	// record order — the records the in-process scan would have folded —
+	// and the parts merge through the same deterministic MergeResults.
+	parts := make([]*hmmer.Result, len(segs))
+	for i, g := range segs {
+		req.Workers[g.worker].Join(g.fold)
+		parts[i] = g.res
 	}
 	return hmmer.MergeResults(req.Query.ID, parts), nil
 }
@@ -244,11 +237,9 @@ func (c *Cluster) dispatch(ctx context.Context, shard int, req msa.ScatterReques
 			return err
 		}
 		if !c.NodeAlive(node) {
-			// Killed mid-scan: the in-flight work is lost with the node.
+			// Killed mid-scan: the in-flight work is lost with the node,
+			// and the next candidate's scan replaces it.
 			c.noteFailover(node)
-			for _, g := range segs {
-				g.res, g.acc = nil, nil
-			}
 			continue
 		}
 		c.noteDispatch(node, req, segs)
@@ -258,17 +249,19 @@ func (c *Cluster) dispatch(ctx context.Context, shard int, req msa.ScatterReques
 		c.plan.ShardID(req.DB.Name, shard), c.plan.Shards)
 }
 
-// runSegments scans each segment with a private scaled accumulator.
+// runSegments scans each segment with a private scaled accumulator and
+// takes its fold.
 func (c *Cluster) runSegments(ctx context.Context, req msa.ScatterRequest, segs []*segment) error {
 	for _, g := range segs {
 		acc := &metering.Accumulator{}
+		acc.Reserve(g.hi - g.lo)
 		meter := metering.Scaled(acc, req.ScaleFactor)
 		src := &hmmer.SliceSource{Seqs: req.DB.Seqs[g.lo:g.hi]}
 		res, err := hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, req.DB.TotalResidues(), req.Search, meter)
 		if err != nil {
 			return err
 		}
-		g.res, g.acc = res, acc
+		g.res, g.fold = res, acc.TakeFold()
 	}
 	return nil
 }
@@ -281,13 +274,17 @@ func (c *Cluster) noteFailover(node int) {
 }
 
 // noteDispatch records a successful shard dispatch and prices its RPC:
-// the query and profile go out, the hit list and metering events come
-// back. The modeled seconds land in Stats only — never in the result.
+// the query and profile go out, the hit list and metering come back,
+// priced per event folded. The modeled seconds land in Stats only — never
+// in the result.
 func (c *Cluster) noteDispatch(node int, req msa.ScatterRequest, segs []*segment) {
 	reqBytes := int64(req.Query.Len()) + 512
 	var respBytes int64
 	for _, g := range segs {
-		respBytes += int64(len(g.res.Hits))*96 + int64(len(g.acc.Events))*112 + 128
+		respBytes += int64(len(g.res.Hits))*96 + 128
+		for _, r := range g.fold.Rows {
+			respBytes += int64(r.Events) * 112
+		}
 	}
 	c.mu.Lock()
 	c.stats.Dispatches++
@@ -296,18 +293,4 @@ func (c *Cluster) noteDispatch(node int, req msa.ScatterRequest, segs []*segment
 	c.stats.NetBytes += reqBytes + respBytes
 	c.stats.NetSeconds += DefaultNet().Cost(reqBytes + respBytes)
 	c.mu.Unlock()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

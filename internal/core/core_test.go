@@ -38,9 +38,22 @@ func suite(t *testing.T) *Suite {
 // msa.ScatterFunc that scans each database serially over exactly
 // req.Threads spans, parallel.Span(n, w, Threads) into req.Workers[w] — the
 // decomposition the scan used while its goroutine count was the thread
-// count — and keeps a copy of what each worker recorded, taken before the
-// run re-cuts anything.
+// count — and adds every event each worker recorded, one by one, to
+// workers[w]'s credits, before the run re-cuts anything.
 type shardOracle struct{ workers []*metering.Accumulator }
+
+// tee records every event into both meters.
+type tee [2]metering.Meter
+
+func (m tee) Record(ev metering.Event) {
+	m[0].Record(ev)
+	m[1].Record(ev)
+}
+
+// credited is a Meter that adds each event to an accumulator's credits.
+type credited struct{ acc *metering.Accumulator }
+
+func (c credited) Record(ev metering.Event) { c.acc.Credit[ev.Func].AddEvent(&ev) }
 
 func (o *shardOracle) scatter(ctx context.Context, req msa.ScatterRequest) (*hmmer.Result, error) {
 	n := len(req.DB.Seqs)
@@ -50,15 +63,13 @@ func (o *shardOracle) scatter(ctx context.Context, req msa.ScatterRequest) (*hmm
 		if lo == hi {
 			continue
 		}
-		acc := req.Workers[w]
-		from := len(acc.Events)
 		src := &hmmer.SliceSource{Seqs: req.DB.Seqs[lo:hi]}
+		meter := metering.Scaled(tee{req.Workers[w], credited{o.workers[w]}}, req.ScaleFactor)
 		var err error
-		parts[w], err = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, req.DB.TotalResidues(), req.Search, metering.Scaled(acc, req.ScaleFactor))
+		parts[w], err = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, req.DB.TotalResidues(), req.Search, meter)
 		if err != nil {
 			return nil, err
 		}
-		o.workers[w].Events = append(o.workers[w].Events, acc.Events[from:]...)
 	}
 	return hmmer.MergeResults(req.Query.ID, parts), nil
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
 	"afsysbench/internal/inputs"
+	"afsysbench/internal/metering"
 	"afsysbench/internal/msa"
 	"afsysbench/internal/platform"
 )
@@ -148,30 +150,11 @@ func TestMemoServesConcurrentCallersOneResult(t *testing.T) {
 	}
 }
 
-// TestMSAPhaseSizeBytes: the cache charge tracks the feature tensor.
-func TestMSAPhaseSizeBytes(t *testing.T) {
-	var nilPhase *MSAPhase
-	if nilPhase.SizeBytes() <= 0 {
-		t.Fatal("nil phase must still charge overhead")
-	}
-	s := newTestSuite(t)
-	in, err := inputs.ByName("1YY9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, err := s.RunMSAPhase(context.Background(), in, platform.Server(), PipelineOptions{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mp.SizeBytes() <= mp.Data.Features.Bytes() {
-		t.Fatalf("SizeBytes %d must exceed the raw feature bytes %d", mp.SizeBytes(), mp.Data.Features.Bytes())
-	}
-}
-
 // TestCachedHitMSAPhaseReadsNoEvent: an MSA phase whose every chain hits
 // the chain cache credits the cached chains' per-record sums to its
-// workers — which hold no event, and whose ledgers equal the searching
-// run's — models the same seconds as that run, and allocates little.
+// workers — which hold their credits and no fold state, and whose ledgers
+// equal the searching run's — models the same seconds as that run, and
+// allocates little.
 func TestCachedHitMSAPhaseReadsNoEvent(t *testing.T) {
 	s := suite(t)
 	in, err := inputs.ByName("1YY9")
@@ -212,8 +195,8 @@ func TestCachedHitMSAPhaseReadsNoEvent(t *testing.T) {
 		t.Fatalf("hit models %v s (cpu %v), fresh %v s (cpu %v)", hitB.Seconds, hitB.CPUSeconds, fresh.Seconds, fresh.CPUSeconds)
 	}
 	for w, acc := range hitB.Data.Workers {
-		if acc.Ledger() != fresh.Data.Workers[w].Ledger() || len(acc.Events) != 0 {
-			t.Fatalf("worker %d: a hit holds %d events, or its ledger differs from the search's", w, len(acc.Events))
+		if acc.Ledger() != fresh.Data.Workers[w].Ledger() || !reflect.DeepEqual(acc, &metering.Accumulator{Credit: acc.Credit}) {
+			t.Fatalf("worker %d: a hit holds more than its credits, or its ledger differs from the search's", w)
 		}
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc

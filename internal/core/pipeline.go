@@ -204,17 +204,6 @@ type MSAPhase struct {
 	Resilience resilience.Report
 }
 
-// SizeBytes models the retained footprint of the phase output — the dense
-// feature tensor dominates, plus a fixed overhead for alignment metadata.
-// The serving cache charges entries at this size.
-func (p *MSAPhase) SizeBytes() int64 {
-	const overhead = 64 << 10
-	if p == nil || p.Data == nil || p.Data.Features == nil {
-		return overhead
-	}
-	return p.Data.Features.Bytes() + overhead
-}
-
 // RunMSAPhase executes only the MSA phase for one sample on one machine:
 // the Section VI memory gate, database opening under the retry policy, and
 // the degradation-ladder planning loop. Every call builds its own

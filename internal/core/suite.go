@@ -203,9 +203,9 @@ func (s *Suite) replay(v msaView, mach platform.Machine) simhw.Result {
 func (s *Suite) XLAArtifacts(n int) (xla.CompileStats, []metering.Event, error) {
 	v, _, err := s.xla.GetOrCompute(strconv.Itoa(n), func() (any, int64, error) {
 		g := xla.BuildInferenceGraph(s.Model.PF, s.Model.DF, n, s.Model.Recycles)
-		var acc metering.Accumulator
-		st, err := xla.Compile(g, &acc)
-		return xlaArtifacts{stats: st, events: acc.Events}, 1, err
+		var events metering.Log // CompileSim reads each event's WorkingSet
+		st, err := xla.Compile(g, &events)
+		return xlaArtifacts{stats: st, events: events}, 1, err
 	})
 	if err != nil {
 		return xla.CompileStats{}, nil, err

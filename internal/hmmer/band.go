@@ -204,7 +204,7 @@ func bandedViterbi(p *Profile, target *seq.Sequence, diagonal, halfWidth int, ws
 				if ceiling(-lowest) < floor {
 					even, odd := bandCells(i+1, L, diagonal, halfWidth, M)
 					pruned = even + odd
-					recordBandPrune(i+1, L, w, pruned, m)
+					recordBandPrune(i+1, L, w, m)
 					break
 				}
 			}
@@ -260,17 +260,17 @@ func recordCalcBand(c calcBandCost, workingSet, cellsEven, cellsOdd uint64, m me
 }
 
 // recordBandPrune charges the row-max cutoff's real residual work — one
-// bound check per executed row and one band-overlap count per skipped row —
-// and records the skipped cells as pruned volume. The skipped cells are NOT
-// charged at kernel cost: a cut-off band never touches them at all.
-func recordBandPrune(rowsDone, L, w int, pruned uint64, m metering.Meter) {
+// bound check per executed row and one band-overlap count per skipped row.
+// The skipped cells are NOT charged at kernel cost: a cut-off band never
+// touches them at all. Their count is the kernel's pruned return, which
+// the scan sums into Result.CellsPruned.
+func recordBandPrune(rowsDone, L, w int, m metering.Meter) {
 	m.Record(metering.Event{
 		Func:         metering.BandPrune,
 		Instructions: uint64(rowsDone)*4 + uint64(L-rowsDone)*2,
 		Bytes:        uint64(rowsDone) * 4,
 		WorkingSet:   uint64(6*w) * 4,
 		Branches:     uint64(rowsDone),
-		Pruned:       pruned,
 	})
 }
 

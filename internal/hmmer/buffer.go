@@ -67,12 +67,14 @@ func NewBuffer(src RecordSource, dbFootprint uint64, m metering.Meter) *Buffer {
 // Next returns the source's next record after metering the three buffering
 // steps for it.
 //
-// Contract: copy_to_iter is the first event a record's scan records, and no
-// other step of a scan records it. A scan's meter therefore holds, per
-// record in storage order, one copy_to_iter and then everything that record
-// cost until the next one — which is how msa folds a chain's events into
-// per-record sums once, when the chain is searched, and then credits the
-// chain to any thread count without an event.
+// Contract: copy_to_iter (metering.RecordStart) is the first event a
+// record's scan records, and no other step of a scan records it. A scan's
+// meter therefore receives, per record in storage order, one copy_to_iter
+// and then everything that record cost until the next one — which is how a
+// metering.Accumulator folds a scan as it records: each copy_to_iter
+// closes the record before it into one row per function, so msa builds a
+// chain's per-record sums without keeping an event, and then credits the
+// chain to any thread count.
 func (b *Buffer) Next() (*seq.Sequence, bool) {
 	rec, ok := b.src.Next()
 	if !ok {

@@ -37,12 +37,12 @@ func TestTraceCeiling(t *testing.T) {
 		query, db := repeatRichScan(t, mt)
 		p := BuildMust(t, query)
 		scan := func(ceiling float64) (*Result, []metering.Event) {
-			var acc metering.Accumulator
-			res, err := ScanRecords(p, query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{TraceE: ceiling}, &acc)
+			var events metering.Log
+			res, err := ScanRecords(p, query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{TraceE: ceiling}, &events)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res, acc.Events
+			return res, events
 		}
 		all, allEvents := scan(0)
 		for _, ceiling := range []float64{InclusionE, 1e-30, TraceNone} {

@@ -234,14 +234,14 @@ func TestForwardBandEdges(t *testing.T) {
 		for _, tc := range cases {
 			p := BuildMust(t, g.Random("q", mt, tc.m))
 			target := g.Random("t", mt, tc.l)
-			var refM, optM metering.Accumulator
+			var refM, optM metering.Log
 			ref := referenceForward(p, target, tc.diag, tc.halfWide, &refM)
 			got := forward(p, target, tc.diag, tc.halfWide, ws, &optM)
 			if !forwardClose(got, ref) {
 				t.Errorf("%v %s: forward %v, reference %v", mt, tc.name, got, ref)
 			}
-			if len(refM.Events) != 1 || len(optM.Events) != 1 || refM.Events[0] != optM.Events[0] {
-				t.Errorf("%v %s: metered events diverge:\nref %+v\nopt %+v", mt, tc.name, refM.Events, optM.Events)
+			if len(refM) != 1 || len(optM) != 1 || refM[0] != optM[0] {
+				t.Errorf("%v %s: metered events diverge:\nref %+v\nopt %+v", mt, tc.name, refM, optM)
 			}
 		}
 	}
@@ -329,7 +329,9 @@ func TestBuildTransposedRebuildsForwardOdds(t *testing.T) {
 // odds space. The forward_band event models hmmsearch's Forward on the
 // paper's machines (30 instructions and 40 bytes per in-profile cell), not
 // the Go loop, so making the loop cheaper must leave every one of these —
-// and with them every modeled second and golden — where it was.
+// and with them every modeled second and golden — where it was. The last
+// column is the scan's Result.CellsPruned, which the band_prune event
+// carried as its pruned count while events had one.
 func TestScanMeteringMatchesParent(t *testing.T) {
 	type totals struct{ instructions, bytes, branches, workingSet, allocated, pruned uint64 }
 	want := map[seq.MoleculeType]map[string]totals{
@@ -361,20 +363,24 @@ func TestScanMeteringMatchesParent(t *testing.T) {
 			Name: "eq", Type: mt, NumSeqs: 80, MeanLen: 150,
 			Homologs: []*seq.Sequence{query}, HomologsPerQuery: 6, Seed: 42,
 		})
-		var acc metering.Accumulator
-		if _, err := ScanRecords(BuildMust(t, query), query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{}, &acc); err != nil {
+		var events metering.Log
+		res, err := ScanRecords(BuildMust(t, query), query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{}, &events)
+		if err != nil {
 			t.Fatal(err)
 		}
 		got := map[string]totals{}
-		for _, ev := range acc.Events {
+		for _, ev := range events {
 			g := got[ev.Func.String()]
 			g.instructions += ev.Instructions
 			g.bytes += ev.Bytes
 			g.branches += ev.Branches
 			g.workingSet = max(g.workingSet, ev.WorkingSet)
 			g.allocated += ev.Allocated
-			g.pruned += ev.Pruned
 			got[ev.Func.String()] = g
+		}
+		if g, ok := got[metering.BandPrune.String()]; ok {
+			g.pruned = res.CellsPruned
+			got[metering.BandPrune.String()] = g
 		}
 		if len(got) != len(want[mt]) {
 			t.Errorf("%v: %d metered functions, want %d", mt, len(got), len(want[mt]))

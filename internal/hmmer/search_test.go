@@ -52,7 +52,7 @@ func TestSliceSource(t *testing.T) {
 func TestBufferPreservesRecords(t *testing.T) {
 	g := seq.NewGenerator(rng.New(2))
 	orig := g.Random("r", seq.Protein, 333)
-	var m metering.Accumulator
+	var m metering.Log
 	buf := NewBuffer(&SliceSource{Seqs: []*seq.Sequence{orig}}, 1<<30, &m)
 	rec, ok := buf.Next()
 	if !ok {
@@ -66,17 +66,15 @@ func TestBufferPreservesRecords(t *testing.T) {
 			t.Fatal("residues corrupted in buffering path")
 		}
 	}
-	by := m.Ledger()
-	for _, fn := range []metering.Func{metering.CopyToIter, metering.AddBuf, metering.SeeBuf} {
-		ev := by[fn]
-		if ev.Events != 1 {
-			t.Fatalf("%d %s events, want 1", ev.Events, fn)
-		}
-		if ev.Instructions == 0 || ev.Bytes == 0 {
-			t.Errorf("%s event has zero counts", fn)
+	if len(m) != 3 {
+		t.Fatalf("%d events, want 3", len(m))
+	}
+	for i, fn := range []metering.Func{metering.CopyToIter, metering.AddBuf, metering.SeeBuf} {
+		if ev := m[i]; ev.Func != fn || ev.Instructions == 0 || ev.Bytes == 0 {
+			t.Errorf("event %d is %s with %d instructions and %d bytes, want %s with both non-zero", i, ev.Func, ev.Instructions, ev.Bytes, fn)
 		}
 	}
-	if ev := m.Events[0]; ev.Func != metering.CopyToIter || ev.WorkingSet != 1<<30 {
+	if ev := m[0]; ev.Func != metering.CopyToIter || ev.WorkingSet != 1<<30 {
 		t.Error("copy_to_iter must come first, its working set the DB footprint")
 	}
 	if _, ok := buf.Next(); ok {

@@ -10,6 +10,8 @@
 // models without re-running the algorithms.
 package metering
 
+import "slices"
+
 // Pattern classifies the dominant memory access pattern of an event. The
 // cache and TLB models treat them differently: sequential traffic prefetches
 // almost perfectly, strided traffic costs TLB reach, random traffic pays the
@@ -111,23 +113,14 @@ type Event struct {
 	// Bytes is the total data volume touched (reads + writes).
 	Bytes uint64
 	// WorkingSet is the live data footprint in bytes during the event; the
-	// cache model compares it against per-level capacities.
+	// cache model compares it against per-level capacities. Only a reader
+	// of whole events sees it (Log): a ledger does not sum it.
 	WorkingSet uint64
 	// Branches is the conditional-branch estimate.
 	Branches uint64
-	// PageTouches counts distinct virtual pages touched, driving the dTLB
-	// and page-fault models. Zero means "derive from Bytes/pageSize".
-	PageTouches uint64
 	// Allocated is bytes newly allocated during the event (drives page
 	// faults on first touch, Table V's _M_fill_insert behavior).
 	Allocated uint64
-	// Pruned counts work units (DP cells, filter lanes) that a provably-safe
-	// early exit skipped. Pruned work is charged at its actual residual cost
-	// inside Instructions/Bytes — a sentinel check, or nothing at all — not
-	// at full kernel cost; the count is recorded separately so per-function
-	// attribution can distinguish executed volume from skipped volume
-	// instead of silently under-reporting the kernel's logical extent.
-	Pruned uint64
 }
 
 // Meter receives events. Implementations must be safe for use from the
@@ -189,28 +182,146 @@ func (l *Ledger) Total() Tally {
 	return t
 }
 
-// Accumulator is one worker thread's metering: the events recorded into
-// it, in order, plus work credited to it as per-function sums. A scan
-// records events; an MSA result's workers hold only credits, merged from
-// the chains' per-record sums, and no event.
-type Accumulator struct {
-	Events []Event
-	Credit Ledger
-}
+// Log is a Meter that keeps every event, in order: for a reader of the
+// fields a ledger does not sum, as core's host profile reads WorkingSet.
+type Log []Event
 
 // Record implements Meter.
+func (l *Log) Record(ev Event) { *l = append(*l, ev) }
+
+// RecordStart is the event every record's scan records first, and no
+// other step of a scan records (hmmer.Buffer.Next): a fold's record
+// boundary.
+const RecordStart = CopyToIter
+
+// Accumulator is one worker thread's metering: work credited to it as
+// per-function sums, plus what a scan records into it, folded per record
+// (Fold). An MSA result's workers are credited from the chains'
+// per-record sums, and hold no fold.
+type Accumulator struct {
+	// Events is always empty — a scan folds what it records, and nothing
+	// keeps an event — and its length is the constant 0. It stays, one
+	// word wide, for callers that still read that length.
+	Events *[0]Event
+	Credit Ledger
+	// fold is what Record has folded since the last TakeFold. It is
+	// allocated on the first Record, so an accumulator that is only
+	// credited is its ledger and two words: the size class of a merged
+	// result's workers does not change.
+	fold *Fold
+}
+
+// Record implements Meter: the event's work joins its record's row of the
+// fold.
 func (a *Accumulator) Record(ev Event) {
-	a.Events = append(a.Events, ev)
+	if a.fold == nil {
+		a.fold = &Fold{}
+	}
+	a.fold.record(&ev)
+}
+
+// Reserve gives an accumulator without a fold one with room for the rows
+// of records records, so a scan span that size appends its rows without
+// regrowing them. slices.Grow takes all of the allocation's size class.
+func (a *Accumulator) Reserve(records int) {
+	if a.fold == nil && records > 0 {
+		a.fold = &Fold{Rows: slices.Grow([]Row(nil), records*rowsPerRecord)}
+	}
+}
+
+// TakeFold returns the work recorded since the last call, with its last
+// record closed, and leaves a without a fold: the next Record starts a
+// new one. It returns nil when nothing was recorded.
+func (a *Accumulator) TakeFold() *Fold {
+	f := a.fold
+	if a.fold = nil; f != nil {
+		f.flush()
+	}
+	return f
+}
+
+// Join appends f, a taken fold of the records after a's, to a's fold, its
+// records numbered after a's; into an accumulator without a fold, f itself
+// becomes the fold, uncopied. a must hold no open record: it is empty, or
+// only joined.
+func (a *Accumulator) Join(f *Fold) {
+	g := a.fold
+	if g == nil {
+		a.fold = f
+		return
+	}
+	for _, r := range f.Rows {
+		if r.Rec >= 0 {
+			r.Rec += int32(g.Records)
+		}
+		g.Rows = append(g.Rows, r)
+	}
+	for fn, n := range f.FuncRows {
+		g.FuncRows[fn] += n
+	}
+	g.Records += f.Records
 }
 
 // Ledger returns the accumulator's work per function: its credits plus
-// its events.
+// its fold's rows and open record.
 func (a *Accumulator) Ledger() Ledger {
 	l := a.Credit
-	for i := range a.Events {
-		l[a.Events[i].Func].AddEvent(&a.Events[i])
+	if f := a.fold; f != nil {
+		for _, r := range f.Rows {
+			l[r.Func].Add(r.Tally)
+		}
+		for fn := range f.open {
+			l[fn].Add(f.open[fn])
+		}
 	}
 	return l
+}
+
+// rowsPerRecord is the rows Reserve makes room for per record: the four
+// functions every scanned record has work in (copy_to_iter, addbuf,
+// seebuf, seed_filter) and one of the band kernels' that a candidate adds.
+const rowsPerRecord = 5
+
+// Fold is a scan's metering folded per record: one Row for each function
+// a record had work in, records in order. A record's work starts at its
+// RecordStart event and runs up to the next one; work recorded before the
+// first is an orphan row, of record −1, which belongs to no record. A
+// fold's reader must not modify it.
+type Fold struct {
+	// Records counts the records opened; Rows holds the closed ones' rows,
+	// and FuncRows counts each function's.
+	Records  int
+	Rows     []Row
+	FuncRows [NumFuncs]int
+	// open is the open record's work, per function.
+	open [NumFuncs]Tally
+}
+
+// Row is one function's work in one record of a fold.
+type Row struct {
+	// Rec is the record's index in its fold, or −1 for an orphan row.
+	Rec  int32
+	Func Func
+	Tally
+}
+
+func (f *Fold) record(ev *Event) {
+	if ev.Func == RecordStart {
+		f.flush()
+		f.Records++
+	}
+	f.open[ev.Func].AddEvent(ev)
+}
+
+// flush closes the open record: a row for each function with work in it.
+func (f *Fold) flush() {
+	for fn := range f.open {
+		if t := f.open[fn]; t.Events > 0 {
+			f.Rows = append(f.Rows, Row{int32(f.Records - 1), Func(fn), t})
+			f.FuncRows[fn]++
+			f.open[fn] = Tally{}
+		}
+	}
 }
 
 // Scaled returns a Meter that multiplies instruction/byte counts by factor
@@ -230,8 +341,6 @@ func (m *scaledMeter) Record(ev Event) {
 	ev.Instructions = uint64(float64(ev.Instructions) * m.factor)
 	ev.Bytes = uint64(float64(ev.Bytes) * m.factor)
 	ev.Branches = uint64(float64(ev.Branches) * m.factor)
-	ev.PageTouches = uint64(float64(ev.PageTouches) * m.factor)
 	ev.Allocated = uint64(float64(ev.Allocated) * m.factor)
-	ev.Pruned = uint64(float64(ev.Pruned) * m.factor)
 	m.next.Record(ev)
 }

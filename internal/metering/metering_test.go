@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 func TestNopDiscards(t *testing.T) {
@@ -13,13 +14,13 @@ func TestNopDiscards(t *testing.T) {
 	m.Record(Event{Func: AddBuf, Instructions: 1}) // must not panic
 }
 
-// TestAccumulatorTotals: an accumulator's ledger is its credits plus its
-// events, and the ledger's total sums every function.
+// TestAccumulatorTotals: an accumulator's ledger is its credits plus what
+// it recorded, and the ledger's total sums every function.
 func TestAccumulatorTotals(t *testing.T) {
 	var a Accumulator
 	a.Credit[SeedFilter] = Tally{Events: 2, Instructions: 1, Bytes: 2, Branches: 3, Allocated: 4}
 	a.Record(Event{Func: AddBuf, Instructions: 10, Bytes: 100, WorkingSet: 50, Branches: 5, Allocated: 7})
-	a.Record(Event{Func: SeeBuf, Instructions: 20, Bytes: 200, WorkingSet: 80, Branches: 15, PageTouches: 3})
+	a.Record(Event{Func: SeeBuf, Instructions: 20, Bytes: 200, WorkingSet: 80, Branches: 15})
 	l := a.Ledger()
 	if got, want := l.Total(), (Tally{Events: 4, Instructions: 31, Bytes: 302, Branches: 23, Allocated: 11}); got != want {
 		t.Errorf("total = %+v, want %+v", got, want)
@@ -58,12 +59,12 @@ func TestByFuncGroups(t *testing.T) {
 	}
 }
 
-// TestEventIsPointerFree: an event is 64 bytes of integers, so an array of
+// TestEventIsPointerFree: an event is 48 bytes of integers, so an array of
 // them is one the collector never scans.
 func TestEventIsPointerFree(t *testing.T) {
 	typ := reflect.TypeOf(Event{})
-	if typ.Size() != 64 {
-		t.Errorf("Event is %d bytes, want 64", typ.Size())
+	if typ.Size() != 48 {
+		t.Errorf("Event is %d bytes, want 48", typ.Size())
 	}
 	for i := range typ.NumField() {
 		if k := typ.Field(i).Type.Kind(); k < reflect.Bool || k > reflect.Float64 {
@@ -73,14 +74,14 @@ func TestEventIsPointerFree(t *testing.T) {
 }
 
 func TestScaledMultiplies(t *testing.T) {
-	var a Accumulator
-	s := Scaled(&a, 10)
-	s.Record(Event{Func: AddBuf, Instructions: 3, Bytes: 5, Branches: 7, PageTouches: 2, Allocated: 1, WorkingSet: 99})
-	if len(a.Events) != 1 {
+	var l Log
+	s := Scaled(&l, 10)
+	s.Record(Event{Func: AddBuf, Instructions: 3, Bytes: 5, Branches: 7, Allocated: 1, WorkingSet: 99})
+	if len(l) != 1 {
 		t.Fatal("event not forwarded")
 	}
-	ev := a.Events[0]
-	if ev.Instructions != 30 || ev.Bytes != 50 || ev.Branches != 70 || ev.PageTouches != 20 || ev.Allocated != 10 {
+	ev := l[0]
+	if ev.Instructions != 30 || ev.Bytes != 50 || ev.Branches != 70 || ev.Allocated != 10 {
 		t.Errorf("scaling wrong: %+v", ev)
 	}
 	if ev.WorkingSet != 99 || ev.Func != AddBuf {
@@ -146,9 +147,7 @@ func randomEvents(r *rand.Rand, n int) []Event {
 			Bytes:        uint64(r.Intn(1 << 16)),
 			WorkingSet:   uint64(r.Intn(1 << 24)),
 			Branches:     uint64(r.Intn(4)) * uint64(r.Intn(1<<12)),
-			PageTouches:  uint64(r.Intn(64)),
 			Allocated:    uint64(r.Intn(1 << 12)),
-			Pruned:       uint64(r.Intn(100)),
 		}
 	}
 	return evs
@@ -180,7 +179,9 @@ func DiffLedger(got Ledger, want map[string]Tally) string {
 
 // TestByFuncMatchesMapWalk holds an accumulator's ledger to the map walk
 // on random streams, a random prefix of each credited and the rest
-// recorded: however work reaches a ledger, it sums to the same integers.
+// recorded — straight into the accumulator, or into two that are taken and
+// joined into it: however work reaches a ledger, it sums to the same
+// integers.
 func TestByFuncMatchesMapWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 300; trial++ {
@@ -190,9 +191,104 @@ func TestByFuncMatchesMapWalk(t *testing.T) {
 		for i := range evs[:split] {
 			a.Credit[evs[i].Func].AddEvent(&evs[i])
 		}
-		a.Events = evs[split:]
+		rest := evs[split:]
+		if trial%2 == 0 {
+			for _, ev := range rest {
+				a.Record(ev)
+			}
+		} else {
+			var parts [2]Accumulator
+			cut := r.Intn(len(rest) + 1)
+			for _, ev := range rest[:cut] {
+				parts[0].Record(ev)
+			}
+			for _, ev := range rest[cut:] {
+				parts[1].Record(ev)
+			}
+			for i := range parts {
+				if f := parts[i].TakeFold(); f != nil {
+					a.Join(f)
+				}
+			}
+		}
 		if d := DiffLedger(a.Ledger(), MapWalk(evs)); d != "" {
 			t.Fatalf("trial %d (%d events, %d credited): %s", trial, len(evs), split, d)
 		}
+	}
+}
+
+// TestFoldRows: a fold holds one row per function a record had work in,
+// records in order, its record-start event opening each record; work
+// before the first record is an orphan row of record −1; a taken fold
+// leaves the accumulator empty; and a join numbers a fold's records after
+// the ones before it, and adopts a fold joining an empty accumulator.
+func TestFoldRows(t *testing.T) {
+	ev := func(f Func, instr uint64) Event { return Event{Func: f, Instructions: instr, WorkingSet: 1 << 20} }
+	var a Accumulator
+	a.Reserve(2)
+	for _, e := range []Event{
+		ev(SeedFilter, 1),                                                  // an orphan
+		ev(RecordStart, 2), ev(AddBuf, 3), ev(AddBuf, 4), ev(CalcBand9, 5), // record 0
+		ev(RecordStart, 6), ev(AddBuf, 7), // record 1, still open
+	} {
+		a.Record(e)
+	}
+	if l := a.Ledger(); l.Total() != (Tally{Events: 7, Instructions: 28}) {
+		t.Fatalf("ledger total before the take = %+v", l.Total())
+	}
+	f := a.TakeFold()
+	want := []Row{
+		{-1, SeedFilter, Tally{Events: 1, Instructions: 1}},
+		{0, AddBuf, Tally{Events: 2, Instructions: 7}},
+		{0, CalcBand9, Tally{Events: 1, Instructions: 5}},
+		{0, RecordStart, Tally{Events: 1, Instructions: 2}},
+		{1, AddBuf, Tally{Events: 1, Instructions: 7}},
+		{1, RecordStart, Tally{Events: 1, Instructions: 6}},
+	}
+	if !reflect.DeepEqual(f.Rows, want) || f.Records != 2 {
+		t.Fatalf("rows %+v over %d records, want %+v over 2", f.Rows, f.Records, want)
+	}
+	if f.FuncRows[AddBuf] != 2 || f.FuncRows[RecordStart] != 2 || f.FuncRows[SeedFilter] != 1 || f.FuncRows[SeeBuf] != 0 {
+		t.Fatal("per-function row counts wrong")
+	}
+	if a.TakeFold() != nil || a.Ledger() != (Ledger{}) {
+		t.Fatal("a taken fold left work behind")
+	}
+
+	var b Accumulator
+	b.Record(ev(RecordStart, 10))
+	g := b.TakeFold()
+	var joined Accumulator
+	joined.Join(g)
+	if joined.TakeFold() != g {
+		t.Fatal("a fold joining an empty accumulator was copied")
+	}
+	joined.Join(g)
+	joined.Join(f)
+	jf := joined.TakeFold()
+	if jf.Records != 3 || len(jf.Rows) != 7 || jf.FuncRows[RecordStart] != 3 {
+		t.Fatalf("joined %d records in %d rows, want 3 in 7", jf.Records, len(jf.Rows))
+	}
+	for i, r := range jf.Rows[1:] {
+		if w := want[i]; (w.Rec < 0 && r.Rec != -1) || (w.Rec >= 0 && r.Rec != w.Rec+1) {
+			t.Fatalf("joined row %d is of record %d, want %d's record renumbered", i+1, r.Rec, w.Rec)
+		}
+	}
+}
+
+// TestCreditedAccumulatorHoldsNoFold: an accumulator that is only credited
+// — every worker of a merged MSA result — is its ledger and two words, no
+// larger than when it held an event slice (504 bytes), so the workers of a
+// merge allocate in the size class they did; and crediting it allocates
+// nothing for a fold.
+func TestCreditedAccumulatorHoldsNoFold(t *testing.T) {
+	var a Accumulator
+	if got, want := unsafe.Sizeof(a), unsafe.Sizeof(Ledger{})+2*unsafe.Sizeof(&Fold{}); got != want || got > 504 {
+		t.Errorf("Accumulator is %d bytes, want %d and at most 504", got, want)
+	}
+	a.Reserve(0)
+	a.Credit[AddBuf].Add(Tally{Events: 1})
+	if a.fold != nil {
+		t.Error("crediting or reserving nothing allocated a fold")
 	}
 }

@@ -2,6 +2,7 @@ package metering_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"afsysbench/internal/core"
@@ -16,22 +17,28 @@ import (
 // recordingScatter is an msa.ScatterFunc that scans each database
 // serially over exactly req.Threads spans, span w into req.Workers[w], and
 // keeps a copy of every event each worker recorded, in order.
-type recordingScatter struct{ events [][]metering.Event }
+type recordingScatter struct{ events []metering.Log }
+
+// tee records every event into both meters.
+type tee [2]metering.Meter
+
+func (m tee) Record(ev metering.Event) {
+	m[0].Record(ev)
+	m[1].Record(ev)
+}
 
 func (o *recordingScatter) scatter(ctx context.Context, req msa.ScatterRequest) (*hmmer.Result, error) {
 	n := len(req.DB.Seqs)
 	parts := make([]*hmmer.Result, req.Threads)
 	for w := range parts {
 		lo, hi := parallel.Span(n, w, req.Threads)
-		acc := req.Workers[w]
-		from := len(acc.Events)
 		src := &hmmer.SliceSource{Seqs: req.DB.Seqs[lo:hi]}
+		meter := metering.Scaled(tee{req.Workers[w], &o.events[w]}, req.ScaleFactor)
 		var err error
-		parts[w], err = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, req.DB.TotalResidues(), req.Search, metering.Scaled(acc, req.ScaleFactor))
+		parts[w], err = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, req.DB.TotalResidues(), req.Search, meter)
 		if err != nil {
 			return nil, err
 		}
-		o.events[w] = append(o.events[w], acc.Events[from:]...)
 	}
 	return hmmer.MergeResults(req.Query.ID, parts), nil
 }
@@ -49,14 +56,14 @@ func TestByFuncMatchesMapWalkOnSamples(t *testing.T) {
 	streams := 0
 	for _, in := range inputs.Samples() {
 		for _, threads := range []int{1, 2, 4} {
-			o := &recordingScatter{events: make([][]metering.Event, threads)}
+			o := &recordingScatter{events: make([]metering.Log, threads)}
 			res, err := msa.Run(in, msa.Options{Threads: threads, DBs: s.DBs, Search: s.Search, Scatter: o.scatter})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for w, acc := range res.Workers {
-				if len(acc.Events) != 0 {
-					t.Fatalf("%s at %d threads, worker %d holds %d events", in.Name, threads, w, len(acc.Events))
+				if !reflect.DeepEqual(acc, &metering.Accumulator{Credit: acc.Credit}) {
+					t.Fatalf("%s at %d threads, worker %d holds more than its credits", in.Name, threads, w)
 				}
 				if d := metering.DiffLedger(acc.Ledger(), metering.MapWalk(o.events[w])); d != "" {
 					t.Fatalf("%s at %d threads, worker %d: %s", in.Name, threads, w, d)
@@ -94,7 +101,7 @@ func TestEveryRecordedEventHasAKnownFunc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := &recordingScatter{events: make([][]metering.Event, 2)}
+		o := &recordingScatter{events: make([]metering.Log, 2)}
 		if _, err := msa.Run(in, msa.Options{Threads: 2, DBs: s.DBs, Search: s.Search, Scatter: o.scatter}); err != nil {
 			t.Fatal(err)
 		}
@@ -102,11 +109,11 @@ func TestEveryRecordedEventHasAKnownFunc(t *testing.T) {
 			check(name, evs)
 		}
 	}
-	var acc metering.Accumulator
-	if _, err := xla.Compile(xla.BuildInferenceGraph(s.Model.PF, s.Model.DF, 64, 1), &acc); err != nil {
+	var events metering.Log
+	if _, err := xla.Compile(xla.BuildInferenceGraph(s.Model.PF, s.Model.DF, 64, 1), &events); err != nil {
 		t.Fatal(err)
 	}
-	check("xla.Compile", acc.Events)
+	check("xla.Compile", events)
 	for f := range metering.NumFuncs {
 		if !seen[f] && f != metering.ViterbiFull {
 			t.Errorf("no scan or compile recorded %s", f)

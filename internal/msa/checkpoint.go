@@ -17,9 +17,10 @@ import (
 // verbatim on a stage retry, and the merge into the Result happens in chain
 // order exactly as the serial code did.
 //
-// The metering work is the chain's, not a thread count's: the scans'
-// events are folded once, when the delta is built, into per-function sums
-// at record boundaries (funcSums), and then dropped. How many goroutines
+// The metering work is the chain's, not a thread count's: the scans fold
+// their events per record as they record them, and the delta stitches
+// those rows into per-function sums at record boundaries (funcSums). No
+// event is kept. How many goroutines
 // scanned it is not recorded, so one delta serves every thread count
 // (credit).
 type chainDelta struct {

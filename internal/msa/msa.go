@@ -66,20 +66,22 @@ type Options struct {
 	// Scatter, when set, replaces the in-process scan of each database —
 	// the cluster layer's scatter-gather hook. The implementation must
 	// honor the determinism contract: the merged hits and counters, and the
-	// metering events in record order, must be bitwise-identical to the
-	// in-process scan's, so shard count can never change what a request
-	// computes.
+	// metering folded per record in record order, must be bitwise-identical
+	// to the in-process scan's, so shard count can never change what a
+	// request computes.
 	Scatter ScatterFunc
 }
 
 // ScatterRequest is one database scan handed to a Scatter hook: everything
 // the in-process scan would have used, plus the metering scale and the
-// accumulators the hook records events into. Workers has exactly Threads
-// entries; worker w owns the records parallel.Span(n, w, Threads), and its
-// events must append in record order. Read in worker order, the workers
-// then hold the scan's events in record order, which the chain folds into
-// its per-record sums, so a scattered scan replays bitwise-identically to
-// the single-node one.
+// accumulators the hook records into. Workers has exactly Threads entries,
+// each empty; worker w owns the records parallel.Span(n, w, Threads), and
+// its records must reach it in record order — recorded into it directly,
+// or scanned into private accumulators whose taken folds it Joins in order.
+// Each worker folds what it is given per record (metering.Fold), and after
+// the scan the chain takes the folds in worker order, which is the scan's
+// record order, and stitches them into its per-record sums, so a scattered
+// scan replays bitwise-identically to the single-node one.
 type ScatterRequest struct {
 	Profile *hmmer.Profile
 	Query   *seq.Sequence
@@ -91,7 +93,7 @@ type ScatterRequest struct {
 	Threads int
 	// ScaleFactor is the synthetic-to-paper metering scale for this
 	// database (DB.ScaleFactor × workCalibration); every shard's events
-	// must be scaled by it before accumulation.
+	// must be scaled by it (metering.Scaled) before they are folded.
 	ScaleFactor float64
 	// Workers are the accumulators to record into (len == Threads).
 	Workers []*metering.Accumulator
@@ -307,13 +309,12 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 		rounds = 1 // nhmmer is single-pass
 	}
 
-	// Every scan records into the same accumulators, worker w after worker
-	// w-1 in record order; cuts notes, per scan, which part of each
-	// worker's events it added. Read once the search is over (an append
-	// may move a worker's events), they are the chain's stream, which
-	// setStream folds.
+	// Every scan records into the workers, span w into worker w, each
+	// worker folding its records as they come (metering.Fold). After each
+	// scan the workers' folds, in worker order, hold the scan's records in
+	// order; setStream stitches them into the chain's sums.
 	workers := newWorkers(opts.Threads)
-	var cuts []cut
+	var folds []*metering.Fold
 	profile, err := hmmer.BuildFromQuery(query)
 	if err != nil {
 		return nil, err
@@ -337,7 +338,11 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 			if err != nil {
 				return nil, err
 			}
-			cuts = appendCuts(cuts, workers)
+			for _, acc := range workers {
+				if f := acc.TakeFold(); f != nil {
+					folds = append(folds, f)
+				}
+			}
 			d.streamed[db.Name] += db.ModeledBytes()
 			allHits = append(allHits, merged.Hits...)
 			cr.Candidates += merged.Candidates
@@ -372,105 +377,72 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 	}
 	// Merging and E-value sorting of the paper-scale hit list is serial.
 	d.serial += uint64(cr.HitResidues) * 1200
-	if err := d.setStream(workers, cuts); err != nil {
+	if err := d.setStream(folds); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// cut is one scan's part of one worker's events: Events[lo:hi].
-type cut struct{ w, lo, hi int }
-
-// appendCuts notes the events each worker gained since its last cut, in
-// worker order, which is the scan's record order. A cut that continues the
-// previous one in the same worker — every scan but the first at width 1 —
-// extends it.
-func appendCuts(cuts []cut, workers []*metering.Accumulator) []cut {
-	for w, acc := range workers {
-		lo := 0
-		for i := len(cuts) - 1; i >= 0; i-- {
-			if cuts[i].w == w {
-				lo = cuts[i].hi
-				break
-			}
+// setStream stitches the scans' folds, in scan order, into per-function
+// sums at record boundaries (chainDelta.sums): one walk over their rows,
+// every function's arrays cut exactly to its row count from one backing
+// array for the running totals and one for the record indexes. A fold
+// with work before its first record, or folds that hold another number of
+// records than the scans report, are an error: that work would be
+// credited to the wrong records.
+func (d *chainDelta) setStream(folds []*metering.Fold) error {
+	// occ[f] counts the records f has work in.
+	var occ [metering.NumFuncs]int
+	records := 0
+	for _, fd := range folds {
+		records += fd.Records
+		for f, n := range fd.FuncRows {
+			occ[f] += n
 		}
-		hi := len(acc.Events)
-		switch {
-		case lo == hi:
-		case len(cuts) > 0 && cuts[len(cuts)-1].w == w:
-			cuts[len(cuts)-1].hi = hi
-		default:
-			cuts = append(cuts, cut{w, lo, hi})
-		}
-	}
-	return cuts
-}
-
-// setStream folds the chain's stream into per-function sums at record
-// boundaries (chainDelta.sums): two walks, one to size every function's
-// arrays exactly and one to fill them. A record's events start at its
-// copy_to_iter, the first event every record's scan records
-// (hmmer.Buffer.Next). A stream that does not start with a record, or holds
-// another number of records than the scans report, is an error: its work
-// would be credited to the wrong records.
-func (d *chainDelta) setStream(workers []*metering.Accumulator, cuts []cut) error {
-	each := func(fn func(rec int, ev *metering.Event)) {
-		rec := -1
-		for _, c := range cuts {
-			run := workers[c.w].Events[c.lo:c.hi]
-			for i := range run {
-				if run[i].Func == recordStart {
-					rec++
-				}
-				fn(rec, &run[i])
-			}
-		}
-	}
-	// occ[f] counts the records f has events in; last[f] is the last one
-	// seen, plus one.
-	var occ, last [metering.NumFuncs]int
-	records, orphans := 0, false
-	each(func(rec int, ev *metering.Event) {
-		if orphans = orphans || rec < 0; !orphans && last[ev.Func] != rec+1 {
-			last[ev.Func] = rec + 1
-			occ[ev.Func]++
-		}
-		records = rec + 1
-	})
-	if orphans {
-		return fmt.Errorf("msa: the scans' events do not start with %s", recordStart)
 	}
 	if records != d.cr.Scanned {
 		return fmt.Errorf("msa: the scans recorded %d records, reported %d", records, d.cr.Scanned)
 	}
+	// A function with work has a running total per record it has work in,
+	// plus the zero one, and unless that is every record, their indexes.
+	totals, indexes := 0, 0
+	for _, n := range occ {
+		totals += n + min(n, 1)
+		if n < records {
+			indexes += n
+		}
+	}
+	cums, recs := make([]metering.Tally, totals), make([]int32, indexes)
 	var slot [metering.NumFuncs]int
 	for f, n := range occ {
 		if n > 0 {
-			s := funcSums{f: metering.Func(f), cum: make([]metering.Tally, 1, n+1)}
+			s := funcSums{f: metering.Func(f), cum: cums[: 1 : n+1]}
+			cums = cums[n+1:]
 			if n < records {
-				s.recs = make([]int32, 0, n)
+				s.recs, recs = recs[:0:n], recs[n:]
 			}
 			slot[f] = len(d.sums)
 			d.sums = append(d.sums, s)
 		}
 	}
-	last = [metering.NumFuncs]int{}
-	each(func(rec int, ev *metering.Event) {
-		s := &d.sums[slot[ev.Func]]
-		if last[ev.Func] != rec+1 {
-			last[ev.Func] = rec + 1
+	// A fold holds at most one row per record and function.
+	base := 0
+	for _, fd := range folds {
+		for _, r := range fd.Rows {
+			if r.Rec < 0 {
+				return fmt.Errorf("msa: a scan recorded work before its first %s", metering.RecordStart)
+			}
+			s := &d.sums[slot[r.Func]]
 			s.cum = append(s.cum, s.cum[len(s.cum)-1])
+			s.cum[len(s.cum)-1].Add(r.Tally)
 			if s.recs != nil {
-				s.recs = append(s.recs, int32(rec))
+				s.recs = append(s.recs, int32(base+int(r.Rec)))
 			}
 		}
-		s.cum[len(s.cum)-1].AddEvent(ev)
-	})
+		base += fd.Records
+	}
 	return nil
 }
-
-// recordStart is the event every record's scan records first.
-const recordStart = metering.CopyToIter
 
 // scanParallel scans one database with the chain's current profile into
 // workers: through the Scatter hook when one is set, in process
@@ -496,12 +468,13 @@ func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequen
 // scanShards is the in-process ScatterFunc: it shards the database over
 // min(len(Workers), cores) contiguous spans scanned concurrently on the
 // shared pool of that width — the analog of HMMER's worker threads
-// consuming reader blocks — span w recording into Workers[w], so the
-// workers in order hold the events in record order. The width is a
-// concurrency cap, not an attribution: a merge credits the chain's records
-// to the request's thread count, so a 2 000-thread request runs as many
-// goroutines as a 2-thread one. Each span's metering events are scaled by
-// the database's synthetic-to-paper factor before accumulation.
+// consuming reader blocks — span w recording into Workers[w], its fold
+// sized once from the span's record count, so the workers in order hold
+// the scan's records in order. The width is a concurrency cap, not an
+// attribution: a merge credits the chain's records to the request's thread
+// count, so a 2 000-thread request runs as many goroutines as a 2-thread
+// one. Each span's metering events are scaled by the database's
+// synthetic-to-paper factor before they are folded.
 //
 // Scratch reuse: each span's scan draws a scanWorkspace from the hmmer
 // package's sync.Pool for the duration of its pass, so the DP rows,
@@ -514,6 +487,7 @@ func scanShards(ctx context.Context, req ScatterRequest) (*hmmer.Result, error) 
 	parts := make([]*hmmer.Result, width)
 	errs := make([]error, width)
 	ctxErr := parallel.ForWorkers(width).RunCtx(ctx, len(db.Seqs), func(w, lo, hi int) {
+		req.Workers[w].Reserve(hi - lo)
 		meter := metering.Scaled(req.Workers[w], req.ScaleFactor)
 		src := &hmmer.SliceSource{Seqs: db.Seqs[lo:hi]}
 		parts[w], errs[w] = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, db.TotalResidues(), req.Search, meter)

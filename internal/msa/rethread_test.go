@@ -16,10 +16,30 @@ import (
 // shardOracle is the attribution a merge must reproduce: a ScatterFunc
 // that scans each database serially over exactly req.Threads spans,
 // parallel.Span(n, w, Threads) into req.Workers[w] — the decomposition the
-// scan used while its goroutine count was the thread count — and keeps a
-// copy of what each worker recorded. After a Run, workers[w] holds worker
-// w's events across the run's chains, as recorded.
+// scan used while its goroutine count was the thread count — and adds
+// every event each worker recorded, one by one, to workers[w]'s credits.
+// After a Run, workers[w] holds worker w's work across the run's chains,
+// summed event by event with no fold.
 type shardOracle struct{ workers []*metering.Accumulator }
+
+// tee records every event into both meters.
+type tee [2]metering.Meter
+
+func (m tee) Record(ev metering.Event) {
+	m[0].Record(ev)
+	m[1].Record(ev)
+}
+
+// credited is a Meter that adds each event to an accumulator's credits.
+type credited struct{ acc *metering.Accumulator }
+
+func (c credited) Record(ev metering.Event) { c.acc.Credit[ev.Func].AddEvent(&ev) }
+
+// onlyCredits reports whether acc is its credits and nothing else: no
+// fold, no event.
+func onlyCredits(acc *metering.Accumulator) bool {
+	return reflect.DeepEqual(acc, &metering.Accumulator{Credit: acc.Credit})
+}
 
 func (o *shardOracle) scatter(ctx context.Context, req ScatterRequest) (*hmmer.Result, error) {
 	n := len(req.DB.Seqs)
@@ -29,21 +49,19 @@ func (o *shardOracle) scatter(ctx context.Context, req ScatterRequest) (*hmmer.R
 		if lo == hi {
 			continue
 		}
-		acc := req.Workers[w]
-		from := len(acc.Events)
 		src := &hmmer.SliceSource{Seqs: req.DB.Seqs[lo:hi]}
+		meter := metering.Scaled(tee{req.Workers[w], credited{o.workers[w]}}, req.ScaleFactor)
 		var err error
-		parts[w], err = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, req.DB.TotalResidues(), req.Search, metering.Scaled(acc, req.ScaleFactor))
+		parts[w], err = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, req.DB.TotalResidues(), req.Search, meter)
 		if err != nil {
 			return nil, err
 		}
-		o.workers[w].Events = append(o.workers[w].Events, acc.Events[from:]...)
 	}
 	return hmmer.MergeResults(req.Query.ID, parts), nil
 }
 
 // oracleWorkers runs in at threads through the oracle and returns its
-// per-worker streams.
+// per-worker sums.
 func oracleWorkers(t testing.TB, in *inputs.Input, threads int) []*metering.Accumulator {
 	t.Helper()
 	o := &shardOracle{workers: newWorkers(threads)}
@@ -70,7 +88,7 @@ func sameWorkers(got, want []*metering.Accumulator) int {
 
 // TestRethreadSharesEverythingButWorkers: the re-cut result is the source
 // with new workers, whose ledgers are the shard oracle's at that count and
-// which hold no event.
+// which hold nothing but credits.
 func TestRethreadSharesEverythingButWorkers(t *testing.T) {
 	in, err := inputs.ByName("1YY9")
 	if err != nil {
@@ -87,8 +105,8 @@ func TestRethreadSharesEverythingButWorkers(t *testing.T) {
 		t.Fatal("Rethread changed or copied a field other than Workers")
 	}
 	for w, acc := range append(out.Workers, res.Workers...) {
-		if len(acc.Events) != 0 {
-			t.Fatalf("worker %d holds %d events", w, len(acc.Events))
+		if !onlyCredits(acc) {
+			t.Fatalf("worker %d holds more than its credits", w)
 		}
 	}
 	if w := sameWorkers(out.Workers, oracleWorkers(t, in, 4)); w >= 0 {
@@ -97,9 +115,9 @@ func TestRethreadSharesEverythingButWorkers(t *testing.T) {
 }
 
 // TestScanFansOutAtMostOneSpanPerCore: a 16-thread scan runs on
-// min(16, GOMAXPROCS) spans — the first that many workers receive events,
-// the rest none — while a Scatter hook is still handed the request's 16
-// threads and 16 workers.
+// min(16, GOMAXPROCS) spans — the first that many workers record records,
+// between them every record of the database, and the rest none — while a
+// Scatter hook is still handed the request's 16 threads and 16 workers.
 func TestScanFansOutAtMostOneSpanPerCore(t *testing.T) {
 	in, err := inputs.ByName("2PV7")
 	if err != nil {
@@ -113,16 +131,26 @@ func TestScanFansOutAtMostOneSpanPerCore(t *testing.T) {
 			if req.Threads != 16 || len(req.Workers) != 16 {
 				t.Fatalf("GOMAXPROCS=%d: the hook got %d threads, %d workers; want 16", procs, req.Threads, len(req.Workers))
 			}
-			before := make([]int, 16)
+			records := func(acc *metering.Accumulator) uint64 {
+				l := acc.Ledger()
+				return l[metering.RecordStart].Events
+			}
+			before := make([]uint64, 16)
 			for w, acc := range req.Workers {
-				before[w] = len(acc.Events)
+				before[w] = records(acc)
 			}
 			res, err := scanShards(ctx, req)
 			want := min(16, procs, len(req.DB.Seqs))
+			var total uint64
 			for w, acc := range req.Workers {
-				if got := len(acc.Events) > before[w]; got != (w < want) {
-					t.Fatalf("GOMAXPROCS=%d: worker %d recorded=%v, want spans 0..%d only", procs, w, got, want-1)
+				n := records(acc) - before[w]
+				if got := n > 0; got != (w < want) {
+					t.Fatalf("GOMAXPROCS=%d: worker %d recorded %d records, want spans 0..%d only", procs, w, n, want-1)
 				}
+				total += n
+			}
+			if total != uint64(len(req.DB.Seqs)) {
+				t.Fatalf("GOMAXPROCS=%d: the spans recorded %d records of %d", procs, total, len(req.DB.Seqs))
 			}
 			scans++
 			return res, err
@@ -136,25 +164,29 @@ func TestScanFansOutAtMostOneSpanPerCore(t *testing.T) {
 	}
 }
 
-// TestChainRefusesEventsOutsideRecords: a chain's stream is folded per
-// record, so a scan whose events do not begin with a record, or that
-// records more records than it reports, fails the chain rather than
-// caching sums that would credit work to the wrong records.
+// TestChainRefusesEventsOutsideRecords: a chain's scans are folded per
+// record, so a scan span whose events do not begin with a record — the
+// first span of the chain or a later one — or a scan that records more
+// records than it reports, fails the chain rather than caching sums that
+// would credit work to the wrong records.
 func TestChainRefusesEventsOutsideRecords(t *testing.T) {
 	in, err := inputs.ByName("2PV7")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		ev   metering.Event
+		name   string
+		worker int
+		ev     metering.Event
 	}{
-		{"an event before the first record", metering.Event{Func: metering.AddBuf}},
-		{"an unreported record", metering.Event{Func: recordStart}},
+		{"an event before the first record", 0, metering.Event{Func: metering.AddBuf}},
+		{"an event before a later span's first record", 1, metering.Event{Func: metering.SeedFilter}},
+		{"an unreported record", 0, metering.Event{Func: metering.RecordStart}},
 	} {
+		scans := 0
 		hook := func(ctx context.Context, req ScatterRequest) (*hmmer.Result, error) {
-			if len(req.Workers[0].Events) == 0 {
-				req.Workers[0].Record(tc.ev)
+			if scans++; scans == 1 {
+				req.Workers[tc.worker].Record(tc.ev)
 			}
 			return scanShards(ctx, req)
 		}

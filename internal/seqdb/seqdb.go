@@ -111,7 +111,7 @@ func Generate(spec Spec) (*DB, error) {
 			continue
 		}
 		for h := 0; h < spec.HomologsPerQuery; h++ {
-			rate := 0.05 + 0.45*float64(h)/float64(maxInt(spec.HomologsPerQuery-1, 1))
+			rate := 0.05 + 0.45*float64(h)/float64(max(spec.HomologsPerQuery-1, 1))
 			id := fmt.Sprintf("%s|hom%02d_%02d@sp%02d", spec.Name, qi, h, h)
 			db.Seqs = append(db.Seqs, gen.Mutate(q, id, rate))
 		}
@@ -201,11 +201,4 @@ func (db *DB) SyntheticBytes() int64 {
 // page-cache models.
 func (db *DB) ModeledBytes() int64 {
 	return int64(float64(db.SyntheticBytes()) * db.ScaleFactor)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,6 +2,7 @@ package simhw
 
 import (
 	"fmt"
+	"math"
 
 	"afsysbench/internal/metering"
 )
@@ -26,21 +27,7 @@ type ModelComparison struct {
 
 // MaxDivergence returns the largest absolute per-level difference.
 func (c ModelComparison) MaxDivergence() float64 {
-	worst := abs(c.AnalyticL1 - c.TraceL1)
-	if d := abs(c.AnalyticL2 - c.TraceL2); d > worst {
-		worst = d
-	}
-	if d := abs(c.AnalyticLLC - c.TraceLLC); d > worst {
-		worst = d
-	}
-	return worst
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
+	return max(math.Abs(c.AnalyticL1-c.TraceL1), math.Abs(c.AnalyticL2-c.TraceL2), math.Abs(c.AnalyticLLC-c.TraceLLC))
 }
 
 // ValidateFuncWork compares the analytical hot-set miss chain against a
@@ -102,7 +89,7 @@ func ValidateRegimes(pattern metering.Pattern, l1, l2, llc int, l1Factor float64
 		if err != nil {
 			return 0, err
 		}
-		if d := abs(cmp.AnalyticLLC - cmp.TraceLLC); d > worst {
+		if d := math.Abs(cmp.AnalyticLLC - cmp.TraceLLC); d > worst {
 			worst = d
 		}
 	}

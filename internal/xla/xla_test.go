@@ -161,8 +161,8 @@ func TestInferenceGraphSizedOnce(t *testing.T) {
 			}
 		}
 	}
-	var acc metering.Accumulator
-	st, err := Compile(BuildInferenceGraph(pairformer.DefaultConfig(), diffusion.DefaultConfig(), 400, 10), &acc)
+	var events metering.Log
+	st, err := Compile(BuildInferenceGraph(pairformer.DefaultConfig(), diffusion.DefaultConfig(), 400, 10), &events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +179,10 @@ func TestInferenceGraphSizedOnce(t *testing.T) {
 		{"std::vector::_M_fill_insert", 0x711470, 0x236fe000, 0x236fe000, 0x485f0, 0x236fe000},
 		{"xla_compile_passes", 0x340941b300, 0x22eb4000, 0x5d1e000, 0x8ac359dd5, 0},
 	}
-	if len(acc.Events) != len(wantEvents) {
-		t.Fatalf("%d events, want %d", len(acc.Events), len(wantEvents))
+	if len(events) != len(wantEvents) {
+		t.Fatalf("%d events, want %d", len(events), len(wantEvents))
 	}
-	for i, ev := range acc.Events {
+	for i, ev := range events {
 		got := work{ev.Func.String(), ev.Instructions, ev.Bytes, ev.WorkingSet, ev.Branches, ev.Allocated}
 		if got != wantEvents[i] {
 			t.Errorf("event %d = %+v, want %+v", i, got, wantEvents[i])
