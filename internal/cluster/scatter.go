@@ -168,10 +168,10 @@ func (c *Cluster) Scatter(ctx context.Context, req msa.ScatterRequest) (*hmmer.R
 	c.stats.Scans++
 	c.mu.Unlock()
 
-	// Build the segment list. Worker spans use the same contiguous-split
-	// arithmetic as parallel.Span, so segment boundaries nest exactly
-	// inside the ScatterRequest's per-worker ranges.
-	// Built worker by worker, the list is in record order.
+	// Build the segment list, worker by worker, so it is in record order.
+	// Worker spans use the same contiguous-split arithmetic as
+	// parallel.Span, so segment boundaries nest exactly inside the
+	// ScatterRequest's per-worker ranges.
 	byShard := make([][]*segment, c.plan.Shards)
 	var segs []*segment
 	for w := 0; w < t; w++ {
