@@ -2,9 +2,13 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"afsysbench/internal/cache"
 )
 
 // awaitDone waits for the job's Done channel and returns its final status.
@@ -131,5 +135,107 @@ func TestDoneWakesEveryWaiter(t *testing.T) {
 	case <-woke:
 	case <-time.After(time.Minute):
 		t.Fatal("not every waiter woke")
+	}
+}
+
+// TestDoneContract: a waiter woken by Done finds its own job in every view
+// — Status, the request counters, the latency summary and the modeled
+// schedule — whichever way the job ended. 64 waiters share 32 jobs that
+// succeed, time out and panic; each polls its channel, so it runs the
+// moment the channel closes rather than after the closing worker moves on.
+// Since every view only grows, a waiter checks that each one counts at
+// least the jobs whose channels it has seen closed, its own among them.
+func TestDoneContract(t *testing.T) {
+	s := newTestServer(t, Config{
+		Threads: 1, MSAWorkers: 1, GPUWorkers: 1, Cache: cache.New(0),
+		PanicHook: func(point string, ordinal int) {
+			if ordinal%8 == 3 && point == "msa" || ordinal%8 == 7 && point == "inference" {
+				panic("injected " + point + " panic")
+			}
+		},
+	})
+	const jobs = 32
+	ids := make([]string, jobs)
+	class := make(map[string]string, jobs) // "done", or the failure class
+	for i := range ids {
+		req := Request{Sample: "2PV7"}
+		if i%4 == 1 {
+			req.Timeout = time.Nanosecond
+		}
+		id, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+		class[id] = []string{"done", "timeout", "done", "panic"}[i%4]
+	}
+	// The channels are taken up front: a waiter that called Done or read a
+	// view under the server's lock would queue behind the closing worker.
+	chans := make(map[string]<-chan struct{}, jobs)
+	for _, id := range ids {
+		chans[id] = s.Done(id)
+	}
+	errs := make(chan error, 64)
+	var wg sync.WaitGroup
+	for w := 0; w < 64; w++ {
+		id := ids[w%jobs]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for polling := true; polling; {
+				select {
+				case <-chans[id]:
+					polling = false
+				default:
+					runtime.Gosched()
+				}
+			}
+			closed := make(map[string]int64) // class -> jobs seen terminal
+			for other, ch := range chans {
+				select {
+				case <-ch:
+					closed[class[other]]++
+				default:
+				}
+			}
+			counters := s.Metrics().Snapshot()
+			st, ok := s.Status(id)
+			switch {
+			case !ok:
+				errs <- fmt.Errorf("%s: no status", id)
+				return
+			case class[id] == "done" && st.State != "done",
+				class[id] != "done" && (st.State != "failed" || st.ErrorClass != class[id]):
+				errs <- fmt.Errorf("%s woke at %s/%s, want %s", id, st.State, st.ErrorClass, class[id])
+				return
+			}
+			if got := counters["requests_completed"]; got < closed["done"] {
+				errs <- fmt.Errorf("%s woke: requests_completed %d, %d done jobs closed", id, got, closed["done"])
+			}
+			for _, c := range []string{"timeout", "panic"} {
+				if got := counters["requests_failed_"+c]; got < closed[c] {
+					errs <- fmt.Errorf("%s woke: requests_failed_%s %d, %d such jobs closed", id, c, got, closed[c])
+				}
+			}
+			if class[id] != "done" {
+				return
+			}
+			if n := s.MetricsSnapshot().Latency.Count; n < int(closed["done"]) {
+				errs <- fmt.Errorf("%s woke: latency count %d, %d done jobs closed", id, n, closed["done"])
+			}
+			found := false
+			for _, it := range s.ModeledSchedule(1, 1).Items {
+				found = found || it.ID == id
+			}
+			if !found {
+				errs <- fmt.Errorf("%s woke: not in the modeled schedule", id)
+			}
+		}()
+	}
+	s.Start()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
