@@ -33,7 +33,6 @@ import (
 	"afsysbench/internal/core"
 	"afsysbench/internal/platform"
 	"afsysbench/internal/qos"
-	"afsysbench/internal/resilience"
 	"afsysbench/internal/simgpu"
 )
 
@@ -60,7 +59,7 @@ type inferenceBatch struct {
 	bucket  int
 	machine platform.Machine
 	threads int
-	jobs    []*Job
+	jobs    []*job
 	// profile is the bucket-level host compile profile; compileCharged
 	// marks the dispatch that paid it (the compiled-graph cache miss).
 	profile        core.HostProfile
@@ -116,37 +115,6 @@ func (s *Server) compileKey(bucket int, mach platform.Machine) string {
 	)
 }
 
-// leaveUpstream marks a job as no longer upstream of the dispatcher —
-// either received from the inference queue or terminal before reaching it
-// — and wakes the dispatcher so its quiescence check can re-run. Exactly
-// once per job.
-func (s *Server) leaveUpstream(job *Job) {
-	if s.batchKick == nil {
-		return
-	}
-	s.mu.Lock()
-	if job.leftUpstream {
-		s.mu.Unlock()
-		return
-	}
-	job.leftUpstream = true
-	s.preBatch--
-	s.mu.Unlock()
-	select {
-	case s.batchKick <- struct{}{}:
-	default:
-	}
-}
-
-// upstreamPending counts admitted jobs the dispatcher has not yet received
-// (queued, in MSA, or in the inference queue). While it is nonzero the
-// open batch may still grow.
-func (s *Server) upstreamPending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.preBatch
-}
-
 // batchDispatcher is the single goroutine that turns the hand-off stream
 // into sealed batches. See the package comment above for the sealing rules
 // and the determinism argument.
@@ -162,30 +130,27 @@ func (s *Server) batchDispatcher() {
 		s.batchQ <- open
 		open = nil
 	}
-	add := func(job *Job) {
-		s.leaveUpstream(job)
+	add := func(j *job) {
 		// A job already terminal (failed upstream under fault load or a
-		// deadline) must not inflate a batch: its members' amortized
-		// shares would stop summing to the dispatch total.
-		s.mu.Lock()
-		terminal := job.state == StateDone || job.state == StateFailed
-		s.mu.Unlock()
-		if terminal {
+		// deadline) refuses the hand-off and must not inflate a batch: its
+		// members' amortized shares would stop summing to the dispatch
+		// total.
+		if !s.record(j, event{kind: evHandoff}) {
 			return
 		}
-		tokens := job.in.TotalResidues()
+		tokens := j.in.TotalResidues()
 		bucket := s.policy.PadTo(tokens)
 		// The batch-cap brownout rung: an over-quota job under load
 		// dispatches as a singleton — it cannot inflate a shared batch's
 		// bucket (and padding waste) for fair-share tenants.
-		if job.qosLevel >= qos.LevelBatchCap {
+		if j.qosLevel >= qos.LevelBatchCap {
 			seal()
 			open = &inferenceBatch{
 				id:      fmt.Sprintf("b%04d", seq),
 				bucket:  bucket,
-				machine: job.machine,
-				threads: job.threads,
-				jobs:    []*Job{job},
+				machine: j.machine,
+				threads: j.threads,
+				jobs:    []*job{j},
 			}
 			seq++
 			s.mu.Lock()
@@ -194,53 +159,59 @@ func (s *Server) batchDispatcher() {
 			seal()
 			return
 		}
-		if open != nil && (open.bucket != bucket || open.machine.Name != job.machine.Name || open.threads != job.threads) {
+		if open != nil && (open.bucket != bucket || open.machine.Name != j.machine.Name || open.threads != j.threads) {
 			seal()
 		}
 		if open == nil {
 			open = &inferenceBatch{
 				id:      fmt.Sprintf("b%04d", seq),
 				bucket:  bucket,
-				machine: job.machine,
-				threads: job.threads,
+				machine: j.machine,
+				threads: j.threads,
 			}
 			seq++
 		}
-		open.jobs = append(open.jobs, job)
+		open.jobs = append(open.jobs, j)
 		s.mu.Lock()
 		s.meter.ObserveJob(bucket, tokens)
 		s.mu.Unlock()
-		if len(open.jobs) >= s.batchCap(job.machine, bucket) {
+		if len(open.jobs) >= s.batchCap(j.machine, bucket) {
 			seal()
 		}
 	}
 	for {
 		select {
-		case job, ok := <-s.infQ:
+		case j, ok := <-s.infQ:
 			if !ok {
 				seal()
 				close(s.batchQ)
 				return
 			}
-			add(job)
+			add(j)
 		case <-s.batchKick:
 		}
 		// Drain immediately-available arrivals before the quiescence
 		// check, so a burst of back-to-back hand-offs coalesces fully.
 		for drained := false; !drained; {
 			select {
-			case job, ok := <-s.infQ:
+			case j, ok := <-s.infQ:
 				if !ok {
 					seal()
 					close(s.batchQ)
 					return
 				}
-				add(job)
+				add(j)
 			default:
 				drained = true
 			}
 		}
-		if open != nil && s.upstreamPending() == 0 {
+		// preBatch counts admitted jobs the dispatcher has not yet received
+		// (queued, in MSA, or in the inference queue): while it is nonzero
+		// the open batch may still grow.
+		s.mu.Lock()
+		quiet := s.preBatch == 0
+		s.mu.Unlock()
+		if open != nil && quiet {
 			seal()
 		}
 	}
@@ -285,19 +256,10 @@ func (s *Server) batchGPUWorker() {
 
 // runBatchGuarded isolates batch-level panics (the batch pricing itself):
 // every non-terminal member fails with error class "panic" and the worker
-// survives. Per-member execution has its own guard so one member's panic
-// cannot take its batch-mates down.
+// survives. Each member's execution has its own guard (runInferenceGuarded).
 func (s *Server) runBatchGuarded(b *inferenceBatch) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.cfg.Metrics.Add("worker_panics", 1)
-			s.cfg.Metrics.Add("worker_panics_inference", 1)
-			err := resilience.ErrPanic{Stage: "inference", Value: fmt.Sprint(r)}
-			for _, job := range b.jobs {
-				s.fail(job, err)
-			}
-		}
-	}()
+	stage := "inference"
+	defer s.guard(&stage, b.jobs...)
 	s.runBatch(b)
 }
 
@@ -305,8 +267,8 @@ func (s *Server) runBatchGuarded(b *inferenceBatch) {
 // completes each member with its amortized share.
 func (s *Server) runBatch(b *inferenceBatch) {
 	if b.err != nil {
-		for _, job := range b.jobs {
-			s.fail(job, b.err)
+		for _, j := range b.jobs {
+			s.fail(j, b.err)
 		}
 		return
 	}
@@ -327,27 +289,16 @@ func (s *Server) runBatch(b *inferenceBatch) {
 		CompileSeconds: compileSecs,
 	})
 	if err != nil {
-		for _, job := range b.jobs {
-			s.fail(job, err)
+		for _, j := range b.jobs {
+			s.fail(j, err)
 		}
 		return
 	}
 	s.recordBatch(b, pb)
 	share := pb.Total() / float64(size)
-	for _, job := range b.jobs {
-		s.runBatchMemberGuarded(job, b, share)
+	for _, j := range b.jobs {
+		s.runInferenceGuarded(j, b, share)
 	}
-}
-
-func (s *Server) runBatchMemberGuarded(job *Job, b *inferenceBatch, share float64) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.cfg.Metrics.Add("worker_panics", 1)
-			s.cfg.Metrics.Add("worker_panics_inference", 1)
-			s.fail(job, resilience.ErrPanic{Stage: "inference", Value: fmt.Sprint(r)})
-		}
-	}()
-	s.runInferenceJob(job, b, share)
 }
 
 // recordBatch lands the dispatch on the meter, the aggregate overhead

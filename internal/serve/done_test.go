@@ -75,11 +75,11 @@ func TestDoneClosesOnEveryTerminalPath(t *testing.T) {
 	}
 	// Terminal is final: failing the finished jobs again neither reopens
 	// nor re-closes anything.
-	s.mu.Lock()
-	jobs := append([]*Job(nil), s.order...)
-	s.mu.Unlock()
-	for _, job := range jobs {
-		s.fail(job, errors.New("late failure"))
+	for _, id := range []string{okID, lateID, panicID} {
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
+		s.fail(j, errors.New("late failure"))
 	}
 	if st, _ := s.Status(okID); st.State != "done" {
 		t.Fatalf("a late failure moved a done job to %s", st.State)

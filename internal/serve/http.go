@@ -73,13 +73,12 @@ type MetricsSnapshot struct {
 // MetricsSnapshot assembles the current metrics view.
 func (s *Server) MetricsSnapshot() MetricsSnapshot {
 	s.mu.Lock()
-	var walls []float64
-	for _, job := range s.order {
-		if job.state == StateDone {
-			walls = append(walls, job.wallSeconds*1000)
-		}
-	}
+	rows := s.completedLocked()
 	s.mu.Unlock()
+	walls := make([]float64, len(rows))
+	for i, row := range rows {
+		walls[i] = row.wallMs
+	}
 	snap := MetricsSnapshot{
 		Counters: s.cfg.Metrics.Snapshot(),
 		Gauges:   s.cfg.Metrics.Gauges(),

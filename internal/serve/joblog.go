@@ -1,0 +1,277 @@
+package serve
+
+// A job is its log (DESIGN §8). Submit writes a job's request header once;
+// everything that happens to it afterwards is an event appended through
+// record, under the server mutex, and every view of a job — its status,
+// its completed row in the modeled schedules and the metrics — is a fold
+// over that log. An empty log is a queued job; the last event decides the
+// state. The folds are plain functions of a job, so no view can read
+// server state the log does not hold.
+
+import (
+	"time"
+
+	"afsysbench/internal/core"
+	"afsysbench/internal/qos"
+)
+
+// eventKind names what happened to a job.
+type eventKind uint8
+
+const (
+	// evDispatch: an MSA worker popped the job; seq is its WFQ dispatch
+	// sequence number.
+	evDispatch eventKind = iota
+	// evChain: one MSA chain was served, from origin.
+	evChain
+	// evMSA: the MSA stage succeeded.
+	evMSA
+	// evHandoff: the batch dispatcher received the job (batching mode).
+	evHandoff
+	// evInference: the inference stage started.
+	evInference
+	// evDone and evFailed end the log.
+	evDone
+	evFailed
+)
+
+// chainOrigin is where one MSA chain came from: the memory tier, the disk
+// tier, or a real search.
+type chainOrigin uint8
+
+const (
+	originMem chainOrigin = iota
+	originDisk
+	originFresh
+)
+
+// originCounter is the registry counter each chain origin bumps.
+var originCounter = [...]string{
+	originMem:   "msa_chain_mem_hits",
+	originDisk:  "msa_chain_disk_hits",
+	originFresh: "msa_chain_misses",
+}
+
+// event is one entry of a job's log; kind says which fields it carries.
+type event struct {
+	kind   eventKind
+	origin chainOrigin // evChain
+	// hit marks a fully cached MSA stage: every chain came from a cache
+	// tier. partial marks one run with databases an open breaker skipped.
+	hit, partial bool // evMSA
+	seq          int  // evDispatch
+	// secs is the modeled time charged to the request: the fresh-work
+	// share of the MSA phase (evMSA), the canonical inference total or,
+	// in a batched dispatch, the amortized share of the batch (evDone).
+	secs float64
+	// wall is the wall time since submit (evDone, evFailed; record stamps
+	// it).
+	wall   float64
+	phase  *core.MSAPhase       // evMSA
+	result *core.PipelineResult // evDone
+	batch  *inferenceBatch      // evDone, when a batched dispatch carried the job
+	err    error                // evFailed
+}
+
+// record appends ev to the job's log and reports whether it took: a
+// terminal job takes no more events. It is the one place the per-job
+// registry counters move and the one place a job turns terminal — the
+// counters are added, a job that never reached the batch dispatcher
+// leaves upstream, done is closed and pending drops, in that order, so a
+// waiter woken by done finds its job in every view.
+func (s *Server) record(j *job, ev event) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if terminal(j) {
+		return false
+	}
+	m := s.cfg.Metrics
+	switch ev.kind {
+	case evChain:
+		m.Add(originCounter[ev.origin], 1)
+	case evMSA:
+		if ev.hit {
+			m.Add("msa_cache_hits", 1)
+		}
+		if ev.partial {
+			m.Add("requests_partial_msa", 1)
+		}
+		if n := restoredChains(ev.phase); n > 0 {
+			m.Add("msa_chains_restored", int64(n))
+		}
+	case evHandoff:
+		s.preBatch--
+	case evDone:
+		m.Add("requests_completed", 1)
+		if ev.result.Resilience.Degraded {
+			m.Add("requests_degraded", 1)
+		}
+		ev.wall = time.Since(j.submitted).Seconds()
+	case evFailed:
+		m.Add("requests_failed", 1)
+		m.Add("requests_failed_"+ErrorClass(ev.err), 1)
+		ev.wall = time.Since(j.submitted).Seconds()
+	}
+	j.log = append(j.log, ev)
+	if !terminal(j) {
+		return true
+	}
+	if _, ok := find(j, evHandoff); !ok && s.batchKick != nil {
+		// A job ending before the dispatcher received it can no longer
+		// join a batch: release its upstream slot and wake the dispatcher
+		// so quiescence sealing is not held hostage by a dead job.
+		s.preBatch--
+		select {
+		case s.batchKick <- struct{}{}:
+		default:
+		}
+	}
+	close(j.done)
+	s.pending--
+	if s.pending == 0 {
+		s.idle.Broadcast()
+	}
+	return true
+}
+
+// state folds the log into the job's pipeline position: queued until an
+// MSA worker dispatches it, then the stage its last event belongs to.
+func state(j *job) State {
+	if len(j.log) == 0 {
+		return StateQueued
+	}
+	return stateAfter[j.log[len(j.log)-1].kind]
+}
+
+var stateAfter = [...]State{
+	evDispatch: StateMSA, evChain: StateMSA, evMSA: StateMSA, evHandoff: StateMSA,
+	evInference: StateInference, evDone: StateDone, evFailed: StateFailed,
+}
+
+// terminal reports whether the job is done or failed: its log is closed.
+func terminal(j *job) bool {
+	st := state(j)
+	return st == StateDone || st == StateFailed
+}
+
+// find returns the job's event of kind k (the zero event if it has none:
+// no kind but evChain is logged twice).
+func find(j *job, k eventKind) (event, bool) {
+	for _, ev := range j.log {
+		if ev.kind == k {
+			return ev, true
+		}
+	}
+	return event{}, false
+}
+
+// msaPhase returns the job's successful MSA phase (nil before one).
+func msaPhase(j *job) *core.MSAPhase {
+	ev, _ := find(j, evMSA)
+	return ev.phase
+}
+
+// result returns the job's pipeline result (nil unless done).
+func result(j *job) *core.PipelineResult {
+	ev, _ := find(j, evDone)
+	return ev.result
+}
+
+// failure returns the error the job failed with (nil unless failed).
+func failure(j *job) error {
+	ev, _ := find(j, evFailed)
+	return ev.err
+}
+
+func restoredChains(mp *core.MSAPhase) int {
+	if mp.Data == nil {
+		return 0
+	}
+	return mp.Data.RestoredChains
+}
+
+// status folds the log into the job's status snapshot.
+func status(j *job) JobStatus {
+	st := JobStatus{ID: j.id, Sample: j.in.Name, State: state(j).String(), Tenant: j.tenant}
+	if j.qosLevel > qos.LevelNone {
+		st.QoSLevel = j.qosLevel.String()
+	}
+	var chains [len(originCounter)]int
+	var charged float64
+	var partial bool
+	for _, ev := range j.log {
+		switch ev.kind {
+		case evChain:
+			chains[ev.origin]++
+		case evMSA:
+			st.CacheHit = ev.hit
+			st.ChainsRestored = restoredChains(ev.phase)
+			charged, partial = ev.secs, ev.partial
+		case evDone:
+			st.MSASeconds = charged
+			st.InferenceSeconds = ev.result.Inference.Total()
+			st.ChargedInferenceSeconds = ev.secs
+			if b := ev.batch; b != nil {
+				st.BatchID, st.BatchSize, st.BucketTokens = b.id, len(b.jobs), b.bucket
+			}
+			st.Degraded = ev.result.Resilience.Degraded
+			st.PartialMSA = partial
+			st.WallMs = ev.wall * 1000
+		case evFailed:
+			st.WallMs = ev.wall * 1000
+		}
+	}
+	st.ChainsMem, st.ChainsDisk, st.ChainsFresh = chains[originMem], chains[originDisk], chains[originFresh]
+	if err := failure(j); err != nil {
+		st.Error = err.Error()
+		st.ErrorClass = ErrorClass(err)
+	}
+	return st
+}
+
+// completed is a finished job's row: what the modeled schedules and the
+// metrics read of it.
+type completed struct {
+	*job
+	// seq is the WFQ dispatch sequence number.
+	seq      int
+	cacheHit bool
+	// msaSeconds and infSeconds are the modeled stage seconds charged to
+	// the request; serialSeconds is its unshared cost, the charged MSA
+	// seconds plus the canonical inference total.
+	msaSeconds, infSeconds, serialSeconds float64
+	wallMs                                float64
+}
+
+// outcome folds the log of a done job into its completed row.
+func outcome(j *job) (completed, bool) {
+	if state(j) != StateDone {
+		return completed{}, false
+	}
+	row := completed{job: j}
+	for _, ev := range j.log {
+		switch ev.kind {
+		case evDispatch:
+			row.seq = ev.seq
+		case evMSA:
+			row.cacheHit, row.msaSeconds = ev.hit, ev.secs
+		case evDone:
+			row.infSeconds = ev.secs
+			row.serialSeconds = row.msaSeconds + ev.result.Inference.Total()
+			row.wallMs = ev.wall * 1000
+		}
+	}
+	return row, true
+}
+
+// completedLocked returns the row of every done job, in submit order. The
+// caller holds s.mu.
+func (s *Server) completedLocked() []completed {
+	var rows []completed
+	for _, j := range s.order {
+		if row, ok := outcome(j); ok {
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}

@@ -141,24 +141,17 @@ func (s *Server) FairnessReport(cpuLanes, gpuLanes int) *FairnessReport {
 // GPU-dispatch order (its mean is a sum in that order).
 func (s *Server) modeledTenantLatencies(cpuLanes, gpuLanes int) map[string][]float64 {
 	s.mu.Lock()
-	var done []*Job
-	for _, job := range s.order {
-		if job.state == StateDone && job.result != nil {
-			done = append(done, job)
-		}
-	}
-	sort.Slice(done, func(a, b int) bool { return done[a].dispatchSeq < done[b].dispatchSeq })
-	jobs := make([]vtime.Job, len(done))
-	tenants := make([]string, len(done))
-	for i, job := range done {
-		jobs[i] = vtime.Job{Release: job.arrival, CPU: job.chargedMSASeconds, GPU: job.chargedInfSeconds}
-		tenants[i] = job.tenant
-	}
+	done := s.completedLocked()
 	s.mu.Unlock()
+	sort.Slice(done, func(a, b int) bool { return done[a].seq < done[b].seq })
+	jobs := make([]vtime.Job, len(done))
+	for i, row := range done {
+		jobs[i] = vtime.Job{Release: row.arrival, CPU: row.msaSeconds, GPU: row.infSeconds}
+	}
 	placed, gpuOrder := vtime.TwoStage(jobs, cpuLanes, gpuLanes)
 	out := make(map[string][]float64)
 	for _, i := range gpuOrder {
-		out[tenants[i]] = append(out[tenants[i]], (placed[i].GPUEnd-jobs[i].Release)*1000)
+		out[done[i].tenant] = append(out[done[i].tenant], (placed[i].GPUEnd-jobs[i].Release)*1000)
 	}
 	return out
 }

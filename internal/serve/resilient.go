@@ -43,11 +43,11 @@ func (s *Server) initBreakers() {
 // the stage outcome must settle every probe (Success, Failure or
 // ProbeAbort) via feedBreakers. Names are walked in sorted order so
 // metering is deterministic.
-func (s *Server) breakerPlan(job *Job) (skip map[string]bool, probes []string) {
+func (s *Server) breakerPlan(j *job) (skip map[string]bool, probes []string) {
 	if len(s.breakers) == 0 {
 		return nil, nil
 	}
-	for _, name := range s.neededDBNames(job) {
+	for _, name := range s.neededDBNames(j) {
 		b := s.breakers[name]
 		if b == nil {
 			continue
@@ -77,7 +77,7 @@ func (s *Server) breakerPlan(job *Job) (skip map[string]bool, probes []string) {
 // next request to spend. A partially cached stage settles all needed
 // databases — chains replayed from the cache vouch for theirs by proxy,
 // since the cached delta was computed from them.
-func (s *Server) feedBreakers(job *Job, mp *core.MSAPhase, hit bool, err error, skip map[string]bool, probes []string) {
+func (s *Server) feedBreakers(j *job, mp *core.MSAPhase, hit bool, err error, skip map[string]bool, probes []string) {
 	if len(s.breakers) == 0 {
 		return
 	}
@@ -93,7 +93,7 @@ func (s *Server) feedBreakers(job *Job, mp *core.MSAPhase, hit bool, err error, 
 			dropCause[ev.DB] = ev.Detail
 		}
 	}
-	for _, name := range s.neededDBNames(job) {
+	for _, name := range s.neededDBNames(j) {
 		if skip[name] {
 			continue // never touched this stage
 		}
@@ -112,8 +112,8 @@ func (s *Server) feedBreakers(job *Job, mp *core.MSAPhase, hit bool, err error, 
 
 // neededDBNames returns the sorted names of the databases a job's input
 // searches.
-func (s *Server) neededDBNames(job *Job) []string {
-	needed := s.suite.NeededDBs(job.in)
+func (s *Server) neededDBNames(j *job) []string {
+	needed := s.suite.NeededDBs(j.in)
 	names := make([]string, 0, len(needed))
 	for name := range needed {
 		names = append(names, name)

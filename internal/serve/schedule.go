@@ -49,28 +49,21 @@ type Schedule struct {
 // earliest-free GPU lane in order of MSA completion (submit order breaks
 // ties), never before its own MSA ends.
 func (s *Server) ModeledSchedule(cpuWorkers, gpuWorkers int) Schedule {
-	if cpuWorkers < 1 {
-		cpuWorkers = 1
-	}
-	if gpuWorkers < 1 {
-		gpuWorkers = 1
-	}
+	cpuWorkers, gpuWorkers = max(cpuWorkers, 1), max(gpuWorkers, 1)
 	sched := Schedule{CPUWorkers: cpuWorkers, GPUWorkers: gpuWorkers}
-	var jobs []vtime.Job
 	s.mu.Lock()
-	for _, job := range s.order {
-		if job.state != StateDone || job.result == nil {
-			continue
-		}
-		sched.Items = append(sched.Items, ScheduleItem{ID: job.id, Sample: job.in.Name, CacheHit: job.cacheHit})
+	rows := s.completedLocked()
+	s.mu.Unlock()
+	var jobs []vtime.Job
+	for _, row := range rows {
+		sched.Items = append(sched.Items, ScheduleItem{ID: row.id, Sample: row.in.Name, CacheHit: row.cacheHit})
 		// Charged inference seconds: the canonical total unbatched, the
 		// amortized batch share when the request rode a batched dispatch —
 		// so batching's fixed-cost amortization shows up in the modeled
 		// makespan exactly once per batch.
-		jobs = append(jobs, vtime.Job{CPU: job.chargedMSASeconds, GPU: job.chargedInfSeconds})
-		sched.CPUBusy += job.chargedMSASeconds
+		jobs = append(jobs, vtime.Job{CPU: row.msaSeconds, GPU: row.infSeconds})
+		sched.CPUBusy += row.msaSeconds
 	}
-	s.mu.Unlock()
 
 	placed, gpuOrder := vtime.TwoStage(jobs, cpuWorkers, gpuWorkers)
 	for i, p := range placed {
@@ -97,11 +90,8 @@ func (s *Server) SerialMakespan() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total float64
-	for _, job := range s.order {
-		if job.state != StateDone || job.result == nil {
-			continue
-		}
-		total += job.chargedMSASeconds + job.result.Inference.Total()
+	for _, row := range s.completedLocked() {
+		total += row.serialSeconds
 	}
 	return total
 }

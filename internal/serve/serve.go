@@ -26,7 +26,7 @@
 // as resilience.ErrStageTimeout and sheds cleanly at the next stage
 // boundary.
 //
-// A job turns terminal in exactly one place (terminalLocked), which closes
+// A job turns terminal in exactly one place (record, joblog.go), which closes
 // the channel Server.Done hands out: in-process clients — the scenario
 // library, the cluster router — wait on it instead of polling Status; only
 // the HTTP API, being remote, is polled.
@@ -79,22 +79,14 @@ const (
 	StateFailed
 )
 
+var stateNames = [...]string{"queued", "msa", "inference", "done", "failed"}
+
 // String implements fmt.Stringer.
 func (s State) String() string {
-	switch s {
-	case StateQueued:
-		return "queued"
-	case StateMSA:
-		return "msa"
-	case StateInference:
-		return "inference"
-	case StateDone:
-		return "done"
-	case StateFailed:
-		return "failed"
-	default:
+	if s < 0 || int(s) >= len(stateNames) {
 		return fmt.Sprintf("State(%d)", int(s))
 	}
+	return stateNames[s]
 }
 
 // Request is one prediction submission.
@@ -252,10 +244,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Job is one admitted request moving through the pipeline. All mutable
-// fields are guarded by the owning Server's mutex; read them through
-// Status and Result.
-type Job struct {
+// job is one admitted request: its header, written once in Submit, and
+// its log (joblog.go), which record appends to under the server mutex.
+// Every view of a job is a fold over the log.
+type job struct {
 	id        string
 	ordinal   int
 	in        *inputs.Input
@@ -263,19 +255,9 @@ type Job struct {
 	threads   int
 	deadline  time.Time
 	submitted time.Time
-	// done is closed when the job turns terminal (terminalLocked); Done
-	// hands it to waiters.
+	// done is closed when the job turns terminal (record); Done hands it
+	// to waiters.
 	done chan struct{}
-
-	state    State
-	cacheHit bool
-	err      error
-	errClass string
-	msaPhase *core.MSAPhase
-	result   *core.PipelineResult
-	// partialMSA marks a result computed with one or more databases
-	// skipped by an open circuit breaker.
-	partialMSA bool
 	// inj is the job's fault injector (nil without configured faults). It
 	// lives on the job, not the stage attempt, so transient budgets are
 	// consumed exactly once across retries.
@@ -283,39 +265,17 @@ type Job struct {
 	// checkpoint preserves completed MSA chain deltas across stage
 	// retries (nil when MSAAttempts is 1).
 	checkpoint *msa.Checkpoint
-	// chargedMSASeconds is the modeled MSA time this request actually
-	// paid: the phase time scaled by the fresh-work share of its chains.
-	// A fully cached request charges zero, a partial hit pays only its
-	// fresh chains. The modeled scheduler and the per-job status use it.
-	chargedMSASeconds float64
-	wallSeconds       float64
-	// chainsMem/chainsDisk/chainsFresh count where this request's MSA
-	// chains came from: the memory tier, the disk tier, or a real search.
-	chainsMem   int
-	chainsDisk  int
-	chainsFresh int
-	// chargedInfSeconds is the modeled inference time this request is
-	// charged. Unbatched it equals the canonical breakdown's total; in a
-	// batched dispatch it is the amortized share (batch total / members),
-	// so member charges always sum to the batch's modeled time.
-	chargedInfSeconds float64
-	// leftUpstream marks the job as no longer upstream of the batch
-	// dispatcher (received, or terminal before hand-off); guards the
-	// once-only preBatch decrement.
-	leftUpstream bool
-	// batchID/batchSize/bucketTokens describe the batched dispatch that
-	// carried this job (batching mode only).
-	batchID      string
-	batchSize    int
-	bucketTokens int
 	// tenant/arrival/qosLevel are the QoS coordinates (QoS mode only): the
 	// owning tenant, the modeled arrival the admission decision ran at and
-	// the brownout rung the request runs under. dispatchSeq is the WFQ
-	// dispatch sequence number assigned at pop time (every mode).
-	tenant      string
-	arrival     float64
-	qosLevel    qos.Level
-	dispatchSeq int
+	// the brownout rung the request runs under.
+	tenant   string
+	arrival  float64
+	qosLevel qos.Level
+	// log is everything that happened to the job since Submit; its first
+	// events live in logBuf, so a request's log costs no allocation of its
+	// own.
+	log    []event
+	logBuf [8]event
 }
 
 // JobStatus is a point-in-time snapshot of one job, also the HTTP
@@ -379,8 +339,8 @@ type Server struct {
 
 	mu      sync.Mutex
 	idle    sync.Cond // signaled when pending reaches 0
-	jobs    map[string]*Job
-	order   []*Job // admitted jobs in submit order
+	jobs    map[string]*job
+	order   []*job // admitted jobs in submit order
 	pending int    // admitted but not yet terminal
 	started bool
 	stopped bool
@@ -397,9 +357,9 @@ type Server struct {
 	// sub-queue per tenant, weighted, at chain-token cost; without it every
 	// job shares one sub-queue at cost 1, which pops in submit order.
 	// epoch anchors wall-clock arrival stamps for live HTTP traffic.
-	wfq   *qos.WFQ[*Job]
+	wfq   *qos.WFQ[*job]
 	epoch time.Time
-	infQ  chan *Job
+	infQ  chan *job
 	wgA   sync.WaitGroup // MSA workers
 	wgB   sync.WaitGroup // GPU workers
 
@@ -451,8 +411,8 @@ func NewWithSuite(suite *core.Suite, cfg Config) *Server {
 		cfg:       cfg,
 		keyDBs:    suite.DBs.Fingerprint(),
 		keySearch: fmt.Sprintf("search=%+v", suite.Search),
-		jobs:      make(map[string]*Job),
-		infQ:      make(chan *Job, cfg.QueueDepth),
+		jobs:      make(map[string]*job),
+		infQ:      make(chan *job, cfg.QueueDepth),
 		epoch:     time.Now(),
 	}
 	s.killCtx, s.killCancel = context.WithCancel(context.Background())
@@ -461,7 +421,7 @@ func NewWithSuite(suite *core.Suite, cfg Config) *Server {
 	if cfg.QoS != nil {
 		weightOf = cfg.QoS.Weight
 	}
-	s.wfq = qos.NewWFQ[*Job](0, weightOf)
+	s.wfq = qos.NewWFQ[*job](0, weightOf)
 	s.initBreakers()
 	s.initBatching()
 	if cfg.Cache != nil && cfg.DiskCache != nil {
@@ -570,42 +530,23 @@ func (s *Server) Submit(req Request) (string, error) {
 	if s.killed {
 		return "", errors.New("serve: server killed")
 	}
-	job := &Job{
-		ordinal:   len(s.order),
-		in:        in,
-		machine:   core.MachineFor(in, s.cfg.Machine),
-		threads:   threads,
-		deadline:  deadline,
-		submitted: now,
-		done:      make(chan struct{}),
-		state:     StateQueued,
-	}
-	job.id = fmt.Sprintf("j%04d-%s", job.ordinal, in.Name)
-	if len(s.cfg.Faults) > 0 {
-		// One injector per job, seeded by ordinal: fault decisions are a
-		// pure function of the trace, and budgets persist across stage
-		// retries.
-		job.inj = resilience.NewInjector(s.cfg.Faults, rng.New(s.suite.Seed).Split(uint64(job.ordinal)))
-	}
-	if req.Checkpoint != nil {
-		job.checkpoint = req.Checkpoint
-	} else if s.cfg.MSAAttempts > 1 {
-		job.checkpoint = msa.NewCheckpoint()
-	}
 	// Without QoS every job shares one sub-queue at cost 1 — pops come out
 	// in global submission order, true FIFO — and the only shed is a full
 	// queue.
 	key, cost := fifoKey, 1.0
+	var tenant string
+	var arrival float64
+	var level qos.Level
 	if s.qosEnabled() {
 		// Tenant-aware admission: the controller decides on its modeled
 		// clock — rate limit, modeled queue bound, brownout ladder — and an
 		// admitted job enters the weighted-fair queue under its tenant at
 		// its chain-token cost.
-		tenant := req.Tenant
+		tenant = req.Tenant
 		if tenant == "" {
 			tenant = "default"
 		}
-		arrival := req.Arrival
+		arrival = req.Arrival
 		if arrival < 0 {
 			arrival = time.Since(s.epoch).Seconds()
 		}
@@ -621,10 +562,8 @@ func (s *Server) Submit(req Request) (string, error) {
 				Tenant:   tenant,
 			}
 		}
-		job.tenant = tenant
-		job.arrival = arrival
-		job.qosLevel = d.Level
-		if d.Level > qos.LevelNone {
+		level = d.Level
+		if level > qos.LevelNone {
 			s.cfg.Metrics.Add("requests_brownout", 1)
 		}
 		if !s.cfg.QoS.Config().FIFO {
@@ -637,15 +576,40 @@ func (s *Server) Submit(req Request) (string, error) {
 		s.cfg.Metrics.Add(qosReasonCounter(resilience.ShedQueueFull.String()), 1)
 		return "", resilience.ErrOverloaded{Queued: queued, Capacity: s.cfg.QueueDepth}
 	}
-	s.wfq.Push(key, cost, job)
-	s.jobs[job.id] = job
-	s.order = append(s.order, job)
+	j := &job{
+		ordinal:   len(s.order),
+		in:        in,
+		machine:   core.MachineFor(in, s.cfg.Machine),
+		threads:   threads,
+		deadline:  deadline,
+		submitted: now,
+		done:      make(chan struct{}),
+		tenant:    tenant,
+		arrival:   arrival,
+		qosLevel:  level,
+	}
+	j.id = fmt.Sprintf("j%04d-%s", j.ordinal, in.Name)
+	j.log = j.logBuf[:0]
+	if len(s.cfg.Faults) > 0 {
+		// One injector per job, seeded by ordinal: fault decisions are a
+		// pure function of the trace, and budgets persist across stage
+		// retries.
+		j.inj = resilience.NewInjector(s.cfg.Faults, rng.New(s.suite.Seed).Split(uint64(j.ordinal)))
+	}
+	if req.Checkpoint != nil {
+		j.checkpoint = req.Checkpoint
+	} else if s.cfg.MSAAttempts > 1 {
+		j.checkpoint = msa.NewCheckpoint()
+	}
+	s.wfq.Push(key, cost, j)
+	s.jobs[j.id] = j
+	s.order = append(s.order, j)
 	s.pending++
 	if s.cfg.Batch.Enabled {
 		s.preBatch++
 	}
 	s.cfg.Metrics.Add("requests_admitted", 1)
-	return job.id, nil
+	return j.id, nil
 }
 
 // Kill simulates abrupt replica death for the cluster chaos harness: the
@@ -708,22 +672,22 @@ func (s *Server) WaitIdle(ctx context.Context) error {
 func (s *Server) Done(id string) <-chan struct{} {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job, ok := s.jobs[id]
+	j, ok := s.jobs[id]
 	if !ok {
 		return nil
 	}
-	return job.done
+	return j.done
 }
 
 // Status returns a snapshot of one job.
 func (s *Server) Status(id string) (JobStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job, ok := s.jobs[id]
+	j, ok := s.jobs[id]
 	if !ok {
 		return JobStatus{}, false
 	}
-	return s.statusLocked(job), true
+	return status(j), true
 }
 
 // Statuses returns snapshots of all admitted jobs in submit order.
@@ -731,49 +695,10 @@ func (s *Server) Statuses() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]JobStatus, len(s.order))
-	for i, job := range s.order {
-		out[i] = s.statusLocked(job)
+	for i, j := range s.order {
+		out[i] = status(j)
 	}
 	return out
-}
-
-func (s *Server) statusLocked(job *Job) JobStatus {
-	st := JobStatus{
-		ID:          job.id,
-		Sample:      job.in.Name,
-		State:       job.state.String(),
-		CacheHit:    job.cacheHit,
-		ChainsMem:   job.chainsMem,
-		ChainsDisk:  job.chainsDisk,
-		ChainsFresh: job.chainsFresh,
-	}
-	if s.qosEnabled() {
-		st.Tenant = job.tenant
-		if job.qosLevel > qos.LevelNone {
-			st.QoSLevel = job.qosLevel.String()
-		}
-	}
-	if job.err != nil {
-		st.Error = job.err.Error()
-		st.ErrorClass = job.errClass
-	}
-	if job.state == StateDone || job.state == StateFailed {
-		st.WallMs = job.wallSeconds * 1000
-	}
-	if job.result != nil {
-		st.MSASeconds = job.chargedMSASeconds
-		st.InferenceSeconds = job.result.Inference.Total()
-		st.ChargedInferenceSeconds = job.chargedInfSeconds
-		st.BatchID = job.batchID
-		st.BatchSize = job.batchSize
-		st.BucketTokens = job.bucketTokens
-		st.Degraded = job.result.Resilience.Degraded
-		st.PartialMSA = job.partialMSA
-	}
-	if job.msaPhase != nil && job.msaPhase.Data != nil {
-		st.ChainsRestored = job.msaPhase.Data.RestoredChains
-	}
-	return st
 }
 
 // Result returns the completed pipeline result for a job (nil, false until
@@ -781,11 +706,11 @@ func (s *Server) statusLocked(job *Job) JobStatus {
 func (s *Server) Result(id string) (*core.PipelineResult, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job, ok := s.jobs[id]
-	if !ok || job.result == nil {
+	j, ok := s.jobs[id]
+	if !ok || result(j) == nil {
 		return nil, false
 	}
-	return job.result, true
+	return result(j), true
 }
 
 // pipelineOpts builds the per-request options. RunIndex is pinned to 0 —
@@ -794,13 +719,13 @@ func (s *Server) Result(id string) (*core.PipelineResult, bool) {
 // across pool sizes and safe to share through the cache. FreshMSA keeps
 // the suite's experiment memo out of the serving path: internal/cache is
 // the only reuse layer.
-func (s *Server) pipelineOpts(job *Job) core.PipelineOptions {
+func (s *Server) pipelineOpts(j *job) core.PipelineOptions {
 	return core.PipelineOptions{
-		Threads:   job.threads,
+		Threads:   j.threads,
 		RunIndex:  0,
 		WarmStart: !s.cfg.ColdModel,
 		FreshMSA:  true,
-		Injector:  job.inj,
+		Injector:  j.inj,
 		Scatter:   s.cfg.Scatter,
 	}
 }
@@ -830,7 +755,7 @@ const chainCodec uint16 = 4
 // each record's work is credited to when the delta is merged, so one chain
 // serves every count. With RequestScopedKeys the whole request fingerprint
 // is folded in, confining reuse to identical requests.
-func (s *Server) chainKey(job *Job, scope string, chain inputs.Chain) string {
+func (s *Server) chainKey(j *job, scope string, chain inputs.Chain) string {
 	parts := []string{
 		"msa-chain/v6",
 		msa.ChainFingerprint(chain),
@@ -839,7 +764,7 @@ func (s *Server) chainKey(job *Job, scope string, chain inputs.Chain) string {
 		s.keySearch,
 	}
 	if s.cfg.RequestScopedKeys {
-		parts = append(parts, "req="+inputFingerprint(job.in))
+		parts = append(parts, "req="+inputFingerprint(j.in))
 	}
 	return cache.Key(parts...)
 }
@@ -849,15 +774,16 @@ func (s *Server) chainKey(job *Job, scope string, chain inputs.Chain) string {
 // tier, then the real search. Tier accounting lands on the job and the
 // metrics registry. Keys name the database set by the identity the server
 // took at construction.
-func (s *Server) chainFetcher(job *Job) msa.ChainFetch {
+func (s *Server) chainFetcher(j *job) msa.ChainFetch {
 	return func(scope string, chain inputs.Chain, compute func() (*msa.CachedChain, error)) (*msa.CachedChain, bool, error) {
-		key := s.chainKey(job, scope, chain)
-		fromDisk := false
-		v, hit, err := s.cfg.Cache.GetOrCompute(key, func() (any, int64, error) {
+		key := s.chainKey(j, scope, chain)
+		origin := originMem // unless this caller computes the entry
+		v, _, err := s.cfg.Cache.GetOrCompute(key, func() (any, int64, error) {
 			if cc := s.diskLookup(key); cc != nil {
-				fromDisk = true
+				origin = originDisk
 				return cc, cc.SizeBytes(), nil
 			}
+			origin = originFresh
 			cc, err := compute()
 			if err != nil {
 				return nil, 0, err
@@ -867,23 +793,8 @@ func (s *Server) chainFetcher(job *Job) msa.ChainFetch {
 		if err != nil {
 			return nil, false, err
 		}
-		cc := v.(*msa.CachedChain)
-		var counter string
-		s.mu.Lock()
-		switch {
-		case hit:
-			job.chainsMem++
-			counter = "msa_chain_mem_hits"
-		case fromDisk:
-			job.chainsDisk++
-			counter = "msa_chain_disk_hits"
-		default:
-			job.chainsFresh++
-			counter = "msa_chain_misses"
-		}
-		s.mu.Unlock()
-		s.cfg.Metrics.Add(counter, 1)
-		return cc, hit || fromDisk, nil
+		s.record(j, event{kind: evChain, origin: origin})
+		return v.(*msa.CachedChain), origin != originFresh, nil
 	}
 }
 
@@ -982,17 +893,15 @@ func (s *Server) msaWorker() {
 	// seq) pairing — and therefore the dispatch digest — is identical no
 	// matter how many workers race here.
 	for {
-		job, seq, ok := s.wfq.Pop()
+		j, seq, ok := s.wfq.Pop()
 		if !ok {
 			return
 		}
-		s.mu.Lock()
-		job.dispatchSeq = seq
-		s.mu.Unlock()
+		s.record(j, event{kind: evDispatch, seq: seq})
 		if s.qosEnabled() {
-			s.cfg.QoS.RecordDispatch(job.tenant, seq)
+			s.cfg.QoS.RecordDispatch(j.tenant, seq)
 		}
-		s.runMSAGuarded(job)
+		s.runMSAGuarded(j)
 	}
 }
 
@@ -1000,8 +909,8 @@ func (s *Server) gpuWorker() {
 	defer s.wgB.Done()
 	s.adjustLive(&s.gpuLive, 1)
 	defer s.adjustLive(&s.gpuLive, -1)
-	for job := range s.infQ {
-		s.runInferenceGuarded(job)
+	for j := range s.infQ {
+		s.runInferenceGuarded(j, nil, 0)
 	}
 }
 
@@ -1016,45 +925,51 @@ func (s *Server) adjustLive(counter *int, delta int) {
 	s.cfg.Metrics.SetGauge("gpu_workers_live", int64(gpuLive))
 }
 
-// runMSAGuarded isolates per-job panics: a panic anywhere in the MSA stage
-// (or the hand-off hook) fails that one job with error class "panic" while
-// the worker goroutine survives, keeping the pool at full strength. The
-// stage marker distinguishes a panic during the search ("msa") from one at
-// the GPU-queue hand-off ("handoff") — the hand-off case is the historical
+// runMSAGuarded runs the MSA stage under guard. The stage marker
+// distinguishes a panic during the search ("msa") from one at the
+// GPU-queue hand-off ("handoff") — the hand-off case is the historical
 // job-drain bug: the job was accepted by the MSA pool but never reached
 // the GPU pool, so only the recovery path can make it terminal.
-func (s *Server) runMSAGuarded(job *Job) {
+func (s *Server) runMSAGuarded(j *job) {
 	stage := "msa"
-	defer func() {
-		if r := recover(); r != nil {
-			s.cfg.Metrics.Add("worker_panics", 1)
-			s.cfg.Metrics.Add("worker_panics_"+stage, 1)
-			s.fail(job, resilience.ErrPanic{Stage: stage, Value: fmt.Sprint(r)})
-		}
-	}()
-	s.runMSA(job, &stage)
+	defer s.guard(&stage, j)
+	s.runMSA(j, &stage)
 }
 
-// runInferenceGuarded is runMSAGuarded's GPU-side twin.
-func (s *Server) runInferenceGuarded(job *Job) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.cfg.Metrics.Add("worker_panics", 1)
-			s.cfg.Metrics.Add("worker_panics_inference", 1)
-			s.fail(job, resilience.ErrPanic{Stage: "inference", Value: fmt.Sprint(r)})
-		}
-	}()
-	s.runInference(job)
+// runInferenceGuarded is runMSAGuarded's GPU-side twin, for an unbatched
+// job (b == nil) and for each member of a batched dispatch alike, so one
+// member's panic cannot take its batch-mates down.
+func (s *Server) runInferenceGuarded(j *job, b *inferenceBatch, share float64) {
+	stage := "inference"
+	defer s.guard(&stage, j)
+	s.runInferenceJob(j, b, share)
+}
+
+// guard isolates worker panics: deferred around a stage, it recovers a
+// panic there, fails the stage's jobs with error class "panic" and lets the
+// worker goroutine survive, keeping the pool at full strength. *stage names
+// where the panic struck.
+func (s *Server) guard(stage *string, jobs ...*job) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	s.cfg.Metrics.Add("worker_panics", 1)
+	s.cfg.Metrics.Add("worker_panics_"+*stage, 1)
+	err := resilience.ErrPanic{Stage: *stage, Value: fmt.Sprint(r)}
+	for _, j := range jobs {
+		s.fail(j, err)
+	}
 }
 
 // jobCtx derives the request's wall-clock context from its deadline and the
 // server's life context, so a Kill fails every in-flight stage at its next
 // context check.
-func (s *Server) jobCtx(job *Job) (context.Context, context.CancelFunc) {
-	if job.deadline.IsZero() {
+func (s *Server) jobCtx(j *job) (context.Context, context.CancelFunc) {
+	if j.deadline.IsZero() {
 		return context.WithCancel(s.killCtx)
 	}
-	return context.WithDeadline(s.killCtx, job.deadline)
+	return context.WithDeadline(s.killCtx, j.deadline)
 }
 
 // runMSA executes (or fetches) the MSA stage for one job and hands it to
@@ -1067,40 +982,35 @@ func (s *Server) jobCtx(job *Job) (context.Context, context.CancelFunc) {
 // transiently faulted search up to MSAAttempts times, with the job's
 // checkpoint replaying every chain the failed attempt completed; and the
 // stage outcome settles every involved breaker.
-func (s *Server) runMSA(job *Job, stage *string) {
-	s.setState(job, StateMSA)
+func (s *Server) runMSA(j *job, stage *string) {
 	s.cfg.Metrics.Add("msa_stage_runs", 1)
 	if h := s.cfg.PanicHook; h != nil {
-		h("msa", job.ordinal)
+		h("msa", j.ordinal)
 	}
-	ctx, cancel := s.jobCtx(job)
+	ctx, cancel := s.jobCtx(j)
 	defer cancel()
-	skip, probes := s.breakerPlan(job)
-	opts := s.pipelineOpts(job)
+	skip, probes := s.breakerPlan(j)
+	opts := s.pipelineOpts(j)
 	opts.SkipDBs = skip
-	opts.MSACheckpoint = job.checkpoint
-	if job.qosLevel >= qos.LevelDropDB {
+	opts.MSACheckpoint = j.checkpoint
+	if j.qosLevel >= qos.LevelDropDB {
 		// The deepest non-shed rung: tighten the modeled MSA budget onto
 		// the database-drop degradation ladder (PR 2) — the over-quota
 		// request trades MSA depth for shared-pool time.
 		opts.Budget.MSASeconds = brownoutMSABudget
 	}
 	if s.cfg.Cache != nil {
-		opts.ChainCache = s.chainFetcher(job)
+		opts.ChainCache = s.chainFetcher(j)
 	}
 	var mp *core.MSAPhase
 	var err error
 	for attempt := 1; ; attempt++ {
-		mp, err = s.suite.RunMSAPhase(ctx, job.in, job.machine, opts)
+		mp, err = s.suite.RunMSAPhase(ctx, j.in, j.machine, opts)
 		if err == nil {
 			if attempt > 1 {
-				restored := 0
-				if mp.Data != nil {
-					restored = mp.Data.RestoredChains
-				}
 				mp.Resilience.Record(resilience.Event{
 					Stage: "msa", Kind: resilience.KindChainRetry,
-					Detail: fmt.Sprintf("stage attempt %d succeeded; %d chains replayed from checkpoint", attempt, restored),
+					Detail: fmt.Sprintf("stage attempt %d succeeded; %d chains replayed from checkpoint", attempt, restoredChains(mp)),
 				})
 			}
 			break
@@ -1124,91 +1034,57 @@ func (s *Server) runMSA(job *Job, stage *string) {
 			charged = mp.Seconds * float64(d.FreshWork) / float64(d.FreshWork+d.CachedWork)
 		}
 	}
-	s.feedBreakers(job, mp, hit, err, skip, probes)
+	s.feedBreakers(j, mp, hit, err, skip, probes)
 	if err != nil {
-		s.fail(job, err)
+		s.fail(j, err)
 		return
 	}
-	if mp.Data != nil && mp.Data.RestoredChains > 0 {
-		s.cfg.Metrics.Add("msa_chains_restored", int64(mp.Data.RestoredChains))
-	}
-	if job.qosLevel > qos.LevelNone {
+	if j.qosLevel > qos.LevelNone {
 		mp.Resilience.Record(resilience.Event{
 			Stage: "msa", Kind: resilience.KindBrownout,
-			Detail: fmt.Sprintf("tenant %s degraded at rung %s", job.tenant, job.qosLevel),
+			Detail: fmt.Sprintf("tenant %s degraded at rung %s", j.tenant, j.qosLevel),
 		})
 	}
-	s.mu.Lock()
-	job.msaPhase = mp
-	job.cacheHit = hit
-	job.partialMSA = len(skip) > 0
-	job.chargedMSASeconds = charged
-	s.mu.Unlock()
-	if hit {
-		s.cfg.Metrics.Add("msa_cache_hits", 1)
-	}
-	if len(skip) > 0 {
-		s.cfg.Metrics.Add("requests_partial_msa", 1)
-	}
+	s.record(j, event{kind: evMSA, phase: mp, secs: charged, hit: hit, partial: len(skip) > 0})
 	*stage = "handoff"
 	if h := s.cfg.PanicHook; h != nil {
-		h("handoff", job.ordinal)
+		h("handoff", j.ordinal)
 	}
-	s.infQ <- job
+	s.infQ <- j
 }
 
-// runInference executes the inference stage and completes the job. A job
+// runInferenceJob executes the inference stage and completes the job. A job
 // that somehow arrives already terminal (failed elsewhere under fault
-// load) is left alone — terminal states are final.
-func (s *Server) runInference(job *Job) {
-	s.runInferenceJob(job, nil, 0)
-}
-
-// runInferenceJob is the shared inference completion for the unbatched
-// path (b == nil) and batched dispatch members. The per-request result is
-// canonical in both modes — computed with the same pipeline options, so it
-// is bitwise identical whether or not the job rode a batch. Batching
-// affects only attribution: a batch member's charged inference seconds are
-// its amortized share of the batched dispatch's modeled time instead of
-// the canonical breakdown total.
-func (s *Server) runInferenceJob(job *Job, b *inferenceBatch, share float64) {
-	s.mu.Lock()
-	if job.state == StateDone || job.state == StateFailed {
-		s.mu.Unlock()
+// load) is left alone — terminal states are final. The per-request result
+// is canonical whether the job dispatches alone (b == nil) or rides batch
+// b — computed with the same pipeline options, so it is bitwise identical
+// either way. Batching affects only attribution: a batch member's charged
+// inference seconds are its amortized share of the batched dispatch's
+// modeled time instead of the canonical breakdown total.
+func (s *Server) runInferenceJob(j *job, b *inferenceBatch, share float64) {
+	if !s.record(j, event{kind: evInference}) {
 		return
 	}
-	job.state = StateInference
-	s.mu.Unlock()
 	s.cfg.Metrics.Add("inference_stage_runs", 1)
 	if h := s.cfg.PanicHook; h != nil {
-		h("inference", job.ordinal)
+		h("inference", j.ordinal)
 	}
-	ctx, cancel := s.jobCtx(job)
+	ctx, cancel := s.jobCtx(j)
 	defer cancel()
-	opts := s.pipelineOpts(job)
-	pb, err := s.suite.RunInferencePhase(ctx, job.in, job.machine, opts)
+	opts := s.pipelineOpts(j)
+	pb, err := s.suite.RunInferencePhase(ctx, j.in, j.machine, opts)
 	if err != nil {
-		s.fail(job, err)
+		s.fail(j, err)
 		return
 	}
-	res := core.ComposeResult(job.in, job.machine, job.threads, job.msaPhase, pb)
 	s.mu.Lock()
-	if job.state == StateDone || job.state == StateFailed {
-		s.mu.Unlock()
-		return
-	}
-	job.result = res
-	job.chargedInfSeconds = res.Inference.Total()
-	if b != nil {
-		job.chargedInfSeconds = share
-		job.batchID = b.id
-		job.batchSize = len(b.jobs)
-		job.bucketTokens = b.bucket
-	}
-	job.state = StateDone
-	job.wallSeconds = time.Since(job.submitted).Seconds()
-	s.terminalLocked(job)
+	mp := msaPhase(j)
 	s.mu.Unlock()
+	res := core.ComposeResult(j.in, j.machine, j.threads, mp, pb)
+	if b == nil {
+		share = res.Inference.Total()
+	}
+	s.record(j, event{kind: evDone, result: res, secs: share, batch: b})
 }
 
 // ErrorClass buckets a request failure for metrics, exit codes and the
@@ -1240,55 +1116,9 @@ func ErrorClass(err error) string {
 	}
 }
 
-// fail moves a job to StateFailed. Idempotent: a job already terminal is
-// left untouched, so the panic-recovery path and a concurrent stage
-// completion cannot double-fail (or double-decrement the pending count).
-func (s *Server) fail(job *Job, err error) {
-	// A job failing before the GPU hand-off never reaches the batch
-	// dispatcher; release its upstream slot so quiescence sealing is not
-	// held hostage by a dead job. No-op when batching is off or the
-	// dispatcher already received it.
-	s.leaveUpstream(job)
-	class := ErrorClass(err)
-	s.mu.Lock()
-	if job.state == StateDone || job.state == StateFailed {
-		s.mu.Unlock()
-		return
-	}
-	job.err = err
-	job.errClass = class
-	job.state = StateFailed
-	job.wallSeconds = time.Since(job.submitted).Seconds()
-	s.terminalLocked(job)
-	s.mu.Unlock()
-}
-
-func (s *Server) setState(job *Job, st State) {
-	s.mu.Lock()
-	if job.state != StateDone && job.state != StateFailed {
-		job.state = st
-	}
-	s.mu.Unlock()
-}
-
-// terminalLocked is the one place a job turns terminal: its state is
-// already StateDone or StateFailed, and from here on its done channel is
-// closed — the stamp every waiter (Done, WaitIdle) hangs off. The request
-// counters are added before the stamp, so a waiter reads its own job in
-// them.
-func (s *Server) terminalLocked(job *Job) {
-	if job.state == StateDone {
-		s.cfg.Metrics.Add("requests_completed", 1)
-		if job.result.Resilience.Degraded {
-			s.cfg.Metrics.Add("requests_degraded", 1)
-		}
-	} else {
-		s.cfg.Metrics.Add("requests_failed", 1)
-		s.cfg.Metrics.Add("requests_failed_"+job.errClass, 1)
-	}
-	close(job.done)
-	s.pending--
-	if s.pending == 0 {
-		s.idle.Broadcast()
-	}
+// fail ends a job with err. A job already terminal is left untouched
+// (record refuses it), so the panic-recovery path and a concurrent stage
+// completion cannot double-fail.
+func (s *Server) fail(j *job, err error) {
+	s.record(j, event{kind: evFailed, err: err})
 }

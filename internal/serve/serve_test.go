@@ -230,9 +230,15 @@ func TestDeterministicShed(t *testing.T) {
 		}
 		cancel()
 		s.Stop()
-		for i, job := range s.order {
-			if job.dispatchSeq != i {
-				t.Errorf("%d workers: job %d dispatched at seq %d, want submit order", workers, i, job.dispatchSeq)
+		s.mu.Lock()
+		rows := s.completedLocked()
+		s.mu.Unlock()
+		if len(rows) != depth {
+			t.Fatalf("%d workers: %d of %d admitted jobs completed", workers, len(rows), depth)
+		}
+		for i, row := range rows {
+			if row.seq != i {
+				t.Errorf("%d workers: job %d dispatched at seq %d, want submit order", workers, i, row.seq)
 			}
 		}
 	}
@@ -284,7 +290,7 @@ func TestDeadlineShedsCleanly(t *testing.T) {
 	}
 	var timeout resilience.ErrStageTimeout
 	s.mu.Lock()
-	jobErr := s.jobs[id].err
+	jobErr := failure(s.jobs[id])
 	s.mu.Unlock()
 	if !errors.As(jobErr, &timeout) {
 		t.Fatalf("job error = %v, want ErrStageTimeout", jobErr)
@@ -381,8 +387,8 @@ func TestCacheKeyComposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	mach := core.MachineFor(in, platform.Server())
-	jobAt := func(threads int) *Job {
-		return &Job{in: in, machine: mach, threads: threads}
+	jobAt := func(threads int) *job {
+		return &job{in: in, machine: mach, threads: threads}
 	}
 	built := sharedSuite.DBs.Fingerprint()
 	s := NewWithSuite(sharedSuite, Config{})
@@ -392,8 +398,8 @@ func TestCacheKeyComposition(t *testing.T) {
 	}
 	// keyOf derives a key the way chainFetcher does: the database-set
 	// identity is the one the server took at construction.
-	keyOf := func(s *Server, job *Job, scope string, chain inputs.Chain) string {
-		return s.chainKey(job, scope, chain)
+	keyOf := func(s *Server, j *job, scope string, chain inputs.Chain) string {
+		return s.chainKey(j, scope, chain)
 	}
 
 	chainA, chainB := in.Chains[0], in.Chains[1]
