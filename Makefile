@@ -37,8 +37,9 @@ doccheck:
 # (whole repo, and outside bench/, which the benchmark owns) and inside them
 # (outside bench/: code moved into a test is not code removed); flags the
 # two serving CLIs register, counted from their -h output so it does not
-# matter which file the registration call sits in; fields of serve.Config;
-# directories under cmd/, internal/ and examples/.
+# matter which file the registration call sits in; fields of serve.Config
+# and of serve's job (one field a line, by the same rule); directories
+# under cmd/, internal/ and examples/.
 GOSRC = find . -name '*.go' ! -name '*_test.go'
 CODE_LINES = xargs -0 cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l
 loc:
@@ -47,6 +48,7 @@ loc:
 	@echo "test code lines outside bench/:   $$(find . -name '*_test.go' ! -path './bench/*' -print0 | $(CODE_LINES))"
 	@echo "flags (afserve+afload):           $$(for b in afserve afload; do $(GO) run ./cmd/$$b -h 2>&1; done | grep -c '^  -')"
 	@echo "serve.Config fields:              $$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z][A-Za-z]* /{n++} END{print n}' internal/serve/serve.go)"
+	@echo "serve job fields:                 $$(awk '/^type job struct/{f=1;next} f&&/^}/{exit} f&&/^\t[a-z][A-Za-z]* /{n++} END{print n}' internal/serve/serve.go)"
 	@echo "binaries:                         $$(ls cmd | wc -l)"
 	@echo "internal packages:                $$(ls internal | wc -l)"
 	@echo "examples:                         $$(ls examples | wc -l)"
