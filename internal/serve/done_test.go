@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -175,7 +174,6 @@ func TestDoneContract(t *testing.T) {
 	for _, id := range ids {
 		chans[id] = s.Done(id)
 	}
-	errs := make(chan error, 64)
 	var wg sync.WaitGroup
 	for w := 0; w < 64; w++ {
 		id := ids[w%jobs]
@@ -202,40 +200,36 @@ func TestDoneContract(t *testing.T) {
 			st, ok := s.Status(id)
 			switch {
 			case !ok:
-				errs <- fmt.Errorf("%s: no status", id)
+				t.Errorf("%s: no status", id)
 				return
 			case class[id] == "done" && st.State != "done",
 				class[id] != "done" && (st.State != "failed" || st.ErrorClass != class[id]):
-				errs <- fmt.Errorf("%s woke at %s/%s, want %s", id, st.State, st.ErrorClass, class[id])
+				t.Errorf("%s woke at %s/%s, want %s", id, st.State, st.ErrorClass, class[id])
 				return
 			}
 			if got := counters["requests_completed"]; got < closed["done"] {
-				errs <- fmt.Errorf("%s woke: requests_completed %d, %d done jobs closed", id, got, closed["done"])
+				t.Errorf("%s woke: requests_completed %d, %d done jobs closed", id, got, closed["done"])
 			}
 			for _, c := range []string{"timeout", "panic"} {
 				if got := counters["requests_failed_"+c]; got < closed[c] {
-					errs <- fmt.Errorf("%s woke: requests_failed_%s %d, %d such jobs closed", id, c, got, closed[c])
+					t.Errorf("%s woke: requests_failed_%s %d, %d such jobs closed", id, c, got, closed[c])
 				}
 			}
 			if class[id] != "done" {
 				return
 			}
 			if n := s.MetricsSnapshot().Latency.Count; n < int(closed["done"]) {
-				errs <- fmt.Errorf("%s woke: latency count %d, %d done jobs closed", id, n, closed["done"])
+				t.Errorf("%s woke: latency count %d, %d done jobs closed", id, n, closed["done"])
 			}
 			found := false
 			for _, it := range s.ModeledSchedule(1, 1).Items {
 				found = found || it.ID == id
 			}
 			if !found {
-				errs <- fmt.Errorf("%s woke: not in the modeled schedule", id)
+				t.Errorf("%s woke: not in the modeled schedule", id)
 			}
 		}()
 	}
 	s.Start()
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
 }
