@@ -188,9 +188,13 @@ func (c *Cluster) Scatter(ctx context.Context, req msa.ScatterRequest) (*hmmer.R
 		}
 	}
 
-	// Dispatch each non-empty shard concurrently — the scatter.
+	// Dispatch each non-empty shard concurrently — the scatter. The RPCs'
+	// modeled seconds are added in shard order once every shard is back,
+	// so a scan's float sum does not depend on which dispatch finished
+	// first.
 	var wg sync.WaitGroup
 	errs := make([]error, c.plan.Shards)
+	secs := make([]float64, c.plan.Shards)
 	for s := 0; s < c.plan.Shards; s++ {
 		if len(byShard[s]) == 0 {
 			continue
@@ -198,10 +202,15 @@ func (c *Cluster) Scatter(ctx context.Context, req msa.ScatterRequest) (*hmmer.R
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			errs[s] = c.dispatch(ctx, s, req, byShard[s])
+			secs[s], errs[s] = c.dispatch(ctx, s, req, byShard[s])
 		}(s)
 	}
 	wg.Wait()
+	c.mu.Lock()
+	for _, sec := range secs {
+		c.stats.NetSeconds += sec
+	}
+	c.mu.Unlock()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -224,8 +233,9 @@ func (c *Cluster) Scatter(ctx context.Context, req msa.ScatterRequest) (*hmmer.R
 // dispatch time, or that is killed while the scan is in flight, counts one
 // failover and the next candidate redoes the segments from scratch — the
 // recompute is free of determinism risk because the scan is a pure
-// function of the records and the profile.
-func (c *Cluster) dispatch(ctx context.Context, shard int, req msa.ScatterRequest, segs []*segment) error {
+// function of the records and the profile. It returns the modeled seconds
+// of the RPC that landed.
+func (c *Cluster) dispatch(ctx context.Context, shard int, req msa.ScatterRequest, segs []*segment) (float64, error) {
 	owner := c.plan.Owner(req.DB.Name, shard)
 	for k := 0; k < c.plan.Shards; k++ {
 		node := (owner + k) % c.plan.Shards
@@ -234,7 +244,7 @@ func (c *Cluster) dispatch(ctx context.Context, shard int, req msa.ScatterReques
 			continue
 		}
 		if err := c.runSegments(ctx, req, segs); err != nil {
-			return err
+			return 0, err
 		}
 		if !c.NodeAlive(node) {
 			// Killed mid-scan: the in-flight work is lost with the node,
@@ -242,10 +252,9 @@ func (c *Cluster) dispatch(ctx context.Context, shard int, req msa.ScatterReques
 			c.noteFailover(node)
 			continue
 		}
-		c.noteDispatch(node, req, segs)
-		return nil
+		return c.noteDispatch(node, req, segs), nil
 	}
-	return fmt.Errorf("cluster: shard %s unavailable: all %d nodes dead",
+	return 0, fmt.Errorf("cluster: shard %s unavailable: all %d nodes dead",
 		c.plan.ShardID(req.DB.Name, shard), c.plan.Shards)
 }
 
@@ -275,9 +284,9 @@ func (c *Cluster) noteFailover(node int) {
 
 // noteDispatch records a successful shard dispatch and prices its RPC:
 // the query and profile go out, the hit list and metering come back,
-// priced per event folded. The modeled seconds land in Stats only — never
-// in the result.
-func (c *Cluster) noteDispatch(node int, req msa.ScatterRequest, segs []*segment) {
+// priced per event folded. It returns the RPC's modeled seconds, which
+// Scatter adds to Stats — never to the result.
+func (c *Cluster) noteDispatch(node int, req msa.ScatterRequest, segs []*segment) float64 {
 	reqBytes := int64(req.Query.Len()) + 512
 	var respBytes int64
 	for _, g := range segs {
@@ -291,6 +300,6 @@ func (c *Cluster) noteDispatch(node int, req msa.ScatterRequest, segs []*segment
 	c.nodes[node].dispatches++
 	c.stats.NetOps++
 	c.stats.NetBytes += reqBytes + respBytes
-	c.stats.NetSeconds += DefaultNet().Cost(reqBytes + respBytes)
 	c.mu.Unlock()
+	return DefaultNet().Cost(reqBytes + respBytes)
 }
