@@ -39,15 +39,40 @@ func suite(t *testing.T) *Suite {
 // req.Threads spans, parallel.Span(n, w, Threads) into req.Workers[w] — the
 // decomposition the scan used while its goroutine count was the thread
 // count — and adds every event each worker recorded, one by one, to
-// workers[w]'s credits, before the run re-cuts anything.
+// workers[w]'s credits, with each of its records' reader events
+// (hmmer.ReaderEvents, scaled as the scan's events are), before the run
+// re-cuts anything.
 type shardOracle struct{ workers []*metering.Accumulator }
 
-// tee records every event into both meters.
+// tee records every event into both meters, and passes record starts on.
 type tee [2]metering.Meter
 
 func (m tee) Record(ev metering.Event) {
 	m[0].Record(ev)
 	m[1].Record(ev)
+}
+
+func (m tee) RecordStart() {
+	metering.RecordStart(m[0])
+	metering.RecordStart(m[1])
+}
+
+// readerSource hands out src's records, recording each one's reader
+// events into m as it does.
+type readerSource struct {
+	src       hmmer.RecordSource
+	footprint uint64
+	m         metering.Meter
+}
+
+func (s readerSource) Next() (*seq.Sequence, bool) {
+	rec, ok := s.src.Next()
+	if ok {
+		for _, ev := range hmmer.ReaderEvents(uint64(len(rec.Residues)), s.footprint) {
+			s.m.Record(ev)
+		}
+	}
+	return rec, ok
 }
 
 // credited is a Meter that adds each event to an accumulator's credits.
@@ -63,7 +88,8 @@ func (o *shardOracle) scatter(ctx context.Context, req msa.ScatterRequest) (*hmm
 		if lo == hi {
 			continue
 		}
-		src := &hmmer.SliceSource{Seqs: req.DB.Seqs[lo:hi]}
+		reader := metering.Scaled(credited{o.workers[w]}, req.ScaleFactor)
+		src := readerSource{&hmmer.SliceSource{Seqs: req.DB.Seqs[lo:hi]}, uint64(req.DB.ModeledBytes()), reader}
 		meter := metering.Scaled(tee{req.Workers[w], credited{o.workers[w]}}, req.ScaleFactor)
 		var err error
 		parts[w], err = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, req.DB.TotalResidues(), req.Search, meter)

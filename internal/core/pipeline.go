@@ -591,24 +591,13 @@ func (s *Suite) streamPass(storage *simio.System, name string, bytes int64, inj 
 }
 
 // reducedDBSet filters the suite's databases to the active set, preserving
-// catalog order.
+// catalog order and the databases' reader lanes.
 func (s *Suite) reducedDBSet(active []*seqdb.DB) *msa.DBSet {
 	on := make(map[string]bool, len(active))
 	for _, db := range active {
 		on[db.Name] = true
 	}
-	set := &msa.DBSet{}
-	for _, db := range s.DBs.Protein {
-		if on[db.Name] {
-			set.Protein = append(set.Protein, db)
-		}
-	}
-	for _, db := range s.DBs.RNA {
-		if on[db.Name] {
-			set.RNA = append(set.RNA, db)
-		}
-	}
-	return set
+	return s.DBs.Keep(func(db *seqdb.DB) bool { return on[db.Name] })
 }
 
 // dbSignature names a database profile for the MSA result cache.

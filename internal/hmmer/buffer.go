@@ -28,88 +28,60 @@ func (s *SliceSource) Next() (*seq.Sequence, bool) {
 	return out, true
 }
 
-// Buffer is the input-buffering layer between database storage and the
-// search kernels, mirroring HMMER's esl_buffer stack. Each record passes
-// through three instrumented steps that appear in the paper's profiles:
+// ReaderEvents is the work HMMER's input-buffering layer — its esl_buffer
+// stack, which the serialized reader thread runs — spends on one record of
+// n residues, as the three steps that appear in the paper's profiles:
 //
 //	copy_to_iter — the kernel-side copy from page cache into user space
-//	               (its working set is the whole modeled database, which is
-//	               why it dominates LLC misses at low thread counts);
+//	               (its working set is the whole modeled database of
+//	               dbFootprint bytes, which is why it dominates LLC misses
+//	               at low thread counts);
 //	addbuf       — appending the record into the user-space lookahead
 //	               buffer;
 //	seebuf       — lookahead scanning/classification of buffered input.
 //
 // The events model hmmsearch's buffer stack at paper scale, not this
-// process: every source hands out records that are already in memory, so
-// Next meters a record and passes the source's own pointer on.
-type Buffer struct {
-	src   RecordSource
-	meter metering.Meter
-	// dbFootprint is the modeled resident footprint of the database being
-	// streamed (paper-scale bytes); it is the working set reported for
-	// copy_to_iter.
-	dbFootprint uint64
+// process: every source hands out records that are already in memory.
+//
+// Contract: this work is a function of the record and its database alone,
+// never of the query, so a scan does not record it. The scan's record
+// loop marks each record's start (metering.RecordStart) and records only
+// what the query decides; msa builds each database's reader lane once,
+// per record, from these events (scaled as a scan's events are) and
+// credits it beside a chain's own work.
+func ReaderEvents(n, dbFootprint uint64) [3]metering.Event {
+	return [3]metering.Event{
+		// copy_to_iter: page-cache -> user copy, one pass over the bytes.
+		{
+			Func:         metering.CopyToIter,
+			Instructions: n / 2, // wide vectorized copy loop
+			Bytes:        2 * n, // read + write
+			WorkingSet:   dbFootprint,
+			Branches:     n / 64,
+		},
+		// addbuf: append into the lookahead window (a second pass).
+		// Allocated is HMMER's per-record buffer growth, not this
+		// process's Go heap.
+		{
+			Func:         metering.AddBuf,
+			Instructions: 12 * n, // parsing, validation, digital translation
+			Bytes:        2 * n,
+			WorkingSet:   stagingSize,
+			Branches:     n / 16,
+			Allocated:    n,
+		},
+		// seebuf: lookahead scanning — record sniffing and tokenization, a
+		// third pass.
+		{
+			Func:         metering.SeeBuf,
+			Instructions: 4 * n,
+			Bytes:        n,
+			WorkingSet:   stagingSize,
+			Branches:     n,
+		},
+	}
 }
 
 // stagingSize is the modeled user-space lookahead buffer size (HMMER's
 // default 256 KiB input window): the working set addbuf and seebuf report.
 const stagingSize = 256 * 1024
-
-// NewBuffer wraps src. dbFootprint is the modeled byte size of the backing
-// database (DB.ModeledBytes()).
-func NewBuffer(src RecordSource, dbFootprint uint64, m metering.Meter) *Buffer {
-	if m == nil {
-		m = metering.Nop{}
-	}
-	return &Buffer{src: src, meter: m, dbFootprint: dbFootprint}
-}
-
-// Next returns the source's next record after metering the three buffering
-// steps for it.
-//
-// Contract: copy_to_iter (metering.RecordStart) is the first event a
-// record's scan records, and no other step of a scan records it. A scan's
-// meter therefore receives, per record in storage order, one copy_to_iter
-// and then everything that record cost until the next one — which is how a
-// metering.Accumulator folds a scan as it records: each copy_to_iter
-// closes the record before it into one row per function, so msa builds a
-// chain's per-record sums without keeping an event, and then credits the
-// chain to any thread count.
-func (b *Buffer) Next() (*seq.Sequence, bool) {
-	rec, ok := b.src.Next()
-	if !ok {
-		return nil, false
-	}
-	n := uint64(len(rec.Residues))
-
-	// copy_to_iter: page-cache -> user copy, one pass over the bytes.
-	b.meter.Record(metering.Event{
-		Func:         metering.CopyToIter,
-		Instructions: n / 2, // wide vectorized copy loop
-		Bytes:        2 * n, // read + write
-		WorkingSet:   b.dbFootprint,
-		Branches:     n / 64,
-	})
-
-	// addbuf: append into the lookahead window (a second pass). Allocated
-	// is HMMER's per-record buffer growth, not this process's Go heap.
-	b.meter.Record(metering.Event{
-		Func:         metering.AddBuf,
-		Instructions: 12 * n, // parsing, validation, digital translation
-		Bytes:        2 * n,
-		WorkingSet:   stagingSize,
-		Branches:     n / 16,
-		Allocated:    n,
-	})
-
-	// seebuf: lookahead scanning — record sniffing and tokenization, a
-	// third pass.
-	b.meter.Record(metering.Event{
-		Func:         metering.SeeBuf,
-		Instructions: 4 * n,
-		Bytes:        n,
-		WorkingSet:   stagingSize,
-		Branches:     n,
-	})
-	return rec, true
-}

@@ -63,7 +63,9 @@ func isTracebackEvent(ev metering.Event) bool {
 // does its work at a different point than the model is charged for it.
 // The hash covers the fields an event still has: with the PageTouches and
 // Pruned words left out, the commit that still had them hashes its stream
-// to these same values.
+// to these same values. The buffering layer's events are no longer the
+// scan's: readerSource records ReaderEvents for each record where the
+// scan's buffer once did, so the stream hashed is the same stream.
 func TestScanEventStreamMatchesParent(t *testing.T) {
 	want := map[seq.MoleculeType]uint64{
 		seq.Protein: 0xfb2c8a7654082c33,
@@ -72,7 +74,8 @@ func TestScanEventStreamMatchesParent(t *testing.T) {
 	for _, mt := range []seq.MoleculeType{seq.Protein, seq.RNA} {
 		query, db := repeatRichScan(t, mt)
 		var events metering.Log
-		res, err := ScanRecords(BuildMust(t, query), query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{}, &events)
+		src := readerSource{&SliceSource{Seqs: db.Seqs}, &events}
+		res, err := ScanRecords(BuildMust(t, query), query, src, db.TotalResidues(), SearchOptions{}, &events)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -331,7 +331,10 @@ func TestBuildTransposedRebuildsForwardOdds(t *testing.T) {
 // the Go loop, so making the loop cheaper must leave every one of these —
 // and with them every modeled second and golden — where it was. The last
 // column is the scan's Result.CellsPruned, which the band_prune event
-// carried as its pruned count while events had one.
+// carried as its pruned count while events had one. The buffering layer's
+// three functions are no longer the scan's to record: their rows are
+// ReaderEvents over the records the scan took (readerSource), and the scan
+// itself must record none of them.
 func TestScanMeteringMatchesParent(t *testing.T) {
 	type totals struct{ instructions, bytes, branches, workingSet, allocated, pruned uint64 }
 	want := map[seq.MoleculeType]map[string]totals{
@@ -364,9 +367,19 @@ func TestScanMeteringMatchesParent(t *testing.T) {
 			Homologs: []*seq.Sequence{query}, HomologsPerQuery: 6, Seed: 42,
 		})
 		var events metering.Log
-		res, err := ScanRecords(BuildMust(t, query), query, &SliceSource{Seqs: db.Seqs}, db.TotalResidues(), SearchOptions{}, &events)
+		src := readerSource{&SliceSource{Seqs: db.Seqs}, &events}
+		res, err := ScanRecords(BuildMust(t, query), query, src, db.TotalResidues(), SearchOptions{}, &events)
 		if err != nil {
 			t.Fatal(err)
+		}
+		reader := 0
+		for _, ev := range events {
+			if isReaderFunc(ev.Func) {
+				reader++
+			}
+		}
+		if reader != 3*len(db.Seqs) {
+			t.Errorf("%v: %d buffering-layer events over %d records: the scan itself recorded some", mt, reader, len(db.Seqs))
 		}
 		got := map[string]totals{}
 		for _, ev := range events {
@@ -396,11 +409,10 @@ func TestScanMeteringMatchesParent(t *testing.T) {
 	}
 }
 
-// TestScanReusesRecordBuffer pins what a warm scan may still allocate. The
-// buffering layer owns no bytes (it meters the source's records), the
-// workspace is pooled and the seed tables of an unchanged query stand, so
-// what is left is the scan's own state — source, buffer, scan state, Result:
-// 256 bytes in 4 allocations. A no-hit database keeps the legitimate per-hit
+// TestScanReusesRecordBuffer pins what a warm scan may still allocate. A
+// scan reads the source's records in place, the workspace is pooled and
+// the seed tables of an unchanged query stand, so what is left is the
+// scan's own state — source, scan state, Result. A no-hit database keeps the legitimate per-hit
 // allocations (hit list, traceback) out of the count.
 func TestScanReusesRecordBuffer(t *testing.T) {
 	g := seq.NewGenerator(rng.New(89))

@@ -21,8 +21,10 @@ type SearchOptions struct {
 	// name stays only because bench/layers.go, which belongs to the
 	// benchmark, still assigns it.
 	DisableSWAR bool
-	// DBFootprint is the modeled byte size of the database (for the
-	// buffering layer's working-set accounting).
+	// Inert: the buffering layer's work, whose working set this was, is
+	// the database's and no longer recorded by a scan (ReaderEvents). The
+	// name stays only because bench/layers.go, which belongs to the
+	// benchmark, still assigns it.
 	DBFootprint uint64
 	// TraceE is the traceback ceiling: kept hits with EValue <= TraceE carry
 	// a traced Alignment, the rest a nil one. Zero traces every kept hit,
@@ -650,22 +652,23 @@ func (s *scanState) keepBest(opts SearchOptions, recruiting bool) {
 	res.Hits = uniq
 }
 
-// scanDB is the shared inner loop: stream records through the buffering
-// layer, seed-filter, DP candidates, Forward-score survivors, then keepBest.
-// The context is polled every ctxCheckStride records — cheap enough to be
-// invisible, frequent enough that cancellation lands mid-shard, not at
-// shard end.
+// scanDB is the shared inner loop: take each record from the source, mark
+// its start for the meter's fold, seed-filter, DP candidates, Forward-score
+// survivors, then keepBest. The reader's own work per record is not
+// recorded here (ReaderEvents). The context is polled every
+// ctxCheckStride records — cheap enough to be invisible, frequent enough
+// that cancellation lands mid-shard, not at shard end.
 func scanDB(ctx context.Context, p *Profile, query *seq.Sequence, src RecordSource, dbResidues int, opts SearchOptions, recruiting bool, m metering.Meter) (*Result, error) {
 	const ctxCheckStride = 32
-	buf := NewBuffer(src, opts.DBFootprint, m)
 	s := newScanState(p, query, dbResidues, m)
 	defer s.release()
 	res := s.res
 	for {
-		target, ok := buf.Next()
+		target, ok := src.Next()
 		if !ok {
 			break
 		}
+		metering.RecordStart(m)
 		res.Scanned++
 		if res.Scanned%ctxCheckStride == 1 {
 			if err := ctx.Err(); err != nil {

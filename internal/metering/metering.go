@@ -189,10 +189,18 @@ type Log []Event
 // Record implements Meter.
 func (l *Log) Record(ev Event) { *l = append(*l, ev) }
 
-// RecordStart is the event every record's scan records first, and no
-// other step of a scan records (hmmer.Buffer.Next): a fold's record
-// boundary.
-const RecordStart = CopyToIter
+// RecordStart marks where a record's work starts: a scan calls it as it
+// takes each record from its source, before the record's first event. A
+// meter that folds per record — an Accumulator, or Scaled over one —
+// closes the record before and opens the next; any other meter ignores it.
+// It is not an event: it counts nothing and moves no Ledger. (The reader
+// work each record costs, copy_to_iter, addbuf and seebuf, is a property
+// of the database, which msa credits from a per-record table.)
+func RecordStart(m Meter) {
+	if r, ok := m.(interface{ RecordStart() }); ok {
+		r.RecordStart()
+	}
+}
 
 // Accumulator is one worker thread's metering: work credited to it as
 // per-function sums, plus what a scan records into it, folded per record
@@ -217,7 +225,17 @@ func (a *Accumulator) Record(ev Event) {
 	if a.fold == nil {
 		a.fold = &Fold{}
 	}
-	a.fold.record(&ev)
+	a.fold.open[ev.Func].AddEvent(&ev)
+}
+
+// RecordStart closes the fold's open record and opens the next (see the
+// package's RecordStart).
+func (a *Accumulator) RecordStart() {
+	if a.fold == nil {
+		a.fold = &Fold{}
+	}
+	a.fold.flush()
+	a.fold.Records++
 }
 
 // Reserve gives an accumulator without a fold one with room for the rows
@@ -277,16 +295,17 @@ func (a *Accumulator) Ledger() Ledger {
 	return l
 }
 
-// rowsPerRecord is the rows Reserve makes room for per record: the four
-// functions every scanned record has work in (copy_to_iter, addbuf,
-// seebuf, seed_filter) and one of the band kernels' that a candidate adds.
-const rowsPerRecord = 5
+// rowsPerRecord is the rows Reserve makes room for per record: the one
+// function every scanned record has work in, seed_filter, and one of the
+// band kernels' that a candidate adds. The reader lane folds no row: its
+// work is the database's (RecordStart).
+const rowsPerRecord = 2
 
 // Fold is a scan's metering folded per record: one Row for each function
 // a record had work in, records in order. A record's work starts at its
-// RecordStart event and runs up to the next one; work recorded before the
-// first is an orphan row, of record −1, which belongs to no record. A
-// fold's reader must not modify it.
+// RecordStart and runs up to the next one; work recorded before the first
+// is an orphan row, of record −1, which belongs to no record. A fold's
+// reader must not modify it.
 type Fold struct {
 	// Records counts the records opened; Rows holds the closed ones' rows,
 	// and FuncRows counts each function's.
@@ -305,14 +324,6 @@ type Row struct {
 	Tally
 }
 
-func (f *Fold) record(ev *Event) {
-	if ev.Func == RecordStart {
-		f.flush()
-		f.Records++
-	}
-	f.open[ev.Func].AddEvent(ev)
-}
-
 // flush closes the open record: a row for each function with work in it.
 func (f *Fold) flush() {
 	for fn := range f.open {
@@ -325,8 +336,9 @@ func (f *Fold) flush() {
 }
 
 // Scaled returns a Meter that multiplies instruction/byte counts by factor
-// before forwarding to next. The suite uses it to map MiB-scale synthetic
-// databases onto the paper's GiB-scale work volumes.
+// before forwarding to next, and forwards RecordStart. The suite uses it
+// to map MiB-scale synthetic databases onto the paper's GiB-scale work
+// volumes.
 func Scaled(next Meter, factor float64) Meter {
 	return &scaledMeter{next: next, factor: factor}
 }
@@ -337,10 +349,17 @@ type scaledMeter struct {
 }
 
 // Record implements Meter, scaling counts before forwarding.
-func (m *scaledMeter) Record(ev Event) {
-	ev.Instructions = uint64(float64(ev.Instructions) * m.factor)
-	ev.Bytes = uint64(float64(ev.Bytes) * m.factor)
-	ev.Branches = uint64(float64(ev.Branches) * m.factor)
-	ev.Allocated = uint64(float64(ev.Allocated) * m.factor)
-	m.next.Record(ev)
+func (m *scaledMeter) Record(ev Event) { m.next.Record(ScaleEvent(ev, m.factor)) }
+
+// RecordStart forwards the record boundary to the wrapped meter.
+func (m *scaledMeter) RecordStart() { RecordStart(m.next) }
+
+// ScaleEvent is what Scaled forwards of ev: each counter multiplied by
+// factor and floored, one event at a time.
+func ScaleEvent(ev Event, factor float64) Event {
+	ev.Instructions = uint64(float64(ev.Instructions) * factor)
+	ev.Bytes = uint64(float64(ev.Bytes) * factor)
+	ev.Branches = uint64(float64(ev.Branches) * factor)
+	ev.Allocated = uint64(float64(ev.Allocated) * factor)
+	return ev
 }

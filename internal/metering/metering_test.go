@@ -108,13 +108,13 @@ func TestFuncTable(t *testing.T) {
 		rate    float64
 		pattern Pattern
 	}{
-		{"addbuf", 0.002, Sequential},                      // hmmer.Buffer.Next
+		{"addbuf", 0.002, Sequential},                      // hmmer.ReaderEvents
 		{"band_prune", 0, Sequential},                      // hmmer recordBandPrune: no rate
 		{"calc_band_10", 0.004, Strided},                   // hmmer recordCalcBand
 		{"calc_band_9", 0.004, Strided},                    // hmmer recordCalcBand
-		{"copy_to_iter", 0.001, Sequential},                // hmmer.Buffer.Next
+		{"copy_to_iter", 0.001, Sequential},                // hmmer.ReaderEvents
 		{"forward_band", 0.003, Strided},                   // hmmer recordForwardEvent
-		{"seebuf", 0.002, Sequential},                      // hmmer.Buffer.Next
+		{"seebuf", 0.002, Sequential},                      // hmmer.ReaderEvents
 		{"seed_filter", 0.010, Random},                     // hmmer seedIndex.candidates
 		{"std::vector::_M_fill_insert", 0.002, Sequential}, // xla.Compile
 		{"viterbi_full", 0.004, Strided},                   // hmmer.FullViterbi
@@ -218,22 +218,25 @@ func TestByFuncMatchesMapWalk(t *testing.T) {
 }
 
 // TestFoldRows: a fold holds one row per function a record had work in,
-// records in order, its record-start event opening each record; work
-// before the first record is an orphan row of record −1; a taken fold
-// leaves the accumulator empty; and a join numbers a fold's records after
-// the ones before it, and adopts a fold joining an empty accumulator.
+// records in order, RecordStart opening each record — through a Scaled
+// meter too — and counting nothing itself; work before the first record
+// is an orphan row of record −1; a taken fold leaves the accumulator
+// empty; and a join numbers a fold's records after the ones before it,
+// and adopts a fold joining an empty accumulator.
 func TestFoldRows(t *testing.T) {
 	ev := func(f Func, instr uint64) Event { return Event{Func: f, Instructions: instr, WorkingSet: 1 << 20} }
 	var a Accumulator
 	a.Reserve(2)
-	for _, e := range []Event{
-		ev(SeedFilter, 1),                                                  // an orphan
-		ev(RecordStart, 2), ev(AddBuf, 3), ev(AddBuf, 4), ev(CalcBand9, 5), // record 0
-		ev(RecordStart, 6), ev(AddBuf, 7), // record 1, still open
-	} {
-		a.Record(e)
+	m := Scaled(&a, 1)
+	m.Record(ev(SeedFilter, 1)) // an orphan
+	RecordStart(m)              // record 0
+	for _, e := range []Event{ev(SeedFilter, 2), ev(AddBuf, 3), ev(AddBuf, 4), ev(CalcBand9, 5)} {
+		m.Record(e)
 	}
-	if l := a.Ledger(); l.Total() != (Tally{Events: 7, Instructions: 28}) {
+	RecordStart(m) // record 1, still open
+	m.Record(ev(AddBuf, 7))
+	RecordStart(Nop{}) // a meter that does not fold ignores it
+	if l := a.Ledger(); l.Total() != (Tally{Events: 6, Instructions: 22}) {
 		t.Fatalf("ledger total before the take = %+v", l.Total())
 	}
 	f := a.TakeFold()
@@ -241,14 +244,13 @@ func TestFoldRows(t *testing.T) {
 		{-1, SeedFilter, Tally{Events: 1, Instructions: 1}},
 		{0, AddBuf, Tally{Events: 2, Instructions: 7}},
 		{0, CalcBand9, Tally{Events: 1, Instructions: 5}},
-		{0, RecordStart, Tally{Events: 1, Instructions: 2}},
+		{0, SeedFilter, Tally{Events: 1, Instructions: 2}},
 		{1, AddBuf, Tally{Events: 1, Instructions: 7}},
-		{1, RecordStart, Tally{Events: 1, Instructions: 6}},
 	}
 	if !reflect.DeepEqual(f.Rows, want) || f.Records != 2 {
 		t.Fatalf("rows %+v over %d records, want %+v over 2", f.Rows, f.Records, want)
 	}
-	if f.FuncRows[AddBuf] != 2 || f.FuncRows[RecordStart] != 2 || f.FuncRows[SeedFilter] != 1 || f.FuncRows[SeeBuf] != 0 {
+	if f.FuncRows[AddBuf] != 2 || f.FuncRows[SeedFilter] != 2 || f.FuncRows[CalcBand9] != 1 || f.FuncRows[SeeBuf] != 0 {
 		t.Fatal("per-function row counts wrong")
 	}
 	if a.TakeFold() != nil || a.Ledger() != (Ledger{}) {
@@ -256,7 +258,8 @@ func TestFoldRows(t *testing.T) {
 	}
 
 	var b Accumulator
-	b.Record(ev(RecordStart, 10))
+	b.RecordStart()
+	b.Record(ev(SeedFilter, 10))
 	g := b.TakeFold()
 	var joined Accumulator
 	joined.Join(g)
@@ -266,8 +269,8 @@ func TestFoldRows(t *testing.T) {
 	joined.Join(g)
 	joined.Join(f)
 	jf := joined.TakeFold()
-	if jf.Records != 3 || len(jf.Rows) != 7 || jf.FuncRows[RecordStart] != 3 {
-		t.Fatalf("joined %d records in %d rows, want 3 in 7", jf.Records, len(jf.Rows))
+	if jf.Records != 3 || len(jf.Rows) != 6 || jf.FuncRows[SeedFilter] != 3 {
+		t.Fatalf("joined %d records in %d rows, want 3 in 6", jf.Records, len(jf.Rows))
 	}
 	for i, r := range jf.Rows[1:] {
 		if w := want[i]; (w.Rec < 0 && r.Rec != -1) || (w.Rec >= 0 && r.Rec != w.Rec+1) {

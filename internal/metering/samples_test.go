@@ -11,15 +11,18 @@ import (
 	"afsysbench/internal/metering"
 	"afsysbench/internal/msa"
 	"afsysbench/internal/parallel"
+	"afsysbench/internal/seq"
 	"afsysbench/internal/xla"
 )
 
 // recordingScatter is an msa.ScatterFunc that scans each database
 // serially over exactly req.Threads spans, span w into req.Workers[w], and
-// keeps a copy of every event each worker recorded, in order.
+// keeps a copy of every event each worker recorded, in order, with each
+// record's reader events (hmmer.ReaderEvents, scaled as the scan's are)
+// where the record starts: what the worker's span cost in full.
 type recordingScatter struct{ events []metering.Log }
 
-// tee records every event into both meters.
+// tee records every event into both meters, and passes record starts on.
 type tee [2]metering.Meter
 
 func (m tee) Record(ev metering.Event) {
@@ -27,12 +30,36 @@ func (m tee) Record(ev metering.Event) {
 	m[1].Record(ev)
 }
 
+func (m tee) RecordStart() {
+	metering.RecordStart(m[0])
+	metering.RecordStart(m[1])
+}
+
+// readerSource hands out src's records, recording each one's reader
+// events into m as it does.
+type readerSource struct {
+	src       hmmer.RecordSource
+	footprint uint64
+	m         metering.Meter
+}
+
+func (s readerSource) Next() (*seq.Sequence, bool) {
+	rec, ok := s.src.Next()
+	if ok {
+		for _, ev := range hmmer.ReaderEvents(uint64(len(rec.Residues)), s.footprint) {
+			s.m.Record(ev)
+		}
+	}
+	return rec, ok
+}
+
 func (o *recordingScatter) scatter(ctx context.Context, req msa.ScatterRequest) (*hmmer.Result, error) {
 	n := len(req.DB.Seqs)
 	parts := make([]*hmmer.Result, req.Threads)
 	for w := range parts {
 		lo, hi := parallel.Span(n, w, req.Threads)
-		src := &hmmer.SliceSource{Seqs: req.DB.Seqs[lo:hi]}
+		reader := metering.Scaled(&o.events[w], req.ScaleFactor)
+		src := readerSource{&hmmer.SliceSource{Seqs: req.DB.Seqs[lo:hi]}, uint64(req.DB.ModeledBytes()), reader}
 		meter := metering.Scaled(tee{req.Workers[w], &o.events[w]}, req.ScaleFactor)
 		var err error
 		parts[w], err = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, req.DB.TotalResidues(), req.Search, meter)
@@ -79,9 +106,10 @@ func TestByFuncMatchesMapWalkOnSamples(t *testing.T) {
 	}
 }
 
-// TestEveryRecordedEventHasAKnownFunc: every event a real scan or compile
-// records names a function of the table, and between them they use every
-// function but viterbi_full (the unbanded kernel no search runs).
+// TestEveryRecordedEventHasAKnownFunc: every event a real scan, its
+// databases' reader lane or a compile records names a function of the
+// table, and between them they use every function but viterbi_full (the
+// unbanded kernel no search runs).
 func TestEveryRecordedEventHasAKnownFunc(t *testing.T) {
 	s, err := core.NewSuite()
 	if err != nil {

@@ -59,10 +59,11 @@ func (cc *CachedChain) deltaFor(cid string) *chainDelta {
 	return &d
 }
 
-// deltaWork sums the modeled instructions a delta carries, floored at 1 so
-// work-share ratios stay well-defined for trivial chains.
+// deltaWork sums the modeled instructions a delta carries — its reader
+// lane's among them — floored at 1 so work-share ratios stay well-defined
+// for trivial chains.
 func deltaWork(d *chainDelta) uint64 {
-	w := d.serial
+	w := d.serial + d.readerWork
 	for k := range d.sums {
 		w += d.sums[k].total().Instructions
 	}
@@ -75,8 +76,9 @@ func deltaWork(d *chainDelta) uint64 {
 // deltaSize estimates a delta's in-memory footprint for LRU charging: a
 // function of the chain's content, so a chain costs the same at every
 // thread count and across the codec. It charges each event the scans
-// recorded as the 96 B it cost when a chain stored its events, so a tier
-// of a given size holds the chains it always held.
+// recorded as the 96 B it cost when a chain stored its events — the reader
+// lane's three per record scanned among them — so a tier of a given size
+// holds the chains it always held.
 func deltaSize(d *chainDelta) int64 {
 	sz := int64(256) + int64(len(d.cr.ChainID))
 	for _, h := range d.hits {
@@ -92,6 +94,9 @@ func deltaSize(d *chainDelta) int64 {
 	for k := range d.sums {
 		s := &d.sums[k]
 		sz += int64(s.total().Events) * (96 + int64(len(s.f.String())))
+	}
+	for _, f := range readerFuncs {
+		sz += int64(d.cr.Scanned) * (96 + int64(len(f.String())))
 	}
 	for name := range d.streamed {
 		sz += 16 + int64(len(name))

@@ -9,6 +9,8 @@ import (
 
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/metering"
+	"afsysbench/internal/rng"
+	"afsysbench/internal/seq"
 )
 
 // mapChainCache is a ChainFetch over a plain map, optionally round-tripping
@@ -102,20 +104,27 @@ func sameOutcome(t *testing.T, name string, a, b *Result) {
 }
 
 // TestChainCacheReplayIsByteIdentical: a run served from the chain cache
-// equals a fresh one at every thread count. On every Table II sample and a
-// PPI pair, the chains cached by a search at 1, 2 and 3 threads — held in
-// memory, and sent through Encode and DecodeCachedChain — are served at 1,
-// 2, 4, 8 and 16 threads, and every worker's ledger must equal the fold of
-// the events the shard oracle's worker recorded at that count. A last arm
-// traces every kept hit (TraceE 0), so the final hits the codec carries
-// have alignments.
+// equals a fresh one at every thread count. On every Table II sample, a
+// PPI pair and a short RNA chain — protein chains, 6QNR's RNA chain, and
+// one short enough that the RNA databases' long targets scan in windows —
+// the chains cached by a search at 1, 2 and 3 threads — held in memory,
+// and sent through Encode and DecodeCachedChain — are served at
+// 1, 2, 3, 4, 8 and 16 threads, and every worker's ledger must equal the
+// fold of the events the shard oracle's worker recorded at that count,
+// the reader events of its records among them. A last arm traces every
+// kept hit (TraceE 0), so the final hits the codec carries have
+// alignments.
 func TestChainCacheReplayIsByteIdentical(t *testing.T) {
 	ppi, err := inputs.PPIPair(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveAt := []int{1, 2, 4, 8, 16}
-	for _, in := range append(inputs.Samples(), ppi) {
+	rna := &inputs.Input{Name: "rna200", Chains: []inputs.Chain{
+		{IDs: []string{"R"}, Sequence: seq.NewGenerator(rng.New(200)).Random("rna200", seq.RNA, 200)},
+	}}
+	serveAt := []int{1, 2, 3, 4, 8, 16}
+	windows := 0
+	for _, in := range append(inputs.Samples(), ppi, rna) {
 		chains := len(in.MSAChains())
 		oracle := make(map[int][]*metering.Accumulator)
 		var ref *Result
@@ -126,6 +135,7 @@ func TestChainCacheReplayIsByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			oracle[T], ref = o.workers, res
+			windows += o.windows
 		}
 		for _, cachedAt := range []int{1, 2, 3} {
 			mem := &mapChainCache{entries: make(map[string]*CachedChain)}
@@ -166,6 +176,10 @@ func TestChainCacheReplayIsByteIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	if windows == 0 {
+		t.Fatal("no oracle scan took the long-target window path")
 	}
 
 	pv7, _ := inputs.ByName("2PV7")

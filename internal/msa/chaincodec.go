@@ -20,11 +20,15 @@ import (
 //	hits     count; per hit: target ID, type and residues; Diagonal;
 //	         ViterbiScore, ForwardScore, Bits, EValue; an alignment flag
 //	         0|1, then Score and per pair Op, Col, Pos
-//	scans    count; per database of one round, in scan order, its records
-//	         (Scanned is a whole number of rounds)
+//	scans    count; per database of one round, in scan order, its name and
+//	         records (Scanned is a whole number of rounds)
+//	reader   the reader lane's instructions over the scans
 //	events   the number of events the scans recorded
 //	funcs    count; per function with events, in ascending metering.Func
-//	         order: its id; the number of records it has events in, 1 to
+//	         order and none of the reader lane's (copy_to_iter, addbuf,
+//	         seebuf: their work is the databases', credited from a table
+//	         each database builds once): its id; the number of records it
+//	         has events in, 1 to
 //	         Scanned; unless that is every record, those records' indexes as
 //	         gaps (the first index, then each index less the one before, at
 //	         least 1); then per such record, in order, its event count (at
@@ -43,9 +47,10 @@ import (
 // in it depends on the thread count the chain was searched at. A function
 // id is its metering.Func value, so any change to that table is a change of
 // format: bump chainVersion and the serving layer's codec id with it.
+// Version 4 dropped the reader lane's functions and named the scans.
 const (
 	chainMagic   = "AFCD"
-	chainVersion = 3
+	chainVersion = 4
 )
 
 // Lower bounds on an element's encoded size. The decoder checks a count
@@ -73,7 +78,7 @@ func (cc *CachedChain) Encode() ([]byte, error) {
 		}
 	}
 
-	b := make([]byte, 0, cc.size/5) // a payload is ≈ 1/6.5 of the modeled size
+	b := make([]byte, 0, encodedBound(d))
 	b = append(b, chainMagic...)
 	b = append(b, chainVersion)
 	cr := &d.cr
@@ -108,9 +113,11 @@ func (cc *CachedChain) Encode() ([]byte, error) {
 	}
 
 	b = binary.AppendUvarint(b, uint64(len(d.dbRecs)))
-	for _, n := range d.dbRecs {
-		b = binary.AppendUvarint(b, uint64(n))
+	for _, sc := range d.dbRecs {
+		b = appendString(b, sc.name)
+		b = binary.AppendUvarint(b, uint64(sc.records))
 	}
+	b = binary.AppendUvarint(b, d.readerWork)
 	var events uint64
 	for k := range d.sums {
 		events += d.sums[k].total().Events
@@ -147,6 +154,34 @@ func (cc *CachedChain) Encode() ([]byte, error) {
 	return binary.AppendUvarint(b, d.serial), nil
 }
 
+// encodedBound is a little over the payload's length, counted from the
+// chain's own parts at each field's usual width — a hit's fixed fields ≈ 44
+// bytes, a record's sums ≈ 18, an alignment pair ≈ 5 — so Encode
+// allocates once. (On the suite's chains it is 1.02–1.17× the payload.)
+func encodedBound(d *chainDelta) int {
+	n := 64 + len(d.cr.ChainID)
+	for i := range d.hits {
+		h := &d.hits[i]
+		n += 44
+		if h.Target != nil {
+			n += len(h.Target.ID) + len(h.Target.Residues)
+		}
+		if h.Alignment != nil {
+			n += 8 + 5*len(h.Alignment.Pairs)
+		}
+	}
+	for _, sc := range d.dbRecs {
+		n += 4 + len(sc.name)
+	}
+	for k := range d.sums {
+		n += 4 + 2*len(d.sums[k].recs) + 18*(len(d.sums[k].cum)-1)
+	}
+	for name := range d.streamed {
+		n += 12 + len(name)
+	}
+	return n
+}
+
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
@@ -160,8 +195,9 @@ func appendInts(b []byte, vs ...int) []byte {
 }
 
 // DecodeCachedChain reverses Encode. The payload comes off a disk, so it is
-// parsed as untrusted input: a truncated field, a count the bytes left
-// cannot hold, an out-of-range or unsorted function id, a non-minimal
+// parsed as untrusted input: another version, a truncated field, a count
+// the bytes left cannot hold, an out-of-range, unsorted or reader-lane
+// function id, a non-minimal
 // varint, record indexes that do not increase or lie past the records
 // scanned, per-record event counts that are zero or do not add up to the
 // events, a scan sequence the records are not whole rounds of, unsorted
@@ -192,6 +228,7 @@ func DecodeCachedChain(b []byte) (*CachedChain, error) {
 	}
 
 	d.dbRecs = r.scans(cr.Scanned)
+	d.readerWork = r.uvarint()
 	d.sums = r.sums(cr.Scanned)
 
 	n := r.count(minDBBytes)
@@ -319,18 +356,19 @@ func (r *chainReader) hit(h *hmmer.Hit, target *seq.Sequence) {
 
 // scans reads one round's scan sequence, of which the chain's scanned
 // records must be a whole number of rounds.
-func (r *chainReader) scans(scanned int) []int {
-	var dbRecs []int
+func (r *chainReader) scans(scanned int) []dbRecords {
+	var dbRecs []dbRecords
 	round := uint64(0)
-	if k := r.count(1); k > 0 {
-		dbRecs = make([]int, k)
+	if k := r.count(minDBBytes); k > 0 {
+		dbRecs = make([]dbRecords, k)
 		for i := range dbRecs {
+			dbRecs[i].name = r.str()
 			v := r.uvarint()
 			if v > math.MaxInt32 {
 				r.fail("database record count out of range")
 				v = 0
 			}
-			dbRecs[i] = int(v)
+			dbRecs[i].records = int(v)
 			round += v
 		}
 	}
@@ -354,6 +392,8 @@ func (r *chainReader) sums(records int) []funcSums {
 		id := r.uvarint()
 		if s.f = metering.Func(id); id >= uint64(metering.NumFuncs) || i > 0 && s.f <= sums[i-1].f {
 			r.fail("function id out of range or order")
+		} else if slices.Contains(readerFuncs[:], s.f) {
+			r.fail("a reader-lane function, whose work is the databases'")
 		}
 		k := r.count(minRecordBytes)
 		if k == 0 || k > records {

@@ -3,6 +3,7 @@ package msa
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 
 	"afsysbench/internal/inputs"
@@ -20,49 +21,65 @@ func row(scanned byte) []byte {
 // rec is one record's sums for a function: n events, every sum zero.
 func rec(n byte) []byte { return []byte{n, 0, 0, 0, 0} }
 
+// db2 is a round of one scan, database "d" of two records; r0 is a reader
+// lane of no instructions.
+var db2, r0 = []byte{1, 1, 'd', 2}, []byte{0}
+
 // validChain is a small payload with both kinds of function: a summary row
 // of two records scanned, no hits, one database of two records, three
-// events — copy_to_iter in both records (every record: no indexes) and
-// seed_filter in record 1 only (one index, as a gap from 0) — nothing
+// events — calc_band_9 in record 1 only (one index, as a gap from 0) and
+// seed_filter in both records (every record: no indexes) — nothing
 // streamed, no serial work.
 func validChain() []byte {
-	return cat(row(4), []byte{0}, []byte{1, 2}, []byte{3, 2},
+	return cat(row(4), []byte{0}, db2, r0, []byte{3, 2},
+		[]byte{byte(metering.CalcBand9), 1, 1}, rec(1),
+		[]byte{byte(metering.SeedFilter), 2}, rec(1), rec(1),
+		[]byte{0}, []byte{0})
+}
+
+// version3Chain is validChain as the version before it encoded it: the
+// scans unnamed, no reader total, the reader lane's copy_to_iter stored
+// with the chain's functions.
+func version3Chain() []byte {
+	return cat([]byte(chainMagic), []byte{3, 0, 0, 0, 0, 4, 0, 0, 0, 0}, []byte{0}, []byte{1, 2}, []byte{3, 2},
 		[]byte{byte(metering.CopyToIter), 2}, rec(1), rec(1),
 		[]byte{byte(metering.SeedFilter), 1, 1}, rec(1),
 		[]byte{0}, []byte{0})
 }
 
 // garbageChains are payloads DecodeCachedChain must refuse: foreign bytes,
-// then validChain broken one field at a time.
+// the previous version, then validChain broken one field at a time.
 func garbageChains() [][]byte {
 	two := cat(row(4), []byte{0}) // a summary row of two records scanned, no hits
 	valid := validChain()
-	db2, none := []byte{1, 2}, []byte{0} // one database of two records
-	copyBoth := cat([]byte{byte(metering.CopyToIter), 2}, rec(1), rec(1))
-	seed := func(head ...byte) []byte { return cat([]byte{byte(metering.SeedFilter)}, head, rec(1)) }
+	none := []byte{0}
+	seedBoth := cat([]byte{byte(metering.SeedFilter), 2}, rec(1), rec(1))
+	band := func(head ...byte) []byte { return cat([]byte{byte(metering.CalcBand9)}, head, rec(1)) }
 	tail := cat(none, none) // nothing streamed, no serial work
 	out := [][]byte{
 		nil, {}, {0x00}, []byte("not gob at all"), make([]byte, 512), []byte(chainMagic),
+		version3Chain(),
 		cat([]byte(chainMagic), []byte{chainVersion + 1}, valid[len(chainMagic)+1:]), // unknown version
 		cat(valid, none), // trailing byte
-		cat(two, db2, []byte{3, 2}, copyBoth, []byte{byte(metering.NumFuncs), 1, 1}, rec(1), tail),                         // function id out of range
-		cat(two, db2, []byte{3, 2}, seed(1, 1), copyBoth, tail),                                                            // function ids out of order
-		cat(two, db2, []byte{4, 2}, copyBoth, copyBoth, tail),                                                              // a function twice
-		cat(two, db2, []byte{2, 2}, copyBoth, seed(0), tail),                                                               // a function in no record
-		cat(two, db2, []byte{4, 2}, copyBoth, []byte{byte(metering.SeedFilter), 3, 0, 1, 1}, rec(1), rec(1), rec(1), tail), // in more records than scanned
-		cat(row(6), none, []byte{1, 3}, []byte{5, 2}, []byte{byte(metering.CopyToIter), 3}, rec(1), rec(1), rec(1), []byte{byte(metering.SeedFilter), 2, 1, 0}, rec(1), rec(1), tail), // record indexes that do not increase
-		cat(two, db2, []byte{3, 2}, copyBoth, seed(1, 2), tail),                                      // a record index past the records
-		cat(two, db2, []byte{4, 2}, copyBoth, seed(1, 1), tail),                                      // per-record counts that do not sum
-		cat(two, db2, []byte{2, 2}, copyBoth, []byte{byte(metering.SeedFilter), 1, 1}, rec(0), tail), // a record with no events
-		cat(two, db2, []byte{3, 100}, copyBoth, seed(1, 1), tail),                                    // more functions than bytes
-		cat(two, db2, []byte{3, byte(metering.NumFuncs) + 1}, make([]byte, 128)),                     // more functions than the table
-		cat(two, db2, []byte{3, 2}, copyBoth, seed(1, 1), none, []byte{0x80, 0x00}),                  // overlong varint
-		cat(two, db2, []byte{3, 2}, copyBoth, seed(1, 1), []byte{2, 1, 'b', 0, 1, 'a', 0}, none),     // databases out of order
-		cat(two, []byte{1, 4}, []byte{3, 2}, copyBoth, seed(1, 1), tail),                             // 2 records scanned, rounds of 4
-		cat(two, []byte{1, 0}, []byte{3, 2}, copyBoth, seed(1, 1), tail),                             // 2 records scanned, rounds of 0
-		cat(two, none, []byte{3, 2}, copyBoth, seed(1, 1), tail),                                     // 2 records scanned, no databases
-		cat(row(1), none, db2, []byte{3, 2}, copyBoth, seed(1, 1), tail),                             // -1 records scanned
-		cat(row(0), none, none, []byte{1, 1}, []byte{byte(metering.CopyToIter), 1}, rec(1), tail),    // events but no records
+		cat(two, db2, r0, []byte{3, 2}, band(1, 1), []byte{byte(metering.NumFuncs), 2}, rec(1), rec(1), tail),                                                                                    // function id out of range
+		cat(two, db2, r0, []byte{3, 2}, seedBoth, band(1, 1), tail),                                                                                                                              // function ids out of order
+		cat(two, db2, r0, []byte{4, 2}, seedBoth, seedBoth, tail),                                                                                                                                // a function twice
+		cat(two, db2, r0, []byte{5, 2}, []byte{byte(metering.CopyToIter), 2}, rec(1), rec(1), seedBoth, tail),                                                                                    // a reader-lane function
+		cat(two, db2, r0, []byte{2, 2}, band(0), seedBoth, tail),                                                                                                                                 // a function in no record
+		cat(two, db2, r0, []byte{5, 2}, []byte{byte(metering.CalcBand9), 3, 0, 1, 1}, rec(1), rec(1), rec(1), seedBoth, tail),                                                                    // in more records than scanned
+		cat(row(6), none, []byte{1, 1, 'd', 3}, r0, []byte{5, 2}, []byte{byte(metering.CalcBand9), 2, 1, 0}, rec(1), rec(1), []byte{byte(metering.SeedFilter), 3}, rec(1), rec(1), rec(1), tail), // record indexes that do not increase
+		cat(two, db2, r0, []byte{3, 2}, band(1, 2), seedBoth, tail),                                                                                                                              // a record index past the records
+		cat(two, db2, r0, []byte{4, 2}, band(1, 1), seedBoth, tail),                                                                                                                              // per-record counts that do not sum
+		cat(two, db2, r0, []byte{2, 2}, []byte{byte(metering.CalcBand9), 1, 1}, rec(0), seedBoth, tail),                                                                                          // a record with no events
+		cat(two, db2, r0, []byte{3, 100}, band(1, 1), seedBoth, tail),                                                                                                                            // more functions than bytes
+		cat(two, db2, r0, []byte{3, byte(metering.NumFuncs) + 1}, make([]byte, 128)),                                                                                                             // more functions than the table
+		cat(two, db2, r0, []byte{3, 2}, band(1, 1), seedBoth, none, []byte{0x80, 0x00}),                                                                                                          // overlong varint
+		cat(two, db2, r0, []byte{3, 2}, band(1, 1), seedBoth, []byte{2, 1, 'b', 0, 1, 'a', 0}, none),                                                                                             // databases out of order
+		cat(two, []byte{1, 1, 'd', 4}, r0, []byte{3, 2}, band(1, 1), seedBoth, tail),                                                                                                             // 2 records scanned, rounds of 4
+		cat(two, []byte{1, 1, 'd', 0}, r0, []byte{3, 2}, band(1, 1), seedBoth, tail),                                                                                                             // 2 records scanned, rounds of 0
+		cat(two, none, r0, []byte{3, 2}, band(1, 1), seedBoth, tail),                                                                                                                             // 2 records scanned, no databases
+		cat(row(1), none, db2, r0, []byte{3, 2}, band(1, 1), seedBoth, tail),                                                                                                                     // -1 records scanned
+		cat(row(0), none, none, r0, []byte{1, 1}, []byte{byte(metering.SeedFilter), 1}, rec(1), tail),                                                                                            // events but no records
 		cat(row(2), []byte{1}), // a hit with no target
 		cat(row(2), []byte{1, 1, 't', 0, 0, 0}, make([]byte, 32), []byte{2}, make([]byte, 4)), // alignment flag 2
 	}
@@ -85,6 +102,18 @@ func TestDecodeCachedChainRejectsGarbage(t *testing.T) {
 		if _, err := DecodeCachedChain(b); err == nil {
 			t.Fatalf("garbage %x decoded", b)
 		}
+	}
+}
+
+// TestDecodeCachedChainRefusesVersion3: a payload of the format before
+// the reader lane left the chain — whose sums still hold copy_to_iter,
+// addbuf and seebuf — is refused by its version, so a disk tier written by
+// an older binary rebuilds its chains rather than crediting that lane
+// twice.
+func TestDecodeCachedChainRefusesVersion3(t *testing.T) {
+	_, err := DecodeCachedChain(version3Chain())
+	if err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("a version-3 payload decoded with error %v", err)
 	}
 }
 
@@ -119,11 +148,16 @@ func chainPayloads(tb testing.TB) [][]byte {
 // bytes it returns an error or a chain — never panics — and a payload it
 // accepts is the one encoding of that chain: it re-encodes to the same
 // bytes, and merges at every thread count from 1 to 17 into workers whose
-// ledgers add up to the chain's sums, function by function.
+// ledgers add up, function by function, to the chain's sums and to its
+// rounds of the reader lanes it is credited against (numbered lanes, for a
+// chain of up to 4 096 records a round: lanes are as long as their
+// databases). The seeds are every sample's chains in the current format,
+// validChain, the previous version's and the garbage.
 func FuzzDecodeCachedChain(f *testing.F) {
 	for _, b := range chainPayloads(f) {
 		f.Add(b)
 	}
+	f.Add(validChain())
 	for _, b := range garbageChains() {
 		f.Add(b)
 	}
@@ -143,9 +177,28 @@ func FuzzDecodeCachedChain(f *testing.F) {
 		for k := range cc.d.sums {
 			want[cc.d.sums[k].f] = cc.d.sums[k].total()
 		}
+		round := 0
+		for _, sc := range cc.d.dbRecs {
+			round += sc.records
+		}
+		if round > 4096 {
+			return
+		}
+		lanes := make([]*readerLane, len(cc.d.dbRecs))
+		for i, sc := range cc.d.dbRecs {
+			lanes[i] = &readerLane{cum: make([][len(readerFuncs)]metering.Tally, sc.records+1)}
+			for r := 1; r <= sc.records; r++ {
+				lanes[i].cum[r] = lanes[i].cum[r-1]
+				for k, f := range readerFuncs {
+					t := metering.Tally{Events: 1, Instructions: uint64(r*(k+1) + i)}
+					lanes[i].cum[r][k].Add(t)
+					want[f].Add(times(t, uint64(cc.d.cr.Scanned/round)))
+				}
+			}
+		}
 		for threads := 1; threads <= 17; threads++ {
 			workers := newWorkers(threads)
-			cc.d.credit(workers)
+			cc.d.credit(workers, lanes)
 			var got metering.Ledger
 			for _, acc := range workers {
 				for fn, t := range acc.Ledger() {

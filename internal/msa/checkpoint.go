@@ -20,21 +20,32 @@ import (
 // The metering work is the chain's, not a thread count's: the scans fold
 // their events per record as they record them, and the delta stitches
 // those rows into per-function sums at record boundaries (funcSums). No
-// event is kept. How many goroutines
-// scanned it is not recorded, so one delta serves every thread count
-// (credit).
+// event is kept. How many goroutines scanned it is not recorded, so one
+// delta serves every thread count (credit). The reader lane — copy_to_iter,
+// addbuf and seebuf — is not the query's but its databases', so the delta
+// keeps only its instruction total and a merge credits it from the
+// databases' own tables (readerLane).
 type chainDelta struct {
 	cr   ChainResult
 	hits []hmmer.Hit
-	// dbRecs is one round's scan sequence: the record count of each
-	// database it scans, in order. The chain ran cr.Scanned / Σ dbRecs
+	// dbRecs is one round's scan sequence: each database it scans, in
+	// order, with its record count. The chain ran cr.Scanned / Σ records
 	// rounds of it.
-	dbRecs []int
+	dbRecs []dbRecords
 	// sums holds one entry per function the scans recorded work for, in
-	// Func order.
-	sums     []funcSums
-	streamed map[string]int64
-	serial   uint64
+	// Func order; no reader function is among them.
+	sums []funcSums
+	// readerWork is the reader lane's instructions over the chain's scans,
+	// which Work counts and a merge checks against the lanes it credits.
+	readerWork uint64
+	streamed   map[string]int64
+	serial     uint64
+}
+
+// dbRecords is one scan of a round: the database's name and its records.
+type dbRecords struct {
+	name    string
+	records int
 }
 
 // funcSums is one function's work over a chain's records, r = 0 ..
@@ -60,19 +71,27 @@ func (s *funcSums) at(r int) metering.Tally {
 // total returns the function's work over every record.
 func (s *funcSums) total() metering.Tally { return s.cum[len(s.cum)-1] }
 
-// merge replays a delta into the result: its sums are credited to
-// len(res.Workers) workers by credit. The delta may belong to a checkpoint
-// or to the serving cache and be replayed into many results at once, so it
-// is read-only from here on.
-func (res *Result) merge(d *chainDelta) {
+// merge replays a delta into the result: its sums, and its databases'
+// reader lanes resolved in res.dbs, are credited to len(res.Workers)
+// workers by credit. The delta may belong to a checkpoint or to the
+// serving cache and be replayed into many results at once, so it is
+// read-only from here on. A delta whose scans are not the set's databases
+// is an error.
+func (res *Result) merge(d *chainDelta) error {
+	var buf [maxScans]*readerLane
+	lanes, err := res.dbs.appendLanes(buf[:0], d)
+	if err != nil {
+		return err
+	}
 	res.PerChain = append(res.PerChain, d.cr)
 	res.deltas = append(res.deltas, d)
 	res.TotalHitResidues += d.cr.HitResidues
-	d.credit(res.Workers)
+	d.credit(res.Workers, lanes)
 	for name, b := range d.streamed {
 		res.Streamed[name] += b
 	}
 	res.SerialInstructions += d.serial
+	return nil
 }
 
 // Checkpoint preserves completed per-chain search deltas across retries

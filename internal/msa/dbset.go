@@ -26,6 +26,9 @@ import (
 type DBSet struct {
 	Protein []*seqdb.DB
 	RNA     []*seqdb.DB
+	// lanes holds each database's reader lane, built once by BuildDBSet
+	// and shared by every set Keep derives from it; read-only after.
+	lanes map[*seqdb.DB]*readerLane
 }
 
 // DBConfig controls synthetic database construction.
@@ -80,7 +83,7 @@ func BuildDBSet(samples []*inputs.Input, cfg DBConfig) (*DBSet, error) {
 			}
 		}
 	}
-	set := &DBSet{}
+	set := &DBSet{lanes: make(map[*seqdb.DB]*readerLane, len(dbCatalog))}
 	for i, entry := range dbCatalog {
 		homs := protQueries
 		if entry.t == seq.RNA {
@@ -101,6 +104,7 @@ func BuildDBSet(samples []*inputs.Input, cfg DBConfig) (*DBSet, error) {
 		}
 		// Pin the modeled footprint to the catalog's paper-scale size.
 		db.ScaleFactor = entry.modeledGiB * float64(1<<30) / float64(db.SyntheticBytes())
+		set.lanes[db] = newReaderLane(db)
 		switch entry.t {
 		case seq.Protein:
 			set.Protein = append(set.Protein, db)
@@ -133,6 +137,23 @@ func (s *DBSet) Fingerprint() string {
 			db.Name, db.Type, len(db.Seqs), db.TotalResidues(), db.ModeledBytes(), h.Sum64())
 	}
 	return b.String()
+}
+
+// Keep returns the databases of s that keep reports true for, in s's
+// order, sharing s's reader lanes.
+func (s *DBSet) Keep(keep func(*seqdb.DB) bool) *DBSet {
+	out := &DBSet{lanes: s.lanes}
+	for _, db := range s.Protein {
+		if keep(db) {
+			out.Protein = append(out.Protein, db)
+		}
+	}
+	for _, db := range s.RNA {
+		if keep(db) {
+			out.RNA = append(out.RNA, db)
+		}
+	}
+	return out
 }
 
 // For returns the databases a chain of the given type searches.

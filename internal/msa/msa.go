@@ -86,8 +86,7 @@ type ScatterRequest struct {
 	Profile *hmmer.Profile
 	Query   *seq.Sequence
 	DB      *seqdb.DB
-	// Search carries the engine options with DBFootprint already set to
-	// the database's modeled size.
+	// Search carries the engine options, TraceE set for the round.
 	Search hmmer.SearchOptions
 	// Threads is the request's thread count: the number of workers.
 	Threads int
@@ -170,8 +169,10 @@ type Result struct {
 	FreshWork    uint64
 	CachedWork   uint64
 
-	// deltas are the chains merged in, in order: what Rethread re-credits.
+	// deltas are the chains merged in, in order, and dbs the set whose
+	// reader lanes they were credited with: what Rethread re-credits.
 	deltas []*chainDelta
+	dbs    *DBSet
 }
 
 // Run executes the MSA phase for the input: for every protein/RNA chain,
@@ -201,6 +202,7 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 		Workers:  newWorkers(opts.Threads),
 		Streamed: make(map[string]int64),
 		deltas:   make([]*chainDelta, 0, len(chains)),
+		dbs:      opts.DBs,
 	}
 
 	// runFresh is a chain's real search, whichever arm below asks for it:
@@ -225,7 +227,9 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 		if d := opts.Checkpoint.lookup(opts.CheckpointScope, cid); d != nil {
 			res.RestoredChains++
 			res.FreshWork += deltaWork(d)
-			res.merge(d)
+			if err := res.merge(d); err != nil {
+				return nil, fmt.Errorf("msa %s chain %s: %w", in.Name, cid, err)
+			}
 			continue
 		}
 		if opts.ChainCache != nil {
@@ -246,17 +250,21 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 				res.FreshWork += cc.Work()
 			}
 			d := cc.deltaFor(cid)
+			if err := res.merge(d); err != nil {
+				return nil, fmt.Errorf("msa %s chain %s: %w", in.Name, cid, err)
+			}
 			opts.Checkpoint.store(opts.CheckpointScope, cid, d)
-			res.merge(d)
 			continue
 		}
 		d, err := runFresh(chain)
 		if err != nil {
 			return nil, fmt.Errorf("msa %s chain %s: %w", in.Name, cid, err)
 		}
+		if err := res.merge(d); err != nil {
+			return nil, fmt.Errorf("msa %s chain %s: %w", in.Name, cid, err)
+		}
 		opts.Checkpoint.store(opts.CheckpointScope, cid, d)
 		res.FreshWork += deltaWork(d)
-		res.merge(d)
 	}
 	// Cross-chain species pairing (serial, between search and features).
 	perChainHits := make([][]hmmer.Hit, len(res.deltas))
@@ -300,9 +308,9 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 		}
 		return nil, fmt.Errorf("no databases for molecule type %v", query.Type)
 	}
-	d.dbRecs = make([]int, len(dbs))
+	d.dbRecs = make([]dbRecords, len(dbs))
 	for i, db := range dbs {
-		d.dbRecs[i] = len(db.Seqs)
+		d.dbRecs[i] = dbRecords{db.Name, len(db.Seqs)}
 	}
 	rounds := opts.Rounds
 	if query.Type != seq.Protein {
@@ -344,6 +352,7 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 				}
 			}
 			d.streamed[db.Name] += db.ModeledBytes()
+			d.readerWork += opts.DBs.lane(db).instructions()
 			allHits = append(allHits, merged.Hits...)
 			cr.Candidates += merged.Candidates
 			cr.Scanned += merged.Scanned
@@ -387,9 +396,10 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 // sums at record boundaries (chainDelta.sums): one walk over their rows,
 // every function's arrays cut exactly to its row count from one backing
 // array for the running totals and one for the record indexes. A fold
-// with work before its first record, or folds that hold another number of
-// records than the scans report, are an error: that work would be
-// credited to the wrong records.
+// with work before its first record, folds that hold another number of
+// records than the scans report, and reader-lane work, which the chain's
+// databases already hold, are an error: that work would be credited to the
+// wrong records, or twice.
 func (d *chainDelta) setStream(folds []*metering.Fold) error {
 	// occ[f] counts the records f has work in.
 	var occ [metering.NumFuncs]int
@@ -402,6 +412,11 @@ func (d *chainDelta) setStream(folds []*metering.Fold) error {
 	}
 	if records != d.cr.Scanned {
 		return fmt.Errorf("msa: the scans recorded %d records, reported %d", records, d.cr.Scanned)
+	}
+	for _, f := range readerFuncs {
+		if occ[f] > 0 {
+			return fmt.Errorf("msa: a scan recorded %s work, which is its database's", f)
+		}
 	}
 	// A function with work has a running total per record it has work in,
 	// plus the zero one, and unless that is every record, their indexes.
@@ -430,7 +445,7 @@ func (d *chainDelta) setStream(folds []*metering.Fold) error {
 	for _, fd := range folds {
 		for _, r := range fd.Rows {
 			if r.Rec < 0 {
-				return fmt.Errorf("msa: a scan recorded work before its first %s", metering.RecordStart)
+				return fmt.Errorf("msa: a scan recorded work before its first record")
 			}
 			s := &d.sums[slot[r.Func]]
 			s.cum = append(s.cum, s.cum[len(s.cum)-1])
@@ -448,8 +463,6 @@ func (d *chainDelta) setStream(folds []*metering.Fold) error {
 // workers: through the Scatter hook when one is set, in process
 // (scanShards) otherwise.
 func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequence, db *seqdb.DB, opts Options, workers []*metering.Accumulator) (*hmmer.Result, error) {
-	searchOpts := opts.Search
-	searchOpts.DBFootprint = uint64(db.ModeledBytes())
 	scatter := opts.Scatter
 	if scatter == nil {
 		scatter = scanShards
@@ -458,7 +471,7 @@ func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequen
 		Profile:     profile,
 		Query:       query,
 		DB:          db,
-		Search:      searchOpts,
+		Search:      opts.Search,
 		Threads:     opts.Threads,
 		ScaleFactor: db.ScaleFactor * workCalibration,
 		Workers:     workers,

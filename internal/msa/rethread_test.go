@@ -11,23 +11,64 @@ import (
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/metering"
 	"afsysbench/internal/parallel"
+	"afsysbench/internal/seq"
 )
 
 // shardOracle is the attribution a merge must reproduce: a ScatterFunc
 // that scans each database serially over exactly req.Threads spans,
 // parallel.Span(n, w, Threads) into req.Workers[w] — the decomposition the
 // scan used while its goroutine count was the thread count — and adds
-// every event each worker recorded, one by one, to workers[w]'s credits.
-// After a Run, workers[w] holds worker w's work across the run's chains,
-// summed event by event with no fold.
-type shardOracle struct{ workers []*metering.Accumulator }
+// every event each worker recorded, one by one, to workers[w]'s credits,
+// with the reader events each of its records cost (parentReaderEvents,
+// scaled as the scan's events are). After a Run, workers[w] holds worker
+// w's work across the run's chains, summed event by event with no fold and
+// no reader table. windows counts the long-target windows scanned.
+type shardOracle struct {
+	workers []*metering.Accumulator
+	windows int
+}
 
-// tee records every event into both meters.
+// tee records every event into both meters, and passes record starts on.
 type tee [2]metering.Meter
 
 func (m tee) Record(ev metering.Event) {
 	m[0].Record(ev)
 	m[1].Record(ev)
+}
+
+func (m tee) RecordStart() {
+	metering.RecordStart(m[0])
+	metering.RecordStart(m[1])
+}
+
+// parentReaderEvents are the three events hmmer.Buffer.Next recorded for
+// each record of n residues, in a database of footprint modeled bytes,
+// before the reader lane left the scan — written out here as they were,
+// so the reader tables are held to them and not to themselves.
+func parentReaderEvents(n, footprint uint64) [3]metering.Event {
+	return [3]metering.Event{
+		{Func: metering.CopyToIter, Instructions: n / 2, Bytes: 2 * n, WorkingSet: footprint, Branches: n / 64},
+		{Func: metering.AddBuf, Instructions: 12 * n, Bytes: 2 * n, WorkingSet: 256 * 1024, Branches: n / 16, Allocated: n},
+		{Func: metering.SeeBuf, Instructions: 4 * n, Bytes: n, WorkingSet: 256 * 1024, Branches: n},
+	}
+}
+
+// readerSource hands out src's records, recording each one's
+// parentReaderEvents into m as it does.
+type readerSource struct {
+	src       hmmer.RecordSource
+	footprint uint64
+	m         metering.Meter
+}
+
+func (s readerSource) Next() (*seq.Sequence, bool) {
+	rec, ok := s.src.Next()
+	if ok {
+		for _, ev := range parentReaderEvents(uint64(len(rec.Residues)), s.footprint) {
+			s.m.Record(ev)
+		}
+	}
+	return rec, ok
 }
 
 // credited is a Meter that adds each event to an accumulator's credits.
@@ -49,13 +90,15 @@ func (o *shardOracle) scatter(ctx context.Context, req ScatterRequest) (*hmmer.R
 		if lo == hi {
 			continue
 		}
-		src := &hmmer.SliceSource{Seqs: req.DB.Seqs[lo:hi]}
+		reader := metering.Scaled(credited{o.workers[w]}, req.ScaleFactor)
+		src := readerSource{&hmmer.SliceSource{Seqs: req.DB.Seqs[lo:hi]}, uint64(req.DB.ModeledBytes()), reader}
 		meter := metering.Scaled(tee{req.Workers[w], credited{o.workers[w]}}, req.ScaleFactor)
 		var err error
 		parts[w], err = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, req.DB.TotalResidues(), req.Search, meter)
 		if err != nil {
 			return nil, err
 		}
+		o.windows += parts[w].Windows
 	}
 	return hmmer.MergeResults(req.Query.ID, parts), nil
 }
@@ -131,17 +174,22 @@ func TestScanFansOutAtMostOneSpanPerCore(t *testing.T) {
 			if req.Threads != 16 || len(req.Workers) != 16 {
 				t.Fatalf("GOMAXPROCS=%d: the hook got %d threads, %d workers; want 16", procs, req.Threads, len(req.Workers))
 			}
-			records := func(acc *metering.Accumulator) uint64 {
-				l := acc.Ledger()
-				return l[metering.RecordStart].Events
+			// A worker holds no fold between scans: runChain takes them.
+			records := func(acc *metering.Accumulator) int {
+				f := acc.TakeFold()
+				if f == nil {
+					return 0
+				}
+				acc.Join(f)
+				return f.Records
 			}
-			before := make([]uint64, 16)
+			before := make([]int, 16)
 			for w, acc := range req.Workers {
 				before[w] = records(acc)
 			}
 			res, err := scanShards(ctx, req)
 			want := min(16, procs, len(req.DB.Seqs))
-			var total uint64
+			total := 0
 			for w, acc := range req.Workers {
 				n := records(acc) - before[w]
 				if got := n > 0; got != (w < want) {
@@ -149,7 +197,7 @@ func TestScanFansOutAtMostOneSpanPerCore(t *testing.T) {
 				}
 				total += n
 			}
-			if total != uint64(len(req.DB.Seqs)) {
+			if total != len(req.DB.Seqs) {
 				t.Fatalf("GOMAXPROCS=%d: the spans recorded %d records of %d", procs, total, len(req.DB.Seqs))
 			}
 			scans++
@@ -166,9 +214,10 @@ func TestScanFansOutAtMostOneSpanPerCore(t *testing.T) {
 
 // TestChainRefusesEventsOutsideRecords: a chain's scans are folded per
 // record, so a scan span whose events do not begin with a record — the
-// first span of the chain or a later one — or a scan that records more
-// records than it reports, fails the chain rather than caching sums that
-// would credit work to the wrong records.
+// first span of the chain or a later one — a scan that records more
+// records than it reports, or one that records the reader lane's work,
+// which its database holds, fails the chain rather than caching sums that
+// would credit work to the wrong records, or twice.
 func TestChainRefusesEventsOutsideRecords(t *testing.T) {
 	in, err := inputs.ByName("2PV7")
 	if err != nil {
@@ -177,18 +226,33 @@ func TestChainRefusesEventsOutsideRecords(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		worker int
-		ev     metering.Event
+		after  bool // after the scan: into its last record
+		ev     *metering.Event
 	}{
-		{"an event before the first record", 0, metering.Event{Func: metering.AddBuf}},
-		{"an event before a later span's first record", 1, metering.Event{Func: metering.SeedFilter}},
-		{"an unreported record", 0, metering.Event{Func: metering.RecordStart}},
+		{"an event before the first record", 0, false, &metering.Event{Func: metering.SeedFilter}},
+		{"an event before a later span's first record", 1, false, &metering.Event{Func: metering.SeedFilter}},
+		{"an unreported record", 0, false, nil},
+		{"reader-lane work", 1, true, &metering.Event{Func: metering.CopyToIter}},
 	} {
 		scans := 0
 		hook := func(ctx context.Context, req ScatterRequest) (*hmmer.Result, error) {
-			if scans++; scans == 1 {
-				req.Workers[tc.worker].Record(tc.ev)
+			scans++
+			acc := req.Workers[tc.worker]
+			do := func() {
+				if tc.ev == nil {
+					acc.RecordStart()
+				} else {
+					acc.Record(*tc.ev)
+				}
 			}
-			return scanShards(ctx, req)
+			if scans == 1 && !tc.after {
+				do()
+			}
+			res, err := scanShards(ctx, req)
+			if scans == 1 && tc.after {
+				do()
+			}
+			return res, err
 		}
 		if _, err := Run(in, Options{Threads: 2, DBs: dbs(t), Scatter: hook}); err == nil {
 			t.Errorf("%s: the chain was accepted", tc.name)
@@ -221,9 +285,13 @@ func BenchmarkChainReplay(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/T%d", name, threads), func(b *testing.B) {
 				b.ReportAllocs()
 				var events uint64
+				lanes, err := dbs(b).appendLanes(nil, d)
+				if err != nil {
+					b.Fatal(err)
+				}
 				for i := 0; i < b.N; i++ {
 					workers := newWorkers(threads)
-					d.credit(workers)
+					d.credit(workers, lanes)
 					for _, w := range workers {
 						work := w.Ledger()
 						events += work[metering.CopyToIter].Events
