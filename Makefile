@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet doccheck loc race faults bench profile-cold profile-hot profile-figures serve-bench bench-smoke
+.PHONY: all build test check fmt vet doccheck loc race faults bench profile-cold profile-hot profile-figures profile-ppi serve-bench bench-smoke
 
 all: build
 
@@ -123,6 +123,19 @@ profile-figures:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run xxx -bench PaperPass -benchtime 10x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/figures.pprof ./internal/core
 	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/core.test $(PROFILE_DIR)/figures.pprof
+
+# And for a PPI screen's disk hits: 3 000 screening pairs at 2 threads,
+# each chain decoded from its encoded payload and merged
+# (BenchmarkPPIDiskHit in internal/msa, ≈ 0.2 ms a pair; the pool's ten
+# searches before the timer are in the profile too), then the 15 hottest
+# functions; then 1 000 more pairs with every allocation sampled, and the 10
+# functions that allocate the most bytes, with the B/op of a pair.
+profile-ppi:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run xxx -bench PPIDiskHit -benchtime 3000x -o $(PROFILE_DIR)/msa.test -cpuprofile $(PROFILE_DIR)/ppi.pprof ./internal/msa
+	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/msa.test $(PROFILE_DIR)/ppi.pprof
+	cd internal/msa && $(PROFILE_DIR)/msa.test -test.run xxx -test.bench PPIDiskHit -test.benchtime 1000x -test.benchmem -test.memprofilerate 1 -test.memprofile $(PROFILE_DIR)/ppi.mem.pprof
+	$(GO) tool pprof -top -nodecount 10 -sample_index alloc_space $(PROFILE_DIR)/msa.test $(PROFILE_DIR)/ppi.mem.pprof
 
 # Serving benchmark: the all-vs-all PPI screening mix through the two-tier
 # chain cache — a warm pass precomputes the disk tier, the measured pass

@@ -18,8 +18,9 @@ type ChainFetch func(scope string, chain inputs.Chain, compute func() (*CachedCh
 
 // CachedChain is an opaque, serializable snapshot of one chain's complete
 // MSA contribution — the chainDelta: summary row, final-round hits,
-// per-function metering sums at every record boundary, streamed bytes,
-// serial work. It is keyed by chain *content* (sequence, not the
+// per-function metering sums at every record boundary (the reader lane's
+// are its databases', credited at the merge), streamed bytes, serial
+// work. It is keyed by chain *content* (sequence, not the
 // per-complex chain label), so the same pool chain reused across complexes
 // hits warm; the label is rewritten at replay time. Nothing in it depends
 // on the thread count it was searched at, so it serves every thread count.

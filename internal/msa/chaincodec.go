@@ -157,7 +157,8 @@ func (cc *CachedChain) Encode() ([]byte, error) {
 // encodedBound is a little over the payload's length, counted from the
 // chain's own parts at each field's usual width — a hit's fixed fields ≈ 44
 // bytes, a record's sums ≈ 18, an alignment pair ≈ 5 — so Encode
-// allocates once. (On the suite's chains it is 1.02–1.17× the payload.)
+// allocates its buffer once. (On the suite's chains it is 1.02–1.17× the
+// payload.)
 func encodedBound(d *chainDelta) int {
 	n := 64 + len(d.cr.ChainID)
 	for i := range d.hits {
