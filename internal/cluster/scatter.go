@@ -284,10 +284,10 @@ func (c *Cluster) noteFailover(node int) {
 
 // noteDispatch records a successful shard dispatch and prices its RPC:
 // the query and profile go out, the hit list and metering come back,
-// priced per event — the events folded, and the reader lane's three per
-// record, which a node's fold no longer holds (the lane is the database's)
-// but a node's reply was always priced for. It returns the RPC's modeled
-// seconds, which Scatter adds to Stats — never to the result.
+// priced per event: the events folded, and the reader lane's three per
+// record, whose work the database's table holds in place of the fold. It
+// returns the RPC's modeled seconds, which Scatter adds to Stats — never
+// to the result.
 func (c *Cluster) noteDispatch(node int, req msa.ScatterRequest, segs []*segment) float64 {
 	const eventBytes, readerEvents = 112, 3
 	reqBytes := int64(req.Query.Len()) + 512

@@ -1,6 +1,7 @@
 package msa
 
 import (
+	"context"
 	"testing"
 
 	"afsysbench/internal/inputs"
@@ -25,7 +26,7 @@ func BenchmarkPPIDiskHit(b *testing.B) {
 			if _, ok := payloads[key]; ok {
 				continue
 			}
-			d, err := runChain(b.Context(), chain, Options{Threads: 1, Rounds: 2, DBs: dbs(b)})
+			d, err := runChain(context.Background(), chain, Options{Threads: 1, Rounds: 2, DBs: dbs(b)})
 			if err != nil {
 				b.Fatal(err)
 			}
