@@ -62,9 +62,9 @@ func TestCreditRefusesAnotherDBSet(t *testing.T) {
 	}
 	a, b := set.Protein[0], set.Protein[1]
 	with := func(f func(db *seqdb.DB)) *seqdb.DB {
-		cp := *a
-		f(&cp)
-		return &cp
+		c := *a
+		f(&c)
+		return &c
 	}
 	for _, tc := range []struct {
 		name string
