@@ -11,8 +11,8 @@ import (
 // TestScatterNetCostPinned pins the modeled network cost of a fixed
 // scatter: 2PV7, then 6QNR's RNA chain alone (long targets scan in
 // windows), over 8 shards at 2 threads. NetBytes prices what each dispatch
-// sends back, per folded event and hit, so a change to what a segment
-// records or to how it is priced moves these numbers. NetSeconds is pinned
+// sends back, per metered event and hit, so a change to what a segment's
+// records cost or to how it is priced moves these numbers. NetSeconds is pinned
 // as its float64 bits: Scatter adds a scan's RPC costs in shard order, so
 // the scans of one run in sequence sum the same floats in the same order.
 func TestScatterNetCostPinned(t *testing.T) {
