@@ -329,8 +329,8 @@ func vandalizeStore(dir string) error {
 //  4. the directory is vandalized: one entry truncated, one bit-flipped, an
 //     orphan temp file planted;
 //  5. phase B reopens the store (the restart) over a cold memory tier: every
-//     request done, at least one disk hit, the corrupt entries and the
-//     orphan counted and dropped;
+//     request done, at least one disk hit, exactly the two corrupt entries
+//     and the one orphan counted and dropped;
 //  6. phase C runs over a store whose every operation fails: zero failed
 //     requests, the breaker open into memory-only mode, degraded operations
 //     counted.
@@ -405,11 +405,11 @@ func gateChaosDisk(t *testing.T, g gate) {
 	if diskHits == 0 {
 		t.Errorf("phase B: no chain served from disk after restart")
 	}
-	if dsB.CorruptDropped+dsB.JournalTailDropped == 0 {
-		t.Errorf("phase B: vandalized entries were not detected and dropped")
+	if dsB.CorruptDropped != 2 {
+		t.Errorf("phase B: %d corrupt entries dropped, want 2 (the truncated one and the bit-flipped one)", dsB.CorruptDropped)
 	}
-	if dsB.OrphansDropped == 0 {
-		t.Errorf("phase B: the planted mid-write orphan was not swept")
+	if dsB.OrphansDropped != 1 {
+		t.Errorf("phase B: %d orphans swept, want 1 (the planted crash.ent.tmp)", dsB.OrphansDropped)
 	}
 
 	// Phase C: every disk operation fails; the tier must get out of the way.
