@@ -288,21 +288,6 @@ func (c *Cache) notifyEvicted(hook func(string, any, int64), evicted []*entry) {
 	}
 }
 
-// EntrySize returns the caller-declared byte size of the stored entry for
-// key, without touching recency or counters.
-func (c *Cache) EntrySize(key string) (int64, bool) {
-	if c == nil {
-		return 0, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return 0, false
-	}
-	return el.Value.(*entry).size, true
-}
-
 // Range calls fn for every stored entry, most recently used first, until
 // fn returns false. The snapshot is taken under the lock and fn runs
 // outside it, so fn may call back into the cache; entries added or evicted

@@ -381,25 +381,6 @@ func TestEvictedEntryServedUntilHookReturns(t *testing.T) {
 	}
 }
 
-func TestEntrySize(t *testing.T) {
-	c := New(0)
-	c.Add("k", "v", 37)
-	if sz, ok := c.EntrySize("k"); !ok || sz != 37 {
-		t.Fatalf("EntrySize(k) = %d,%v want 37,true", sz, ok)
-	}
-	if _, ok := c.EntrySize("missing"); ok {
-		t.Fatal("EntrySize reported a missing key")
-	}
-	st := c.Stats()
-	if st.Hits != 0 && st.Misses != 0 {
-		t.Fatalf("EntrySize touched counters: %+v", st)
-	}
-	var nilCache *Cache
-	if _, ok := nilCache.EntrySize("k"); ok {
-		t.Fatal("nil cache reported an entry")
-	}
-}
-
 func TestRangeMRUOrderAndEarlyStop(t *testing.T) {
 	c := New(0)
 	c.Add("a", 1, 1)
