@@ -27,8 +27,8 @@
 //	GET  /v1/readyz     readiness: 503 names open breakers / saturated queue
 //
 // A full admission queue answers 503 (deterministic load shedding); an
-// unknown sample answers 400. SIGINT or SIGTERM stops the listener, lets the
-// queued jobs finish and closes the disk tier before the process exits.
+// unknown sample answers 400. SIGINT or SIGTERM stops the listener and lets
+// the queued jobs finish before the process exits.
 package main
 
 import (
@@ -171,8 +171,8 @@ const shutdownGrace = 5 * time.Second
 
 // serveUntil starts s and serves its API on ln until ctx is cancelled (main
 // cancels it on SIGINT/SIGTERM) or the listener fails, then shuts down in
-// order: stop accepting and finish the in-flight exchanges, drain the
-// scheduler — queued jobs still execute — and close the disk tier.
+// order: stop accepting and finish the in-flight exchanges, then drain the
+// scheduler — queued jobs still execute.
 func serveUntil(ctx context.Context, s *serve.Server, ln net.Listener) error {
 	s.Start()
 	srv := &http.Server{Handler: serve.NewHandler(s), ReadHeaderTimeout: 10 * time.Second}
@@ -191,8 +191,5 @@ func serveUntil(ctx context.Context, s *serve.Server, ln net.Listener) error {
 		err = nil
 	}
 	s.Stop()
-	if cerr := s.Config().DiskCache.Close(); err == nil {
-		err = cerr
-	}
 	return err
 }

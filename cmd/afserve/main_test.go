@@ -105,8 +105,8 @@ func TestQoSFlags(t *testing.T) {
 }
 
 // TestServeUntilDrainsOnCancel: cancelling the context (what SIGINT and
-// SIGTERM do in main) stops the listener, lets the admitted job finish,
-// stops the scheduler and closes the disk tier before serveUntil returns.
+// SIGTERM do in main) stops the listener, lets the admitted job finish and
+// stops the scheduler before serveUntil returns.
 func TestServeUntilDrainsOnCancel(t *testing.T) {
 	o, err := parseFlags([]string{"-machine", "desktop", "-threads", "2", "-msa-workers", "1", "-gpu-workers", "1", "-cache-dir", t.TempDir()})
 	if err != nil {
@@ -152,13 +152,5 @@ func TestServeUntilDrainsOnCancel(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + ln.Addr().String() + "/v1/healthz"); err == nil {
 		t.Fatal("the listener still answers after shutdown")
-	}
-	// A closed store commits the entry file but cannot journal it.
-	disk := s.Config().DiskCache
-	if err := disk.Put("probe", 1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if got := disk.Stats().JournalErrors; got != 1 {
-		t.Fatalf("disk tier still open after shutdown: %d journal errors on a put, want 1", got)
 	}
 }

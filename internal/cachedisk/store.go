@@ -14,12 +14,11 @@
 //     format version, codec, key, payload length, sha256 of the payload).
 //     Reads re-verify the checksum, so a bit-flipped or truncated file is
 //     detected — and dropped — rather than decoded.
-//   - An append-only, fsync'd index journal lists live entries. Startup
-//     replays it with a corruption-safe loader: a malformed record ends
-//     the replay (truncated tail), every referenced file is re-verified,
-//     and files the journal does not know (a crash between rename and
-//     journal append) are deleted as orphans. The surviving set is
-//     rewritten as a compacted journal, atomically.
+//   - The objects directory is the index: there is no second record of
+//     what the store holds. Open lists it and keeps every <key>.ent file
+//     that verifies under the key its name carries; a file that fails
+//     verification is deleted as corrupt, and anything else (a stale temp
+//     from a crash before rename, a stray name) is deleted as an orphan.
 //   - A bad entry is never an error, only a miss. Transient I/O failures
 //     retry with capped modeled backoff; persistent failures trip a
 //     circuit breaker that drops the store to memory-only mode — Get
@@ -36,9 +35,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -52,9 +51,6 @@ const (
 	// entrySuffix names committed entry files inside objectsDir.
 	entrySuffix = ".ent"
 	objectsDir  = "objects"
-	journalName = "index.log"
-	// journalRecMagic starts every journal record.
-	journalRecMagic = byte('R')
 	// maxKeyLen bounds keys (and therefore filenames).
 	maxKeyLen = 128
 )
@@ -90,21 +86,17 @@ type Stats struct {
 	// entries the caller reported undecodable via Drop.
 	CorruptDropped uint64 `json:"corrupt_dropped"`
 	DecodeDropped  uint64 `json:"decode_dropped"`
-	// OrphansDropped counts files deleted at open because the journal did
-	// not reference them (including stale temp files).
+	// OrphansDropped counts files deleted at open because they are not
+	// named as entries (stale temp files, stray names).
 	OrphansDropped uint64 `json:"orphans_dropped"`
-	// JournalTailDropped counts journal bytes discarded at the first
-	// malformed record (a torn journal append).
-	JournalTailDropped uint64 `json:"journal_tail_dropped"`
 	// ReloadedEntries is how many entries survived verification at open.
 	ReloadedEntries int `json:"reloaded_entries"`
 	// WriteErrors / ReadErrors count operations that exhausted their retry
-	// budget; JournalErrors count failed journal appends (the entry stays
-	// servable in-process and is re-indexed or orphan-collected at next
-	// open).
-	WriteErrors   uint64 `json:"write_errors"`
-	ReadErrors    uint64 `json:"read_errors"`
-	JournalErrors uint64 `json:"journal_errors"`
+	// budget.
+	WriteErrors uint64 `json:"write_errors"`
+	ReadErrors  uint64 `json:"read_errors"`
+	// Deprecated: JournalErrors is always zero; the store keeps no journal.
+	JournalErrors uint64 `json:"-"`
 	// Retries counts I/O retry attempts; RetryWaitSeconds is the summed
 	// modeled backoff (charged, not slept — determinism).
 	Retries          uint64  `json:"retries"`
@@ -118,12 +110,6 @@ type Stats struct {
 	Bytes       int64                      `json:"bytes"`
 }
 
-// entryMeta is the in-memory index row for one committed entry.
-type entryMeta struct {
-	codec uint16
-	size  int64
-}
-
 // Store is the disk tier. A nil *Store is valid and means "no disk tier":
 // Get always misses, Put is a no-op — call sites stay unconditional, the
 // package convention. All operations are safe for concurrent use; disk
@@ -135,27 +121,25 @@ type Store struct {
 	inj     *resilience.Injector
 	breaker *resilience.Breaker
 
-	mu      sync.Mutex
-	index   map[string]entryMeta
-	bytes   int64
-	journal *os.File
-	tmpSeq  uint64
+	mu     sync.Mutex
+	index  map[string]int64 // key → payload size
+	bytes  int64
+	tmpSeq uint64
 
-	hits, misses, puts, putExisting      uint64
-	corruptDropped, decodeDropped        uint64
-	orphansDropped, journalTailDropped   uint64
-	writeErrors, readErrors, journalErrs uint64
-	retries                              uint64
-	retryWaitSeconds                     float64
-	degradedOps                          uint64
-	reloaded                             int
+	hits, misses, puts, putExisting uint64
+	corruptDropped, decodeDropped   uint64
+	orphansDropped                  uint64
+	writeErrors, readErrors         uint64
+	retries                         uint64
+	retryWaitSeconds                float64
+	degradedOps                     uint64
+	reloaded                        int
 }
 
-// Open builds (or re-opens) the store rooted at cfg.Dir, replaying and
-// compacting the index journal. Corrupt or orphaned state on disk is
-// repaired and counted, never an error; Open fails only when the
-// directory itself cannot be created or the compacted journal cannot be
-// written.
+// Open builds (or re-opens) the store rooted at cfg.Dir and indexes the
+// entries its objects directory holds. Corrupt or stray files are removed
+// and counted, never an error; Open fails only when the directory itself
+// cannot be created.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("cachedisk: empty dir")
@@ -168,7 +152,7 @@ func Open(cfg Config) (*Store, error) {
 		dir:     cfg.Dir,
 		objects: objects,
 		inj:     cfg.Injector,
-		index:   make(map[string]entryMeta),
+		index:   make(map[string]int64),
 	}
 	s.breaker = resilience.NewBreaker(resilience.BreakerConfig{
 		Threshold: cfg.BreakerThreshold,
@@ -176,20 +160,31 @@ func Open(cfg Config) (*Store, error) {
 		Now:       cfg.Now,
 	})
 	s.reload()
-	if err := s.compactJournal(); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
-// reload replays the journal, verifies every referenced entry file, and
-// removes everything else (corrupt entries, orphans, stale temps).
+// reload indexes every <key>.ent file in objects/ that verifies under the
+// key its name carries, and removes everything else: entries that fail
+// verification (corrupt), and stale temps from a crash before rename or
+// stray names (orphans).
 func (s *Store) reload() {
-	keys := s.replayJournal()
-	live := make(map[string]bool, len(keys))
-	for _, key := range keys {
-		path := s.entryPath(key)
-		_, codec, size, err := readEntryFile(path, key)
+	names, err := os.ReadDir(s.objects)
+	if err != nil {
+		return
+	}
+	for _, de := range names {
+		if de.IsDir() {
+			continue
+		}
+		path := filepath.Join(s.objects, de.Name())
+		key, isEntry := strings.CutSuffix(de.Name(), entrySuffix)
+		if !isEntry || !validKey(key) {
+			if os.Remove(path) == nil {
+				s.orphansDropped++
+			}
+			continue
+		}
+		_, _, size, err := readEntryFile(path, key)
 		if err != nil {
 			if !errors.Is(err, os.ErrNotExist) {
 				s.corruptDropped++
@@ -197,80 +192,10 @@ func (s *Store) reload() {
 			}
 			continue
 		}
-		s.index[key] = entryMeta{codec: codec, size: size}
+		s.index[key] = size
 		s.bytes += size
-		live[filepath.Base(path)] = true
 		s.reloaded++
 	}
-	// Everything in objects/ the verified index does not claim is garbage:
-	// stale temps from torn writes, files orphaned by a crash between
-	// rename and journal append, corrupt files under a journaled name that
-	// verification already deleted.
-	names, err := os.ReadDir(s.objects)
-	if err != nil {
-		return
-	}
-	for _, de := range names {
-		if de.IsDir() || live[de.Name()] {
-			continue
-		}
-		if os.Remove(filepath.Join(s.objects, de.Name())) == nil {
-			s.orphansDropped++
-		}
-	}
-}
-
-// replayJournal parses the journal, last-record-wins, stopping at the
-// first malformed record (a torn append: everything after it is
-// untrustworthy). Returns the referenced keys in first-seen order.
-func (s *Store) replayJournal() []string {
-	data, err := os.ReadFile(filepath.Join(s.dir, journalName))
-	if err != nil || len(data) == 0 {
-		return nil
-	}
-	var keys []string
-	seen := make(map[string]bool)
-	off := 0
-	for off < len(data) {
-		key, n, ok := parseJournalRecord(data[off:])
-		if !ok {
-			s.journalTailDropped += uint64(len(data) - off)
-			break
-		}
-		off += n
-		if !seen[key] {
-			seen[key] = true
-			keys = append(keys, key)
-		}
-	}
-	return keys
-}
-
-// compactJournal rewrites the journal to exactly the live index,
-// atomically, and re-opens it for appending.
-func (s *Store) compactJournal() error {
-	var buf []byte
-	for key, meta := range s.index {
-		buf = append(buf, journalRecord(key, meta.codec, meta.size)...)
-	}
-	jpath := filepath.Join(s.dir, journalName)
-	tmp := jpath + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("cachedisk: compact journal: %w", err)
-	}
-	if err := syncFile(tmp); err != nil {
-		return fmt.Errorf("cachedisk: compact journal: %w", err)
-	}
-	if err := os.Rename(tmp, jpath); err != nil {
-		return fmt.Errorf("cachedisk: compact journal: %w", err)
-	}
-	syncDir(s.dir)
-	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("cachedisk: open journal: %w", err)
-	}
-	s.journal = f
-	return nil
 }
 
 // Get returns the payload and codec stored for key. Corruption (bad
@@ -284,8 +209,7 @@ func (s *Store) Get(key string) (payload []byte, codec uint16, ok bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	meta, exists := s.index[key]
-	if !exists {
+	if _, exists := s.index[key]; !exists {
 		s.misses++
 		return nil, 0, false
 	}
@@ -294,7 +218,6 @@ func (s *Store) Get(key string) (payload []byte, codec uint16, ok bool) {
 		s.misses++
 		return nil, 0, false
 	}
-	_ = meta
 	var lastErr error
 	for attempt := 1; attempt <= resilience.MaxAttempts; attempt++ {
 		if attempt > 1 {
@@ -361,15 +284,9 @@ func (s *Store) Put(key string, codec uint16, payload []byte) error {
 			continue
 		}
 		s.breaker.Success()
-		s.index[key] = entryMeta{codec: codec, size: int64(len(payload))}
+		s.index[key] = int64(len(payload))
 		s.bytes += int64(len(payload))
 		s.puts++
-		if err := s.appendJournal(key, codec, int64(len(payload))); err != nil {
-			// The entry is committed and servable; the journal missed it,
-			// so the next open treats the file as an orphan. Counted, not
-			// fatal: the tier only ever under-remembers, never lies.
-			s.journalErrs++
-		}
 		return nil
 	}
 	s.writeErrors++
@@ -407,8 +324,8 @@ func (s *Store) Drop(key string) {
 
 // dropLocked removes key from the index and best-effort deletes its file.
 func (s *Store) dropLocked(key string) {
-	if meta, ok := s.index[key]; ok {
-		s.bytes -= meta.size
+	if size, ok := s.index[key]; ok {
+		s.bytes -= size
 		delete(s.index, key)
 	}
 	os.Remove(s.entryPath(key))
@@ -449,42 +366,30 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		Hits:               s.hits,
-		Misses:             s.misses,
-		Puts:               s.puts,
-		PutExisting:        s.putExisting,
-		CorruptDropped:     s.corruptDropped,
-		DecodeDropped:      s.decodeDropped,
-		OrphansDropped:     s.orphansDropped,
-		JournalTailDropped: s.journalTailDropped,
-		ReloadedEntries:    s.reloaded,
-		WriteErrors:        s.writeErrors,
-		ReadErrors:         s.readErrors,
-		JournalErrors:      s.journalErrs,
-		Retries:            s.retries,
-		RetryWaitSeconds:   s.retryWaitSeconds,
-		DegradedOps:        s.degradedOps,
-		Degraded:           s.breaker.State() == resilience.BreakerOpen,
-		Breaker:            s.breaker.Snapshot(),
-		Entries:            len(s.index),
-		Bytes:              s.bytes,
+		Hits:             s.hits,
+		Misses:           s.misses,
+		Puts:             s.puts,
+		PutExisting:      s.putExisting,
+		CorruptDropped:   s.corruptDropped,
+		DecodeDropped:    s.decodeDropped,
+		OrphansDropped:   s.orphansDropped,
+		ReloadedEntries:  s.reloaded,
+		WriteErrors:      s.writeErrors,
+		ReadErrors:       s.readErrors,
+		Retries:          s.retries,
+		RetryWaitSeconds: s.retryWaitSeconds,
+		DegradedOps:      s.degradedOps,
+		Degraded:         s.breaker.State() == resilience.BreakerOpen,
+		Breaker:          s.breaker.Snapshot(),
+		Entries:          len(s.index),
+		Bytes:            s.bytes,
 	}
 }
 
-// Close releases the journal handle. The store must not be used after.
-func (s *Store) Close() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.journal == nil {
-		return nil
-	}
-	err := s.journal.Close()
-	s.journal = nil
-	return err
-}
+// Close releases nothing: the store holds no open file between operations.
+//
+// Deprecated: a Store needs no closing; Close always returns nil.
+func (s *Store) Close() error { return nil }
 
 // writeEntry commits one entry file crash-safely, consulting the fault
 // injector at each guard point: flip (silent post-checksum corruption),
@@ -545,18 +450,6 @@ func (s *Store) writeEntry(key string, codec uint16, payload []byte) error {
 	}
 	syncDir(s.objects)
 	return nil
-}
-
-// appendJournal records a committed entry, fsync'd so the record survives
-// a crash that follows it.
-func (s *Store) appendJournal(key string, codec uint16, size int64) error {
-	if s.journal == nil {
-		return fmt.Errorf("cachedisk: journal closed")
-	}
-	if _, err := s.journal.Write(journalRecord(key, codec, size)); err != nil {
-		return err
-	}
-	return s.journal.Sync()
 }
 
 // entryPath maps a key to its committed file.
@@ -641,51 +534,6 @@ func readEntryFile(path, wantKey string) (payload []byte, codec uint16, size int
 		return nil, 0, 0, fmt.Errorf("%w: checksum mismatch in %s", errCorrupt, filepath.Base(path))
 	}
 	return payload, codec, int64(len(payload)), nil
-}
-
-// journalRecord serializes one index record: magic byte, length-prefixed
-// key, codec, payload size, CRC32 of the preceding bytes. The CRC makes a
-// torn append detectable, ending replay at the damage.
-func journalRecord(key string, codec uint16, size int64) []byte {
-	b := []byte{journalRecMagic}
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(key)))
-	b = append(b, key...)
-	b = binary.LittleEndian.AppendUint16(b, codec)
-	b = binary.LittleEndian.AppendUint64(b, uint64(size))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	return b
-}
-
-// parseJournalRecord parses one record from the front of data, returning
-// the key, consumed length, and whether the record was intact.
-func parseJournalRecord(data []byte) (key string, n int, ok bool) {
-	if len(data) < 3 || data[0] != journalRecMagic {
-		return "", 0, false
-	}
-	keyLen := int(binary.LittleEndian.Uint16(data[1:]))
-	if keyLen == 0 || keyLen > maxKeyLen {
-		return "", 0, false
-	}
-	n = 1 + 2 + keyLen + 2 + 8 + 4
-	if len(data) < n {
-		return "", 0, false
-	}
-	body := data[: n-4 : n-4]
-	crc := binary.LittleEndian.Uint32(data[n-4:])
-	if crc32.ChecksumIEEE(body) != crc {
-		return "", 0, false
-	}
-	return string(data[3 : 3+keyLen]), n, true
-}
-
-// syncFile fsyncs one file by path.
-func syncFile(path string) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
 }
 
 // syncDir fsyncs a directory so a rename inside it is durable.

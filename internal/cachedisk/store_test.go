@@ -26,7 +26,6 @@ func openT(t *testing.T, dir string, faults string) *Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
 	return s
 }
 
@@ -80,7 +79,6 @@ func TestReloadAcrossReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Close()
 
 	s2 := openT(t, dir, "")
 	st := s2.Stats()
@@ -134,7 +132,6 @@ func TestCorruptEntriesDroppedAtReload(t *testing.T) {
 			if err := s.Put("bad", 1, []byte("doomed payload")); err != nil {
 				t.Fatal(err)
 			}
-			s.Close()
 			mangle(t, filepath.Join(dir, objectsDir, "bad"+entrySuffix), how)
 
 			s2 := openT(t, dir, "")
@@ -169,7 +166,6 @@ func TestCrossLinkedEntryDropped(t *testing.T) {
 	if err := s.Put("bad", 1, []byte("bad payload")); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 	src, err := os.ReadFile(filepath.Join(dir, objectsDir, "good"+entrySuffix))
 	if err != nil {
 		t.Fatal(err)
@@ -209,51 +205,85 @@ func TestCorruptionAfterOpenIsAMissNotAnError(t *testing.T) {
 	}
 }
 
-func TestJournalTailCorruptionEndsReplay(t *testing.T) {
-	for _, how := range []string{"truncate-1", "flip-payload", "garbage"} {
-		t.Run(how, func(t *testing.T) {
-			dir := t.TempDir()
-			s := openT(t, dir, "")
-			if err := s.Put("aa", 1, []byte("A")); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Put("bb", 1, []byte("B")); err != nil {
-				t.Fatal(err)
-			}
-			s.Close()
-			mangle(t, filepath.Join(dir, journalName), how)
-
-			// Never an error, never a panic; entries referenced after the
-			// damage point become orphans and are collected.
-			s2 := openT(t, dir, "")
-			st := s2.Stats()
-			if how != "truncate-1" && st.JournalTailDropped == 0 && st.ReloadedEntries == 2 {
-				t.Fatalf("corruption invisible: %+v", st)
-			}
-			if got, _, ok := s2.Get("aa"); ok && string(got) != "A" {
-				t.Fatalf("wrong payload for aa: %q", got)
-			}
-			if got, _, ok := s2.Get("bb"); ok && string(got) != "B" {
-				t.Fatalf("wrong payload for bb: %q", got)
-			}
-		})
+// writeRaw puts bytes straight into the objects directory, behind the
+// store's back.
+func writeRaw(t *testing.T, dir, name string, data []byte) {
+	t.Helper()
+	objects := filepath.Join(dir, objectsDir)
+	if err := os.MkdirAll(objects, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(objects, name), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestZeroedJournalOrphansEverything(t *testing.T) {
+func TestUnrecordedEntryServedAfterReopen(t *testing.T) {
+	// A committed, verified entry that nothing else records — what a crash
+	// right after the rename leaves — is an entry: the directory is the
+	// index.
+	dir := t.TempDir()
+	writeRaw(t, dir, "lone"+entrySuffix, validEntryBytes("lone", 3, []byte("lone payload")))
+	s := openT(t, dir, "")
+	st := s.Stats()
+	if st.ReloadedEntries != 1 || st.OrphansDropped != 0 || st.CorruptDropped != 0 {
+		t.Fatalf("stats %+v", st)
+	}
+	got, codec, ok := s.Get("lone")
+	if !ok || codec != 3 || string(got) != "lone payload" {
+		t.Fatalf("Get = %q codec=%d ok=%v", got, codec, ok)
+	}
+}
+
+func TestLegacyIndexLogIgnored(t *testing.T) {
+	// A store written by an older build keeps an index.log beside objects/.
+	// Its bytes mean nothing now: every entry is served, the file is left
+	// as it is.
 	dir := t.TempDir()
 	s := openT(t, dir, "")
-	if err := s.Put("aa", 1, []byte("A")); err != nil {
-		t.Fatal(err)
+	for _, k := range []string{"aa", "bb"} {
+		if err := s.Put(k, 1, []byte("payload-"+k)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s.Close()
-	if err := os.WriteFile(filepath.Join(dir, journalName), nil, 0o644); err != nil {
+	legacy := filepath.Join(dir, "index.log")
+	junk := []byte("R\x02\x00aa\xff\xfe not a journal any more")
+	if err := os.WriteFile(legacy, junk, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2 := openT(t, dir, "")
-	st := s2.Stats()
-	if st.Entries != 0 || st.OrphansDropped != 1 {
+	if st := s2.Stats(); st.ReloadedEntries != 2 || st.OrphansDropped != 0 || st.CorruptDropped != 0 {
 		t.Fatalf("stats %+v", st)
+	}
+	for _, k := range []string{"aa", "bb"} {
+		if got, _, ok := s2.Get(k); !ok || string(got) != "payload-"+k {
+			t.Fatalf("%s = %q ok=%v", k, got, ok)
+		}
+	}
+	if got, err := os.ReadFile(legacy); err != nil || !bytes.Equal(got, junk) {
+		t.Fatalf("index.log touched: %q %v", got, err)
+	}
+}
+
+func TestStoreRootHoldsOnlyObjects(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, "")
+	for _, k := range []string{"aa", "bb", "cc"} {
+		if err := s.Put(k, 1, []byte("payload-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	openT(t, dir, "")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != objectsDir || !ents[0].IsDir() {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("store root holds %v, want only %s/", names, objectsDir)
 	}
 }
 
@@ -277,7 +307,6 @@ func TestMidWriteCrashLeavesNoTrace(t *testing.T) {
 	if len(tmps) == 0 {
 		t.Fatal("simulated crash left no temp file to clean")
 	}
-	s.Close()
 
 	s2 := openT(t, dir, "")
 	st = s2.Stats()
@@ -358,7 +387,6 @@ func TestSustainedFailureTripsBreakerToMemoryOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 
 	for i := 0; i < 2; i++ {
 		if err := s.Put("k", 1, []byte("v")); err != nil {
@@ -403,7 +431,6 @@ func TestBreakerRecoversWhenDiskHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	for i := 0; i < 2; i++ {
 		s.Put("k", 1, []byte("v"))
 	}
@@ -451,7 +478,7 @@ func TestNilStoreIsDisabledTier(t *testing.T) {
 	if err := s.Put("k", 1, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 || s.Dir() != "" || s.Degraded() || s.Close() != nil {
+	if s.Len() != 0 || s.Dir() != "" || s.Degraded() {
 		t.Fatal("nil store misbehaved")
 	}
 	if s.Stats() != (Stats{}) {

@@ -50,11 +50,10 @@ func Collect(s *serve.Server, stats *serve.LoadStats, cpuLanes, gpuLanes int) {
 
 // ClosedPass is one in-process server lifetime under closed-loop load: a
 // server wired from cfg, driven through the trace by concurrency clients at
-// cfg.Threads, scraped, and its disk tier (the caller opened it) closed.
+// cfg.Threads, and scraped.
 // spill pushes the surviving memory tier to disk before the server stops,
 // so a warm-up pass can precompute the disk tier for the next one.
 func ClosedPass(suite *core.Suite, cfg serve.Config, trace []string, concurrency int, label string, spill bool) serve.LoadStats {
-	defer cfg.DiskCache.Close()
 	s := serve.NewWithSuite(suite, cfg)
 	s.Start()
 	stats := ClosedLoop(InProc{S: s}, trace, concurrency, cfg.Threads)

@@ -47,7 +47,6 @@ func TestCollectTwoTier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer disk.Close()
 		s := serve.NewWithSuite(sharedSuite, serve.Config{Threads: 2, MSAWorkers: 1, GPUWorkers: 1, Cache: cache.New(0), DiskCache: disk})
 		s.Start()
 		st := ClosedLoop(InProc{S: s}, trace, 1, 2)

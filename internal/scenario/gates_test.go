@@ -323,7 +323,7 @@ func vandalizeStore(dir string) error {
 //
 //  1. a reference pass with no cache records every request's digest;
 //  2. phase A runs over a disk tier under the seeded fault storm, then
-//     spills the memory tier and closes the store;
+//     spills the memory tier;
 //  3. a clean reopen refills the tier, so the directory holds a full set of
 //     entries however the fault budget landed;
 //  4. the directory is vandalized: one entry truncated, one bit-flipped, an
@@ -367,9 +367,6 @@ func gateChaosDisk(t *testing.T, g gate) {
 	compareDigests(t, "phase A (faulty disk)", ref, digA)
 	spilled := sA.SpillCache()
 	sA.Stop()
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if spilled == 0 {
 		t.Errorf("phase A: nothing spilled to disk; later phases prove nothing")
 	}
@@ -382,9 +379,6 @@ func gateChaosDisk(t *testing.T, g gate) {
 	compareDigests(t, "refill (post-storm reopen)", ref, digR)
 	sR.SpillCache()
 	sR.Stop()
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Vandalize the directory, then restart.
 	if err := vandalizeStore(dir); err != nil {
@@ -396,9 +390,6 @@ func gateChaosDisk(t *testing.T, g gate) {
 	diskHits := sB.Metrics().Get("msa_chain_disk_hits")
 	sB.Stop()
 	dsB := store.Stats()
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if stB.Completed != len(trace) {
 		t.Errorf("phase B: %d of %d requests done over the vandalized tier", stB.Completed, len(trace))
 	}
@@ -426,7 +417,6 @@ func gateChaosDisk(t *testing.T, g gate) {
 	sC.SpillCache()
 	sC.Stop()
 	dsC, degraded := store.Stats(), store.Degraded()
-	store.Close()
 	if stC.Failed > 0 {
 		t.Errorf("phase C: %d requests failed under a dark disk (must degrade, never fail)", stC.Failed)
 	}

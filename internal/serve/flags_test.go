@@ -114,7 +114,4 @@ func TestFlagsConfig(t *testing.T) {
 	if cfg.DiskCache == nil || cfg.DiskCache.Dir() != dir {
 		t.Fatalf("disk tier: %+v", cfg.DiskCache)
 	}
-	if err := cfg.DiskCache.Close(); err != nil {
-		t.Fatal(err)
-	}
 }

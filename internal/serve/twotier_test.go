@@ -20,7 +20,6 @@ func openDiskTier(t *testing.T, dir string, cfg cachedisk.Config) *cachedisk.Sto
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
 	return st
 }
 
@@ -78,9 +77,6 @@ func TestDiskTierReadThroughAcrossRestart(t *testing.T) {
 		t.Fatalf("SpillCache = %d, want 3 chains", n)
 	}
 	s1.Stop()
-	if err := s1.Config().DiskCache.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Restart: new store over the same directory, empty memory tier.
 	s2 := newTestServer(t, Config{
@@ -119,9 +115,6 @@ func TestDiskCorruptionIsAMiss(t *testing.T) {
 		t.Fatal("spill failed")
 	}
 	s1.Stop()
-	if err := s1.Config().DiskCache.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Flip one byte in every entry payload.
 	ents, err := filepath.Glob(filepath.Join(dir, "objects", "*.ent"))
@@ -253,9 +246,6 @@ func TestThreadCountsShareChains(t *testing.T) {
 			t.Fatalf("SpillCache = %d, want 2 chains", n)
 		}
 		s2.Stop()
-		if err := s2.Config().DiskCache.Close(); err != nil {
-			t.Fatal(err)
-		}
 		s4 := newTestServer(t, Config{Threads: 4, MSAWorkers: 1, Cache: cache.New(0), DiskCache: openDiskTier(t, dir, cachedisk.Config{})})
 		st := runTrace(t, s4, []string{"ppi-0x1"})
 		if st[0].ChainsDisk != 2 || st[0].ChainsFresh != 0 {
