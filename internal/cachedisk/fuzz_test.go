@@ -68,7 +68,7 @@ func FuzzReloadEntry(f *testing.F) {
 			if !ok || !validKey(key) {
 				t.Fatalf("Open left %q in objects/", de.Name())
 			}
-			if _, _, _, err := readEntryFile(filepath.Join(objects, de.Name()), key); err != nil {
+			if _, _, err := readEntryFile(filepath.Join(objects, de.Name()), key); err != nil {
 				t.Fatalf("Open left an entry that does not verify: %v", err)
 			}
 		}

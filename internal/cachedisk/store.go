@@ -184,7 +184,7 @@ func (s *Store) reload() {
 			}
 			continue
 		}
-		_, _, size, err := readEntryFile(path, key)
+		payload, _, err := readEntryFile(path, key)
 		if err != nil {
 			if !errors.Is(err, os.ErrNotExist) {
 				s.corruptDropped++
@@ -192,8 +192,8 @@ func (s *Store) reload() {
 			}
 			continue
 		}
-		s.index[key] = size
-		s.bytes += size
+		s.index[key] = int64(len(payload))
+		s.bytes += int64(len(payload))
 		s.reloaded++
 	}
 }
@@ -228,7 +228,7 @@ func (s *Store) Get(key string) (payload []byte, codec uint16, ok bool) {
 			lastErr = err
 			continue
 		}
-		p, c, _, err := readEntryFile(s.entryPath(key), key)
+		p, c, err := readEntryFile(s.entryPath(key), key)
 		if err == nil {
 			s.breaker.Success()
 			s.hits++
@@ -492,34 +492,34 @@ func appendHeader(b []byte, key string, codec uint16, payload []byte) []byte {
 // readEntryFile reads and fully verifies one entry file: magic, version,
 // embedded key against wantKey, exact length, payload checksum. Any
 // structural or cryptographic mismatch returns errCorrupt; I/O failures
-// return the underlying error. On success the verified payload, codec and
-// payload size are returned — a payload is never returned unverified.
-func readEntryFile(path, wantKey string) (payload []byte, codec uint16, size int64, err error) {
+// return the underlying error. On success the verified payload and codec
+// are returned — a payload is never returned unverified.
+func readEntryFile(path, wantKey string) (payload []byte, codec uint16, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	const fixed = len(magic) + 2 + 2 + 2 // magic, version, codec, keyLen
 	if len(data) < fixed || string(data[:len(magic)]) != magic {
-		return nil, 0, 0, fmt.Errorf("%w: bad magic in %s", errCorrupt, filepath.Base(path))
+		return nil, 0, fmt.Errorf("%w: bad magic in %s", errCorrupt, filepath.Base(path))
 	}
 	off := len(magic)
 	v := binary.LittleEndian.Uint16(data[off:])
 	off += 2
 	if v != version {
-		return nil, 0, 0, fmt.Errorf("%w: version %d in %s", errCorrupt, v, filepath.Base(path))
+		return nil, 0, fmt.Errorf("%w: version %d in %s", errCorrupt, v, filepath.Base(path))
 	}
 	codec = binary.LittleEndian.Uint16(data[off:])
 	off += 2
 	keyLen := int(binary.LittleEndian.Uint16(data[off:]))
 	off += 2
 	if keyLen > maxKeyLen || len(data) < off+keyLen+8+sha256.Size {
-		return nil, 0, 0, fmt.Errorf("%w: truncated header in %s", errCorrupt, filepath.Base(path))
+		return nil, 0, fmt.Errorf("%w: truncated header in %s", errCorrupt, filepath.Base(path))
 	}
 	key := string(data[off : off+keyLen])
 	off += keyLen
 	if key != wantKey {
-		return nil, 0, 0, fmt.Errorf("%w: key mismatch in %s", errCorrupt, filepath.Base(path))
+		return nil, 0, fmt.Errorf("%w: key mismatch in %s", errCorrupt, filepath.Base(path))
 	}
 	payloadLen := binary.LittleEndian.Uint64(data[off:])
 	off += 8
@@ -527,13 +527,13 @@ func readEntryFile(path, wantKey string) (payload []byte, codec uint16, size int
 	copy(want[:], data[off:])
 	off += sha256.Size
 	if uint64(len(data)-off) != payloadLen {
-		return nil, 0, 0, fmt.Errorf("%w: length mismatch in %s", errCorrupt, filepath.Base(path))
+		return nil, 0, fmt.Errorf("%w: length mismatch in %s", errCorrupt, filepath.Base(path))
 	}
 	payload = data[off:]
 	if sha256.Sum256(payload) != want {
-		return nil, 0, 0, fmt.Errorf("%w: checksum mismatch in %s", errCorrupt, filepath.Base(path))
+		return nil, 0, fmt.Errorf("%w: checksum mismatch in %s", errCorrupt, filepath.Base(path))
 	}
-	return payload, codec, int64(len(payload)), nil
+	return payload, codec, nil
 }
 
 // syncDir fsyncs a directory so a rename inside it is durable.
