@@ -205,25 +205,19 @@ func TestCorruptionAfterOpenIsAMissNotAnError(t *testing.T) {
 	}
 }
 
-// writeRaw puts bytes straight into the objects directory, behind the
-// store's back.
-func writeRaw(t *testing.T, dir, name string, data []byte) {
-	t.Helper()
-	objects := filepath.Join(dir, objectsDir)
-	if err := os.MkdirAll(objects, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(objects, name), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUnrecordedEntryServedAfterReopen(t *testing.T) {
 	// A committed, verified entry that nothing else records — what a crash
 	// right after the rename leaves — is an entry: the directory is the
 	// index.
 	dir := t.TempDir()
-	writeRaw(t, dir, "lone"+entrySuffix, validEntryBytes("lone", 3, []byte("lone payload")))
+	objects := filepath.Join(dir, objectsDir)
+	if err := os.MkdirAll(objects, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entry := validEntryBytes("lone", 3, []byte("lone payload"))
+	if err := os.WriteFile(filepath.Join(objects, "lone"+entrySuffix), entry, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s := openT(t, dir, "")
 	st := s.Stats()
 	if st.ReloadedEntries != 1 || st.OrphansDropped != 0 || st.CorruptDropped != 0 {
