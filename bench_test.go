@@ -6,6 +6,7 @@
 package afsysbench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -402,7 +403,7 @@ func BenchmarkKernelDiffusionStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	coords, err := d.Sample(32, src.Split(1), nil)
+	coords, _, err := d.SampleWithConfidence(32, src.Split(1), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -692,7 +693,7 @@ func BenchmarkAblationGappedRebuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := hmmer.ScanRecords(prof, query, &hmmer.SliceSource{Seqs: db.Seqs},
+		res, err := hmmer.ScanRecordsCtx(context.Background(), prof, query, &hmmer.SliceSource{Seqs: db.Seqs},
 			db.TotalResidues(), hmmer.SearchOptions{}, metering.Nop{})
 		if err != nil {
 			b.Fatal(err)

@@ -38,7 +38,7 @@ func captureStdout(t *testing.T, fn func() error) string {
 }
 
 func TestGoldenFigure2(t *testing.T) {
-	out := captureStdout(t, func() error { return run([]string{"-exp", "fig2"}) })
+	out := captureStdout(t, func() error { _, err := runCLI([]string{"-exp", "fig2"}); return err })
 	want := strings.TrimLeft(`
 Figure 2: peak memory vs RNA sequence length (nhmmer)
   main memory: 512 GiB; with CXL expansion: 768 GiB
@@ -55,7 +55,7 @@ RNA length  peak GiB  server           server+CXL  provenance
 }
 
 func TestGoldenTable1ContainsPaperFacts(t *testing.T) {
-	out := captureStdout(t, func() error { return run([]string{"-exp", "tab1"}) })
+	out := captureStdout(t, func() error { _, err := runCLI([]string{"-exp", "tab1"}); return err })
 	for _, fact := range []string{
 		"Intel Xeon Gold 5416S", "16/32", "2.0/4.0 GHz", "30 MiB", "512 GiB", "H100",
 		"AMD Ryzen 9 7900X", "12/24", "4.7/5.6 GHz", "64 MiB", "RTX 4080",
@@ -67,7 +67,7 @@ func TestGoldenTable1ContainsPaperFacts(t *testing.T) {
 }
 
 func TestGoldenTable2ContainsSampleFacts(t *testing.T) {
-	out := captureStdout(t, func() error { return run([]string{"-exp", "tab2"}) })
+	out := captureStdout(t, func() error { _, err := runCLI([]string{"-exp", "tab2"}); return err })
 	for _, fact := range []string{"2PV7", "484", "7RCE", "306", "1YY9", "881", "promo", "857", "6QNR", "1395", "600"} {
 		if !strings.Contains(out, fact) {
 			t.Errorf("Table II missing %q", fact)
@@ -76,8 +76,8 @@ func TestGoldenTable2ContainsSampleFacts(t *testing.T) {
 }
 
 func TestGoldenDeterminism(t *testing.T) {
-	a := captureStdout(t, func() error { return run([]string{"-exp", "fig2"}) })
-	b := captureStdout(t, func() error { return run([]string{"-exp", "fig2"}) })
+	a := captureStdout(t, func() error { _, err := runCLI([]string{"-exp", "fig2"}); return err })
+	b := captureStdout(t, func() error { _, err := runCLI([]string{"-exp", "fig2"}); return err })
 	if a != b {
 		t.Error("deterministic experiment produced different output across runs")
 	}

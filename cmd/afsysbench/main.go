@@ -62,13 +62,6 @@ func main() {
 	os.Exit(code)
 }
 
-// run preserves the original error-only entry point (experiment paths and
-// tests); the exit-code classification lives in runCLI.
-func run(args []string) error {
-	_, err := runCLI(args)
-	return err
-}
-
 // modes are the first-argument words that select a tool with its own flag
 // set; any other first argument is the suite's flag set below.
 var modes = map[string]func(args []string, w io.Writer) error{

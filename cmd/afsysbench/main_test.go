@@ -14,17 +14,17 @@ import (
 
 func TestRunList(t *testing.T) {
 	for _, target := range []string{"platforms", "samples"} {
-		if err := run([]string{"-list", target}); err != nil {
+		if _, err := runCLI([]string{"-list", target}); err != nil {
 			t.Errorf("-list %s: %v", target, err)
 		}
 	}
-	if err := run([]string{"-list", "bogus"}); err == nil {
+	if _, err := runCLI([]string{"-list", "bogus"}); err == nil {
 		t.Error("bogus list target accepted")
 	}
 }
 
 func TestRunRequiresWork(t *testing.T) {
-	if err := run(nil); err == nil {
+	if _, err := runCLI(nil); err == nil {
 		t.Error("no-op invocation accepted")
 	}
 }
@@ -33,7 +33,7 @@ func TestRunRequiresWork(t *testing.T) {
 // column per field (the verdict map one per machine), floats unrounded.
 func TestRunFig2WithCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-exp", "fig2", "-csv", dir}); err != nil {
+	if _, err := runCLI([]string{"-exp", "fig2", "-csv", dir}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(filepath.Join(dir, "fig2.csv"))
@@ -55,7 +55,7 @@ func TestRunWritesProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
-	if err := run([]string{"-exp", "fig2", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+	if _, err := runCLI([]string{"-exp", "fig2", "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []string{cpu, mem} {
@@ -70,13 +70,13 @@ func TestRunWritesProfiles(t *testing.T) {
 }
 
 func TestRunBadProfilePath(t *testing.T) {
-	if err := run([]string{"-exp", "fig2", "-cpuprofile", "/nonexistent-dir/cpu.pprof"}); err == nil {
+	if _, err := runCLI([]string{"-exp", "fig2", "-cpuprofile", "/nonexistent-dir/cpu.pprof"}); err == nil {
 		t.Error("unwritable cpuprofile path accepted")
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "fig99"}); err == nil {
+	if _, err := runCLI([]string{"-exp", "fig99"}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
@@ -89,7 +89,7 @@ func TestRunBadThreads(t *testing.T) {
 			t.Errorf("-threads %s: exit %d, err %v; want a refusal", threads, code, err)
 		}
 	}
-	if err := run([]string{"prof", "-threads", "0"}); err == nil {
+	if _, err := runCLI([]string{"prof", "-threads", "0"}); err == nil {
 		t.Error("prof -threads 0 accepted")
 	}
 }

@@ -82,16 +82,6 @@ func (p Policy) PadTo(tokens int) int {
 	return tokens
 }
 
-// WastePct returns the padding waste of running tokens at its padded size:
-// the fraction of dispatched tokens that belong to no request.
-func (p Policy) WastePct(tokens int) float64 {
-	padded := p.PadTo(tokens)
-	if padded <= 0 {
-		return 0
-	}
-	return 100 * float64(padded-tokens) / float64(padded)
-}
-
 // Item is one arrival in a batch-composition plan: its token count and the
 // lane it must dispatch on (requests on different machines or thread
 // settings never share a batch; the serving layer encodes that in Lane).
@@ -158,23 +148,6 @@ type BucketStats struct {
 	// reused it.
 	CompileMisses int64 `json:"compile_misses"`
 	CompileHits   int64 `json:"compile_hits"`
-}
-
-// WastePct is the bucket's padding waste: padded-but-unowned tokens over
-// dispatched tokens.
-func (b BucketStats) WastePct() float64 {
-	if b.PaddedTokens <= 0 {
-		return 0
-	}
-	return 100 * float64(b.PaddedTokens-b.ActualTokens) / float64(b.PaddedTokens)
-}
-
-// MeanBatchSize is the bucket's average members per dispatch.
-func (b BucketStats) MeanBatchSize() float64 {
-	if b.Batches == 0 {
-		return 0
-	}
-	return float64(b.Requests) / float64(b.Batches)
 }
 
 // Meter accumulates per-bucket batching accounting. Not safe for

@@ -46,19 +46,6 @@ func TestBucketForEdges(t *testing.T) {
 	}
 }
 
-func TestWastePct(t *testing.T) {
-	p := NewPolicy([]int{512})
-	if got := p.WastePct(512); got != 0 {
-		t.Errorf("exact fit waste = %v, want 0", got)
-	}
-	if got := p.WastePct(256); got != 50 {
-		t.Errorf("half fill waste = %v, want 50", got)
-	}
-	if got := p.WastePct(600); got != 0 {
-		t.Errorf("overflow waste = %v, want 0 (exact size)", got)
-	}
-}
-
 func TestPlanGroupsRunsAndCaps(t *testing.T) {
 	p := NewPolicy([]int{512, 1024})
 	items := []Item{
@@ -116,13 +103,6 @@ func TestMeterAccounting(t *testing.T) {
 	if r.Requests != 2 || r.Batches != 1 || r.ActualTokens != 726 || r.PaddedTokens != 1024 {
 		t.Errorf("512 row = %+v", r)
 	}
-	wantWaste := 100 * float64(1024-726) / 1024
-	if got := r.WastePct(); got != wantWaste {
-		t.Errorf("waste = %v, want %v", got, wantWaste)
-	}
-	if got := r.MeanBatchSize(); got != 2 {
-		t.Errorf("mean batch = %v, want 2", got)
-	}
 	r = rows[1]
 	if r.CompileMisses != 1 || r.CompileHits != 1 {
 		t.Errorf("1024 compile counters = %+v", r)
@@ -130,8 +110,5 @@ func TestMeterAccounting(t *testing.T) {
 	reqs, actual, padded := m.Totals()
 	if reqs != 3 || actual != 726+881 || padded != 1024+1024 {
 		t.Errorf("totals = %d %d %d", reqs, actual, padded)
-	}
-	if (BucketStats{}).WastePct() != 0 || (BucketStats{}).MeanBatchSize() != 0 {
-		t.Error("zero-row derived stats must be 0")
 	}
 }

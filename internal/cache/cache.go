@@ -159,18 +159,6 @@ func (c *Cache) lookupLocked(key string) (any, bool) {
 	return nil, false
 }
 
-// Contains reports whether key is stored, without touching recency or
-// counters (test and introspection helper).
-func (c *Cache) Contains(key string) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
-}
-
 // GetOrCompute returns the value for key, computing it at most once across
 // concurrent callers. compute returns the value, its charged size in
 // bytes, and an error; errors are returned to every waiter and never
@@ -307,26 +295,6 @@ func (c *Cache) Range(fn func(key string, val any, size int64) bool) {
 			return
 		}
 	}
-}
-
-// Len returns the stored entry count.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Bytes returns the summed size of stored entries.
-func (c *Cache) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
 }
 
 // Stats returns a snapshot of the counters. A nil cache reports zeros.

@@ -42,6 +42,17 @@ func TestGetOrComputeBasics(t *testing.T) {
 	}
 }
 
+// stored reports whether key is a stored entry. It reads through Range,
+// which touches neither recency nor counters.
+func stored(c *Cache, key string) bool {
+	found := false
+	c.Range(func(k string, _ any, _ int64) bool {
+		found = k == key
+		return !found
+	})
+	return found
+}
+
 func TestErrorsAreNotCached(t *testing.T) {
 	c := New(0)
 	boom := errors.New("boom")
@@ -50,7 +61,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if c.Contains("k") || c.Len() != 0 {
+	if stored(c, "k") || c.Stats().Entries != 0 {
 		t.Fatal("error result was cached")
 	}
 	v, hit, err := c.GetOrCompute("k", func() (any, int64, error) { calls++; return "ok", 2, nil })
@@ -188,10 +199,10 @@ func TestLRUEvictionOrder(t *testing.T) {
 		t.Fatal("a missing")
 	}
 	c.Add("c", "c", 10) // over capacity: b must go, not a
-	if c.Contains("b") {
+	if stored(c, "b") {
 		t.Fatal("b survived eviction despite being LRU")
 	}
-	if !c.Contains("a") || !c.Contains("c") {
+	if !stored(c, "a") || !stored(c, "c") {
 		t.Fatal("wrong eviction victim")
 	}
 	st := c.Stats()
@@ -204,7 +215,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	c2.Add("x", 1, 10)
 	c2.Add("y", 2, 10)
 	c2.Add("z", 3, 10)
-	if c2.Contains("x") || !c2.Contains("y") || !c2.Contains("z") {
+	if stored(c2, "x") || !stored(c2, "y") || !stored(c2, "z") {
 		t.Fatal("oldest entry was not evicted first")
 	}
 }
@@ -213,26 +224,26 @@ func TestCapacityAccounting(t *testing.T) {
 	c := New(100)
 	c.Add("a", "a", 30)
 	c.Add("b", "b", 30)
-	if c.Bytes() != 60 {
-		t.Fatalf("bytes = %d, want 60", c.Bytes())
+	if c.Stats().Bytes != 60 {
+		t.Fatalf("bytes = %d, want 60", c.Stats().Bytes)
 	}
 	c.Add("a", "a2", 50) // replace: bytes adjust, no duplicate entry
-	if c.Bytes() != 80 || c.Len() != 2 {
-		t.Fatalf("after replace: bytes=%d len=%d", c.Bytes(), c.Len())
+	if c.Stats().Bytes != 80 || c.Stats().Entries != 2 {
+		t.Fatalf("after replace: bytes=%d len=%d", c.Stats().Bytes, c.Stats().Entries)
 	}
 	// An entry larger than the whole capacity is uncacheable.
 	c.Add("huge", "h", 1000)
-	if c.Contains("huge") {
+	if stored(c, "huge") {
 		t.Fatal("oversized entry stored")
 	}
-	if c.Bytes() > 100 {
-		t.Fatalf("capacity invariant broken: %d", c.Bytes())
+	if c.Stats().Bytes > 100 {
+		t.Fatalf("capacity invariant broken: %d", c.Stats().Bytes)
 	}
 	// Minimum charge is 1 byte so zero-sized entries still count.
 	c3 := New(0)
 	c3.Add("z", nil, 0)
-	if c3.Bytes() != 1 {
-		t.Fatalf("zero-size charge = %d, want 1", c3.Bytes())
+	if c3.Stats().Bytes != 1 {
+		t.Fatalf("zero-size charge = %d, want 1", c3.Stats().Bytes)
 	}
 }
 
@@ -295,7 +306,7 @@ func TestOnEvictHook(t *testing.T) {
 		got = append(got, ev{key, size})
 		// Reentrancy: the hook runs outside the lock, so calling back into
 		// the cache must not deadlock.
-		_ = c.Len()
+		_ = c.Stats().Entries
 	})
 	c.Add("a", "A", 10)
 	c.Add("b", "B", 10)
@@ -371,8 +382,8 @@ func TestEvictedEntryServedUntilHookReturns(t *testing.T) {
 	if v, ok := c.Get("a"); !ok || v.(string) != "A" {
 		t.Fatalf("Get during the hook: v=%v ok=%v", v, ok)
 	}
-	if c.Contains("a") || c.Len() != 1 || c.Bytes() != 10 {
-		t.Fatalf("evicted entry still counted as stored: len=%d bytes=%d", c.Len(), c.Bytes())
+	if stored(c, "a") || c.Stats().Entries != 1 || c.Stats().Bytes != 10 {
+		t.Fatalf("evicted entry still counted as stored: len=%d bytes=%d", c.Stats().Entries, c.Stats().Bytes)
 	}
 	close(release)
 	<-done

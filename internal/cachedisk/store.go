@@ -349,15 +349,6 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-// Degraded reports memory-only mode: the breaker is open and disk
-// operations are being skipped.
-func (s *Store) Degraded() bool {
-	if s == nil {
-		return false
-	}
-	return s.breaker.State() == resilience.BreakerOpen
-}
-
 // Stats returns a snapshot of the counters. A nil store reports zeros.
 func (s *Store) Stats() Stats {
 	if s == nil {

@@ -387,7 +387,7 @@ func TestSustainedFailureTripsBreakerToMemoryOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !s.Degraded() {
+	if !s.Stats().Degraded {
 		t.Fatalf("breaker not open after threshold: %+v", s.Stats())
 	}
 	// Memory-only mode: operations are skipped, not failed.
@@ -406,7 +406,7 @@ func TestSustainedFailureTripsBreakerToMemoryOnly(t *testing.T) {
 	if err := s.Put("k3", 1, []byte("v3")); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Degraded() {
+	if !s.Stats().Degraded {
 		t.Fatal("failed probe should re-open the breaker")
 	}
 }
@@ -428,7 +428,7 @@ func TestBreakerRecoversWhenDiskHeals(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		s.Put("k", 1, []byte("v"))
 	}
-	if !s.Degraded() {
+	if !s.Stats().Degraded {
 		t.Fatal("breaker should be open")
 	}
 	now = now.Add(11 * time.Second)
@@ -437,7 +437,7 @@ func TestBreakerRecoversWhenDiskHeals(t *testing.T) {
 	if err := s.Put("healed", 1, []byte("back")); err != nil {
 		t.Fatal(err)
 	}
-	if s.Degraded() {
+	if s.Stats().Degraded {
 		t.Fatalf("breaker still open after healed probe: %+v", s.Stats())
 	}
 	if got, _, ok := s.Get("healed"); !ok || string(got) != "back" {
@@ -472,7 +472,7 @@ func TestNilStoreIsDisabledTier(t *testing.T) {
 	if err := s.Put("k", 1, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 || s.Dir() != "" || s.Degraded() {
+	if s.Len() != 0 || s.Dir() != "" || s.Stats().Degraded {
 		t.Fatal("nil store misbehaved")
 	}
 	if s.Stats() != (Stats{}) {

@@ -60,14 +60,6 @@ type BatchResult struct {
 	CPUBusy, GPUBusy float64
 }
 
-// Throughput returns requests per hour.
-func (r *BatchResult) Throughput() float64 {
-	if r.Makespan <= 0 {
-		return 0
-	}
-	return float64(len(r.Items)) / r.Makespan * 3600
-}
-
 // DeploymentRow is one deployment strategy of the batch comparison.
 type DeploymentRow struct {
 	Deployment       string

@@ -40,10 +40,6 @@ func TestChainFaultCheckpointRetry(t *testing.T) {
 	if !resilience.IsTransient(err) {
 		t.Fatalf("chain fault error not transient: %v", err)
 	}
-	if opts.MSACheckpoint.Len() == 0 {
-		t.Fatal("no chains checkpointed by the failed attempt")
-	}
-
 	mp, err := s.RunMSAPhase(context.Background(), in, mach, opts)
 	if err != nil {
 		t.Fatalf("retry with spent budget failed: %v", err)

@@ -38,7 +38,7 @@ func benchDenoise(b *testing.B, p *parallel.Pool) {
 func BenchmarkDiffusionDenoise(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchDenoise(b, nil) })
 	b.Run("parallel", func(b *testing.B) {
-		p := parallel.Default()
+		p := parallel.ForWorkers(parallel.DefaultWorkers())
 		benchDenoise(b, p)
 	})
 }

@@ -74,7 +74,7 @@ func TestDenoiseStepReusesWorkspace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coords, err := d.Sample(8, src.Split(1), nil)
+	coords, _, err := d.SampleWithConfidence(8, src.Split(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,15 +173,6 @@ func (c Config) Kernels(kind LayerKind) int {
 	}
 }
 
-// TotalFlops sums all layer classes.
-func (c Config) TotalFlops(n int) float64 {
-	var total float64
-	for _, k := range Kinds() {
-		total += c.LayerFlops(k, n)
-	}
-	return total
-}
-
 // NoiseSchedule returns the per-step noise scale: a cosine-decay schedule
 // from 1 toward ~0 over Steps steps.
 func (c Config) NoiseSchedule() []float64 {
@@ -451,17 +442,12 @@ func (d *Denoiser) DenoiseStep(coords *tensor.Tensor, sigma float64, p *parallel
 	return nil
 }
 
-// Sample runs the full denoising trajectory from Gaussian-noise initial
-// coordinates for n tokens, returning the final (A×3) coordinates.
-func (d *Denoiser) Sample(n int, src *rng.Source, p *parallel.Pool) (*tensor.Tensor, error) {
-	coords, _, err := d.SampleWithConfidence(n, src, p)
-	return coords, err
-}
-
-// SampleWithConfidence additionally returns a per-token confidence in
-// (0,1]: tokens whose atoms have stopped moving over the trajectory's final
-// quarter are confident (the convergence analog of AF3's pLDDT head; with
-// random weights only the convergence signal is meaningful).
+// SampleWithConfidence runs the full denoising trajectory from
+// Gaussian-noise initial coordinates for n tokens and returns the final
+// (A×3) coordinates with a per-token confidence in (0,1]: tokens whose
+// atoms have stopped moving over the trajectory's final quarter are
+// confident (the convergence analog of AF3's pLDDT head; with random
+// weights only the convergence signal is meaningful).
 func (d *Denoiser) SampleWithConfidence(n int, src *rng.Source, p *parallel.Pool) (*tensor.Tensor, []float64, error) {
 	apt := d.cfg.AtomsPerToken
 	a := n * apt

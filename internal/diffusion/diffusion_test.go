@@ -2,6 +2,7 @@ package diffusion
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"afsysbench/internal/rng"
@@ -65,10 +66,19 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
+// totalFlops sums every layer class's FLOPs at n tokens.
+func totalFlops(c Config, n int) float64 {
+	var total float64
+	for _, k := range Kinds() {
+		total += c.LayerFlops(k, n)
+	}
+	return total
+}
+
 func TestGlobalAttentionDominatesAndGrows(t *testing.T) {
 	cfg := DefaultConfig()
 	share := func(n int) float64 {
-		return cfg.LayerFlops(GlobalAttention, n) / cfg.TotalFlops(n)
+		return cfg.LayerFlops(GlobalAttention, n) / totalFlops(cfg, n)
 	}
 	s484, s857 := share(484), share(857)
 	// Table VI: global attention is the largest diffusion component
@@ -120,7 +130,7 @@ func TestCostScalesWithEvaluations(t *testing.T) {
 	a := DefaultConfig()
 	b := a
 	b.Steps *= 2
-	if r := b.TotalFlops(484) / a.TotalFlops(484); math.Abs(r-2) > 1e-9 {
+	if r := totalFlops(b, 484) / totalFlops(a, 484); math.Abs(r-2) > 1e-9 {
 		t.Errorf("doubling steps scaled cost by %v, want 2 (paper: cumulative cost linear in iterations)", r)
 	}
 }
@@ -149,7 +159,7 @@ func TestDenoiseStepShapesAndFiniteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coords, err := d.Sample(6, src.Split(2), nil)
+	coords, _, err := d.SampleWithConfidence(6, src.Split(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +178,7 @@ func TestDenoiseDeterministic(t *testing.T) {
 	run := func() float32 {
 		src := rng.New(5)
 		d, _ := NewDenoiser(cfg, src)
-		coords, err := d.Sample(4, src.Split(2), nil)
+		coords, _, err := d.SampleWithConfidence(4, src.Split(2), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,18 +193,18 @@ func TestDenoiseStepMovesCoords(t *testing.T) {
 	cfg := tinyConfig()
 	src := rng.New(9)
 	d, _ := NewDenoiser(cfg, src)
-	coords, _ := d.Sample(4, src.Split(1), nil)
-	before := coords.Clone()
+	coords, _, _ := d.SampleWithConfidence(4, src.Split(1), nil)
+	before := slices.Clone(coords.Data)
 	if err := d.DenoiseStep(coords, 1.0, nil); err != nil {
 		t.Fatal(err)
 	}
 	moved := false
 	for i := range coords.Data {
-		if coords.Data[i] != before.Data[i] {
+		if coords.Data[i] != before[i] {
 			moved = true
 		}
 		// The tanh-bounded blend caps per-step movement at 0.1*sigma.
-		if diff := math.Abs(float64(coords.Data[i] - before.Data[i])); diff > 0.1+1e-6 {
+		if diff := math.Abs(float64(coords.Data[i] - before[i])); diff > 0.1+1e-6 {
 			t.Fatalf("step moved coordinate by %v, bound is 0.1", diff)
 		}
 	}
@@ -265,25 +275,5 @@ func TestConfidenceRisesWithMoreSteps(t *testing.T) {
 	}
 	if short, long := mean(2), mean(16); long <= short {
 		t.Errorf("confidence must rise with steps: %v (2) vs %v (16)", short, long)
-	}
-}
-
-func TestSampleMatchesSampleWithConfidence(t *testing.T) {
-	cfg := tinyConfig()
-	src1, src2 := rng.New(29), rng.New(29)
-	d1, _ := NewDenoiser(cfg, src1)
-	d2, _ := NewDenoiser(cfg, src2)
-	a, err := d1.Sample(4, src1.Split(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := d2.SampleWithConfidence(4, src2.Split(1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatal("Sample and SampleWithConfidence diverge")
-		}
 	}
 }

@@ -9,6 +9,9 @@ import (
 	"afsysbench/internal/seq"
 )
 
+// At returns the score for aligning residues a and b.
+func (m *Matrix) At(a, b byte) float32 { return m.Scores[int(a)*m.N+int(b)] }
+
 func protGen(seed uint64) *seq.Generator { return seq.NewGenerator(rng.New(seed)) }
 
 func protGenSrc(seed uint64) *rng.Source { return rng.New(seed) }

@@ -1,6 +1,7 @@
 package hmmer
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -357,6 +358,12 @@ func referenceScanRecords(p *Profile, query *seq.Sequence, src RecordSource, dbR
 	}
 	res.Hits = uniq
 	return res
+}
+
+// ScanRecords is ScanRecordsCtx without cancellation, the form the tests
+// scan with.
+func ScanRecords(p *Profile, query *seq.Sequence, src RecordSource, dbResidues int, opts SearchOptions, m metering.Meter) (*Result, error) {
+	return ScanRecordsCtx(context.Background(), p, query, src, dbResidues, opts, m)
 }
 
 // ReferenceScanRecords lets forward_suite_test.go (package hmmer_test) run

@@ -40,9 +40,6 @@ type Matrix struct {
 	Scores []float32
 }
 
-// At returns the score for aligning residues a and b.
-func (m *Matrix) At(a, b byte) float32 { return m.Scores[int(a)*m.N+int(b)] }
-
 // ProteinMatrix returns the 20x20 protein substitution matrix.
 func ProteinMatrix() *Matrix {
 	n := len(seq.ProteinAlphabet)

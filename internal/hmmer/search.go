@@ -128,7 +128,7 @@ type Result struct {
 type seedIndex struct {
 	k        int
 	alphaLen int
-	// indexed is a copy of the residues the tables were built from: a pooled
+	// indexed is a copy of the residues the tables were built from: a reused
 	// workspace outlives its queries, so only content can say they still hold.
 	indexed  []byte
 	size     uint32  // alphaLen^k, the number of k-mers
@@ -380,18 +380,13 @@ func SearchNucleotideCtx(ctx context.Context, query *seq.Sequence, src func() Re
 	return res, nil
 }
 
-// ScanRecords runs one search pass of the profile over the records from
+// ScanRecordsCtx runs one search pass of the profile over the records from
 // src — the unit of work one worker thread performs on its database shard.
 // Callers that parallelize a search shard the database and merge the
 // returned results (see the msa package); iteration across rounds stays
-// with the caller.
-func ScanRecords(p *Profile, query *seq.Sequence, src RecordSource, dbResidues int, opts SearchOptions, m metering.Meter) (*Result, error) {
-	return ScanRecordsCtx(context.Background(), p, query, src, dbResidues, opts, m)
-}
-
-// ScanRecordsCtx is ScanRecords with cancellation: ctx is checked every
-// few records, so a worker shard of a cancelled MSA scan abandons its
-// remaining records instead of finishing the pass.
+// with the caller. ctx is checked every few records, so a worker shard of
+// a cancelled MSA scan abandons its remaining records instead of finishing
+// the pass.
 func ScanRecordsCtx(ctx context.Context, p *Profile, query *seq.Sequence, src RecordSource, dbResidues int, opts SearchOptions, m metering.Meter) (*Result, error) {
 	if m == nil {
 		m = metering.Nop{}
@@ -449,10 +444,10 @@ func MergeResults(query string, parts []*Result) *Result {
 }
 
 // scanState carries everything one scan pass shares across records: the
-// profile, the pooled workspace with the query's seed index in it, the
+// profile, the reused workspace with the query's seed index in it, the
 // precomputed band floor, and the accumulating Result. One scanState serves
 // one worker shard; it is not safe for concurrent use (each msa worker builds
-// its own, drawing a workspace from the shared pool).
+// its own, drawing a workspace from the shared free list).
 type scanState struct {
 	p          *Profile
 	query      *seq.Sequence

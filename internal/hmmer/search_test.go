@@ -247,8 +247,8 @@ func TestSearchProteinFindsPlantedHomologs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Scanned != db.NumSeqs() {
-		t.Errorf("scanned %d, want %d", res.Scanned, db.NumSeqs())
+	if res.Scanned != len(db.Seqs) {
+		t.Errorf("scanned %d, want %d", res.Scanned, len(db.Seqs))
 	}
 	homHits := 0
 	for _, h := range res.Hits {

@@ -73,17 +73,6 @@ func (a *Alignment) Validate(profileLen, targetLen int) error {
 	return nil
 }
 
-// Matches returns the number of match operations.
-func (a *Alignment) Matches() int {
-	n := 0
-	for _, p := range a.Pairs {
-		if p.Op == OpMatch {
-			n++
-		}
-	}
-	return n
-}
-
 // BandedViterbiAlign runs the banded Viterbi recurrence keeping every row
 // and returns both the score result and the traced alignment of the
 // best-scoring cell. Its metering events charge the plain kernel plus

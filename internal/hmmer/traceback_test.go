@@ -10,6 +10,17 @@ import (
 	"afsysbench/internal/seq"
 )
 
+// Matches returns the number of match operations.
+func (a *Alignment) Matches() int {
+	n := 0
+	for _, p := range a.Pairs {
+		if p.Op == OpMatch {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTracebackScoreMatchesPlainKernel(t *testing.T) {
 	g := protGen(31)
 	for trial := 0; trial < 10; trial++ {

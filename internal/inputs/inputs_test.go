@@ -1,6 +1,7 @@
 package inputs
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -54,16 +55,13 @@ func TestPromoHasPolyQAnd1YY9DoesNot(t *testing.T) {
 		t.Errorf("promo low-complexity %.3f not above 1YY9 %.3f",
 			promo.MaxLowComplexity(), yy9.MaxLowComplexity())
 	}
-	run := 0
+	polyQ := bytes.Repeat([]byte{seq.QIndex}, 60)
+	found := false
 	for _, c := range promo.Chains {
-		if c.Sequence.Type == seq.Protein {
-			if r := c.Sequence.LongestRun(); r > run {
-				run = r
-			}
-		}
+		found = found || c.Sequence.Type == seq.Protein && bytes.Contains(c.Sequence.Residues, polyQ)
 	}
-	if run < 60 {
-		t.Errorf("promo longest repeat run = %d, want the planted poly-Q", run)
+	if !found {
+		t.Error("promo has no run of 60 glutamines, want the planted poly-Q")
 	}
 }
 

@@ -71,22 +71,3 @@ func GPUCheck(in *inputs.Input, mach platform.Machine) GPUEstimate {
 	}
 	return est
 }
-
-// MaxResidentTokens returns the largest token count whose prediction stays
-// device-resident on the machine's GPU.
-func MaxResidentTokens(mach platform.Machine) int {
-	budget := mach.GPU.MemBytes - gpuWeightBytes
-	if budget <= 0 {
-		return 0
-	}
-	lo, hi := 0, 1<<20
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if int64(mid)*int64(mid)*gpuActBytesPerPair <= budget {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo
-}

@@ -37,28 +37,3 @@ func TestGPUCheckFields(t *testing.T) {
 		t.Error("verdict names wrong")
 	}
 }
-
-func TestMaxResidentTokensBoundary(t *testing.T) {
-	for _, mach := range []platform.Machine{platform.Desktop(), platform.Server()} {
-		max := MaxResidentTokens(mach)
-		if max <= 0 {
-			t.Fatalf("%s: max tokens = %d", mach.Name, max)
-		}
-		fits := int64(max)*int64(max)*gpuActBytesPerPair + gpuWeightBytes
-		if fits > mach.GPU.MemBytes {
-			t.Errorf("%s: reported max does not fit", mach.Name)
-		}
-		over := int64(max+1) * int64(max+1) * gpuActBytesPerPair
-		if over+gpuWeightBytes <= mach.GPU.MemBytes {
-			t.Errorf("%s: max not maximal", mach.Name)
-		}
-	}
-	// The boundary must separate 1YY9 (881) from 6QNR (1395) on the 4080.
-	max := MaxResidentTokens(platform.Desktop())
-	if max < 881 || max >= 1395 {
-		t.Errorf("RTX 4080 resident boundary = %d, want within [881, 1395)", max)
-	}
-	if srv := MaxResidentTokens(platform.Server()); srv <= max {
-		t.Error("H100 boundary must exceed the 4080's")
-	}
-}

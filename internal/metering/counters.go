@@ -1,11 +1,6 @@
 package metering
 
-import (
-	"encoding/json"
-	"io"
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Registry is a concurrency-safe set of named monotonic counters for
 // long-running processes — the serving subsystem's operational metrics
@@ -62,16 +57,6 @@ func (r *Registry) SetGauge(name string, value int64) {
 	r.mu.Unlock()
 }
 
-// Gauge returns the named gauge's value (0 if absent or nil registry).
-func (r *Registry) Gauge(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name]
-}
-
 // Gauges returns a copy of all gauges.
 func (r *Registry) Gauges() map[string]int64 {
 	out := make(map[string]int64)
@@ -98,27 +83,4 @@ func (r *Registry) Snapshot() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Names returns the counter names in sorted order.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// WriteJSON dumps the counters as a JSON object. encoding/json sorts map
-// keys, so the dump is byte-stable for a given counter state.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

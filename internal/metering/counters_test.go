@@ -1,7 +1,6 @@
 package metering
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -22,9 +21,8 @@ func TestRegistryBasics(t *testing.T) {
 	if snap["a"] != 5 {
 		t.Fatal("snapshot not isolated from later writes")
 	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
+	if len(snap) != 2 || snap["b"] != 1 {
+		t.Fatalf("snapshot = %v", snap)
 	}
 }
 
@@ -32,10 +30,10 @@ func TestRegistryNilSafe(t *testing.T) {
 	var r *Registry
 	r.Add("x", 1)         // must not panic
 	r.SetGauge("live", 3) // must not panic
-	if r.Get("x") != 0 || len(r.Snapshot()) != 0 || len(r.Names()) != 0 {
+	if r.Get("x") != 0 || len(r.Snapshot()) != 0 {
 		t.Fatal("nil registry must read as empty")
 	}
-	if r.Gauge("live") != 0 || len(r.Gauges()) != 0 {
+	if len(r.Gauges()) != 0 {
 		t.Fatal("nil registry gauges must read as empty")
 	}
 }
@@ -44,20 +42,17 @@ func TestRegistryGauges(t *testing.T) {
 	r := NewRegistry()
 	r.SetGauge("live", 4)
 	r.SetGauge("live", 2) // gauges move both directions
-	if got := r.Gauge("live"); got != 2 {
-		t.Fatalf("live = %d, want 2", got)
-	}
-	if got := r.Gauge("absent"); got != 0 {
-		t.Fatalf("absent = %d, want 0", got)
-	}
 	snap := r.Gauges()
+	if got := snap["live"]; got != 2 || len(snap) != 1 {
+		t.Fatalf("gauges = %v, want live 2 alone", snap)
+	}
 	r.SetGauge("live", 9)
 	if snap["live"] != 2 {
 		t.Fatal("gauge snapshot not isolated from later writes")
 	}
 	// Gauges and counters are separate namespaces.
 	r.Add("live", 1)
-	if r.Get("live") != 1 || r.Gauge("live") != 9 {
+	if r.Get("live") != 1 || r.Gauges()["live"] != 9 {
 		t.Fatal("gauge and counter namespaces collided")
 	}
 }
@@ -77,22 +72,5 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := r.Get("n"); got != 8000 {
 		t.Fatalf("n = %d, want 8000", got)
-	}
-}
-
-func TestRegistryWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Add("zeta", 1)
-	r.Add("alpha", 2)
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, `"alpha": 2`) || !strings.Contains(out, `"zeta": 1`) {
-		t.Fatalf("json = %s", out)
-	}
-	if strings.Index(out, "alpha") > strings.Index(out, "zeta") {
-		t.Fatalf("keys not sorted: %s", out)
 	}
 }

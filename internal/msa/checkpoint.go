@@ -129,13 +129,3 @@ func (c *Checkpoint) store(scope, chainID string, d *chainDelta) {
 	c.chains[scope+"|"+chainID] = d
 	c.mu.Unlock()
 }
-
-// Len returns the number of checkpointed chain deltas across all scopes.
-func (c *Checkpoint) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.chains)
-}

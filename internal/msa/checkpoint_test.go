@@ -80,8 +80,8 @@ func TestCheckpointResumeOnlyFailedChains(t *testing.T) {
 	}
 	// Chains run in order: A completed and checkpointed, B faulted, C
 	// never started.
-	if cp.Len() != 1 {
-		t.Fatalf("checkpointed chains after fault = %d, want 1", cp.Len())
+	if len(cp.chains) != 1 {
+		t.Fatalf("checkpointed chains after fault = %d, want 1", len(cp.chains))
 	}
 
 	mu.Lock()
@@ -113,8 +113,8 @@ func TestCheckpointScopeIsolation(t *testing.T) {
 	if _, err := Run(in, opts); err != nil {
 		t.Fatal(err)
 	}
-	if cp.Len() != 1 {
-		t.Fatalf("checkpointed chains = %d, want 1", cp.Len())
+	if len(cp.chains) != 1 {
+		t.Fatalf("checkpointed chains = %d, want 1", len(cp.chains))
 	}
 	opts.CheckpointScope = "reduced"
 	res, err := Run(in, opts)

@@ -35,7 +35,7 @@ func benchTriangleAttention(b *testing.B, p *parallel.Pool) {
 func BenchmarkTriangleAttention(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchTriangleAttention(b, nil) })
 	b.Run("parallel", func(b *testing.B) {
-		p := parallel.Default()
+		p := parallel.ForWorkers(parallel.DefaultWorkers())
 		benchTriangleAttention(b, p)
 	})
 }
@@ -63,5 +63,5 @@ func BenchmarkBlockApply(b *testing.B) {
 		}
 	}
 	b.Run("serial", func(b *testing.B) { run(b, nil) })
-	b.Run("parallel", func(b *testing.B) { run(b, parallel.Default()) })
+	b.Run("parallel", func(b *testing.B) { run(b, parallel.ForWorkers(parallel.DefaultWorkers())) })
 }

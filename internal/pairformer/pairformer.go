@@ -162,15 +162,6 @@ func (c Config) Kernels(kind LayerKind) int {
 	}
 }
 
-// TotalFlops sums all layer classes at length n.
-func (c Config) TotalFlops(n int) float64 {
-	var total float64
-	for _, k := range Kinds() {
-		total += c.LayerFlops(k, n)
-	}
-	return total
-}
-
 // Block holds one Pairformer block's weights. Weights are random (we study
 // performance, not accuracy), drawn deterministically from a seed.
 type Block struct {

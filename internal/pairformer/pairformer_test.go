@@ -2,6 +2,7 @@ package pairformer
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"afsysbench/internal/rng"
@@ -75,11 +76,20 @@ func TestFlopsCubicDominance(t *testing.T) {
 	}
 }
 
+// totalFlops sums every layer class's FLOPs at length n.
+func totalFlops(c Config, n int) float64 {
+	var total float64
+	for _, k := range Kinds() {
+		total += c.LayerFlops(k, n)
+	}
+	return total
+}
+
 func TestTriangleAttentionDominatesAtPaperScale(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, n := range []int{484, 857} {
 		attn := cfg.LayerFlops(TriangleAttention, n)
-		total := cfg.TotalFlops(n)
+		total := totalFlops(cfg, n)
 		if share := attn / total; share < 0.40 {
 			t.Errorf("N=%d: triangle attention share %.2f, paper finds it dominant", n, share)
 		}
@@ -143,13 +153,13 @@ func TestBlockApplyChangesState(t *testing.T) {
 	src := rng.New(2)
 	blk, _ := NewBlock(cfg, src)
 	s := RandomState(cfg, 8, src.Split(9))
-	before := s.Pair.Clone()
+	before := slices.Clone(s.Pair.Data)
 	if err := blk.Apply(s, nil); err != nil {
 		t.Fatal(err)
 	}
 	same := true
-	for i := range before.Data {
-		if before.Data[i] != s.Pair.Data[i] {
+	for i := range before {
+		if before[i] != s.Pair.Data[i] {
 			same = false
 			break
 		}
@@ -168,13 +178,13 @@ func TestZeroWeightBlockPreservesPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := RandomState(cfg, 6, rng.New(3))
-	before := s.Pair.Clone()
+	before := slices.Clone(s.Pair.Data)
 	if err := blk.Apply(s, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := range before.Data {
-		if before.Data[i] != s.Pair.Data[i] {
-			t.Fatalf("pair changed at %d: %v -> %v", i, before.Data[i], s.Pair.Data[i])
+	for i := range before {
+		if before[i] != s.Pair.Data[i] {
+			t.Fatalf("pair changed at %d: %v -> %v", i, before[i], s.Pair.Data[i])
 		}
 	}
 }
@@ -212,7 +222,11 @@ func TestStackRuns(t *testing.T) {
 	if err := Stack(cfg, s, src, nil); err != nil {
 		t.Fatal(err)
 	}
-	if v := s.Pair.MaxAbs(); math.IsNaN(float64(v)) || v == 0 {
+	var v float64
+	for _, x := range s.Pair.Data {
+		v = math.Max(v, math.Abs(float64(x)))
+	}
+	if math.IsNaN(v) || v == 0 {
 		t.Errorf("stack output suspicious: maxabs=%v", v)
 	}
 }

@@ -36,8 +36,8 @@ type job struct {
 
 // New builds a pool with the given worker count (clamped to at least 1).
 // A 1-worker pool spawns no goroutines. Call Close when a locally created
-// pool is no longer needed; pools from ForWorkers/Default are shared and
-// must not be closed.
+// pool is no longer needed; pools from ForWorkers are shared and must not
+// be closed.
 func New(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
@@ -257,16 +257,9 @@ func ForWorkers(workers int) *Pool {
 	return p
 }
 
-// Default returns the shared pool sized to GOMAXPROCS — the engine used
-// when a caller has no explicit thread-count setting.
-func Default() *Pool {
-	return ForWorkers(runtime.GOMAXPROCS(0))
-}
-
-// DefaultWorkers returns the worker count Default sizes its pool to — the
-// core count the process sees. Subsystems sizing their own CPU-bound pools
-// (the serving scheduler's MSA stage) use it so "one worker per core" is
-// defined in exactly one place.
+// DefaultWorkers returns the core count the process sees (GOMAXPROCS).
+// Subsystems sizing their own CPU-bound pools (the serving scheduler's MSA
+// stage) use it so "one worker per core" is defined in exactly one place.
 func DefaultWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }

@@ -155,7 +155,7 @@ func TestForWorkersCachesAndClamps(t *testing.T) {
 	if ForWorkers(0).Workers() != 1 || ForWorkers(-2).Workers() != 1 {
 		t.Error("non-positive worker counts must clamp to 1")
 	}
-	if Default().Workers() < 1 {
+	if ForWorkers(DefaultWorkers()).Workers() < 1 {
 		t.Error("default pool has no workers")
 	}
 }

@@ -27,9 +27,6 @@ func NewTokenBucket(rate, burst float64) *TokenBucket {
 	return &TokenBucket{rate: rate, burst: burst, tokens: burst}
 }
 
-// Unlimited reports whether the bucket never limits.
-func (b *TokenBucket) Unlimited() bool { return b.rate <= 0 }
-
 // AdvanceTo refills the bucket up to virtual time t. Time is clamped
 // monotonic: an arrival earlier than one already seen refills nothing, so
 // an out-of-order trace cannot mint tokens.

@@ -28,7 +28,7 @@ func FuzzTokenBucket(f *testing.F) {
 			} else {
 				b.Take(arg * 37)
 			}
-			if !b.Unlimited() {
+			if b.rate > 0 {
 				lv := b.Level()
 				if lv < 0 || lv > b.burst {
 					t.Fatalf("level %g outside [0, %g]", lv, b.burst)

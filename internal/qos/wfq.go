@@ -161,22 +161,3 @@ func (w *WFQ[T]) Len() int {
 	defer w.mu.Unlock()
 	return w.size
 }
-
-// checkInvariants panics on a broken internal invariant; test/fuzz hook.
-func (w *WFQ[T]) checkInvariants() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	total := 0
-	for t, q := range w.queues {
-		if q.deficit < 0 {
-			panic("qos: negative DRR deficit for tenant " + t)
-		}
-		if q.backlog != (len(q.items) > 0) {
-			panic("qos: backlog flag out of sync for tenant " + t)
-		}
-		total += len(q.items)
-	}
-	if total != w.size {
-		panic("qos: WFQ size out of sync")
-	}
-}

@@ -5,6 +5,26 @@ import (
 	"testing"
 )
 
+// checkInvariants panics on a broken internal invariant; the WFQ tests and
+// the fuzz target call it between operations.
+func (w *WFQ[T]) checkInvariants() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	total := 0
+	for t, q := range w.queues {
+		if q.deficit < 0 {
+			panic("qos: negative DRR deficit for tenant " + t)
+		}
+		if q.backlog != (len(q.items) > 0) {
+			panic("qos: backlog flag out of sync for tenant " + t)
+		}
+		total += len(q.items)
+	}
+	if total != w.size {
+		panic("qos: WFQ size out of sync")
+	}
+}
+
 func weights(m map[string]float64) func(string) float64 {
 	return func(t string) float64 { return m[t] }
 }

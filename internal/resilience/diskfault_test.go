@@ -33,9 +33,6 @@ func TestInjectorDiskFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := NewInjector(fs, rng.New(1))
-	if !inj.HasDiskFaults() {
-		t.Fatal("HasDiskFaults = false")
-	}
 	if err := inj.DiskFault("write"); err != nil {
 		t.Fatalf("untargeted op faulted: %v", err)
 	}
@@ -63,7 +60,7 @@ func TestInjectorDiskFault(t *testing.T) {
 
 	// A nil injector injects nothing.
 	var none *Injector
-	if none.DiskFault("write") != nil || none.HasDiskFaults() {
+	if none.DiskFault("write") != nil {
 		t.Fatal("nil injector injected a disk fault")
 	}
 }

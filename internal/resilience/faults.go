@@ -333,16 +333,6 @@ func (i *Injector) DiskFault(op string) error {
 	return nil
 }
 
-// HasDiskFaults reports whether the spec carries any disk-op faults.
-func (i *Injector) HasDiskFaults() bool {
-	if i == nil {
-		return false
-	}
-	i.diskMu.Lock()
-	defer i.diskMu.Unlock()
-	return i.diskWildcard > 0 || len(i.diskRem) > 0
-}
-
 // HasChainFaults reports whether the spec carries any chain-scoped
 // faults (the serving layer uses it to decide if stage retries are worth
 // arming).

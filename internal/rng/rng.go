@@ -140,24 +140,3 @@ func (r *Source) Perm(n int) []int {
 	}
 	return p
 }
-
-// Choice returns a random index in [0, len(weights)) with probability
-// proportional to weights[i]. It panics if weights is empty or sums to a
-// non-positive value.
-func (r *Source) Choice(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	if len(weights) == 0 || total <= 0 {
-		panic("rng: Choice needs positive total weight")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

@@ -154,31 +154,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestChoiceRespectsWeights(t *testing.T) {
-	r := New(29)
-	weights := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	for i := 0; i < 40000; i++ {
-		counts[r.Choice(weights)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight bucket selected %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 2.7 || ratio > 3.3 {
-		t.Errorf("weight ratio = %v, want ~3", ratio)
-	}
-}
-
-func TestChoicePanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Choice(nil) did not panic")
-		}
-	}()
-	New(1).Choice(nil)
-}
-
 func TestMul64AgainstBigProducts(t *testing.T) {
 	cases := []struct{ a, b, hi, lo uint64 }{
 		{0, 0, 0, 0},

@@ -94,6 +94,17 @@ func settledGoroutines() int {
 	return n
 }
 
+// poolShortfall is "" when the live-worker gauges of s's /v1/metrics read
+// its configured pool sizes, and what they read otherwise.
+func poolShortfall(s *serve.Server) string {
+	g, cfg := s.MetricsSnapshot().Gauges, s.Config()
+	msa, gpu := g["msa_workers_live"], g["gpu_workers_live"]
+	if msa == int64(cfg.MSAWorkers) && gpu == int64(cfg.GPUWorkers) {
+		return ""
+	}
+	return fmt.Sprintf("msa %d of %d live, gpu %d of %d", msa, cfg.MSAWorkers, gpu, cfg.GPUWorkers)
+}
+
 func TestAwaitGoroutines(t *testing.T) {
 	// Not runtime.NumGoroutine() as it stands: with the machine loaded, an
 	// earlier test's goroutine exiting during the last case below cancelled
@@ -219,8 +230,8 @@ func gateChaos(t *testing.T, g gate) {
 	if len(statuses) != n {
 		t.Errorf("admitted %d of %d requests (a chaos storm must not shed)", len(statuses), n)
 	}
-	if ph := s.PoolHealth(); !ph.FullStrength() {
-		t.Errorf("worker pool lost goroutines: %+v", ph)
+	if short := poolShortfall(s); short != "" {
+		t.Errorf("worker pool lost goroutines: %s", short)
 	}
 	if panics < 1 {
 		t.Errorf("no worker panic fired (panic plan missed)")
@@ -416,18 +427,18 @@ func gateChaosDisk(t *testing.T, g gate) {
 	sC.SpillCache()
 	sC.SpillCache()
 	sC.Stop()
-	dsC, degraded := store.Stats(), store.Degraded()
+	dsC := store.Stats()
 	if stC.Failed > 0 {
 		t.Errorf("phase C: %d requests failed under a dark disk (must degrade, never fail)", stC.Failed)
 	}
-	if !degraded {
+	if !dsC.Degraded {
 		t.Errorf("phase C: breaker never opened into memory-only mode")
 	}
 	if dsC.DegradedOps == 0 {
 		t.Errorf("phase C: degraded operations were not counted")
 	}
 	t.Logf("%d req | faulty life: %d done, %d spilled | restart: %d done, %d disk hits, %d corrupt dropped, %d orphans swept | dark disk: %d done, %d failed, degraded=%v",
-		len(trace), stA.Completed, spilled, stB.Completed, diskHits, dsB.CorruptDropped, dsB.OrphansDropped, stC.Completed, stC.Failed, degraded)
+		len(trace), stA.Completed, spilled, stB.Completed, diskHits, dsB.CorruptDropped, dsB.OrphansDropped, stC.Completed, stC.Failed, dsC.Degraded)
 }
 
 // The cluster rows' stack: a scatter cluster of rigShards shard nodes
@@ -556,7 +567,7 @@ func gateClusterScaling(t *testing.T, g gate) {
 	clStats, rtStats := rig.cl.Stats(), rig.router.Stats()
 	records := 0
 	if len(sharedSuite.DBs.Protein) > 0 {
-		records = sharedSuite.DBs.Protein[0].NumSeqs()
+		records = len(sharedSuite.DBs.Protein[0].Seqs)
 	}
 	curve := cluster.BuildScalingCurve(rig.points, []int{1, 2, 4, 8, 16}, []int{1, 2, 4}, records, sharedSuite.DBs.Fingerprint(),
 		cluster.NetProfileFromStats(clStats, n), cluster.DefaultNet(), g.cfg.MSAWorkers, g.cfg.GPUWorkers)
@@ -669,7 +680,7 @@ func gateChaosCluster(t *testing.T, g gate) {
 	}
 	for i, srv := range rig.replicas {
 		if i == victimReplica {
-			if !srv.Killed() {
+			if srv.Metrics().Get("server_killed") != 1 {
 				t.Errorf("victim replica not marked killed")
 			}
 			if _, err := srv.Submit(serve.Request{Sample: rig.trace[0]}); err == nil {
@@ -677,8 +688,8 @@ func gateChaosCluster(t *testing.T, g gate) {
 			}
 			continue
 		}
-		if ph := srv.PoolHealth(); !ph.FullStrength() {
-			t.Errorf("surviving replica %d pool degraded: %+v", i, ph)
+		if short := poolShortfall(srv); short != "" {
+			t.Errorf("surviving replica %d pool degraded: %s", i, short)
 		}
 	}
 	for _, srv := range rig.replicas {
@@ -832,6 +843,12 @@ func gateFairness(t *testing.T, g gate) {
 		p95Solo, p95Prot, p95FIFO, ratios, 100*shedProt, 100*shedFIFO)
 }
 
+// overheadFraction is the non-compute share of one modeled inference run.
+func overheadFraction(p simgpu.PhaseBreakdown) float64 {
+	t := p.Total()
+	return (t - p.ComputeSeconds) / t
+}
+
 // gateBatchSweep asks where cross-request batching moves the serving tier
 // from compile-dominated to compute-dominated (the paper's Figure 8: device
 // init + XLA compile take > 75 % of GPU time for small inputs). It prices
@@ -878,16 +895,16 @@ func gateBatchSweep(t *testing.T, g gate) {
 			t.Fatal(err)
 		}
 		if b == 1 {
-			unbatched = first.OverheadFraction()
+			unbatched = overheadFraction(first)
 		}
-		if crossFirst == 0 && first.OverheadFraction() < 0.5 {
+		if crossFirst == 0 && overheadFraction(first) < 0.5 {
 			crossFirst = b
 		}
-		if crossSteady == 0 && steady.OverheadFraction() < 0.5 {
+		if crossSteady == 0 && overheadFraction(steady) < 0.5 {
 			crossSteady = b
 		}
 		t.Logf("B=%-3d first %.0fs (%.1f%% overhead) | steady %.0fs (%.1f%% overhead) | %.1fs/request",
-			b, first.Total(), 100*first.OverheadFraction(), steady.Total(), 100*steady.OverheadFraction(), steady.Total()/float64(b))
+			b, first.Total(), 100*overheadFraction(first), steady.Total(), 100*overheadFraction(steady), steady.Total()/float64(b))
 	}
 	t.Logf("%s (%d tokens -> bucket %d), memory cap %d: unbatched overhead %.1f%%; <50%% at batch %d (first dispatch), %d (steady)",
 		in.Name, tokens, bucket, maxBatch, 100*unbatched, crossFirst, crossSteady)

@@ -131,44 +131,6 @@ func (s *Sequence) Validate() error {
 	return nil
 }
 
-// ShannonEntropy returns the per-residue Shannon entropy in bits of the
-// sequence's composition. Low entropy flags low-complexity sequence (for the
-// 20-letter protein alphabet, random sequence approaches log2(20) ≈ 4.32
-// bits; poly-Q runs push it toward 0).
-func (s *Sequence) ShannonEntropy() float64 {
-	if len(s.Residues) == 0 {
-		return 0
-	}
-	counts := make(map[byte]int)
-	for _, r := range s.Residues {
-		counts[r]++
-	}
-	n := float64(len(s.Residues))
-	var h float64
-	for _, c := range counts {
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
-// LongestRun returns the length of the longest run of a single residue —
-// the direct detector for poly-Q style repeats.
-func (s *Sequence) LongestRun() int {
-	best, cur := 0, 0
-	for i, r := range s.Residues {
-		if i > 0 && r == s.Residues[i-1] {
-			cur++
-		} else {
-			cur = 1
-		}
-		if cur > best {
-			best = cur
-		}
-	}
-	return best
-}
-
 // LowComplexityFraction returns the fraction of residues covered by windows
 // whose local entropy falls below threshold bits, using the given window
 // size. It is the filter criterion the MSA stage applies (SEG-like).
@@ -234,29 +196,12 @@ func (s *Sequence) LowComplexityFraction(window int, threshold float64) float64 
 	return float64(total) / float64(n)
 }
 
-// Complexity summarizes the input-sensitivity features the paper identifies:
-// entropy, repeat runs, and low-complexity coverage.
-type Complexity struct {
-	Entropy        float64 // bits per residue
-	LongestRun     int
-	LowComplexFrac float64
-}
-
 // The MSA filter's window and entropy threshold (bits), values chosen so
 // that poly-Q stretches are flagged while diverse globular sequence is not.
 const (
 	LowComplexityWindow = 12
 	LowComplexityBits   = 2.2
 )
-
-// Complexity computes the summary with the MSA filter's window and threshold.
-func (s *Sequence) Complexity() Complexity {
-	return Complexity{
-		Entropy:        s.ShannonEntropy(),
-		LongestRun:     s.LongestRun(),
-		LowComplexFrac: s.LowComplexityFraction(LowComplexityWindow, LowComplexityBits),
-	}
-}
 
 // Generator produces deterministic synthetic sequences.
 type Generator struct {

@@ -2,9 +2,7 @@ package seq
 
 import (
 	"bytes"
-	"math"
 	"testing"
-	"testing/quick"
 
 	"afsysbench/internal/rng"
 )
@@ -66,46 +64,6 @@ func TestValidateCatchesBadResidue(t *testing.T) {
 	}
 }
 
-func TestShannonEntropyExtremes(t *testing.T) {
-	mono := &Sequence{Type: Protein, Residues: bytes.Repeat([]byte{QIndex}, 100)}
-	if h := mono.ShannonEntropy(); h != 0 {
-		t.Errorf("mono-residue entropy = %v, want 0", h)
-	}
-	// Uniform over 20 letters.
-	var res []byte
-	for i := 0; i < 20; i++ {
-		res = append(res, bytes.Repeat([]byte{byte(i)}, 5)...)
-	}
-	uniform := &Sequence{Type: Protein, Residues: res}
-	if h := uniform.ShannonEntropy(); math.Abs(h-math.Log2(20)) > 1e-9 {
-		t.Errorf("uniform entropy = %v, want log2(20)=%v", h, math.Log2(20))
-	}
-	empty := &Sequence{Type: Protein}
-	if empty.ShannonEntropy() != 0 {
-		t.Error("empty sequence entropy should be 0")
-	}
-}
-
-func TestLongestRun(t *testing.T) {
-	cases := []struct {
-		letters string
-		want    int
-	}{
-		{"", 0},
-		{"A", 1},
-		{"ACGT", 1},
-		{"AACGG", 2},
-		{"AQQQQC", 4},
-		{"QQQQQQ", 6},
-	}
-	for _, c := range cases {
-		s, _ := FromLetters("x", Protein, c.letters)
-		if got := s.LongestRun(); got != c.want {
-			t.Errorf("LongestRun(%q) = %d, want %d", c.letters, got, c.want)
-		}
-	}
-}
-
 func TestLowComplexityDetectsPolyQ(t *testing.T) {
 	g := NewGenerator(rng.New(1))
 	normal := g.Random("n", Protein, 400)
@@ -126,14 +84,10 @@ func TestLowComplexityDetectsPolyQ(t *testing.T) {
 func TestComplexitySummary(t *testing.T) {
 	g := NewGenerator(rng.New(2))
 	s := g.WithRepeat("p", Protein, 300, 60, QIndex)
-	c := s.Complexity()
-	if c.LongestRun < 60 {
-		t.Errorf("LongestRun = %d, want >= 60", c.LongestRun)
+	if !bytes.Contains(s.Residues, bytes.Repeat([]byte{QIndex}, 60)) {
+		t.Error("planted repeat is not a run of 60 glutamines")
 	}
-	if c.Entropy <= 0 || c.Entropy > math.Log2(20) {
-		t.Errorf("entropy %v out of range", c.Entropy)
-	}
-	if c.LowComplexFrac <= 0 {
+	if s.LowComplexityFraction(LowComplexityWindow, LowComplexityBits) <= 0 {
 		t.Error("expected nonzero low-complexity fraction")
 	}
 }
@@ -186,17 +140,5 @@ func TestFragmentBounds(t *testing.T) {
 		if f.Type != RNA {
 			t.Error("fragment lost molecule type")
 		}
-	}
-}
-
-func TestQuickEntropyBounds(t *testing.T) {
-	f := func(seed uint64, n uint16) bool {
-		g := NewGenerator(rng.New(seed))
-		s := g.Random("q", Protein, int(n)%1000+1)
-		h := s.ShannonEntropy()
-		return h >= 0 && h <= math.Log2(20)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -164,9 +164,6 @@ func lowComplexity(g *seq.Generator, id string, t seq.MoleculeType, length int) 
 	return s
 }
 
-// NumSeqs returns the record count.
-func (db *DB) NumSeqs() int { return len(db.Seqs) }
-
 // TotalResidues returns the summed record lengths.
 func (db *DB) TotalResidues() int {
 	var n int

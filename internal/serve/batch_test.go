@@ -210,8 +210,8 @@ func TestBatchPaddingWasteAccounting(t *testing.T) {
 		if want := int64(row.Bucket) * int64(row.Requests); row.PaddedTokens != want {
 			t.Errorf("bucket %d: padded tokens %d, want %d", row.Bucket, row.PaddedTokens, want)
 		}
-		if row.WastePct() < 0 || row.WastePct() >= 100 {
-			t.Errorf("bucket %d: waste %.1f%% out of range", row.Bucket, row.WastePct())
+		if row.ActualTokens <= 0 || row.ActualTokens > row.PaddedTokens {
+			t.Errorf("bucket %d: %d of %d padded tokens owned, want some and at most all", row.Bucket, row.ActualTokens, row.PaddedTokens)
 		}
 		padded += row.PaddedTokens
 		actual += row.ActualTokens

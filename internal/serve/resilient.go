@@ -122,45 +122,6 @@ func (s *Server) neededDBNames(j *job) []string {
 	return names
 }
 
-// BreakerSnapshots returns each database breaker's state and counters,
-// keyed by database name.
-func (s *Server) BreakerSnapshots() map[string]resilience.BreakerSnapshot {
-	out := make(map[string]resilience.BreakerSnapshot, len(s.breakers))
-	for name, b := range s.breakers {
-		out[name] = b.Snapshot()
-	}
-	return out
-}
-
-// PoolHealth reports configured versus live worker counts for both pools.
-// Because per-job panics are recovered inside the worker loop, Live must
-// equal Configured for the whole life of a started server; a shortfall
-// means a worker goroutine died, which the chaos harness treats as a
-// failed invariant. After Stop both Live counts return to zero.
-type PoolHealth struct {
-	MSAConfigured int `json:"msa_configured"`
-	MSALive       int `json:"msa_live"`
-	GPUConfigured int `json:"gpu_configured"`
-	GPULive       int `json:"gpu_live"`
-}
-
-// FullStrength reports whether every configured worker is live.
-func (p PoolHealth) FullStrength() bool {
-	return p.MSALive == p.MSAConfigured && p.GPULive == p.GPUConfigured
-}
-
-// PoolHealth returns the current pool strength.
-func (s *Server) PoolHealth() PoolHealth {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return PoolHealth{
-		MSAConfigured: s.cfg.MSAWorkers,
-		MSALive:       s.msaLive,
-		GPUConfigured: s.cfg.GPUWorkers,
-		GPULive:       s.gpuLive,
-	}
-}
-
 // Readiness is the payload of GET /v1/readyz: whether the server should
 // receive traffic, and if not, why — open circuit breakers and/or a
 // saturated admission queue.

@@ -379,8 +379,8 @@ type Server struct {
 	preBatch     int
 	batchAgg     batchAggregate
 
-	// msaLive/gpuLive count live worker goroutines (PoolHealth); guarded
-	// by mu.
+	// msaLive/gpuLive count live worker goroutines (the msa_workers_live
+	// and gpu_workers_live gauges); guarded by mu.
 	msaLive int
 	gpuLive int
 
@@ -628,13 +628,6 @@ func (s *Server) Kill() {
 	s.mu.Unlock()
 	s.killCancel()
 	s.cfg.Metrics.Add("server_killed", 1)
-}
-
-// Killed reports whether Kill has been called.
-func (s *Server) Killed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.killed
 }
 
 // WaitIdle blocks until every admitted job has reached a terminal state
@@ -916,13 +909,13 @@ func (s *Server) gpuWorker() {
 
 func (s *Server) adjustLive(counter *int, delta int) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	*counter += delta
-	msaLive, gpuLive := s.msaLive, s.gpuLive
-	s.mu.Unlock()
 	// Pool-health gauges: a shortfall against the configured pool size on a
-	// running server means a worker goroutine died.
-	s.cfg.Metrics.SetGauge("msa_workers_live", int64(msaLive))
-	s.cfg.Metrics.SetGauge("gpu_workers_live", int64(gpuLive))
+	// running server means a worker goroutine died. They are set under mu so
+	// that the last write is always the current count.
+	s.cfg.Metrics.SetGauge("msa_workers_live", int64(s.msaLive))
+	s.cfg.Metrics.SetGauge("gpu_workers_live", int64(s.gpuLive))
 }
 
 // runMSAGuarded runs the MSA stage under guard. The stage marker

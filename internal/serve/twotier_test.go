@@ -180,7 +180,7 @@ func TestSustainedDiskFailureDegradesToMemory(t *testing.T) {
 		t.Fatal("memory tier must still serve repeats")
 	}
 	s.SpillCache() // must not panic or fail requests either
-	if !store.Degraded() {
+	if !store.Stats().Degraded {
 		t.Fatalf("breaker never opened: %+v", store.Stats())
 	}
 	if ds := store.Stats(); ds.DegradedOps == 0 {

@@ -194,15 +194,6 @@ func (m Model) layerTimes(mach platform.Machine, n int, spill bool, batch int) [
 	return out
 }
 
-// ModuleSeconds sums layer times per module name.
-func ModuleSeconds(layers []LayerTime) map[string]float64 {
-	out := make(map[string]float64)
-	for _, l := range layers {
-		out[l.Module] += l.Seconds
-	}
-	return out
-}
-
 // PhaseBreakdown is the Figure 8 decomposition of one inference run.
 type PhaseBreakdown struct {
 	InitSeconds     float64 // GPU/device/runtime initialization
@@ -216,16 +207,6 @@ type PhaseBreakdown struct {
 // Total returns the end-to-end inference seconds.
 func (p PhaseBreakdown) Total() float64 {
 	return p.InitSeconds + p.CompileSeconds + p.ComputeSeconds + p.FinalizeSeconds
-}
-
-// OverheadFraction returns the non-compute share of the run — the quantity
-// the paper reports exceeding 75% for small inputs on the server.
-func (p PhaseBreakdown) OverheadFraction() float64 {
-	t := p.Total()
-	if t == 0 {
-		return 0
-	}
-	return (t - p.ComputeSeconds) / t
 }
 
 // InferenceOptions tune one run.

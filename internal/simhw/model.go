@@ -1,9 +1,7 @@
 package simhw
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"afsysbench/internal/metering"
 	"afsysbench/internal/platform"
@@ -374,40 +372,4 @@ func simulateFunc(cpu platform.CPU, fw FuncWork, nThreads int, llcHotMissFrac fl
 	cycles += float64(c.PageFaults) * pageFaultCycles
 	c.Cycles = uint64(cycles)
 	return c
-}
-
-// TopFuncs returns per-function shares of a counter extractor, sorted
-// descending — the building block for Table IV style reports.
-func TopFuncs(perFunc map[string]Counters, metric func(Counters) float64) []FuncShare {
-	var total float64
-	for _, c := range perFunc {
-		total += metric(c)
-	}
-	out := make([]FuncShare, 0, len(perFunc))
-	for name, c := range perFunc {
-		share := 0.0
-		if total > 0 {
-			share = 100 * metric(c) / total
-		}
-		out = append(out, FuncShare{Func: name, Value: metric(c), SharePct: share})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Value != out[j].Value {
-			return out[i].Value > out[j].Value
-		}
-		return out[i].Func < out[j].Func
-	})
-	return out
-}
-
-// FuncShare is one row of a function-level profile.
-type FuncShare struct {
-	Func     string
-	Value    float64
-	SharePct float64
-}
-
-// String renders a share row.
-func (f FuncShare) String() string {
-	return fmt.Sprintf("%-16s %6.2f%%", f.Func, f.SharePct)
 }

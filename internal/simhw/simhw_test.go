@@ -227,23 +227,6 @@ func TestPerFuncAttribution(t *testing.T) {
 	if res.PerFunc["calc_band_9"].Instructions == 0 || res.PerFunc["copy_to_iter"].Instructions == 0 {
 		t.Error("per-function instruction attribution missing")
 	}
-	shares := TopFuncs(res.PerFunc, func(c Counters) float64 { return float64(c.Cycles) })
-	if len(shares) != 2 {
-		t.Fatal("TopFuncs length wrong")
-	}
-	if shares[0].Value < shares[1].Value {
-		t.Error("TopFuncs not sorted descending")
-	}
-	var tot float64
-	for _, s := range shares {
-		tot += s.SharePct
-	}
-	if tot < 99.9 || tot > 100.1 {
-		t.Errorf("shares sum to %v", tot)
-	}
-	if shares[0].String() == "" {
-		t.Error("empty share string")
-	}
 }
 
 func TestQuickMoreInstructionsNeverFaster(t *testing.T) {

@@ -76,9 +76,6 @@ func (s *System) SetReserved(bytes int64) {
 // Reserved returns the current anonymous-memory reservation.
 func (s *System) Reserved() int64 { return s.reserved }
 
-// Resident returns the resident bytes of a dataset.
-func (s *System) Resident(name string) int64 { return s.resident[name] }
-
 // SetFaultFunc installs (or clears, with nil) the read-fault hook.
 func (s *System) SetFaultFunc(f FaultFunc) { s.fault = f }
 
@@ -174,12 +171,6 @@ func (s *System) TryReadSequential(name string, bytes int64) (ReadResult, error)
 // spent.
 func (s *System) Preload(name string, bytes int64) ReadResult {
 	return s.ReadSequential(name, bytes)
-}
-
-// Drop removes a dataset from the cache (e.g. container restart).
-func (s *System) Drop(name string) {
-	delete(s.resident, name)
-	delete(s.lastUse, name)
 }
 
 // admit makes the dataset resident up to bytes, evicting other datasets in

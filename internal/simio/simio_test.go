@@ -70,13 +70,13 @@ func TestSingleDatasetLargerThanCache(t *testing.T) {
 func TestSetReservedEvicts(t *testing.T) {
 	s := New(platform.Desktop(), 8*gib)
 	s.ReadSequential("db", 40*gib)
-	if s.Resident("db") != 40*gib {
-		t.Fatalf("resident = %d", s.Resident("db"))
+	if s.resident["db"] != 40*gib {
+		t.Fatalf("resident = %d", s.resident["db"])
 	}
 	// nhmmer balloons to 50 GiB: cache shrinks to 14 GiB.
 	s.SetReserved(50 * gib)
-	if s.Resident("db") > 14*gib {
-		t.Errorf("resident after pressure = %d, want <= 14 GiB", s.Resident("db"))
+	if s.resident["db"] > 14*gib {
+		t.Errorf("resident after pressure = %d, want <= 14 GiB", s.resident["db"])
 	}
 }
 
@@ -86,8 +86,8 @@ func TestLRUVictimOrder(t *testing.T) {
 	s.ReadSequential("new", 20*gib)
 	// Admitting 20 more GiB must evict from "old" first.
 	s.ReadSequential("third", 20*gib)
-	if s.Resident("new") < s.Resident("old") {
-		t.Errorf("LRU order violated: old=%d new=%d", s.Resident("old"), s.Resident("new"))
+	if s.resident["new"] < s.resident["old"] {
+		t.Errorf("LRU order violated: old=%d new=%d", s.resident["old"], s.resident["new"])
 	}
 }
 
@@ -100,18 +100,6 @@ func TestPreloadMakesLaterReadFree(t *testing.T) {
 	r := s.ReadSequential("rna", 89*gib)
 	if r.DiskSeconds != 0 {
 		t.Error("post-preload read should be free")
-	}
-}
-
-func TestDrop(t *testing.T) {
-	s := New(platform.Server(), 8*gib)
-	s.ReadSequential("db", 10*gib)
-	s.Drop("db")
-	if s.Resident("db") != 0 {
-		t.Error("drop did not evict")
-	}
-	if r := s.ReadSequential("db", 10*gib); r.FromDisk != 10*gib {
-		t.Error("read after drop should be cold")
 	}
 }
 
@@ -171,7 +159,7 @@ func TestCacheCapacityFloor(t *testing.T) {
 	if r.FromDisk != gib {
 		t.Error("with no cache everything reads from disk")
 	}
-	if s.Resident("db") != 0 {
+	if s.resident["db"] != 0 {
 		t.Error("nothing can be resident with zero capacity")
 	}
 }
@@ -185,7 +173,7 @@ func TestQuickResidencyNeverExceedsCapacity(t *testing.T) {
 			s.ReadSequential(fmt.Sprintf("db%d", i%5), size)
 			var total int64
 			for j := 0; j < 5; j++ {
-				total += s.Resident(fmt.Sprintf("db%d", j))
+				total += s.resident[fmt.Sprintf("db%d", j)]
 			}
 			if total > capacity {
 				return false
@@ -231,7 +219,7 @@ func TestTryReadSequentialFaultHook(t *testing.T) {
 			t.Errorf("attempt %d charged a failed read: %+v", a, r)
 		}
 	}
-	if s.Resident("db") != 0 {
+	if s.resident["db"] != 0 {
 		t.Error("failed reads admitted bytes to the cache")
 	}
 	if got := s.Stats().FailedReads; got != 2 {
@@ -264,13 +252,13 @@ func TestCloneIsIndependent(t *testing.T) {
 	s.ReadSequential("b", 4*gib)
 
 	c := s.Clone()
-	if c.Stats() != s.Stats() || c.Resident("a") != s.Resident("a") || c.Reserved() != s.Reserved() {
+	if c.Stats() != s.Stats() || c.resident["a"] != s.resident["a"] || c.Reserved() != s.Reserved() {
 		t.Fatal("clone does not match source")
 	}
 	// Mutating the clone leaves the source untouched, and vice versa.
 	c.ReadSequential("c", 20*gib)
 	c.SetReserved(30 * gib)
-	if s.Resident("c") != 0 || s.Reserved() != 8*gib {
+	if s.resident["c"] != 0 || s.Reserved() != 8*gib {
 		t.Error("clone mutation leaked into source")
 	}
 	before := c.Stats()

@@ -31,7 +31,7 @@ func benchMatMul(b *testing.B, p *parallel.Pool) {
 func BenchmarkMatMul(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchMatMul(b, nil) })
 	b.Run("parallel", func(b *testing.B) {
-		p := parallel.Default()
+		p := parallel.ForWorkers(parallel.DefaultWorkers())
 		benchMatMul(b, p)
 	})
 }

@@ -201,8 +201,8 @@ func softmaxRows(t *Tensor, lo, hi int) {
 	}
 }
 
-// LayerNormRowsWith applies the row normalization of LayerNormRows with
-// rows sharded over p.
+// LayerNormRowsWith normalizes each row of a 2-d tensor to zero mean and
+// unit variance (eps-stabilized), in place, with rows sharded over p.
 func (t *Tensor) LayerNormRowsWith(p *parallel.Pool) error {
 	if t.Dims() != 2 {
 		return fmt.Errorf("tensor: LayerNormRows needs 2-d, got %v", t.Shape)

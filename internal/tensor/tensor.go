@@ -29,18 +29,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, n)}
 }
 
-// FromData wraps data with a shape; the length must match.
-func FromData(data []float32, shape ...int) (*Tensor, error) {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
-		return nil, fmt.Errorf("tensor: data length %d does not match shape %v", len(data), shape)
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}, nil
-}
-
 // Len returns the element count.
 func (t *Tensor) Len() int { return len(t.Data) }
 
@@ -49,9 +37,6 @@ func (t *Tensor) Dims() int { return len(t.Shape) }
 
 // At returns the element at the given indices (2D/3D fast paths).
 func (t *Tensor) At(idx ...int) float32 { return t.Data[t.offset(idx)] }
-
-// Set stores v at the given indices.
-func (t *Tensor) Set(v float32, idx ...int) { t.Data[t.offset(idx)] = v }
 
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.Shape) {
@@ -67,13 +52,6 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Clone deep-copies the tensor.
-func (t *Tensor) Clone() *Tensor {
-	cp := &Tensor{Shape: append([]int(nil), t.Shape...), Data: make([]float32, len(t.Data))}
-	copy(cp.Data, t.Data)
-	return cp
-}
-
 // SameShape reports whether two tensors have identical shapes.
 func SameShape(a, b *Tensor) bool {
 	if len(a.Shape) != len(b.Shape) {
@@ -87,57 +65,8 @@ func SameShape(a, b *Tensor) bool {
 	return true
 }
 
-// MatMul computes a (m×k) · b (k×n) into a new (m×n) tensor. It is the
-// serial, allocating form of MatMulInto.
-func MatMul(a, b *Tensor) (*Tensor, error) {
-	if a.Dims() != 2 || b.Dims() != 2 {
-		return nil, fmt.Errorf("tensor: MatMul needs 2-d operands, got %v x %v", a.Shape, b.Shape)
-	}
-	if a.Shape[1] != b.Shape[0] {
-		return nil, fmt.Errorf("tensor: MatMul inner dims %d vs %d", a.Shape[1], b.Shape[0])
-	}
-	out := New(a.Shape[0], b.Shape[1])
-	if err := MatMulInto(out, a, b, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // MatMulFlops returns the FLOP count of a (m×k)·(k×n) product.
 func MatMulFlops(m, k, n int) float64 { return 2 * float64(m) * float64(k) * float64(n) }
-
-// Add returns a+b elementwise.
-func Add(a, b *Tensor) (*Tensor, error) {
-	if !SameShape(a, b) {
-		return nil, fmt.Errorf("tensor: Add shape mismatch %v vs %v", a.Shape, b.Shape)
-	}
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out, nil
-}
-
-// Mul returns a⊙b elementwise (Hadamard product).
-func Mul(a, b *Tensor) (*Tensor, error) {
-	if !SameShape(a, b) {
-		return nil, fmt.Errorf("tensor: Mul shape mismatch %v vs %v", a.Shape, b.Shape)
-	}
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] *= v
-	}
-	return out, nil
-}
-
-// Scale multiplies in place by s and returns t.
-func (t *Tensor) Scale(s float32) *Tensor { return t.ScaleWith(s, nil) }
-
-// Sigmoid applies the logistic function in place and returns t.
-func (t *Tensor) Sigmoid() *Tensor { return t.SigmoidWith(nil) }
-
-// ReLU applies max(0,x) in place and returns t.
-func (t *Tensor) ReLU() *Tensor { return t.ReLUWith(nil) }
 
 func sigmoidSpan(d []float32) {
 	for i, v := range d {
@@ -171,10 +100,6 @@ func softmaxRow(row []float32) {
 	}
 }
 
-// LayerNormRows normalizes each row of a 2-d tensor to zero mean and unit
-// variance (eps-stabilized), in place.
-func (t *Tensor) LayerNormRows() error { return t.LayerNormRowsWith(nil) }
-
 func layerNormRow(row []float32) {
 	const eps = 1e-5
 	n := len(row)
@@ -195,45 +120,8 @@ func layerNormRow(row []float32) {
 	}
 }
 
-// Transpose2D returns the transpose of a 2-d tensor.
-func Transpose2D(a *Tensor) (*Tensor, error) {
-	if a.Dims() != 2 {
-		return nil, fmt.Errorf("tensor: Transpose2D needs 2-d, got %v", a.Shape)
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = a.Data[i*n+j]
-		}
-	}
-	return out, nil
-}
-
 // Row returns a view of row i of a 2-d tensor (shared storage).
 func (t *Tensor) Row(i int) []float32 {
 	n := t.Shape[len(t.Shape)-1]
 	return t.Data[i*n : (i+1)*n]
-}
-
-// Fill sets every element to v and returns t.
-func (t *Tensor) Fill(v float32) *Tensor {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-	return t
-}
-
-// MaxAbs returns the maximum absolute element value (0 for empty).
-func (t *Tensor) MaxAbs() float32 {
-	var m float32
-	for _, v := range t.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

@@ -17,14 +17,28 @@ func randTensor(seed uint64, shape ...int) *Tensor {
 	return t
 }
 
+// fromData wraps data, row-major, in a tensor of the given shape.
+func fromData(data []float32, shape ...int) *Tensor {
+	return &Tensor{Shape: shape, Data: data}
+}
+
+// matMul is a·b into a new tensor, through MatMulInto's serial path.
+func matMul(a, b *Tensor) *Tensor {
+	out := New(a.Shape[0], b.Shape[1])
+	if err := MatMulInto(out, a, b, nil); err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func TestNewAndIndexing(t *testing.T) {
 	a := New(2, 3)
 	if a.Len() != 6 || a.Dims() != 2 {
 		t.Fatal("shape accounting wrong")
 	}
-	a.Set(5, 1, 2)
+	a.Data[1*3+2] = 5
 	if a.At(1, 2) != 5 {
-		t.Error("At/Set roundtrip failed")
+		t.Error("At does not read row-major storage")
 	}
 	if a.At(0, 0) != 0 {
 		t.Error("zero init failed")
@@ -58,26 +72,10 @@ func TestIndexPanics(t *testing.T) {
 	}
 }
 
-func TestFromData(t *testing.T) {
-	a, err := FromData([]float32{1, 2, 3, 4}, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.At(1, 0) != 3 {
-		t.Error("row-major layout wrong")
-	}
-	if _, err := FromData([]float32{1}, 2, 2); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
 func TestMatMulKnown(t *testing.T) {
-	a, _ := FromData([]float32{1, 2, 3, 4}, 2, 2)
-	b, _ := FromData([]float32{5, 6, 7, 8}, 2, 2)
-	c, err := MatMul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := fromData([]float32{1, 2, 3, 4}, 2, 2)
+	b := fromData([]float32{5, 6, 7, 8}, 2, 2)
+	c := matMul(a, b)
 	want := []float32{19, 22, 43, 50}
 	for i, w := range want {
 		if c.Data[i] != w {
@@ -87,11 +85,14 @@ func TestMatMulKnown(t *testing.T) {
 }
 
 func TestMatMulErrors(t *testing.T) {
-	if _, err := MatMul(New(2, 3), New(2, 3)); err == nil {
+	if err := MatMulInto(New(2, 3), New(2, 3), New(2, 3), nil); err == nil {
 		t.Error("inner mismatch accepted")
 	}
-	if _, err := MatMul(New(2), New(2, 2)); err == nil {
+	if err := MatMulInto(New(2, 2), New(2), New(2, 2), nil); err == nil {
 		t.Error("1-d operand accepted")
+	}
+	if err := MatMulInto(New(3, 2), New(2, 2), New(2, 2), nil); err == nil {
+		t.Error("dst shape mismatch accepted")
 	}
 }
 
@@ -99,12 +100,9 @@ func TestMatMulIdentity(t *testing.T) {
 	a := randTensor(1, 4, 4)
 	id := New(4, 4)
 	for i := 0; i < 4; i++ {
-		id.Set(1, i, i)
+		id.Data[i*4+i] = 1
 	}
-	c, err := MatMul(a, id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := matMul(a, id)
 	for i := range a.Data {
 		if math.Abs(float64(c.Data[i]-a.Data[i])) > 1e-6 {
 			t.Fatalf("A*I != A at %d", i)
@@ -119,40 +117,39 @@ func TestMatMulFlops(t *testing.T) {
 }
 
 func TestAddMul(t *testing.T) {
-	a, _ := FromData([]float32{1, 2}, 2)
-	b, _ := FromData([]float32{3, 4}, 2)
-	s, err := Add(a, b)
-	if err != nil || s.Data[0] != 4 || s.Data[1] != 6 {
-		t.Errorf("Add wrong: %v %v", s, err)
+	s := fromData([]float32{1, 2}, 2)
+	b := fromData([]float32{3, 4}, 2)
+	if err := AddAssign(s, b, nil); err != nil || s.Data[0] != 4 || s.Data[1] != 6 {
+		t.Errorf("AddAssign wrong: %v %v", s, err)
 	}
-	p, err := Mul(a, b)
-	if err != nil || p.Data[0] != 3 || p.Data[1] != 8 {
-		t.Errorf("Mul wrong: %v %v", p, err)
+	p := fromData([]float32{1, 2}, 2)
+	if err := MulAssign(p, b, nil); err != nil || p.Data[0] != 3 || p.Data[1] != 8 {
+		t.Errorf("MulAssign wrong: %v %v", p, err)
 	}
-	if a.Data[0] != 1 {
-		t.Error("operands mutated")
+	if b.Data[0] != 3 {
+		t.Error("src mutated")
 	}
-	if _, err := Add(a, New(3)); err == nil {
+	if err := AddAssign(s, New(3), nil); err == nil {
 		t.Error("shape mismatch accepted")
 	}
-	if _, err := Mul(a, New(3)); err == nil {
+	if err := MulAssign(p, New(3), nil); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 }
 
 func TestScaleSigmoidReLU(t *testing.T) {
-	a, _ := FromData([]float32{-2, 0, 2}, 3)
-	a.Scale(2)
+	a := fromData([]float32{-2, 0, 2}, 3)
+	a.ScaleWith(2, nil)
 	if a.Data[0] != -4 || a.Data[2] != 4 {
 		t.Error("Scale wrong")
 	}
-	b, _ := FromData([]float32{0}, 1)
-	b.Sigmoid()
+	b := fromData([]float32{0}, 1)
+	b.SigmoidWith(nil)
 	if math.Abs(float64(b.Data[0])-0.5) > 1e-6 {
 		t.Error("Sigmoid(0) != 0.5")
 	}
-	c, _ := FromData([]float32{-1, 2}, 2)
-	c.ReLU()
+	c := fromData([]float32{-1, 2}, 2)
+	c.ReLUWith(nil)
 	if c.Data[0] != 0 || c.Data[1] != 2 {
 		t.Error("ReLU wrong")
 	}
@@ -181,7 +178,7 @@ func TestSoftmaxRows(t *testing.T) {
 }
 
 func TestSoftmaxNumericalStability(t *testing.T) {
-	a, _ := FromData([]float32{1000, 1001, 1002}, 1, 3)
+	a := fromData([]float32{1000, 1001, 1002}, 1, 3)
 	if err := a.SoftmaxRows(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +191,7 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 
 func TestLayerNormRows(t *testing.T) {
 	a := randTensor(3, 4, 16)
-	if err := a.LayerNormRows(); err != nil {
+	if err := a.LayerNormRowsWith(nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -212,41 +209,25 @@ func TestLayerNormRows(t *testing.T) {
 			t.Errorf("row %d: mean %v var %v", i, mean, variance)
 		}
 	}
-	if err := New(2).LayerNormRows(); err == nil {
+	if err := New(2).LayerNormRowsWith(nil); err == nil {
 		t.Error("1-d layernorm accepted")
 	}
 }
 
 func TestTranspose(t *testing.T) {
-	a, _ := FromData([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b, err := Transpose2D(a)
-	if err != nil {
+	a := fromData([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
+	b := New(3, 2)
+	if err := Transpose2DInto(b, a, nil); err != nil {
 		t.Fatal(err)
-	}
-	if b.Shape[0] != 3 || b.Shape[1] != 2 {
-		t.Fatal("transpose shape wrong")
 	}
 	if b.At(2, 1) != a.At(1, 2) {
 		t.Error("transpose values wrong")
 	}
-	if _, err := Transpose2D(New(2)); err == nil {
+	if err := Transpose2DInto(New(2, 3), a, nil); err == nil {
+		t.Error("dst shape mismatch accepted")
+	}
+	if err := Transpose2DInto(New(2), New(2), nil); err == nil {
 		t.Error("1-d transpose accepted")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	a := randTensor(4, 3, 3)
-	b := a.Clone()
-	b.Data[0] = 999
-	if a.Data[0] == 999 {
-		t.Error("clone shares storage")
-	}
-}
-
-func TestFillMaxAbs(t *testing.T) {
-	a := New(2, 2).Fill(-3)
-	if a.MaxAbs() != 3 {
-		t.Errorf("MaxAbs = %v", a.MaxAbs())
 	}
 }
 
@@ -256,11 +237,11 @@ func TestQuickMatMulDistributesOverAdd(t *testing.T) {
 		a := randTensor(seed, 4, 5)
 		b := randTensor(seed+1, 5, 3)
 		c := randTensor(seed+2, 5, 3)
-		bc, _ := Add(b, c)
-		left, _ := MatMul(a, bc)
-		ab, _ := MatMul(a, b)
-		ac, _ := MatMul(a, c)
-		right, _ := Add(ab, ac)
+		ab, ac := matMul(a, b), matMul(a, c)
+		if AddAssign(b, c, nil) != nil || AddAssign(ab, ac, nil) != nil {
+			return false
+		}
+		left, right := matMul(a, b), ab
 		for i := range left.Data {
 			if math.Abs(float64(left.Data[i]-right.Data[i])) > 1e-3 {
 				return false
