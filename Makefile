@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet doccheck loc race faults bench profile-cold profile-hot profile-figures profile-ppi serve-bench bench-smoke
+.PHONY: all build test check fmt vet doccheck loc race faults flakes bench profile-cold profile-hot profile-figures profile-ppi serve-bench bench-smoke
 
 all: build
 
@@ -55,7 +55,7 @@ loc:
 
 # Race-check the concurrent hot path: the parallel engine itself, the
 # packages whose kernels shard over it (including the hmmer scan-workspace
-# pool that msa workers draw from concurrently), and the serving subsystem
+# free list that msa workers draw from concurrently), and the serving subsystem
 # (cache singleflight, scheduler pools) with the modeled clock its report
 # paths call from worker goroutines (vtime), and the scenario library's
 # client pools with the serving gates (TestGates: chaos, chaos-disk,
@@ -75,6 +75,14 @@ faults:
 	$(GO) test -race -run 'Ctx|Cancel|Fault|Resilience|Transient|Permanent|StageBudget|MemSpike|Stall|Stream|ExitCode|GoldenRun' ./internal/parallel ./internal/simio ./internal/hmmer ./internal/msa ./internal/core ./cmd/afsysbench
 
 check: fmt vet doccheck test race faults bench-smoke
+
+# Fresh-run failure counts of the three tests that read the runtime's own
+# counters (TestAllocsGolden, TestCachedRequestAllocsGolden,
+# TestSmokeRunEmitsEveryMetric), alone and beside two busy shell loops:
+# FLAKES_N runs of each (default 20). FLAKES_BASE=<commit> makes the same
+# runs at that commit too, alternating with this tree's.
+flakes:
+	@GO="$(GO)" sh scripts/flakes.sh
 
 # Kernel microbenchmarks with allocation tracking: the tensor kernels serial
 # vs parallel, and the MSA scan hot path's two arms on identical inputs

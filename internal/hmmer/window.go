@@ -68,7 +68,7 @@ func (s *scanState) scanLongTarget(target *seq.Sequence) {
 		peak += int64(end-start) + bandBytes*int64(end-start) + int64(len(diags))*64
 		s.cascade(window, target, start, diags)
 	}
-	window.Residues = nil // don't pin the target's bytes in the pool
+	window.Residues = nil // don't pin the target's bytes in the free list
 	if peak > s.res.PeakWindowStateBytes {
 		s.res.PeakWindowStateBytes = peak
 	}

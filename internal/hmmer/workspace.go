@@ -11,7 +11,7 @@ import (
 // target row for a traceback), the Forward rows, the seed tables, the
 // traceback path and the pending tracebacks of a scan's hits, the hit-dedup
 // set and the long-target window header. One workspace serves
-// one scan at a time; scanDB takes one from a sync.Pool per pass (so each
+// one scan at a time; scanDB takes one from the free list per pass (so each
 // msa worker shard reuses the buffers of earlier shards instead of
 // reallocating them per database record), and every buffer grows
 // monotonically to the largest record seen.
@@ -25,13 +25,33 @@ type scanWorkspace struct {
 	window     seq.Sequence // reusable long-target window header
 }
 
-var scanWSPool = sync.Pool{New: func() any {
-	return &scanWorkspace{seen: make(map[string]bool)}
-}}
+// scanWorkspaces is the free list of idle workspaces, taken and returned
+// last in, first out. It holds at most as many workspaces as were ever in
+// use at once. Unlike a sync.Pool it is neither emptied by a collection nor
+// split per P, so a scan always gets the buffers an earlier scan grew, and
+// a scan's allocations do not depend on which P it last ran on.
+var scanWorkspaces struct {
+	mu   sync.Mutex
+	free []*scanWorkspace
+}
 
-func takeScanWorkspace() *scanWorkspace { return scanWSPool.Get().(*scanWorkspace) }
+func takeScanWorkspace() *scanWorkspace {
+	scanWorkspaces.mu.Lock()
+	defer scanWorkspaces.mu.Unlock()
+	n := len(scanWorkspaces.free)
+	if n == 0 {
+		return &scanWorkspace{seen: make(map[string]bool)}
+	}
+	ws := scanWorkspaces.free[n-1]
+	scanWorkspaces.free = scanWorkspaces.free[:n-1]
+	return ws
+}
 
-func releaseScanWorkspace(ws *scanWorkspace) { scanWSPool.Put(ws) }
+func releaseScanWorkspace(ws *scanWorkspace) {
+	scanWorkspaces.mu.Lock()
+	scanWorkspaces.free = append(scanWorkspaces.free, ws)
+	scanWorkspaces.mu.Unlock()
+}
 
 // bandRows returns n DP rows for band width w, uninitialised: the drivers
 // write every slot of a row before anything reads it.

@@ -490,7 +490,7 @@ func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequen
 // synthetic-to-paper factor before they are folded.
 //
 // Scratch reuse: each span's scan draws a scanWorkspace from the hmmer
-// package's sync.Pool for the duration of its pass, so the DP rows,
+// package's free list for the duration of its pass, so the DP rows,
 // Forward rows and seed scratch are allocated once per span per database —
 // not once per record — and successive databases reuse the buffers the
 // previous pass grew.
