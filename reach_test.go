@@ -1,8 +1,10 @@
 // Reachability gate: every function and method declared in a non-test file
-// under internal/ or cmd/ has a caller in some non-test file of the module
-// (bench/ and examples/ included, since they are programs too), or a reason
-// to need none. Go's internal/ rule means nothing outside the module can
-// call them, so a function this gate finds is code nothing can run.
+// under internal/ or cmd/ has a caller in some non-test file of the module,
+// or a reason to need none. Every non-test file counts as a caller, bench/
+// and examples/ included. bench/ itself is not checked, since it changes
+// only with the benchmark, and neither is the root package, which is the
+// public API. Go's internal/ rule means nothing outside the module can call
+// what is checked, so a function the gate finds is code nothing can run.
 package afsysbench
 
 import (
