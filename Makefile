@@ -93,12 +93,13 @@ flakes:
 # so a kernel that branches is not flattered). The numbers of record for
 # the scan are the repo benchmark's hmmer.*_ns_per_cell (sh bench/run.sh
 # --trace 1). Last, the chain codec — encode and decode of each PPI pool
-# chain, the disk tier's payloads — and the chain replay: one cached chain
-# re-cut into 1, 4 and 16 workers, what every cache hit pays.
+# chain, the disk tier's payloads — the chain replay: one cached chain
+# re-cut into 1, 4 and 16 workers, what every cache hit pays — and a PPI
+# screening pair served from decoded payloads, what a disk hit pays.
 bench:
 	$(GO) test -run xxx -bench 'MatMul|TriangleAttention|BlockApply|DiffusionDenoise' -benchmem ./internal/tensor ./internal/pairformer ./internal/diffusion
 	$(GO) test -run xxx -bench 'Scan|Forward|BandedViterbi' -benchmem ./internal/hmmer
-	$(GO) test -run xxx -bench 'ChainCodec|ChainReplay' -benchmem ./internal/msa
+	$(GO) test -run xxx -bench 'ChainCodec|ChainReplay|PPIDiskHit' -benchmem ./internal/msa
 
 # Where a cold request's CPU and bytes go: three one-thread passes of the
 # cold_msa request mix through Suite.RunPipeline with FreshMSA
@@ -117,8 +118,8 @@ profile-cold:
 
 # Its twin for the cached path: 6 000 passes of the hot_cache request mix
 # through RunPipeline behind a chain cache that always hits (BenchmarkHotMix,
-# ≈ 0.4 ms a pass; the suite build and the one pass of real searches that
-# fills the cache are ≈ 10 % of the samples).
+# ≈ 0.15 ms a pass on 2 vCPUs; the suite build and the one pass of real
+# searches that fills the cache are ≈ 10 % of the samples).
 profile-hot:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run xxx -bench HotMix -benchtime 6000x -o $(PROFILE_DIR)/core.test -cpuprofile $(PROFILE_DIR)/hot.pprof ./internal/core
@@ -134,8 +135,8 @@ profile-figures:
 
 # And for a PPI screen's disk hits: 3 000 screening pairs at 2 threads,
 # each chain decoded from its encoded payload and merged
-# (BenchmarkPPIDiskHit in internal/msa, ≈ 0.2 ms a pair; the pool's ten
-# searches before the timer are in the profile too), then the 15 hottest
+# (BenchmarkPPIDiskHit in internal/msa, ≈ 50–65 µs a pair on 2 vCPUs; the
+# pool's ten searches before the timer are in the profile too), then the 15 hottest
 # functions; then 1 000 more pairs with every allocation sampled, and the 10
 # functions that allocate the most bytes, with the B/op of a pair.
 profile-ppi:

@@ -284,10 +284,10 @@ func (c *Cluster) noteFailover(node int) {
 
 // noteDispatch records a successful shard dispatch and prices its RPC:
 // the query and profile go out, the hit list and metering come back,
-// priced per event: the events folded, and the reader lane's three per
-// record, whose work the database's table holds in place of the fold. It
-// returns the RPC's modeled seconds, which Scatter adds to Stats — never
-// to the result.
+// priced per event: the events folded, one per probe entry, and the
+// reader lane's three per record — the work the database's lengths and
+// table hold in place of the fold. It returns the RPC's modeled seconds,
+// which Scatter adds to Stats — never to the result.
 func (c *Cluster) noteDispatch(node int, req msa.ScatterRequest, segs []*segment) float64 {
 	const eventBytes, readerEvents = 112, 3
 	reqBytes := int64(req.Query.Len()) + 512
@@ -297,6 +297,11 @@ func (c *Cluster) noteDispatch(node int, req msa.ScatterRequest, segs []*segment
 		respBytes += int64(g.hi-g.lo) * readerEvents * eventBytes
 		for _, r := range g.fold.Rows {
 			respBytes += int64(r.Events) * eventBytes
+		}
+		for _, p := range g.fold.Probes {
+			if p != 0 {
+				respBytes += eventBytes
+			}
 		}
 	}
 	c.mu.Lock()

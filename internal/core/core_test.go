@@ -39,12 +39,15 @@ func suite(t *testing.T) *Suite {
 // req.Threads spans, parallel.Span(n, w, Threads) into req.Workers[w] — the
 // decomposition the scan used while its goroutine count was the thread
 // count — and adds every event each worker recorded, one by one, to
-// workers[w]'s credits, with each of its records' reader events
-// (hmmer.ReaderEvents, scaled as the scan's events are), before the run
-// re-cuts anything.
+// workers[w]'s credits — each whole record's scaled seed event among them,
+// which the worker keeps as a probe count — with each of its records'
+// reader events (hmmer.ReaderEvents, scaled as the scan's events are),
+// before the run re-cuts anything.
 type shardOracle struct{ workers []*metering.Accumulator }
 
-// tee records every event into both meters, and passes record starts on.
+// tee records every event into both meters, and passes record starts and
+// probe counts on: a meter that keeps probe counts takes them, the other
+// records the seed event.
 type tee [2]metering.Meter
 
 func (m tee) Record(ev metering.Event) {
@@ -55,6 +58,11 @@ func (m tee) Record(ev metering.Event) {
 func (m tee) RecordStart() {
 	metering.RecordStart(m[0])
 	metering.RecordStart(m[1])
+}
+
+func (m tee) RecordProbes(probes uint64, ev metering.Event) {
+	metering.RecordProbes(m[0], probes, ev)
+	metering.RecordProbes(m[1], probes, ev)
 }
 
 // readerSource hands out src's records, recording each one's reader

@@ -211,7 +211,7 @@ func TestSeedIndexRebuildsOnContentOnly(t *testing.T) {
 	candidates := func(idx *seedIndex) [][]int {
 		var out [][]int
 		for _, tg := range targets {
-			out = append(out, append([]int(nil), idx.candidates(tg, 2, maxDiagonals, 2*BandHalfWidth, metering.Nop{})...))
+			out = append(out, append([]int(nil), idx.candidates(tg, 2, maxDiagonals, 2*BandHalfWidth, metering.Nop{}, true)...))
 		}
 		return out
 	}

@@ -292,7 +292,7 @@ func referenceScanRecords(p *Profile, query *seq.Sequence, src RecordSource, dbR
 	var idx seedIndex
 	idx.build(query, seedK(query.Type))
 	cascade := func(view, target *seq.Sequence, offset int) {
-		for _, d := range idx.candidates(view, minSeeds(query.Type), maxDiagonals, 2*BandHalfWidth, metering.Nop{}) {
+		for _, d := range idx.candidates(view, minSeeds(query.Type), maxDiagonals, 2*BandHalfWidth, metering.Nop{}, true) {
 			res.Candidates++
 			ali := referenceBandedViterbi(p, view, d, BandHalfWidth, metering.Nop{})
 			res.CellsDP += ali.Cells

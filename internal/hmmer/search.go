@@ -229,9 +229,11 @@ func (idx *seedIndex) roll(h uint32, out, in byte, top uint32) uint32 {
 }
 
 // candidates returns the merged candidate diagonals for a target, recording
-// the seed-scan work. Diagonals closer than mergeDist collapse into one.
-// The returned slice is the index's scratch, valid until its next use.
-func (idx *seedIndex) candidates(target *seq.Sequence, minSeeds, maxDiag, mergeDist int, m metering.Meter) []int {
+// the seed-scan work: into m's probe column (metering.RecordProbes) when
+// the target is a whole record, as an event when it is a window of one.
+// Diagonals closer than mergeDist collapse into one. The returned slice is
+// the index's scratch, valid until its next use.
+func (idx *seedIndex) candidates(target *seq.Sequence, minSeeds, maxDiag, mergeDist int, m metering.Meter, whole bool) []int {
 	L := target.Len()
 	if L < idx.k {
 		return nil
@@ -262,16 +264,12 @@ func (idx *seedIndex) candidates(target *seq.Sequence, minSeeds, maxDiag, mergeD
 		}
 		probes += uint64(len(hits))
 	}
-	// Probe work scales with posting-list traffic: low-complexity queries
-	// hash many positions to the same k-mer, so repetitive targets walk
-	// long posting lists — the seed-stage half of the promo blowup.
-	m.Record(metering.Event{
-		Func:         metering.SeedFilter,
-		Instructions: uint64(L)*6 + probes*8,
-		Bytes:        uint64(L)*12 + probes*16,
-		WorkingSet:   uint64(idx.distinct)*16 + uint64(L),
-		Branches:     uint64(L)*2 + probes,
-	})
+	ev := SeedEvent(uint64(L), probes, uint64(idx.distinct)*16+uint64(L))
+	if whole {
+		metering.RecordProbes(m, probes, ev)
+	} else {
+		m.Record(ev)
+	}
 	diags := idx.diags[:0]
 	for _, v := range touched {
 		if int(votes[v]) >= minSeeds {
@@ -299,6 +297,25 @@ func (idx *seedIndex) candidates(target *seq.Sequence, minSeeds, maxDiag, mergeD
 	}
 	idx.touched, idx.diags = touched, diags // keep the (possibly grown) backing arrays
 	return merged
+}
+
+// SeedEvent is the seed filter's work on a target of L residues whose
+// k-mers walked probes posting-list entries of the query's index, in an
+// index and target of workingSet bytes. Probe work scales with
+// posting-list traffic: low-complexity queries hash many positions to the
+// same k-mer, so repetitive targets walk long posting lists — the
+// seed-stage half of the promo blowup. Only probes depends on the query:
+// msa rebuilds a whole record's event from the record's length and the
+// probe count its chain keeps (metering.RecordProbes), once a record in
+// every merge. So it is built field by field: a returned literal would be
+// copied through the stack on each of those calls.
+func SeedEvent(L, probes, workingSet uint64) (ev metering.Event) {
+	ev.Func = metering.SeedFilter
+	ev.Instructions = L*6 + probes*8
+	ev.Bytes = L*12 + probes*16
+	ev.WorkingSet = workingSet
+	ev.Branches = L*2 + probes
+	return ev
 }
 
 // SearchProtein runs a jackhmmer-style iterative profile search of query
@@ -516,7 +533,7 @@ func (s *scanState) scanRecord(target *seq.Sequence) {
 		s.scanLongTarget(target)
 		return
 	}
-	diags := s.ws.seeds.candidates(target, minSeeds(s.query.Type), maxDiagonals, 2*BandHalfWidth, s.m)
+	diags := s.ws.seeds.candidates(target, minSeeds(s.query.Type), maxDiagonals, 2*BandHalfWidth, s.m, true)
 	s.cascade(target, target, 0, diags)
 }
 

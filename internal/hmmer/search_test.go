@@ -112,7 +112,7 @@ func TestSeedIndexFindsIdenticalDiagonal(t *testing.T) {
 	g := seq.NewGenerator(rng.New(3))
 	q := g.Random("q", seq.Protein, 100)
 	idx := buildSeedIndex(q, 3)
-	diags := idx.candidates(q, 2, 64, 18, metering.Nop{})
+	diags := idx.candidates(q, 2, 64, 18, metering.Nop{}, true)
 	found := false
 	for _, d := range diags {
 		if d >= -9 && d <= 9 {
@@ -195,11 +195,11 @@ func TestSeedIndexOutOfAlphabetTargetMisses(t *testing.T) {
 		for i := range junk.Residues {
 			junk.Residues[i] = byte(200 + i%56)
 		}
-		if got := idx.candidates(junk, 1, 64, 18, metering.Nop{}); len(got) != 0 {
+		if got := idx.candidates(junk, 1, 64, 18, metering.Nop{}, true); len(got) != 0 {
 			t.Errorf("%v: out-of-alphabet target seeded diagonals %v", mt, got)
 		}
 		// The index is still good for a real target afterwards.
-		if got := idx.candidates(q, minSeeds(mt), 64, 18, metering.Nop{}); len(got) == 0 {
+		if got := idx.candidates(q, minSeeds(mt), 64, 18, metering.Nop{}, true); len(got) == 0 {
 			t.Errorf("%v: self-search found no diagonal after an out-of-alphabet target", mt)
 		}
 	}
@@ -209,7 +209,7 @@ func TestSeedIndexShortTarget(t *testing.T) {
 	g := seq.NewGenerator(rng.New(4))
 	q := g.Random("q", seq.Protein, 50)
 	idx := buildSeedIndex(q, 3)
-	if got := idx.candidates(g.Random("t", seq.Protein, 2), 2, 64, 18, metering.Nop{}); got != nil {
+	if got := idx.candidates(g.Random("t", seq.Protein, 2), 2, 64, 18, metering.Nop{}, true); got != nil {
 		t.Errorf("short target candidates = %v, want nil", got)
 	}
 }
@@ -225,7 +225,7 @@ func TestPolyQInflatesCandidates(t *testing.T) {
 		idx := buildSeedIndex(q, 3)
 		total := 0
 		for _, s := range db.Seqs {
-			total += len(idx.candidates(s, 2, 64, 18, metering.Nop{}))
+			total += len(idx.candidates(s, 2, 64, 18, metering.Nop{}, true))
 		}
 		return total
 	}
@@ -367,7 +367,18 @@ func TestSearchMeteringCoversKernels(t *testing.T) {
 	if _, err := SearchProtein(query, sliceSrc(db), db.TotalResidues(), SearchOptions{Iterations: 1}, &m); err != nil {
 		t.Fatal(err)
 	}
+	// The scan's seed work is its probe counts over the database's
+	// record lengths: the accumulator's ledger does not hold it.
 	by := m.Ledger()
+	if by[metering.SeedFilter] != (metering.Tally{}) {
+		t.Error("a whole-record scan folded seed_filter work beside its probe counts")
+	}
+	for r, p := range m.TakeFold().Probes {
+		if p != 0 {
+			ev := SeedEvent(uint64(db.Seqs[r].Len()), uint64(p-1), 0)
+			by[metering.SeedFilter].AddEvent(&ev)
+		}
+	}
 	for _, fn := range []metering.Func{metering.CalcBand9, metering.CalcBand10, metering.SeedFilter} {
 		if by[fn].Instructions == 0 {
 			t.Errorf("function %s reported no work", fn)
@@ -389,6 +400,66 @@ func TestSearchMeteringCoversKernels(t *testing.T) {
 	}
 	if dp <= bufWork {
 		t.Errorf("DP kernels (%d) do not dominate buffering (%d)", dp, bufWork)
+	}
+}
+
+// TestWholeRecordSeedsFoldAsProbes pins the seed filter's meter contract:
+// a whole-record scan through Scaled gives a folding meter each record's
+// probe count — an entry for every record of k residues or more, 0 for a
+// shorter one — and no seed_filter row, while a Log under Scaled gets
+// each of those records' event: SeedEvent of its length and probe count,
+// scaled, with the index's working set.
+func TestWholeRecordSeedsFoldAsProbes(t *testing.T) {
+	g := seq.NewGenerator(rng.New(23))
+	query := g.Random("query", seq.Protein, 90)
+	db := makeDB(t, seqdb.Spec{
+		Name: "probes", Type: seq.Protein, NumSeqs: 30, MeanLen: 120,
+		Homologs: []*seq.Sequence{query}, HomologsPerQuery: 3, Seed: 24,
+	})
+	recs := append([]*seq.Sequence{g.Random("short", seq.Protein, seedK(seq.Protein)-1)}, db.Seqs...)
+	const scale = 2.5
+	scan := func(m metering.Meter) {
+		t.Helper()
+		src := &SliceSource{Seqs: recs}
+		if _, err := ScanRecords(BuildMust(t, query), query, src, db.TotalResidues(), SearchOptions{}, metering.Scaled(m, scale)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var acc metering.Accumulator
+	var log metering.Log
+	scan(&acc)
+	scan(&log)
+	f := acc.TakeFold()
+	if f.Records != len(recs) || len(f.Probes) != len(recs) || f.FuncRows[metering.SeedFilter] != 0 {
+		t.Fatalf("the fold holds %d records, %d probe entries and %d seed_filter rows; want %d, %d and 0",
+			f.Records, len(f.Probes), f.FuncRows[metering.SeedFilter], len(recs), len(recs))
+	}
+	var seeds []metering.Event
+	for _, ev := range log {
+		if ev.Func == metering.SeedFilter {
+			seeds = append(seeds, ev)
+		}
+	}
+	n := 0
+	for r, p := range f.Probes {
+		L := recs[r].Len()
+		if (p == 0) != (L < seedK(seq.Protein)) {
+			t.Fatalf("record %d of %d residues has probe entry %d", r, L, p)
+		}
+		if p == 0 {
+			continue
+		}
+		if n == len(seeds) {
+			t.Fatalf("the log holds %d seed events, the fold more probe entries", n)
+		}
+		got := seeds[n]
+		n++
+		if want := metering.ScaleEvent(SeedEvent(uint64(L), uint64(p-1), got.WorkingSet), scale); got != want || got.WorkingSet <= uint64(L) {
+			t.Fatalf("record %d: the log got %+v, want %+v with the index's working set", r, got, want)
+		}
+	}
+	if n != len(seeds) {
+		t.Fatalf("the log holds %d seed events, the fold %d probe entries", len(seeds), n)
 	}
 }
 

@@ -10,7 +10,7 @@
 // models without re-running the algorithms.
 package metering
 
-import "slices"
+import "math"
 
 // Pattern classifies the dominant memory access pattern of an event. The
 // cache and TLB models treat them differently: sequential traffic prefetches
@@ -202,10 +202,24 @@ func RecordStart(m Meter) {
 	}
 }
 
+// RecordProbes reports a whole-record seed scan: ev is its seed_filter
+// event and probes the one count in it that depends on the query — the
+// rest is the record's length, a property of its database (hmmer's
+// SeedEvent builds ev from both). A meter that keeps probe counts — an
+// Accumulator, or Scaled over one — takes probes into its open record's
+// entry of the fold's probe column; any other meter records ev.
+func RecordProbes(m Meter, probes uint64, ev Event) {
+	if p, ok := m.(interface{ RecordProbes(uint64, Event) }); ok {
+		p.RecordProbes(probes, ev)
+		return
+	}
+	m.Record(ev)
+}
+
 // Accumulator is one worker thread's metering: work credited to it as
 // per-function sums, plus what a scan records into it, folded per record
 // (Fold). An MSA result's workers are credited from the chains'
-// per-record sums, and hold no fold.
+// per-record sums and probe counts, and hold no fold.
 type Accumulator struct {
 	// Events is always empty — a scan folds what it records, and nothing
 	// keeps an event — and its length is the constant 0. It stays, one
@@ -236,14 +250,30 @@ func (a *Accumulator) RecordStart() {
 	}
 	a.fold.flush()
 	a.fold.Records++
+	a.fold.Probes = append(a.fold.Probes, 0)
 }
 
-// Reserve gives an accumulator without a fold one with room for the rows
-// of records records, so a scan span that size appends its rows without
-// regrowing them. slices.Grow takes all of the allocation's size class.
+// RecordProbes keeps probes as the open record's probe entry (see the
+// package's RecordProbes); ev is not counted. A count the column cannot
+// hold — before the first record, a record's second, or one of 2³²−1
+// probes or more — is recorded as ev instead.
+func (a *Accumulator) RecordProbes(probes uint64, ev Event) {
+	if f := a.fold; f != nil && f.Records > 0 && f.Probes[f.Records-1] == 0 && probes < math.MaxUint32 {
+		f.Probes[f.Records-1] = uint32(probes + 1)
+		return
+	}
+	a.Record(ev)
+}
+
+// Reserve gives an accumulator without a fold one whose probe column has
+// room for records records, so a scan span that size opens its records
+// without regrowing it. Its rows get room for one and a half a record: a
+// record with a band candidate folds four (the band kernels', band_prune
+// and forward_band), most records none, and the suite's chains fold 0.2
+// to 2 a record.
 func (a *Accumulator) Reserve(records int) {
 	if a.fold == nil && records > 0 {
-		a.fold = &Fold{Rows: slices.Grow([]Row(nil), records*rowsPerRecord)}
+		a.fold = &Fold{Rows: make([]Row, 0, records+records/2), Probes: make([]uint32, 0, records)}
 	}
 }
 
@@ -278,10 +308,13 @@ func (a *Accumulator) Join(f *Fold) {
 		g.FuncRows[fn] += n
 	}
 	g.Records += f.Records
+	g.Probes = append(g.Probes, f.Probes...)
 }
 
 // Ledger returns the accumulator's work per function: its credits plus
-// its fold's rows and open record.
+// its fold's rows and open record. The fold's probe entries are not in
+// it: their seed_filter work needs each record's length and its
+// database's scale, which the accumulator does not have.
 func (a *Accumulator) Ledger() Ledger {
 	l := a.Credit
 	if f := a.fold; f != nil {
@@ -295,23 +328,22 @@ func (a *Accumulator) Ledger() Ledger {
 	return l
 }
 
-// rowsPerRecord is the rows Reserve makes room for per record: the one
-// function every scanned record has work in, seed_filter, and one of the
-// band kernels' that a candidate adds. The reader lane folds no row: its
-// work is the database's (RecordStart).
-const rowsPerRecord = 2
-
 // Fold is a scan's metering folded per record: one Row for each function
-// a record had work in, records in order. A record's work starts at its
-// RecordStart and runs up to the next one; work recorded before the first
-// is an orphan row, of record −1, which belongs to no record. A fold's
-// reader must not modify it.
+// a record had work in, records in order, and one probe entry per record.
+// A record's work starts at its RecordStart and runs up to the next one;
+// work recorded before the first is an orphan row, of record −1, which
+// belongs to no record. The reader lane folds no row: its work is the
+// database's (RecordStart). A fold's reader must not modify it.
 type Fold struct {
 	// Records counts the records opened; Rows holds the closed ones' rows,
 	// and FuncRows counts each function's.
 	Records  int
 	Rows     []Row
 	FuncRows [NumFuncs]int
+	// Probes holds one entry per record opened: 0 when the record
+	// reported no probe count (RecordProbes), else the count plus one. A
+	// whole-record seed scan's work is there, not in Rows.
+	Probes []uint32
 	// open is the open record's work, per function.
 	open [NumFuncs]Tally
 }
@@ -336,7 +368,8 @@ func (f *Fold) flush() {
 }
 
 // Scaled returns a Meter that multiplies instruction/byte counts by factor
-// before forwarding to next, and forwards RecordStart. The suite uses it
+// before forwarding to next, and forwards RecordStart, and RecordProbes
+// with its probe count as it is and its event scaled. The suite uses it
 // to map MiB-scale synthetic databases onto the paper's GiB-scale work
 // volumes.
 func Scaled(next Meter, factor float64) Meter {
@@ -354,12 +387,31 @@ func (m *scaledMeter) Record(ev Event) { m.next.Record(ScaleEvent(ev, m.factor))
 // RecordStart forwards the record boundary to the wrapped meter.
 func (m *scaledMeter) RecordStart() { RecordStart(m.next) }
 
+// RecordProbes forwards the probe count unscaled, with the event scaled:
+// a meter below that does not keep probe counts records the event.
+func (m *scaledMeter) RecordProbes(probes uint64, ev Event) {
+	RecordProbes(m.next, probes, ScaleEvent(ev, m.factor))
+}
+
 // ScaleEvent is what Scaled forwards of ev: each counter multiplied by
 // factor and floored, one event at a time.
 func ScaleEvent(ev Event, factor float64) Event {
-	ev.Instructions = uint64(float64(ev.Instructions) * factor)
-	ev.Bytes = uint64(float64(ev.Bytes) * factor)
-	ev.Branches = uint64(float64(ev.Branches) * factor)
-	ev.Allocated = uint64(float64(ev.Allocated) * factor)
+	ev.Instructions = scale(ev.Instructions, factor)
+	ev.Bytes = scale(ev.Bytes, factor)
+	ev.Branches = scale(ev.Branches, factor)
+	ev.Allocated = scale(ev.Allocated, factor)
 	return ev
 }
+
+// AddScaled counts ScaleEvent(*ev, factor) into t without building it: a
+// loop over many events copies none.
+func (t *Tally) AddScaled(ev *Event, factor float64) {
+	t.Events++
+	t.Instructions += scale(ev.Instructions, factor)
+	t.Bytes += scale(ev.Bytes, factor)
+	t.Branches += scale(ev.Branches, factor)
+	t.Allocated += scale(ev.Allocated, factor)
+}
+
+// scale is one counter of ScaleEvent: v multiplied by factor, floored.
+func scale(v uint64, factor float64) uint64 { return uint64(float64(v) * factor) }

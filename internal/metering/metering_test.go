@@ -219,10 +219,12 @@ func TestByFuncMatchesMapWalk(t *testing.T) {
 
 // TestFoldRows: a fold holds one row per function a record had work in,
 // records in order, RecordStart opening each record — through a Scaled
-// meter too — and counting nothing itself; work before the first record
-// is an orphan row of record −1; a taken fold leaves the accumulator
-// empty; and a join numbers a fold's records after the ones before it,
-// and adopts a fold joining an empty accumulator.
+// meter too — and counting nothing itself; a probe count is the record's
+// probe entry, not a row or a ledger count, while a meter that keeps none
+// records its scaled event; work before the first record is an orphan row
+// of record −1; a taken fold leaves the accumulator empty; and a join
+// numbers a fold's records after the ones before it, carries their probe
+// entries, and adopts a fold joining an empty accumulator.
 func TestFoldRows(t *testing.T) {
 	ev := func(f Func, instr uint64) Event { return Event{Func: f, Instructions: instr, WorkingSet: 1 << 20} }
 	var a Accumulator
@@ -235,7 +237,13 @@ func TestFoldRows(t *testing.T) {
 	}
 	RecordStart(m) // record 1, still open
 	m.Record(ev(AddBuf, 7))
+	RecordProbes(m, 4, ev(SeedFilter, 9))
 	RecordStart(Nop{}) // a meter that does not fold ignores it
+	var log Log
+	RecordProbes(Scaled(&log, 2), 4, ev(SeedFilter, 9))
+	if len(log) != 1 || log[0] != (Event{Func: SeedFilter, Instructions: 18, WorkingSet: 1 << 20}) {
+		t.Fatalf("a log under Scaled got %+v for a probe count, want its scaled event", log)
+	}
 	if l := a.Ledger(); l.Total() != (Tally{Events: 6, Instructions: 22}) {
 		t.Fatalf("ledger total before the take = %+v", l.Total())
 	}
@@ -247,8 +255,8 @@ func TestFoldRows(t *testing.T) {
 		{0, SeedFilter, Tally{Events: 1, Instructions: 2}},
 		{1, AddBuf, Tally{Events: 1, Instructions: 7}},
 	}
-	if !reflect.DeepEqual(f.Rows, want) || f.Records != 2 {
-		t.Fatalf("rows %+v over %d records, want %+v over 2", f.Rows, f.Records, want)
+	if !reflect.DeepEqual(f.Rows, want) || f.Records != 2 || !reflect.DeepEqual(f.Probes, []uint32{0, 5}) {
+		t.Fatalf("rows %+v over %d records, probes %v; want %+v over 2, probes [0 5]", f.Rows, f.Records, f.Probes, want)
 	}
 	if f.FuncRows[AddBuf] != 2 || f.FuncRows[SeedFilter] != 2 || f.FuncRows[CalcBand9] != 1 || f.FuncRows[SeeBuf] != 0 {
 		t.Fatal("per-function row counts wrong")
@@ -269,8 +277,8 @@ func TestFoldRows(t *testing.T) {
 	joined.Join(g)
 	joined.Join(f)
 	jf := joined.TakeFold()
-	if jf.Records != 3 || len(jf.Rows) != 6 || jf.FuncRows[SeedFilter] != 3 {
-		t.Fatalf("joined %d records in %d rows, want 3 in 6", jf.Records, len(jf.Rows))
+	if jf.Records != 3 || len(jf.Rows) != 6 || jf.FuncRows[SeedFilter] != 3 || !reflect.DeepEqual(jf.Probes, []uint32{0, 0, 5}) {
+		t.Fatalf("joined %d records in %d rows, probes %v; want 3 in 6, probes [0 0 5]", jf.Records, len(jf.Rows), jf.Probes)
 	}
 	for i, r := range jf.Rows[1:] {
 		if w := want[i]; (w.Rec < 0 && r.Rec != -1) || (w.Rec >= 0 && r.Rec != w.Rec+1) {

@@ -17,12 +17,16 @@ import (
 
 // recordingScatter is an msa.ScatterFunc that scans each database
 // serially over exactly req.Threads spans, span w into req.Workers[w], and
-// keeps a copy of every event each worker recorded, in order, with each
-// record's reader events (hmmer.ReaderEvents, scaled as the scan's are)
-// where the record starts: what the worker's span cost in full.
+// keeps a copy of every event each worker recorded, in order — each whole
+// record's scaled seed event among them, which the worker keeps as a probe
+// count — with each record's reader events (hmmer.ReaderEvents, scaled as
+// the scan's are) where the record starts: what the worker's span cost in
+// full.
 type recordingScatter struct{ events []metering.Log }
 
-// tee records every event into both meters, and passes record starts on.
+// tee records every event into both meters, and passes record starts and
+// probe counts on: a meter that keeps probe counts takes them, the other
+// records the seed event.
 type tee [2]metering.Meter
 
 func (m tee) Record(ev metering.Event) {
@@ -33,6 +37,11 @@ func (m tee) Record(ev metering.Event) {
 func (m tee) RecordStart() {
 	metering.RecordStart(m[0])
 	metering.RecordStart(m[1])
+}
+
+func (m tee) RecordProbes(probes uint64, ev metering.Event) {
+	metering.RecordProbes(m[0], probes, ev)
+	metering.RecordProbes(m[1], probes, ev)
 }
 
 // readerSource hands out src's records, recording each one's reader

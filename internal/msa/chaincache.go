@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"afsysbench/internal/inputs"
+	"afsysbench/internal/metering"
 )
 
 // ChainFetch is the serving layer's cross-request chain-cache hook. It is
@@ -18,11 +19,12 @@ type ChainFetch func(scope string, chain inputs.Chain, compute func() (*CachedCh
 
 // CachedChain is an opaque, serializable snapshot of one chain's complete
 // MSA contribution — the chainDelta: summary row, final-round hits,
-// per-function metering sums at every record boundary (the reader lane's
-// are its databases', credited at the merge), streamed bytes, serial
-// work. It is keyed by chain *content* (sequence, not the
-// per-complex chain label), so the same pool chain reused across complexes
-// hits warm; the label is rewritten at replay time. Nothing in it depends
+// per-function metering sums at every record boundary and a probe count
+// per record (the reader lane, and the rest of the seed lane, are its
+// databases', credited at the merge), streamed bytes, serial work. It is
+// keyed by chain *content* (sequence, not the per-complex chain label),
+// so the same pool chain reused across complexes hits warm; the label is
+// rewritten at replay time. Nothing in it depends
 // on the thread count it was searched at, so it serves every thread count.
 // Replaying a CachedChain credits the exact sums a fresh search would have
 // produced, which is what keeps the serving determinism contract intact
@@ -61,10 +63,10 @@ func (cc *CachedChain) deltaFor(cid string) *chainDelta {
 }
 
 // deltaWork sums the modeled instructions a delta carries — its reader
-// lane's among them — floored at 1 so work-share ratios stay well-defined
-// for trivial chains.
+// and seed lanes' among them — floored at 1 so work-share ratios stay
+// well-defined for trivial chains.
 func deltaWork(d *chainDelta) uint64 {
-	w := d.serial + d.readerWork
+	w := d.serial + d.readerWork + d.seedWork
 	for k := range d.sums {
 		w += d.sums[k].total().Instructions
 	}
@@ -78,8 +80,8 @@ func deltaWork(d *chainDelta) uint64 {
 // function of the chain's content, so a chain costs the same at every
 // thread count and across the codec. It charges each event the scans
 // recorded as the 96 B it cost when a chain stored its events — the reader
-// lane's three per record scanned among them — so a tier of a given size
-// holds the chains it always held.
+// lane's three per record scanned and the seed lane's one per probe entry
+// among them — so a tier of a given size holds the chains it always held.
 func deltaSize(d *chainDelta) int64 {
 	sz := int64(256) + int64(len(d.cr.ChainID))
 	for _, h := range d.hits {
@@ -99,6 +101,13 @@ func deltaSize(d *chainDelta) int64 {
 	for _, f := range readerFuncs {
 		sz += int64(d.cr.Scanned) * (96 + int64(len(f.String())))
 	}
+	seeds := int64(0)
+	for _, p := range d.probes {
+		if p != 0 {
+			seeds++
+		}
+	}
+	sz += seeds * (96 + int64(len(metering.SeedFilter.String())))
 	for name := range d.streamed {
 		sz += 16 + int64(len(name))
 	}

@@ -23,6 +23,11 @@ import (
 //	scans    count; per database of one round, in scan order, its name and
 //	         records (Scanned is a whole number of rounds)
 //	reader   the reader lane's instructions over the scans
+//	seed     the seed lane's instructions over the scans; the number of
+//	         records, Scanned; then per record, in order, its probe entry:
+//	         0 for a record with no whole-record seed event, else its probe
+//	         count plus one, at most 2³²−1 (nonzero entries and nonzero
+//	         instructions come together)
 //	events   the number of events the scans recorded
 //	funcs    count; per function with events, in ascending metering.Func
 //	         order and none of the reader lane's (copy_to_iter, addbuf,
@@ -33,7 +38,8 @@ import (
 //	         gaps (the first index, then each index less the one before, at
 //	         least 1); then per such record, in order, its event count (at
 //	         least 1, the counts adding up to events) and summed
-//	         Instructions, Bytes, Branches and Allocated
+//	         Instructions, Bytes, Branches and Allocated; seed_filter only
+//	         in records whose probe entry is 0
 //	streamed count; per database its name, strictly ascending, then bytes
 //	serial   SerialInstructions
 //
@@ -47,10 +53,11 @@ import (
 // in it depends on the thread count the chain was searched at. A function
 // id is its metering.Func value, so any change to that table is a change of
 // format: bump chainVersion and the serving layer's codec id with it.
-// Version 4 dropped the reader lane's functions and named the scans.
+// Version 4 dropped the reader lane's functions and named the scans;
+// version 5 keeps a whole record's seed_filter work as its probe count.
 const (
 	chainMagic   = "AFCD"
-	chainVersion = 4
+	chainVersion = 5
 )
 
 // Lower bounds on an element's encoded size. The decoder checks a count
@@ -118,6 +125,11 @@ func (cc *CachedChain) Encode() ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(sc.records))
 	}
 	b = binary.AppendUvarint(b, d.readerWork)
+	b = binary.AppendUvarint(b, d.seedWork)
+	b = binary.AppendUvarint(b, uint64(len(d.probes)))
+	for _, p := range d.probes {
+		b = binary.AppendUvarint(b, uint64(p))
+	}
 	var events uint64
 	for k := range d.sums {
 		events += d.sums[k].total().Events
@@ -128,7 +140,7 @@ func (cc *CachedChain) Encode() ([]byte, error) {
 		s := &d.sums[k]
 		b = binary.AppendUvarint(b, uint64(s.f))
 		b = binary.AppendUvarint(b, uint64(len(s.cum)-1))
-		prev := int32(0)
+		prev := uint32(0)
 		for _, r := range s.recs {
 			b = binary.AppendUvarint(b, uint64(r-prev))
 			prev = r
@@ -156,11 +168,11 @@ func (cc *CachedChain) Encode() ([]byte, error) {
 
 // encodedBound is a little over the payload's length, counted from the
 // chain's own parts at each field's usual width — a hit's fixed fields ≈ 44
-// bytes, a record's sums ≈ 18, an alignment pair ≈ 5 — so Encode
-// allocates its buffer once. (On the suite's chains it is 1.02–1.17× the
-// payload.)
+// bytes, a record's sums ≈ 18, a probe entry 2, an alignment pair ≈ 5 —
+// so Encode allocates its buffer once. (On the suite's chains it is
+// 1.02–1.27× the payload.)
 func encodedBound(d *chainDelta) int {
-	n := 64 + len(d.cr.ChainID)
+	n := 80 + len(d.cr.ChainID) + 2*len(d.probes)
 	for i := range d.hits {
 		h := &d.hits[i]
 		n += 44
@@ -201,9 +213,12 @@ func appendInts(b []byte, vs ...int) []byte {
 // function id, a non-minimal
 // varint, record indexes that do not increase or lie past the records
 // scanned, per-record event counts that are zero or do not add up to the
-// events, a scan sequence the records are not whole rounds of, unsorted
-// names and trailing bytes are all errors — never a panic, and never a
-// delta the merge path could trip on.
+// events, a scan sequence the records are not whole rounds of, a probe
+// column that is not one entry per record scanned, an entry past 2³²−1,
+// probe entries without seed instructions or the other way round, a
+// record with both a probe entry and seed_filter sums, unsorted names and
+// trailing bytes are all errors — never a panic, and never a delta the
+// merge path could trip on.
 func DecodeCachedChain(b []byte) (*CachedChain, error) {
 	if len(b) <= len(chainMagic) || string(b[:len(chainMagic)]) != chainMagic {
 		return nil, fmt.Errorf("msa: decode cached chain: not a chain payload")
@@ -230,7 +245,9 @@ func DecodeCachedChain(b []byte) (*CachedChain, error) {
 
 	d.dbRecs = r.scans(cr.Scanned)
 	d.readerWork = r.uvarint()
+	d.seedWork, d.probes = r.seedLane(cr.Scanned)
 	d.sums = r.sums(cr.Scanned)
+	r.seedOnce(d)
 
 	n := r.count(minDBBytes)
 	d.streamed = make(map[string]int64, n)
@@ -379,6 +396,55 @@ func (r *chainReader) scans(scanned int) []dbRecords {
 	return dbRecs
 }
 
+// seedLane reads the seed lane's instructions and its probe column, one
+// entry per record of records.
+func (r *chainReader) seedLane(records int) (uint64, []uint32) {
+	work := r.uvarint()
+	n := r.count(1)
+	if n != records {
+		r.fail("the probe column is not one entry per record scanned")
+		return 0, nil
+	}
+	probes := make([]uint32, n)
+	seeded := false
+	for i := range probes {
+		v := r.uvarint()
+		if v > math.MaxUint32 {
+			r.fail("probe entry out of range")
+		}
+		probes[i] = uint32(v)
+		seeded = seeded || v != 0
+	}
+	if seeded != (work != 0) {
+		r.fail("probe entries and seed instructions do not come together")
+	}
+	return work, probes
+}
+
+// seedOnce checks that no record of d has both a probe entry and
+// seed_filter sums: its seed work would be credited twice.
+func (r *chainReader) seedOnce(d *chainDelta) {
+	if r.err != nil {
+		return
+	}
+	for k := range d.sums {
+		s := &d.sums[k]
+		if s.f != metering.SeedFilter {
+			continue
+		}
+		for i := range len(s.cum) - 1 {
+			rec := i
+			if s.recs != nil {
+				rec = int(s.recs[i])
+			}
+			if d.probes[rec] != 0 {
+				r.fail("a record with both a probe entry and seed_filter sums")
+				return
+			}
+		}
+	}
+}
+
 // sums reads the event total and the per-function sums over records
 // 0 .. records−1, rebuilding each function's running totals.
 func (r *chainReader) sums(records int) []funcSums {
@@ -401,14 +467,14 @@ func (r *chainReader) sums(records int) []funcSums {
 			r.fail("a function's record count is not 1 to the records scanned")
 		}
 		if k < records {
-			s.recs = make([]int32, k)
+			s.recs = make([]uint32, k)
 			at := uint64(0)
 			for j := range s.recs {
 				gap := r.uvarint()
 				if at += gap; j > 0 && gap == 0 || gap >= uint64(records) || at >= uint64(records) {
 					r.fail("record indexes do not increase within the records scanned")
 				}
-				s.recs[j] = int32(at)
+				s.recs[j] = uint32(at)
 			}
 		}
 		s.cum = make([]metering.Tally, k+1)

@@ -18,8 +18,8 @@ var update = flag.Bool("update", false, "rewrite testdata/chains.golden from thi
 
 // heldBytes counts what a chain holds by the census rule: slice lengths ×
 // element sizes — its hits, their targets (ID and residues) and
-// alignments, its scan sequence and its per-function sums. No header and
-// no map is counted.
+// alignments, its scan sequence, its per-function sums and its probe
+// column. No header and no map is counted.
 func heldBytes(d *chainDelta) int64 {
 	n := int64(len(d.hits)) * int64(unsafe.Sizeof(hmmer.Hit{}))
 	for _, h := range d.hits {
@@ -36,7 +36,7 @@ func heldBytes(d *chainDelta) int64 {
 		s := &d.sums[k]
 		n += int64(len(s.recs))*4 + int64(len(s.cum))*int64(unsafe.Sizeof(metering.Tally{}))
 	}
-	return n
+	return n + int64(len(d.probes))*4
 }
 
 // orderedChainCache is a ChainFetch that computes every chain and keeps

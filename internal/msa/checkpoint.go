@@ -24,7 +24,10 @@ import (
 // delta serves every thread count (credit). The reader lane — copy_to_iter,
 // addbuf and seebuf — is not the query's but its databases', so the delta
 // keeps only its instruction total and a merge credits it from the
-// databases' own tables (readerLane).
+// databases' own tables (readerLane). The seed lane, a whole record's
+// seed_filter event, is the record's length and one probe count: the
+// delta keeps the counts and their instruction total, and a merge
+// rebuilds the events with the databases' lengths (readerLane.seeds).
 type chainDelta struct {
 	cr   ChainResult
 	hits []hmmer.Hit
@@ -33,13 +36,19 @@ type chainDelta struct {
 	// rounds of it.
 	dbRecs []dbRecords
 	// sums holds one entry per function the scans recorded work for, in
-	// Func order; no reader function is among them.
+	// Func order; no reader function is among them. A record's seed_filter
+	// work is here only when it is not in probes (a windowed target's).
 	sums []funcSums
-	// readerWork is the reader lane's instructions over the chain's scans,
-	// which Work counts and a merge checks against the lanes it credits.
-	readerWork uint64
-	streamed   map[string]int64
-	serial     uint64
+	// probes is the seed lane: one entry per record, r = 0 .. cr.Scanned−1
+	// across every scan in order — 0 for a record with no whole-record
+	// seed event, else its probe count plus one (metering.Fold.Probes).
+	probes []uint32
+	// readerWork and seedWork are the reader and seed lanes' instructions
+	// over the chain's scans, which Work counts and a merge checks against
+	// the lanes it credits.
+	readerWork, seedWork uint64
+	streamed             map[string]int64
+	serial               uint64
 }
 
 // dbRecords is one scan of a round: the database's name and its records.
@@ -55,7 +64,7 @@ type dbRecords struct {
 // Neither holds a pointer.
 type funcSums struct {
 	f    metering.Func
-	recs []int32
+	recs []uint32
 	cum  []metering.Tally
 }
 
@@ -64,29 +73,32 @@ func (s *funcSums) at(r int) metering.Tally {
 	if s.recs == nil {
 		return s.cum[r]
 	}
-	i, _ := slices.BinarySearch(s.recs, int32(r))
+	i, _ := slices.BinarySearch(s.recs, uint32(r))
 	return s.cum[i]
 }
 
 // total returns the function's work over every record.
 func (s *funcSums) total() metering.Tally { return s.cum[len(s.cum)-1] }
 
-// merge replays a delta into the result: its sums, and its databases'
-// reader lanes resolved in res.dbs, are credited to len(res.Workers)
-// workers by credit. The delta may belong to a checkpoint or to the
-// serving cache and be replayed into many results at once, so it is
-// read-only from here on. A delta whose scans are not the set's databases
-// is an error.
+// merge replays a delta into the result: its sums and probe counts, with
+// its databases' lanes resolved in res.dbs, are credited to
+// len(res.Workers) workers by credit. The delta may belong to a checkpoint
+// or to the serving cache and be replayed into many results at once, so
+// it is read-only from here on. A delta whose scans are not the set's
+// databases is an error, which leaves the workers part-credited: the
+// caller drops the result.
 func (res *Result) merge(d *chainDelta) error {
 	var buf [maxScans]*readerLane
 	lanes, err := res.dbs.appendLanes(buf[:0], d)
 	if err != nil {
 		return err
 	}
+	if err := d.credit(res.Workers, lanes); err != nil {
+		return err
+	}
 	res.PerChain = append(res.PerChain, d.cr)
 	res.deltas = append(res.deltas, d)
 	res.TotalHitResidues += d.cr.HitResidues
-	d.credit(res.Workers, lanes)
 	for name, b := range d.streamed {
 		res.Streamed[name] += b
 	}

@@ -60,7 +60,7 @@ func (d *chainDelta) eventWalkStream(spans [][]metering.Event) error {
 		if n > 0 {
 			s := funcSums{f: metering.Func(f), cum: make([]metering.Tally, 1, n+1)}
 			if n < records {
-				s.recs = make([]int32, 0, n)
+				s.recs = make([]uint32, 0, n)
 			}
 			slot[f] = len(d.sums)
 			d.sums = append(d.sums, s)
@@ -73,7 +73,7 @@ func (d *chainDelta) eventWalkStream(spans [][]metering.Event) error {
 			last[ev.Func] = rec + 1
 			s.cum = append(s.cum, s.cum[len(s.cum)-1])
 			if s.recs != nil {
-				s.recs = append(s.recs, int32(rec))
+				s.recs = append(s.recs, uint32(rec))
 			}
 		}
 		s.cum[len(s.cum)-1].AddEvent(ev)

@@ -309,8 +309,10 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 		return nil, fmt.Errorf("no databases for molecule type %v", query.Type)
 	}
 	d.dbRecs = make([]dbRecords, len(dbs))
+	lanes := make([]*readerLane, len(dbs))
 	for i, db := range dbs {
 		d.dbRecs[i] = dbRecords{db.Name, len(db.Seqs)}
+		lanes[i] = opts.DBs.lane(db)
 	}
 	rounds := opts.Rounds
 	if query.Type != seq.Protein {
@@ -338,7 +340,7 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 			opts.Search.TraceE = hmmer.InclusionE
 		}
 		var allHits []hmmer.Hit
-		for _, db := range dbs {
+		for i, db := range dbs {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -352,7 +354,7 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 				}
 			}
 			d.streamed[db.Name] += db.ModeledBytes()
-			d.readerWork += opts.DBs.lane(db).instructions()
+			d.readerWork += lanes[i].instructions()
 			allHits = append(allHits, merged.Hits...)
 			cr.Candidates += merged.Candidates
 			cr.Scanned += merged.Scanned
@@ -389,17 +391,22 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 	if err := d.setStream(folds); err != nil {
 		return nil, err
 	}
+	// The seed lane's instructions, as a one-worker merge walks them.
+	var sink metering.Accumulator
+	d.seedWork = d.creditSeeds([]*metering.Accumulator{&sink}, lanes)
 	return d, nil
 }
 
 // setStream stitches the scans' folds, in scan order, into per-function
-// sums at record boundaries (chainDelta.sums): one walk over their rows,
-// every function's arrays cut exactly to its row count from one backing
-// array for the running totals and one for the record indexes. A fold
-// with work before its first record, folds that hold another number of
-// records than the scans report, and reader-lane work, which the chain's
-// databases already hold, are an error: that work would be credited to the
-// wrong records, or twice.
+// sums at record boundaries (chainDelta.sums) and the chain's probe
+// column (chainDelta.probes): one walk over their rows, every function's
+// arrays cut exactly to its row count from one backing array for the
+// running totals and one for the record indexes and the probe column. A
+// fold with work before its first record, folds that hold another number
+// of records than the scans report, reader-lane work, which the chain's
+// databases already hold, and a record with both a probe entry and
+// seed_filter rows are an error: that work would be credited to the wrong
+// records, or twice.
 func (d *chainDelta) setStream(folds []*metering.Fold) error {
 	// occ[f] counts the records f has work in.
 	var occ [metering.NumFuncs]int
@@ -420,14 +427,18 @@ func (d *chainDelta) setStream(folds []*metering.Fold) error {
 	}
 	// A function with work has a running total per record it has work in,
 	// plus the zero one, and unless that is every record, their indexes.
-	totals, indexes := 0, 0
+	totals, indexes := 0, records
 	for _, n := range occ {
 		totals += n + min(n, 1)
 		if n < records {
 			indexes += n
 		}
 	}
-	cums, recs := make([]metering.Tally, totals), make([]int32, indexes)
+	cums, recs := make([]metering.Tally, totals), make([]uint32, indexes)
+	d.probes, recs = recs[:0:records], recs[records:]
+	for _, fd := range folds {
+		d.probes = append(d.probes, fd.Probes...)
+	}
 	var slot [metering.NumFuncs]int
 	for f, n := range occ {
 		if n > 0 {
@@ -447,11 +458,14 @@ func (d *chainDelta) setStream(folds []*metering.Fold) error {
 			if r.Rec < 0 {
 				return fmt.Errorf("msa: a scan recorded work before its first record")
 			}
+			if r.Func == metering.SeedFilter && d.probes[base+int(r.Rec)] != 0 {
+				return fmt.Errorf("msa: record %d has both a probe count and seed_filter work", base+int(r.Rec))
+			}
 			s := &d.sums[slot[r.Func]]
 			s.cum = append(s.cum, s.cum[len(s.cum)-1])
 			s.cum[len(s.cum)-1].Add(r.Tally)
 			if s.recs != nil {
-				s.recs = append(s.recs, int32(base+int(r.Rec)))
+				s.recs = append(s.recs, uint32(base+int(r.Rec)))
 			}
 		}
 		base += fd.Records
@@ -497,21 +511,28 @@ func scanParallel(ctx context.Context, profile *hmmer.Profile, query *seq.Sequen
 func scanShards(ctx context.Context, req ScatterRequest) (*hmmer.Result, error) {
 	db := req.DB
 	width := min(len(req.Workers), parallel.DefaultWorkers())
-	parts := make([]*hmmer.Result, width)
-	errs := make([]error, width)
+	// One allocation holds every span's source, result and error.
+	spans := make([]struct {
+		src hmmer.SliceSource
+		res *hmmer.Result
+		err error
+	}, width)
 	ctxErr := parallel.ForWorkers(width).RunCtx(ctx, len(db.Seqs), func(w, lo, hi int) {
 		req.Workers[w].Reserve(hi - lo)
 		meter := metering.Scaled(req.Workers[w], req.ScaleFactor)
-		src := &hmmer.SliceSource{Seqs: db.Seqs[lo:hi]}
-		parts[w], errs[w] = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, src, db.TotalResidues(), req.Search, meter)
+		sp := &spans[w]
+		sp.src.Seqs = db.Seqs[lo:hi]
+		sp.res, sp.err = hmmer.ScanRecordsCtx(ctx, req.Profile, req.Query, &sp.src, db.TotalResidues(), req.Search, meter)
 	})
 	if ctxErr != nil {
 		return nil, ctxErr
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	parts := make([]*hmmer.Result, width)
+	for w := range spans {
+		if spans[w].err != nil {
+			return nil, spans[w].err
 		}
+		parts[w] = spans[w].res
 	}
 	return hmmer.MergeResults(req.Query.ID, parts), nil
 }

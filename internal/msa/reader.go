@@ -13,28 +13,49 @@ import (
 // the record and its database alone.
 var readerFuncs = [...]metering.Func{metering.CopyToIter, metering.AddBuf, metering.SeeBuf}
 
-// readerLane is one database's reader lane as a prefix table: cum[r][k] is
+// readerLane is what a merge needs of one database: the reader lane as a
+// prefix table, and the records' lengths and the scale that turn a chain's
+// probe counts into its seed_filter work (seeds). cum[r][k] is
 // readerFuncs[k]'s work over the records before r. Each record's work is
 // the three events hmmer.ReaderEvents gives for it, each scaled as a
-// scan's events are (metering.ScaleEvent at ScaleFactor ×
+// scan's events are (metering.ScaleEvent at scale, ScaleFactor ×
 // workCalibration), one event per function. A span's lane is the
 // difference of two rows, so a chain keeps none of it.
 type readerLane struct {
-	cum [][len(readerFuncs)]metering.Tally
+	cum   [][len(readerFuncs)]metering.Tally
+	lens  []uint32
+	scale float64
 }
 
 func newReaderLane(db *seqdb.DB) *readerLane {
 	scale := db.ScaleFactor * workCalibration
 	footprint := uint64(db.ModeledBytes())
 	cum := make([][len(readerFuncs)]metering.Tally, len(db.Seqs)+1)
+	lens := make([]uint32, len(db.Seqs))
 	for r, rec := range db.Seqs {
+		lens[r] = uint32(len(rec.Residues))
 		cum[r+1] = cum[r]
 		for k, ev := range hmmer.ReaderEvents(uint64(len(rec.Residues)), footprint) {
-			ev = metering.ScaleEvent(ev, scale)
-			cum[r+1][k].AddEvent(&ev)
+			cum[r+1][k].AddScaled(&ev, scale)
 		}
 	}
-	return &readerLane{cum: cum}
+	return &readerLane{cum: cum, lens: lens, scale: scale}
+}
+
+// seeds returns the seed_filter work of the lane's records first,
+// first+1, … whose probe entries are probes (chainDelta.probes): for each
+// nonzero entry, the event hmmer.SeedEvent gives for the record's length
+// and the entry's probe count, scaled as the scan scaled it.
+func (l *readerLane) seeds(probes []uint32, first int) metering.Tally {
+	var t metering.Tally
+	lens := l.lens[first : first+len(probes)]
+	for j, p := range probes {
+		if p != 0 {
+			ev := hmmer.SeedEvent(uint64(lens[j]), uint64(p-1), 0)
+			t.AddScaled(&ev, l.scale)
+		}
+	}
+	return t
 }
 
 // instructions is the lane's instructions over every record: one scan's.

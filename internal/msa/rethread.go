@@ -2,6 +2,7 @@ package msa
 
 import (
 	"fmt"
+	"slices"
 
 	"afsysbench/internal/metering"
 	"afsysbench/internal/parallel"
@@ -23,10 +24,12 @@ func (res *Result) Rethread(threads int) *Result {
 	var buf [maxScans]*readerLane
 	for _, d := range res.deltas {
 		lanes, err := res.dbs.appendLanes(buf[:0], d)
+		if err == nil {
+			err = d.credit(out.Workers, lanes)
+		}
 		if err != nil {
 			panic(fmt.Sprintf("msa: Rethread: %v", err))
 		}
-		d.credit(out.Workers, lanes)
 	}
 	return &out
 }
@@ -46,18 +49,15 @@ func newWorkers(n int) []*metering.Accumulator {
 // records parallel.Span(n, t, len(workers)). Each span is the difference of
 // two running totals per function — the chain's own, found by index or by
 // a binary search of the records a sparse function has events in, and for
-// the reader lane its database's, lanes[i] for the round's i-th scan — so a
-// merge costs O(len(workers) × scans × functions) additions whatever the
-// chain's event count, and reads no event.
-func (d *chainDelta) credit(workers []*metering.Accumulator, lanes []*readerLane) {
-	records := 0
-	for _, sc := range d.dbRecs {
-		records += sc.records
-	}
-	rounds := 0
-	if records > 0 {
-		rounds = d.cr.Scanned / records
-	}
+// the reader lane its database's, lanes[i] for the round's i-th scan — so
+// that part costs O(len(workers) × scans × functions) additions whatever
+// the chain's event count, and reads no event. The seed lane is one walk
+// of the chain's probe counts beside its databases' record lengths
+// (readerLane.seeds), cut at the spans' ends; its instructions must add up
+// to the seedWork the chain counts, or crediting it here credited other
+// databases' records, which is an error.
+func (d *chainDelta) credit(workers []*metering.Accumulator, lanes []*readerLane) error {
+	rounds := d.rounds()
 	for k := range d.sums {
 		s := &d.sums[k]
 		r := 0 // the current scan's first record
@@ -87,4 +87,58 @@ func (d *chainDelta) credit(workers []*metering.Accumulator, lanes []*readerLane
 			lo = hi
 		}
 	}
+	if seed := d.creditSeeds(workers, lanes); seed != d.seedWork {
+		return fmt.Errorf("msa: chain %s counts %d seed instructions, the set's databases %d", d.cr.ChainID, d.seedWork, seed)
+	}
+	return nil
+}
+
+// rounds is how many rounds of its scans the chain ran.
+func (d *chainDelta) rounds() int {
+	records := 0
+	for _, sc := range d.dbRecs {
+		records += sc.records
+	}
+	if records == 0 {
+		return 0
+	}
+	return d.cr.Scanned / records
+}
+
+// creditSeeds credits the chain's seed lane to workers as credit cuts it,
+// and returns its instructions. Every round takes the same records through
+// the same query's seed index, so a later round's span whose probe entries
+// are the first round's is credited the first round's work without a
+// second walk.
+func (d *chainDelta) creditSeeds(workers []*metering.Accumulator, lanes []*readerLane) uint64 {
+	rounds, round := d.rounds(), 0
+	if rounds == 0 {
+		return 0
+	}
+	for _, sc := range d.dbRecs {
+		round += sc.records
+	}
+	var work uint64
+	base := 0 // the scan's first record in the first round
+	for i, sc := range d.dbRecs {
+		lo := 0
+		for t, acc := range workers {
+			_, hi := parallel.Span(sc.records, t, len(workers))
+			first := d.probes[base+lo : base+hi]
+			once := lanes[i].seeds(first, lo)
+			s := once
+			for k := 1; k < rounds; k++ {
+				if span := d.probes[k*round+base+lo : k*round+base+hi]; slices.Equal(span, first) {
+					s.Add(once)
+				} else {
+					s.Add(lanes[i].seeds(span, lo))
+				}
+			}
+			acc.Credit[metering.SeedFilter].Add(s)
+			work += s.Instructions
+			lo = hi
+		}
+		base += sc.records
+	}
+	return work
 }

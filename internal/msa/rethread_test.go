@@ -18,17 +18,21 @@ import (
 // that scans each database serially over exactly req.Threads spans,
 // parallel.Span(n, w, Threads) into req.Workers[w] — the decomposition the
 // scan used while its goroutine count was the thread count — and adds
-// every event each worker recorded, one by one, to workers[w]'s credits,
-// with the reader events each of its records cost (parentReaderEvents,
-// scaled as the scan's events are). After a Run, workers[w] holds worker
-// w's work across the run's chains, summed event by event with no fold and
-// no reader table. windows counts the long-target windows scanned.
+// every event each worker recorded, one by one, to workers[w]'s credits —
+// each whole record's scaled seed event among them, which the worker keeps
+// as a probe count — with the reader events each of its records cost
+// (parentReaderEvents, scaled as the scan's events are). After a Run,
+// workers[w] holds worker w's work across the run's chains, summed event
+// by event with no fold, no probe count and no reader table. windows
+// counts the long-target windows scanned.
 type shardOracle struct {
 	workers []*metering.Accumulator
 	windows int
 }
 
-// tee records every event into both meters, and passes record starts on.
+// tee records every event into both meters, and passes record starts and
+// probe counts on: a meter that keeps probe counts takes them, the other
+// records the seed event.
 type tee [2]metering.Meter
 
 func (m tee) Record(ev metering.Event) {
@@ -39,6 +43,11 @@ func (m tee) Record(ev metering.Event) {
 func (m tee) RecordStart() {
 	metering.RecordStart(m[0])
 	metering.RecordStart(m[1])
+}
+
+func (m tee) RecordProbes(probes uint64, ev metering.Event) {
+	metering.RecordProbes(m[0], probes, ev)
+	metering.RecordProbes(m[1], probes, ev)
 }
 
 // parentReaderEvents are the three events hmmer.Buffer.Next recorded for
@@ -215,9 +224,10 @@ func TestScanFansOutAtMostOneSpanPerCore(t *testing.T) {
 // TestChainRefusesEventsOutsideRecords: a chain's scans are folded per
 // record, so a scan span whose events do not begin with a record — the
 // first span of the chain or a later one — a scan that records more
-// records than it reports, or one that records the reader lane's work,
-// which its database holds, fails the chain rather than caching sums that
-// would credit work to the wrong records, or twice.
+// records than it reports, one that records the reader lane's work, which
+// its database holds, or seed_filter work in a record that has a probe
+// count, fails the chain rather than caching sums that would credit work
+// to the wrong records, or twice.
 func TestChainRefusesEventsOutsideRecords(t *testing.T) {
 	in, err := inputs.ByName("2PV7")
 	if err != nil {
@@ -233,6 +243,7 @@ func TestChainRefusesEventsOutsideRecords(t *testing.T) {
 		{"an event before a later span's first record", 1, false, &metering.Event{Func: metering.SeedFilter}},
 		{"an unreported record", 0, false, nil},
 		{"reader-lane work", 1, true, &metering.Event{Func: metering.CopyToIter}},
+		{"seed_filter work beside a probe count", 0, true, &metering.Event{Func: metering.SeedFilter}},
 	} {
 		scans := 0
 		hook := func(ctx context.Context, req ScatterRequest) (*hmmer.Result, error) {
@@ -266,7 +277,8 @@ func TestChainRefusesEventsOutsideRecords(t *testing.T) {
 // a PPI pool chain, each searched at one thread as the benchmark workloads
 // search — into T fresh workers and reads each worker's ledger: what every
 // cache hit, checkpoint replay and Rethread pays before BuildRunSpec. An op
-// allocates the T workers and credits the chain's sums to them.
+// allocates the T workers and credits the chain's sums and its seed lane,
+// one walk of its probe counts, to them.
 func BenchmarkChainReplay(b *testing.B) {
 	ppi, err := inputs.PPIPair(0, 0)
 	if err != nil {
@@ -291,7 +303,9 @@ func BenchmarkChainReplay(b *testing.B) {
 				}
 				for i := 0; i < b.N; i++ {
 					workers := newWorkers(threads)
-					d.credit(workers, lanes)
+					if err := d.credit(workers, lanes); err != nil {
+						b.Fatal(err)
+					}
 					for _, w := range workers {
 						work := w.Ledger()
 						events += work[metering.CopyToIter].Events

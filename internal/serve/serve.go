@@ -732,8 +732,9 @@ const fifoKey = "\x00fifo"
 // codec) in the persistent tier's entry headers. Bump it when the format
 // changes: an entry with another codec — 1 was gob, 2 framed events per
 // worker, 3 held the events in record order, 4 held the reader lane's
-// per-record sums — is dropped at read time and recomputed once.
-const chainCodec uint16 = 5
+// per-record sums, 5 the seed filter's — is dropped at read time and
+// recomputed once.
+const chainCodec uint16 = 6
 
 // chainKey is the content address of one chain's MSA search: everything
 // that determines the chain delta goes in — the chain content
@@ -750,7 +751,7 @@ const chainCodec uint16 = 5
 // is folded in, confining reuse to identical requests.
 func (s *Server) chainKey(j *job, scope string, chain inputs.Chain) string {
 	parts := []string{
-		"msa-chain/v7",
+		"msa-chain/v8",
 		msa.ChainFingerprint(chain),
 		s.keyDBs,
 		"scope=" + scope,

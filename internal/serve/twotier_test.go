@@ -9,6 +9,7 @@ import (
 
 	"afsysbench/internal/cache"
 	"afsysbench/internal/cachedisk"
+	"afsysbench/internal/msa"
 	"afsysbench/internal/resilience"
 	"afsysbench/internal/rng"
 )
@@ -96,6 +97,50 @@ func TestDiskTierReadThroughAcrossRestart(t *testing.T) {
 	}
 	if got := fingerprint(t, s2, st2[0].ID); got != want {
 		t.Fatalf("disk replay diverged:\n  want %s\n  got  %s", want, got)
+	}
+}
+
+// TestDiskEntryOfAnotherCodecIsDropped: an entry the persistent tier holds
+// under the previous codec id, 5 — a chain whose every record's
+// seed_filter work sat in its sums — is dropped by diskLookup's codec
+// check without being decoded, even when its payload would decode, and
+// the chain is searched again.
+func TestDiskEntryOfAnotherCodecIsDropped(t *testing.T) {
+	s1 := newTestServer(t, Config{Threads: 4, MSAWorkers: 1, Cache: cache.New(0)})
+	st1 := runTrace(t, s1, []string{"1YY9"})
+	want := fingerprint(t, s1, st1[0].ID)
+	disk := openDiskTier(t, t.TempDir(), cachedisk.Config{})
+	var keys []string
+	s1.cfg.Cache.Range(func(key string, val any, _ int64) bool {
+		payload, err := val.(*msa.CachedChain).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := disk.Put(key, chainCodec-1, payload); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+		return true
+	})
+	if len(keys) != 3 {
+		t.Fatalf("%d chains cached, want 3", len(keys))
+	}
+
+	s2 := newTestServer(t, Config{Threads: 4, MSAWorkers: 1, Cache: cache.New(0), DiskCache: disk})
+	st2 := runTrace(t, s2, []string{"1YY9"})
+	if st2[0].ChainsDisk != 0 || st2[0].ChainsFresh != 3 {
+		t.Fatalf("entries under codec %d were served: %+v", chainCodec-1, st2[0])
+	}
+	if got := fingerprint(t, s2, st2[0].ID); got != want {
+		t.Fatalf("the recompute diverged:\n  want %s\n  got  %s", want, got)
+	}
+	for _, key := range keys {
+		if disk.Has(key) {
+			t.Errorf("entry %s under codec %d was kept", key, chainCodec-1)
+		}
+	}
+	if n := s2.Metrics().Get("msa_chain_disk_decode_drops"); n != 0 {
+		t.Errorf("%d entries under another codec were decoded", n)
 	}
 }
 
