@@ -172,9 +172,9 @@ func printStats(w io.Writer, st serve.LoadStats) {
 		fmt.Fprintf(w, "%-10s modeled: phase-split makespan %.0fs vs serial %.0fs -> %.2fx\n",
 			"", st.ModeledMakespan, st.ModeledSerial, st.ModeledSpeedup)
 	}
-	if r := st.Routing; r != nil && r.Shed+r.StageRetries+r.ChainsRestored+r.PartialMSA > 0 {
-		fmt.Fprintf(w, "%-10s routing: %d shed, %d stage retries, %d chains restored, %d partial-msa\n",
-			"", r.Shed, r.StageRetries, r.ChainsRestored, r.PartialMSA)
+	if r := st.Routing; r != nil && r.Shed+r.ChainRetries+r.PartialMSA > 0 {
+		fmt.Fprintf(w, "%-10s routing: %d shed, %d chain retries, %d partial-msa\n",
+			"", r.Shed, r.ChainRetries, r.PartialMSA)
 	}
 }
 

@@ -12,7 +12,6 @@
 //	afserve -cache-mb 0                      # disable the cache
 //	afserve -cache-dir /var/cache/af         # persistent chain-cache tier
 //	afserve -deadline 30s -cold              # per-request deadline, cold model
-//	afserve -msa-attempts 3                  # checkpointed stage retries
 //	afserve -batch                           # cross-request GPU batching
 //	afserve -qos -tenants 'inter:w=8;storm:w=1,r=400,b=800'
 //	                                         # multi-tenant QoS (X-AF-Tenant)
@@ -70,8 +69,7 @@ type options struct {
 
 	// faults and tenants are -faults and -tenants, parsed by parseFlags so
 	// a bad spec fails before run opens the disk tier or binds the port.
-	faults      resilience.Faults
-	msaAttempts int
+	faults resilience.Faults
 
 	qos         bool
 	tenants     map[string]qos.TenantConfig
@@ -88,7 +86,6 @@ func parseFlags(args []string) (options, error) {
 	fs.BoolVar(&o.cold, "cold", false, "cold model per request (pay GPU init + XLA compile each time)")
 	var faults, tenants string
 	fs.StringVar(&faults, "faults", "", "fault spec injected into every request, e.g. transient:uniref_s:1,chainfault:B:1")
-	fs.IntVar(&o.msaAttempts, "msa-attempts", 1, "MSA stage attempts per request; >1 enables chain checkpoints, so a retry re-runs only failed chains")
 	fs.BoolVar(&o.qos, "qos", false, "tenant-aware admission: per-tenant token buckets, weighted-fair MSA queueing and the brownout ladder (tenant from the X-AF-Tenant header)")
 	fs.StringVar(&tenants, "tenants", "", "per-tenant quotas for -qos, e.g. 'inter:w=8;storm:w=1,r=400,b=800' (w= weight, r= chain-tokens/s, b= burst)")
 	fs.Float64Var(&o.qosDrain, "qos-drain", 0, "-qos modeled drain rate in chain-tokens per second (0 = stock)")
@@ -104,7 +101,7 @@ func parseFlags(args []string) (options, error) {
 	}
 	var err error
 	if faults != "" {
-		if o.faults, err = resilience.ParseFaults(faults); err != nil {
+		if o.faults, err = resilience.ParseRunFaults(faults); err != nil {
 			return o, err
 		}
 	}
@@ -126,7 +123,6 @@ func buildServer(o options) (*serve.Server, error) {
 	cfg.DefaultTimeout = o.deadline
 	cfg.ColdModel = o.cold
 	cfg.Faults = o.faults
-	cfg.MSAAttempts = o.msaAttempts
 	if o.qos {
 		cfg.QoS = qos.NewController(qos.Config{
 			Tenants:           o.tenants,

@@ -34,6 +34,16 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
+// TestParseFlagsRefusesDiskFaults: a diskfault term would reach nothing —
+// the daemon opens its disk tier without an injector — so -faults refuses
+// it and names the gate that injects disk faults.
+func TestParseFlagsRefusesDiskFaults(t *testing.T) {
+	_, err := parseFlags([]string{"-cache-dir", t.TempDir(), "-faults", "chainfault:B:1,diskfault:write:1"})
+	if err == nil || !strings.Contains(err.Error(), "chaos-disk") {
+		t.Fatalf("-faults diskfault:write:1: error %v, want one naming the chaos-disk gate", err)
+	}
+}
+
 func TestBuildServer(t *testing.T) {
 	o, err := parseFlags([]string{"-machine", "desktop", "-msa-workers", "3", "-gpu-workers", "2", "-cache-mb", "64"})
 	if err != nil {

@@ -102,6 +102,10 @@ func runCLI(args []string) (int, error) {
 	if err := fs.Parse(args); err != nil {
 		return exitError, err
 	}
+	faults, err := resilience.ParseRunFaults(*faultsFlag)
+	if err != nil {
+		return exitError, err
+	}
 
 	// Real Go-level profiles complement the simulated metering attribution:
 	// pprof shows where this process actually burns cycles and bytes, the
@@ -181,7 +185,7 @@ func runCLI(args []string) (int, error) {
 			threads:      threads,
 			timeout:      *timeout,
 			budgetSpec:   *stageBudget,
-			faultsSpec:   *faultsFlag,
+			faults:       faults,
 			skipMemCheck: *skipMemCheck,
 		})
 	}
@@ -232,7 +236,7 @@ type singleRunConfig struct {
 	threads      []int
 	timeout      time.Duration
 	budgetSpec   string
-	faultsSpec   string
+	faults       resilience.Faults
 	skipMemCheck bool
 }
 
@@ -243,10 +247,6 @@ func runSingle(suite *core.Suite, cfg singleRunConfig) (int, error) {
 		return exitError, err
 	}
 	budget, err := parseStageBudget(cfg.budgetSpec)
-	if err != nil {
-		return exitError, err
-	}
-	faults, err := resilience.ParseFaults(cfg.faultsSpec)
 	if err != nil {
 		return exitError, err
 	}
@@ -263,7 +263,7 @@ func runSingle(suite *core.Suite, cfg singleRunConfig) (int, error) {
 	pr, err := suite.RunPipelineCtx(ctx, in, mach, core.PipelineOptions{
 		Threads:      threads,
 		Budget:       budget,
-		Faults:       faults,
+		Faults:       cfg.faults,
 		SkipMemCheck: cfg.skipMemCheck,
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"afsysbench/internal/core"
@@ -20,6 +21,15 @@ func TestRunList(t *testing.T) {
 	}
 	if _, err := runCLI([]string{"-list", "bogus"}); err == nil {
 		t.Error("bogus list target accepted")
+	}
+}
+
+// TestRunRefusesDiskFaults: -run has no disk tier for a diskfault term to
+// reach, so -faults refuses it before any run starts.
+func TestRunRefusesDiskFaults(t *testing.T) {
+	_, err := runCLI([]string{"-run", "2PV7", "-faults", "diskfault:read:1"})
+	if err == nil || !strings.Contains(err.Error(), "chaos-disk") {
+		t.Fatalf("-faults diskfault:read:1: error %v, want one naming the chaos-disk gate", err)
 	}
 }
 

@@ -25,7 +25,7 @@
 //     misses, Put no-ops — instead of failing requests.
 //
 // Disk faults are injectable through resilience.Injector's disk ops
-// (diskfault:<write|fsync|rename|flip|read>), which is how the chaos gate
+// (diskfault:<write|fsync|rename|flip|read>), which is how the chaos-disk gate
 // proves the properties above hold under torn writes, sync errors,
 // simulated mid-write crashes and silent corruption.
 package cachedisk

@@ -21,8 +21,8 @@
 //     (and optionally one cache), and a router steers each request to the
 //     healthiest least-loaded replica, consuming the same readiness and
 //     breaker state the HTTP /v1/readyz endpoint exposes. A replica that
-//     dies mid-request is failed over with the request's chain checkpoint,
-//     so finished chains are never recomputed.
+//     dies mid-request is failed over to another; replicas that share a
+//     chain cache never recompute the chains it finished.
 //
 // Network cost is modeled, not real: scatter RPCs charge latency plus
 // payload bytes over a modeled link (DefaultNet), and the accounting

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"afsysbench/internal/core"
-	"afsysbench/internal/msa"
 	"afsysbench/internal/resilience"
 	"afsysbench/internal/serve"
 )
@@ -21,8 +20,9 @@ type RouterConfig struct{}
 // Router spreads requests across R serve.Server replicas with
 // health-aware load balancing: it prefers replicas whose readiness probe
 // (the same verdict GET /v1/readyz serves) is green, breaks ties by
-// least outstanding requests, and fails a request over — carrying its
-// chain checkpoint — when a replica sheds, fails, or dies mid-request.
+// least outstanding requests, and fails a request over when a replica
+// sheds, fails, or dies mid-request. Replicas that share one chain cache
+// resume a failed-over request from every chain the dead one finished.
 type Router struct {
 	replicas []*serve.Server
 	// maxAttempts bounds submissions per logical request across replicas —
@@ -153,15 +153,9 @@ func (r *Router) pick(exclude map[int]bool) int {
 
 // Do routes one request to completion: submit to the best replica, wait
 // for the job's Done channel (or ctx), and on a shed, failure, or replica
-// death retry on another replica with the same chain checkpoint — so
-// chains the failed attempt completed are replayed, not recomputed.
+// death retry on another replica. Chains the failed attempt completed are
+// replayed, not recomputed, when the replicas share a chain cache.
 func (r *Router) Do(ctx context.Context, req serve.Request) (RouteResult, error) {
-	if req.Checkpoint == nil {
-		// One checkpoint per logical request, shared by every attempt across
-		// replicas. Replicas share one suite, so the checkpoint scopes
-		// (database-profile signatures) line up.
-		req.Checkpoint = msa.NewCheckpoint()
-	}
 	r.mu.Lock()
 	r.stats.Requests++
 	r.mu.Unlock()

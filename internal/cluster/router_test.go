@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"afsysbench/internal/cache"
 	"afsysbench/internal/core"
 	"afsysbench/internal/resilience"
 	"afsysbench/internal/serve"
@@ -37,14 +38,14 @@ func mustFaults(t *testing.T, spec string) resilience.Faults {
 	return f
 }
 
-// TestRouterFailoverCheckpoint is the satellite-4 scenario: a replica
-// dies mid-request (after finishing the MSA search, before the GPU
-// hand-off — the worst moment, all the work done and none of it
-// delivered) and the router's retry lands on a healthy replica that
-// replays every checkpointed chain instead of recomputing them. Both
+// TestRouterFailoverCheckpoint: a replica dies mid-request (after
+// finishing the MSA search, before the GPU hand-off — the worst moment,
+// all the work done and none of it delivered) and the router's retry lands
+// on a healthy replica that replays every chain the dead one searched from
+// the chain cache the two share, instead of recomputing them. Both
 // replicas carry an open mgnify_s breaker so the reduced database profile
-// — and therefore the checkpoint scope — matches across the failover, and
-// the partial_msa annotation must survive onto the final status.
+// — and therefore the cache scope — matches across the failover, and the
+// partial_msa annotation must survive onto the final status.
 func TestRouterFailoverCheckpoint(t *testing.T) {
 	suite := testSuite(t)
 	base := serve.Config{
@@ -52,6 +53,7 @@ func TestRouterFailoverCheckpoint(t *testing.T) {
 		MSAWorkers:       2,
 		GPUWorkers:       1,
 		QueueDepth:       8,
+		Cache:            cache.New(0),
 		Faults:           mustFaults(t, "permanent:mgnify_s"),
 		BreakerThreshold: 1,
 	}
@@ -71,11 +73,13 @@ func TestRouterFailoverCheckpoint(t *testing.T) {
 	// Trip the mgnify_s breaker on both replicas: the permanent storage
 	// fault makes the degradation ladder drop the database, which the
 	// breaker (threshold 1) converts into an up-front skip for every
-	// later request.
+	// later request. The warm-up samples share no chain with each other
+	// (a cache hit feeds no breaker) or with the routed one, so the routed
+	// request's chains are searched on the victim.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	for _, srv := range []*serve.Server{victim, healthy} {
-		if _, err := srv.Submit(serve.Request{Sample: "2PV7"}); err != nil {
+	for i, srv := range []*serve.Server{victim, healthy} {
+		if _, err := srv.Submit(serve.Request{Sample: []string{"1YY9", "7RCE"}[i]}); err != nil {
 			t.Fatalf("warmup submit: %v", err)
 		}
 		if err := srv.WaitIdle(ctx); err != nil {
@@ -112,11 +116,9 @@ func TestRouterFailoverCheckpoint(t *testing.T) {
 	if !out.Status.PartialMSA {
 		t.Error("partial_msa annotation lost across the failover")
 	}
-	if out.Status.ChainsRestored == 0 {
-		t.Error("no chains replayed from checkpoint — the healthy replica recomputed the dead replica's work")
-	}
-	if out.Status.ChainsFresh != 0 {
-		t.Errorf("chains_fresh = %d, want 0: every chain was checkpointed before the death", out.Status.ChainsFresh)
+	if out.Status.ChainsMem == 0 || out.Status.ChainsFresh != 0 {
+		t.Errorf("chains_mem = %d, chains_fresh = %d, want every chain from the shared cache: the victim searched them all before the death",
+			out.Status.ChainsMem, out.Status.ChainsFresh)
 	}
 	st := r.Stats()
 	if st.Failovers == 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"afsysbench/internal/batch"
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/platform"
 	"afsysbench/internal/vtime"
@@ -28,14 +27,8 @@ type BatchOptions struct {
 	// WarmModel keeps the model initialized between requests (§VI): only
 	// the first request pays device init, and XLA compile is paid once per
 	// distinct graph shape — a warm model still recompiles when the token
-	// count (or shape bucket, see Buckets) changes between samples.
+	// count changes between samples.
 	WarmModel bool
-	// Buckets optionally coarsens the shape key that decides whether a
-	// warm model must recompile: token counts padded into the same bucket
-	// (internal/batch semantics — smallest bucket ≥ tokens, overflow keyed
-	// exact) share one compiled graph. nil keys per exact token count, so
-	// any shape change recompiles.
-	Buckets []int
 }
 
 // BatchItem is one request's schedule.
@@ -106,11 +99,9 @@ func (s *Suite) RunBatch(names []string, mach platform.Machine, opts BatchOption
 	res := &BatchResult{Machine: mach.Name, Pipelined: opts.Pipelined, WarmModel: opts.WarmModel}
 
 	// Phase times per request. A warm model skips device init after the
-	// first request, but XLA compile is keyed by graph shape: a sample
-	// whose shape bucket has not been compiled yet still pays the compiler
-	// (the old behavior skipped compile for every warm request even when
-	// the sequence length — and thus the compiled graph — changed).
-	pol := batch.NewPolicy(opts.Buckets)
+	// first request, but XLA compile is keyed by graph shape, the token
+	// count: a sample whose shape has not been compiled yet still pays the
+	// compiler.
 	compiled := make(map[int]bool)
 	jobs := make([]vtime.Job, 0, len(names))
 	for i, name := range names {
@@ -119,7 +110,7 @@ func (s *Suite) RunBatch(names []string, mach platform.Machine, opts BatchOption
 			return nil, err
 		}
 		m := MachineFor(in, mach)
-		shape := pol.PadTo(in.TotalResidues())
+		shape := in.TotalResidues()
 		warm := opts.WarmModel && i > 0
 		pr, err := s.RunPipeline(in, m, PipelineOptions{
 			Threads:        opts.Threads,

@@ -2,59 +2,44 @@ package core
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"afsysbench/internal/inputs"
-	"afsysbench/internal/msa"
 	"afsysbench/internal/platform"
 	"afsysbench/internal/resilience"
-	"afsysbench/internal/rng"
 )
 
-// TestChainFaultCheckpointRetry drives the serving layer's retry contract
-// through the pipeline entry point: a chain fault fails the MSA phase as a
-// transient error; a retry sharing the same injector (budget spent) and
-// checkpoint (completed chains recorded) succeeds, re-searches only the
-// faulted chain, and produces the exact fault-free result.
-func TestChainFaultCheckpointRetry(t *testing.T) {
+// TestChainFaultRetryMatchesFaultFreeRun: a transient fault on every chain
+// is retried inside each chain's own search — one chain-retry event a
+// chain, no modeled time charged — and the run's digest is the fault-free
+// run's at one thread and at three. A fault that outlasts
+// resilience.MaxAttempts searches fails the phase with a transient error.
+func TestChainFaultRetryMatchesFaultFreeRun(t *testing.T) {
 	s := suite(t)
 	in, _ := inputs.ByName("1YY9") // three distinct chains A, B, C
 	mach := platform.Desktop()
-
-	clean, err := s.RunMSAPhase(context.Background(), in, mach, PipelineOptions{Threads: 2, FreshMSA: true})
-	if err != nil {
-		t.Fatal(err)
+	for _, threads := range []int{1, 3} {
+		clean, err := s.RunPipeline(in, mach, PipelineOptions{Threads: threads, FreshMSA: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulted, err := s.RunPipeline(in, mach, PipelineOptions{Threads: threads, Faults: mustFaults(t, "chainfault:*:1")})
+		if err != nil {
+			t.Fatalf("T%d: %v", threads, err)
+		}
+		if got := countKind(faulted.Resilience, resilience.KindChainRetry); got != 3 {
+			t.Errorf("T%d: chain-retry events = %d, want 3", threads, got)
+		}
+		if faulted.Digest() != clean.Digest() {
+			t.Errorf("T%d: retried run's digest differs from the fault-free run's", threads)
+		}
+		if faulted.MSASeconds != clean.MSASeconds {
+			t.Errorf("T%d: MSA seconds %v != clean %v", threads, faulted.MSASeconds, clean.MSASeconds)
+		}
 	}
-
-	inj := resilience.NewInjector(mustFaults(t, "chainfault:B:1"), rng.New(1))
-	opts := PipelineOptions{
-		Threads:       2,
-		Injector:      inj,
-		MSACheckpoint: msa.NewCheckpoint(),
-	}
-	_, err = s.RunMSAPhase(context.Background(), in, mach, opts)
-	if err == nil {
-		t.Fatal("chain fault did not fail the MSA phase")
-	}
-	if !resilience.IsTransient(err) {
-		t.Fatalf("chain fault error not transient: %v", err)
-	}
-	mp, err := s.RunMSAPhase(context.Background(), in, mach, opts)
-	if err != nil {
-		t.Fatalf("retry with spent budget failed: %v", err)
-	}
-	if mp.Data.RestoredChains != 1 {
-		t.Errorf("RestoredChains = %d, want 1 (chain A replayed)", mp.Data.RestoredChains)
-	}
-	if !reflect.DeepEqual(mp.Data.PerChain, clean.Data.PerChain) {
-		t.Errorf("retried result differs from fault-free run:\n%+v\n%+v", mp.Data.PerChain, clean.Data.PerChain)
-	}
-	if mp.Data.TotalHitResidues != clean.Data.TotalHitResidues {
-		t.Errorf("TotalHitResidues %d != %d", mp.Data.TotalHitResidues, clean.Data.TotalHitResidues)
-	}
-	if !approxEq(mp.Seconds, clean.Seconds, 1e-9) {
-		t.Errorf("phase seconds %.4f != clean %.4f", mp.Seconds, clean.Seconds)
+	_, err := s.RunMSAPhase(context.Background(), in, mach, PipelineOptions{Threads: 2, Faults: mustFaults(t, "chainfault:B:4")})
+	if err == nil || !resilience.IsTransient(err) {
+		t.Fatalf("a fault outlasting the retry budget: error %v, want a transient fault", err)
 	}
 }
 

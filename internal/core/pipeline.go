@@ -43,7 +43,9 @@ type PipelineOptions struct {
 	// degradation ladder; inference exhaustion returns ErrStageTimeout.
 	Budget resilience.StageBudget
 	// Faults is the injected fault specification for this run (see
-	// resilience.ParseFaults). Empty injects nothing.
+	// resilience.ParseFaults). Empty injects nothing. The run's injector
+	// is seeded from (suite seed, sample, RunIndex), so its backoff jitter
+	// is a pure function of the run.
 	Faults resilience.Faults
 	// FreshMSA forces the MSA search to recompute instead of consulting the
 	// suite's per-profile memo. The serving layer sets it so that
@@ -52,20 +54,11 @@ type PipelineOptions struct {
 	// cache-enabled one attributes every skipped search to its own
 	// hit counters.
 	FreshMSA bool
-	// Injector overrides the fault injector built from Faults. The serving
-	// layer passes one injector per job so that transient budgets persist
-	// across MSA stage retries — a fault consumed by attempt 1 stays
-	// consumed, which is what lets a checkpointed retry succeed.
-	Injector *resilience.Injector
 	// SkipDBs names databases to drop at open time without probing — the
 	// serving layer's circuit breakers feed it so a shard known to be dark
 	// is skipped instead of re-probed on every request. Each skip is
 	// recorded as a KindBreakerSkip degradation event.
 	SkipDBs map[string]bool
-	// MSACheckpoint preserves completed per-chain search deltas across
-	// retries of the MSA phase (scoped by database-profile signature); a
-	// retried phase re-runs only the chains that had not finished.
-	MSACheckpoint *msa.Checkpoint
 	// ChainCache is the serving layer's cross-request per-chain MSA cache
 	// hook, threaded down to msa.Options.ChainCache. The scope it receives
 	// is the database-profile signature of the plan being run, so a chain
@@ -227,10 +220,7 @@ func (s *Suite) RunMSAPhase(ctx context.Context, in *inputs.Input, mach platform
 		return nil, ErrProjectedOOM{Estimate: mp.Memory}
 	}
 
-	inj := opts.Injector
-	if inj == nil {
-		inj = resilience.NewInjector(opts.Faults, s.resilienceSource(in.Name, opts.RunIndex))
-	}
+	inj := resilience.NewInjector(opts.Faults, s.resilienceSource(in.Name, opts.RunIndex))
 
 	storage := newStorage(in, mach, opts.Threads)
 	if inj != nil {
@@ -324,18 +314,32 @@ func (s *Suite) runMSAStage(ctx context.Context, in *inputs.Input, mach platform
 		s.preload(storage, active)
 	}
 	hooks := msa.Options{
-		Checkpoint: opts.MSACheckpoint,
-		ChainFault: inj.ChainFault,
 		ChainCache: opts.ChainCache,
 		Scatter:    opts.Scatter,
+	}
+	if inj.HasChainFaults() {
+		// msa retries a transiently faulted chain inside its own search;
+		// every failed search is recorded here.
+		searches := make(map[string]int)
+		hooks.ChainFault = func(chainID string) error {
+			searches[chainID]++
+			err := inj.ChainFault(chainID, searches[chainID])
+			if err != nil {
+				rep.Record(resilience.Event{
+					Stage: "msa", Kind: resilience.KindChainRetry,
+					Detail: fmt.Sprintf("search %d of chain %s faulted", searches[chainID], chainID),
+				})
+			}
+			return err
+		}
 	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return resilience.ErrStageTimeout{Stage: "msa", Cause: err}
 		}
-		// Chain faults and checkpoints make the search attempt-dependent:
-		// the memo must not absorb (or replay around) either.
-		fresh := opts.FreshMSA || opts.MSACheckpoint != nil || inj.HasChainFaults() || opts.ChainCache != nil || opts.Scatter != nil
+		// A chain-faulted run searches for itself: the memo would absorb
+		// its faults.
+		fresh := opts.FreshMSA || hooks.ChainFault != nil || opts.ChainCache != nil || opts.Scatter != nil
 		view, err := s.msaResultFor(ctx, in, opts.Threads, s.reducedDBSet(active), s.dbSignature(active), fresh, hooks)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {

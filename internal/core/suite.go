@@ -120,10 +120,10 @@ func (s *Suite) MSAReplay(in *inputs.Input, mach platform.Machine, threads int) 
 //
 // fresh bypasses the memo entirely — no read, no write — for callers that
 // manage reuse themselves (PipelineOptions.FreshMSA) and for any run
-// carrying attempt-dependent hooks (chain faults, checkpoints). sig doubles
-// as the checkpoint scope, so a delta recorded against one profile never
-// replays under another. hooks carries the per-run hooks (Checkpoint,
-// ChainFault, ChainCache, Scatter; the zero value means a plain search);
+// carrying chain faults. sig doubles as the chain cache's scope, so a chain
+// searched under one profile never replays under another. hooks carries
+// the per-run hooks (ChainFault, ChainCache, Scatter; the zero value means
+// a plain search);
 // everything else in it is filled in here.
 func (s *Suite) msaResultFor(ctx context.Context, in *inputs.Input, threads int, dbs *msa.DBSet, sig string, fresh bool, hooks msa.Options) (msaView, error) {
 	var key string
@@ -147,7 +147,7 @@ func (s *Suite) msaResultFor(ctx context.Context, in *inputs.Input, threads int,
 		hooks.Search = s.Search
 		hooks.DBs = dbs
 		hooks.AllowMissingDB = true
-		hooks.CheckpointScope = sig
+		hooks.Scope = sig
 		res, err = msa.RunCtx(ctx, in, hooks)
 	}
 	if err != nil || fresh {

@@ -56,8 +56,7 @@ func (l *scanLog) scatter(ctx context.Context, req ScatterRequest) (*hmmer.Resul
 func TestChainsTraceOnlyWhatARoundRecruits(t *testing.T) {
 	recruits, nucleotide := 0, 0
 	for _, in := range inputs.Samples() {
-		opts := Options{Threads: 3, DBs: dbs(t), CheckpointScope: "full", Checkpoint: NewCheckpoint()}
-		plain, err := Run(in, opts)
+		plain, err := Run(in, Options{Threads: 3, DBs: dbs(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +68,7 @@ func TestChainsTraceOnlyWhatARoundRecruits(t *testing.T) {
 			}
 			assertSameResult(t, plain, res)
 		}
-		for _, chain := range in.MSAChains() {
+		for ci, chain := range in.MSAChains() {
 			q := chain.Sequence
 			rows := hmmer.BuildGappedAlignment(q, ceiling.recruited[q.ID], hmmer.InclusionE)
 			if want := hmmer.BuildGappedAlignment(q, all.recruited[q.ID], hmmer.InclusionE); !reflect.DeepEqual(rows, want) {
@@ -93,7 +92,7 @@ func TestChainsTraceOnlyWhatARoundRecruits(t *testing.T) {
 				return l.recruited[q.ID]
 			}
 			got, want := final(ceiling), final(all)
-			if kept := opts.Checkpoint.lookup("full", chain.IDs[0]).hits; !reflect.DeepEqual(kept, got) {
+			if kept := plain.deltas[ci].hits; !reflect.DeepEqual(kept, got) {
 				t.Errorf("%s chain %s: the chain keeps other hits than its final scans returned", in.Name, chain.IDs[0])
 			}
 			if len(got) != len(want) {

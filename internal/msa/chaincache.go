@@ -8,11 +8,10 @@ import (
 )
 
 // ChainFetch is the serving layer's cross-request chain-cache hook. It is
-// consulted once per chain, after the per-request checkpoint: the hook
-// either returns a previously cached chain (hit=true) or runs compute —
+// consulted once per chain: the hook either returns a previously cached chain (hit=true) or runs compute —
 // exactly once across concurrent identical requests, if the hook supplies
 // singleflight — and returns its product (hit=false). scope is the
-// database-profile signature (CheckpointScope): a chain searched under a
+// database-profile signature (Options.Scope): a chain searched under a
 // reduced profile must never be served for the full one, so the hook must
 // fold scope into its key.
 type ChainFetch func(scope string, chain inputs.Chain, compute func() (*CachedChain, error)) (cc *CachedChain, hit bool, err error)

@@ -76,11 +76,10 @@ func roundTrip(cc *CachedChain) (*CachedChain, error) {
 	return back, nil
 }
 
-// deterministicView strips the operational counters (cache split, restores)
+// deterministicView strips the operational counters (the cache split)
 // that legitimately differ between a fresh and a cache-served run.
 func deterministicView(res *Result) *Result {
 	v := *res
-	v.RestoredChains = 0
 	v.CachedChains, v.FreshWork, v.CachedWork = 0, 0, 0
 	return &v
 }

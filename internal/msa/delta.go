@@ -2,7 +2,6 @@ package msa
 
 import (
 	"slices"
-	"sync"
 
 	"afsysbench/internal/hmmer"
 	"afsysbench/internal/metering"
@@ -13,8 +12,8 @@ import (
 // metering work, the streamed byte totals and the serial work. Chains
 // compute their delta privately — against scratch accumulators, never the
 // shared Result — which is what makes two things possible without
-// disturbing determinism: a checkpoint can replay a completed chain
-// verbatim on a stage retry, and the merge into the Result happens in chain
+// disturbing determinism: the serving cache can replay a completed chain
+// verbatim into any request, and the merge into the Result happens in chain
 // order exactly as the serial code did.
 //
 // The metering work is the chain's, not a thread count's: the scans fold
@@ -82,8 +81,8 @@ func (s *funcSums) total() metering.Tally { return s.cum[len(s.cum)-1] }
 
 // merge replays a delta into the result: its sums and probe counts, with
 // its databases' lanes resolved in res.dbs, are credited to
-// len(res.Workers) workers by credit. The delta may belong to a checkpoint
-// or to the serving cache and be replayed into many results at once, so
+// len(res.Workers) workers by credit. The delta may belong to the serving
+// cache and be replayed into many results at once, so
 // it is read-only from here on. A delta whose scans are not the set's
 // databases is an error, which leaves the workers part-credited: the
 // caller drops the result.
@@ -104,40 +103,4 @@ func (res *Result) merge(d *chainDelta) error {
 	}
 	res.SerialInstructions += d.serial
 	return nil
-}
-
-// Checkpoint preserves completed per-chain search deltas across retries
-// of an MSA phase, so a retried stage re-runs only the chains that had
-// not finished when the previous attempt faulted — the rest replay
-// verbatim, streamed bytes, metering sums and all. Entries are scoped
-// by the database profile signature: a degradation-ladder re-plan against
-// a reduced set must never reuse a delta computed against the full one.
-// Safe for concurrent use; a nil *Checkpoint stores nothing (the
-// package's unconditional-call-site convention).
-type Checkpoint struct {
-	mu     sync.Mutex
-	chains map[string]*chainDelta
-}
-
-// NewCheckpoint returns an empty checkpoint.
-func NewCheckpoint() *Checkpoint {
-	return &Checkpoint{chains: make(map[string]*chainDelta)}
-}
-
-func (c *Checkpoint) lookup(scope, chainID string) *chainDelta {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.chains[scope+"|"+chainID]
-}
-
-func (c *Checkpoint) store(scope, chainID string, d *chainDelta) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.chains[scope+"|"+chainID] = d
-	c.mu.Unlock()
 }

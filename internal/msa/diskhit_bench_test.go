@@ -26,7 +26,7 @@ func BenchmarkPPIDiskHit(b *testing.B) {
 			if _, ok := payloads[key]; ok {
 				continue
 			}
-			d, err := runChain(context.Background(), chain, Options{Threads: 1, Rounds: 2, DBs: dbs(b)})
+			d, err := runChain(context.Background(), chain, Options{Threads: 1, DBs: dbs(b)})
 			if err != nil {
 				b.Fatal(err)
 			}

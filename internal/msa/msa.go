@@ -9,6 +9,7 @@ import (
 	"afsysbench/internal/inputs"
 	"afsysbench/internal/metering"
 	"afsysbench/internal/parallel"
+	"afsysbench/internal/resilience"
 	"afsysbench/internal/seq"
 	"afsysbench/internal/seqdb"
 )
@@ -20,9 +21,6 @@ type Options struct {
 	// search's concurrency: a scan fans out over at most one span per core,
 	// and what it found is the same at every count.
 	Threads int
-	// Rounds is the jackhmmer iteration count for protein chains
-	// (default 2). RNA chains always scan once (nhmmer).
-	Rounds int
 	// Search carries engine options shared by all searches. Its TraceE is
 	// not the caller's to set: the chain loop sets it per round (runChain).
 	Search hmmer.SearchOptions
@@ -33,35 +31,29 @@ type Options struct {
 	// instead of failing the run — the degradation ladder's contract when
 	// databases have been dropped from the profile.
 	AllowMissingDB bool
-	// Checkpoint, when non-nil, makes the run resumable: chains completed
-	// by a previous attempt are replayed from their recorded deltas
-	// instead of re-searched, and every chain completed in this run is
-	// recorded as it finishes — even when a later chain fails. A stage
-	// retry therefore re-runs only failed chains.
-	Checkpoint *Checkpoint
-	// CheckpointScope names the database profile the run searches (the
-	// degradation ladder's signature). Checkpoint entries are keyed by it
-	// so a re-plan against a reduced profile never replays a delta
-	// computed against a different one.
-	CheckpointScope string
+	// Scope names the database profile the run searches (the degradation
+	// ladder's signature). ChainCache folds it into its keys so a re-plan
+	// against a reduced profile never replays a chain searched against a
+	// different one.
+	Scope string
 	// ChainCache, when set, is the serving layer's cross-request chain
-	// cache: consulted once per chain after the per-request Checkpoint,
-	// with the CheckpointScope and a compute closure running the real
-	// search. A hit merges the cached delta (byte-identical to a fresh
-	// search, with the chain label rewritten for this complex) and counts
-	// into CachedChains/CachedWork instead of FreshWork. ChainDone observes
-	// only real searches, mirroring Checkpoint replay semantics.
+	// cache: consulted once per chain with the Scope and a compute closure
+	// running the real search. A hit merges the cached delta
+	// (byte-identical to a fresh search, with the chain label rewritten for
+	// this complex) and counts into CachedChains/CachedWork instead of
+	// FreshWork. ChainDone observes only real searches.
 	ChainCache ChainFetch
-	// ChainFault, when set, is consulted at the start of every chain
-	// search with the chain id and the attempt ordinal (always 1: a stage
-	// retry is a new run, and completed chains replay from the
-	// checkpoint); a non-nil error fails that chain. It is the
-	// chain-granular fault-injection hook for the serving layer's chaos
-	// and robustness tests.
-	ChainFault func(chainID string, attempt int) error
+	// ChainFault, when set, is consulted at the start of every search of a
+	// chain with its id; a non-nil error fails that search. A transient
+	// one (resilience.IsTransient) is retried inside the chain's own
+	// search, up to resilience.MaxAttempts searches, so a faulted chain
+	// costs nothing but its retries and the chains around it are never
+	// re-run. It is the chain-granular fault-injection hook for the
+	// serving layer's chaos and robustness tests.
+	ChainFault func(chainID string) error
 	// ChainDone, when set, observes every chain completed by a real
-	// search (not a checkpoint replay) with its wall-clock duration. Only
-	// the repo benchmark sets it (bench/layers.go, msa.chain_ms_p50/p90).
+	// search (not a cache hit) with its wall-clock duration. Only the repo
+	// benchmark sets it (bench/layers.go, msa.chain_ms_p50/p90).
 	ChainDone func(chainID string, wall time.Duration)
 	// Scatter, when set, replaces the in-process scan of each database —
 	// the cluster layer's scatter-gather hook. The implementation must
@@ -105,11 +97,12 @@ func (o Options) withDefaults() Options {
 	if o.Threads <= 0 {
 		o.Threads = 8 // AF3's fixed default, which the paper questions
 	}
-	if o.Rounds <= 0 {
-		o.Rounds = 2
-	}
 	return o
 }
+
+// proteinRounds is jackhmmer's iteration count for protein chains; RNA
+// chains always scan once (nhmmer).
+const proteinRounds = 2
 
 // workCalibration scales the synthetic-to-paper work mapping. It is the one
 // free constant of the MSA volume model, set so the simulated 2PV7 MSA phase
@@ -156,10 +149,6 @@ type Result struct {
 	// Pairing is the cross-chain species-pairing outcome (empty for
 	// single-chain inputs).
 	Pairing *PairingResult
-	// RestoredChains counts chains replayed from the checkpoint instead
-	// of re-searched — an operational counter, excluded from determinism
-	// comparisons.
-	RestoredChains int
 	// CachedChains counts chains served by the ChainCache hook; FreshWork
 	// and CachedWork split the modeled instructions between really-searched
 	// and cache-served chains (their sum is cache-independent; the split is
@@ -177,7 +166,7 @@ type Result struct {
 
 // Run executes the MSA phase for the input: for every protein/RNA chain,
 // search the matching databases, each scan sharded over at most one span
-// per core, iterating protein profiles Rounds times, and attribute the
+// per core, iterating protein profiles twice, and attribute the
 // metering across Threads workers.
 func Run(in *inputs.Input, opts Options) (*Result, error) {
 	return RunCtx(context.Background(), in, opts)
@@ -205,11 +194,15 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 		dbs:      opts.DBs,
 	}
 
-	// runFresh is a chain's real search, whichever arm below asks for it:
-	// ChainDone observes it and nothing else.
+	// runFresh is a chain's real search, whichever arm below asks for it,
+	// retried where a transient fault fails it: ChainDone observes it and
+	// nothing else.
 	runFresh := func(chain inputs.Chain) (*chainDelta, error) {
 		start := time.Now()
 		d, err := runChain(ctx, chain, opts)
+		for attempt := 1; err != nil && resilience.IsTransient(err) && attempt < resilience.MaxAttempts; attempt++ {
+			d, err = runChain(ctx, chain, opts)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -224,16 +217,8 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 			return nil, err
 		}
 		cid := chain.IDs[0]
-		if d := opts.Checkpoint.lookup(opts.CheckpointScope, cid); d != nil {
-			res.RestoredChains++
-			res.FreshWork += deltaWork(d)
-			if err := res.merge(d); err != nil {
-				return nil, fmt.Errorf("msa %s chain %s: %w", in.Name, cid, err)
-			}
-			continue
-		}
 		if opts.ChainCache != nil {
-			cc, hit, err := opts.ChainCache(opts.CheckpointScope, chain, func() (*CachedChain, error) {
+			cc, hit, err := opts.ChainCache(opts.Scope, chain, func() (*CachedChain, error) {
 				d, err := runFresh(chain)
 				if err != nil {
 					return nil, err
@@ -249,11 +234,9 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 			} else {
 				res.FreshWork += cc.Work()
 			}
-			d := cc.deltaFor(cid)
-			if err := res.merge(d); err != nil {
+			if err := res.merge(cc.deltaFor(cid)); err != nil {
 				return nil, fmt.Errorf("msa %s chain %s: %w", in.Name, cid, err)
 			}
-			opts.Checkpoint.store(opts.CheckpointScope, cid, d)
 			continue
 		}
 		d, err := runFresh(chain)
@@ -263,7 +246,6 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 		if err := res.merge(d); err != nil {
 			return nil, fmt.Errorf("msa %s chain %s: %w", in.Name, cid, err)
 		}
-		opts.Checkpoint.store(opts.CheckpointScope, cid, d)
 		res.FreshWork += deltaWork(d)
 	}
 	// Cross-chain species pairing (serial, between search and features).
@@ -286,13 +268,13 @@ func RunCtx(ctx context.Context, in *inputs.Input, opts Options) (*Result, error
 // runChain searches all matching databases for one chain, computing its
 // full contribution — summary row, final-round hits, metering sums,
 // streamed bytes, serial work — into a private delta. Nothing shared is
-// touched until the caller merges the delta, so replayed attempts
-// (checkpoints) are safe by construction.
+// touched until the caller merges the delta, so a failed search leaves
+// nothing behind and a retry starts clean.
 func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelta, error) {
 	query := chain.Sequence
 	cid := chain.IDs[0]
 	if opts.ChainFault != nil {
-		if err := opts.ChainFault(cid, 1); err != nil {
+		if err := opts.ChainFault(cid); err != nil {
 			return nil, err
 		}
 	}
@@ -314,7 +296,7 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 		d.dbRecs[i] = dbRecords{db.Name, len(db.Seqs)}
 		lanes[i] = opts.DBs.lane(db)
 	}
-	rounds := opts.Rounds
+	rounds := proteinRounds
 	if query.Type != seq.Protein {
 		rounds = 1 // nhmmer is single-pass
 	}

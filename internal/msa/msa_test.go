@@ -136,7 +136,7 @@ func TestRNAChainUsesRNADatabases(t *testing.T) {
 
 func TestStreamedBytesAccounting(t *testing.T) {
 	in, _ := inputs.ByName("1YY9") // 3 protein chains, 2 rounds
-	res, err := Run(in, Options{Threads: 2, Rounds: 2, DBs: dbs(t)})
+	res, err := Run(in, Options{Threads: 2, DBs: dbs(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

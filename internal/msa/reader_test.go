@@ -39,8 +39,8 @@ func TestReaderLaneMatchesParentEvents(t *testing.T) {
 }
 
 // TestCreditRefusesAnotherDBSet: a chain is credited with its databases'
-// reader lanes, so a chain replayed — from the chain cache, through the
-// codec, or from a checkpoint — against a set whose databases for its
+// reader lanes, so a chain replayed from the chain cache, through the
+// codec, against a set whose databases for its
 // type are not the ones it scanned, by name, by record count, by number or
 // by scale, fails the run; against the same databases in any set, its
 // own or one derived from it or built around them, it is credited as a
@@ -56,8 +56,7 @@ func TestCreditRefusesAnotherDBSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := &mapChainCache{entries: make(map[string]*CachedChain), viaCodec: true}
-	cp := NewCheckpoint()
-	if _, err := Run(in, Options{Threads: 1, DBs: set, ChainCache: mem.fetch, Checkpoint: cp}); err != nil {
+	if _, err := Run(in, Options{Threads: 1, DBs: set, ChainCache: mem.fetch}); err != nil {
 		t.Fatal(err)
 	}
 	a, b := set.Protein[0], set.Protein[1]
@@ -80,24 +79,14 @@ func TestCreditRefusesAnotherDBSet(t *testing.T) {
 		{"the databases swapped", &DBSet{Protein: []*seqdb.DB{b, a}}, "scanned uniref_s"},
 		{"a rescaled database", &DBSet{Protein: []*seqdb.DB{with(func(db *seqdb.DB) { db.ScaleFactor *= 2 }), b}}, "reader instructions"},
 	} {
-		for _, arm := range []struct {
-			name string
-			opts Options
-		}{
-			{"cache", Options{ChainCache: mem.fetch}},
-			{"checkpoint", Options{Checkpoint: cp}},
-		} {
-			opts := arm.opts
-			opts.Threads, opts.DBs = 3, tc.dbs
-			res, err := Run(in, opts)
-			switch {
-			case tc.want == "" && err != nil:
-				t.Errorf("%s, %s: %v", tc.name, arm.name, err)
-			case tc.want == "" && sameWorkers(res.Workers, fresh.Workers) >= 0:
-				t.Errorf("%s, %s: the replay credits other work than a fresh search", tc.name, arm.name)
-			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-				t.Errorf("%s, %s: got error %v, want one saying %q", tc.name, arm.name, err, tc.want)
-			}
+		res, err := Run(in, Options{Threads: 3, DBs: tc.dbs, ChainCache: mem.fetch})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want == "" && sameWorkers(res.Workers, fresh.Workers) >= 0:
+			t.Errorf("%s: the replay credits other work than a fresh search", tc.name)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got error %v, want one saying %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -276,7 +276,7 @@ func TestChainRefusesEventsOutsideRecords(t *testing.T) {
 // BenchmarkChainReplay merges one cached chain — 2PV7's, 6QNR's first and
 // a PPI pool chain, each searched at one thread as the benchmark workloads
 // search — into T fresh workers and reads each worker's ledger: what every
-// cache hit, checkpoint replay and Rethread pays before BuildRunSpec. An op
+// cache hit and Rethread pays before BuildRunSpec. An op
 // allocates the T workers and credits the chain's sums and its seed lane,
 // one walk of its probe counts, to them.
 func BenchmarkChainReplay(b *testing.B) {
@@ -289,7 +289,7 @@ func BenchmarkChainReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		d, err := runChain(context.Background(), in.MSAChains()[0], Options{Threads: 1, Rounds: 2, DBs: dbs(b)})
+		d, err := runChain(context.Background(), in.MSAChains()[0], Options{Threads: 1, DBs: dbs(b)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -45,9 +45,9 @@ type Faults []Fault
 //	memspike:<gib>[:after]   anonymous memory grows by gib GiB after the
 //	                         after-th streamed database (default 0)
 //	chainfault:<chain>[:count]
-//	                         first count search attempts of the MSA chain
-//	                         fail (default 1); a checkpointed stage retry
-//	                         re-runs only the faulted chain
+//	                         first count searches of the MSA chain fail
+//	                         (default 1); the chain's search is retried in
+//	                         place, up to MaxAttempts searches
 //	diskfault:<op>[:count]   first count disk-tier operations of kind op
 //	                         fail (default 1); op is write (torn write),
 //	                         fsync (sync error), rename (crash between
@@ -146,6 +146,20 @@ func ParseFaults(spec string) (Faults, error) {
 	return out, nil
 }
 
+// ParseRunFaults is ParseFaults for a command's -faults flag, which injects
+// into pipeline runs: it refuses diskfault terms, since a disk fault reaches
+// only a cachedisk.Store opened with an Injector, and the chaos-disk
+// serving gate is what opens one.
+func ParseRunFaults(spec string) (Faults, error) {
+	fs, err := ParseFaults(spec)
+	for _, f := range fs {
+		if f.Class == DiskFault {
+			return nil, fmt.Errorf("resilience: %s: disk faults are injected by the chaos-disk gate, not into a run", Faults{f})
+		}
+	}
+	return fs, err
+}
+
 // String renders the spec back in flag grammar.
 func (fs Faults) String() string {
 	var parts []string
@@ -195,12 +209,8 @@ type Injector struct {
 	spikeGiB  float64
 	spikeAt   int
 
-	// Chain-scoped transient budgets. Unlike the database state above —
-	// consumed on the orchestrator's single-threaded control path — chain
-	// faults are consulted from inside the MSA stage, on whichever serving
-	// worker runs the job's current attempt (a stage retry may land on a
-	// different worker than the attempt that faulted), so they carry a lock.
-	chainMu       sync.Mutex
+	// Chain-scoped transient budgets, consulted once per chain search on
+	// the run's MSA stage.
 	chainRem      map[string]int
 	chainWildcard int
 
@@ -285,17 +295,15 @@ func (i *Injector) ReadFault(db string, attempt int) error {
 	return nil
 }
 
-// ChainFault decides the fate of one MSA chain search attempt (1-based).
-// It returns nil for success or a *FaultError with class ChainTransient.
-// Budgets are consumed per call and persist for the injector's lifetime,
-// so a checkpointed stage retry that re-runs only the faulted chain finds
-// the budget spent and succeeds. Safe for concurrent use.
+// ChainFault decides the fate of one search (1-based attempt) of an MSA
+// chain. It returns nil for success or a *FaultError with class
+// ChainTransient. Budgets are consumed per call and persist for the
+// injector's lifetime, so the chain's retried search finds the budget
+// spent and succeeds.
 func (i *Injector) ChainFault(chain string, attempt int) error {
 	if i == nil {
 		return nil
 	}
-	i.chainMu.Lock()
-	defer i.chainMu.Unlock()
 	rem, seen := i.chainRem[chain]
 	if !seen && i.chainWildcard > 0 {
 		rem = i.chainWildcard
@@ -334,14 +342,12 @@ func (i *Injector) DiskFault(op string) error {
 }
 
 // HasChainFaults reports whether the spec carries any chain-scoped
-// faults (the serving layer uses it to decide if stage retries are worth
-// arming).
+// faults: the pipeline hooks the injector into the chain searches only
+// then.
 func (i *Injector) HasChainFaults() bool {
 	if i == nil {
 		return false
 	}
-	i.chainMu.Lock()
-	defer i.chainMu.Unlock()
 	return i.chainWildcard > 0 || len(i.chainRem) > 0
 }
 

@@ -43,9 +43,9 @@ const (
 	// the memory ceiling the paper's RNA-1335 run died on.
 	MemSpike
 	// ChainTransient fails an MSA chain's search transiently: the first
-	// Count attempts of each matching chain error out, exercising the
-	// serving layer's checkpointed stage retries (only the faulted chain
-	// re-runs; completed chains replay from the checkpoint).
+	// Count searches of each matching chain error out, exercising the
+	// retry inside the chain's own search (only the faulted chain re-runs,
+	// up to MaxAttempts searches; the chains around it are untouched).
 	ChainTransient
 	// DiskFault fails operations of the persistent cache tier: torn writes,
 	// fsync errors, crashes between temp-write and rename, silent post-write
@@ -266,8 +266,8 @@ type StageBudget struct {
 // The transient-fault retry policy: capped exponential backoff with
 // deterministic jitter. Nothing tunes it, so it is four constants.
 const (
-	// MaxAttempts bounds attempts per I/O operation: a database open, a
-	// stream pass, a disk-tier read or write.
+	// MaxAttempts bounds attempts per I/O operation — a database open, a
+	// stream pass, a disk-tier read or write — and searches per MSA chain.
 	MaxAttempts = 4
 	// backoffBaseSeconds is the first backoff delay.
 	backoffBaseSeconds = 0.5
@@ -316,9 +316,9 @@ const (
 	// circuit breaker was open — the request took the degradation ladder
 	// immediately instead of burning its deadline on doomed retries.
 	KindBreakerSkip
-	// KindChainRetry: an MSA stage attempt failed on a chain and was
-	// retried from its checkpoint (completed chains replayed, only the
-	// failed chain re-run).
+	// KindChainRetry: one search of an MSA chain failed on an injected
+	// transient fault; the chain's search is retried in place while
+	// attempts remain (MaxAttempts), charging no modeled time.
 	KindChainRetry
 	// KindBrownout: the request ran degraded by the multi-tenant brownout
 	// ladder — its tenant was over quota while global occupancy was high,

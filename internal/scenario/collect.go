@@ -22,8 +22,7 @@ func Collect(s *serve.Server, stats *serve.LoadStats, cpuLanes, gpuLanes int) {
 		ShedQueueFull:   m.Get("requests_shed_queue_full"),
 		ShedRateLimited: m.Get("requests_shed_rate_limited"),
 		ShedBrownout:    m.Get("requests_shed_brownout"),
-		StageRetries:    m.Get("msa_stage_retries"),
-		ChainsRestored:  m.Get("msa_chains_restored"),
+		ChainRetries:    m.Get("msa_chain_retries"),
 		PartialMSA:      m.Get("requests_partial_msa"),
 	}
 	stats.ChainMemHits = m.Get("msa_chain_mem_hits")

@@ -135,7 +135,7 @@ func TestAwaitGoroutines(t *testing.T) {
 }
 
 // chaosFaultSpec is the chaos storm's fault mix: every chain search faults
-// once (forcing a checkpointed retry per chain), uniref_s fails transiently
+// once (forcing a retry inside each chain's search), uniref_s fails transiently
 // with a two-fault budget per job (exercising the in-stage retry ladder),
 // and mgnify_s is permanently dark (exhausting retries, degrading results
 // and feeding its breaker until it trips).
@@ -168,8 +168,8 @@ func chaosPanicPlan(n int, seed uint64) map[int]string {
 // three guard points, once-per-chain search faults, a dark database —
 // through a live cache-less scheduler and asserts: every admitted job
 // terminal, every failure of a known class and at least one of class
-// "panic", both pools at full strength, the breaker tripped, chains
-// replayed from checkpoints, and no goroutine leak once the server stops.
+// "panic", both pools at full strength, the breaker tripped, chain searches
+// retried, and no goroutine leak once the server stops.
 func gateChaos(t *testing.T, g gate) {
 	const n, concurrency = 120, 8
 	trace, err := Trace("2PV7:4,1YY9:1", 0, n, g.seed)
@@ -198,7 +198,6 @@ func gateChaos(t *testing.T, g gate) {
 
 	cfg := g.cfg
 	cfg.Faults = faults
-	cfg.MSAAttempts = 4 // chainfault:*:1 needs one retry per distinct chain
 	cfg.BreakerThreshold = 3
 	cfg.BreakerCooldown = 100 * time.Millisecond
 	cfg.PanicHook = func(point string, ordinal int) {
@@ -226,7 +225,7 @@ func gateChaos(t *testing.T, g gate) {
 		}
 	}
 	m := s.Metrics()
-	panics, trips, restored := m.Get("worker_panics"), m.Get("breaker_to_open"), m.Get("msa_chains_restored")
+	panics, trips, retries := m.Get("worker_panics"), m.Get("breaker_to_open"), m.Get("msa_chain_retries")
 	if len(statuses) != n {
 		t.Errorf("admitted %d of %d requests (a chaos storm must not shed)", len(statuses), n)
 	}
@@ -250,15 +249,15 @@ func gateChaos(t *testing.T, g gate) {
 	if trips < 1 {
 		t.Errorf("dark database never tripped its breaker")
 	}
-	if restored < 1 {
-		t.Errorf("no chain was replayed from a checkpoint")
+	if retries < 1 {
+		t.Errorf("no chain search was retried")
 	}
 	s.Stop()
 	if err := awaitGoroutines(baseline); err != nil {
 		t.Error(err)
 	}
-	t.Logf("%d req: %d done (%d partial_msa), failed by class %v | %d/%d planned panics fired | breaker trips %d, stage retries %d, chains restored %d",
-		n, done, partial, failedByClass, panics, len(plan), trips, m.Get("msa_stage_retries"), restored)
+	t.Logf("%d req: %d done (%d partial_msa), failed by class %v | %d/%d planned panics fired | breaker trips %d, chain retries %d",
+		n, done, partial, failedByClass, panics, len(plan), trips, retries)
 }
 
 // chaosDiskFaultSpec is the disk gate's phase-A storm: a bounded budget of

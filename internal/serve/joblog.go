@@ -13,6 +13,7 @@ import (
 
 	"afsysbench/internal/core"
 	"afsysbench/internal/qos"
+	"afsysbench/internal/resilience"
 )
 
 // eventKind names what happened to a job.
@@ -96,8 +97,10 @@ func (s *Server) record(j *job, ev event) bool {
 		if ev.partial {
 			m.Add("requests_partial_msa", 1)
 		}
-		if n := restoredChains(ev.phase); n > 0 {
-			m.Add("msa_chains_restored", int64(n))
+		for _, e := range ev.phase.Resilience.Events {
+			if e.Kind == resilience.KindChainRetry {
+				m.Add("msa_chain_retries", 1)
+			}
 		}
 	case evHandoff:
 		s.preBatch--
@@ -183,13 +186,6 @@ func failure(j *job) error {
 	return ev.err
 }
 
-func restoredChains(mp *core.MSAPhase) int {
-	if mp.Data == nil {
-		return 0
-	}
-	return mp.Data.RestoredChains
-}
-
 // status folds the log into the job's status snapshot.
 func status(j *job) JobStatus {
 	st := JobStatus{ID: j.id, Sample: j.in.Name, State: state(j).String(), Tenant: j.tenant}
@@ -205,7 +201,6 @@ func status(j *job) JobStatus {
 			chains[ev.origin]++
 		case evMSA:
 			st.CacheHit = ev.hit
-			st.ChainsRestored = restoredChains(ev.phase)
 			charged, partial = ev.secs, ev.partial
 		case evDone:
 			st.MSASeconds = charged

@@ -40,8 +40,8 @@ type LoadStats struct {
 	ModeledMakespan float64 `json:"modeled_makespan_seconds"`
 	ModeledSerial   float64 `json:"modeled_serial_seconds"`
 	ModeledSpeedup  float64 `json:"modeled_speedup"`
-	// Routing gathers the run's full routing story — sheds, stage
-	// retries, checkpoint restores — in one block, so no reader has to join
+	// Routing gathers the run's full routing story — sheds, chain
+	// retries, partial results — in one block, so no reader has to join
 	// scattered counters.
 	Routing *RoutingBreakdown `json:"routing,omitempty"`
 	// Batch is the cross-request GPU batching summary — dispatches, mean
@@ -64,11 +64,9 @@ type RoutingBreakdown struct {
 	ShedQueueFull   int64 `json:"shed_queue_full,omitempty"`
 	ShedRateLimited int64 `json:"shed_rate_limited,omitempty"`
 	ShedBrownout    int64 `json:"shed_brownout,omitempty"`
-	// StageRetries counts MSA stage re-runs after transient faults;
-	// ChainsRestored counts chains replayed from checkpoints instead of
-	// re-searched; PartialMSA counts results served with breaker-skipped
+	// ChainRetries counts MSA chain searches retried after transient
+	// faults; PartialMSA counts results served with breaker-skipped
 	// databases.
-	StageRetries   int64 `json:"stage_retries"`
-	ChainsRestored int64 `json:"chains_restored"`
-	PartialMSA     int64 `json:"partial_msa"`
+	ChainRetries int64 `json:"chain_retries"`
+	PartialMSA   int64 `json:"partial_msa"`
 }

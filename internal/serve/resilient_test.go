@@ -246,48 +246,45 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 }
 
 // TestMSARetryRerunsOnlyFailedChains is the serving layer's headline
-// resumability test: with chain faults injected, a request's first MSA
-// attempt fails, the retry replays the completed chains from the job's
-// checkpoint, and the final result is bitwise identical to a fault-free
-// server's.
+// retry test: on a server with no cache, a fault on every chain of 1YY9 is
+// retried inside each chain's own search — one chain-retry event a chain,
+// msa_chain_retries 3 — and the result's digest is a fault-free server's,
+// at one thread and at three. A fault outlasting the retry budget fails
+// the request with error class fault.
 func TestMSARetryRerunsOnlyFailedChains(t *testing.T) {
-	clean := newTestServer(t, Config{Threads: 2, MSAWorkers: 1, GPUWorkers: 1})
-	cleanStatuses := runTrace(t, clean, []string{"1YY9"})
-	cleanRes, _ := clean.Result(cleanStatuses[0].ID)
+	for _, threads := range []int{1, 3} {
+		clean := newTestServer(t, Config{Threads: threads})
+		cleanStatuses := runTrace(t, clean, []string{"1YY9"})
+		cleanRes, _ := clean.Result(cleanStatuses[0].ID)
 
-	s := newTestServer(t, Config{
-		Threads: 2, MSAWorkers: 1, GPUWorkers: 1,
-		Faults:      mustFaults(t, "chainfault:B:1"),
-		MSAAttempts: 2,
-	})
-	statuses := runTrace(t, s, []string{"1YY9"})
-	if statuses[0].State != "done" {
-		t.Fatalf("state=%s (%s), want done via retry", statuses[0].State, statuses[0].Error)
-	}
-	if got := s.Metrics().Get("msa_stage_retries"); got != 1 {
-		t.Errorf("msa_stage_retries = %d, want 1", got)
-	}
-	// Chain A completed before B faulted; the retry replayed it.
-	if got := s.Metrics().Get("msa_chains_restored"); got != 1 {
-		t.Errorf("msa_chains_restored = %d, want 1", got)
-	}
-	res, _ := s.Result(statuses[0].ID)
-	if !reflect.DeepEqual(res.MSAData.PerChain, cleanRes.MSAData.PerChain) {
-		t.Errorf("retried result differs from fault-free run:\n%+v\n%+v", res.MSAData.PerChain, cleanRes.MSAData.PerChain)
-	}
-	if res.MSASeconds != cleanRes.MSASeconds || res.MSAData.TotalHitResidues != cleanRes.MSAData.TotalHitResidues {
-		t.Errorf("retried timings/volume differ: %.4f/%d vs %.4f/%d",
-			res.MSASeconds, res.MSAData.TotalHitResidues, cleanRes.MSASeconds, cleanRes.MSAData.TotalHitResidues)
-	}
-	// The retry is visible in the resilience event stream.
-	found := false
-	for _, ev := range res.Resilience.Events {
-		if ev.Kind == resilience.KindChainRetry {
-			found = true
+		s := newTestServer(t, Config{Threads: threads, Faults: mustFaults(t, "chainfault:*:1")})
+		statuses := runTrace(t, s, []string{"1YY9"})
+		if statuses[0].State != "done" {
+			t.Fatalf("T%d: state=%s (%s), want done via retry", threads, statuses[0].State, statuses[0].Error)
+		}
+		if got := s.Metrics().Get("msa_chain_retries"); got != 3 {
+			t.Errorf("T%d: msa_chain_retries = %d, want 3", threads, got)
+		}
+		res, _ := s.Result(statuses[0].ID)
+		var retried []string
+		for _, ev := range res.Resilience.Events {
+			if ev.Kind == resilience.KindChainRetry {
+				retried = append(retried, ev.Detail)
+			}
+		}
+		want := []string{"search 1 of chain A faulted", "search 1 of chain B faulted", "search 1 of chain C faulted"}
+		if !reflect.DeepEqual(retried, want) {
+			t.Errorf("T%d: chain-retry events %q, want %q", threads, retried, want)
+		}
+		if res.Digest() != cleanRes.Digest() {
+			t.Errorf("T%d: retried result's digest differs from the fault-free run's", threads)
 		}
 	}
-	if !found {
-		t.Error("no chain-retry event recorded")
+
+	s := newTestServer(t, Config{Threads: 2, Faults: mustFaults(t, "chainfault:B:4")})
+	st := runTrace(t, s, []string{"1YY9"})[0]
+	if st.State != "failed" || st.ErrorClass != "fault" {
+		t.Errorf("chainfault:B:4: state=%s class=%q (%s), want failed with class fault", st.State, st.ErrorClass, st.Error)
 	}
 }
 
@@ -347,11 +344,8 @@ func TestNoGoroutineLeakUnderFaultLoad(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	s := NewWithSuite(sharedSuite, Config{
 		Threads: 2, MSAWorkers: 2, GPUWorkers: 1,
-		// Every chain faults exactly once; 1YY9 has three unique chains, so
-		// MSAAttempts 4 lets each job grind through to success via its
-		// checkpoint while still exercising the retry machinery hard.
-		Faults:      mustFaults(t, "chainfault:*:1"),
-		MSAAttempts: 4,
+		// Every chain faults exactly once and is retried in place.
+		Faults: mustFaults(t, "chainfault:*:1"),
 		PanicHook: func(point string, ordinal int) {
 			if point == "inference" && ordinal == 1 {
 				panic("chaos: injected inference panic")

@@ -58,7 +58,6 @@ import (
 	"afsysbench/internal/platform"
 	"afsysbench/internal/qos"
 	"afsysbench/internal/resilience"
-	"afsysbench/internal/rng"
 	"afsysbench/internal/simgpu"
 )
 
@@ -100,13 +99,6 @@ type Request struct {
 	// and both stages (0 = the server's DefaultTimeout; negative = none
 	// even if the server has a default).
 	Timeout time.Duration
-	// Checkpoint, when non-nil, is a caller-owned chain checkpoint the job
-	// records completed MSA chains into (and replays from). The cluster
-	// router passes one per logical request so a retry after a replica
-	// death resumes on a healthy replica with every chain the dead one
-	// finished — cross-replica checkpointed failover. nil keeps the
-	// server-internal behavior (a private checkpoint when MSAAttempts > 1).
-	Checkpoint *msa.Checkpoint
 	// Tenant is the submitting tenant's ID (QoS mode; "" maps to
 	// "default"). Ignored without Config.QoS.
 	Tenant string
@@ -162,16 +154,11 @@ type Config struct {
 	// registry (exposed via MetricsSnapshot and the /v1/metrics endpoint).
 	Metrics *metering.Registry
 	// Faults is the fault specification applied to every request (chaos
-	// and robustness testing). Each job gets its own injector, seeded
-	// deterministically from (suite seed, job ordinal), that persists
-	// across MSA stage retries — so a transient budget consumed by attempt
-	// one stays consumed for attempt two.
+	// and robustness testing). Every MSA stage injects it afresh, seeded
+	// from (suite seed, sample) as core.PipelineOptions.Faults is, so the
+	// faults a request meets do not depend on which client won admission.
+	// A transiently faulted chain is retried inside its own search.
 	Faults resilience.Faults
-	// MSAAttempts bounds MSA stage attempts per request (default 1 — no
-	// retry). With more than one attempt each job carries a chain
-	// checkpoint, so a retry re-runs only the chains that had not finished
-	// when the previous attempt faulted.
-	MSAAttempts int
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// database's circuit breaker (default 5); BreakerCooldown is how long
 	// an open breaker rejects before allowing a half-open probe (default
@@ -232,9 +219,6 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = metering.NewRegistry()
 	}
-	if c.MSAAttempts <= 0 {
-		c.MSAAttempts = 1
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 5
 	}
@@ -258,13 +242,6 @@ type job struct {
 	// done is closed when the job turns terminal (record); Done hands it
 	// to waiters.
 	done chan struct{}
-	// inj is the job's fault injector (nil without configured faults). It
-	// lives on the job, not the stage attempt, so transient budgets are
-	// consumed exactly once across retries.
-	inj *resilience.Injector
-	// checkpoint preserves completed MSA chain deltas across stage
-	// retries (nil when MSAAttempts is 1).
-	checkpoint *msa.Checkpoint
 	// tenant/arrival/qosLevel are the QoS coordinates (QoS mode only): the
 	// owning tenant, the modeled arrival the admission decision ran at and
 	// the brownout rung the request runs under.
@@ -292,10 +269,6 @@ type JobStatus struct {
 	ChainsMem   int `json:"chains_mem,omitempty"`
 	ChainsDisk  int `json:"chains_disk,omitempty"`
 	ChainsFresh int `json:"chains_fresh,omitempty"`
-	// ChainsRestored counts MSA chains replayed from the job's checkpoint —
-	// work a previous attempt (possibly on a dead replica) completed that
-	// this one did not repeat.
-	ChainsRestored int `json:"chains_restored,omitempty"`
 	// MSASeconds is the modeled MSA time charged to this request (the
 	// fresh-work share of the phase time; 0 on a full cache hit);
 	// InferenceSeconds the modeled inference time.
@@ -590,17 +563,6 @@ func (s *Server) Submit(req Request) (string, error) {
 	}
 	j.id = fmt.Sprintf("j%04d-%s", j.ordinal, in.Name)
 	j.log = j.logBuf[:0]
-	if len(s.cfg.Faults) > 0 {
-		// One injector per job, seeded by ordinal: fault decisions are a
-		// pure function of the trace, and budgets persist across stage
-		// retries.
-		j.inj = resilience.NewInjector(s.cfg.Faults, rng.New(s.suite.Seed).Split(uint64(j.ordinal)))
-	}
-	if req.Checkpoint != nil {
-		j.checkpoint = req.Checkpoint
-	} else if s.cfg.MSAAttempts > 1 {
-		j.checkpoint = msa.NewCheckpoint()
-	}
 	s.wfq.Push(key, cost, j)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
@@ -718,7 +680,7 @@ func (s *Server) pipelineOpts(j *job) core.PipelineOptions {
 		RunIndex:  0,
 		WarmStart: !s.cfg.ColdModel,
 		FreshMSA:  true,
-		Injector:  j.inj,
+		Faults:    s.cfg.Faults,
 		Scatter:   s.cfg.Scatter,
 	}
 }
@@ -972,10 +934,9 @@ func (s *Server) jobCtx(j *job) (context.Context, context.CancelFunc) {
 // pauses instead of racing ahead unboundedly.
 //
 // The fault-tolerance envelope around the stage: the breaker plan decides
-// which databases are skipped up front; the stage retry loop re-runs a
-// transiently faulted search up to MSAAttempts times, with the job's
-// checkpoint replaying every chain the failed attempt completed; and the
-// stage outcome settles every involved breaker.
+// which databases are skipped up front, and the stage outcome settles
+// every involved breaker. A transiently faulted chain is retried inside
+// its own search (core records each failed search), not here.
 func (s *Server) runMSA(j *job, stage *string) {
 	s.cfg.Metrics.Add("msa_stage_runs", 1)
 	if h := s.cfg.PanicHook; h != nil {
@@ -986,7 +947,6 @@ func (s *Server) runMSA(j *job, stage *string) {
 	skip, probes := s.breakerPlan(j)
 	opts := s.pipelineOpts(j)
 	opts.SkipDBs = skip
-	opts.MSACheckpoint = j.checkpoint
 	if j.qosLevel >= qos.LevelDropDB {
 		// The deepest non-shed rung: tighten the modeled MSA budget onto
 		// the database-drop degradation ladder (PR 2) — the over-quota
@@ -996,24 +956,7 @@ func (s *Server) runMSA(j *job, stage *string) {
 	if s.cfg.Cache != nil {
 		opts.ChainCache = s.chainFetcher(j)
 	}
-	var mp *core.MSAPhase
-	var err error
-	for attempt := 1; ; attempt++ {
-		mp, err = s.suite.RunMSAPhase(ctx, j.in, j.machine, opts)
-		if err == nil {
-			if attempt > 1 {
-				mp.Resilience.Record(resilience.Event{
-					Stage: "msa", Kind: resilience.KindChainRetry,
-					Detail: fmt.Sprintf("stage attempt %d succeeded; %d chains replayed from checkpoint", attempt, restoredChains(mp)),
-				})
-			}
-			break
-		}
-		if attempt >= s.cfg.MSAAttempts || !resilience.IsTransient(err) || ctx.Err() != nil {
-			break
-		}
-		s.cfg.Metrics.Add("msa_stage_retries", 1)
-	}
+	mp, err := s.suite.RunMSAPhase(ctx, j.in, j.machine, opts)
 	// A request is a cache hit when every chain came from a cache tier —
 	// no database was searched on its behalf. Charged MSA seconds scale by
 	// the fresh-work share: the phase time is cache-independent (the

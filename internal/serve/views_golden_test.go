@@ -91,7 +91,6 @@ func viewTraces() []viewTrace {
 			cfg: func(t *testing.T) Config {
 				return Config{Threads: 2, MSAWorkers: 1, GPUWorkers: 1, Cache: cache.New(0),
 					Faults:           mustFaults(t, "chainfault:B:1,permanent:uniref_s"),
-					MSAAttempts:      2,
 					BreakerThreshold: 3,
 					PanicHook: func(point string, ordinal int) {
 						if point == "msa" && ordinal == 1 || point == "handoff" && ordinal == 3 || point == "inference" && ordinal == 5 {
@@ -110,7 +109,7 @@ func viewTraces() []viewTrace {
 // that between them reach every job event: FIFO repeats over a memory
 // tier, a two-tier trace that evicts and spills, a batched trace, a QoS
 // trace that sheds and reaches the batch-cap and drop-DB rungs, and a
-// faulted trace with stage retries, checkpoint restores and a panic at each
+// faulted trace with chain retries, an open breaker and a panic at each
 // worker guard point. Wall-clock fields are zeroed; floats are written as
 // hex bits. go test ./internal/serve -run TestViewsGolden -update rewrites
 // testdata/views.golden.

@@ -133,6 +133,196 @@ func init() { use(T{}); reached() }
 	}
 }
 
+// setterAllow holds the option fields that no non-test code sets and that
+// stay anyway: test seams, each with the test that sets it. The gate fails
+// when an entry gains a product setter or is no longer declared, so the
+// list can only shrink.
+var setterAllow = map[string]string{
+	// The disk tier's fault injection, clock and breaker tuning.
+	"cachedisk.Config.Injector":         "TestSustainedFailureTripsBreakerToMemoryOnly",
+	"cachedisk.Config.Now":              "TestBreakerRecoversWhenDiskHeals",
+	"cachedisk.Config.BreakerThreshold": "TestSustainedFailureTripsBreakerToMemoryOnly",
+	"cachedisk.Config.BreakerCooldown":  "TestBreakerRecoversWhenDiskHeals",
+
+	// The per-database breakers' tuning.
+	"serve.Config.BreakerThreshold": "TestBreakerOpensSkipsAndAnnotates",
+	"serve.Config.BreakerCooldown":  "TestBreakerHalfOpenRecovery",
+
+	// The batch-sweep gate's shape buckets and batch cap.
+	"serve.BatchConfig.Buckets":  "TestGates",
+	"serve.BatchConfig.MaxBatch": "TestGates",
+
+	// The fairness gate's unprotected comparator.
+	"qos.Config.FIFO": "TestGates",
+
+	// The Section VI preload ablation.
+	"core.PipelineOptions.PreloadDBs": "BenchmarkAblationPreload",
+}
+
+// TestEveryOptionHasAProductSetter fails on every field of an exported
+// *Config or *Options struct under internal/ that no non-test file sets —
+// a knob nothing turns — unless setterAllow lists it. A field is set by a
+// composite-literal key or an assignment statement anywhere in the module
+// outside tests, bench/ and examples/ included, but not by its own type's
+// withDefaults.
+func TestEveryOptionHasAProductSetter(t *testing.T) {
+	units, err := loadModuleUnits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range unsetOptions(units, setterAllow) {
+		t.Error(f)
+	}
+}
+
+// TestSetterGateFindsPlantedKnob runs the knob gate's checker over a
+// package parsed from a string: a field set nowhere and one set only by
+// its type's withDefaults are reported, fields set by an assignment or a
+// literal key are not, nor are fields of types not named *Config or
+// *Options or not exported, and an allowlist entry that is set or not
+// declared is reported.
+func TestSetterGateFindsPlantedKnob(t *testing.T) {
+	const src = `package planted
+
+type RunOptions struct{ Set, Keyed, Defaulted, Seam, Unset int }
+
+func (o RunOptions) withDefaults() RunOptions {
+	o.Defaulted = 8
+	return o
+}
+
+type Helper struct{ Unset int }
+
+type hiddenConfig struct{ Unset int }
+
+func init() {
+	var o RunOptions
+	o.Set = 1
+	_ = RunOptions{Keyed: 2}.withDefaults()
+	_, _ = Helper{}, hiddenConfig{}
+}
+`
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "planted.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := reachUnit{files: []*ast.File{file}, info: newReachInfo(), checked: true}
+	if u.pkg, err = new(types.Config).Check("afsysbench/internal/planted", fset, u.files, u.info); err != nil {
+		t.Fatal(err)
+	}
+	allow := map[string]string{
+		"planted.RunOptions.Seam": "TestSeam",
+		"planted.RunOptions.Set":  "TestSet",
+		"planted.RunOptions.Gone": "TestGone",
+	}
+	got := unsetOptions([]reachUnit{u}, allow)
+	want := []string{
+		"planted.RunOptions.Defaulted has no product setter",
+		"planted.RunOptions.Gone is on the allowlist but is not declared",
+		"planted.RunOptions.Set is on the allowlist but has a product setter",
+		"planted.RunOptions.Unset has no product setter",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("findings:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
+// unsetOptions returns, sorted, one line for every field of an exported
+// *Config or *Options struct of a package under internal/ that no unit
+// sets and allow does not list, and for every allowlist entry that is set
+// or not declared.
+func unsetOptions(units []reachUnit, allow map[string]string) []string {
+	type option struct {
+		name  string
+		owner *types.TypeName
+	}
+	options := map[*types.Var]option{}
+	for _, u := range units {
+		if !strings.HasPrefix(u.pkg.Path(), "afsysbench/internal/") {
+			continue
+		}
+		scope := u.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				options[f] = option{path.Base(u.pkg.Path()) + "." + name + "." + f.Name(), tn}
+			}
+		}
+	}
+
+	set := map[*types.Var]bool{}
+	for _, u := range units {
+		for _, f := range u.files {
+			for _, d := range f.Decls {
+				// A type's withDefaults fills in its own zero fields; that
+				// is not a setter.
+				var defaulted *types.TypeName
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "withDefaults" {
+					recv := u.info.Defs[fd.Name].(*types.Func).Type().(*types.Signature).Recv().Type()
+					if p, ok := recv.(*types.Pointer); ok {
+						recv = p.Elem()
+					}
+					if named, ok := recv.(*types.Named); ok {
+						defaulted = named.Obj()
+					}
+				}
+				mark := func(id *ast.Ident) {
+					if v, ok := u.info.Uses[id].(*types.Var); ok && v.IsField() && options[v].owner != defaulted {
+						set[v] = true
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						for _, e := range n.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									mark(id)
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							if sel, ok := lhs.(*ast.SelectorExpr); ok {
+								mark(sel.Sel)
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+
+	var findings []string
+	declared := map[string]bool{}
+	for v, o := range options {
+		declared[o.name] = true
+		switch _, listed := allow[o.name]; {
+		case set[v] && listed:
+			findings = append(findings, o.name+" is on the allowlist but has a product setter")
+		case !set[v] && !listed:
+			findings = append(findings, o.name+" has no product setter")
+		}
+	}
+	for name := range allow {
+		if !declared[name] {
+			findings = append(findings, name+" is on the allowlist but is not declared")
+		}
+	}
+	slices.Sort(findings)
+	return findings
+}
+
 // reachUnit is one type-checked package of the module, without its tests.
 type reachUnit struct {
 	files   []*ast.File
