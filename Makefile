@@ -78,7 +78,8 @@ check: fmt vet doccheck test race faults bench-smoke
 
 # Fresh-run failure counts of the three tests that read the runtime's own
 # counters (TestAllocsGolden, TestCachedRequestAllocsGolden,
-# TestSmokeRunEmitsEveryMetric), alone and beside two busy shell loops:
+# TestSmokeRunEmitsEveryMetric) and of TestViewsGolden, whose batched
+# traces race GPU workers, alone and beside two busy shell loops:
 # FLAKES_N runs of each (default 20). FLAKES_BASE=<commit> makes the same
 # runs at that commit too, alternating with this tree's.
 flakes:

@@ -688,7 +688,7 @@ func BenchmarkAblationGappedRebuild(b *testing.B) {
 				hits[i].Alignment = nil // falls back to diagonal projection
 			}
 		}
-		rows := hmmer.BuildHitAlignment(query, hits, 1e-3)
+		rows := hmmer.BuildGappedAlignment(query, hits, 1e-3)
 		prof, err := hmmer.BuildFromAlignment(query.ID, query.Type, rows)
 		if err != nil {
 			b.Fatal(err)

@@ -6,7 +6,7 @@
 // configurable set of buckets: requests in the same bucket share a compiled
 // graph and can ride the same batched dispatch, at the price of padding
 // waste (computed tokens that belong to no request). The package also
-// carries the padding-waste accounting and the deterministic batch-
+// carries the padding-waste report row and the deterministic batch-
 // composition plan that the serving dispatcher implements incrementally —
 // composition is a pure function of the arrival order and the policy,
 // never of worker timing.
@@ -148,62 +148,4 @@ type BucketStats struct {
 	// reused it.
 	CompileMisses int64 `json:"compile_misses"`
 	CompileHits   int64 `json:"compile_hits"`
-}
-
-// Meter accumulates per-bucket batching accounting. Not safe for
-// concurrent use — callers (the serving dispatcher) serialize around it.
-type Meter struct {
-	perBucket map[int]*BucketStats
-}
-
-// NewMeter returns an empty meter.
-func NewMeter() *Meter { return &Meter{perBucket: make(map[int]*BucketStats)} }
-
-func (m *Meter) row(bucket int) *BucketStats {
-	r := m.perBucket[bucket]
-	if r == nil {
-		r = &BucketStats{Bucket: bucket}
-		m.perBucket[bucket] = r
-	}
-	return r
-}
-
-// ObserveJob records one member dispatched at tokens padded into bucket.
-func (m *Meter) ObserveJob(bucket, tokens int) {
-	r := m.row(bucket)
-	r.Requests++
-	r.ActualTokens += int64(tokens)
-	r.PaddedTokens += int64(bucket)
-}
-
-// ObserveBatch records one dispatched batch in the bucket and whether it
-// paid the bucket's compile (a compiled-graph cache miss).
-func (m *Meter) ObserveBatch(bucket int, compileMiss bool) {
-	r := m.row(bucket)
-	r.Batches++
-	if compileMiss {
-		r.CompileMisses++
-	} else {
-		r.CompileHits++
-	}
-}
-
-// Snapshot returns the per-bucket rows sorted by bucket.
-func (m *Meter) Snapshot() []BucketStats {
-	out := make([]BucketStats, 0, len(m.perBucket))
-	for _, r := range m.perBucket {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Bucket < out[j].Bucket })
-	return out
-}
-
-// Totals returns the meter-wide member count and token sums.
-func (m *Meter) Totals() (requests int, actual, padded int64) {
-	for _, r := range m.perBucket {
-		requests += r.Requests
-		actual += r.ActualTokens
-		padded += r.PaddedTokens
-	}
-	return
 }

@@ -85,30 +85,3 @@ func TestPlanOverflowIsOwnBucket(t *testing.T) {
 		t.Fatalf("overflow plan = %v, want %v", got, want)
 	}
 }
-
-func TestMeterAccounting(t *testing.T) {
-	m := NewMeter()
-	m.ObserveJob(512, 484)
-	m.ObserveJob(512, 242)
-	m.ObserveBatch(512, true)
-	m.ObserveJob(1024, 881)
-	m.ObserveBatch(1024, true)
-	m.ObserveBatch(1024, false)
-
-	rows := m.Snapshot()
-	if len(rows) != 2 || rows[0].Bucket != 512 || rows[1].Bucket != 1024 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	r := rows[0]
-	if r.Requests != 2 || r.Batches != 1 || r.ActualTokens != 726 || r.PaddedTokens != 1024 {
-		t.Errorf("512 row = %+v", r)
-	}
-	r = rows[1]
-	if r.CompileMisses != 1 || r.CompileHits != 1 {
-		t.Errorf("1024 compile counters = %+v", r)
-	}
-	reqs, actual, padded := m.Totals()
-	if reqs != 3 || actual != 726+881 || padded != 1024+1024 {
-		t.Errorf("totals = %d %d %d", reqs, actual, padded)
-	}
-}

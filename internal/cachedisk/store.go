@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"afsysbench/internal/resilience"
+	"afsysbench/internal/rng"
 )
 
 const (
@@ -219,10 +220,14 @@ func (s *Store) Get(key string) (payload []byte, codec uint16, ok bool) {
 		return nil, 0, false
 	}
 	var lastErr error
+	var bo *rng.Source // one jitter stream per operation, taken on its first retry
 	for attempt := 1; attempt <= resilience.MaxAttempts; attempt++ {
 		if attempt > 1 {
+			if bo == nil {
+				bo = s.inj.BackoffSource("cachedisk/read/" + key)
+			}
 			s.retries++
-			s.retryWaitSeconds += resilience.Backoff(attempt-1, s.inj.BackoffSource("cachedisk/read"))
+			s.retryWaitSeconds += resilience.Backoff(attempt-1, bo)
 		}
 		if err := s.inj.DiskFault("read"); err != nil {
 			lastErr = err
@@ -274,10 +279,14 @@ func (s *Store) Put(key string, codec uint16, payload []byte) error {
 		return nil
 	}
 	var lastErr error
+	var bo *rng.Source
 	for attempt := 1; attempt <= resilience.MaxAttempts; attempt++ {
 		if attempt > 1 {
+			if bo == nil {
+				bo = s.inj.BackoffSource("cachedisk/write/" + key)
+			}
 			s.retries++
-			s.retryWaitSeconds += resilience.Backoff(attempt-1, s.inj.BackoffSource("cachedisk/write"))
+			s.retryWaitSeconds += resilience.Backoff(attempt-1, bo)
 		}
 		if err := s.writeEntry(key, codec, payload); err != nil {
 			lastErr = err

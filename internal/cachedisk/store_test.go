@@ -323,8 +323,8 @@ func TestTransientWriteFaultsRetryThenSucceed(t *testing.T) {
 			if st.Puts != 1 || st.Retries != 2 || st.WriteErrors != 0 {
 				t.Fatalf("stats %+v", st)
 			}
-			if st.RetryWaitSeconds <= 0 {
-				t.Fatal("no modeled backoff charged")
+			if want := twoBackoffs(t, spec, "cachedisk/write/k"); st.RetryWaitSeconds != want {
+				t.Fatalf("retry wait %v s, want %v (two draws from one source)", st.RetryWaitSeconds, want)
 			}
 			got, _, ok := s.Get("k")
 			if !ok || string(got) != "payload" {
@@ -365,6 +365,23 @@ func TestReadFaultsRetryThenSucceed(t *testing.T) {
 	if st.Retries != 2 || st.ReadErrors != 0 {
 		t.Fatalf("stats %+v", st)
 	}
+	if want := twoBackoffs(t, "diskfault:read:2", "cachedisk/read/k"); st.RetryWaitSeconds != want {
+		t.Fatalf("retry wait %v s, want %v (two draws from one source)", st.RetryWaitSeconds, want)
+	}
+}
+
+// twoBackoffs is the modeled wait of an operation's first two retries under
+// openT's injector for faults: two successive draws from the one backoff
+// source the operation named name takes.
+func twoBackoffs(t *testing.T, faults, name string) float64 {
+	t.Helper()
+	fs, err := resilience.ParseFaults(faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := resilience.NewInjector(fs, rng.New(7)).BackoffSource(name)
+	first := resilience.Backoff(1, src)
+	return first + resilience.Backoff(2, src)
 }
 
 func TestSustainedFailureTripsBreakerToMemoryOnly(t *testing.T) {

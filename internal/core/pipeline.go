@@ -204,7 +204,9 @@ type MSAPhase struct {
 // (opts.ChainCache), and its Data.Workers are credited from the per-record
 // sums of whatever chain deltas were replayed into it, cached ones
 // included. The phase shares those deltas with other requests', so it is
-// read-only.
+// read-only. A failed stage returns its error with a phase that holds only
+// the Memory verdict and the Resilience report accrued before the failure
+// (the chain retries among them).
 func (s *Suite) RunMSAPhase(ctx context.Context, in *inputs.Input, mach platform.Machine, opts PipelineOptions) (*MSAPhase, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -217,7 +219,7 @@ func (s *Suite) RunMSAPhase(ctx context.Context, in *inputs.Input, mach platform
 	// Section VI static pre-check.
 	mp.Memory = memVerdict(in, mach, opts.Threads)
 	if mp.Memory.Verdict == memest.OOM && !opts.SkipMemCheck {
-		return nil, ErrProjectedOOM{Estimate: mp.Memory}
+		return mp, ErrProjectedOOM{Estimate: mp.Memory}
 	}
 
 	inj := resilience.NewInjector(opts.Faults, s.resilienceSource(in.Name, opts.RunIndex))
@@ -232,12 +234,10 @@ func (s *Suite) RunMSAPhase(ctx context.Context, in *inputs.Input, mach platform
 
 	// Open the databases under the retry policy, then plan the stage down
 	// the degradation ladder until it fits.
-	needed := s.neededDBs(in)
+	needed := s.NeededDBs(in)
 	active := s.openDatabases(needed, opts.SkipDBs, inj, &mp.Resilience)
-	if err := s.runMSAStage(ctx, in, mach, opts, storage, active, needed, inj, mp); err != nil {
-		return nil, err
-	}
-	return mp, nil
+	err := s.runMSAStage(ctx, in, mach, opts, storage, active, needed, inj, mp)
+	return mp, err
 }
 
 // RunInferencePhase executes only the inference phase: XLA compile replay
@@ -429,16 +429,11 @@ func (s *Suite) runMSAStage(ctx context.Context, in *inputs.Input, mach platform
 	}
 }
 
-// NeededDBs returns the names of the databases the input's chains search —
-// the serving layer consults it to feed per-database circuit breakers
-// (a request that finished without dropping a needed database counts as a
+// NeededDBs returns the names of the databases the input's chains search.
+// The serving layer consults it to feed per-database circuit breakers (a
+// request that finished without dropping a needed database counts as a
 // success for each one it searched).
 func (s *Suite) NeededDBs(in *inputs.Input) map[string]bool {
-	return s.neededDBs(in)
-}
-
-// neededDBs returns the names of the databases the input's chains search.
-func (s *Suite) neededDBs(in *inputs.Input) map[string]bool {
 	needed := make(map[string]bool)
 	for _, c := range in.MSAChains() {
 		for _, db := range s.DBs.For(c.Sequence.Type) {

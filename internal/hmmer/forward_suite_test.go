@@ -54,7 +54,7 @@ func TestForwardHitListsOnSuiteData(t *testing.T) {
 					}
 					recruited = append(recruited, opt.Hits...)
 				}
-				rows := hmmer.BuildHitAlignment(query, recruited, 1e-3)
+				rows := hmmer.BuildGappedAlignment(query, recruited, 1e-3)
 				if round == 2 || query.Type != seq.Protein || len(rows) <= 1 {
 					break // nucleotide search is one pass; nothing recruited ends a protein search
 				}

@@ -411,15 +411,6 @@ func ScanRecordsCtx(ctx context.Context, p *Profile, query *seq.Sequence, src Re
 	return scanDB(ctx, p.derived(), query, src, dbResidues, opts, false, m)
 }
 
-// BuildHitAlignment stacks hits below the inclusion threshold into
-// profile-column alignment rows (row 0 is the query), the input to
-// BuildFromAlignment for the next search round. Hits carrying a traced
-// Viterbi path stack gapped; the rest fall back to the ungapped diagonal
-// projection.
-func BuildHitAlignment(query *seq.Sequence, hits []Hit, inclusionE float64) [][]byte {
-	return BuildGappedAlignment(query, hits, inclusionE)
-}
-
 // MergeResults combines per-shard results into one, re-sorting by E-value
 // and deduplicating by target.
 func MergeResults(query string, parts []*Result) *Result {

@@ -200,11 +200,12 @@ func traceBand(p *Profile, residues []byte, diagonal, halfWidth, rows int, ws *s
 	return res, ali
 }
 
-// BuildGappedAlignment stacks hits into profile-column rows using their
-// traced alignments: matched target residues land in their aligned columns,
-// deletions leave gaps, insertions are dropped (standard profile-column
-// semantics). Hits without a traced alignment fall back to the ungapped
-// diagonal projection. Row 0 is the query.
+// BuildGappedAlignment stacks hits below the inclusion threshold into
+// profile-column rows, the input to BuildFromAlignment for the next search
+// round, using their traced alignments: matched target residues land in
+// their aligned columns, deletions leave gaps, insertions are dropped
+// (standard profile-column semantics). Hits without a traced alignment
+// fall back to the ungapped diagonal projection. Row 0 is the query.
 func BuildGappedAlignment(query *seq.Sequence, hits []Hit, inclusionE float64) [][]byte {
 	rows := [][]byte{append([]byte(nil), query.Residues...)}
 	for _, h := range hits {

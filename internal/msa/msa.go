@@ -347,7 +347,7 @@ func runChain(ctx context.Context, chain inputs.Chain, opts Options) (*chainDelt
 		if round == rounds-1 {
 			break
 		}
-		rows := hmmer.BuildHitAlignment(query, allHits, hmmer.InclusionE)
+		rows := hmmer.BuildGappedAlignment(query, allHits, hmmer.InclusionE)
 		// Profile rebuild is serial work between rounds; model it at the
 		// paper-scale recruited depth.
 		d.serial += uint64(len(rows)*query.Len()) * 600

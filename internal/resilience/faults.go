@@ -371,13 +371,16 @@ func (i *Injector) MemSpike(dbIndex int) int64 {
 	return int64(i.spikeGiB * float64(1<<30))
 }
 
-// BackoffSource returns a child source for one database's retry jitter,
-// keyed by the database name so the draw order is independent of which
-// other databases faulted first. A nil Injector (reads failed by someone
-// else's hook) still yields a deterministic source.
-func (i *Injector) BackoffSource(db string) *rng.Source {
+// BackoffSource returns a child source for the retry jitter of one
+// retried operation — a database open, or one disk-tier operation on one
+// entry — keyed by name so the draw order is independent of which other
+// operations faulted first. Take it once per operation and draw every
+// retry from it: Split does not advance the parent, so a fresh source
+// per retry repeats the first draw. A nil Injector (reads failed by
+// someone else's hook) still yields a deterministic source.
+func (i *Injector) BackoffSource(name string) *rng.Source {
 	var key uint64
-	for _, c := range []byte(db) {
+	for _, c := range []byte(name) {
 		key = key*131 + uint64(c)
 	}
 	if i == nil {

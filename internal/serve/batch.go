@@ -22,10 +22,14 @@ package serve
 // batching-invariant: each member's PipelineResult is computed exactly as
 // in unbatched serving; batching changes only the charged-seconds
 // attribution (each member is charged its amortized share of the batch
-// total, shares summing to the batch total).
+// total, shares summing to the batch total). The server keeps one record
+// of its batches, every sealed batch in seal order, and BatchReport folds
+// it in that order, so no reported number follows which GPU worker
+// finished first.
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 
 	"afsysbench/internal/batch"
@@ -67,6 +71,10 @@ type inferenceBatch struct {
 	// err is a seal-time compile-sim failure; the executor fails every
 	// member with it.
 	err error
+	// pb is the dispatch's modeled price, set under the server mutex
+	// before any member runs (nil until then, and for a batch that failed
+	// before pricing).
+	pb *simgpu.PhaseBreakdown
 }
 
 // initBatching wires the batching tier's state at construction.
@@ -85,7 +93,6 @@ func (s *Server) initBatching() {
 	// stored with size 1, so the byte capacity is the entry cap; evictions
 	// show up in the cache's own counters.
 	s.compileCache = cache.New(int64(len(s.policy.Buckets()) + 4))
-	s.meter = batch.NewMeter()
 }
 
 // batchCap is the members-per-dispatch bound for a bucket on a machine:
@@ -121,12 +128,15 @@ func (s *Server) compileKey(bucket int, mach platform.Machine) string {
 func (s *Server) batchDispatcher() {
 	defer s.wgDisp.Done()
 	var open *inferenceBatch
-	seq := 0
 	seal := func() {
 		if open == nil {
 			return
 		}
 		s.sealCompile(open)
+		s.mu.Lock()
+		open.id = fmt.Sprintf("b%04d", len(s.batches))
+		s.batches = append(s.batches, open)
+		s.mu.Unlock()
 		s.batchQ <- open
 		open = nil
 	}
@@ -138,44 +148,19 @@ func (s *Server) batchDispatcher() {
 		if !s.record(j, event{kind: evHandoff}) {
 			return
 		}
-		tokens := j.in.TotalResidues()
-		bucket := s.policy.PadTo(tokens)
+		bucket := s.policy.PadTo(j.in.TotalResidues())
 		// The batch-cap brownout rung: an over-quota job under load
-		// dispatches as a singleton — it cannot inflate a shared batch's
-		// bucket (and padding waste) for fair-share tenants.
-		if j.qosLevel >= qos.LevelBatchCap {
-			seal()
-			open = &inferenceBatch{
-				id:      fmt.Sprintf("b%04d", seq),
-				bucket:  bucket,
-				machine: j.machine,
-				threads: j.threads,
-				jobs:    []*job{j},
-			}
-			seq++
-			s.mu.Lock()
-			s.meter.ObserveJob(bucket, tokens)
-			s.mu.Unlock()
-			seal()
-			return
-		}
-		if open != nil && (open.bucket != bucket || open.machine.Name != j.machine.Name || open.threads != j.threads) {
+		// dispatches alone — it cannot inflate a shared batch's bucket (and
+		// padding waste) for fair-share tenants.
+		alone := j.qosLevel >= qos.LevelBatchCap
+		if open != nil && (alone || open.bucket != bucket || open.machine.Name != j.machine.Name || open.threads != j.threads) {
 			seal()
 		}
 		if open == nil {
-			open = &inferenceBatch{
-				id:      fmt.Sprintf("b%04d", seq),
-				bucket:  bucket,
-				machine: j.machine,
-				threads: j.threads,
-			}
-			seq++
+			open = &inferenceBatch{bucket: bucket, machine: j.machine, threads: j.threads}
 		}
 		open.jobs = append(open.jobs, j)
-		s.mu.Lock()
-		s.meter.ObserveJob(bucket, tokens)
-		s.mu.Unlock()
-		if len(open.jobs) >= s.batchCap(j.machine, bucket) {
+		if alone || len(open.jobs) >= s.batchCap(j.machine, bucket) {
 			seal()
 		}
 	}
@@ -190,23 +175,8 @@ func (s *Server) batchDispatcher() {
 			add(j)
 		case <-s.batchKick:
 		}
-		// Drain immediately-available arrivals before the quiescence
-		// check, so a burst of back-to-back hand-offs coalesces fully.
-		for drained := false; !drained; {
-			select {
-			case j, ok := <-s.infQ:
-				if !ok {
-					seal()
-					close(s.batchQ)
-					return
-				}
-				add(j)
-			default:
-				drained = true
-			}
-		}
 		// preBatch counts admitted jobs the dispatcher has not yet received
-		// (queued, in MSA, or in the inference queue): while it is nonzero
+		// (queued, in MSA, or still buffered in infQ): while it is nonzero
 		// the open batch may still grow.
 		s.mu.Lock()
 		quiet := s.preBatch == 0
@@ -263,8 +233,8 @@ func (s *Server) runBatchGuarded(b *inferenceBatch) {
 	s.runBatch(b)
 }
 
-// runBatch prices the batched dispatch once, records the accounting, and
-// completes each member with its amortized share.
+// runBatch prices the batched dispatch once, sets the price on the batch
+// record, and runs each member's inference.
 func (s *Server) runBatch(b *inferenceBatch) {
 	if b.err != nil {
 		for _, j := range b.jobs {
@@ -294,34 +264,14 @@ func (s *Server) runBatch(b *inferenceBatch) {
 		}
 		return
 	}
-	s.recordBatch(b, pb)
-	share := pb.Total() / float64(size)
-	for _, j := range b.jobs {
-		s.runInferenceGuarded(j, b, share)
-	}
-}
-
-// recordBatch lands the dispatch on the meter, the aggregate overhead
-// accounting, and the metrics registry.
-func (s *Server) recordBatch(b *inferenceBatch, pb simgpu.PhaseBreakdown) {
 	s.mu.Lock()
-	s.meter.ObserveBatch(b.bucket, b.compileCharged)
-	s.batchAgg.batches++
-	s.batchAgg.members += len(b.jobs)
-	s.batchAgg.totalSeconds += pb.Total()
-	s.batchAgg.computeSeconds += pb.ComputeSeconds
+	b.pb = &pb
 	s.mu.Unlock()
 	s.cfg.Metrics.Add("batches_dispatched", 1)
-	s.cfg.Metrics.Add("batched_jobs", int64(len(b.jobs)))
-}
-
-// batchAggregate is the running modeled-time account over every dispatched
-// batch (guarded by the server mutex).
-type batchAggregate struct {
-	batches        int
-	members        int
-	totalSeconds   float64
-	computeSeconds float64
+	s.cfg.Metrics.Add("batched_jobs", int64(size))
+	for _, j := range b.jobs {
+		s.runInferenceGuarded(j, b)
+	}
 }
 
 // BatchReport is the serving-side batching summary for load reports,
@@ -341,8 +291,8 @@ type BatchReport struct {
 	ComputeSeconds   float64 `json:"compute_seconds"`
 	OverheadFraction float64 `json:"overhead_fraction"`
 	// PaddingWastePct is dispatched-but-unowned tokens over dispatched
-	// tokens, meter-wide; PerBucket breaks both padding and compile
-	// sharing down per bucket.
+	// tokens, over every sealed batch; PerBucket breaks both padding and
+	// compile sharing down per bucket.
 	PaddingWastePct float64             `json:"padding_waste_pct"`
 	PerBucket       []batch.BucketStats `json:"per_bucket"`
 	// CompileCache is the compiled-graph cache's counter snapshot
@@ -350,32 +300,55 @@ type BatchReport struct {
 	CompileCache cache.Stats `json:"compile_cache"`
 }
 
-// BatchReport snapshots the batching tier's accounting (nil when batching
-// is disabled).
+// BatchReport folds the sealed batches, in seal order, into the batching
+// tier's summary (nil when batching is disabled). Members count from
+// sealing; dispatches, compile counts and modeled seconds from pricing.
 func (s *Server) BatchReport() *BatchReport {
 	if !s.cfg.Batch.Enabled {
 		return nil
 	}
+	r := &BatchReport{Enabled: true, Buckets: s.policy.Buckets(), CompileCache: s.compileCache.Stats()}
+	rows := make(map[int]*batch.BucketStats)
+	var actual, padded int64
 	s.mu.Lock()
-	agg := s.batchAgg
-	rows := s.meter.Snapshot()
-	_, actual, padded := s.meter.Totals()
+	for _, b := range s.batches {
+		row := rows[b.bucket]
+		if row == nil {
+			row = &batch.BucketStats{Bucket: b.bucket}
+			rows[b.bucket] = row
+		}
+		for _, j := range b.jobs {
+			row.Requests++
+			row.ActualTokens += int64(j.in.TotalResidues())
+			row.PaddedTokens += int64(b.bucket)
+		}
+		if b.pb == nil {
+			continue
+		}
+		row.Batches++
+		if b.compileCharged {
+			row.CompileMisses++
+		} else {
+			row.CompileHits++
+		}
+		r.Batches++
+		r.BatchedJobs += len(b.jobs)
+		r.TotalSeconds += b.pb.Total()
+		r.ComputeSeconds += b.pb.ComputeSeconds
+	}
 	s.mu.Unlock()
-	r := &BatchReport{
-		Enabled:        true,
-		Buckets:        s.policy.Buckets(),
-		Batches:        agg.batches,
-		BatchedJobs:    agg.members,
-		TotalSeconds:   agg.totalSeconds,
-		ComputeSeconds: agg.computeSeconds,
-		PerBucket:      rows,
-		CompileCache:   s.compileCache.Stats(),
+	r.PerBucket = make([]batch.BucketStats, 0, len(rows))
+	for _, row := range rows {
+		r.PerBucket = append(r.PerBucket, *row)
+		actual += row.ActualTokens
+		padded += row.PaddedTokens
 	}
-	if agg.batches > 0 {
-		r.MeanBatchSize = float64(agg.members) / float64(agg.batches)
+	sort.Slice(r.PerBucket, func(i, j int) bool { return r.PerBucket[i].Bucket < r.PerBucket[j].Bucket })
+	if r.Batches > 0 {
+		r.MeanBatchSize = float64(r.BatchedJobs) / float64(r.Batches)
 	}
-	if agg.totalSeconds > 0 {
-		r.OverheadFraction = (agg.totalSeconds - agg.computeSeconds) / agg.totalSeconds
+	if r.TotalSeconds > 0 {
+		r.OverheadFraction = (r.TotalSeconds - r.ComputeSeconds) / r.TotalSeconds
 	}
 	if padded > 0 {
 		r.PaddingWastePct = 100 * float64(padded-actual) / float64(padded)

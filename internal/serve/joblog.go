@@ -54,24 +54,61 @@ var originCounter = [...]string{
 }
 
 // event is one entry of a job's log; kind says which fields it carries.
+// An event holds what happened, never what it costs: the charges every
+// view reports are derived from it (msaCharge, infCharge, cacheHit,
+// partialMSA).
 type event struct {
 	kind   eventKind
 	origin chainOrigin // evChain
-	// hit marks a fully cached MSA stage: every chain came from a cache
-	// tier. partial marks one run with databases an open breaker skipped.
-	hit, partial bool // evMSA
-	seq          int  // evDispatch
-	// secs is the modeled time charged to the request: the fresh-work
-	// share of the MSA phase (evMSA), the canonical inference total or,
-	// in a batched dispatch, the amortized share of the batch (evDone).
-	secs float64
+	seq    int         // evDispatch
 	// wall is the wall time since submit (evDone, evFailed; record stamps
 	// it).
-	wall   float64
-	phase  *core.MSAPhase       // evMSA
+	wall float64
+	// phase is the MSA phase (evMSA; evFailed, when the stage failed: its
+	// memory verdict and resilience events only).
+	phase  *core.MSAPhase
 	result *core.PipelineResult // evDone
 	batch  *inferenceBatch      // evDone, when a batched dispatch carried the job
 	err    error                // evFailed
+}
+
+// msaCharge is the modeled MSA time charged to a request: the phase time
+// scaled by the fresh-work share. The phase time is cache-independent (the
+// determinism contract), but a request whose chains were largely replayed
+// only occupies a CPU lane for the work it really added.
+func msaCharge(mp *core.MSAPhase) float64 {
+	if d := mp.Data; d != nil && d.CachedWork > 0 {
+		return mp.Seconds * float64(d.FreshWork) / float64(d.FreshWork+d.CachedWork)
+	}
+	return mp.Seconds
+}
+
+// cacheHit reports a fully cached MSA phase: every chain came from a cache
+// tier, and no database was searched on the request's behalf.
+func cacheHit(mp *core.MSAPhase) bool {
+	d := mp.Data
+	return d != nil && d.CachedWork > 0 && d.FreshWork == 0
+}
+
+// partialMSA reports a phase run with databases an open breaker skipped.
+func partialMSA(mp *core.MSAPhase) bool {
+	for _, e := range mp.Resilience.Events {
+		if e.Kind == resilience.KindBreakerSkip {
+			return true
+		}
+	}
+	return false
+}
+
+// infCharge is the modeled inference time charged to a done job: the
+// canonical total or, when a batched dispatch carried it, its amortized
+// share of the batch total. The batch is priced under the server mutex
+// before any member is done, and the caller holds it.
+func infCharge(done event) float64 {
+	if b := done.batch; b != nil {
+		return b.pb.Total() / float64(len(b.jobs))
+	}
+	return done.result.Inference.Total()
 }
 
 // record appends ev to the job's log and reports whether it took: a
@@ -87,20 +124,22 @@ func (s *Server) record(j *job, ev event) bool {
 		return false
 	}
 	m := s.cfg.Metrics
-	switch ev.kind {
-	case evChain:
-		m.Add(originCounter[ev.origin], 1)
-	case evMSA:
-		if ev.hit {
-			m.Add("msa_cache_hits", 1)
-		}
-		if ev.partial {
-			m.Add("requests_partial_msa", 1)
-		}
+	if ev.phase != nil {
 		for _, e := range ev.phase.Resilience.Events {
 			if e.Kind == resilience.KindChainRetry {
 				m.Add("msa_chain_retries", 1)
 			}
+		}
+	}
+	switch ev.kind {
+	case evChain:
+		m.Add(originCounter[ev.origin], 1)
+	case evMSA:
+		if cacheHit(ev.phase) {
+			m.Add("msa_cache_hits", 1)
+		}
+		if partialMSA(ev.phase) {
+			m.Add("requests_partial_msa", 1)
 		}
 	case evHandoff:
 		s.preBatch--
@@ -193,24 +232,23 @@ func status(j *job) JobStatus {
 		st.QoSLevel = j.qosLevel.String()
 	}
 	var chains [len(originCounter)]int
-	var charged float64
-	var partial bool
+	var mp *core.MSAPhase
 	for _, ev := range j.log {
 		switch ev.kind {
 		case evChain:
 			chains[ev.origin]++
 		case evMSA:
-			st.CacheHit = ev.hit
-			charged, partial = ev.secs, ev.partial
+			mp = ev.phase
+			st.CacheHit = cacheHit(mp)
 		case evDone:
-			st.MSASeconds = charged
+			st.MSASeconds = msaCharge(mp)
 			st.InferenceSeconds = ev.result.Inference.Total()
-			st.ChargedInferenceSeconds = ev.secs
+			st.ChargedInferenceSeconds = infCharge(ev)
 			if b := ev.batch; b != nil {
 				st.BatchID, st.BatchSize, st.BucketTokens = b.id, len(b.jobs), b.bucket
 			}
 			st.Degraded = ev.result.Resilience.Degraded
-			st.PartialMSA = partial
+			st.PartialMSA = partialMSA(mp)
 			st.WallMs = ev.wall * 1000
 		case evFailed:
 			st.WallMs = ev.wall * 1000
@@ -249,9 +287,9 @@ func outcome(j *job) (completed, bool) {
 		case evDispatch:
 			row.seq = ev.seq
 		case evMSA:
-			row.cacheHit, row.msaSeconds = ev.hit, ev.secs
+			row.cacheHit, row.msaSeconds = cacheHit(ev.phase), msaCharge(ev.phase)
 		case evDone:
-			row.infSeconds = ev.secs
+			row.infSeconds = infCharge(ev)
 			row.serialSeconds = row.msaSeconds + ev.result.Inference.Total()
 			row.wallMs = ev.wall * 1000
 		}

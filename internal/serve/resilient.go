@@ -77,11 +77,11 @@ func (s *Server) breakerPlan(j *job) (skip map[string]bool, probes []string) {
 // next request to spend. A partially cached stage settles all needed
 // databases — chains replayed from the cache vouch for theirs by proxy,
 // since the cached delta was computed from them.
-func (s *Server) feedBreakers(j *job, mp *core.MSAPhase, hit bool, err error, skip map[string]bool, probes []string) {
+func (s *Server) feedBreakers(j *job, mp *core.MSAPhase, err error, skip map[string]bool, probes []string) {
 	if len(s.breakers) == 0 {
 		return
 	}
-	if err != nil || hit || mp == nil {
+	if err != nil || cacheHit(mp) {
 		for _, name := range probes {
 			s.breakers[name].ProbeAbort()
 		}

@@ -250,7 +250,8 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 // retried inside each chain's own search — one chain-retry event a chain,
 // msa_chain_retries 3 — and the result's digest is a fault-free server's,
 // at one thread and at three. A fault outlasting the retry budget fails
-// the request with error class fault.
+// the request with error class fault, and its four faulted searches still
+// count.
 func TestMSARetryRerunsOnlyFailedChains(t *testing.T) {
 	for _, threads := range []int{1, 3} {
 		clean := newTestServer(t, Config{Threads: threads})
@@ -285,6 +286,9 @@ func TestMSARetryRerunsOnlyFailedChains(t *testing.T) {
 	st := runTrace(t, s, []string{"1YY9"})[0]
 	if st.State != "failed" || st.ErrorClass != "fault" {
 		t.Errorf("chainfault:B:4: state=%s class=%q (%s), want failed with class fault", st.State, st.ErrorClass, st.Error)
+	}
+	if got := s.Metrics().Get("msa_chain_retries"); got != 4 {
+		t.Errorf("chainfault:B:4: msa_chain_retries = %d, want 4 (every faulted search of the failed stage)", got)
 	}
 }
 

@@ -340,17 +340,16 @@ type Server struct {
 	// policy pads token counts into shape buckets; the dispatcher
 	// goroutine (wgDisp) turns infQ into sealed batches on batchQ;
 	// batchKick wakes it for quiescence re-checks; compileCache is the
-	// compiled-graph cache; meter and batchAgg (guarded by mu) hold the
-	// padding/compile and overhead accounting; preBatch (guarded by mu)
-	// counts admitted jobs the dispatcher has not yet received.
+	// compiled-graph cache; batches (guarded by mu) is every sealed batch
+	// in seal order, the one record BatchReport folds; preBatch (guarded
+	// by mu) counts admitted jobs the dispatcher has not yet received.
 	policy       batch.Policy
 	batchQ       chan *inferenceBatch
 	batchKick    chan struct{}
 	wgDisp       sync.WaitGroup
 	compileCache *cache.Cache
-	meter        *batch.Meter
+	batches      []*inferenceBatch
 	preBatch     int
-	batchAgg     batchAggregate
 
 	// msaLive/gpuLive count live worker goroutines (the msa_workers_live
 	// and gpu_workers_live gauges); guarded by mu.
@@ -866,7 +865,7 @@ func (s *Server) gpuWorker() {
 	s.adjustLive(&s.gpuLive, 1)
 	defer s.adjustLive(&s.gpuLive, -1)
 	for j := range s.infQ {
-		s.runInferenceGuarded(j, nil, 0)
+		s.runInferenceGuarded(j, nil)
 	}
 }
 
@@ -895,10 +894,10 @@ func (s *Server) runMSAGuarded(j *job) {
 // runInferenceGuarded is runMSAGuarded's GPU-side twin, for an unbatched
 // job (b == nil) and for each member of a batched dispatch alike, so one
 // member's panic cannot take its batch-mates down.
-func (s *Server) runInferenceGuarded(j *job, b *inferenceBatch, share float64) {
+func (s *Server) runInferenceGuarded(j *job, b *inferenceBatch) {
 	stage := "inference"
 	defer s.guard(&stage, j)
-	s.runInferenceJob(j, b, share)
+	s.runInferenceJob(j, b)
 }
 
 // guard isolates worker panics: deferred around a stage, it recovers a
@@ -957,23 +956,9 @@ func (s *Server) runMSA(j *job, stage *string) {
 		opts.ChainCache = s.chainFetcher(j)
 	}
 	mp, err := s.suite.RunMSAPhase(ctx, j.in, j.machine, opts)
-	// A request is a cache hit when every chain came from a cache tier —
-	// no database was searched on its behalf. Charged MSA seconds scale by
-	// the fresh-work share: the phase time is cache-independent (the
-	// determinism contract), but a request whose chains were largely
-	// replayed only occupies a CPU lane for the work it really added.
-	hit := false
-	var charged float64
-	if err == nil {
-		charged = mp.Seconds
-		if d := mp.Data; d != nil && d.CachedWork > 0 {
-			hit = d.FreshWork == 0
-			charged = mp.Seconds * float64(d.FreshWork) / float64(d.FreshWork+d.CachedWork)
-		}
-	}
-	s.feedBreakers(j, mp, hit, err, skip, probes)
+	s.feedBreakers(j, mp, err, skip, probes)
 	if err != nil {
-		s.fail(j, err)
+		s.record(j, event{kind: evFailed, err: err, phase: mp})
 		return
 	}
 	if j.qosLevel > qos.LevelNone {
@@ -982,7 +967,7 @@ func (s *Server) runMSA(j *job, stage *string) {
 			Detail: fmt.Sprintf("tenant %s degraded at rung %s", j.tenant, j.qosLevel),
 		})
 	}
-	s.record(j, event{kind: evMSA, phase: mp, secs: charged, hit: hit, partial: len(skip) > 0})
+	s.record(j, event{kind: evMSA, phase: mp})
 	*stage = "handoff"
 	if h := s.cfg.PanicHook; h != nil {
 		h("handoff", j.ordinal)
@@ -995,10 +980,8 @@ func (s *Server) runMSA(j *job, stage *string) {
 // load) is left alone — terminal states are final. The per-request result
 // is canonical whether the job dispatches alone (b == nil) or rides batch
 // b — computed with the same pipeline options, so it is bitwise identical
-// either way. Batching affects only attribution: a batch member's charged
-// inference seconds are its amortized share of the batched dispatch's
-// modeled time instead of the canonical breakdown total.
-func (s *Server) runInferenceJob(j *job, b *inferenceBatch, share float64) {
+// either way. Batching affects only attribution (infCharge).
+func (s *Server) runInferenceJob(j *job, b *inferenceBatch) {
 	if !s.record(j, event{kind: evInference}) {
 		return
 	}
@@ -1018,10 +1001,7 @@ func (s *Server) runInferenceJob(j *job, b *inferenceBatch, share float64) {
 	mp := msaPhase(j)
 	s.mu.Unlock()
 	res := core.ComposeResult(j.in, j.machine, j.threads, mp, pb)
-	if b == nil {
-		share = res.Inference.Total()
-	}
-	s.record(j, event{kind: evDone, result: res, secs: share, batch: b})
+	s.record(j, event{kind: evDone, result: res, batch: b})
 }
 
 // ErrorClass buckets a request failure for metrics, exit codes and the

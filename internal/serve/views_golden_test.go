@@ -27,10 +27,10 @@ type viewTrace struct {
 }
 
 // viewTraces are the traces testdata/views.golden pins. Each runs one MSA
-// worker and one GPU worker with every request submitted before Start, so
-// the dispatch order, every cache tier's hits and evictions, batch
-// composition, the order batch totals are summed in and the QoS decisions
-// are a pure function of the trace.
+// worker with every request submitted before Start, so the dispatch order,
+// every cache tier's hits and evictions, batch composition and the QoS
+// decisions are a pure function of the trace. The two batched traces run
+// several GPU workers: no view may depend on which of them finishes first.
 func viewTraces() []viewTrace {
 	samples := func(names ...string) []Request {
 		reqs := make([]Request, len(names))
@@ -65,7 +65,7 @@ func viewTraces() []viewTrace {
 		{
 			name: "batched",
 			cfg: func(*testing.T) Config {
-				return Config{Threads: 2, MSAWorkers: 1, GPUWorkers: 1, ColdModel: true, Cache: cache.New(0),
+				return Config{Threads: 2, MSAWorkers: 1, GPUWorkers: 3, ColdModel: true, Cache: cache.New(0),
 					Batch: BatchConfig{Enabled: true, Buckets: []int{512, 1024, 2048}, MaxBatch: 3}}
 			},
 			reqs: samples(batchTrace()...),
@@ -73,7 +73,7 @@ func viewTraces() []viewTrace {
 		{
 			name: "qos",
 			cfg: func(*testing.T) Config {
-				return Config{Threads: 2, MSAWorkers: 1, GPUWorkers: 1, Cache: cache.New(0),
+				return Config{Threads: 2, MSAWorkers: 1, GPUWorkers: 2, Cache: cache.New(0),
 					Batch: BatchConfig{Enabled: true},
 					QoS: qos.NewController(qos.Config{
 						Tenants: map[string]qos.TenantConfig{

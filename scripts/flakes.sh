@@ -1,9 +1,11 @@
 #!/bin/sh
-# flakes: how often the tests that read the runtime's own counters fail on
-# fresh runs. TestAllocsGolden (internal/core), TestCachedRequestAllocsGolden
-# (internal/serve) and TestSmokeRunEmitsEveryMetric (bench) each run
-# FLAKES_N times (default 20), first alone and then beside two busy shell
-# loops, and the failures are printed per test and load.
+# flakes: how often the tests that read the runtime's own counters or race
+# worker goroutines fail on fresh runs. TestAllocsGolden (internal/core),
+# TestCachedRequestAllocsGolden (internal/serve), TestViewsGolden
+# (internal/serve: its batched traces run several GPU workers) and
+# TestSmokeRunEmitsEveryMetric (bench) each run FLAKES_N times (default
+# 20), first alone and then beside two busy shell loops, and the failures
+# are printed per test and load.
 #
 # FLAKES_BASE=<commit> makes the same runs at that commit too, from a
 # temporary checkout (git archive, so nothing is registered in .git). The
@@ -14,7 +16,7 @@
 cd "$(dirname "$0")/.." || exit 2
 GO=${GO:-go}
 N=${FLAKES_N:-20}
-tests="internal/core:TestAllocsGolden internal/serve:TestCachedRequestAllocsGolden bench:TestSmokeRunEmitsEveryMetric"
+tests="internal/core:TestAllocsGolden internal/serve:TestCachedRequestAllocsGolden internal/serve:TestViewsGolden bench:TestSmokeRunEmitsEveryMetric"
 
 tmp=$(mktemp -d) || exit 2
 busy=
